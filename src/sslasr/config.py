@@ -81,7 +81,6 @@ DEFAULT_CONFIG = {
     },
     "decode": {
         "weights": "3:2",  # fused : fbk-only
-        "weights3": "9:1:5",  # fused : fbk-only : multimodal
         "nbest": 20,  # capped by the lexicon size in isolated-word mode
     },
     "rescore": {"alpha": 2.0, "beta": 9.0},

@@ -1,6 +1,12 @@
 """CTC loss with analytic gradients, hypothesis scoring, greedy decoding,
 and prefix beam search over per-frame log posteriors.
 
+One blank-interleaved alignment lattice (``_ctc_lattice``) serves the
+loss, the forward score, isolated-word Viterbi decoding and N-best
+rescoring. It scores a padded batch of targets in one pass under one of
+two semirings: log-sum-exp (summed paths) or max (best path). The loss's
+backward lattice is the same pass over the time-reversed stream.
+
 Alignment-lattice conventions: blank id is 0, lexical tokens are 1..V,
 and all lattice arithmetic runs in log space with -inf for impossible
 states.
@@ -117,50 +123,56 @@ def _check_target(target, width):
     return target
 
 
-def _ctc_alphas(logp, ext):
-    """Forward lattice, emissions included at every step; returns (T, S)."""
-    t_len, s_len = logp.shape[0], len(ext)
-    alphas = np.full((t_len, s_len), NEG_INF)
-    alphas[0, 0] = logp[0, ext[0]]
-    if s_len > 1:
-        alphas[0, 1] = logp[0, ext[1]]
-    skip_ok = np.zeros(s_len, dtype=bool)
-    skip_ok[2:] = (ext[2:] != 0) & (ext[2:] != ext[:-2])
-    for t in range(1, t_len):
-        prev = alphas[t - 1]
-        step = np.full(s_len, NEG_INF)
-        step[1:] = prev[:-1]
-        acc = np.logaddexp(prev, step)
-        skip = np.full(s_len, NEG_INF)
-        skip[2:] = prev[:-2]
-        acc = np.where(skip_ok, np.logaddexp(acc, skip), acc)
-        alphas[t] = acc + logp[t, ext]
-    return alphas
+def _ctc_lattice(logp, targets, plus):
+    """Forward (alpha) lattice of every target over one stream at once.
 
+    The targets are blank-interleaved into an (N, S) batch of state labels,
+    padded at the end to S = 2 * longest + 1; a padded state never feeds a
+    real one, so every row equals its single-target lattice bit for bit.
+    ``plus`` picks the semiring: ``np.logaddexp`` sums the paths (CTC
+    forward score), ``np.maximum`` keeps the best one (Viterbi alignment).
 
-def _ctc_betas(logp, ext):
-    """Backward lattice, emissions included at every step."""
-    t_len, s_len = logp.shape[0], len(ext)
-    betas = np.full((t_len, s_len), NEG_INF)
-    betas[-1, -1] = logp[-1, ext[-1]]
-    if s_len > 1:
-        betas[-1, -2] = logp[-1, ext[-2]]
-    skip_ok = np.zeros(s_len, dtype=bool)
-    skip_ok[:-2] = (ext[2:] != 0) & (ext[2:] != ext[:-2])
-    for t in range(t_len - 2, -1, -1):
-        nxt = betas[t + 1]
-        step = np.full(s_len, NEG_INF)
-        step[:-1] = nxt[1:]
-        acc = np.logaddexp(nxt, step)
-        skip = np.full(s_len, NEG_INF)
-        skip[:-2] = nxt[2:]
-        acc = np.where(skip_ok, np.logaddexp(acc, skip), acc)
-        betas[t] = acc + logp[t, ext]
-    return betas
+    Returns the (T, N, S) lattice, emissions included at every frame, and
+    each target's cost: -log of its summed or best path, +inf if it has
+    no path.
+    """
+    n_states = np.array([2 * len(y) + 1 for y in targets], dtype=np.int64)
+    ext = np.zeros((len(targets), n_states.max(initial=1)), dtype=np.int64)
+    for row, y, s_len in zip(ext, targets, n_states):
+        row[:s_len] = _interleave_blanks(y)
+    emit = logp[:, ext]
+    alphas = np.full(emit.shape, NEG_INF)
+    alphas[0, :, :2] = emit[0, :, :2]
+    skip_ok = np.zeros(ext.shape, dtype=bool)
+    skip_ok[:, 2:] = (ext[:, 2:] != 0) & (ext[:, 2:] != ext[:, :-2])
+    step = np.full(ext.shape, NEG_INF)
+    skip = np.full(ext.shape, NEG_INF)
+    for t in range(1, len(logp)):
+        prev, acc = alphas[t - 1], alphas[t]
+        step[:, 1:] = prev[:, :-1]
+        skip[:, 2:] = prev[:, :-2]
+        plus(prev, step, out=acc)
+        plus(acc, skip, out=acc, where=skip_ok)
+        acc += emit[t]
+    rows = np.arange(len(targets))
+    score = alphas[-1, rows, n_states - 1]
+    plus(score, alphas[-1, rows, n_states - 2], out=score, where=n_states > 1)
+    return alphas, -score
 
 
 def _stream_logp(stream):
     return stream.logp if isinstance(stream, PosteriorStream) else np.asarray(stream, np.float64)
+
+
+def _forward(logp, target):
+    """Alpha lattice (T, S) and cost of one checked target; raises
+    :class:`UnsatisfiableTargetError` when no path exists."""
+    alphas, cost = _ctc_lattice(logp, [target], np.logaddexp)
+    if cost[0] == np.inf:
+        raise UnsatisfiableTargetError(
+            f"target of {len(target)} tokens has no valid alignment in {len(logp)} frames"
+        )
+    return alphas[:, 0], float(cost[0])
 
 
 @dataclass
@@ -178,22 +190,12 @@ def ctc_loss(stream, target) -> CtcLossResult:
     """
     logp = _stream_logp(stream)
     target = _check_target(target, logp.shape[1])
-    t_len = logp.shape[0]
-    if 2 * len(target) + 1 > 2 * t_len + 1:
-        raise UnsatisfiableTargetError(
-            f"target of {len(target)} tokens cannot align in {t_len} frames"
-        )
+    alphas, cost = _forward(logp, target)
+    log_z = -cost
+    # the backward lattice is the forward one of the time-reversed stream
+    # and reversed target, flipped back
+    betas = _ctc_lattice(logp[::-1], [target[::-1]], np.logaddexp)[0][::-1, 0, ::-1]
     ext = _interleave_blanks(target)
-    alphas = _ctc_alphas(logp, ext)
-    if len(ext) > 1:
-        log_z = np.logaddexp(alphas[-1, -1], alphas[-1, -2])
-    else:
-        log_z = alphas[-1, -1]
-    if not np.isfinite(log_z):
-        raise UnsatisfiableTargetError(
-            f"target of {len(target)} tokens has no valid alignment in {t_len} frames"
-        )
-    betas = _ctc_betas(logp, ext)
     # occ[t, s] = P(path passes state s at frame t) / p_t(label(s)), so
     # summing occ over states sharing a label gives -d(-log Z)/d logp.
     # Unreachable states (alpha or beta = -inf) contribute nothing; mask
@@ -205,30 +207,14 @@ def ctc_loss(stream, target) -> CtcLossResult:
     grad = np.zeros_like(logp)
     for s, k in enumerate(ext):
         grad[:, k] -= occ[:, s]
-    return CtcLossResult(float(-log_z), grad)
+    return CtcLossResult(cost, grad)
 
 
 def ctc_forward_score(stream, label_seq) -> float:
-    """Negative log probability of a labeling; equals ``ctc_loss`` on the
-    same pair but skips the gradient."""
+    """Negative log probability of a labeling: the forward half of
+    ``ctc_loss``, so it equals that loss's value exactly."""
     logp = _stream_logp(stream)
-    label_seq = _check_target(label_seq, logp.shape[1])
-    ext = _interleave_blanks(label_seq)
-    if len(ext) > 2 * logp.shape[0] + 1:
-        raise UnsatisfiableTargetError(
-            f"labeling of {len(label_seq)} tokens cannot align in {logp.shape[0]} frames"
-        )
-    alphas = _ctc_alphas(logp, ext)
-    if len(ext) > 1:
-        log_z = np.logaddexp(alphas[-1, -1], alphas[-1, -2])
-    else:
-        log_z = alphas[-1, -1]
-    if not np.isfinite(log_z):
-        raise UnsatisfiableTargetError(
-            f"labeling of {len(label_seq)} tokens has no valid alignment "
-            f"in {logp.shape[0]} frames"
-        )
-    return float(-log_z)
+    return _forward(logp, _check_target(label_seq, logp.shape[1]))[1]
 
 
 def greedy_decode(stream, vocab: TokenVocab | None = None):

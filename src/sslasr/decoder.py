@@ -1,9 +1,11 @@
 """Frame-level system combination and time-synchronous lexicon decoding.
 
 Posterior interpolation happens in the probability domain (convex
-combination of per-frame distributions); decoding runs max-Viterbi over
-blank-interleaved word models, either scoring every lexicon word in
-isolation or looping word models with an insertion penalty.
+combination of per-frame distributions). Decoding runs max-Viterbi in
+one of two ways. Isolated-word mode scores every lexicon word at once
+on the shared CTC lattice of ``ctc`` under the max semiring (its other
+semiring, log-sum-exp, scores rescoring passes). Word-loop mode loops
+word models with an insertion penalty on a graph of its own.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .ctc import NEG_INF, NBestEntry, NBestList, PosteriorStream, TokenVocab
+from .ctc import NEG_INF, NBestEntry, NBestList, PosteriorStream, TokenVocab, _ctc_lattice
 
 
 class DecodeError(ValueError):
@@ -145,34 +147,12 @@ def interpolate_posteriors(streams, weights) -> PosteriorStream:
         return PosteriorStream(np.log(mix), shift, label)
 
 
-def _interleaved_states(token_ids):
-    """Blank-interleaved state labels [0, y1, 0, y2, ..., yL, 0]."""
-    ext = np.zeros(2 * len(token_ids) + 1, dtype=np.int64)
-    ext[1::2] = token_ids
-    return ext
-
-
 def viterbi_align_cost(logp, token_ids):
     """Cost (negative max log probability) of the best monotone alignment
-    of the blank-interleaved token sequence; -inf paths yield +inf cost."""
-    ext = _interleaved_states(token_ids)
-    t_len, s_len = logp.shape[0], len(ext)
-    skip_ok = np.zeros(s_len, dtype=bool)
-    skip_ok[2:] = (ext[2:] != 0) & (ext[2:] != ext[:-2])
-    v = np.full(s_len, NEG_INF)
-    v[0] = logp[0, ext[0]]
-    if s_len > 1:
-        v[1] = logp[0, ext[1]]
-    for t in range(1, t_len):
-        step = np.full(s_len, NEG_INF)
-        step[1:] = v[:-1]
-        best = np.maximum(v, step)
-        skip = np.full(s_len, NEG_INF)
-        skip[2:] = v[:-2]
-        best = np.where(skip_ok, np.maximum(best, skip), best)
-        v = best + logp[t, ext]
-    score = v[-1] if s_len == 1 else max(v[-1], v[-2])
-    return float(-score)
+    of one blank-interleaved token sequence; +inf when it has none. The
+    single-target form of ``isolated_nbest``'s scoring; perfbench's traced
+    run reports it by name."""
+    return float(_ctc_lattice(logp, [token_ids], np.maximum)[1][0])
 
 
 def _resolve_tokens(lexicon, vocab):
@@ -182,41 +162,25 @@ def _resolve_tokens(lexicon, vocab):
 def viterbi_isolated(stream: PosteriorStream, lexicon: Lexicon, vocab: TokenVocab):
     """Best single lexicon word by alignment cost; ties go to the lowest
     lexicon index. Raises DecodeError when no word fits the frames."""
-    if lexicon.mode != "isolated":
-        raise ValueError("lexicon is not in isolated-word mode")
-    logp = stream.logp
-    best_word, best_cost = None, np.inf
-    for entry, ids in zip(lexicon.entries, _resolve_tokens(lexicon, vocab)):
-        cost = viterbi_align_cost(logp, ids)
-        if cost < best_cost:
-            best_word, best_cost = entry.word, cost
-    if best_word is None or not np.isfinite(best_cost):
-        raise DecodeError(
-            f"no lexicon word alignable within {stream.n_frames} frames"
-        )
-    return best_word, best_cost
+    hyp = best_hypothesis(isolated_nbest(stream, lexicon, vocab, n=1))
+    return hyp.words[0], hyp.cost
 
 
 def isolated_nbest(stream: PosteriorStream, lexicon: Lexicon, vocab: TokenVocab,
                    n, utt_id="", system="am") -> NBestList:
-    """Rank lexicon words by isolated alignment cost; infeasible words get
-    +inf cost and sort last (kept so rescoring sees a fixed-size list)."""
+    """Rank lexicon words by isolated alignment cost, all scored in one
+    max-semiring lattice pass; ties go to the lowest lexicon index.
+    Infeasible words get +inf cost and sort last (kept so rescoring sees
+    a fixed-size list)."""
     if lexicon.mode != "isolated":
         raise ValueError("lexicon is not in isolated-word mode")
-    scored = []
-    for rank, (entry, ids) in enumerate(zip(lexicon.entries, _resolve_tokens(lexicon, vocab))):
-        cost = viterbi_align_cost(stream.logp, ids)
-        scored.append((cost, rank, entry))
-    scored.sort(key=lambda item: (item[0], item[1]))
-    entries = [
-        NBestEntry(
-            tokens=list(entry.tokens),
-            words=[entry.word],
-            cost_per_system={system: cost},
-            combined_cost=cost,
-        )
-        for cost, _, entry in scored[:n]
-    ]
+    costs = _ctc_lattice(stream.logp, _resolve_tokens(lexicon, vocab), np.maximum)[1]
+    entries = []
+    for i in np.argsort(costs, kind="stable")[:n]:
+        entry = lexicon.entries[i]
+        cost = float(costs[i])
+        entries.append(NBestEntry(tokens=list(entry.tokens), words=[entry.word],
+                                  cost_per_system={system: cost}, combined_cost=cost))
     return NBestList(utt_id, entries)
 
 
@@ -340,12 +304,19 @@ class Hypothesis:
                 "tokens": self.tokens, "cost": self.cost}
 
 
+def best_hypothesis(nbest: NBestList) -> Hypothesis:
+    """The head of an isolated-word N-best list as a hypothesis. Raises
+    DecodeError when the list is empty or its head has no alignment."""
+    if not nbest.entries or not np.isfinite(nbest.entries[0].combined_cost):
+        raise DecodeError(f"{nbest.utt_id or 'stream'}: no lexicon word alignable")
+    head = nbest.entries[0]
+    return Hypothesis(nbest.utt_id, list(head.words), list(head.tokens), head.combined_cost)
+
+
 def decode_stream(stream, lexicon, vocab, utt_id="") -> Hypothesis:
     """Decode one stream under the lexicon's mode."""
     if lexicon.mode == "isolated":
-        word, cost = viterbi_isolated(stream, lexicon, vocab)
-        entry = next(e for e in lexicon.entries if e.word == word)
-        return Hypothesis(utt_id, [word], list(entry.tokens), cost)
+        return best_hypothesis(isolated_nbest(stream, lexicon, vocab, n=1, utt_id=utt_id))
     words, cost = word_loop_decode(stream, lexicon, vocab)
     tokens = [tok for w in words for tok in
               next(e for e in lexicon.entries if e.word == w).tokens]

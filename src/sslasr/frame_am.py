@@ -106,10 +106,6 @@ class FrameAm(Module):
         return PosteriorStream(log_softmax(logits, axis=-1), feats.frame_shift_us, source)
 
 
-def am_posteriors(feats, model: FrameAm, aux=None, source="am"):
-    return model.posteriors(feats, aux=aux, source=source)
-
-
 def cross_entropy_step(model: FrameAm, feats: FeatureMatrix, labels, aux=None):
     """Mean frame cross-entropy with backward; returns (loss, n_frames)."""
     labels = np.asarray(labels, dtype=np.int64)

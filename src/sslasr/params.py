@@ -102,7 +102,9 @@ class ParameterStore:
 
 
 class SgdMomentum:
-    """SGD with classical momentum and optional linear learning-rate decay.
+    """SGD with Nesterov momentum (Sutskever et al. 2013) and optional
+    linear learning-rate decay: ``v = mu * v + g``, then
+    ``x -= lr * (g + mu * v)``. Momentum 0 is plain SGD.
 
     With ``decay_steps`` set, the rate falls linearly from ``lr`` to zero
     across that many calls to ``step``.
@@ -126,8 +128,8 @@ class SgdMomentum:
         lr = self.current_lr()
         for p, v in zip(self.params, self.velocity):
             v *= self.momentum
-            v -= lr * p.grad
-            p.value += v
+            v += p.grad
+            p.value -= lr * (p.grad + self.momentum * v)
         self.t += 1
 
 

@@ -18,6 +18,7 @@ from .ctc import PosteriorStream, TokenVocab
 from .decoder import (
     Hypothesis,
     Lexicon,
+    best_hypothesis,
     decode_stream,
     interpolate_posteriors,
     isolated_nbest,
@@ -364,14 +365,17 @@ def score_hypotheses(hyps, corpus: Corpus):
     return partition_report(per_utt, corpus.manifest)
 
 
-def run_recognition(corpus: Corpus, cfg, model, adapter, jobs=1, mdn_model=None,
+def run_recognition(corpus: Corpus, cfg, model, adapter, jobs=1,
                     test_subsets=("test-seen", "test-unseen")):
     """Full recognition comparison on the test subsets.
 
     Trains the fbk-only and fbk+w2v-bn acoustic models, decodes each
     single system, joint-decodes with the configured weights, rescoring
-    the joint N-best with second-pass SSL-CTC scores. Returns a dict of
-    hypothesis lists and WER reports per system.
+    the joint N-best with second-pass SSL-CTC scores. The joint
+    hypothesis is the head of that N-best list, so the mixed stream is
+    decoded once. Everything runs in this process, whatever ``jobs``
+    says. Returns a dict of hypothesis lists and WER reports per system,
+    and the two acoustic models.
     """
     seed = cfg["seed"]
     decode_cfg = cfg.get("decode", {})
@@ -399,11 +403,9 @@ def run_recognition(corpus: Corpus, cfg, model, adapter, jobs=1, mdn_model=None,
             decode_stream(s_fused, corpus.lexicon, corpus.vocab, record.utt_id)
         )
         mixed = interpolate_posteriors([s_fused, s_fbk], weights)
-        hyps["joint"].append(
-            decode_stream(mixed, corpus.lexicon, corpus.vocab, record.utt_id)
-        )
         nbest = isolated_nbest(mixed, corpus.lexicon, corpus.vocab, n_best,
                                utt_id=record.utt_id, system="tdnn")
+        hyps["joint"].append(best_hypothesis(nbest))
         ssl_stream = model.frame_posteriors(corpus.audio(record), adapter=adapter)
         nbest = score_nbest_with_ssl(nbest, ssl_stream, corpus.vocab)
         best, _ = rescore(nbest, alpha, beta)

@@ -7,14 +7,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from .ctc import (
-    NBestEntry,
-    NBestList,
-    PosteriorStream,
-    TokenVocab,
-    UnsatisfiableTargetError,
-    ctc_forward_score,
-)
+from .ctc import NBestList, PosteriorStream, TokenVocab, _check_target, _ctc_lattice
 
 
 class RescoreError(ValueError):
@@ -23,21 +16,17 @@ class RescoreError(ValueError):
 
 def score_nbest_with_ssl(nbest: NBestList, ssl_stream: PosteriorStream,
                          vocab: TokenVocab, system="w2v") -> NBestList:
-    """Attach a CTC forward score for every entry's token sequence.
+    """Attach a CTC forward score for every entry's token sequence, all
+    scored in one log-semiring lattice pass.
 
     Entries whose token sequence cannot be aligned in the stream get +inf
     cost and stay in the list.
     """
-    entries = []
-    for entry in nbest.entries:
-        ids = vocab.ids_of(entry.tokens)
-        try:
-            cost = ctc_forward_score(ssl_stream, ids)
-        except UnsatisfiableTargetError:
-            cost = float("inf")
-        costs = dict(entry.cost_per_system)
-        costs[system] = cost
-        entries.append(replace(entry, cost_per_system=costs))
+    logp = ssl_stream.logp
+    targets = [_check_target(vocab.ids_of(e.tokens), logp.shape[1]) for e in nbest.entries]
+    costs = _ctc_lattice(logp, targets, np.logaddexp)[1]
+    entries = [replace(e, cost_per_system={**e.cost_per_system, system: float(cost)})
+               for e, cost in zip(nbest.entries, costs)]
     return NBestList(nbest.utt_id, entries)
 
 

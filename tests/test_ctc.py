@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from sslasr.ctc import (
     NBestEntry,
@@ -7,6 +9,7 @@ from sslasr.ctc import (
     PosteriorStream,
     TokenVocab,
     UnsatisfiableTargetError,
+    _ctc_lattice,
     ctc_forward_score,
     ctc_loss,
     greedy_decode,
@@ -15,7 +18,11 @@ from sslasr.ctc import (
 from sslasr.nn import log_softmax, log_softmax_backward
 
 from gradcheck import array_grad_check
-from oracles import ctc_score_by_enumeration, labelings_by_enumeration
+from oracles import (
+    best_alignment_cost_by_enumeration,
+    ctc_score_by_enumeration,
+    labelings_by_enumeration,
+)
 
 
 def random_logp(t, v, rng):
@@ -116,7 +123,7 @@ class TestForwardScore:
                 with pytest.raises(UnsatisfiableTargetError):
                     ctc_forward_score(logp, target)
                 continue
-            assert ctc_forward_score(logp, target) == pytest.approx(loss, abs=1e-12)
+            assert ctc_forward_score(logp, target) == loss
 
     def test_matches_enumeration_oracle(self):
         rng = np.random.default_rng(8)
@@ -130,6 +137,61 @@ class TestForwardScore:
                     ctc_forward_score(logp, target)
             else:
                 assert ctc_forward_score(logp, target) == pytest.approx(expected, abs=1e-9)
+
+
+SEMIRINGS = {
+    "log": (np.logaddexp, ctc_score_by_enumeration),
+    "max": (np.maximum, best_alignment_cost_by_enumeration),
+}
+
+
+@st.composite
+def lattice_batches(draw, max_frames, max_targets):
+    """(logp, targets): a random stream, some entries -inf, and a batch of
+    mixed-length targets; a target may be longer than the stream."""
+    t = draw(st.integers(1, max_frames))
+    v = draw(st.integers(1, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    logp = random_logp(t, v, rng)
+    if draw(st.booleans()):
+        dead = rng.random(logp.shape) < 0.2
+        dead[:, 0] = False
+        logp[dead] = -np.inf
+    target = st.lists(st.integers(1, v), max_size=t + 2)
+    return logp, draw(st.lists(target, min_size=1, max_size=max_targets))
+
+
+# an empty target, adjacent repeats that fit, and ones that cannot align
+EDGE_BATCH = (random_logp(3, 2, np.random.default_rng(9)),
+              [[], [1, 1], [2, 2, 2], [1, 2, 1, 2], [1]])
+
+
+class TestBatchedLattice:
+    @settings(max_examples=60, deadline=None)
+    @given(case=lattice_batches(5, 5), semiring=st.sampled_from(sorted(SEMIRINGS)))
+    @example(case=EDGE_BATCH, semiring="log")
+    @example(case=EDGE_BATCH, semiring="max")
+    def test_rows_match_enumeration(self, case, semiring):
+        logp, targets = case
+        plus, oracle = SEMIRINGS[semiring]
+        costs = _ctc_lattice(logp, targets, plus)[1]
+        for target, cost in zip(targets, costs):
+            expected = oracle(logp, target)
+            if np.isinf(expected):
+                assert cost == np.inf
+            else:
+                assert cost == pytest.approx(expected, abs=1e-9)
+
+    @settings(max_examples=60, deadline=None)
+    @given(case=lattice_batches(30, 40), semiring=st.sampled_from(sorted(SEMIRINGS)))
+    @example(case=EDGE_BATCH, semiring="log")
+    @example(case=EDGE_BATCH, semiring="max")
+    def test_rows_equal_single_target_calls(self, case, semiring):
+        logp, targets = case
+        plus, _ = SEMIRINGS[semiring]
+        costs = _ctc_lattice(logp, targets, plus)[1]
+        for target, cost in zip(targets, costs):
+            assert cost.tobytes() == _ctc_lattice(logp, [target], plus)[1].tobytes()
 
 
 class TestGreedyDecode:

@@ -4,7 +4,7 @@ import pytest
 from sslasr import pipeline
 from sslasr.corpus import wer
 from sslasr.ctc import greedy_decode
-from sslasr.decoder import parse_weight_ratio
+from sslasr.decoder import decode_stream, interpolate_posteriors, parse_weight_ratio
 
 
 class TestCorpusAccess:
@@ -131,3 +131,29 @@ class TestParallelDecode:
         serial = pipeline.decode_utterances(tasks, jobs=1)
         parallel = pipeline.decode_utterances(tasks, jobs=2)
         assert [h.to_json_dict() for h in serial] == [h.to_json_dict() for h in parallel]
+
+
+class TestRunRecognition:
+    def test_hypotheses_and_single_joint_pass(self, tiny_config, tiny_corpus, tiny_models):
+        model, adapter = tiny_models
+        result = pipeline.run_recognition(tiny_corpus, tiny_config, model, adapter)
+        records = sorted(tiny_corpus.manifest.subset("test-seen", "test-unseen"),
+                         key=lambda r: r.utt_id)
+        ids = [r.utt_id for r in records]
+        assert sorted(result["hypotheses"]) == ["fbk", "fused", "joint", "rescored"]
+        for hyps in result["hypotheses"].values():
+            assert [h.utt_id for h in hyps] == ids
+            assert all(np.isfinite(h.cost) for h in hyps)
+        # the joint hypotheses are the decoding of the rebuilt mixed stream
+        am_fbk, am_fused = result["models"]["am_fbk"], result["models"]["am_fused"]
+        fbk_fn = pipeline.build_feature_fn(tiny_corpus, "fbk")
+        fused_fn = pipeline.build_feature_fn(tiny_corpus, "fbk+w2v-bn", model=model,
+                                             adapter=adapter)
+        weights = parse_weight_ratio(tiny_config["decode"]["weights"])
+        for record, hyp in zip(records, result["hypotheses"]["joint"]):
+            mixed = interpolate_posteriors([am_fused.posteriors(fused_fn(record)),
+                                            am_fbk.posteriors(fbk_fn(record))], weights)
+            expected = decode_stream(mixed, tiny_corpus.lexicon, tiny_corpus.vocab,
+                                     record.utt_id)
+            assert hyp.words == expected.words
+            assert hyp.cost == expected.cost
