@@ -118,7 +118,7 @@ def train_adapter(dataset, cfg: BottleneckConfig, epochs, seed, optimizer_cfg=No
         order = rng.permutation(len(dataset))
         losses = []
         for i in order:
-            adapter.zero_grad()
+            opt.zero_grad()
             loss = reconstruction_loss(adapter, dataset[i], rng=rng)
             if not np.isfinite(loss):
                 raise RuntimeError(f"adapter training diverged at epoch {epoch}")

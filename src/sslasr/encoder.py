@@ -429,12 +429,16 @@ class SslEncoder(Module):
         rng = np.random.default_rng(seed)
         self.head = Linear(rng, self.cfg.d_model, n_classes, "ctc_head")
 
-    def frame_logits(self, audio, adapter=None):
-        z = self.encode_raw(audio)
-        c = self.contextualize(z)
+    def head_input(self, audio, adapter=None):
+        """What the CTC head consumes: the context, or with an adapter its
+        ``restored`` output (dropout off)."""
+        c = self.contextualize(self.encode_raw(audio))
         if adapter is not None:
-            _, restored = adapter.forward_arrays(c)
-            c = restored
+            _, c = adapter.forward_arrays(c)
+        return c
+
+    def frame_logits(self, audio, adapter=None):
+        c = self.head_input(audio, adapter=adapter)
         if self.head is None:
             raise ValueError("no CTC head attached; fine-tune the model first")
         return self.head.forward(c)
@@ -515,7 +519,7 @@ def pretrain(dataset, cfg: EncoderConfig, epochs, seed, optimizer_cfg=None, hard
         order = rng.permutation(len(dataset))
         parts = []
         for i in order:
-            model.zero_grad()
+            opt.zero_grad()
             contrast, ld = pretrain_step(model, dataset[i], rng=rng, hard=hard)
             loss = contrast.value + cfg.loss_weight_diversity * ld
             if not np.isfinite(loss):
@@ -570,6 +574,16 @@ def finetune_ctc(dataset, model: SslEncoder, n_classes, epochs, seed,
     A fresh linear head is attached if the model has none. Only the
     parameters selected by ``scope`` are updated. Returns the per-epoch
     mean loss history.
+
+    The frozen prefix of the network runs once per utterance per call.
+    Every scope but "all" freezes the CNN feature encoder, so its output
+    is computed before the first epoch and its backward pass is skipped.
+    "head-only" freezes everything below the head, so the cached input is
+    the head input itself (``SslEncoder.head_input``) and each step runs
+    only the head, the CTC loss and the head's backward pass. The skipped
+    layers thus receive no gradient; they are all frozen, and a frozen
+    gradient is cleared every step and never read, so the trained
+    parameters are the same as with full passes.
     """
     seq = np.random.SeedSequence(seed)
     head_seed, loop_seed = seq.spawn(2)
@@ -581,6 +595,12 @@ def finetune_ctc(dataset, model: SslEncoder, n_classes, epochs, seed,
                 raise ValueError(f"token id {tok} outside vocabulary range 1..{n_classes - 1}")
     rng = np.random.default_rng(loop_seed)
     params = trainable_parameters(model, scope, adapter=adapter)
+    if scope == "head-only":
+        inputs = [model.head_input(samples, adapter=adapter) for samples, _ in dataset]
+    elif scope != "all":
+        inputs = [model.encode_raw(samples) for samples, _ in dataset]
+    else:
+        inputs = [samples for samples, _ in dataset]
     opt_cfg = dict(optimizer_cfg or {})
     opt_cfg.setdefault("decay_steps", max(1, epochs * len(dataset)))
     opt = make_optimizer(params, opt_cfg)
@@ -589,11 +609,10 @@ def finetune_ctc(dataset, model: SslEncoder, n_classes, epochs, seed,
         order = rng.permutation(len(dataset))
         losses = []
         for i in order:
-            samples, tokens = dataset[i]
             model.zero_grad()
             if adapter is not None:
                 adapter.zero_grad()
-            loss = _ctc_step(model, samples, tokens, adapter)
+            loss = _ctc_step(model, inputs[i], dataset[i][1], adapter, scope)
             if not np.isfinite(loss):
                 raise RuntimeError(f"fine-tuning diverged at epoch {epoch}: loss={loss}")
             losses.append(loss)
@@ -603,20 +622,24 @@ def finetune_ctc(dataset, model: SslEncoder, n_classes, epochs, seed,
     return history
 
 
-def _ctc_step(model, samples, tokens, adapter=None):
-    z = model.encode_raw(samples)
-    c = model.contextualize(z)
-    if adapter is not None:
-        _, restored = adapter.forward_arrays(c)
-        logits = model.head.forward(restored)
+def _ctc_step(model, x, tokens, adapter=None, scope="all"):
+    """CTC forward + backward from a stage input ``x`` as cached by
+    ``finetune_ctc``: raw samples under "all", the head input under
+    "head-only", CNN features otherwise."""
+    if scope == "head-only":
+        h = x
     else:
-        logits = model.head.forward(c)
-    logp = log_softmax(logits, axis=-1)
+        z = model.encode_raw(x) if scope == "all" else x
+        h = model.contextualize(z)
+        if adapter is not None:
+            _, h = adapter.forward_arrays(h)
+    logp = log_softmax(model.head.forward(h), axis=-1)
     res = ctc_loss(logp, tokens)
-    dlogits = log_softmax_backward(logp, res.grad_logp, axis=-1)
-    dc = model.head.backward(dlogits)
-    if adapter is not None:
-        dc = adapter.backward_from_restored(dc)
-    dz = model.z_norm.backward(model._context_backward(dc))
-    model._encode_backward(dz)
+    dh = model.head.backward(log_softmax_backward(logp, res.grad_logp, axis=-1))
+    if scope != "head-only":
+        if adapter is not None:
+            dh = adapter.backward_from_restored(dh)
+        dz = model.z_norm.backward(model._context_backward(dh))
+        if scope == "all":
+            model._encode_backward(dz)
     return res.value

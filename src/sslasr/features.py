@@ -39,6 +39,14 @@ class TruncatedFileError(FeatureFileError):
     pass
 
 
+class FrameCountMismatchError(FeatureFileError):
+    """Streams to fuse differ in length by more than MAX_FUSE_MISMATCH."""
+
+
+# frames two streams of one utterance may differ by once resampled
+MAX_FUSE_MISMATCH = 2
+
+
 @dataclass
 class AudioBuffer:
     """Mono waveform with amplitudes in [-1, 1]."""
@@ -188,12 +196,23 @@ def resample_frames(f: FeatureMatrix, target_shift_us: int) -> FeatureMatrix:
 
 def fuse_features(streams, target_shift_us: int) -> FeatureMatrix:
     """Resample every stream to the target shift, truncate to the shortest,
-    and concatenate along the feature axis."""
+    and concatenate along the feature axis.
+
+    Streams of one utterance differ by at most a frame or two after
+    resampling (conv arithmetic at the stream edges); a larger mismatch
+    means they do not belong together and raises FrameCountMismatchError.
+    """
     streams = list(streams)
     if not streams:
         raise ValueError("need at least one feature stream to fuse")
     resampled = [resample_frames(s, target_shift_us) for s in streams]
-    t_min = min(s.n_frames for s in resampled)
+    lengths = [s.n_frames for s in resampled]
+    t_min = min(lengths)
+    if max(lengths) - t_min > MAX_FUSE_MISMATCH:
+        raise FrameCountMismatchError(
+            f"stream lengths {lengths} at {target_shift_us} us differ by more than "
+            f"{MAX_FUSE_MISMATCH} frames"
+        )
     fused = np.concatenate([s.data[:t_min] for s in resampled], axis=1)
     label = "+".join(s.label for s in resampled if s.label) or "fused"
     return FeatureMatrix(fused, target_shift_us, label)

@@ -170,7 +170,7 @@ def train_am(dataset, cfg: AmConfig, d_feat, n_classes, epochs, seed,
             item = dataset[i]
             feats, labels = item[0], item[1]
             aux = item[2] if len(item) > 2 else None
-            model.zero_grad()
+            opt.zero_grad()
             loss, t = cross_entropy_step(model, feats, labels, aux=aux)
             if not np.isfinite(loss):
                 raise RuntimeError(f"AM training diverged at epoch {epoch}")

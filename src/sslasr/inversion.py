@@ -198,7 +198,7 @@ def train_inversion(dataset, cfg: MdnConfig, epochs, seed, optimizer_cfg=None):
         losses = []
         for i in order:
             x, y = pairs[i]
-            model.zero_grad()
+            opt.zero_grad()
             loss = mdn_nll_step(model, x, y)
             if not np.isfinite(loss):
                 raise RuntimeError(f"inversion training diverged at epoch {epoch}")

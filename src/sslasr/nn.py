@@ -3,7 +3,13 @@
 All computation is float64 numpy. Every layer caches what its backward pass
 needs on the most recent forward call, so the usage pattern is strictly
 forward -> backward per example; parameter gradients accumulate across
-examples until ``zero_grad``.
+examples until they are cleared.
+
+Gradients live in optimizer-owned storage: an optimizer packs the values
+and gradients of the parameters it is given into one flat buffer each
+(``pack_parameters``), and ``opt.zero_grad()`` clears them with a single
+fill. ``Module.zero_grad`` clears every parameter of a module, including
+those no optimizer owns, such as frozen layers between trainable ones.
 """
 
 from __future__ import annotations
@@ -17,18 +23,88 @@ _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
 
-class Parameter:
-    """A named trainable tensor with an accumulated gradient."""
+class ParameterShapeError(ValueError):
+    """An assignment would change the shape of a parameter's storage."""
 
-    __slots__ = ("name", "value", "grad")
+
+class DuplicateParameterError(ValueError):
+    """A parameter appears twice in a list that must hold each once."""
+
+
+class Parameter:
+    """A named trainable tensor with an accumulated gradient.
+
+    ``value`` and ``grad`` are fixed storage: assigning to either copies
+    into the existing array, so a parameter packed into an optimizer's
+    flat buffers can never be detached from it by assignment. A shape
+    change raises ParameterShapeError.
+    """
+
+    __slots__ = ("name", "_value", "_grad")
 
     def __init__(self, name, value):
         self.name = name
-        self.value = np.asarray(value, dtype=np.float64)
-        self.grad = np.zeros_like(self.value)
+        self._value = np.asarray(value, dtype=np.float64)
+        self._grad = np.zeros_like(self._value)
+
+    @property
+    def value(self):
+        return self._value
+
+    @value.setter
+    def value(self, x):
+        self._write(self._value, x, "value")
+
+    @property
+    def grad(self):
+        return self._grad
+
+    @grad.setter
+    def grad(self, x):
+        self._write(self._grad, x, "grad")
+
+    def _write(self, dst, x, what):
+        # in-place operators (``p.grad += g``) hand back the storage itself
+        if x is dst:
+            return
+        shape = np.shape(x)
+        if shape != dst.shape:
+            raise ParameterShapeError(
+                f"cannot assign shape {shape} to the {what} of {self.name!r}, "
+                f"which has shape {dst.shape}"
+            )
+        dst[...] = x
 
     def __repr__(self):
         return f"Parameter({self.name}, shape={self.value.shape})"
+
+
+def pack_parameters(params):
+    """Move the values and gradients of ``params`` into one contiguous
+    float64 buffer each, in list order, and return ``(value, grad)``.
+
+    Every parameter's ``value`` and ``grad`` become reshaped views into
+    the new buffers; their contents are kept. A parameter packed before
+    by another call leaves its old buffers, which stay alive only while
+    something else still refers to them.
+    """
+    seen = set()
+    for p in params:
+        if id(p) in seen:
+            raise DuplicateParameterError(f"parameter {p.name!r} is listed twice")
+        seen.add(id(p))
+    total = sum(p._value.size for p in params)
+    value, grad = np.empty(total), np.empty(total)
+    off = 0
+    for p in params:
+        end = off + p._value.size
+        shape = p._value.shape
+        value[off:end] = p._value.ravel()
+        grad[off:end] = p._grad.ravel()
+        p._value = value[off:end].reshape(shape)
+        p._grad = grad[off:end].reshape(shape)
+        off = end
+    return value, grad
 
 
 class Module:

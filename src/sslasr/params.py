@@ -9,15 +9,29 @@ Store file layout (little-endian), magic ``SPM1``:
         rank     u32
         dims     u32 * rank
         payload  f64 * prod(dims), C order
+
+Names are unique within a file. Every malformed file raises
+StoreFormatError.
+
+Optimizers own flat storage. On construction, ``SgdMomentum`` and ``Adam``
+pack the values and gradients of the parameters they are given into one
+contiguous buffer each (``nn.pack_parameters``); every ``Parameter.value``
+and ``.grad`` becomes a reshaped view into them. ``step`` then applies the
+update rule as a few whole-vector in-place operations into reused scratch
+buffers, performing for every element the same IEEE operations in the same
+order as a per-tensor loop would, and ``zero_grad`` is one fill. Packing is
+per optimizer, so a fine-tuning stage that trains a subset of a model gets
+its own buffers over exactly that subset.
 """
 
 from __future__ import annotations
 
+import math
 import struct
 
 import numpy as np
 
-from .nn import Parameter
+from .nn import pack_parameters
 
 MAGIC = b"SPM1"
 
@@ -90,12 +104,22 @@ class ParameterStore:
         tensors = {}
         for _ in range(count):
             (name_len,) = struct.unpack("<H", take(2))
-            name = take(name_len).decode("utf-8")
+            try:
+                name = take(name_len).decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise StoreFormatError(f"tensor name is not utf-8: {exc}") from None
+            if name in tensors:
+                raise StoreFormatError(f"tensor {name!r} appears twice")
             (rank,) = struct.unpack("<I", take(4))
             dims = struct.unpack(f"<{rank}I", take(4 * rank)) if rank else ()
-            n_items = int(np.prod(dims)) if dims else 1
-            payload = take(8 * n_items)
-            tensors[name] = np.frombuffer(payload, dtype="<f8").reshape(dims).copy()
+            # exact integer product: a fixed-width one can wrap to a size
+            # the payload seems to match
+            payload = take(8 * math.prod(dims))
+            try:
+                value = np.frombuffer(payload, dtype="<f8").reshape(dims)
+            except ValueError as exc:  # too many dims, or a size numpy cannot hold
+                raise StoreFormatError(f"tensor {name!r} has unusable dims: {exc}") from None
+            tensors[name] = value.copy()
         if off != len(blob):
             raise StoreFormatError("trailing bytes after last tensor")
         return cls(tensors)
@@ -112,11 +136,16 @@ class SgdMomentum:
 
     def __init__(self, params, lr, momentum=0.9, decay_steps=None):
         self.params = list(params)
+        self.value, self.grad = pack_parameters(self.params)
         self.lr = float(lr)
         self.momentum = float(momentum)
         self.decay_steps = decay_steps
-        self.velocity = [np.zeros_like(p.value) for p in self.params]
+        self.velocity = np.zeros_like(self.value)
+        self._scratch = np.empty_like(self.value)
         self.t = 0
+
+    def zero_grad(self):
+        self.grad.fill(0.0)
 
     def current_lr(self):
         if not self.decay_steps:
@@ -126,10 +155,14 @@ class SgdMomentum:
 
     def step(self):
         lr = self.current_lr()
-        for p, v in zip(self.params, self.velocity):
-            v *= self.momentum
-            v += p.grad
-            p.value -= lr * (p.grad + self.momentum * v)
+        g, v, s = self.grad, self.velocity, self._scratch
+        v *= self.momentum
+        v += g
+        # x -= lr * (g + mu * v)
+        np.multiply(v, self.momentum, out=s)
+        np.add(g, s, out=s)
+        s *= lr
+        self.value -= s
         self.t += 1
 
 
@@ -138,19 +171,39 @@ class Adam:
 
     def __init__(self, params, lr=1e-3, beta1=0.9, beta2=0.999, eps=1e-8):
         self.params = list(params)
+        self.value, self.grad = pack_parameters(self.params)
         self.lr, self.beta1, self.beta2, self.eps = lr, beta1, beta2, eps
-        self.m = [np.zeros_like(p.value) for p in self.params]
-        self.v = [np.zeros_like(p.value) for p in self.params]
+        self.m = np.zeros_like(self.value)
+        self.v = np.zeros_like(self.value)
+        self._s1 = np.empty_like(self.value)
+        self._s2 = np.empty_like(self.value)
         self.t = 0
+
+    def zero_grad(self):
+        self.grad.fill(0.0)
 
     def step(self):
         self.t += 1
         bc1 = 1.0 - self.beta1**self.t
         bc2 = 1.0 - self.beta2**self.t
-        for p, m, v in zip(self.params, self.m, self.v):
-            m += (1.0 - self.beta1) * (p.grad - m)
-            v += (1.0 - self.beta2) * (p.grad * p.grad - v)
-            p.value -= self.lr * (m / bc1) / (np.sqrt(v / bc2) + self.eps)
+        g, m, v, s1, s2 = self.grad, self.m, self.v, self._s1, self._s2
+        # m += (1 - beta1) * (g - m)
+        np.subtract(g, m, out=s1)
+        s1 *= 1.0 - self.beta1
+        m += s1
+        # v += (1 - beta2) * (g * g - v)
+        np.multiply(g, g, out=s1)
+        s1 -= v
+        s1 *= 1.0 - self.beta2
+        v += s1
+        # x -= lr * (m / bc1) / (sqrt(v / bc2) + eps)
+        np.divide(m, bc1, out=s1)
+        s1 *= self.lr
+        np.divide(v, bc2, out=s2)
+        np.sqrt(s2, out=s2)
+        s2 += self.eps
+        s1 /= s2
+        self.value -= s1
 
 
 def make_optimizer(params, cfg):

@@ -109,3 +109,47 @@ def word_loop_by_enumeration(logp, entries, penalty):
         if score > best_score + 1e-12:
             best_score, best_words = score, [entries[wi][0] for wi in wseq]
     return float(-best_score), best_words
+
+
+class ReferenceSgdMomentum:
+    """Per-tensor SGD with Nesterov momentum and optional linear decay:
+    the loop the flat-buffer optimizer must match bit for bit."""
+
+    def __init__(self, params, lr, momentum=0.9, decay_steps=None):
+        self.params = list(params)
+        self.lr = float(lr)
+        self.momentum = float(momentum)
+        self.decay_steps = decay_steps
+        self.velocity = [np.zeros_like(p.value) for p in self.params]
+        self.t = 0
+
+    def step(self):
+        lr = self.lr
+        if self.decay_steps:
+            lr = self.lr * max(0.0, 1.0 - self.t / self.decay_steps)
+        for p, v in zip(self.params, self.velocity):
+            v *= self.momentum
+            v += p.grad
+            p.value -= lr * (p.grad + self.momentum * v)
+        self.t += 1
+
+
+class ReferenceAdam:
+    """Per-tensor Adam: the loop the flat-buffer optimizer must match bit
+    for bit."""
+
+    def __init__(self, params, lr=1e-3, beta1=0.9, beta2=0.999, eps=1e-8):
+        self.params = list(params)
+        self.lr, self.beta1, self.beta2, self.eps = lr, beta1, beta2, eps
+        self.m = [np.zeros_like(p.value) for p in self.params]
+        self.v = [np.zeros_like(p.value) for p in self.params]
+        self.t = 0
+
+    def step(self):
+        self.t += 1
+        bc1 = 1.0 - self.beta1**self.t
+        bc2 = 1.0 - self.beta2**self.t
+        for p, m, v in zip(self.params, self.m, self.v):
+            m += (1.0 - self.beta1) * (p.grad - m)
+            v += (1.0 - self.beta2) * (p.grad * p.grad - v)
+            p.value -= self.lr * (m / bc1) / (np.sqrt(v / bc2) + self.eps)

@@ -3,10 +3,12 @@ import math
 import numpy as np
 import pytest
 
+from sslasr.bottleneck import BottleneckAdapter, BottleneckConfig
 from sslasr.encoder import (
     DEEP_CONV_LAYERS,
     EncoderConfig,
     SslEncoder,
+    _ctc_step,
     contrastive_loss,
     diversity_loss,
     finetune_ctc,
@@ -17,7 +19,7 @@ from sslasr.encoder import (
     ssl_frame_posteriors,
     trainable_parameters,
 )
-from sslasr.params import ParameterStore
+from sslasr.params import ParameterStore, make_optimizer
 
 from gradcheck import finite_difference_check
 
@@ -417,6 +419,75 @@ class TestFinetuneCtc:
                 assert not np.array_equal(before[p.name], p.value), p.name
             else:
                 assert np.array_equal(before[p.name], p.value), p.name
+
+    def test_no_feature_encoder_keeps_convs(self, cfg):
+        data = tone_dataset(seed=10, n_utts=3)
+        model = SslEncoder(cfg, seed=47)
+        model.attach_ctc_head(5, seed=9)
+        before = {p.name: p.value.copy() for p in model.parameters()}
+        finetune_ctc(data, model, 5, epochs=2, seed=3, scope="no-feature-encoder",
+                     optimizer_cfg={"optimizer": "adam", "lr": 1e-2})
+        convs = [p for p in model.parameters() if p.name.startswith("conv")]
+        assert convs
+        for p in convs:
+            assert np.array_equal(before[p.name], p.value), p.name
+        assert not np.array_equal(before["proj.w"], model.proj.w.value)
+
+    def test_first_blocks_keeps_upper_blocks_and_front(self, cfg):
+        data = tone_dataset(seed=11, n_utts=3)
+        model = SslEncoder(cfg, seed=48)
+        model.attach_ctc_head(5, seed=9)
+        before = {p.name: p.value.copy() for p in model.parameters()}
+        finetune_ctc(data, model, 5, epochs=2, seed=4, scope="first-1-blocks",
+                     optimizer_cfg={"optimizer": "adam", "lr": 1e-2})
+        frozen = [p for p in model.parameters()
+                  if p.name.startswith(("block1.", "z_norm.", "proj.")) or p.name == "mask_emb"]
+        assert {p.name.split(".")[0] for p in frozen} == {"block1", "z_norm", "proj", "mask_emb"}
+        for p in frozen:
+            assert np.array_equal(before[p.name], p.value), p.name
+        assert not np.array_equal(before["block0.ffn1.w"], model.blocks[0].ffn1.w.value)
+
+    @pytest.mark.parametrize("scope", ["head-only", "no-feature-encoder", "first-1-blocks"])
+    def test_frozen_prefix_cache_matches_full_passes(self, cfg, scope):
+        data = tone_dataset(seed=13, n_utts=3)
+        opt_cfg = {"optimizer": "adam", "lr": 1e-2, "decay_steps": 2 * len(data)}
+
+        def setup():
+            model = SslEncoder(cfg, seed=50)
+            model.attach_ctc_head(5, seed=9)
+            return model, BottleneckAdapter(BottleneckConfig(d_in=cfg.d_model, d_bn=8), seed=5)
+
+        cached, cached_adapter = setup()
+        finetune_ctc(data, cached, 5, epochs=2, seed=6, scope=scope, adapter=cached_adapter,
+                     optimizer_cfg=opt_cfg)
+        # the same stage with every layer run forward and backward each step
+        full, full_adapter = setup()
+        rng = np.random.default_rng(np.random.SeedSequence(6).spawn(2)[1])
+        opt = make_optimizer(trainable_parameters(full, scope, adapter=full_adapter), opt_cfg)
+        for _ in range(2):
+            for i in rng.permutation(len(data)):
+                full.zero_grad()
+                full_adapter.zero_grad()
+                _ctc_step(full, data[i][0], data[i][1], full_adapter)
+                opt.step()
+        for a, b in [(cached, full), (cached_adapter, full_adapter)]:
+            for p, q in zip(a.parameters(), b.parameters()):
+                assert p.value.tobytes() == q.value.tobytes(), p.name
+
+    def test_store_round_trip_after_repacking_stages(self, cfg, tmp_path):
+        data = tone_dataset(seed=12, n_utts=3)
+        model = SslEncoder(cfg, seed=49)
+        for i, scope in enumerate(["head-only", "no-feature-encoder", "first-1-blocks", "all"]):
+            finetune_ctc(data, model, 5, epochs=1, seed=20 + i, scope=scope,
+                         optimizer_cfg={"optimizer": "adam", "lr": 1e-2})
+        path = tmp_path / "model.spm"
+        ParameterStore.from_module(model).save(path)
+        fresh = SslEncoder(cfg, seed=0)
+        fresh.attach_ctc_head(5, seed=0)
+        ParameterStore.load(path).load_into(fresh)
+        back = fresh.param_dict()
+        for name, p in model.param_dict().items():
+            assert back[name].value.tobytes() == p.value.tobytes(), name
 
     def test_zero_epochs_head_is_random_init(self, cfg):
         data = tone_dataset(seed=8, n_utts=2)

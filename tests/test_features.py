@@ -9,6 +9,7 @@ from sslasr.features import (
     FbankConfig,
     FeatureFileError,
     FeatureMatrix,
+    FrameCountMismatchError,
     TruncatedFileError,
     VersionMismatchError,
     compute_fbank,
@@ -107,6 +108,20 @@ class TestFuseFeatures:
         fused = fuse_features([fbk, bn], 10_000)
         assert fused.data.shape == (99, 296)
         assert fused.label == "fbk+w2v-bn"
+
+    def test_two_frame_mismatch_truncates(self):
+        rng = np.random.default_rng(4)
+        a = FeatureMatrix(rng.normal(size=(12, 2)), 10_000, "a")
+        b = FeatureMatrix(rng.normal(size=(5, 3)), 20_000, "b")
+        assert fuse_features([a, b], 10_000).data.shape == (10, 5)
+
+    def test_three_frame_mismatch_rejected(self):
+        rng = np.random.default_rng(5)
+        fbk = FeatureMatrix(rng.normal(size=(100, 40)), 10_000, "fbk")
+        bn = FeatureMatrix(rng.normal(size=(97, 8)), 10_000, "w2v-bn")
+        with pytest.raises(FrameCountMismatchError, match=r"\[100, 97\]"):
+            fuse_features([fbk, bn], 10_000)
+        assert issubclass(FrameCountMismatchError, FeatureFileError)
 
     def test_resamples_to_target(self):
         rng = np.random.default_rng(2)

@@ -1,8 +1,24 @@
+import struct
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import array_shapes
 
-from sslasr.nn import Linear, Module, Parameter
-from sslasr.params import Adam, ParameterStore, SgdMomentum, StoreFormatError, make_optimizer
+from sslasr.nn import DuplicateParameterError, Linear, Module, Parameter, ParameterShapeError
+from sslasr.params import (
+    MAGIC,
+    Adam,
+    ParameterStore,
+    SgdMomentum,
+    StoreFormatError,
+    make_optimizer,
+)
+
+from oracles import ReferenceAdam, ReferenceSgdMomentum
 
 
 class Small(Module):
@@ -114,3 +130,158 @@ class TestOptimizers:
         assert isinstance(opt, SgdMomentum)
         assert opt.lr == pytest.approx(1e-5)
         assert opt.momentum == pytest.approx(0.9)
+
+
+def load_blob(blob):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "blob.spm"
+        path.write_bytes(blob)
+        return ParameterStore.load(path)
+
+
+def tensor_record(name_bytes, dims, payload=b""):
+    return (struct.pack("<H", len(name_bytes)) + name_bytes
+            + struct.pack(f"<I{len(dims)}I", len(dims), *dims) + payload)
+
+
+def valid_blob():
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "m.spm"
+        ParameterStore.from_module(Small(seed=4)).save(path)
+        return path.read_bytes()
+
+
+VALID_BLOB = valid_blob()
+
+
+class TestStoreReaderRobustness:
+    def test_non_utf8_name(self):
+        blob = MAGIC + struct.pack("<I", 1) + tensor_record(b"\xff", (), bytes(8))
+        with pytest.raises(StoreFormatError, match="utf-8"):
+            load_blob(blob)
+
+    def test_dims_product_overflowing_64_bits(self):
+        # 2**16 ** 4 wraps a 64-bit product to 0, matching an empty payload
+        blob = MAGIC + struct.pack("<I", 1) + tensor_record(b"a", (2**16,) * 4)
+        with pytest.raises(StoreFormatError, match="truncated"):
+            load_blob(blob)
+
+    def test_empty_tensor_numpy_cannot_size(self):
+        # a zero dim makes the payload empty, but the other dims overflow
+        blob = MAGIC + struct.pack("<I", 1) + tensor_record(b"a", (2**31, 2**31, 2**31, 0))
+        with pytest.raises(StoreFormatError, match="dims"):
+            load_blob(blob)
+
+    def test_repeated_name(self):
+        rec = tensor_record(b"a", (1,), bytes(8))
+        with pytest.raises(StoreFormatError, match="twice"):
+            load_blob(MAGIC + struct.pack("<I", 2) + rec + rec)
+
+    @settings(max_examples=150, deadline=None)
+    @given(cut=st.integers(0, len(VALID_BLOB) - 1))
+    def test_every_truncation_is_named(self, cut):
+        with pytest.raises(StoreFormatError):
+            load_blob(VALID_BLOB[:cut])
+
+    @settings(max_examples=300, deadline=None)
+    @given(pos=st.integers(0, len(VALID_BLOB) - 1), bit=st.integers(0, 7))
+    def test_bit_flip_loads_or_is_named(self, pos, bit):
+        blob = bytearray(VALID_BLOB)
+        blob[pos] ^= 1 << bit
+        try:
+            load_blob(bytes(blob))
+        except StoreFormatError:
+            pass
+
+    @settings(max_examples=300, deadline=None)
+    @given(blob=st.one_of(st.binary(max_size=64), st.binary(max_size=64).map(MAGIC.__add__)))
+    @example(blob=MAGIC + struct.pack("<I", 0))
+    def test_random_blob_loads_or_is_named(self, blob):
+        try:
+            load_blob(blob)
+        except StoreFormatError:
+            pass
+
+
+def twin_params(shapes, rng):
+    """Two independent parameter lists with equal initial values."""
+    values = [rng.normal(size=shape) for shape in shapes]
+    return tuple([Parameter(f"p{i}", v.copy()) for i, v in enumerate(values)] for _ in range(2))
+
+
+# a 0-d and a zero-size tensor ride along in every list
+shape_lists = st.lists(array_shapes(min_dims=0, max_dims=3, min_side=0, max_side=4),
+                       max_size=5).map(lambda shapes: [()] + shapes + [(2, 0)])
+
+
+class TestFlatOptimizers:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        shapes=shape_lists,
+        kind=st.sampled_from(["adam", "sgd", "sgd-decay"]),
+        lr=st.floats(1e-4, 1.0),
+        momentum=st.floats(0.0, 0.99),
+        decay_steps=st.integers(1, 8),
+        steps=st.integers(1, 8),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_per_tensor_reference_bit_for_bit(self, shapes, kind, lr, momentum,
+                                                      decay_steps, steps, seed):
+        rng = np.random.default_rng(seed)
+        flat_params, ref_params = twin_params(shapes, rng)
+        if kind == "adam":
+            flat, ref = Adam(flat_params, lr=lr), ReferenceAdam(ref_params, lr=lr)
+        else:
+            decay = decay_steps if kind == "sgd-decay" else None
+            flat = SgdMomentum(flat_params, lr, momentum=momentum, decay_steps=decay)
+            ref = ReferenceSgdMomentum(ref_params, lr, momentum=momentum, decay_steps=decay)
+        for _ in range(steps):
+            for p, q in zip(flat_params, ref_params):
+                g = rng.normal(size=p.value.shape)
+                p.grad = g
+                q.grad = g.copy()
+            flat.step()
+            ref.step()
+            for p, q in zip(flat_params, ref_params):
+                assert p.value.shape == q.value.shape
+                assert p.value.tobytes() == q.value.tobytes(), p.name
+
+    @pytest.mark.parametrize("make", [lambda ps: Adam(ps), lambda ps: SgdMomentum(ps, 0.1)])
+    def test_parameter_listed_twice_rejected(self, make):
+        p = Parameter("x", np.zeros(3))
+        with pytest.raises(DuplicateParameterError, match="'x'"):
+            make([p, Parameter("y", np.zeros(2)), p])
+
+    def test_grad_assignment_writes_into_optimizer_storage(self):
+        params = [Parameter("a", np.ones(2)), Parameter("b", np.ones((1, 2)))]
+        opt = SgdMomentum(params, lr=1.0, momentum=0.0)
+        params[1].grad = np.array([[2.0, 3.0]])
+        assert np.shares_memory(params[1].grad, opt.grad)
+        assert opt.grad.tolist() == [0.0, 0.0, 2.0, 3.0]
+        opt.step()
+        assert params[1].value.tolist() == [[-1.0, -2.0]]
+        assert params[0].value.tolist() == [1.0, 1.0]
+
+    def test_value_assignment_keeps_storage(self):
+        p = Parameter("a", np.zeros(3))
+        opt = Adam([p])
+        p.value = np.arange(3.0)
+        assert np.shares_memory(p.value, opt.value)
+        assert opt.value.tolist() == [0.0, 1.0, 2.0]
+
+    def test_shape_mismatch_rejected(self):
+        p = Parameter("a", np.zeros((2, 3)))
+        Adam([p])
+        with pytest.raises(ParameterShapeError, match="'a'"):
+            p.grad = np.zeros(6)
+        with pytest.raises(ParameterShapeError, match="shape"):
+            p.value = np.zeros((3, 2))
+
+    def test_zero_grad_clears_every_gradient(self):
+        params = [Parameter("a", np.ones(2)), Parameter("b", np.ones(()))]
+        opt = Adam(params)
+        params[0].grad = np.ones(2)
+        params[1].grad = np.float64(5.0)
+        opt.zero_grad()
+        assert not opt.grad.any()
+        assert params[1].grad == 0.0
