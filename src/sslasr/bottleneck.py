@@ -14,7 +14,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .features import FeatureMatrix
 from .nn import Conv1d, ConvTranspose1d, Dropout, Linear, Module, Relu
 from .params import make_optimizer
 
@@ -76,20 +75,6 @@ class BottleneckAdapter(Module):
             dbn_total = dbn_total + dbn
         dup = self.fc1.backward(self.act1.backward(self.drop1.backward(dbn_total)))
         return self.deconv.backward(dup)
-
-
-def bottleneck_forward(adapter: BottleneckAdapter, feats: FeatureMatrix):
-    """Run the adapter over a 20 ms feature matrix; returns the bottleneck
-    stream at half the shift (label ``w2v-bn``) and the restored stream at
-    the input shift."""
-    if feats.frame_shift_us % adapter.cfg.stride != 0:
-        raise ValueError("frame shift must divide evenly when doubling the rate")
-    bn, restored = adapter.forward_arrays(feats.data.astype(np.float64))
-    half = feats.frame_shift_us // adapter.cfg.stride
-    return (
-        FeatureMatrix(bn, half, "w2v-bn"),
-        FeatureMatrix(restored, feats.frame_shift_us, feats.label or "restored"),
-    )
 
 
 def reconstruction_loss(adapter: BottleneckAdapter, c, rng=None):

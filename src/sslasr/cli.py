@@ -362,8 +362,8 @@ def cmd_rescore(args):
         record = by_id.get(nbest.utt_id)
         if record is None:
             raise KeyError(f"utterance {nbest.utt_id!r} not in the corpus manifest")
-        ssl_stream = model.frame_posteriors(corpus.audio(record), adapter=adapter)
-        scored = score_nbest_with_ssl(nbest, ssl_stream, corpus.vocab)
+        _, h = model.represent(corpus.audio(record), adapter)
+        scored = score_nbest_with_ssl(nbest, model.head_posteriors(h), corpus.vocab)
         best, _ = rescore(scored, alpha, beta)
         lines.append(json.dumps(Hypothesis(
             nbest.utt_id, list(best.words), list(best.tokens), best.combined_cost

@@ -202,11 +202,6 @@ class GumbelQuantizer(Module):
         return self.proj.backward(dlogits.reshape(t, -1))
 
 
-def gumbel_quantize(z_rows, quantizer: GumbelQuantizer, hard=True, rng=None):
-    """Functional wrapper over :meth:`GumbelQuantizer.forward`."""
-    return quantizer.forward(np.asarray(z_rows, dtype=np.float64), rng=rng, hard=hard)
-
-
 def _cosine_with_grads(a, b, eps=1e-12):
     """cos(a, b) with the norm guard, plus exact partials."""
     dot = float(a @ b)
@@ -429,28 +424,24 @@ class SslEncoder(Module):
         rng = np.random.default_rng(seed)
         self.head = Linear(rng, self.cfg.d_model, n_classes, "ctc_head")
 
-    def head_input(self, audio, adapter=None):
-        """What the CTC head consumes: the context, or with an adapter its
-        ``restored`` output (dropout off)."""
+    def represent(self, audio, adapter=None):
+        """The one forward pass from audio: CNN, transformer and, with an
+        adapter, the adapter with dropout off. Returns ``(bn, h)``: ``bn``
+        is the adapter's bottleneck rows (None without an adapter) and
+        ``h`` is what the CTC head consumes, the context or the adapter's
+        ``restored`` output."""
         c = self.contextualize(self.encode_raw(audio))
-        if adapter is not None:
-            _, c = adapter.forward_arrays(c)
-        return c
+        if adapter is None:
+            return None, c
+        return adapter.forward_arrays(c)
 
-    def frame_logits(self, audio, adapter=None):
-        c = self.head_input(audio, adapter=adapter)
+    def head_posteriors(self, h) -> PosteriorStream:
+        """Per-frame CTC log probabilities at a 20 ms shift over the head
+        input ``h`` of :meth:`represent`."""
         if self.head is None:
             raise ValueError("no CTC head attached; fine-tune the model first")
-        return self.head.forward(c)
-
-    def frame_posteriors(self, audio, adapter=None, source="w2v") -> PosteriorStream:
-        """Per-frame log probabilities from the CTC head at a 20 ms shift."""
-        logits = self.frame_logits(audio, adapter=adapter)
-        return PosteriorStream(log_softmax(logits, axis=-1), self.cfg.frame_shift_us, source)
-
-
-def ssl_frame_posteriors(audio, model: SslEncoder, adapter=None, source="w2v"):
-    return model.frame_posteriors(audio, adapter=adapter, source=source)
+        logp = log_softmax(self.head.forward(h), axis=-1)
+        return PosteriorStream(logp, self.cfg.frame_shift_us, "w2v")
 
 
 def pretrain_step(model, samples, rng=None, hard=True, mask=None, noise=None,
@@ -475,6 +466,9 @@ def pretrain_step(model, samples, rng=None, hard=True, mask=None, noise=None,
     zn = model.z_norm.forward(z)
     c = model._context_from_input(model._project_and_mask(zn, mask))
     q_rows, probs = model.quantizer.forward(zn[mask], rng=rng, hard=hard, noise=noise)
+    if not np.isfinite(probs).all():
+        # overflowed weights; the diversity term would reject these rows
+        raise RuntimeError("pretraining diverged: codebook probabilities are not finite")
     q_full = np.zeros_like(c)
     q_full[mask] = q_rows
     contrast = contrastive_loss(
@@ -579,11 +573,15 @@ def finetune_ctc(dataset, model: SslEncoder, n_classes, epochs, seed,
     Every scope but "all" freezes the CNN feature encoder, so its output
     is computed before the first epoch and its backward pass is skipped.
     "head-only" freezes everything below the head, so the cached input is
-    the head input itself (``SslEncoder.head_input``) and each step runs
-    only the head, the CTC loss and the head's backward pass. The skipped
-    layers thus receive no gradient; they are all frozen, and a frozen
-    gradient is cleared every step and never read, so the trained
-    parameters are the same as with full passes.
+    the head input itself (the ``h`` of ``SslEncoder.represent``) and each
+    step runs only the head, the CTC loss and the head's backward pass.
+    The skipped layers thus receive no gradient; they are all frozen, so
+    the trained parameters are the same as with full passes.
+
+    Each step clears only the optimizer's gradients. Frozen layers that
+    gradients pass through (block1 under "first-1-blocks") accumulate
+    gradients no one reads; a later stage that trains them clears them
+    with its own optimizer before its first step.
     """
     seq = np.random.SeedSequence(seed)
     head_seed, loop_seed = seq.spawn(2)
@@ -596,7 +594,7 @@ def finetune_ctc(dataset, model: SslEncoder, n_classes, epochs, seed,
     rng = np.random.default_rng(loop_seed)
     params = trainable_parameters(model, scope, adapter=adapter)
     if scope == "head-only":
-        inputs = [model.head_input(samples, adapter=adapter) for samples, _ in dataset]
+        inputs = [model.represent(samples, adapter)[1] for samples, _ in dataset]
     elif scope != "all":
         inputs = [model.encode_raw(samples) for samples, _ in dataset]
     else:
@@ -609,9 +607,7 @@ def finetune_ctc(dataset, model: SslEncoder, n_classes, epochs, seed,
         order = rng.permutation(len(dataset))
         losses = []
         for i in order:
-            model.zero_grad()
-            if adapter is not None:
-                adapter.zero_grad()
+            opt.zero_grad()
             loss = _ctc_step(model, inputs[i], dataset[i][1], adapter, scope)
             if not np.isfinite(loss):
                 raise RuntimeError(f"fine-tuning diverged at epoch {epoch}: loss={loss}")

@@ -9,6 +9,8 @@ Feature file layout (little-endian), magic ``SFF1``:
     frame_shift_us u32
     label_len      u8, label utf-8 bytes
     payload        f32 * rows * cols, row-major
+
+Every malformed file raises FeatureFileError.
 """
 
 from __future__ import annotations
@@ -244,7 +246,10 @@ def read_features(path) -> FeatureMatrix:
     off = header_len
     if len(blob) < off + label_len:
         raise TruncatedFileError("truncated label")
-    label = blob[off : off + label_len].decode("utf-8")
+    try:
+        label = blob[off : off + label_len].decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise FeatureFileError(f"label is not valid utf-8: {exc}") from exc
     off += label_len
     payload = 4 * rows * cols
     if len(blob) < off + payload:
@@ -254,7 +259,10 @@ def read_features(path) -> FeatureMatrix:
     if len(blob) > off + payload:
         raise FeatureFileError("trailing bytes after payload")
     data = np.frombuffer(blob[off : off + payload], dtype="<f4").reshape(rows, cols)
-    return FeatureMatrix(data.copy(), shift, label)
+    try:
+        return FeatureMatrix(data.copy(), shift, label)
+    except ValueError as exc:  # empty shape, zero shift or non-finite payload
+        raise FeatureFileError(str(exc)) from exc
 
 
 def read_wav(path) -> AudioBuffer:

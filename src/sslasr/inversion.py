@@ -100,6 +100,9 @@ class MdnModel(Module):
         logit_w = self.head_w.forward(h)
         mu = self.head_mu.forward(h).reshape(t, m, da)
         log_std = self.head_s.forward(h).reshape(t, m, da)
+        if not (np.isfinite(logit_w).all() and np.isfinite(log_std).all()):
+            # overflowed weights; MixtureParams would reject the mixture
+            raise RuntimeError("inversion model diverged: mixture outputs are not finite")
         cache = (logit_w, mu, log_std)
         return MixtureParams(softmax(logit_w, axis=1), mu, np.exp(log_std)), cache
 

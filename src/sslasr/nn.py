@@ -8,8 +8,10 @@ examples until they are cleared.
 Gradients live in optimizer-owned storage: an optimizer packs the values
 and gradients of the parameters it is given into one flat buffer each
 (``pack_parameters``), and ``opt.zero_grad()`` clears them with a single
-fill. ``Module.zero_grad`` clears every parameter of a module, including
-those no optimizer owns, such as frozen layers between trainable ones.
+fill. Training loops clear only their optimizer's gradients: a frozen
+layer that gradients pass through accumulates gradients no one reads.
+``Module.zero_grad`` clears every parameter of a module, for callers that
+compute gradients without an optimizer.
 """
 
 from __future__ import annotations

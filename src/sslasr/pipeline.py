@@ -11,8 +11,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .bottleneck import (BottleneckAdapter, BottleneckConfig, bottleneck_forward,
-                         train_adapter)
+from .bottleneck import BottleneckAdapter, BottleneckConfig, train_adapter
 from .corpus import CorpusConfig, Manifest, gen_synth_corpus, partition_report
 from .ctc import PosteriorStream, TokenVocab
 from .decoder import (
@@ -113,20 +112,18 @@ def finetune_encoder(corpus: Corpus, model: SslEncoder, cfg, seed=None):
     seed = cfg["seed"] if seed is None else seed
     section = cfg.get("finetune", {})
     train_records = corpus.manifest.subset("train")
+    audio = [corpus.audio(r) for r in train_records]
     adapter = None
     if section.get("use_adapter", True):
         init_epochs = section.get("adapter_init_epochs", 30)
-        contexts = [
-            model.contextualize(model.encode_raw(corpus.audio(r))) for r in train_records
-        ]
         adapter, _ = train_adapter(
-            contexts,
+            [model.represent(a)[1] for a in audio],
             bottleneck_config(cfg, model.cfg.d_model),
             epochs=init_epochs,
             seed=seed + 7,
             optimizer_cfg=section.get("adapter_init_optimizer"),
         )
-    dataset = [(corpus.audio(r).samples, corpus.tokens(r)) for r in train_records]
+    dataset = [(a.samples, corpus.tokens(r)) for a, r in zip(audio, train_records)]
     histories = []
     stages = section.get("stages", [{"epochs": 20, "scope": "no-feature-encoder"}])
     for i, stage in enumerate(stages):
@@ -193,13 +190,20 @@ def fbank_features(corpus: Corpus, record) -> FeatureMatrix:
     return compute_fbank(corpus.audio(record))
 
 
+def _bottleneck_stream(bn, model: SslEncoder, adapter: BottleneckAdapter) -> FeatureMatrix:
+    """Wrap the bottleneck rows of ``SslEncoder.represent`` as the
+    ``w2v-bn`` stream, whose shift is the encoder's over the adapter's
+    stride (10 ms)."""
+    if model.cfg.frame_shift_us % adapter.cfg.stride != 0:
+        raise ValueError("frame shift must divide evenly when doubling the rate")
+    return FeatureMatrix(bn, model.cfg.frame_shift_us // adapter.cfg.stride, "w2v-bn")
+
+
 def bottleneck_features(corpus: Corpus, record, model: SslEncoder,
                         adapter: BottleneckAdapter) -> FeatureMatrix:
     """Extract the 10 ms bottleneck stream for one utterance (no dropout)."""
-    z = model.encode_raw(corpus.audio(record))
-    c = model.contextualize(z)
-    bn, _ = bottleneck_forward(adapter, FeatureMatrix(c, model.cfg.frame_shift_us, "ctx"))
-    return bn
+    bn, _ = model.represent(corpus.audio(record), adapter)
+    return _bottleneck_stream(bn, model, adapter)
 
 
 def articulatory_map(d_in, d_artic, seed):
@@ -308,7 +312,7 @@ def alignment_labels(corpus: Corpus, record, feats: FeatureMatrix, cfg,
         edge_frames = int(round(edge_ms * 1000.0 / feats.frame_shift_us))
         return uniform_alignment(feats.n_frames, corpus.tokens(record), edge_frames)
     if mode == "ctc":
-        stream = model.frame_posteriors(corpus.audio(record), adapter=adapter)
+        stream = model.head_posteriors(model.represent(corpus.audio(record), adapter)[1])
         labels20 = ctc_argmax_alignment(stream)
         labels = np.repeat(labels20, stream.frame_shift_us // feats.frame_shift_us)
         if labels.size < feats.n_frames:
@@ -373,9 +377,12 @@ def run_recognition(corpus: Corpus, cfg, model, adapter, jobs=1,
     single system, joint-decodes with the configured weights, rescoring
     the joint N-best with second-pass SSL-CTC scores. The joint
     hypothesis is the head of that N-best list, so the mixed stream is
-    decoded once. Everything runs in this process, whatever ``jobs``
-    says. Returns a dict of hypothesis lists and WER reports per system,
-    and the two acoustic models.
+    decoded once. Each test utterance is read, turned into filterbanks and
+    encoded once: the encoder pass gives both the bottleneck stream of the
+    fused features and the CTC head input of the rescoring stream.
+    Everything runs in this process, whatever ``jobs`` says. Returns a
+    dict of hypothesis lists and WER reports per system, and the two
+    acoustic models.
     """
     seed = cfg["seed"]
     decode_cfg = cfg.get("decode", {})
@@ -396,8 +403,13 @@ def run_recognition(corpus: Corpus, cfg, model, adapter, jobs=1,
     records.sort(key=lambda r: r.utt_id)
     hyps = {"fbk": [], "fused": [], "joint": [], "rescored": []}
     for record in records:
-        s_fbk = am_fbk.posteriors(fbk_fn(record), source="tdnn-fbk")
-        s_fused = am_fused.posteriors(fused_fn(record), source="tdnn-fused")
+        audio = corpus.audio(record)
+        fbk = compute_fbank(audio)
+        bn, h = model.represent(audio, adapter)
+        fused = fuse_features([fbk, _bottleneck_stream(bn, model, adapter)],
+                              fbk.frame_shift_us)
+        s_fbk = am_fbk.posteriors(fbk, source="tdnn-fbk")
+        s_fused = am_fused.posteriors(fused, source="tdnn-fused")
         hyps["fbk"].append(decode_stream(s_fbk, corpus.lexicon, corpus.vocab, record.utt_id))
         hyps["fused"].append(
             decode_stream(s_fused, corpus.lexicon, corpus.vocab, record.utt_id)
@@ -406,8 +418,7 @@ def run_recognition(corpus: Corpus, cfg, model, adapter, jobs=1,
         nbest = isolated_nbest(mixed, corpus.lexicon, corpus.vocab, n_best,
                                utt_id=record.utt_id, system="tdnn")
         hyps["joint"].append(best_hypothesis(nbest))
-        ssl_stream = model.frame_posteriors(corpus.audio(record), adapter=adapter)
-        nbest = score_nbest_with_ssl(nbest, ssl_stream, corpus.vocab)
+        nbest = score_nbest_with_ssl(nbest, model.head_posteriors(h), corpus.vocab)
         best, _ = rescore(nbest, alpha, beta)
         hyps["rescored"].append(
             Hypothesis(record.utt_id, list(best.words), list(best.tokens),

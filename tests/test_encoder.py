@@ -12,11 +12,9 @@ from sslasr.encoder import (
     contrastive_loss,
     diversity_loss,
     finetune_ctc,
-    gumbel_quantize,
     pretrain,
     pretrain_step,
     sample_mask_spans,
-    ssl_frame_posteriors,
     trainable_parameters,
 )
 from sslasr.params import ParameterStore, make_optimizer
@@ -130,7 +128,7 @@ class TestGumbelQuantize:
         old_tau = quant.gumbel_temperature
         quant.gumbel_temperature = 1e-6
         try:
-            q, probs = gumbel_quantize(zn, quant, hard=True, rng=None)
+            q, probs = quant.forward(zn, hard=True)
             logits = quant.proj.forward(zn).reshape(zn.shape[0], quant.groups, quant.entries)
             assert np.array_equal(np.argmax(quant._sel, axis=-1), np.argmax(logits, axis=-1))
         finally:
@@ -141,7 +139,7 @@ class TestGumbelQuantize:
         zn = model.z_norm.forward(z)
         for tau in (0.1, 1.0, 2.0, 10.0):
             model.quantizer.gumbel_temperature = tau
-            _, probs = gumbel_quantize(zn, model.quantizer, rng=np.random.default_rng(0))
+            _, probs = model.quantizer.forward(zn, rng=np.random.default_rng(0))
             assert np.allclose(probs.sum(axis=-1), 1.0, atol=1e-12)
             assert (probs >= 0).all()
         model.quantizer.gumbel_temperature = 2.0
@@ -149,7 +147,7 @@ class TestGumbelQuantize:
     def test_output_width_is_d_model(self, model, cfg):
         z = model.encode_raw(sine(3200))
         zn = model.z_norm.forward(z)
-        q, probs = gumbel_quantize(zn, model.quantizer)
+        q, probs = model.quantizer.forward(zn)
         assert q.shape == (z.shape[0], cfg.d_model)
         assert probs.shape == (z.shape[0], cfg.groups, cfg.codebook_entries)
 
@@ -159,8 +157,7 @@ class TestGumbelQuantize:
         z = model.encode_raw(sine(720))
         zn = model.z_norm.forward(z)[:1]
         reps = np.repeat(zn, 100_000, axis=0)
-        q, probs = gumbel_quantize(reps, model.quantizer, hard=True,
-                                   rng=np.random.default_rng(123))
+        q, probs = model.quantizer.forward(reps, hard=True, rng=np.random.default_rng(123))
         sel = model.quantizer._sel  # (N, G, V) one-hot draws
         freq = sel.mean(axis=0)
         expect = probs[0]
@@ -174,7 +171,7 @@ class TestGumbelQuantize:
         model.quantizer.gumbel_temperature = 0.0
         try:
             with pytest.raises(ValueError, match="positive"):
-                gumbel_quantize(zn, model.quantizer)
+                model.quantizer.forward(zn)
         finally:
             model.quantizer.gumbel_temperature = 2.0
 
@@ -305,7 +302,7 @@ class TestFullModelGradients:
         tokens = [1, 3, 2]
 
         def loss():
-            logits = model.frame_logits(samples)
+            logits = model.head.forward(model.represent(samples)[1])
             return ctc_loss(log_softmax(logits, axis=-1), tokens).value
 
         model.zero_grad()
@@ -387,7 +384,7 @@ class TestFinetuneCtc:
         def ter():
             errs = n = 0
             for samples, ids in data:
-                hyp = greedy_decode(model.frame_posteriors(samples))
+                hyp = greedy_decode(model.head_posteriors(model.represent(samples)[1]))
                 counts = wer(ids, hyp)
                 errs += counts.errors
                 n += counts.n_ref
@@ -513,22 +510,36 @@ class TestFinetuneCtc:
             trainable_parameters(model, "everything")
 
 
+class TestRepresent:
+    def test_views_equal_the_layer_calls(self, cfg):
+        model = SslEncoder(cfg, seed=54)
+        adapter = BottleneckAdapter(BottleneckConfig(d_in=cfg.d_model, d_bn=8), seed=6)
+        x = sine(3200)
+        bn, h = model.represent(x, adapter)
+        ref_bn, ref_h = adapter.forward_arrays(model.contextualize(model.encode_raw(x)))
+        assert bn.tobytes() == ref_bn.tobytes()
+        assert h.tobytes() == ref_h.tobytes()
+        no_bn, c = model.represent(x)
+        assert no_bn is None
+        assert c.tobytes() == model.contextualize(model.encode_raw(x)).tobytes()
+
+
 class TestFramePosteriors:
     def test_rows_normalize_and_shift(self, cfg):
         model = SslEncoder(cfg, seed=51)
         model.attach_ctc_head(5, seed=0)
-        stream = ssl_frame_posteriors(sine(3200), model)
+        stream = model.head_posteriors(model.represent(sine(3200))[1])
         assert stream.frame_shift_us == 20_000
         assert np.allclose(np.exp(stream.logp).sum(axis=1), 1.0, atol=1e-6)
 
     def test_missing_head_rejected(self, cfg):
         model = SslEncoder(cfg, seed=52)
         with pytest.raises(ValueError, match="CTC head"):
-            ssl_frame_posteriors(sine(3200), model)
+            model.head_posteriors(model.represent(sine(3200))[1])
 
     def test_deterministic(self, cfg):
         model = SslEncoder(cfg, seed=53)
         model.attach_ctc_head(5, seed=0)
-        a = ssl_frame_posteriors(sine(3200), model).logp
-        b = ssl_frame_posteriors(sine(3200), model).logp
+        a = model.head_posteriors(model.represent(sine(3200))[1]).logp
+        b = model.head_posteriors(model.represent(sine(3200))[1]).logp
         assert np.array_equal(a, b)

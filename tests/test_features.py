@@ -1,6 +1,10 @@
+import struct
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sslasr.features import (
@@ -11,6 +15,7 @@ from sslasr.features import (
     FeatureMatrix,
     FrameCountMismatchError,
     TruncatedFileError,
+    FILE_MAGIC,
     VersionMismatchError,
     compute_fbank,
     fuse_features,
@@ -186,6 +191,82 @@ class TestFeatureFile:
         path.write_bytes(path.read_bytes() + b"junk")
         with pytest.raises(FeatureFileError, match="trailing"):
             read_features(path)
+
+
+def load_blob(blob):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "blob.sff"
+        path.write_bytes(blob)
+        return read_features(path)
+
+
+def sff_blob(rows, cols, shift, label=b"x", payload=None):
+    if payload is None:
+        payload = np.ones(rows * cols, dtype="<f4").tobytes()
+    return (FILE_MAGIC + struct.pack("<IIIIB", 1, rows, cols, shift, len(label))
+            + label + payload)
+
+
+VALID_BLOB = sff_blob(3, 2, 10_000, b"fbk",
+                      np.arange(6, dtype="<f4").tobytes())
+
+
+class TestFeatureFileRobustness:
+    def test_valid_blob_loads(self):
+        f = load_blob(VALID_BLOB)
+        assert f.data.shape == (3, 2) and f.label == "fbk"
+
+    def test_non_utf8_label(self):
+        with pytest.raises(FeatureFileError, match="utf-8"):
+            load_blob(sff_blob(1, 1, 10_000, label=b"\xff"))
+
+    @pytest.mark.parametrize("rows, cols", [(0, 2), (2, 0), (0, 0)])
+    def test_empty_matrix(self, rows, cols):
+        with pytest.raises(FeatureFileError, match="T x D"):
+            load_blob(sff_blob(rows, cols, 10_000))
+
+    def test_zero_frame_shift(self):
+        with pytest.raises(FeatureFileError, match="frame_shift_us"):
+            load_blob(sff_blob(1, 1, 0))
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_payload(self, value):
+        payload = np.array([1.0, value], dtype="<f4").tobytes()
+        with pytest.raises(FeatureFileError, match="non-finite"):
+            load_blob(sff_blob(1, 2, 10_000, payload=payload))
+
+    @settings(max_examples=100, deadline=None)
+    @given(cut=st.integers(0, len(VALID_BLOB) - 1))
+    def test_every_truncation_is_named(self, cut):
+        with pytest.raises(FeatureFileError):
+            load_blob(VALID_BLOB[:cut])
+
+    @settings(max_examples=300, deadline=None)
+    @given(pos=st.integers(0, len(VALID_BLOB) - 1), bit=st.integers(0, 7))
+    def test_bit_flip_loads_or_is_named(self, pos, bit):
+        blob = bytearray(VALID_BLOB)
+        blob[pos] ^= 1 << bit
+        try:
+            load_blob(bytes(blob))
+        except FeatureFileError:
+            pass
+
+    @settings(max_examples=300, deadline=None)
+    @given(blob=st.one_of(
+        st.binary(max_size=64),
+        st.binary(max_size=64).map(FILE_MAGIC.__add__),
+        # a well-formed header over random fields and a payload of the promised size
+        st.tuples(st.integers(0, 3), st.integers(0, 3), st.sampled_from([0, 1, 10_000]),
+                  st.binary(max_size=4)).flatmap(
+            lambda h: st.binary(min_size=4 * h[0] * h[1], max_size=4 * h[0] * h[1]).map(
+                lambda payload: sff_blob(h[0], h[1], h[2], h[3], payload))),
+    ))
+    @example(blob=sff_blob(1, 1, 10_000, b"", b"\xff\xff\xff\x7f"))  # NaN
+    def test_random_blob_loads_or_is_named(self, blob):
+        try:
+            load_blob(blob)
+        except FeatureFileError:
+            pass
 
 
 class TestWav:

@@ -148,18 +148,6 @@ class TestTraining:
         assert not np.array_equal(p1, p2)
 
 
-class TestHiddenFusion:
-    def test_aux_injected_at_hidden_layer(self):
-        cfg = AmConfig(hidden_fusion_layer=1)
-        am = FrameAm(cfg, d_feat=6, n_classes=4, seed=11, d_aux=3)
-        f = feat(5, 6, seed=12)
-        aux = feat(5, 3, seed=13)
-        stream = am.posteriors(f, aux=aux)
-        assert stream.logp.shape == (5, 4)
-        with pytest.raises(ValueError, match="aux"):
-            am.posteriors(f)
-
-
 class TestAlignments:
     def test_uniform_equal_spans(self):
         labels = uniform_alignment(12, [5, 6, 7])

@@ -285,3 +285,54 @@ class TestFlatOptimizers:
         opt.zero_grad()
         assert not opt.grad.any()
         assert params[1].grad == 0.0
+
+
+def _pretrain(opt_cfg, rng):
+    from sslasr.encoder import EncoderConfig, pretrain
+
+    audio = [rng.normal(0.0, 0.3, 4800) for _ in range(3)]
+    pretrain(audio, EncoderConfig(), epochs=1, seed=0, optimizer_cfg=opt_cfg)
+
+
+def _finetune_ctc(opt_cfg, rng):
+    from sslasr.encoder import EncoderConfig, SslEncoder, finetune_ctc
+
+    data = [(rng.normal(0.0, 0.3, 4800), [1, 2]) for _ in range(3)]
+    finetune_ctc(data, SslEncoder(EncoderConfig(), seed=1), 4, epochs=1, seed=0,
+                 optimizer_cfg=opt_cfg)
+
+
+def _train_adapter(opt_cfg, rng):
+    from sslasr.bottleneck import BottleneckConfig, train_adapter
+
+    contexts = [rng.normal(size=(6, 8)) for _ in range(3)]
+    train_adapter(contexts, BottleneckConfig(d_in=8, d_bn=4), epochs=1, seed=0,
+                  optimizer_cfg=opt_cfg)
+
+
+def _train_inversion(opt_cfg, rng):
+    from sslasr.inversion import MdnConfig, train_inversion
+
+    pairs = [(rng.normal(size=(6, 4)), rng.normal(size=(6, 2))) for _ in range(3)]
+    train_inversion(pairs, MdnConfig(d_in=4, d_artic=2), epochs=1, seed=0,
+                    optimizer_cfg=opt_cfg)
+
+
+def _train_am(opt_cfg, rng):
+    from sslasr.features import FeatureMatrix
+    from sslasr.frame_am import AmConfig, train_am
+
+    data = [(FeatureMatrix(rng.normal(size=(6, 3)), 10_000), rng.integers(0, 4, 6))
+            for _ in range(3)]
+    train_am(data, AmConfig(), d_feat=3, n_classes=4, epochs=1, seed=0,
+             optimizer_cfg=opt_cfg)
+
+
+class TestDivergenceAbort:
+    @pytest.mark.parametrize("train", [_pretrain, _finetune_ctc, _train_adapter,
+                                       _train_inversion, _train_am])
+    def test_overflowing_rate_aborts(self, train):
+        # one Adam step moves every weight by about the rate, so the next
+        # forward pass overflows
+        with np.errstate(all="ignore"), pytest.raises(RuntimeError, match="diverged"):
+            train({"optimizer": "adam", "lr": 1e200}, np.random.default_rng(0))

@@ -1,10 +1,17 @@
+import hashlib
+from collections import Counter
+
 import numpy as np
 import pytest
 
 from sslasr import pipeline
+from sslasr.bottleneck import BottleneckAdapter, BottleneckConfig
 from sslasr.corpus import wer
 from sslasr.ctc import greedy_decode
-from sslasr.decoder import decode_stream, interpolate_posteriors, parse_weight_ratio
+from sslasr.decoder import (decode_stream, interpolate_posteriors, isolated_nbest,
+                            parse_weight_ratio)
+from sslasr.encoder import SslEncoder
+from sslasr.rescore import rescore, score_nbest_with_ssl
 
 
 class TestCorpusAccess:
@@ -26,8 +33,8 @@ class TestModelRoundTrips:
         pipeline.save_encoder(model, path)
         back = pipeline.load_encoder(tiny_config, path)
         rec = tiny_corpus.manifest.records[0]
-        a = model.frame_posteriors(tiny_corpus.audio(rec)).logp
-        b = back.frame_posteriors(tiny_corpus.audio(rec)).logp
+        a = model.head_posteriors(model.represent(tiny_corpus.audio(rec))[1]).logp
+        b = back.head_posteriors(back.represent(tiny_corpus.audio(rec))[1]).logp
         assert np.array_equal(a, b)
 
     def test_adapter_save_load(self, tiny_config, tiny_models, tmp_path):
@@ -69,11 +76,28 @@ class TestFeatureFns:
         assert np.array_equal(loaded.data, feats.data)
 
 
+    def test_bottleneck_stream_shift_and_label(self, tiny_corpus, tiny_models):
+        model, adapter = tiny_models
+        rec = tiny_corpus.manifest.records[0]
+        feats = pipeline.bottleneck_features(tiny_corpus, rec, model, adapter)
+        bn, _ = model.represent(tiny_corpus.audio(rec), adapter)
+        assert (feats.frame_shift_us, feats.label) == (10_000, "w2v-bn")
+        assert np.array_equal(feats.data, bn.astype(np.float32))
+
+    def test_stride_must_divide_frame_shift(self, tiny_corpus, tiny_models):
+        model, _ = tiny_models
+        odd = BottleneckAdapter(BottleneckConfig(d_in=model.cfg.d_model, d_bn=8,
+                                                 kernel=3, stride=3), seed=0)
+        with pytest.raises(ValueError, match="divide evenly"):
+            pipeline.bottleneck_features(tiny_corpus, tiny_corpus.manifest.records[0],
+                                         model, odd)
+
+
 class TestStreamFiles:
     def test_round_trip_preserves_decisions(self, tiny_corpus, tiny_models, tmp_path):
         model, adapter = tiny_models
         rec = tiny_corpus.manifest.records[0]
-        stream = model.frame_posteriors(tiny_corpus.audio(rec), adapter=adapter)
+        stream = model.head_posteriors(model.represent(tiny_corpus.audio(rec), adapter)[1])
         path = tmp_path / "s.post"
         pipeline.write_stream(stream, path)
         back = pipeline.read_stream(path)
@@ -123,7 +147,7 @@ class TestParallelDecode:
         records = tiny_corpus.manifest.subset("test-seen")[:4]
         tasks = []
         for rec in records:
-            stream = model.frame_posteriors(tiny_corpus.audio(rec), adapter=adapter)
+            stream = model.head_posteriors(model.represent(tiny_corpus.audio(rec), adapter)[1])
             up = pipeline.PosteriorStream(
                 np.repeat(stream.logp, 2, axis=0), 10_000, stream.source
             )
@@ -157,3 +181,54 @@ class TestRunRecognition:
                                      record.utt_id)
             assert hyp.words == expected.words
             assert hyp.cost == expected.cost
+
+    def test_one_pass_per_test_utterance(self, tiny_config, tiny_corpus, tiny_models,
+                                         monkeypatch):
+        model, adapter = tiny_models
+        reads, fbanks, encodes = Counter(), Counter(), Counter()
+
+        def key(audio):
+            samples = getattr(audio, "samples", audio)
+            return hashlib.sha256(np.ascontiguousarray(samples).tobytes()).hexdigest()
+
+        def counted(counter, fn, key_of):
+            def wrapper(*args):
+                counter[key_of(*args)] += 1
+                return fn(*args)
+            return wrapper
+
+        monkeypatch.setattr(pipeline, "read_wav",
+                            counted(reads, pipeline.read_wav, lambda path: str(path)))
+        monkeypatch.setattr(pipeline, "compute_fbank",
+                            counted(fbanks, pipeline.compute_fbank, key))
+        monkeypatch.setattr(SslEncoder, "encode_raw",
+                            counted(encodes, SslEncoder.encode_raw, lambda _, a: key(a)))
+        result = pipeline.run_recognition(tiny_corpus, tiny_config, model, adapter)
+        monkeypatch.undo()
+        records = sorted(tiny_corpus.manifest.subset("test-seen", "test-unseen"),
+                         key=lambda r: r.utt_id)
+        for record in records:
+            audio = tiny_corpus.audio(record)
+            assert reads[str(tiny_corpus.root / record.audio_path)] == 1, record.utt_id
+            assert fbanks[key(audio)] == 1, record.utt_id
+            assert encodes[key(audio)] == 1, record.utt_id
+
+        # the rescored hypotheses are the rescoring of the rebuilt joint
+        # N-best with the single-pass SSL stream
+        am_fbk, am_fused = result["models"]["am_fbk"], result["models"]["am_fused"]
+        fbk_fn = pipeline.build_feature_fn(tiny_corpus, "fbk")
+        fused_fn = pipeline.build_feature_fn(tiny_corpus, "fbk+w2v-bn", model=model,
+                                             adapter=adapter)
+        weights = parse_weight_ratio(tiny_config["decode"]["weights"])
+        alpha, beta = tiny_config["rescore"]["alpha"], tiny_config["rescore"]["beta"]
+        for record, hyp in zip(records, result["hypotheses"]["rescored"]):
+            mixed = interpolate_posteriors([am_fused.posteriors(fused_fn(record)),
+                                            am_fbk.posteriors(fbk_fn(record))], weights)
+            nbest = isolated_nbest(mixed, tiny_corpus.lexicon, tiny_corpus.vocab,
+                                   tiny_config["decode"]["nbest"], utt_id=record.utt_id,
+                                   system="tdnn")
+            _, h = model.represent(tiny_corpus.audio(record), adapter)
+            scored = score_nbest_with_ssl(nbest, model.head_posteriors(h), tiny_corpus.vocab)
+            best, _ = rescore(scored, alpha, beta)
+            assert hyp.words == list(best.words)
+            assert hyp.cost == best.combined_cost
