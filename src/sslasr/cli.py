@@ -18,7 +18,14 @@ from . import pipeline
 from .config import load_config
 from .corpus import Manifest, partition_report
 from .ctc import NBestList
-from .decoder import Hypothesis, Lexicon, parse_weight_ratio
+from .decoder import (
+    Hypothesis,
+    Lexicon,
+    best_hypothesis,
+    interpolate_posteriors,
+    isolated_nbest_batch,
+    parse_weight_ratio,
+)
 from .params import ParameterStore
 from .rescore import rescore, score_nbest_with_ssl
 
@@ -28,7 +35,8 @@ logger = logging.getLogger("sslasr")
 def _add_common(p):
     p.add_argument("--config", help="global JSON config file")
     p.add_argument("--seed", type=int, help="override the config seed")
-    p.add_argument("--jobs", type=int, default=1, help="utterance-level parallelism")
+    p.add_argument("--jobs", type=int, default=1,
+                   help="accepted and ignored: decoding batches the test set in one process")
 
 
 def build_parser():
@@ -272,12 +280,32 @@ def _load_am(cfg, path):
     return am
 
 
+def _decode(streams, lexicon, vocab, args, system_of):
+    """Hypotheses of a {utt_id: stream} map in utterance order. With
+    ``--nbest`` they are the heads of the N-best lists of one batched pass
+    (each entry costed under ``system_of(stream)``), and the lists go to
+    ``--nbest-out``."""
+    if not args.nbest:
+        tasks = [(u, [s], None, lexicon, vocab) for u, s in streams.items()]
+        return pipeline.decode_utterances(tasks, jobs=args.jobs)
+    by_system = {}
+    for u in sorted(streams):
+        by_system.setdefault(system_of(streams[u]), []).append(u)
+    nbests = {}
+    for system, utts in by_system.items():
+        batch = isolated_nbest_batch([streams[u] for u in utts], lexicon, vocab,
+                                     args.nbest, utts, system=system)
+        nbests.update(zip(utts, batch))
+    nbests = [nbests[u] for u in sorted(streams)]
+    if args.nbest_out:
+        _emit_lines([nb.to_json() for nb in nbests], args.nbest_out)
+    return [best_hypothesis(nb) for nb in nbests]
+
+
 def cmd_decode(args):
     cfg = _config(args)
     lexicon = Lexicon.load(args.lexicon)
     vocab = lexicon.vocab()
-    tasks = []
-    nbest_lines = []
     if args.streams:
         sources, utts = _load_stream_sources(args.streams)
         streams = {u: pipeline.read_stream(sources[0][u]) for u in utts}
@@ -296,17 +324,7 @@ def cmd_decode(args):
         out.mkdir(parents=True, exist_ok=True)
         for utt_id, stream in streams.items():
             pipeline.write_stream(stream, out / f"{utt_id}.post")
-    tasks = [(u, [s], None, lexicon, vocab) for u, s in streams.items()]
-    hyps = pipeline.decode_utterances(tasks, jobs=args.jobs)
-    if args.nbest:
-        from .decoder import isolated_nbest
-
-        for utt_id in sorted(streams):
-            nb = isolated_nbest(streams[utt_id], lexicon, vocab, args.nbest,
-                                utt_id=utt_id, system=streams[utt_id].source or "am")
-            nbest_lines.append(nb.to_json())
-        if args.nbest_out:
-            _emit_lines(nbest_lines, args.nbest_out)
+    hyps = _decode(streams, lexicon, vocab, args, lambda s: s.source or "am")
     _emit_lines(_hyp_lines(hyps), args.out)
 
 
@@ -318,24 +336,10 @@ def cmd_joint_decode(args):
     sources, utts = _load_stream_sources(args.streams)
     if len(sources) != weights.size:
         raise ValueError(f"{len(sources)} stream sources but {weights.size} weights")
-    tasks = []
-    per_utt_streams = {}
-    for u in utts:
-        streams = [pipeline.read_stream(src[u]) for src in sources]
-        per_utt_streams[u] = streams
-        tasks.append((u, streams, weights, lexicon, vocab))
-    hyps = pipeline.decode_utterances(tasks, jobs=args.jobs)
-    if args.nbest:
-        from .decoder import interpolate_posteriors, isolated_nbest
-
-        nbest_lines = []
-        for u in utts:
-            mixed = interpolate_posteriors(per_utt_streams[u], weights)
-            nb = isolated_nbest(mixed, lexicon, vocab, args.nbest, utt_id=u,
-                                system="tdnn")
-            nbest_lines.append(nb.to_json())
-        if args.nbest_out:
-            _emit_lines(nbest_lines, args.nbest_out)
+    mixed = {u: interpolate_posteriors([pipeline.read_stream(src[u]) for src in sources],
+                                       weights)
+             for u in utts}
+    hyps = _decode(mixed, lexicon, vocab, args, lambda s: "tdnn")
     _emit_lines(_hyp_lines(hyps), args.out)
 
 

@@ -1,11 +1,17 @@
 """CTC loss with analytic gradients, hypothesis scoring, greedy decoding,
 and prefix beam search over per-frame log posteriors.
 
-One blank-interleaved alignment lattice (``_ctc_lattice``) serves the
-loss, the forward score, isolated-word Viterbi decoding and N-best
-rescoring. It scores a padded batch of targets in one pass under one of
-two semirings: log-sum-exp (summed paths) or max (best path). The loss's
-backward lattice is the same pass over the time-reversed stream.
+One alpha recursion (``_alpha_frames``) over blank-interleaved alignment
+lattices serves the loss, the forward score, isolated-word Viterbi
+decoding and N-best rescoring. It scores a padded batch of targets under
+one of two semirings, log-sum-exp (summed paths) or max (best path), and
+yields one frame at a time, so each caller keeps only what it reads.
+``_ctc_lattice`` keeps every frame of one stream: the loss reads them all
+(its backward lattice is the same pass over the time-reversed stream),
+and rescoring reads one utterance's costs at the last.
+``_ctc_costs`` runs a padded batch of streams of different lengths in one
+frame loop and keeps each stream's costs at its own last frame, so a
+whole test set is decoded in one pass.
 
 Alignment-lattice conventions: blank id is 0, lexical tokens are 1..V,
 and all lattice arithmetic runs in log space with -inf for impossible
@@ -123,41 +129,98 @@ def _check_target(target, width):
     return target
 
 
-def _ctc_lattice(logp, targets, plus):
-    """Forward (alpha) lattice of every target over one stream at once.
-
-    The targets are blank-interleaved into an (N, S) batch of state labels,
-    padded at the end to S = 2 * longest + 1; a padded state never feeds a
-    real one, so every row equals its single-target lattice bit for bit.
-    ``plus`` picks the semiring: ``np.logaddexp`` sums the paths (CTC
-    forward score), ``np.maximum`` keeps the best one (Viterbi alignment).
-
-    Returns the (T, N, S) lattice, emissions included at every frame, and
-    each target's cost: -log of its summed or best path, +inf if it has
-    no path.
-    """
+def _lattice_states(targets):
+    """Blank-interleave the targets into an (N, S) batch of state labels,
+    padded at the end to S = 2 * longest + 1. Returns the labels, each
+    row's real state count, and where a path may enter a state by
+    skipping the blank before it."""
     n_states = np.array([2 * len(y) + 1 for y in targets], dtype=np.int64)
     ext = np.zeros((len(targets), n_states.max(initial=1)), dtype=np.int64)
     for row, y, s_len in zip(ext, targets, n_states):
         row[:s_len] = _interleave_blanks(y)
-    emit = logp[:, ext]
-    alphas = np.full(emit.shape, NEG_INF)
-    alphas[0, :, :2] = emit[0, :, :2]
     skip_ok = np.zeros(ext.shape, dtype=bool)
     skip_ok[:, 2:] = (ext[:, 2:] != 0) & (ext[:, 2:] != ext[:, :-2])
-    step = np.full(ext.shape, NEG_INF)
-    skip = np.full(ext.shape, NEG_INF)
-    for t in range(1, len(logp)):
-        prev, acc = alphas[t - 1], alphas[t]
-        step[:, 1:] = prev[:, :-1]
-        skip[:, 2:] = prev[:, :-2]
-        plus(prev, step, out=acc)
-        plus(acc, skip, out=acc, where=skip_ok)
-        acc += emit[t]
-    rows = np.arange(len(targets))
-    score = alphas[-1, rows, n_states - 1]
-    plus(score, alphas[-1, rows, n_states - 2], out=score, where=n_states > 1)
-    return alphas, -score
+    return ext, n_states, skip_ok
+
+
+def _alpha_frames(emissions, skip_ok, plus, out=None):
+    """The alpha recursion, one frame at a time.
+
+    ``emissions`` gives each frame's (..., N, S) log emissions of the
+    lattice states; any leading axes (a batch of streams) ride along
+    elementwise. ``plus`` picks the semiring: ``np.logaddexp`` sums the
+    paths (CTC forward score), ``np.maximum`` keeps the best one (Viterbi
+    alignment). Yields each frame's alphas, emissions included: written
+    into ``out[t]`` when ``out`` is given, else into a new array. A padded
+    state never feeds a real one, so every row equals its single-target
+    lattice bit for bit.
+    """
+    prev = step = skip = None
+    for t, emit in enumerate(emissions):
+        acc = np.empty(emit.shape) if out is None else out[t]
+        if prev is None:
+            acc.fill(NEG_INF)
+            acc[..., :2] = emit[..., :2]
+            step = np.full(emit.shape, NEG_INF)
+            skip = np.full(emit.shape, NEG_INF)
+        else:
+            step[..., 1:] = prev[..., :-1]
+            skip[..., 2:] = prev[..., :-2]
+            plus(prev, step, out=acc)
+            plus(acc, skip, out=acc, where=skip_ok)
+            acc += emit
+        yield acc
+        prev = acc
+
+
+def _final_costs(alpha, n_states, plus):
+    """Each target's cost at a final frame's (..., N, S) alphas: -log of
+    its summed or best path through the last label or the trailing blank,
+    +inf if it has no path."""
+    rows = np.arange(len(n_states))
+    score = alpha[..., rows, n_states - 1]
+    plus(score, alpha[..., rows, n_states - 2], out=score, where=n_states > 1)
+    return -score
+
+
+def _ctc_lattice(logp, targets, plus):
+    """Forward (alpha) lattice of every target over one (T, V) stream.
+
+    Returns the (T, N, S) lattice, emissions included at every frame, and
+    each target's cost (see ``_final_costs``).
+    """
+    ext, n_states, skip_ok = _lattice_states(targets)
+    emit = logp[:, ext]
+    alphas = np.empty(emit.shape)
+    for _ in _alpha_frames(emit, skip_ok, plus, out=alphas):
+        pass
+    return alphas, _final_costs(alphas[-1], n_states, plus)
+
+
+def _ctc_costs(logps, targets, plus):
+    """(B, N) costs of every target on every stream of a batch, in one
+    frame loop.
+
+    The streams may differ in length. They are padded into one (T, B, V)
+    array, the recursion runs over (B, N, S) alphas, and each stream's
+    costs are read at its own last frame, so every cost equals
+    ``_ctc_lattice`` on that stream alone bit for bit. A stream of no
+    frames has no path.
+    """
+    if not logps:
+        return np.zeros((0, len(targets)))
+    lengths = np.array([len(x) for x in logps], dtype=np.int64)
+    padded = np.zeros((lengths.max(), len(logps), logps[0].shape[1]))
+    for b, x in enumerate(logps):
+        padded[: len(x), b] = x
+    ext, n_states, skip_ok = _lattice_states(targets)
+    costs = np.full((len(logps), len(targets)), np.inf)
+    alphas = _alpha_frames((frame[:, ext] for frame in padded), skip_ok, plus)
+    for t, alpha in enumerate(alphas):
+        done = np.flatnonzero(lengths == t + 1)
+        if done.size:
+            costs[done] = _final_costs(alpha[done], n_states, plus)
+    return costs
 
 
 def _stream_logp(stream):

@@ -2,24 +2,44 @@
 
 Posterior interpolation happens in the probability domain (convex
 combination of per-frame distributions). Decoding runs max-Viterbi in
-one of two ways. Isolated-word mode scores every lexicon word at once
-on the shared CTC lattice of ``ctc`` under the max semiring (its other
-semiring, log-sum-exp, scores rescoring passes). Word-loop mode loops
-word models with an insertion penalty on a graph of its own.
+one of two ways. Isolated-word mode scores every lexicon word on the
+shared CTC lattice of ``ctc`` under the max semiring (its other
+semiring, log-sum-exp, scores rescoring passes): ``isolated_nbest_batch``
+scores every word on every stream of a test set in one frame loop, and
+``isolated_nbest`` is its one-stream case. Word-loop mode loops word
+models with an insertion penalty on a graph of its own, one stream at a
+time.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .ctc import NEG_INF, NBestEntry, NBestList, PosteriorStream, TokenVocab, _ctc_lattice
+from .ctc import (
+    NEG_INF,
+    NBestEntry,
+    NBestList,
+    PosteriorStream,
+    TokenVocab,
+    _ctc_costs,
+    _ctc_lattice,
+)
 
 
 class DecodeError(ValueError):
     pass
+
+
+class LexiconFormatError(ValueError):
+    """Malformed lexicon file or JSON dictionary."""
+
+
+def _is_str_list(value):
+    return isinstance(value, list) and all(isinstance(v, str) for v in value)
 
 
 @dataclass
@@ -77,12 +97,38 @@ class Lexicon:
 
     @classmethod
     def from_json_dict(cls, d):
-        return cls(
-            entries=[LexiconEntry(w["word"], tuple(w["tokens"])) for w in d["words"]],
-            mode=d.get("mode", "isolated"),
-            word_insertion_penalty=float(d.get("word_insertion_penalty", 0.0)),
-            alphabet=tuple(d["alphabet"]) if "alphabet" in d else None,
-        )
+        """Build a lexicon from its JSON form. Every malformed input raises
+        :class:`LexiconFormatError`: a missing or empty word list, a word
+        that is not a string, tokens that are not a non-empty list of
+        strings, an unknown mode, a penalty that is not a finite number,
+        and an alphabet that is not a list of distinct strings or misses
+        a used token."""
+        if not isinstance(d, dict) or not isinstance(d.get("words"), list) or not d["words"]:
+            raise LexiconFormatError('a lexicon is an object with a non-empty "words" list')
+        entries = []
+        for w in d["words"]:
+            if not (isinstance(w, dict) and isinstance(w.get("word"), str)
+                    and _is_str_list(w.get("tokens"))):
+                raise LexiconFormatError(
+                    f'word entry {w!r} needs a string "word" and a list of string "tokens"')
+            entries.append(LexiconEntry(w["word"], tuple(w["tokens"])))
+        penalty = d.get("word_insertion_penalty", 0.0)
+        try:
+            finite = not isinstance(penalty, bool) and math.isfinite(penalty)
+        except (TypeError, OverflowError):  # not a number, or an int beyond float
+            finite = False
+        if not finite:
+            raise LexiconFormatError(f"word insertion penalty {penalty!r} is not a finite number")
+        alphabet = d.get("alphabet")
+        if "alphabet" in d and not (_is_str_list(alphabet)
+                                    and len(set(alphabet)) == len(alphabet)):
+            raise LexiconFormatError("the alphabet must be a list of distinct strings")
+        try:
+            return cls(entries=entries, mode=d.get("mode", "isolated"),
+                       word_insertion_penalty=float(penalty),
+                       alphabet=None if alphabet is None else tuple(alphabet))
+        except ValueError as exc:  # unknown mode, empty tokens, repeated word, unknown token
+            raise LexiconFormatError(str(exc)) from exc
 
     def save(self, path):
         with open(path, "w") as fh:
@@ -91,7 +137,11 @@ class Lexicon:
     @classmethod
     def load(cls, path):
         with open(path) as fh:
-            return cls.from_json_dict(json.load(fh))
+            try:
+                d = json.load(fh)
+            except ValueError as exc:  # not JSON, or not UTF-8
+                raise LexiconFormatError(f"{path}: {exc}") from exc
+        return cls.from_json_dict(d)
 
 
 def parse_weight_ratio(text):
@@ -168,20 +218,34 @@ def viterbi_isolated(stream: PosteriorStream, lexicon: Lexicon, vocab: TokenVoca
 
 def isolated_nbest(stream: PosteriorStream, lexicon: Lexicon, vocab: TokenVocab,
                    n, utt_id="", system="am") -> NBestList:
-    """Rank lexicon words by isolated alignment cost, all scored in one
-    max-semiring lattice pass; ties go to the lowest lexicon index.
-    Infeasible words get +inf cost and sort last (kept so rescoring sees
-    a fixed-size list)."""
+    """Rank lexicon words by isolated alignment cost on one stream; the
+    one-stream case of ``isolated_nbest_batch``."""
+    return isolated_nbest_batch([stream], lexicon, vocab, n, [utt_id], system)[0]
+
+
+def isolated_nbest_batch(streams, lexicon: Lexicon, vocab: TokenVocab, n, utt_ids,
+                         system="am") -> list:
+    """One N-best list per stream, every lexicon word on every stream
+    scored in one max-semiring lattice pass over the padded batch; the
+    streams may differ in length. Words are ranked by isolated alignment
+    cost, ties going to the lowest lexicon index. Infeasible words get
+    +inf cost and sort last (kept so rescoring sees a fixed-size list)."""
     if lexicon.mode != "isolated":
         raise ValueError("lexicon is not in isolated-word mode")
-    costs = _ctc_lattice(stream.logp, _resolve_tokens(lexicon, vocab), np.maximum)[1]
-    entries = []
-    for i in np.argsort(costs, kind="stable")[:n]:
-        entry = lexicon.entries[i]
-        cost = float(costs[i])
-        entries.append(NBestEntry(tokens=list(entry.tokens), words=[entry.word],
-                                  cost_per_system={system: cost}, combined_cost=cost))
-    return NBestList(utt_id, entries)
+    if len(utt_ids) != len(streams):
+        raise ValueError(f"{len(streams)} streams but {len(utt_ids)} utterance ids")
+    costs = _ctc_costs([s.logp for s in streams], _resolve_tokens(lexicon, vocab),
+                       np.maximum)
+    nbests = []
+    for utt_id, row in zip(utt_ids, costs):
+        entries = []
+        for i in np.argsort(row, kind="stable")[:n]:
+            entry = lexicon.entries[i]
+            cost = float(row[i])
+            entries.append(NBestEntry(tokens=list(entry.tokens), words=[entry.word],
+                                      cost_per_system={system: cost}, combined_cost=cost))
+        nbests.append(NBestList(utt_id, entries))
+    return nbests
 
 
 @dataclass

@@ -15,6 +15,7 @@ Every malformed file raises FeatureFileError.
 
 from __future__ import annotations
 
+import functools
 import struct
 import wave
 from dataclasses import dataclass, field
@@ -124,11 +125,13 @@ def mel_to_hz(m):
     return 700.0 * (np.power(10.0, np.asarray(m, dtype=np.float64) / 2595.0) - 1.0)
 
 
+@functools.lru_cache(maxsize=16)
 def mel_filterbank(n_mels, n_fft, sample_rate, fmin_hz=0.0, fmax_hz=None):
     """Triangular unit-height mel filters sampled at FFT bin frequencies.
 
     Returns (n_mels, n_fft // 2 + 1) weights and the filter center
-    frequencies in Hz.
+    frequencies in Hz. Both are computed once per argument tuple and
+    shared by every caller, so they are read-only.
     """
     fmax_hz = sample_rate / 2.0 if fmax_hz is None else fmax_hz
     edges_mel = np.linspace(hz_to_mel(fmin_hz), hz_to_mel(fmax_hz), n_mels + 2)
@@ -140,7 +143,10 @@ def mel_filterbank(n_mels, n_fft, sample_rate, fmin_hz=0.0, fmax_hz=None):
         up = (bin_hz - left) / max(center - left, 1e-12)
         down = (right - bin_hz) / max(right - center, 1e-12)
         weights[i] = np.maximum(0.0, np.minimum(up, down))
-    return weights, edges_hz[1:-1]
+    centers = edges_hz[1:-1]
+    weights.flags.writeable = False
+    centers.flags.writeable = False
+    return weights, centers
 
 
 def compute_fbank(audio: AudioBuffer, cfg: FbankConfig | None = None) -> FeatureMatrix:

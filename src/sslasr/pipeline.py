@@ -1,12 +1,17 @@
 """End-to-end orchestration over a corpus directory: pretraining,
 fine-tuning, feature extraction, acoustic-model training, single and
 joint decoding, N-best rescoring, and scoring. The CLI, the demos, and
-the acceptance suite all drive these functions."""
+the acceptance suite all drive these functions.
+
+Decoding runs in this process. Isolated-word decoding takes a whole test
+set at once: every utterance's streams are computed first, then one
+batched lattice pass (``decoder.isolated_nbest_batch``) decodes each
+system. Word-loop decoding and rescoring go one utterance at a time.
+"""
 
 from __future__ import annotations
 
 import logging
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -20,8 +25,7 @@ from .decoder import (
     best_hypothesis,
     decode_stream,
     interpolate_posteriors,
-    isolated_nbest,
-    joint_decode,
+    isolated_nbest_batch,
     parse_weight_ratio,
 )
 from .encoder import EncoderConfig, SslEncoder, finetune_ctc, pretrain
@@ -254,29 +258,29 @@ def build_feature_fn(corpus, kind, model=None, adapter=None, mdn_model=None,
 
     The bottleneck and articulatory streams come from the given models,
     or from directories of previously extracted feature files when
-    ``bn_dir`` / ``artic_dir`` are set.
+    ``bn_dir`` / ``artic_dir`` are set. Each record's WAV is read at most
+    once and encoded at most once, whatever streams it feeds.
     """
     parts = kind.split("+")
+    stored = {"w2v-bn": bn_dir, "artic": artic_dir}
 
     def compute(record):
+        audio = bn = None
         streams = []
         for part in parts:
-            if part == "fbk":
-                streams.append(fbank_features(corpus, record))
-            elif part == "w2v-bn":
-                if bn_dir is not None:
-                    streams.append(read_features(Path(bn_dir) / f"{record.utt_id}.sff"))
-                else:
-                    streams.append(bottleneck_features(corpus, record, model, adapter))
-            elif part == "artic":
-                if artic_dir is not None:
-                    streams.append(read_features(Path(artic_dir) / f"{record.utt_id}.sff"))
-                else:
-                    streams.append(
-                        articulatory_features(corpus, record, model, adapter, mdn_model)
-                    )
-            else:
+            if part not in ("fbk", "w2v-bn", "artic"):
                 raise ValueError(f"unknown feature stream {part!r}")
+            if stored.get(part) is not None:
+                streams.append(read_features(Path(stored[part]) / f"{record.utt_id}.sff"))
+                continue
+            if audio is None:  # one read feeds every computed stream
+                audio = corpus.audio(record)
+            if part == "fbk":
+                streams.append(compute_fbank(audio))
+                continue
+            if bn is None:
+                bn = _bottleneck_stream(model.represent(audio, adapter)[0], model, adapter)
+            streams.append(bn if part == "w2v-bn" else mdn_predict(mdn_forward(bn, mdn_model)))
         if len(streams) == 1 and streams[0].frame_shift_us == target_shift_us:
             return streams[0]
         return fuse_features(streams, target_shift_us)
@@ -342,24 +346,32 @@ def train_frame_am(corpus: Corpus, feature_fn, cfg, seed=None, model=None, adapt
     return am, history
 
 
-def _decode_one(args):
-    utt_id, streams, weights, lexicon, vocab = args
-    if len(streams) == 1 and weights is None:
-        return decode_stream(streams[0], lexicon, vocab, utt_id)
-    w = np.ones(len(streams)) if weights is None else weights
-    return joint_decode(streams, w, lexicon, vocab, utt_id)
-
-
 def decode_utterances(tasks, jobs=1):
-    """Decode (utt_id, [streams], weights, lexicon, vocab) tasks, in
-    parallel when jobs > 1; results are ordered by utterance id either
-    way."""
-    tasks = sorted(tasks, key=lambda task: task[0])
-    if jobs <= 1:
-        hyps = [_decode_one(t) for t in tasks]
-    else:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            hyps = list(pool.map(_decode_one, tasks))
+    """Decode (utt_id, [streams], weights, lexicon, vocab) tasks; results
+    are ordered by utterance id.
+
+    A task with one stream and no weights decodes that stream; otherwise
+    its streams are interpolated first (equal weights when None).
+    Isolated-word tasks that share one lexicon and vocabulary object are
+    decoded in one batched lattice pass, word-loop tasks one at a time.
+    ``jobs`` is accepted and ignored.
+    """
+    hyps, batches = [], {}
+    for utt_id, streams, weights, lexicon, vocab in tasks:
+        if len(streams) == 1 and weights is None:
+            stream = streams[0]
+        else:
+            w = np.ones(len(streams)) if weights is None else weights
+            stream = interpolate_posteriors(streams, w)
+        if lexicon.mode == "isolated":
+            batch = batches.setdefault((id(lexicon), id(vocab)), [])
+            batch.append((utt_id, stream, lexicon, vocab))
+        else:
+            hyps.append(decode_stream(stream, lexicon, vocab, utt_id))
+    for batch in batches.values():
+        utt_ids, streams, lexicons, vocabs = zip(*batch)
+        nbests = isolated_nbest_batch(streams, lexicons[0], vocabs[0], 1, utt_ids)
+        hyps.extend(best_hypothesis(nbest) for nbest in nbests)
     return sorted(hyps, key=lambda h: h.utt_id)
 
 
@@ -379,8 +391,10 @@ def run_recognition(corpus: Corpus, cfg, model, adapter, jobs=1,
     hypothesis is the head of that N-best list, so the mixed stream is
     decoded once. Each test utterance is read, turned into filterbanks and
     encoded once: the encoder pass gives both the bottleneck stream of the
-    fused features and the CTC head input of the rescoring stream.
-    Everything runs in this process, whatever ``jobs`` says. Returns a
+    fused features and the CTC head input of the rescoring stream. Every
+    utterance's streams are computed first; then each system is decoded in
+    one batched lattice pass over the test set. ``jobs`` is accepted and
+    ignored. Returns a
     dict of hypothesis lists and WER reports per system, and the two
     acoustic models.
     """
@@ -401,27 +415,29 @@ def run_recognition(corpus: Corpus, cfg, model, adapter, jobs=1,
 
     records = [r for r in corpus.manifest if r.subset in test_subsets]
     records.sort(key=lambda r: r.utt_id)
-    hyps = {"fbk": [], "fused": [], "joint": [], "rescored": []}
+    ids = [r.utt_id for r in records]
+    s_fbk, s_fused, mixed, ssl = [], [], [], []
     for record in records:
         audio = corpus.audio(record)
         fbk = compute_fbank(audio)
         bn, h = model.represent(audio, adapter)
         fused = fuse_features([fbk, _bottleneck_stream(bn, model, adapter)],
                               fbk.frame_shift_us)
-        s_fbk = am_fbk.posteriors(fbk, source="tdnn-fbk")
-        s_fused = am_fused.posteriors(fused, source="tdnn-fused")
-        hyps["fbk"].append(decode_stream(s_fbk, corpus.lexicon, corpus.vocab, record.utt_id))
-        hyps["fused"].append(
-            decode_stream(s_fused, corpus.lexicon, corpus.vocab, record.utt_id)
-        )
-        mixed = interpolate_posteriors([s_fused, s_fbk], weights)
-        nbest = isolated_nbest(mixed, corpus.lexicon, corpus.vocab, n_best,
-                               utt_id=record.utt_id, system="tdnn")
-        hyps["joint"].append(best_hypothesis(nbest))
-        nbest = score_nbest_with_ssl(nbest, model.head_posteriors(h), corpus.vocab)
-        best, _ = rescore(nbest, alpha, beta)
+        s_fbk.append(am_fbk.posteriors(fbk, source="tdnn-fbk"))
+        s_fused.append(am_fused.posteriors(fused, source="tdnn-fused"))
+        mixed.append(interpolate_posteriors([s_fused[-1], s_fbk[-1]], weights))
+        ssl.append(model.head_posteriors(h))
+    lexicon, vocab = corpus.lexicon, corpus.vocab
+    hyps = {name: decode_utterances([(u, [s], None, lexicon, vocab)
+                                     for u, s in zip(ids, streams)])
+            for name, streams in (("fbk", s_fbk), ("fused", s_fused))}
+    nbests = isolated_nbest_batch(mixed, lexicon, vocab, n_best, ids, system="tdnn")
+    hyps["joint"] = [best_hypothesis(nbest) for nbest in nbests]
+    hyps["rescored"] = []
+    for nbest, stream in zip(nbests, ssl):
+        best, _ = rescore(score_nbest_with_ssl(nbest, stream, vocab), alpha, beta)
         hyps["rescored"].append(
-            Hypothesis(record.utt_id, list(best.words), list(best.tokens),
+            Hypothesis(nbest.utt_id, list(best.words), list(best.tokens),
                        best.combined_cost)
         )
     reports = {name: score_hypotheses(h, corpus) for name, h in hyps.items()}

@@ -1,9 +1,20 @@
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from sslasr.cli import main
+from sslasr import pipeline
+from sslasr.cli import _load_am, main
+from sslasr.config import load_config
+from sslasr.ctc import PosteriorStream
+from sslasr.decoder import (
+    Lexicon,
+    decode_stream,
+    interpolate_posteriors,
+    isolated_nbest,
+    parse_weight_ratio,
+)
 
 
 @pytest.fixture(scope="module")
@@ -167,6 +178,78 @@ class TestJointAndRescore:
         assert rc == 0
         lines = [json.loads(l) for l in out.read_text().splitlines()]
         assert lines and all(d["words"] for d in lines)
+
+
+def _json_lines(objs):
+    return "".join(json.dumps(o.to_json_dict()) + "\n" for o in objs)
+
+
+class TestBatchedDecodeOutputs:
+    """The batched CLI decodes write exactly what decoding each utterance
+    on its own gives."""
+
+    def test_decode_matches_per_utterance(self, workdir, tmp_path):
+        root, corpus, cfg = workdir
+        lexicon = Lexicon.load(corpus / "lexicon.json")
+        vocab = lexicon.vocab()
+        s1, hyp = tmp_path / "s1", tmp_path / "hyp.jsonl"
+        assert main(["decode", "--config", cfg, "--corpus", str(corpus),
+                     "--am", str(root / "am_fbk.spm"), "--features", "fbk",
+                     "--lexicon", str(corpus / "lexicon.json"),
+                     "--save-streams", str(s1), "--out", str(hyp)]) == 0
+        am = _load_am(load_config(cfg), root / "am_fbk.spm")
+        c = pipeline.Corpus(corpus)
+        records = sorted(c.manifest.subset("test-seen", "test-unseen"), key=lambda r: r.utt_id)
+        expected = [decode_stream(am.posteriors(pipeline.fbank_features(c, r)), lexicon, vocab,
+                                  r.utt_id) for r in records]
+        assert hyp.read_text() == _json_lines(expected)
+
+        streams = {f.stem: pipeline.read_stream(f) for f in sorted(s1.iterdir())}
+        hyp, nb = tmp_path / "hyp_nb.jsonl", tmp_path / "nb.jsonl"
+        assert main(["decode", "--config", cfg, "--streams", str(s1),
+                     "--lexicon", str(corpus / "lexicon.json"), "--nbest", "3",
+                     "--nbest-out", str(nb), "--out", str(hyp)]) == 0
+        assert hyp.read_text() == _json_lines(
+            decode_stream(s, lexicon, vocab, u) for u, s in streams.items())
+        assert nb.read_text() == _json_lines(
+            isolated_nbest(s, lexicon, vocab, 3, utt_id=u, system=s.source or "am")
+            for u, s in streams.items())
+
+    def test_joint_decode_nbest_matches_per_utterance(self, workdir, tmp_path):
+        root, corpus, cfg = workdir
+        lexicon = Lexicon.load(corpus / "lexicon.json")
+        vocab = lexicon.vocab()
+        s1, s2 = tmp_path / "s1", tmp_path / "s2"
+        assert main(["decode", "--config", cfg, "--corpus", str(corpus),
+                     "--am", str(root / "am_fbk.spm"), "--features", "fbk",
+                     "--lexicon", str(corpus / "lexicon.json"), "--save-streams", str(s1),
+                     "--out", str(tmp_path / "h1.jsonl")]) == 0
+        # a second system: the first one's posteriors flattened
+        s2.mkdir()
+        for f in s1.iterdir():
+            stream = pipeline.read_stream(f)
+            logp = 0.5 * stream.logp
+            logp -= np.log(np.exp(logp).sum(axis=1, keepdims=True))
+            pipeline.write_stream(PosteriorStream(logp, stream.frame_shift_us, "flat"),
+                                  s2 / f.name)
+        hyp, nb = tmp_path / "joint.jsonl", tmp_path / "nb.jsonl"
+        assert main(["joint-decode", "--config", cfg,
+                     "--lexicon", str(corpus / "lexicon.json"),
+                     "--streams", f"{s1},{s2}", "--weights", "3:2", "--nbest", "4",
+                     "--nbest-out", str(nb), "--out", str(hyp)]) == 0
+        weights = parse_weight_ratio("3:2")
+        mixed = {f.stem: interpolate_posteriors([pipeline.read_stream(f),
+                                                 pipeline.read_stream(s2 / f.name)], weights)
+                 for f in sorted(s1.iterdir())}
+        assert hyp.read_text() == _json_lines(
+            decode_stream(s, lexicon, vocab, u) for u, s in mixed.items())
+        nbests = [isolated_nbest(s, lexicon, vocab, 4, utt_id=u, system="tdnn")
+                  for u, s in mixed.items()]
+        assert nb.read_text() == _json_lines(nbests)
+        for line, nbest in zip(hyp.read_text().splitlines(), nbests):
+            head, d = nbest.entries[0], json.loads(line)
+            assert (d["utt_id"], d["words"], d["tokens"], d["cost"]) == (
+                nbest.utt_id, head.words, head.tokens, head.combined_cost)
 
 
 class TestScore:

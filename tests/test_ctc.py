@@ -9,6 +9,7 @@ from sslasr.ctc import (
     PosteriorStream,
     TokenVocab,
     UnsatisfiableTargetError,
+    _ctc_costs,
     _ctc_lattice,
     ctc_forward_score,
     ctc_loss,
@@ -192,6 +193,75 @@ class TestBatchedLattice:
         costs = _ctc_lattice(logp, targets, plus)[1]
         for target, cost in zip(targets, costs):
             assert cost.tobytes() == _ctc_lattice(logp, [target], plus)[1].tobytes()
+
+
+@st.composite
+def stream_batches(draw, max_streams, max_frames, max_targets):
+    """(logps, targets): streams of mixed lengths over one vocabulary, some
+    entries -inf, and a batch of targets; a target may be too long for
+    some streams."""
+    v = draw(st.integers(1, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    logps = []
+    for t in draw(st.lists(st.integers(1, max_frames), min_size=1, max_size=max_streams)):
+        logp = random_logp(t, v, rng)
+        if draw(st.booleans()):
+            dead = rng.random(logp.shape) < 0.2
+            dead[:, 0] = False
+            logp[dead] = -np.inf
+        logps.append(logp)
+    target = st.lists(st.integers(1, v), max_size=max_frames + 2)
+    return logps, draw(st.lists(target, min_size=1, max_size=max_targets))
+
+
+# a one-frame stream next to longer ones: only the empty and one-token
+# targets fit it, and [1, 1] needs three frames
+EDGE_STREAMS = ([random_logp(t, 2, np.random.default_rng(t)) for t in (1, 4, 2, 3)],
+                [[], [1], [1, 1], [2, 1, 2], [1, 2, 1, 2, 1]])
+
+
+class TestStreamBatch:
+    """One frame loop over a padded batch of streams equals the per-stream
+    lattice bit for bit, whatever the stream lengths."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(case=stream_batches(3, 4, 4), semiring=st.sampled_from(sorted(SEMIRINGS)))
+    @example(case=EDGE_STREAMS, semiring="log")
+    @example(case=EDGE_STREAMS, semiring="max")
+    def test_costs_match_per_stream_lattice_and_enumeration(self, case, semiring):
+        logps, targets = case
+        plus, oracle = SEMIRINGS[semiring]
+        costs = _ctc_costs(logps, targets, plus)
+        assert costs.shape == (len(logps), len(targets))
+        for logp, row in zip(logps, costs):
+            assert row.tobytes() == _ctc_lattice(logp, targets, plus)[1].tobytes()
+            for target, cost in zip(targets, row):
+                expected = oracle(logp, target)
+                if np.isinf(expected) or semiring == "max":
+                    # the best path's sum runs in the lattice's frame order
+                    assert cost == expected
+                else:
+                    assert cost == pytest.approx(expected, abs=1e-9)
+
+    @settings(max_examples=40, deadline=None)
+    @given(case=stream_batches(12, 40, 20), semiring=st.sampled_from(sorted(SEMIRINGS)))
+    @example(case=EDGE_STREAMS, semiring="log")
+    @example(case=EDGE_STREAMS, semiring="max")
+    def test_costs_equal_per_stream_lattice(self, case, semiring):
+        logps, targets = case
+        plus, _ = SEMIRINGS[semiring]
+        costs = _ctc_costs(logps, targets, plus)
+        for logp, row in zip(logps, costs):
+            assert row.tobytes() == _ctc_lattice(logp, targets, plus)[1].tobytes()
+
+    def test_unfit_streams_cost_inf(self):
+        logps, targets = EDGE_STREAMS
+        costs = _ctc_costs(logps, targets, np.maximum)
+        # a target needs a frame per token plus one per adjacent repeat
+        fits = [[len(y) + sum(a == b for a, b in zip(y, y[1:])) <= len(x) for y in targets]
+                for x in logps]
+        assert (np.isinf(costs) == ~np.array(fits)).all()
+        assert np.isinf(costs).any() and np.isfinite(costs).any()
 
 
 class TestGreedyDecode:

@@ -1,5 +1,10 @@
+import json
+import math
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from sslasr.ctc import PosteriorStream, TokenVocab
 from sslasr.decoder import (
@@ -7,9 +12,11 @@ from sslasr.decoder import (
     Hypothesis,
     Lexicon,
     LexiconEntry,
+    LexiconFormatError,
     decode_stream,
     interpolate_posteriors,
     isolated_nbest,
+    isolated_nbest_batch,
     joint_decode,
     parse_weight_ratio,
     viterbi_isolated,
@@ -146,6 +153,107 @@ class TestIsolatedNbest:
         nb = isolated_nbest(rand_stream(2, 3, rng), lex, VOCAB, n=2)
         assert nb.entries[-1].combined_cost == np.inf
         assert nb.entries[-1].words == ["huge"]
+
+
+class TestIsolatedNbestBatch:
+    def test_equals_per_stream_lists(self):
+        rng = np.random.default_rng(12)
+        # a one-frame stream fits only "two"; "three" needs three frames
+        streams = [rand_stream(t, 3, rng) for t in (1, 6, 2, 4, 3)]
+        ids = [f"u{i}" for i in range(len(streams))]
+        batch = isolated_nbest_batch(streams, ISO, VOCAB, 3, ids, system="x")
+        for stream, utt_id, nb in zip(streams, ids, batch):
+            single = isolated_nbest(stream, ISO, VOCAB, 3, utt_id=utt_id, system="x")
+            assert nb.to_json_dict() == single.to_json_dict()
+        assert batch[0].entries[-1].combined_cost == np.inf
+
+    def test_empty_batch_and_id_mismatch(self):
+        assert isolated_nbest_batch([], ISO, VOCAB, 3, []) == []
+        with pytest.raises(ValueError, match="utterance ids"):
+            isolated_nbest_batch([rand_stream(3, 3, np.random.default_rng(0))], ISO, VOCAB,
+                                 1, [])
+
+
+GOOD_LEXICON = {"mode": "isolated", "word_insertion_penalty": 0.5,
+                "alphabet": ["a", "b"],
+                "words": [{"word": "one", "tokens": ["a", "b"]},
+                          {"word": "two", "tokens": ["b"]}]}
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=6), inner, max_size=3),
+    max_leaves=8,
+)
+
+
+def _parses_or_names_its_error(d):
+    try:
+        lexicon = Lexicon.from_json_dict(d)
+    except LexiconFormatError:
+        return
+    # anything accepted is a usable, round-trippable lexicon
+    assert lexicon.entries and math.isfinite(lexicon.word_insertion_penalty)
+    assert lexicon.vocab().size == len(lexicon.alphabet)
+    again = Lexicon.from_json_dict(json.loads(json.dumps(lexicon.to_json_dict())))
+    assert again == lexicon
+
+
+class TestLexiconFormat:
+    @pytest.mark.parametrize("d", [
+        {}, {"words": 3}, {"words": []}, [], "words", None,
+        {"words": [{"word": "a", "tokens": [["x"]]}]},
+        {"words": [{"word": "a", "tokens": [{"x": 1}]}]},
+        {"words": [{"word": 3, "tokens": ["x"]}]},
+        {"words": [{"word": "a", "tokens": [1]}]},
+        {"words": [{"word": "a", "tokens": "ab"}]},
+        {"words": [{"word": "a", "tokens": []}]},
+        {"words": [{"word": "a"}]},
+        {"words": ["a"]},
+        {"words": [{"word": "a", "tokens": ["x"]}, {"word": "a", "tokens": ["y"]}]},
+        {"words": [{"word": "a", "tokens": ["x"]}], "mode": "chain"},
+        {"words": [{"word": "a", "tokens": ["x"]}], "mode": ["isolated"]},
+        {"words": [{"word": "a", "tokens": ["x"]}], "word_insertion_penalty": math.nan},
+        {"words": [{"word": "a", "tokens": ["x"]}], "word_insertion_penalty": -math.inf},
+        {"words": [{"word": "a", "tokens": ["x"]}], "word_insertion_penalty": 10**400},
+        {"words": [{"word": "a", "tokens": ["x"]}], "word_insertion_penalty": "1"},
+        {"words": [{"word": "a", "tokens": ["x"]}], "word_insertion_penalty": True},
+        {"words": [{"word": "a", "tokens": ["x"]}], "alphabet": ["y"]},
+        {"words": [{"word": "a", "tokens": ["x"]}], "alphabet": ["x", "x"]},
+        {"words": [{"word": "a", "tokens": ["x"]}], "alphabet": None},
+    ])
+    def test_malformed_raises_named_error(self, d):
+        with pytest.raises(LexiconFormatError):
+            Lexicon.from_json_dict(d)
+
+    def test_round_trip(self):
+        lexicon = Lexicon.from_json_dict(GOOD_LEXICON)
+        assert lexicon.to_json_dict() == GOOD_LEXICON
+
+    def test_load_rejects_non_json(self, tmp_path):
+        path = tmp_path / "lexicon.json"
+        for blob in (b"{", b"\xff\xfe", b""):
+            path.write_bytes(blob)
+            with pytest.raises(LexiconFormatError):
+                Lexicon.load(path)
+
+    @settings(max_examples=200, deadline=None)
+    @given(d=json_values)
+    def test_fuzz_any_json_value(self, d):
+        _parses_or_names_its_error(d)
+
+    @settings(max_examples=200, deadline=None)
+    @given(key=st.sampled_from(["mode", "word_insertion_penalty", "alphabet", "words",
+                                "word", "tokens"]),
+           value=json_values, index=st.integers(0, 1))
+    @example(key="tokens", value=[[]], index=0)
+    def test_fuzz_one_field_of_a_good_lexicon(self, key, value, index):
+        d = json.loads(json.dumps(GOOD_LEXICON))
+        if key in ("word", "tokens"):
+            d["words"][index][key] = value
+        else:
+            d[key] = value
+        _parses_or_names_its_error(d)
 
 
 LOOP = Lexicon(

@@ -3,14 +3,18 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from conftest import random_stream
 
 from sslasr import pipeline
 from sslasr.bottleneck import BottleneckAdapter, BottleneckConfig
 from sslasr.corpus import wer
 from sslasr.ctc import greedy_decode
-from sslasr.decoder import (decode_stream, interpolate_posteriors, isolated_nbest,
-                            parse_weight_ratio)
+from sslasr.ctc import TokenVocab
+from sslasr.decoder import (Lexicon, LexiconEntry, decode_stream, interpolate_posteriors,
+                            isolated_nbest, joint_decode, parse_weight_ratio)
 from sslasr.encoder import SslEncoder
+from sslasr.features import fuse_features
+from sslasr.inversion import MdnModel
 from sslasr.rescore import rescore, score_nbest_with_ssl
 
 
@@ -58,6 +62,43 @@ class TestFeatureFns:
         feats = fn(rec)
         assert feats.frame_shift_us == 10_000
         assert feats.dim == 40 + 32
+
+    @pytest.mark.parametrize("kind", ["fbk+w2v-bn", "fbk+w2v-bn+artic"])
+    def test_one_read_and_encode_per_record(self, kind, tiny_config, tiny_corpus,
+                                            tiny_models, monkeypatch):
+        model, adapter = tiny_models
+        mdn_model = MdnModel(pipeline.mdn_config(tiny_config), seed=0)
+        records = tiny_corpus.manifest.records
+        expected = []
+        for rec in records:
+            streams = [pipeline.fbank_features(tiny_corpus, rec),
+                       pipeline.bottleneck_features(tiny_corpus, rec, model, adapter)]
+            if kind.endswith("artic"):
+                streams.append(pipeline.articulatory_features(tiny_corpus, rec, model,
+                                                              adapter, mdn_model))
+            expected.append(fuse_features(streams, 10_000))
+        reads, encodes = Counter(), Counter()
+        read_wav, encode_raw = pipeline.read_wav, SslEncoder.encode_raw
+
+        def counted_read(path):
+            reads[str(path)] += 1
+            return read_wav(path)
+
+        def counted_encode(self, audio):
+            encodes[len(audio)] += 1
+            return encode_raw(self, audio)
+
+        monkeypatch.setattr(pipeline, "read_wav", counted_read)
+        monkeypatch.setattr(SslEncoder, "encode_raw", counted_encode)
+        fn = pipeline.build_feature_fn(tiny_corpus, kind, model=model, adapter=adapter,
+                                       mdn_model=mdn_model)
+        got = [fn(rec) for rec in records]
+        monkeypatch.undo()
+        assert reads == Counter(str(tiny_corpus.root / r.audio_path) for r in records)
+        assert sum(encodes.values()) == len(records)
+        for g, e in zip(got, expected):
+            assert (g.label, g.frame_shift_us) == (e.label, e.frame_shift_us)
+            assert np.array_equal(g.data, e.data)
 
     def test_unknown_stream_rejected(self, tiny_corpus):
         fn = pipeline.build_feature_fn(tiny_corpus, "mystery")
@@ -155,6 +196,32 @@ class TestParallelDecode:
         serial = pipeline.decode_utterances(tasks, jobs=1)
         parallel = pipeline.decode_utterances(tasks, jobs=2)
         assert [h.to_json_dict() for h in serial] == [h.to_json_dict() for h in parallel]
+
+
+class TestDecodeUtterances:
+    def test_batched_tasks_equal_per_task_decoding(self):
+        rng = np.random.default_rng(3)
+        vocab = TokenVocab(("a", "b", "c"))
+        entries = [LexiconEntry("ab", ("a", "b")), LexiconEntry("c", ("c",)),
+                   LexiconEntry("aa", ("a", "a"))]
+        iso, other = Lexicon(entries), Lexicon(entries[:2])
+        loop = Lexicon(entries, mode="word-loop", word_insertion_penalty=1.0)
+        # (utt id, frames, streams, weights, lexicon): two isolated-word
+        # batches of mixed lengths, a word-loop task, joint tasks
+        specs = [("u5", 5, 2, [3, 2], iso), ("u4", 2, 1, None, iso), ("u3", 7, 1, None, other),
+                 ("u2", 3, 1, None, loop), ("u1", 4, 2, None, other), ("u0", 6, 1, None, iso)]
+        tasks, expected = [], []
+        for utt_id, t, n, weights, lexicon in specs:
+            streams = [random_stream(t, 3, rng) for _ in range(n)]
+            tasks.append((utt_id, streams, weights, lexicon, vocab))
+            if n == 1:
+                expected.append(decode_stream(streams[0], lexicon, vocab, utt_id))
+            else:
+                w = np.ones(n) if weights is None else weights
+                expected.append(joint_decode(streams, w, lexicon, vocab, utt_id))
+        hyps = pipeline.decode_utterances(tasks)
+        expected.sort(key=lambda h: h.utt_id)
+        assert [h.to_json_dict() for h in hyps] == [h.to_json_dict() for h in expected]
 
 
 class TestRunRecognition:
