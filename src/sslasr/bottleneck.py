@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .nn import Conv1d, ConvTranspose1d, Dropout, Linear, Module, Relu
-from .params import make_optimizer
+from .params import train_epochs
 
 logger = logging.getLogger(__name__)
 
@@ -95,20 +95,13 @@ def train_adapter(dataset, cfg: BottleneckConfig, epochs, seed, optimizer_cfg=No
     init_seed, loop_seed = seq.spawn(2)
     adapter = BottleneckAdapter(cfg, seed=init_seed)
     rng = np.random.default_rng(loop_seed)
-    opt_cfg = dict(optimizer_cfg or {})
-    opt_cfg.setdefault("decay_steps", max(1, epochs * len(dataset)))
-    opt = make_optimizer(adapter.parameters(), opt_cfg)
+
+    def step(i, _epoch):
+        return reconstruction_loss(adapter, dataset[i], rng=rng)
+
     history = []
-    for epoch in range(epochs):
-        order = rng.permutation(len(dataset))
-        losses = []
-        for i in order:
-            opt.zero_grad()
-            loss = reconstruction_loss(adapter, dataset[i], rng=rng)
-            if not np.isfinite(loss):
-                raise RuntimeError(f"adapter training diverged at epoch {epoch}")
-            losses.append(loss)
-            opt.step()
+    for epoch, losses in train_epochs(adapter.parameters(), len(dataset), epochs, rng,
+                                      optimizer_cfg, step, "adapter training"):
         history.append({"epoch": epoch, "mse": float(np.mean(losses))})
         logger.info("adapter epoch %d: mse %.6f", epoch, history[-1]["mse"])
     return adapter, history

@@ -12,11 +12,9 @@ import logging
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import pipeline
 from .config import load_config
-from .corpus import Manifest, partition_report
+from .corpus import Manifest
 from .ctc import NBestList
 from .decoder import (
     Hypothesis,
@@ -383,17 +381,9 @@ def cmd_score(args):
         manifest = Manifest.load(Path(args.corpus) / "manifest.jsonl")
     else:
         raise ValueError("score needs --manifest or --corpus")
-    per_utt = {}
     with open(args.hyp) as fh:
-        for line in fh:
-            if not line.strip():
-                continue
-            d = json.loads(line)
-            rec = manifest.by_id().get(d["utt_id"])
-            if rec is None:
-                raise KeyError(f"utterance {d['utt_id']!r} not in manifest")
-            per_utt[d["utt_id"]] = (rec.transcript.split(), list(d["words"]))
-    report = partition_report(per_utt, manifest)
+        hyps = [json.loads(line) for line in fh if line.strip()]
+    report = pipeline.score_hypotheses([(d["utt_id"], d["words"]) for d in hyps], manifest)
     if args.out:
         Path(args.out).write_text(report.to_json() + "\n")
     print(report.table())

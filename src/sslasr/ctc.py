@@ -21,7 +21,6 @@ states.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -326,10 +325,6 @@ class NBestList:
 
     utt_id: str
     entries: list = field(default_factory=list)
-
-    def is_sorted(self):
-        costs = [e.combined_cost for e in self.entries]
-        return all(a <= b for a, b in zip(costs, costs[1:]))
 
     def to_json_dict(self):
         return {"utt_id": self.utt_id, "entries": [e.to_json_dict() for e in self.entries]}

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -209,13 +209,6 @@ def _resolve_tokens(lexicon, vocab):
     return [np.array(vocab.ids_of(e.tokens), dtype=np.int64) for e in lexicon.entries]
 
 
-def viterbi_isolated(stream: PosteriorStream, lexicon: Lexicon, vocab: TokenVocab):
-    """Best single lexicon word by alignment cost; ties go to the lowest
-    lexicon index. Raises DecodeError when no word fits the frames."""
-    hyp = best_hypothesis(isolated_nbest(stream, lexicon, vocab, n=1))
-    return hyp.words[0], hyp.cost
-
-
 def isolated_nbest(stream: PosteriorStream, lexicon: Lexicon, vocab: TokenVocab,
                    n, utt_id="", system="am") -> NBestList:
     """Rank lexicon words by isolated alignment cost on one stream; the
@@ -385,9 +378,3 @@ def decode_stream(stream, lexicon, vocab, utt_id="") -> Hypothesis:
     tokens = [tok for w in words for tok in
               next(e for e in lexicon.entries if e.word == w).tokens]
     return Hypothesis(utt_id, words, tokens, cost)
-
-
-def joint_decode(streams, weights, lexicon, vocab, utt_id="") -> Hypothesis:
-    """Interpolate the systems' posteriors, then run one decoding pass."""
-    mixed = interpolate_posteriors(streams, weights)
-    return decode_stream(mixed, lexicon, vocab, utt_id)

@@ -32,7 +32,7 @@ from .nn import (
     softmax,
     softmax_backward,
 )
-from .params import make_optimizer
+from .params import train_epochs
 
 logger = logging.getLogger(__name__)
 
@@ -125,12 +125,6 @@ class EncoderConfig:
     @property
     def d_z(self):
         return self.conv_layers[-1][0]
-
-    def frame_count(self, n_samples):
-        """Closed-form conv arithmetic: floor((N - field) / stride) + 1."""
-        if n_samples < self.receptive_field():
-            return 0
-        return (n_samples - self.receptive_field()) // self.total_stride() + 1
 
 
 def sample_mask_spans(n_frames, mask_prob, mask_span, rng, ensure_nonempty=False):
@@ -321,10 +315,6 @@ def diversity_loss_with_grad(probs):
     return float(value), dprobs
 
 
-def diversity_loss(probs) -> float:
-    return diversity_loss_with_grad(probs)[0]
-
-
 class SslEncoder(Module):
     """CNN feature encoder + transformer context network + quantizer, with
     an optional CTC projection head added at fine-tuning time."""
@@ -499,33 +489,27 @@ def pretrain(dataset, cfg: EncoderConfig, epochs, seed, optimizer_cfg=None, hard
     init_seed, loop_seed = seq.spawn(2)
     model = SslEncoder(cfg, seed=init_seed)
     rng = np.random.default_rng(loop_seed)
-    opt_cfg = dict(optimizer_cfg or {})
-    opt_cfg.setdefault("decay_steps", max(1, epochs * len(dataset)))
-    opt = make_optimizer(model.parameters(), opt_cfg)
     tau_hi = cfg.gumbel_temperature
     tau_lo = cfg.gumbel_temperature_min
-    history = []
-    for epoch in range(epochs):
+
+    def step(i, epoch):
         if tau_lo is not None and epochs > 1:
             model.quantizer.gumbel_temperature = (
                 tau_hi + (tau_lo - tau_hi) * epoch / (epochs - 1)
             )
-        order = rng.permutation(len(dataset))
-        parts = []
-        for i in order:
-            opt.zero_grad()
-            contrast, ld = pretrain_step(model, dataset[i], rng=rng, hard=hard)
-            loss = contrast.value + cfg.loss_weight_diversity * ld
-            if not np.isfinite(loss):
-                raise RuntimeError(f"pretraining diverged at epoch {epoch}: loss={loss}")
-            parts.append((contrast.value, ld, contrast.accuracy))
-            opt.step()
-        contrast_mean = float(np.mean([p[0] for p in parts]))
-        diversity = float(np.mean([p[1] for p in parts]))
+        contrast, ld = pretrain_step(model, dataset[i], rng=rng, hard=hard)
+        loss = contrast.value + cfg.loss_weight_diversity * ld
+        return loss, contrast.value, ld, contrast.accuracy
+
+    history = []
+    for epoch, parts in train_epochs(model.parameters(), len(dataset), epochs, rng,
+                                     optimizer_cfg, step, "pretraining"):
+        contrast_mean = float(np.mean([p[1] for p in parts]))
+        diversity = float(np.mean([p[2] for p in parts]))
         combined = contrast_mean + cfg.loss_weight_diversity * diversity
         history.append(
             {"epoch": epoch, "contrastive": contrast_mean, "diversity": diversity,
-             "combined": combined, "accuracy": float(np.mean([p[2] for p in parts]))}
+             "combined": combined, "accuracy": float(np.mean([p[3] for p in parts]))}
         )
         logger.info(
             "pretrain epoch %d: contrastive %.4f diversity %.4f combined %.4f acc %.2f",
@@ -599,20 +583,13 @@ def finetune_ctc(dataset, model: SslEncoder, n_classes, epochs, seed,
         inputs = [model.encode_raw(samples) for samples, _ in dataset]
     else:
         inputs = [samples for samples, _ in dataset]
-    opt_cfg = dict(optimizer_cfg or {})
-    opt_cfg.setdefault("decay_steps", max(1, epochs * len(dataset)))
-    opt = make_optimizer(params, opt_cfg)
+
+    def step(i, _epoch):
+        return _ctc_step(model, inputs[i], dataset[i][1], adapter, scope)
+
     history = []
-    for epoch in range(epochs):
-        order = rng.permutation(len(dataset))
-        losses = []
-        for i in order:
-            opt.zero_grad()
-            loss = _ctc_step(model, inputs[i], dataset[i][1], adapter, scope)
-            if not np.isfinite(loss):
-                raise RuntimeError(f"fine-tuning diverged at epoch {epoch}: loss={loss}")
-            losses.append(loss)
-            opt.step()
+    for epoch, losses in train_epochs(params, len(dataset), epochs, rng, optimizer_cfg,
+                                      step, "fine-tuning"):
         history.append({"epoch": epoch, "ctc_loss": float(np.mean(losses))})
         logger.info("finetune epoch %d: ctc %.4f", epoch, history[-1]["ctc_loss"])
     return history

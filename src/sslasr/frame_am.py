@@ -13,7 +13,7 @@ import numpy as np
 from .ctc import PosteriorStream
 from .features import FeatureMatrix
 from .nn import Linear, Module, Relu, log_softmax, log_softmax_backward
-from .params import make_optimizer
+from .params import train_epochs
 
 logger = logging.getLogger(__name__)
 
@@ -135,25 +135,20 @@ def train_am(dataset, cfg: AmConfig, d_feat, n_classes, epochs, seed,
     init_seed, loop_seed = seq.spawn(2)
     model = FrameAm(cfg, d_feat, n_classes, seed=init_seed)
     rng = np.random.default_rng(loop_seed)
-    opt_cfg = dict(optimizer_cfg or {})
-    opt_cfg.setdefault("decay_steps", max(1, epochs * len(dataset)))
-    opt = make_optimizer(model.parameters(), opt_cfg)
+
+    def step(i, _epoch):
+        feats, labels = dataset[i]
+        loss, logp = cross_entropy_step(model, feats, labels)
+        hits = int((np.argmax(logp, axis=1) == np.asarray(labels)).sum())
+        return loss, hits, len(logp)
+
     history = []
-    for epoch in range(epochs):
-        order = rng.permutation(len(dataset))
-        losses, hits, total = [], 0, 0
-        for i in order:
-            feats, labels = dataset[i]
-            opt.zero_grad()
-            loss, logp = cross_entropy_step(model, feats, labels)
-            if not np.isfinite(loss):
-                raise RuntimeError(f"AM training diverged at epoch {epoch}")
-            losses.append(loss)
-            opt.step()
-            hits += int((np.argmax(logp, axis=1) == np.asarray(labels)).sum())
-            total += len(logp)
+    for epoch, results in train_epochs(model.parameters(), len(dataset), epochs, rng,
+                                       optimizer_cfg, step, "AM training"):
+        hits = sum(r[1] for r in results)
+        total = sum(r[2] for r in results)
         history.append(
-            {"epoch": epoch, "cross_entropy": float(np.mean(losses)),
+            {"epoch": epoch, "cross_entropy": float(np.mean([r[0] for r in results])),
              "frame_accuracy": hits / max(total, 1)}
         )
         logger.info("am epoch %d: ce %.4f acc %.3f", epoch,

@@ -12,8 +12,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .features import FeatureMatrix
-from .nn import Linear, Module, Relu, log_softmax, softmax
-from .params import make_optimizer
+from .nn import Linear, Module, Relu, softmax
+from .params import train_epochs
 
 logger = logging.getLogger(__name__)
 
@@ -36,7 +36,9 @@ class MdnConfig:
 @dataclass
 class MixtureParams:
     """Per-frame diagonal Gaussian mixtures: weights (T, M), means
-    (T, M, D), standard deviations (T, M, D)."""
+    (T, M, D), standard deviations (T, M, D). Construction checks that
+    the shapes agree, the weights sum to 1 and the deviations are
+    positive."""
 
     weights: np.ndarray
     means: np.ndarray
@@ -54,18 +56,6 @@ class MixtureParams:
             raise ValueError("mixture weights must sum to 1 per frame")
         if (self.stds <= 0).any():
             raise ValueError("standard deviations must be positive")
-
-    @property
-    def n_frames(self):
-        return self.weights.shape[0]
-
-    @property
-    def n_mixtures(self):
-        return self.weights.shape[1]
-
-    @property
-    def d_artic(self):
-        return self.means.shape[2]
 
 
 class MdnModel(Module):
@@ -94,6 +84,10 @@ class MdnModel(Module):
         return x
 
     def forward_arrays(self, x):
+        """Mixture weights (T, M), means (T, M, D) and standard deviations
+        (T, M, D) for the rows of ``x``. Softmax and exp make them a valid
+        mixture once their inputs are finite, so training uses them
+        unchecked; ``mdn_forward`` wraps them in a checked MixtureParams."""
         t = x.shape[0]
         m, da = self.cfg.mixtures, self.cfg.d_artic
         h = self._trunk(x)
@@ -101,10 +95,9 @@ class MdnModel(Module):
         mu = self.head_mu.forward(h).reshape(t, m, da)
         log_std = self.head_s.forward(h).reshape(t, m, da)
         if not (np.isfinite(logit_w).all() and np.isfinite(log_std).all()):
-            # overflowed weights; MixtureParams would reject the mixture
+            # overflowed weights; the mixture would not be valid
             raise RuntimeError("inversion model diverged: mixture outputs are not finite")
-        cache = (logit_w, mu, log_std)
-        return MixtureParams(softmax(logit_w, axis=1), mu, np.exp(log_std)), cache
+        return softmax(logit_w, axis=1), mu, np.exp(log_std)
 
     def backward_heads(self, dlogit_w, dmu, dlog_std):
         t = dlogit_w.shape[0]
@@ -119,35 +112,24 @@ class MdnModel(Module):
 def mdn_forward(feats: FeatureMatrix, model: MdnModel) -> MixtureParams:
     if feats.dim != model.cfg.d_in:
         raise ValueError(f"feature width {feats.dim} does not match model d_in {model.cfg.d_in}")
-    mix, _ = model.forward_arrays(feats.data.astype(np.float64))
-    mix.frame_shift_us = feats.frame_shift_us
-    return mix
+    weights, means, stds = model.forward_arrays(feats.data.astype(np.float64))
+    return MixtureParams(weights, means, stds, feats.frame_shift_us)
 
 
-def _component_logliks(mix: MixtureParams, targets):
+def _component_logliks(weights, means, stds, targets):
     """(T, M) log [ w_m * N(x | mu_m, diag sigma_m^2) ]."""
     x = targets[:, None, :]  # (T, 1, D)
-    z = (x - mix.means) / mix.stds
-    log_n = -0.5 * (z * z + LOG_2PI).sum(axis=2) - np.log(mix.stds).sum(axis=2)
-    return np.log(mix.weights) + log_n
+    z = (x - means) / stds
+    log_n = -0.5 * (z * z + LOG_2PI).sum(axis=2) - np.log(stds).sum(axis=2)
+    return np.log(weights) + log_n
 
 
-def mdn_nll(mix: MixtureParams, targets) -> float:
-    """Mean over frames of -log sum_m w_m N(x | mu_m, diag sigma_m^2)."""
-    targets = _target_array(mix, targets)
-    ll = _component_logliks(mix, targets)
-    m = ll.max(axis=1)
-    lse = m + np.log(np.exp(ll - m[:, None]).sum(axis=1))
-    return float(-lse.mean())
-
-
-def _target_array(mix, targets):
+def _target_array(means, targets):
     data = targets.data if isinstance(targets, FeatureMatrix) else np.asarray(targets)
     data = data.astype(np.float64)
-    if data.shape != (mix.n_frames, mix.d_artic):
-        raise ValueError(
-            f"targets of shape {data.shape} do not match mixture ({mix.n_frames}, {mix.d_artic})"
-        )
+    shape = (means.shape[0], means.shape[2])
+    if data.shape != shape:
+        raise ValueError(f"targets of shape {data.shape} do not match mixture {shape}")
     return data
 
 
@@ -160,17 +142,17 @@ def mdn_predict(mix: MixtureParams) -> FeatureMatrix:
 def mdn_nll_step(model: MdnModel, x, targets):
     """NLL forward + backward for one utterance; returns the loss."""
     x = np.asarray(x, dtype=np.float64)
-    mix, (logit_w, mu, log_std) = model.forward_arrays(x)
-    targets = _target_array(mix, targets)
-    ll = _component_logliks(mix, targets)
+    weights, means, stds = model.forward_arrays(x)
+    targets = _target_array(means, targets)
+    ll = _component_logliks(weights, means, stds, targets)
     post = softmax(ll, axis=1)  # responsibilities gamma_{t,m}
     m = ll.max(axis=1)
     lse = m + np.log(np.exp(ll - m[:, None]).sum(axis=1))
     t = x.shape[0]
     # d(mean NLL)/d logits = (w - gamma) / T; means and log-stds via gamma
-    dlogit_w = (mix.weights - post) / t
-    z = (targets[:, None, :] - mix.means) / mix.stds
-    dmu = -(post[:, :, None] * z / mix.stds) / t
+    dlogit_w = (weights - post) / t
+    z = (targets[:, None, :] - means) / stds
+    dmu = -(post[:, :, None] * z / stds) / t
     dlog_std = -(post[:, :, None] * (z * z - 1.0)) / t
     model.backward_heads(dlogit_w, dmu, dlog_std)
     return float(-lse.mean())
@@ -192,21 +174,14 @@ def train_inversion(dataset, cfg: MdnConfig, epochs, seed, optimizer_cfg=None):
         y = artic.data if isinstance(artic, FeatureMatrix) else np.asarray(artic)
         t = min(x.shape[0], y.shape[0])
         pairs.append((x[:t].astype(np.float64), y[:t].astype(np.float64)))
-    opt_cfg = dict(optimizer_cfg or {"optimizer": "adam", "lr": 5e-3})
-    opt_cfg.setdefault("decay_steps", max(1, epochs * len(pairs)))
-    opt = make_optimizer(model.parameters(), opt_cfg)
+
+    def step(i, _epoch):
+        return mdn_nll_step(model, *pairs[i])
+
     history = []
-    for epoch in range(epochs):
-        order = rng.permutation(len(pairs))
-        losses = []
-        for i in order:
-            x, y = pairs[i]
-            opt.zero_grad()
-            loss = mdn_nll_step(model, x, y)
-            if not np.isfinite(loss):
-                raise RuntimeError(f"inversion training diverged at epoch {epoch}")
-            losses.append(loss)
-            opt.step()
+    for epoch, losses in train_epochs(model.parameters(), len(pairs), epochs, rng,
+                                      optimizer_cfg or {"optimizer": "adam", "lr": 5e-3},
+                                      step, "inversion training"):
         history.append({"epoch": epoch, "nll": float(np.mean(losses))})
         if epoch % 25 == 0 or epoch == epochs - 1:
             logger.info("inversion epoch %d: nll %.4f", epoch, history[-1]["nll"])

@@ -7,15 +7,17 @@ examples until they are cleared.
 
 Gradients live in optimizer-owned storage: an optimizer packs the values
 and gradients of the parameters it is given into one flat buffer each
-(``pack_parameters``), and ``opt.zero_grad()`` clears them with a single
-fill. Training loops clear only their optimizer's gradients: a frozen
-layer that gradients pass through accumulates gradients no one reads.
+(``pack_parameters``), and the optimizer's ``zero_grad`` clears them with
+a single fill. The one training schedule, ``params.train_epochs``, clears
+only its optimizer's gradients before each step: a frozen layer that
+gradients pass through accumulates gradients no one reads.
 ``Module.zero_grad`` clears every parameter of a module, for callers that
 compute gradients without an optimizer.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -386,14 +388,17 @@ class TransformerBlock(Module):
         return dy + d_attn
 
 
+@functools.lru_cache(maxsize=64)
 def sinusoidal_positions(t, d):
-    """Classic fixed sinusoidal position table, shape (t, d)."""
+    """Classic fixed sinusoidal position table, shape (t, d). Computed
+    once per (t, d) and shared by every caller, so it is read-only."""
     pos = np.arange(t)[:, None].astype(np.float64)
     dim = np.arange(d // 2)[None, :].astype(np.float64)
     angle = pos / np.power(10000.0, 2.0 * dim / d)
     table = np.zeros((t, d))
     table[:, 0::2] = np.sin(angle)
     table[:, 1::2] = np.cos(angle)
+    table.flags.writeable = False
     return table
 
 

@@ -22,6 +22,13 @@ buffers, performing for every element the same IEEE operations in the same
 order as a per-tensor loop would, and ``zero_grad`` is one fill. Packing is
 per optimizer, so a fine-tuning stage that trains a subset of a model gets
 its own buffers over exactly that subset.
+
+``train_epochs`` is the one training schedule. Every trainer in the
+package (pretraining, CTC fine-tuning, the bottleneck adapter, the
+inversion MDN and the frame acoustic model) hands it a per-item ``step``
+and reads back each epoch's results: it builds the optimizer, draws each
+epoch's visiting order, clears and applies the gradients around each
+step and aborts on a non-finite loss.
 """
 
 from __future__ import annotations
@@ -67,9 +74,6 @@ class ParameterStore:
                     f"model {param.value.shape}"
                 )
             param.value[...] = value
-
-    def all_finite(self):
-        return all(np.isfinite(v).all() for v in self.tensors.values())
 
     def save(self, path):
         with open(path, "wb") as fh:
@@ -220,3 +224,31 @@ def make_optimizer(params, cfg):
     if kind == "adam":
         return Adam(params, lr=cfg.get("lr", 1e-3))
     raise ValueError(f"unknown optimizer {kind!r}")
+
+
+def train_epochs(params, n_items, epochs, rng, optimizer_cfg, step, what):
+    """Run ``epochs`` passes of one optimizer step per item over ``params``.
+
+    The optimizer comes from ``optimizer_cfg`` (see ``make_optimizer``),
+    with ``decay_steps`` defaulting to ``epochs * n_items``. Each epoch
+    visits the items in the order ``rng.permutation(n_items)``; per item
+    it clears the gradients, calls ``step(i, epoch)`` to accumulate them,
+    and applies them. A step returns its loss, or a tuple whose first
+    element is the loss; a loss that is not finite raises RuntimeError
+    naming ``what`` and the epoch. Yields ``(epoch, results)`` after each
+    epoch, ``results`` holding the step returns in visiting order.
+    """
+    cfg = dict(optimizer_cfg or {})
+    cfg.setdefault("decay_steps", max(1, epochs * n_items))
+    opt = make_optimizer(params, cfg)
+    for epoch in range(epochs):
+        results = []
+        for i in rng.permutation(n_items):
+            opt.zero_grad()
+            result = step(i, epoch)
+            loss = result[0] if isinstance(result, tuple) else result
+            if not np.isfinite(loss):
+                raise RuntimeError(f"{what} diverged at epoch {epoch}: loss={loss}")
+            results.append(result)
+            opt.step()
+        yield epoch, results

@@ -18,7 +18,7 @@ import numpy as np
 
 from .bottleneck import BottleneckAdapter, BottleneckConfig, train_adapter
 from .corpus import CorpusConfig, Manifest, gen_synth_corpus, partition_report
-from .ctc import PosteriorStream, TokenVocab
+from .ctc import PosteriorStream
 from .decoder import (
     Hypothesis,
     Lexicon,
@@ -35,10 +35,9 @@ from .features import (
     fuse_features,
     read_features,
     read_wav,
-    resample_frames,
     write_features,
 )
-from .frame_am import AmConfig, FrameAm, ctc_argmax_alignment, train_am, uniform_alignment
+from .frame_am import AmConfig, ctc_argmax_alignment, train_am, uniform_alignment
 from .inversion import MdnConfig, MdnModel, mdn_forward, mdn_predict, train_inversion
 from .params import ParameterStore
 from .rescore import rescore, score_nbest_with_ssl
@@ -47,25 +46,23 @@ logger = logging.getLogger(__name__)
 
 
 def encoder_config(cfg) -> EncoderConfig:
-    return EncoderConfig(**cfg.get("encoder", {}))
+    return EncoderConfig(**cfg["encoder"])
 
 
 def corpus_config(cfg) -> CorpusConfig:
-    return CorpusConfig(**cfg.get("corpus", {}))
+    return CorpusConfig(**cfg["corpus"])
 
 
 def bottleneck_config(cfg, d_model) -> BottleneckConfig:
-    section = dict(cfg.get("bottleneck", {}))
+    section = dict(cfg["bottleneck"])
     section.setdefault("d_in", d_model)
     return BottleneckConfig(**section)
 
 
 def am_config(cfg) -> AmConfig:
-    section = cfg.get("am", {})
-    return AmConfig(
-        offsets=tuple(section.get("offsets", (-2, -1, 0, 1, 2))),
-        hidden_dims=tuple(section.get("hidden_dims", (64, 64))),
-    )
+    section = cfg["am"]
+    return AmConfig(offsets=tuple(section["offsets"]),
+                    hidden_dims=tuple(section["hidden_dims"]))
 
 
 class Corpus:
@@ -95,15 +92,15 @@ def generate_corpus(out_dir, cfg, seed=None):
 
 def pretrain_encoder(corpus: Corpus, cfg, seed=None):
     seed = cfg["seed"] if seed is None else seed
-    section = cfg.get("pretrain", {})
+    section = cfg["pretrain"]
     audio = [corpus.audio(r).samples for r in corpus.manifest.subset("train")]
     model, history = pretrain(
         audio,
         encoder_config(cfg),
-        epochs=section.get("epochs", 12),
+        epochs=section["epochs"],
         seed=seed,
-        optimizer_cfg=section.get("optimizer"),
-        hard=section.get("hard", True),
+        optimizer_cfg=section["optimizer"],
+        hard=section["hard"],
     )
     return model, history
 
@@ -114,23 +111,23 @@ def finetune_encoder(corpus: Corpus, model: SslEncoder, cfg, seed=None):
     on the pretrained context features, then trained jointly with the CTC
     loss in the encoder-updating stages."""
     seed = cfg["seed"] if seed is None else seed
-    section = cfg.get("finetune", {})
+    section = cfg["finetune"]
     train_records = corpus.manifest.subset("train")
     audio = [corpus.audio(r) for r in train_records]
     adapter = None
-    if section.get("use_adapter", True):
-        init_epochs = section.get("adapter_init_epochs", 30)
+    if section["use_adapter"]:
         adapter, _ = train_adapter(
             [model.represent(a)[1] for a in audio],
             bottleneck_config(cfg, model.cfg.d_model),
-            epochs=init_epochs,
+            epochs=section["adapter_init_epochs"],
             seed=seed + 7,
-            optimizer_cfg=section.get("adapter_init_optimizer"),
+            optimizer_cfg=section["adapter_init_optimizer"],
         )
     dataset = [(a.samples, corpus.tokens(r)) for a, r in zip(audio, train_records)]
     histories = []
-    stages = section.get("stages", [{"epochs": 20, "scope": "no-feature-encoder"}])
-    for i, stage in enumerate(stages):
+    # a user's stage list replaces the default list whole, so its entries
+    # keep their own fallbacks
+    for i, stage in enumerate(section["stages"]):
         history = finetune_ctc(
             dataset,
             model,
@@ -175,12 +172,12 @@ def save_mdn(model, path):
 
 
 def mdn_config(cfg) -> MdnConfig:
-    section = cfg.get("mdn", {})
+    section = cfg["mdn"]
     return MdnConfig(
-        d_in=cfg.get("bottleneck", {}).get("d_bn", 32),
-        d_artic=section.get("d_artic", 6),
-        mixtures=section.get("mixtures", 2),
-        hidden_dims=tuple(section.get("hidden_dims", (32,))),
+        d_in=cfg["bottleneck"]["d_bn"],
+        d_artic=section["d_artic"],
+        mixtures=section["mixtures"],
+        hidden_dims=tuple(section["hidden_dims"]),
     )
 
 
@@ -188,10 +185,6 @@ def load_mdn(cfg, path) -> MdnModel:
     model = MdnModel(mdn_config(cfg), seed=0)
     ParameterStore.load(path).load_into(model)
     return model
-
-
-def fbank_features(corpus: Corpus, record) -> FeatureMatrix:
-    return compute_fbank(corpus.audio(record))
 
 
 def _bottleneck_stream(bn, model: SslEncoder, adapter: BottleneckAdapter) -> FeatureMatrix:
@@ -224,11 +217,11 @@ def train_inversion_model(corpus: Corpus, model, adapter, cfg, seed=None):
     pairs from the train subset; targets are a fixed linear map of the
     representations plus Gaussian noise."""
     seed = cfg["seed"] if seed is None else seed
-    section = cfg.get("mdn", {})
+    section = cfg["mdn"]
     mdn_cfg = mdn_config(cfg)
     a, b = articulatory_map(mdn_cfg.d_in, mdn_cfg.d_artic, seed + 17)
     noise_rng = np.random.default_rng(seed + 18)
-    sigma = section.get("map_noise", 0.05)
+    sigma = section["map_noise"]
     pairs = []
     for record in corpus.manifest.subset("train"):
         bn = bottleneck_features(corpus, record, model, adapter)
@@ -238,9 +231,9 @@ def train_inversion_model(corpus: Corpus, model, adapter, cfg, seed=None):
     mdn_model, history = train_inversion(
         pairs,
         mdn_cfg,
-        epochs=section.get("epochs", 120),
+        epochs=section["epochs"],
         seed=seed,
-        optimizer_cfg=section.get("optimizer"),
+        optimizer_cfg=section["optimizer"],
     )
     return mdn_model, history
 
@@ -310,9 +303,9 @@ def alignment_labels(corpus: Corpus, record, feats: FeatureMatrix, cfg,
     """Per-frame labels for AM training: uniform segmentation with blank
     edges matching the generator's silence margins, or the fine-tuned CTC
     head's argmax upsampled to the feature rate."""
-    mode = cfg.get("am", {}).get("alignment", "uniform")
+    mode = cfg["am"]["alignment"]
     if mode == "uniform":
-        edge_ms = cfg.get("corpus", {}).get("edge_ms", 40.0)
+        edge_ms = cfg["corpus"]["edge_ms"]
         edge_frames = int(round(edge_ms * 1000.0 / feats.frame_shift_us))
         return uniform_alignment(feats.n_frames, corpus.tokens(record), edge_frames)
     if mode == "ctc":
@@ -327,7 +320,7 @@ def alignment_labels(corpus: Corpus, record, feats: FeatureMatrix, cfg,
 
 def train_frame_am(corpus: Corpus, feature_fn, cfg, seed=None, model=None, adapter=None):
     seed = cfg["seed"] if seed is None else seed
-    section = cfg.get("am", {})
+    section = cfg["am"]
     dataset = []
     for record in corpus.manifest.subset("train"):
         feats = feature_fn(record)
@@ -339,9 +332,9 @@ def train_frame_am(corpus: Corpus, feature_fn, cfg, seed=None, model=None, adapt
         am_config(cfg),
         d_feat=d_feat,
         n_classes=corpus.vocab.width,
-        epochs=section.get("epochs", 12),
+        epochs=section["epochs"],
         seed=seed,
-        optimizer_cfg=section.get("optimizer"),
+        optimizer_cfg=section["optimizer"],
     )
     return am, history
 
@@ -375,10 +368,16 @@ def decode_utterances(tasks, jobs=1):
     return sorted(hyps, key=lambda h: h.utt_id)
 
 
-def score_hypotheses(hyps, corpus: Corpus):
-    per_utt = {h.utt_id: (corpus.manifest.by_id()[h.utt_id].transcript.split(), h.words)
-               for h in hyps}
-    return partition_report(per_utt, corpus.manifest)
+def score_hypotheses(pairs, manifest: Manifest):
+    """WER report of (utt_id, hypothesis words) pairs against the
+    manifest's transcripts; an id the manifest lacks raises KeyError."""
+    by_id = manifest.by_id()
+    per_utt = {}
+    for utt_id, words in pairs:
+        if utt_id not in by_id:
+            raise KeyError(f"utterance {utt_id!r} not in manifest")
+        per_utt[utt_id] = (by_id[utt_id].transcript.split(), list(words))
+    return partition_report(per_utt, manifest)
 
 
 def run_recognition(corpus: Corpus, cfg, model, adapter, jobs=1,
@@ -399,7 +398,6 @@ def run_recognition(corpus: Corpus, cfg, model, adapter, jobs=1,
     acoustic models.
     """
     seed = cfg["seed"]
-    decode_cfg = cfg.get("decode", {})
     fbk_fn = build_feature_fn(corpus, "fbk")
     fused_fn = build_feature_fn(corpus, "fbk+w2v-bn", model=model, adapter=adapter)
     logger.info("training fbk-only acoustic model")
@@ -408,10 +406,9 @@ def run_recognition(corpus: Corpus, cfg, model, adapter, jobs=1,
     logger.info("training fbk+w2v-bn acoustic model")
     am_fused, _ = train_frame_am(corpus, fused_fn, cfg, seed=seed + 202, model=model,
                                  adapter=adapter)
-    weights = parse_weight_ratio(decode_cfg.get("weights", "3:2"))
-    n_best = decode_cfg.get("nbest", 10)
-    alpha = cfg.get("rescore", {}).get("alpha", 2.0)
-    beta = cfg.get("rescore", {}).get("beta", 9.0)
+    weights = parse_weight_ratio(cfg["decode"]["weights"])
+    n_best = cfg["decode"]["nbest"]
+    alpha, beta = cfg["rescore"]["alpha"], cfg["rescore"]["beta"]
 
     records = [r for r in corpus.manifest if r.subset in test_subsets]
     records.sort(key=lambda r: r.utt_id)
@@ -440,6 +437,7 @@ def run_recognition(corpus: Corpus, cfg, model, adapter, jobs=1,
             Hypothesis(nbest.utt_id, list(best.words), list(best.tokens),
                        best.combined_cost)
         )
-    reports = {name: score_hypotheses(h, corpus) for name, h in hyps.items()}
+    reports = {name: score_hypotheses([(h.utt_id, h.words) for h in hs], corpus.manifest)
+               for name, hs in hyps.items()}
     return {"hypotheses": hyps, "reports": reports,
             "models": {"am_fbk": am_fbk, "am_fused": am_fused}}

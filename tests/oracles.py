@@ -2,6 +2,7 @@
 the code paths they verify."""
 
 import itertools
+import math
 
 import numpy as np
 
@@ -153,3 +154,49 @@ class ReferenceAdam:
             m += (1.0 - self.beta1) * (p.grad - m)
             v += (1.0 - self.beta2) * (p.grad * p.grad - v)
             p.value -= self.lr * (m / bc1) / (np.sqrt(v / bc2) + self.eps)
+
+
+def reference_train_epochs(params, n_items, epochs, rng, optimizer_cfg, step, what):
+    """The epoch loop every trainer used to carry by hand, over the
+    per-tensor reference optimizers: per epoch one ``rng.permutation``
+    order, per item cleared gradients, ``step(i, epoch)``, the non-finite
+    abort and an optimizer step. Returns the ``(epoch, results)`` pairs."""
+    cfg = dict(optimizer_cfg or {})
+    if cfg.get("optimizer", "sgd") == "adam":
+        opt = ReferenceAdam(params, lr=cfg.get("lr", 1e-3))
+    else:
+        opt = ReferenceSgdMomentum(params, cfg.get("lr", 1e-5), cfg.get("momentum", 0.9),
+                                   cfg.get("decay_steps", max(1, epochs * n_items)))
+    out = []
+    for epoch in range(epochs):
+        order = rng.permutation(n_items)
+        results = []
+        for i in order:
+            for p in opt.params:
+                p.grad = np.zeros_like(p.value)
+            result = step(i, epoch)
+            loss = result[0] if isinstance(result, tuple) else result
+            if not np.isfinite(loss):
+                raise RuntimeError(f"{what} diverged at epoch {epoch}: loss={loss}")
+            results.append(result)
+            opt.step()
+        out.append((epoch, results))
+    return out
+
+
+def mdn_nll(mix, targets):
+    """Mixture negative log likelihood, one frame and one component at a
+    time: mean over frames of -log sum_m w_m N(x | mu_m, diag sigma_m^2)."""
+    targets = np.asarray(targets, dtype=np.float64)
+    n_frames, n_mixtures, d_artic = mix.means.shape
+    total = 0.0
+    for t in range(n_frames):
+        logs = []
+        for m in range(n_mixtures):
+            z = (targets[t] - mix.means[t, m]) / mix.stds[t, m]
+            logs.append(math.log(mix.weights[t, m]) - 0.5 * float(z @ z)
+                        - float(np.log(mix.stds[t, m]).sum())
+                        - 0.5 * d_artic * math.log(2.0 * math.pi))
+        top = max(logs)
+        total -= top + math.log(sum(math.exp(v - top) for v in logs))
+    return total / n_frames

@@ -15,6 +15,7 @@ from sslasr.decoder import (
     isolated_nbest,
     parse_weight_ratio,
 )
+from sslasr.features import compute_fbank
 
 
 @pytest.fixture(scope="module")
@@ -200,7 +201,7 @@ class TestBatchedDecodeOutputs:
         am = _load_am(load_config(cfg), root / "am_fbk.spm")
         c = pipeline.Corpus(corpus)
         records = sorted(c.manifest.subset("test-seen", "test-unseen"), key=lambda r: r.utt_id)
-        expected = [decode_stream(am.posteriors(pipeline.fbank_features(c, r)), lexicon, vocab,
+        expected = [decode_stream(am.posteriors(compute_fbank(c.audio(r))), lexicon, vocab,
                                   r.utt_id) for r in records]
         assert hyp.read_text() == _json_lines(expected)
 

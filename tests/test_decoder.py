@@ -17,9 +17,7 @@ from sslasr.decoder import (
     interpolate_posteriors,
     isolated_nbest,
     isolated_nbest_batch,
-    joint_decode,
     parse_weight_ratio,
-    viterbi_isolated,
     word_loop_decode,
 )
 
@@ -93,11 +91,22 @@ ISO = Lexicon([
 ])
 
 
+def isolated_word(stream, lexicon):
+    """The one-word hypothesis of isolated-word decoding: (word, cost)."""
+    hyp = decode_stream(stream, lexicon, VOCAB)
+    return hyp.words[0], hyp.cost
+
+
+def joint_hypothesis(streams, weights, lexicon, utt_id=""):
+    """Frame-level joint decoding: interpolate, then decode once."""
+    return decode_stream(interpolate_posteriors(streams, weights), lexicon, VOCAB, utt_id)
+
+
 class TestViterbiIsolated:
     def test_single_word_lexicon(self):
         rng = np.random.default_rng(4)
         lex = Lexicon([LexiconEntry("only", ("a",))])
-        word, cost = viterbi_isolated(rand_stream(3, 3, rng), lex, VOCAB)
+        word, cost = isolated_word(rand_stream(3, 3, rng), lex)
         assert word == "only"
         assert np.isfinite(cost)
 
@@ -105,7 +114,7 @@ class TestViterbiIsolated:
         rng = np.random.default_rng(5)
         for _ in range(15):
             stream = rand_stream(int(rng.integers(2, 6)), 3, rng)
-            word, cost = viterbi_isolated(stream, ISO, VOCAB)
+            word, cost = isolated_word(stream, ISO)
             oracle = []
             for e in ISO.entries:
                 oracle.append(
@@ -120,20 +129,20 @@ class TestViterbiIsolated:
     def test_tie_prefers_first_entry(self):
         rng = np.random.default_rng(6)
         lex = Lexicon([LexiconEntry("first", ("a", "b")), LexiconEntry("second", ("a", "b"))])
-        word, _ = viterbi_isolated(rand_stream(4, 3, rng), lex, VOCAB)
+        word, _ = isolated_word(rand_stream(4, 3, rng), lex)
         assert word == "first"
 
     def test_unalignable_raises(self):
         rng = np.random.default_rng(7)
         lex = Lexicon([LexiconEntry("long", ("a", "b", "c", "a", "b"))])
         with pytest.raises(DecodeError, match="alignable"):
-            viterbi_isolated(rand_stream(2, 3, rng), lex, VOCAB)
+            isolated_word(rand_stream(2, 3, rng), lex)
 
     def test_mode_checked(self):
         rng = np.random.default_rng(8)
         loop = Lexicon(ISO.entries, mode="word-loop")
         with pytest.raises(ValueError, match="isolated"):
-            viterbi_isolated(rand_stream(4, 3, rng), loop, VOCAB)
+            isolated_nbest(rand_stream(4, 3, rng), loop, VOCAB, n=1)
 
 
 class TestIsolatedNbest:
@@ -142,8 +151,9 @@ class TestIsolatedNbest:
         stream = rand_stream(5, 3, rng)
         nb = isolated_nbest(stream, ISO, VOCAB, n=3, utt_id="u", system="am")
         assert len(nb.entries) == 3
-        assert nb.is_sorted()
-        best_word, best_cost = viterbi_isolated(stream, ISO, VOCAB)
+        costs = [e.combined_cost for e in nb.entries]
+        assert costs == sorted(costs)
+        best_word, best_cost = isolated_word(stream, ISO)
         assert nb.entries[0].words == [best_word]
         assert nb.entries[0].cost_per_system["am"] == pytest.approx(best_cost)
 
@@ -305,14 +315,14 @@ class TestJointDecode:
         for _ in range(10):
             s1, s2 = rand_stream(5, 3, rng, "a"), rand_stream(5, 3, rng, "b")
             solo = decode_stream(s1, ISO, VOCAB, "u")
-            joint = joint_decode([s1, s2], [1.0, 0.0], ISO, VOCAB, "u")
+            joint = joint_hypothesis([s1, s2], [1.0, 0.0], ISO, "u")
             assert joint.words == solo.words
             assert joint.cost == solo.cost  # bit-exact
 
     def test_three_system_smoke(self):
         rng = np.random.default_rng(15)
         streams = [rand_stream(6, 3, rng, f"s{i}") for i in range(3)]
-        hyp = joint_decode(streams, parse_weight_ratio("9:1:5"), ISO, VOCAB, "u")
+        hyp = joint_hypothesis(streams, parse_weight_ratio("9:1:5"), ISO, "u")
         assert isinstance(hyp, Hypothesis)
         assert np.isfinite(hyp.cost)
         assert hyp.words
@@ -321,9 +331,9 @@ class TestJointDecode:
         rng = np.random.default_rng(16)
         for _ in range(10):
             streams = [rand_stream(5, 3, rng, "a"), rand_stream(5, 3, rng, "b")]
-            base = joint_decode(streams, np.array([3.0, 2.0]), ISO, VOCAB, "u")
+            base = joint_hypothesis(streams, np.array([3.0, 2.0]), ISO, "u")
             for c in (2.0, 0.5, 3.0, 256.0):
-                scaled = joint_decode(streams, np.array([3.0 * c, 2.0 * c]), ISO, VOCAB, "u")
+                scaled = joint_hypothesis(streams, np.array([3.0 * c, 2.0 * c]), ISO, "u")
                 assert scaled.words == base.words
 
     def test_disjoint_error_complementarity(self):
@@ -347,9 +357,9 @@ class TestJointDecode:
             wrong_word = {"one": "two", "two": "three", "three": "one"}[word]
             a = planted(word, wrong=wrong_word) if i in (0, 1) else planted(word)
             b = planted(word, wrong=wrong_word) if i in (2, 3) else planted(word)
-            da, _ = viterbi_isolated(a, lex, VOCAB)
-            db, _ = viterbi_isolated(b, lex, VOCAB)
-            dj = joint_decode([a, b], [1.0, 1.0], lex, VOCAB).words[0]
+            da, _ = isolated_word(a, lex)
+            db, _ = isolated_word(b, lex)
+            dj = joint_hypothesis([a, b], [1.0, 1.0], lex).words[0]
             hyp_a += da != word
             hyp_b += db != word
             hyp_joint += dj != word

@@ -10,13 +10,14 @@ from sslasr.encoder import (
     SslEncoder,
     _ctc_step,
     contrastive_loss,
-    diversity_loss,
+    diversity_loss_with_grad,
     finetune_ctc,
     pretrain,
     pretrain_step,
     sample_mask_spans,
     trainable_parameters,
 )
+from sslasr.nn import sinusoidal_positions
 from sslasr.params import ParameterStore, make_optimizer
 
 from gradcheck import finite_difference_check
@@ -58,6 +59,11 @@ class TestConfig:
             EncoderConfig(conv_layers=((32, 60, 80), (32, 5, 4)))
 
 
+def conv_frames(cfg, n_samples):
+    """Closed-form conv arithmetic: floor((N - field) / stride) + 1."""
+    return (n_samples - cfg.receptive_field()) // cfg.total_stride() + 1
+
+
 class TestEncodeRaw:
     def test_one_second(self, model):
         assert model.encode_raw(sine(16000)).shape[0] == 49
@@ -71,13 +77,13 @@ class TestEncodeRaw:
 
     def test_chain_matches_formula_everywhere(self, model, cfg):
         for n in list(range(400, 2400, 97)) + [16000, 9999]:
-            assert model.encode_raw(np.zeros(n)).shape[0] == cfg.frame_count(n)
+            assert model.encode_raw(np.zeros(n)).shape[0] == conv_frames(cfg, n)
 
     def test_deep_stack_chain_matches_formula(self):
         deep_cfg = EncoderConfig(conv_layers=DEEP_CONV_LAYERS)
         deep = SslEncoder(deep_cfg, seed=0)
         for n in list(range(400, 2400, 131)) + [16000]:
-            assert deep.encode_raw(np.zeros(n)).shape[0] == deep_cfg.frame_count(n)
+            assert deep.encode_raw(np.zeros(n)).shape[0] == conv_frames(deep_cfg, n)
 
 
 class TestContextualize:
@@ -97,6 +103,18 @@ class TestContextualize:
         b = SslEncoder(cfg, seed=5)
         z = a.encode_raw(sine(3200))
         assert np.array_equal(a.contextualize(z, [1, 2]), b.contextualize(z, [1, 2]))
+
+
+class TestPositionTable:
+    def test_cached_table_is_read_only_and_equals_a_fresh_one(self):
+        table = sinusoidal_positions(37, 64)
+        assert sinusoidal_positions(37, 64) is table
+        assert not table.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            table[0, 0] = 1.0
+        fresh = sinusoidal_positions.__wrapped__(37, 64)
+        assert table.tobytes() == fresh.tobytes()
+        assert table[5, 0] == math.sin(5.0) and table[5, 1] == math.cos(5.0)
 
 
 class TestMasking:
@@ -221,16 +239,16 @@ class TestContrastiveLoss:
 class TestDiversityLoss:
     def test_uniform_is_zero(self):
         probs = np.full((7, 2, 8), 1 / 8)
-        assert diversity_loss(probs) == pytest.approx(0.0, abs=1e-12)
+        assert diversity_loss_with_grad(probs)[0] == pytest.approx(0.0, abs=1e-12)
 
     def test_one_hot_closed_form(self):
         probs = np.zeros((5, 2, 8))
         probs[:, :, 3] = 1.0
-        assert diversity_loss(probs) == pytest.approx((16 - 2) / 16, abs=1e-12)
+        assert diversity_loss_with_grad(probs)[0] == pytest.approx((16 - 2) / 16, abs=1e-12)
 
     def test_rejects_unnormalized(self):
         with pytest.raises(ValueError, match="sum to 1"):
-            diversity_loss(np.full((2, 1, 4), 0.3))
+            diversity_loss_with_grad(np.full((2, 1, 4), 0.3))
 
 
 class TestFullModelGradients:
@@ -283,7 +301,7 @@ class TestFullModelGradients:
             zn = model.z_norm.forward(z)
             model._project_and_mask(zn, mask)
             _, probs = model.quantizer.forward(zn[mask], hard=False, noise=noise)
-            return diversity_loss(probs)
+            return diversity_loss_with_grad(probs)[0]
 
         model.zero_grad()
         pretrain_step(model, samples, mask=mask, noise=noise, distractor_indices=dist,
@@ -351,7 +369,7 @@ class TestPretrain:
         data = toy_audio_set(5)
         model, _ = pretrain(data, cfg, epochs=2, seed=4,
                             optimizer_cfg={"optimizer": "adam", "lr": 1e-3})
-        assert ParameterStore.from_module(model).all_finite()
+        assert all(np.isfinite(p.value).all() for p in model.parameters())
 
 
 def tone_dataset(seed=0, n_utts=16):

@@ -16,9 +16,10 @@ from sslasr.params import (
     SgdMomentum,
     StoreFormatError,
     make_optimizer,
+    train_epochs,
 )
 
-from oracles import ReferenceAdam, ReferenceSgdMomentum
+from oracles import ReferenceAdam, ReferenceSgdMomentum, reference_train_epochs
 
 
 class Small(Module):
@@ -80,12 +81,6 @@ class TestParameterStore:
         path.write_bytes(path.read_bytes() + b"x")
         with pytest.raises(StoreFormatError, match="trailing"):
             ParameterStore.load(path)
-
-    def test_all_finite(self):
-        store = ParameterStore({"a": np.ones(3)})
-        assert store.all_finite()
-        store.tensors["a"][0] = np.nan
-        assert not store.all_finite()
 
 
 def quadratic_params(seed=0):
@@ -285,6 +280,64 @@ class TestFlatOptimizers:
         opt.zero_grad()
         assert not opt.grad.any()
         assert params[1].grad == 0.0
+
+
+def toy_step(params, targets, rng, visits, as_tuple):
+    """A step on 0.5 * s * ||x - target_i||^2 per parameter, with the
+    scale s drawn from the schedule's own rng; it records each visit."""
+    def step(i, epoch):
+        visits.append((epoch, int(i)))
+        scale = rng.random()
+        loss = 0.0
+        for p, target in zip(params, targets[i]):
+            diff = p.value - target
+            loss += 0.5 * scale * float((diff * diff).sum())
+            p.grad += scale * diff
+        return (loss, int(i), epoch) if as_tuple else loss
+    return step
+
+
+class TestTrainEpochs:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n_items=st.integers(0, 5),
+        epochs=st.integers(0, 4),
+        kind=st.sampled_from(["sgd", "adam"]),
+        decay_steps=st.one_of(st.none(), st.integers(1, 12)),
+        as_tuple=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_reference_loop_bit_for_bit(self, n_items, epochs, kind, decay_steps,
+                                                as_tuple, seed):
+        data_rng = np.random.default_rng(seed)
+        shapes = [(3,), (2, 2)]
+        ours, ref = twin_params(shapes, data_rng)
+        targets = [[data_rng.normal(size=shape) for shape in shapes] for _ in range(n_items)]
+        opt_cfg = {"optimizer": kind, "lr": 0.1}
+        if decay_steps is not None:
+            opt_cfg["decay_steps"] = decay_steps
+        runs = []
+        for params, schedule in ((ours, train_epochs), (ref, reference_train_epochs)):
+            rng, visits = np.random.default_rng(seed + 1), []
+            step = toy_step(params, targets, rng, visits, as_tuple)
+            out = list(schedule(params, n_items, epochs, rng, opt_cfg, step, "toy"))
+            runs.append((out, visits, [p.value.tobytes() for p in params]))
+        assert runs[0] == runs[1]
+        assert len(runs[0][1]) == n_items * epochs
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("as_tuple", [False, True])
+    def test_non_finite_loss_names_what_and_epoch(self, bad, as_tuple):
+        params = quadratic_params()
+
+        def step(i, epoch):
+            loss = bad if epoch == 2 and i == 1 else 1.0
+            return (loss, "extra") if as_tuple else loss
+
+        schedule = train_epochs(params, 3, 4, np.random.default_rng(0),
+                                {"optimizer": "sgd", "lr": 0.1}, step, "toy training")
+        with pytest.raises(RuntimeError, match="toy training diverged at epoch 2: loss="):
+            list(schedule)
 
 
 def _pretrain(opt_cfg, rng):

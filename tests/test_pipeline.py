@@ -11,9 +11,9 @@ from sslasr.corpus import wer
 from sslasr.ctc import greedy_decode
 from sslasr.ctc import TokenVocab
 from sslasr.decoder import (Lexicon, LexiconEntry, decode_stream, interpolate_posteriors,
-                            isolated_nbest, joint_decode, parse_weight_ratio)
+                            isolated_nbest, parse_weight_ratio)
 from sslasr.encoder import SslEncoder
-from sslasr.features import fuse_features
+from sslasr.features import compute_fbank, fuse_features
 from sslasr.inversion import MdnModel
 from sslasr.rescore import rescore, score_nbest_with_ssl
 
@@ -71,7 +71,7 @@ class TestFeatureFns:
         records = tiny_corpus.manifest.records
         expected = []
         for rec in records:
-            streams = [pipeline.fbank_features(tiny_corpus, rec),
+            streams = [compute_fbank(tiny_corpus.audio(rec)),
                        pipeline.bottleneck_features(tiny_corpus, rec, model, adapter)]
             if kind.endswith("artic"):
                 streams.append(pipeline.articulatory_features(tiny_corpus, rec, model,
@@ -151,7 +151,7 @@ class TestStreamFiles:
 class TestAlignments:
     def test_uniform_alignment_blank_margins(self, tiny_config, tiny_corpus):
         rec = tiny_corpus.manifest.records[0]
-        feats = pipeline.fbank_features(tiny_corpus, rec)
+        feats = compute_fbank(tiny_corpus.audio(rec))
         labels = pipeline.alignment_labels(tiny_corpus, rec, feats, tiny_config)
         assert labels.shape[0] == feats.n_frames
         assert labels[0] == 0 and labels[-1] == 0
@@ -162,7 +162,7 @@ class TestAlignments:
         cfg = dict(tiny_config)
         cfg["am"] = dict(cfg["am"], alignment="ctc")
         rec = tiny_corpus.manifest.records[0]
-        feats = pipeline.fbank_features(tiny_corpus, rec)
+        feats = compute_fbank(tiny_corpus.audio(rec))
         labels = pipeline.alignment_labels(tiny_corpus, rec, feats, cfg,
                                            model=model, adapter=adapter)
         assert labels.shape[0] == feats.n_frames
@@ -218,10 +218,35 @@ class TestDecodeUtterances:
                 expected.append(decode_stream(streams[0], lexicon, vocab, utt_id))
             else:
                 w = np.ones(n) if weights is None else weights
-                expected.append(joint_decode(streams, w, lexicon, vocab, utt_id))
+                mixed = interpolate_posteriors(streams, w)
+                expected.append(decode_stream(mixed, lexicon, vocab, utt_id))
         hyps = pipeline.decode_utterances(tasks)
         expected.sort(key=lambda h: h.utt_id)
         assert [h.to_json_dict() for h in hyps] == [h.to_json_dict() for h in expected]
+
+
+class TestScoreHypotheses:
+    def test_one_id_map_per_call(self, tiny_corpus, monkeypatch):
+        manifest = tiny_corpus.manifest
+        pairs = [(r.utt_id, r.transcript.split()) for r in manifest]
+        calls = Counter()
+        by_id = type(manifest).by_id
+
+        def counted(self):
+            calls["by_id"] += 1
+            return by_id(self)
+
+        monkeypatch.setattr(type(manifest), "by_id", counted)
+        report = pipeline.score_hypotheses(pairs, manifest)
+        assert report.overall.errors == 0
+        assert report.overall.n_ref == sum(len(words) for _, words in pairs)
+        assert calls["by_id"] <= 2  # this function and partition_report, once each
+
+    def test_unknown_id_named(self, tiny_corpus):
+        rec = tiny_corpus.manifest.records[0]
+        with pytest.raises(KeyError, match="'no-such-utt'"):
+            pipeline.score_hypotheses([(rec.utt_id, []), ("no-such-utt", ["x"])],
+                                      tiny_corpus.manifest)
 
 
 class TestRunRecognition:
