@@ -6,9 +6,10 @@ lattices serves the loss, the forward score, isolated-word Viterbi
 decoding and N-best rescoring. It scores a padded batch of targets under
 one of two semirings, log-sum-exp (summed paths) or max (best path), and
 yields one frame at a time, so each caller keeps only what it reads.
-``_ctc_lattice`` keeps every frame of one stream: the loss reads them all
-(its backward lattice is the same pass over the time-reversed stream),
-and rescoring reads one utterance's costs at the last.
+``_ctc_lattice`` keeps every frame of one stream; the forward score and
+rescoring read its costs at the last. The loss reads every frame of its
+forward and backward lattices, run as one two-row batch: the target on
+the stream, and the reversed target on the time-reversed stream.
 ``_ctc_costs`` runs a padded batch of streams of different lengths in one
 frame loop and keeps each stream's costs at its own last frame, so a
 whole test set is decoded in one pass.
@@ -147,8 +148,14 @@ def _alpha_frames(emissions, skip_ok, plus, out=None):
 
     ``emissions`` gives each frame's (..., N, S) log emissions of the
     lattice states; any leading axes (a batch of streams) ride along
-    elementwise. ``plus`` picks the semiring: ``np.logaddexp`` sums the
-    paths (CTC forward score), ``np.maximum`` keeps the best one (Viterbi
+    elementwise. ``skip_ok`` is each row's (N, S) blank-skip mask, as
+    ``_lattice_states`` builds it; it broadcasts over the stream axes.
+    Rows are independent, so a row's emissions need not come from the
+    stream of its neighbours: ``ctc_loss`` pairs its target on the stream
+    with the reversed target on the time-reversed stream.
+
+    ``plus`` picks the semiring: ``np.logaddexp`` sums the paths (CTC
+    forward score), ``np.maximum`` keeps the best one (Viterbi
     alignment). Yields each frame's alphas, emissions included: written
     into ``out[t]`` when ``out`` is given, else into a new array. A padded
     state never feeds a real one, so every row equals its single-target
@@ -226,15 +233,14 @@ def _stream_logp(stream):
     return stream.logp if isinstance(stream, PosteriorStream) else np.asarray(stream, np.float64)
 
 
-def _forward(logp, target):
-    """Alpha lattice (T, S) and cost of one checked target; raises
-    :class:`UnsatisfiableTargetError` when no path exists."""
-    alphas, cost = _ctc_lattice(logp, [target], np.logaddexp)
-    if cost[0] == np.inf:
+def _satisfiable(cost, target, logp):
+    """A target's lattice cost as a float; raises
+    :class:`UnsatisfiableTargetError` when it is +inf (no path)."""
+    if cost == np.inf:
         raise UnsatisfiableTargetError(
             f"target of {len(target)} tokens has no valid alignment in {len(logp)} frames"
         )
-    return alphas[:, 0], float(cost[0])
+    return float(cost)
 
 
 @dataclass
@@ -252,22 +258,28 @@ def ctc_loss(stream, target) -> CtcLossResult:
     """
     logp = _stream_logp(stream)
     target = _check_target(target, logp.shape[1])
-    alphas, cost = _forward(logp, target)
-    log_z = -cost
     # the backward lattice is the forward one of the time-reversed stream
-    # and reversed target, flipped back
-    betas = _ctc_lattice(logp[::-1], [target[::-1]], np.logaddexp)[0][::-1, 0, ::-1]
-    ext = _interleave_blanks(target)
+    # and reversed target, flipped back; both run as one two-row batch
+    ext, n_states, skip_ok = _lattice_states([target, target[::-1]])
+    emit = logp[:, ext[0]]
+    both = np.stack([emit, logp[::-1, ext[1]]], axis=1)
+    lattice = np.empty(both.shape)
+    for _ in _alpha_frames(both, skip_ok, np.logaddexp, out=lattice):
+        pass
+    cost = _satisfiable(_final_costs(lattice[-1, :1], n_states[:1], np.logaddexp)[0],
+                        target, logp)
+    log_z = -cost
+    alphas, betas = lattice[:, 0], lattice[::-1, 1, ::-1]
     # occ[t, s] = P(path passes state s at frame t) / p_t(label(s)), so
     # summing occ over states sharing a label gives -d(-log Z)/d logp.
     # Unreachable states (alpha or beta = -inf) contribute nothing; mask
     # them before the division to avoid -inf - -inf.
     dead = np.isneginf(alphas) | np.isneginf(betas)
     with np.errstate(invalid="ignore"):
-        log_occ = alphas + betas - logp[:, ext] - log_z
+        log_occ = alphas + betas - emit - log_z
     occ = np.where(dead, 0.0, np.exp(np.where(dead, NEG_INF, log_occ)))
     grad = np.zeros_like(logp)
-    for s, k in enumerate(ext):
+    for s, k in enumerate(ext[0]):
         grad[:, k] -= occ[:, s]
     return CtcLossResult(cost, grad)
 
@@ -276,7 +288,8 @@ def ctc_forward_score(stream, label_seq) -> float:
     """Negative log probability of a labeling: the forward half of
     ``ctc_loss``, so it equals that loss's value exactly."""
     logp = _stream_logp(stream)
-    return _forward(logp, _check_target(label_seq, logp.shape[1]))[1]
+    target = _check_target(label_seq, logp.shape[1])
+    return _satisfiable(_ctc_lattice(logp, [target], np.logaddexp)[1][0], target, logp)
 
 
 def greedy_decode(stream, vocab: TokenVocab | None = None):

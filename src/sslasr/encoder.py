@@ -196,17 +196,6 @@ class GumbelQuantizer(Module):
         return self.proj.backward(dlogits.reshape(t, -1))
 
 
-def _cosine_with_grads(a, b, eps=1e-12):
-    """cos(a, b) with the norm guard, plus exact partials."""
-    dot = float(a @ b)
-    na0, nb0 = math.sqrt(float(a @ a)), math.sqrt(float(b @ b))
-    na, nb = na0 + eps, nb0 + eps
-    cos = dot / (na * nb)
-    da = b / (na * nb) - (dot / (na * na * nb)) * (a / max(na0, eps))
-    db = a / (na * nb) - (dot / (na * nb * nb)) * (b / max(nb0, eps))
-    return cos, da, db
-
-
 @dataclass
 class ContrastiveResult:
     value: float
@@ -224,15 +213,32 @@ def contrastive_loss(c, q, masked_indices, k, kappa, rng=None,
         -log softmax_t( cos(c_t, q_j) / kappa )   over j in {t} + distractors
 
     Distractors are sampled uniformly without replacement from the other
-    masked frames of the same utterance. Frames with fewer than ``k``
-    alternatives get a reduced distractor count, recorded in
-    ``reduced_frames``.
+    masked frames of the same utterance, one ``rng.choice`` per frame in
+    frame order. Frames with fewer than ``k`` alternatives get a reduced
+    distractor count, recorded in ``reduced_frames``. The masked indices
+    must be distinct frames of ``c``.
+
+    Every masked frame is scored at once: one gather of the (masked x
+    (1 + K) x d) candidates, one scatter of their gradients into
+    ``grad_q``. The dots and norms come from ``np.vecdot``, which calls
+    the BLAS ``ddot`` that ``a @ b`` calls on two vectors, so each equals
+    the per-frame loop's bit for bit; ``einsum`` and batched ``matmul``
+    add in other orders. The cosine partials repeat that loop's
+    per-element operations in its order, sums over candidates and over
+    frames run left to right, and the scatter visits (frame, candidate)
+    pairs in row-major order, so every output is the loop's to the bit.
     """
     c = np.asarray(c, dtype=np.float64)
     q = np.asarray(q, dtype=np.float64)
     masked = np.asarray(sorted(int(i) for i in masked_indices), dtype=np.int64)
     if masked.size == 0:
         raise ValueError("contrastive loss needs at least one masked frame")
+    repeats = masked[1:][masked[1:] == masked[:-1]]
+    if repeats.size:
+        raise ValueError(f"masked frame {int(repeats[0])} is listed more than once")
+    if masked[0] < 0 or masked[-1] >= len(c):
+        bad = int(masked[0] if masked[0] < 0 else masked[-1])
+        raise ValueError(f"masked frame {bad} outside [0, {len(c)})")
     if kappa <= 0:
         raise ValueError("contrastive temperature must be positive")
     if distractor_indices is None:
@@ -244,34 +250,57 @@ def contrastive_loss(c, q, masked_indices, k, kappa, rng=None,
             kt = min(k, pool.size)
             chosen = rng.choice(pool, size=kt, replace=False) if kt else np.empty(0, np.int64)
             distractor_indices[int(t)] = tuple(int(x) for x in chosen)
-    reduced = {
-        int(t): len(distractor_indices[int(t)])
-        for t in masked
-        if len(distractor_indices[int(t)]) < k
-    }
-    grad_c = np.zeros_like(c)
-    grad_q = np.zeros_like(q)
-    total = 0.0
-    wins = 0
+    others = [tuple(distractor_indices[int(t)]) for t in masked]
+    reduced = {int(t): len(d) for t, d in zip(masked, others) if len(d) < k}
+    # candidate 0 is the frame's own target; rows with fewer distractors
+    # are padded with it and their padded similarities set to -inf
+    n_cand = np.array([1 + len(d) for d in others])
+    real = np.arange(n_cand.max()) < n_cand[:, None]
+    cand = np.repeat(masked[:, None], real.shape[1], axis=1)
+    cand[:, 1:][real[:, 1:]] = [x for d in others for x in d]
+
+    eps = 1e-12
+    a = c[masked][:, None, :]  # (M, 1, d)
+    b = q[cand]  # (M, L, d)
+    dot = np.vecdot(a, b)
+    na0 = np.sqrt(np.vecdot(a, a))
+    nb0 = np.sqrt(np.vecdot(b, b))
+    na, nb = na0 + eps, nb0 + eps
+    nanb = na * nb
+    a_hat = a / np.maximum(na0, eps)[..., None]
+    b_hat = b / np.maximum(nb0, eps)[..., None]
+    dc = b / nanb[..., None] - (dot / (na * na * nb))[..., None] * a_hat
+    dq = a / nanb[..., None] - (dot / (nanb * nb))[..., None] * b_hat
+    sims = np.where(real, (dot / nanb) / kappa, -np.inf)
+
+    top = sims.max(axis=1, keepdims=True)
+    log_norm = np.empty_like(top)
+    for n in set(n_cand.tolist()):
+        # numpy sums a row pairwise by its length, so sum equal rows alike
+        rows = n_cand == n
+        shifted = np.exp(sims[rows, :n] - top[rows])
+        log_norm[rows] = top[rows] + np.log(shifted.sum(axis=1, keepdims=True))
+    logp = sims - log_norm
     inv_n = 1.0 / masked.size
-    for t in masked:
-        cand = (int(t),) + tuple(distractor_indices[int(t)])
-        sims = np.empty(len(cand))
-        dcs = []
-        dqs = []
-        for j, idx in enumerate(cand):
-            cos, dc, dq = _cosine_with_grads(c[t], q[idx])
-            sims[j] = cos / kappa
-            dcs.append(dc / kappa)
-            dqs.append(dq / kappa)
-        logp = sims - (sims.max() + np.log(np.exp(sims - sims.max()).sum()))
-        total += -logp[0]
-        wins += int(np.argmax(sims) == 0)
-        dsim = np.exp(logp)
-        dsim[0] -= 1.0
-        for j, idx in enumerate(cand):
-            grad_c[t] += inv_n * dsim[j] * dcs[j]
-            grad_q[idx] += inv_n * dsim[j] * dqs[j]
+    dsim = np.exp(logp)
+    dsim[:, 0] -= 1.0
+    weight = (inv_n * dsim)[..., None]
+    parts_c = np.where(real[..., None], weight * (dc / kappa), 0.0)
+    rows_c = np.zeros((masked.size, c.shape[1]))
+    for j in range(real.shape[1]):  # candidates in order, from +0.0
+        rows_c += parts_c[:, j]
+    grad_c = np.zeros_like(c)
+    grad_c[masked] = rows_c
+    # one scatter of single elements, so each element of grad_q adds its
+    # parts in row-major (frame, candidate) order; C order makes the flat
+    # reshape a view
+    grad_q = np.zeros(q.shape)
+    cols = np.arange(q.shape[1])
+    np.add.at(grad_q.reshape(-1), (cand[real][:, None] * q.shape[1] + cols).ravel(),
+              (weight * (dq / kappa))[real].ravel())
+    # frames in order from +0.0, where np.sum would regroup them pairwise
+    total = np.cumsum(np.concatenate(([0.0], -logp[:, 0])))[-1]
+    wins = np.count_nonzero(np.argmax(sims, axis=1) == 0)
     return ContrastiveResult(
         value=float(total * inv_n),
         grad_c=grad_c,

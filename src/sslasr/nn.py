@@ -216,20 +216,46 @@ class LayerNorm(Module):
         self.eps = eps
 
     def forward(self, x):
-        mu = x.mean(axis=-1, keepdims=True)
-        var = x.var(axis=-1, keepdims=True)
+        # np.add.reduce(...) / d is what x.mean and x.var compute, without
+        # their Python-level wrappers
+        d = x.shape[-1]
+        xc = x - np.add.reduce(x, axis=-1, keepdims=True) / d
+        var = np.add.reduce(xc * xc, axis=-1, keepdims=True) / d
         self._inv_std = 1.0 / np.sqrt(var + self.eps)
-        self._xhat = (x - mu) * self._inv_std
+        self._xhat = xc * self._inv_std
         return self._xhat * self.gain.value + self.bias.value
 
     def backward(self, dy):
         xhat = self._xhat
+        d = xhat.shape[-1]
         self.gain.grad += (dy * xhat).sum(axis=0)
         self.bias.grad += dy.sum(axis=0)
         dxhat = dy * self.gain.value
-        m1 = dxhat.mean(axis=-1, keepdims=True)
-        m2 = (dxhat * xhat).mean(axis=-1, keepdims=True)
+        m1 = np.add.reduce(dxhat, axis=-1, keepdims=True) / d
+        m2 = np.add.reduce(dxhat * xhat, axis=-1, keepdims=True) / d
         return self._inv_std * (dxhat - m1 - xhat * m2)
+
+
+def _overlap_add(parts, stride, length):
+    """Overlap-add of (T, K, C) per-tap rows: a (length, C) array whose
+    row ``t * stride + k`` sums ``parts[t, k]`` over every (t, k) that
+    lands there; rows nothing lands on are zero.
+
+    Equal to ``np.add.at(out, idx.ravel(), parts.reshape(-1, C))`` with
+    ``idx[t, k] = t * stride + k`` bit for bit. ``add.at`` adds each
+    row's parts in order of t, so of k from high to low. Here the taps
+    go in stride-wide blocks, visited from the last block down: the
+    taps of one block never share a row, so each block is one
+    reshape-add over a strided view, ceil(K / stride) adds in all.
+    """
+    t, k, c = parts.shape
+    n_blocks = -(-k // stride)
+    out = np.zeros((max(length, (t + n_blocks - 1) * stride), c))
+    for block in reversed(range(n_blocks)):
+        lo = block * stride
+        taps = parts[:, lo : lo + stride]
+        out[lo : lo + t * stride].reshape(t, stride, c)[:, : taps.shape[1]] += taps
+    return out[:length]
 
 
 class Conv1d(Module):
@@ -262,16 +288,14 @@ class Conv1d(Module):
             raise ValueError(f"input of {t_in} frames shorter than kernel {self.kernel}")
         idx = (np.arange(t_out)[:, None] * self.stride + np.arange(self.kernel)[None, :])
         cols = x[idx].reshape(t_out, self.kernel * self.c_in)
-        self._cols, self._idx, self._t_in = cols, idx, t_in
+        self._cols, self._t_in = cols, t_in
         return cols @ self.w.value + self.b.value
 
     def backward(self, dy):
         self.w.grad += self._cols.T @ dy
         self.b.grad += dy.sum(axis=0)
         dcols = (dy @ self.w.value.T).reshape(-1, self.kernel, self.c_in)
-        dx = np.zeros((self._t_in, self.c_in))
-        np.add.at(dx, self._idx.ravel(), dcols.reshape(-1, self.c_in))
-        return dx
+        return _overlap_add(dcols, self.stride, self._t_in)
 
 
 class ConvTranspose1d(Module):
@@ -291,11 +315,9 @@ class ConvTranspose1d(Module):
         t_in = x.shape[0]
         t_out = self.out_length(t_in)
         contrib = (x @ self.w.value).reshape(t_in, self.kernel, self.c_out)
-        y = np.zeros((t_out, self.c_out))
         idx = np.arange(t_in)[:, None] * self.stride + np.arange(self.kernel)[None, :]
-        np.add.at(y, idx.ravel(), contrib.reshape(-1, self.c_out))
         self._x, self._idx = x, idx
-        return y + self.b.value
+        return _overlap_add(contrib, self.stride, t_out) + self.b.value
 
     def backward(self, dy):
         self.b.grad += dy.sum(axis=0)

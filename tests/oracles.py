@@ -200,3 +200,132 @@ def mdn_nll(mix, targets):
         top = max(logs)
         total -= top + math.log(sum(math.exp(v - top) for v in logs))
     return total / n_frames
+
+
+def _cosine_with_grads(a, b, eps=1e-12):
+    """cos(a, b) with the norm guard, plus exact partials."""
+    dot = float(a @ b)
+    na0, nb0 = math.sqrt(float(a @ a)), math.sqrt(float(b @ b))
+    na, nb = na0 + eps, nb0 + eps
+    cos = dot / (na * nb)
+    da = b / (na * nb) - (dot / (na * na * nb)) * (a / max(na0, eps))
+    db = a / (na * nb) - (dot / (na * nb * nb)) * (b / max(nb0, eps))
+    return cos, da, db
+
+
+def reference_contrastive_loss(c, q, masked_indices, k, kappa, rng=None,
+                               distractor_indices=None):
+    """The masked contrastive loss one masked frame and one candidate at a
+    time, drawing distractors with one ``rng.choice`` per frame. Returns
+    a dict of the fields of ``encoder.ContrastiveResult``."""
+    c = np.asarray(c, dtype=np.float64)
+    q = np.asarray(q, dtype=np.float64)
+    masked = np.asarray(sorted(int(i) for i in masked_indices), dtype=np.int64)
+    if distractor_indices is None:
+        distractor_indices = {}
+        for t in masked:
+            pool = masked[masked != t]
+            kt = min(k, pool.size)
+            chosen = rng.choice(pool, size=kt, replace=False) if kt else np.empty(0, np.int64)
+            distractor_indices[int(t)] = tuple(int(x) for x in chosen)
+    reduced = {
+        int(t): len(distractor_indices[int(t)])
+        for t in masked
+        if len(distractor_indices[int(t)]) < k
+    }
+    grad_c = np.zeros_like(c)
+    grad_q = np.zeros_like(q)
+    total = 0.0
+    wins = 0
+    inv_n = 1.0 / masked.size
+    for t in masked:
+        cand = (int(t),) + tuple(distractor_indices[int(t)])
+        sims = np.empty(len(cand))
+        dcs = []
+        dqs = []
+        for j, idx in enumerate(cand):
+            cos, dc, dq = _cosine_with_grads(c[t], q[idx])
+            sims[j] = cos / kappa
+            dcs.append(dc / kappa)
+            dqs.append(dq / kappa)
+        logp = sims - (sims.max() + np.log(np.exp(sims - sims.max()).sum()))
+        total += -logp[0]
+        wins += int(np.argmax(sims) == 0)
+        dsim = np.exp(logp)
+        dsim[0] -= 1.0
+        for j, idx in enumerate(cand):
+            grad_c[t] += inv_n * dsim[j] * dcs[j]
+            grad_q[idx] += inv_n * dsim[j] * dqs[j]
+    return {
+        "value": float(total * inv_n),
+        "grad_c": grad_c,
+        "grad_q": grad_q,
+        "distractors": distractor_indices,
+        "reduced_frames": reduced,
+        "accuracy": wins * inv_n,
+    }
+
+
+def _reference_alphas(emit, ext):
+    """Log-semiring alpha lattice of one blank-interleaved target ``ext``
+    over its (T, S) emissions, one frame and one state at a time."""
+    t_len, s_len = emit.shape
+    alpha = np.full((t_len, s_len), -np.inf)
+    alpha[0, :2] = emit[0, :2]
+    for t in range(1, t_len):
+        for s in range(s_len):
+            acc = np.logaddexp(alpha[t - 1, s], alpha[t - 1, s - 1] if s else -np.inf)
+            if s >= 2 and ext[s] != 0 and ext[s] != ext[s - 2]:
+                acc = np.logaddexp(acc, alpha[t - 1, s - 2])
+            alpha[t, s] = acc + emit[t, s]
+    return alpha
+
+
+def reference_ctc_loss(logp, target):
+    """CTC loss and gradient from two separate lattice passes: alphas over
+    the stream, betas as the alphas of the reversed target over the
+    time-reversed stream. Returns ``(value, grad_logp)``, or ``None`` when
+    the target has no alignment."""
+    ext = np.zeros(2 * len(target) + 1, dtype=np.int64)
+    ext[1::2] = target
+    alphas = _reference_alphas(logp[:, ext], ext)
+    last = alphas[-1, -1]
+    if len(ext) > 1:
+        last = np.logaddexp(last, alphas[-1, -2])
+    if last == -np.inf:
+        return None
+    log_z = last
+    betas = _reference_alphas(logp[::-1][:, ext[::-1]], ext[::-1])[::-1, ::-1]
+    dead = np.isneginf(alphas) | np.isneginf(betas)
+    with np.errstate(invalid="ignore"):
+        log_occ = alphas + betas - logp[:, ext] - log_z
+    occ = np.where(dead, 0.0, np.exp(np.where(dead, -np.inf, log_occ)))
+    grad = np.zeros_like(logp)
+    for s, k in enumerate(ext):
+        grad[:, k] -= occ[:, s]
+    return float(-log_z), grad
+
+
+def reference_overlap_add(parts, stride, length):
+    """Row ``t * stride + k`` of a (length, C) array gets ``parts[t, k]``,
+    added in order by ``np.add.at``."""
+    t, k, c = parts.shape
+    out = np.zeros((length, c))
+    idx = np.arange(t)[:, None] * stride + np.arange(k)[None, :]
+    np.add.at(out, idx.ravel(), parts.reshape(-1, c))
+    return out
+
+
+def reference_layer_norm(x, gain, bias, dy, eps=1e-6):
+    """Layer normalisation over the last axis written with ``x.mean`` and
+    ``x.var``: returns the output and, for the upstream gradient ``dy``,
+    the gradients of ``x``, ``gain`` and ``bias``."""
+    mu = x.mean(axis=-1, keepdims=True)
+    var = x.var(axis=-1, keepdims=True)
+    inv_std = 1.0 / np.sqrt(var + eps)
+    xhat = (x - mu) * inv_std
+    dxhat = dy * gain
+    m1 = dxhat.mean(axis=-1, keepdims=True)
+    m2 = (dxhat * xhat).mean(axis=-1, keepdims=True)
+    dx = inv_std * (dxhat - m1 - xhat * m2)
+    return xhat * gain + bias, dx, (dy * xhat).sum(axis=0), dy.sum(axis=0)

@@ -23,6 +23,7 @@ from oracles import (
     best_alignment_cost_by_enumeration,
     ctc_score_by_enumeration,
     labelings_by_enumeration,
+    reference_ctc_loss,
 )
 
 
@@ -104,6 +105,42 @@ class TestCtcLoss:
         grad_logits = log_softmax_backward(logp, res.grad_logp, axis=-1)
         worst = array_grad_check(loss, logits, grad_logits, n_coords=24 * 4, h=1e-5)
         assert worst <= 1e-4
+
+
+@st.composite
+def loss_cases(draw):
+    """(logp, target): a random stream, some entries -inf, and a target
+    that may repeat tokens or be too long for the stream."""
+    t = draw(st.integers(1, 12))
+    v = draw(st.integers(1, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    logp = random_logp(t, v, rng)
+    if draw(st.booleans()):
+        dead = rng.random(logp.shape) < 0.2
+        dead[:, 0] = False
+        logp[dead] = -np.inf
+    return logp, draw(st.lists(st.integers(1, v), max_size=t + 2))
+
+
+class TestLossOracle:
+    """The loss runs its alphas and betas as one two-row lattice batch;
+    value and gradient equal two separate per-state passes bit for bit."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(case=loss_cases())
+    @example(case=(random_logp(3, 2, np.random.default_rng(9)), []))
+    @example(case=(random_logp(3, 2, np.random.default_rng(9)), [1, 1]))
+    @example(case=(random_logp(2, 2, np.random.default_rng(9)), [1, 1]))
+    def test_equals_two_pass_reference(self, case):
+        logp, target = case
+        ref = reference_ctc_loss(logp, target)
+        if ref is None:
+            with pytest.raises(UnsatisfiableTargetError, match="no valid alignment"):
+                ctc_loss(logp, target)
+            return
+        res = ctc_loss(logp, target)
+        assert np.float64(res.value).tobytes() == np.float64(ref[0]).tobytes()
+        assert res.grad_logp.tobytes() == ref[1].tobytes()
 
 
 class TestForwardScore:

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from sslasr.bottleneck import BottleneckAdapter, BottleneckConfig
 from sslasr.encoder import (
@@ -21,6 +23,7 @@ from sslasr.nn import sinusoidal_positions
 from sslasr.params import ParameterStore, make_optimizer
 
 from gradcheck import finite_difference_check
+from oracles import reference_contrastive_loss
 
 
 @pytest.fixture(scope="module")
@@ -194,7 +197,71 @@ class TestGumbelQuantize:
             model.quantizer.gumbel_temperature = 2.0
 
 
+@st.composite
+def contrastive_cases(draw):
+    """(c, q, masked, k, kappa, seed, distractors): random contexts and
+    targets, some rows with norms below the 1e-12 guard or zero, distinct
+    masked frames, and either distractors drawn from a generator seeded
+    with ``seed`` or fixed lists of mixed lengths."""
+    t = draw(st.integers(1, 12))
+    d = draw(st.integers(1, 70))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    c = rng.normal(size=(t, d)) * draw(st.sampled_from([1e-13, 1.0, 1e3]))
+    q = rng.normal(size=(t, d))
+    if draw(st.booleans()):
+        q[rng.integers(t)] = 0.0
+    masked = draw(st.lists(st.integers(0, t - 1), min_size=1, max_size=t, unique=True))
+    k = draw(st.integers(0, 7))
+    kappa = draw(st.sampled_from([0.05, 0.1, 1.0]))
+    distractors = None
+    if draw(st.booleans()):
+        frames = st.lists(st.integers(0, t - 1), max_size=k + 2)
+        distractors = {m: tuple(draw(frames)) for m in masked}
+    return c, q, masked, k, kappa, draw(st.integers(0, 2**32 - 1)), distractors
+
+
+_C, _Q = (np.random.default_rng(i).normal(size=(12, 64)) for i in (40, 41))
+# one masked frame; k = 0; k at least the masked count; fixed distractor
+# lists of mixed lengths, one of eleven candidates (numpy sums that row
+# pairwise, not left to right)
+ONE_FRAME = (_C, _Q, [3], 5, 0.1, 0, None)
+K_ZERO = (_C, _Q, [0, 2, 4, 9], 0, 0.1, 0, None)
+K_BEYOND = (_C, _Q, [1, 2, 7], 5, 0.1, 0, None)
+MIXED = (_C, _Q, [0, 1, 2, 5, 11], 3, 0.1, 0,
+         {0: (), 1: (2,), 2: (0, 1, 5, 5), 5: (1, 0), 11: tuple(range(10))})
+
+
 class TestContrastiveLoss:
+    @settings(max_examples=150, deadline=None)
+    @given(case=contrastive_cases())
+    @example(case=ONE_FRAME)
+    @example(case=K_ZERO)
+    @example(case=K_BEYOND)
+    @example(case=MIXED)
+    def test_equals_per_frame_reference(self, case):
+        c, q, masked, k, kappa, seed, distractors = case
+        rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        res = contrastive_loss(c, q, masked, k, kappa, rng=rng,
+                               distractor_indices=distractors)
+        ref = reference_contrastive_loss(c, q, masked, k, kappa, rng=ref_rng,
+                                         distractor_indices=distractors)
+        assert np.float64(res.value).tobytes() == np.float64(ref["value"]).tobytes()
+        assert res.grad_c.tobytes() == ref["grad_c"].tobytes()
+        assert res.grad_q.tobytes() == ref["grad_q"].tobytes()
+        assert res.accuracy == ref["accuracy"]
+        assert res.distractors == ref["distractors"]
+        assert res.reduced_frames == ref["reduced_frames"]
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+    def test_repeated_masked_frame_rejected(self):
+        with pytest.raises(ValueError, match="masked frame 2 is listed more than once"):
+            contrastive_loss(_C, _Q, [2, 5, 2], 1, 0.1, rng=np.random.default_rng(0))
+
+    @pytest.mark.parametrize("masked, bad", [([-1, 3], -1), ([3, 12], 12)])
+    def test_masked_frame_outside_rejected(self, masked, bad):
+        with pytest.raises(ValueError, match=rf"masked frame {bad} outside \[0, 12\)"):
+            contrastive_loss(_C, _Q, masked, 1, 0.1, rng=np.random.default_rng(0))
+
     def test_k_zero_is_zero(self):
         rng = np.random.default_rng(0)
         c, q = rng.normal(size=(5, 3)), rng.normal(size=(5, 3))
