@@ -51,8 +51,10 @@ class BottleneckAdapter(Module):
         self.fc2 = Linear(rng, cfg.d_bn, cfg.d_in, "bottleneck.fc2")
         self.drop2 = Dropout(cfg.dropout)
 
-    def forward_arrays(self, c, rng=None):
-        """(T, d_in) -> (bn (2T, d_bn), restored (T, d_in)).
+    def forward_arrays(self, c, rng=None, batch=None):
+        """(T, d_in) -> (bn (2T, d_bn), restored (T, d_in)). With a ragged
+        ``batch`` (:class:`nn.Ragged`), ``c`` holds its rows and so do the
+        outputs, 2T and T rows per utterance.
 
         Pass an rng to enable dropout (training); extraction calls leave
         it unset, so repeated extraction is deterministic.
@@ -60,10 +62,13 @@ class BottleneckAdapter(Module):
         c = np.asarray(c, dtype=np.float64)
         if c.ndim != 2 or c.shape[1] != self.cfg.d_in:
             raise ValueError(f"expected (T, {self.cfg.d_in}) input, got {c.shape}")
-        up = self.deconv.forward(c)
-        bn = self.drop1.forward(self.act1.forward(self.fc1.forward(up)), rng)
-        down = self.reconv.forward(bn)
-        restored = self.drop2.forward(self.fc2.forward(down), rng)
+        up = self.deconv.forward(c, batch)
+        up_batch = None if batch is None else batch.resized(self.deconv.out_length)
+        hidden = self.act1.forward(self.fc1.forward(up, up_batch), up_batch)
+        bn = self.drop1.forward(hidden, rng)
+        down = self.reconv.forward(bn, up_batch)
+        down_batch = None if batch is None else up_batch.resized(self.reconv.out_length)
+        restored = self.drop2.forward(self.fc2.forward(down, down_batch), rng)
         return bn, restored
 
     def backward_from_restored(self, drestored, dbn=None):

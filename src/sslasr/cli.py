@@ -216,8 +216,9 @@ def cmd_extract_bn(args):
     out_dir.mkdir(parents=True, exist_ok=True)
     from .features import write_features
 
-    for record in corpus.manifest:
-        feats = pipeline.bottleneck_features(corpus, record, model, adapter)
+    records = corpus.manifest.records
+    for record, feats in zip(records, pipeline.bottleneck_features(corpus, records, model,
+                                                                   adapter)):
         write_features(feats, out_dir / f"{record.utt_id}.sff")
     print(f"wrote {len(corpus.manifest)} bottleneck feature files to {out_dir}")
 
@@ -233,8 +234,9 @@ def cmd_invert(args):
     out_dir.mkdir(parents=True, exist_ok=True)
     from .features import write_features
 
-    for record in corpus.manifest:
-        feats = pipeline.articulatory_features(corpus, record, model, adapter, mdn_model)
+    records = corpus.manifest.records
+    trajectories = pipeline.articulatory_features(corpus, records, model, adapter, mdn_model)
+    for record, feats in zip(records, trajectories):
         write_features(feats, out_dir / f"{record.utt_id}.sff")
     print(f"inversion NLL {history[0]['nll']:.4f} -> {history[-1]['nll']:.4f}; "
           f"wrote {len(corpus.manifest)} trajectory files")
@@ -311,10 +313,11 @@ def cmd_decode(args):
         corpus = pipeline.Corpus(args.corpus)
         feature_fn, model, adapter = _feature_fn_from_args(args, cfg, corpus)
         am = _load_am(cfg, args.am)
-        streams = {}
-        for record in sorted(corpus.manifest.subset("test-seen", "test-unseen"),
-                             key=lambda r: r.utt_id):
-            streams[record.utt_id] = am.posteriors(feature_fn(record), source="am")
+        records = sorted(corpus.manifest.subset("test-seen", "test-unseen"),
+                         key=lambda r: r.utt_id)
+        stream_list = [s for feats in feature_fn(records)
+                       for s in am.posteriors(feats, source="am")]
+        streams = {r.utt_id: s for r, s in zip(records, stream_list)}
     else:
         raise ValueError("decode needs either --streams or --corpus with --am")
     if args.save_streams:
@@ -357,18 +360,19 @@ def cmd_rescore(args):
     if args.adapter:
         adapter = pipeline.load_adapter(cfg, model.cfg.d_model, args.adapter)
     by_id = corpus.manifest.by_id()
-    lines = []
     with open(args.nbest) as fh:
         nbests = [NBestList.from_json(line) for line in fh if line.strip()]
     for nbest in nbests:
-        record = by_id.get(nbest.utt_id)
-        if record is None:
+        if nbest.utt_id not in by_id:
             raise KeyError(f"utterance {nbest.utt_id!r} not in the corpus manifest")
-        _, h = model.represent(corpus.audio(record), adapter)
-        scored = score_nbest_with_ssl(nbest, model.head_posteriors(h), corpus.vocab)
+    records = [by_id[nbest.utt_id] for nbest in nbests]
+    ssl = [stream for _, _, _, h in pipeline.record_batches(corpus, records, model, adapter)
+           for stream in model.head_posteriors(h)]
+    lines = []
+    for scored in score_nbest_with_ssl(zip(nbests, ssl), corpus.vocab):
         best, _ = rescore(scored, alpha, beta)
         lines.append(json.dumps(Hypothesis(
-            nbest.utt_id, list(best.words), list(best.tokens), best.combined_cost
+            scored.utt_id, list(best.words), list(best.tokens), best.combined_cost
         ).to_json_dict()))
     _emit_lines(lines, args.out)
 

@@ -10,9 +10,10 @@ yields one frame at a time, so each caller keeps only what it reads.
 rescoring read its costs at the last. The loss reads every frame of its
 forward and backward lattices, run as one two-row batch: the target on
 the stream, and the reversed target on the time-reversed stream.
-``_ctc_costs`` runs a padded batch of streams of different lengths in one
-frame loop and keeps each stream's costs at its own last frame, so a
-whole test set is decoded in one pass.
+``_ctc_costs`` runs a padded batch of streams of different lengths, each
+with its own targets, in one frame loop and keeps each stream's costs at
+its own last frame, so a whole test set is decoded, or its N-best lists
+rescored, in one pass.
 
 Alignment-lattice conventions: blank id is 0, lexical tokens are 1..V,
 and all lattice arithmetic runs in log space with -inf for impossible
@@ -204,29 +205,62 @@ def _ctc_lattice(logp, targets, plus):
 
 
 def _ctc_costs(logps, targets, plus):
-    """(B, N) costs of every target on every stream of a batch, in one
-    frame loop.
+    """(B, N) costs of each stream's own targets, in one frame loop.
 
-    The streams may differ in length. They are padded into one (T, B, V)
-    array, the recursion runs over (B, N, S) alphas, and each stream's
-    costs are read at its own last frame, so every cost equals
-    ``_ctc_lattice`` on that stream alone bit for bit. A stream of no
-    frames has no path.
+    ``targets[b]`` lists the targets of stream ``b``. The lists may differ
+    in length: N is the longest, and a shorter list's missing costs are
+    +inf. The streams may differ in length too. They are padded into one
+    (T, B, V) array, the recursion runs over (B, N, S) alphas, each row
+    with its own states, blank-skip mask and final states, and each
+    stream's costs are read at its own last frame, so every cost equals
+    ``_ctc_lattice`` on that stream and target alone bit for bit. A stream
+    of no frames has no path.
     """
+    if len(targets) != len(logps):
+        raise ValueError(f"{len(logps)} streams but {len(targets)} target lists")
     if not logps:
-        return np.zeros((0, len(targets)))
+        return np.zeros((0, 0))
     lengths = np.array([len(x) for x in logps], dtype=np.int64)
-    padded = np.zeros((lengths.max(), len(logps), logps[0].shape[1]))
+    width = logps[0].shape[1]
+    padded = np.zeros((lengths.max(), len(logps), width))
     for b, x in enumerate(logps):
         padded[: len(x), b] = x
-    ext, n_states, skip_ok = _lattice_states(targets)
-    costs = np.full((len(logps), len(targets)), np.inf)
-    alphas = _alpha_frames((frame[:, ext] for frame in padded), skip_ok, plus)
+    ext, n_states, skip_ok = _stream_states(targets)
+    # each row's state labels as indices into the flat (B * V) frame
+    flat = ext + (np.arange(len(logps)) * width)[:, None, None]
+    alphas = _alpha_frames((frame.reshape(-1)[flat] for frame in padded), skip_ok, plus)
+    costs = np.full(n_states.shape, np.inf)
     for t, alpha in enumerate(alphas):
         done = np.flatnonzero(lengths == t + 1)
         if done.size:
-            costs[done] = _final_costs(alpha[done], n_states, plus)
+            # each (stream, target) row with its own state count
+            finals = _final_costs(alpha[done].reshape(-1, ext.shape[-1]),
+                                  n_states[done].reshape(-1), plus)
+            costs[done] = finals.reshape(done.size, -1)
+    for row, ts in enumerate(targets):
+        costs[row, len(ts) :] = np.inf
     return costs
+
+
+def _stream_states(targets):
+    """``_lattice_states`` of each stream's target list, padded into (B, N,
+    S) labels and skip masks and (B, N) state counts; padding rows are a
+    lone blank state. Streams that share one list object, as in an
+    isolated-word decode of one lexicon, share its states' build."""
+    n = max(len(ts) for ts in targets)
+    s = 2 * max((len(y) for ts in targets for y in ts), default=0) + 1
+    ext = np.zeros((len(targets), n, s), dtype=np.int64)
+    n_states = np.ones((len(targets), n), dtype=np.int64)
+    skip_ok = np.zeros(ext.shape, dtype=bool)
+    built = {}
+    for row, ts in enumerate(targets):
+        if id(ts) not in built:
+            built[id(ts)] = _lattice_states(ts)
+        e, ns, ok = built[id(ts)]
+        ext[row, : len(ts), : e.shape[1]] = e
+        n_states[row, : len(ts)] = ns
+        skip_ok[row, : len(ts), : e.shape[1]] = ok
+    return ext, n_states, skip_ok
 
 
 def _stream_logp(stream):

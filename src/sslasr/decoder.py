@@ -227,8 +227,8 @@ def isolated_nbest_batch(streams, lexicon: Lexicon, vocab: TokenVocab, n, utt_id
         raise ValueError("lexicon is not in isolated-word mode")
     if len(utt_ids) != len(streams):
         raise ValueError(f"{len(streams)} streams but {len(utt_ids)} utterance ids")
-    costs = _ctc_costs([s.logp for s in streams], _resolve_tokens(lexicon, vocab),
-                       np.maximum)
+    words = _resolve_tokens(lexicon, vocab)
+    costs = _ctc_costs([s.logp for s in streams], [words] * len(streams), np.maximum)
     nbests = []
     for utt_id, row in zip(utt_ids, costs):
         entries = []

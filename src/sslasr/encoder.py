@@ -9,6 +9,7 @@ Frame geometry is fixed by the CNN stack: stride 320 samples (20 ms at
 
 from __future__ import annotations
 
+import itertools
 import logging
 import math
 from dataclasses import dataclass, field
@@ -24,6 +25,7 @@ from .nn import (
     Linear,
     Module,
     Parameter,
+    Ragged,
     TransformerBlock,
     gumbel_noise,
     log_softmax,
@@ -54,6 +56,14 @@ DEEP_CONV_LAYERS = (
     (32, 2, 2),
     (32, 2, 2),
 )
+
+
+# utterances per ragged batch when many are encoded (see windows).
+# tests/bench_inference.py: over 32 default-config utterances, batches of
+# 8 and 16 take 0.63-0.66 of the per-utterance time when the batch holds
+# two lengths and ~0.85 when every length differs; 32 is slower. 8 keeps
+# a batch's activations, and the process's peak RSS, smaller than 16.
+_WINDOW = 8
 
 
 @dataclass
@@ -138,6 +148,16 @@ def sample_mask_spans(n_frames, mask_prob, mask_span, rng, ensure_nonempty=False
     for s in starts:
         covered[s : s + mask_span] = True
     return np.flatnonzero(covered)
+
+
+def windows(items):
+    """Consume ``items`` a fixed window at a time, yielding each window as
+    a list; a lazy iterable (one that reads files, say) has at most one
+    window read at once. Forward passes over many utterances run one
+    ragged batch per window."""
+    items = iter(items)
+    while window := list(itertools.islice(items, _WINDOW)):
+        yield window
 
 
 class GumbelQuantizer(Module):
@@ -374,22 +394,47 @@ class SslEncoder(Module):
     # ---- feature encoder ----
 
     def encode_raw(self, audio):
-        """Run the CNN stack over raw samples; frame shift is 20 ms."""
-        samples = audio.samples if isinstance(audio, AudioBuffer) else np.asarray(audio)
-        if isinstance(audio, AudioBuffer) and audio.sample_rate != self.cfg.sample_rate:
+        """The CNN features, at a 20 ms frame shift, of a list of
+        utterances (AudioBuffers or 1-D samples): a list of (T, C) arrays,
+        run as one ragged batch (:class:`nn.Ragged`). Each equals the
+        per-utterance training forward bit for bit; pass one utterance as
+        ``[audio]``."""
+        z, batch = self._encode_batch(audio)
+        return batch.split(z)
+
+    def _encode_batch(self, audio):
+        """``(rows, batch)`` of the CNN stack over a list of utterances."""
+        return self._encode(*Ragged.of([self._samples(a) for a in audio]))
+
+    def _encode(self, samples, batch=None):
+        """``(rows, batch)`` of the CNN stack over the samples of one
+        utterance (``batch`` None: the training forward, which keeps what
+        its backward pass needs) or of a ragged batch."""
+        shortest = len(samples) if batch is None else min(batch.lengths)
+        if shortest < self.cfg.receptive_field():
             raise ValueError(
-                f"encoder expects {self.cfg.sample_rate} Hz audio, got {audio.sample_rate}"
-            )
-        samples = np.asarray(samples, dtype=np.float64)
-        if samples.size < self.cfg.receptive_field():
-            raise ValueError(
-                f"audio of {samples.size} samples is shorter than the "
+                f"audio of {shortest} samples is shorter than the "
                 f"{self.cfg.receptive_field()}-sample receptive field"
             )
         x = samples[:, None]
         for conv, act in zip(self.convs, self.conv_acts):
-            x = act.forward(conv.forward(x))
-        return x
+            x = conv.forward(x, batch)
+            batch = None if batch is None else batch.resized(conv.out_length)
+            x = act.forward(x, batch)
+        return x, batch
+
+    def _samples(self, audio):
+        """The float64 samples of one utterance, at the encoder's rate."""
+        if isinstance(audio, AudioBuffer):
+            if audio.sample_rate != self.cfg.sample_rate:
+                raise ValueError(f"encoder expects {self.cfg.sample_rate} Hz audio, "
+                                 f"got {audio.sample_rate}")
+            audio = audio.samples
+        samples = np.asarray(audio, dtype=np.float64)
+        if samples.ndim != 1:
+            raise ValueError("an utterance is an AudioBuffer or 1-D samples, "
+                             f"not a {samples.ndim}-D array")
+        return samples
 
     def _encode_backward(self, dz):
         for conv, act in zip(reversed(self.convs), reversed(self.conv_acts)):
@@ -398,8 +443,8 @@ class SslEncoder(Module):
 
     # ---- context network ----
 
-    def _project_and_mask(self, zn, mask_indices):
-        x = self.proj.forward(zn)
+    def _project_and_mask(self, zn, mask_indices, batch=None):
+        x = self.proj.forward(zn, batch)
         mask_indices = np.asarray(list(mask_indices), dtype=np.int64)
         if mask_indices.size:
             x = x.copy()
@@ -407,20 +452,27 @@ class SslEncoder(Module):
         self._mask_indices = mask_indices
         return x
 
-    def transformer_input(self, z, mask_indices=()):
+    def transformer_input(self, z, mask_indices=(), batch=None):
         """Projected frames with masked rows replaced by the learned mask
         embedding: exactly what the transformer stack consumes (positions
         are added inside the stack)."""
-        return self._project_and_mask(self.z_norm.forward(z), mask_indices)
+        return self._project_and_mask(self.z_norm.forward(z, batch), mask_indices, batch)
 
-    def _context_from_input(self, x):
-        h = x + self.cfg.position_scale * sinusoidal_positions(x.shape[0], self.cfg.d_model)
+    def _context_from_input(self, x, batch=None):
+        d = self.cfg.d_model
+        if batch is None:
+            positions = sinusoidal_positions(len(x), d)
+        else:
+            positions = np.concatenate([sinusoidal_positions(t, d) for t in batch.lengths])
+        h = x + self.cfg.position_scale * positions
         for block in self.blocks:
-            h = block.forward(h)
-        return self.final_norm.forward(h)
+            h = block.forward(h, batch)
+        return self.final_norm.forward(h, batch)
 
-    def contextualize(self, z, mask_indices=()):
-        return self._context_from_input(self.transformer_input(z, mask_indices))
+    def contextualize(self, z, mask_indices=(), batch=None):
+        """The context network over the CNN features of one utterance, or
+        over the rows of a ragged batch."""
+        return self._context_from_input(self.transformer_input(z, mask_indices, batch), batch)
 
     def _context_backward(self, dc):
         """Propagate dL/dC back to dL/d(normalized features); the caller
@@ -444,23 +496,35 @@ class SslEncoder(Module):
         self.head = Linear(rng, self.cfg.d_model, n_classes, "ctc_head")
 
     def represent(self, audio, adapter=None):
-        """The one forward pass from audio: CNN, transformer and, with an
-        adapter, the adapter with dropout off. Returns ``(bn, h)``: ``bn``
-        is the adapter's bottleneck rows (None without an adapter) and
-        ``h`` is what the CTC head consumes, the context or the adapter's
-        ``restored`` output."""
-        c = self.contextualize(self.encode_raw(audio))
-        if adapter is None:
-            return None, c
-        return adapter.forward_arrays(c)
+        """The one inference pass from audio: CNN, transformer and, with an
+        adapter, the adapter with dropout off, over a list of utterances
+        as for :meth:`encode_raw`. Returns ``(bn, h)``, a list of rows per
+        utterance each: ``bn`` holds the adapter's bottleneck rows (``bn``
+        is None without an adapter) and ``h`` what the CTC head consumes,
+        the context or the adapter's ``restored`` output.
 
-    def head_posteriors(self, h) -> PosteriorStream:
+        The list runs as one ragged batch: its rows go through each layer
+        together, the matrix products and attention once per run of equal
+        length (:class:`nn.Ragged`), and they are split per utterance only
+        at the end. Every entry equals the per-utterance training forward
+        bit for bit; one utterance is the batch of one, ``[audio]``."""
+        z, batch = self._encode_batch(audio)
+        c = self.contextualize(z, batch=batch)
+        if adapter is None:
+            return None, batch.split(c)
+        bn, h = adapter.forward_arrays(c, batch=batch)
+        return batch.resized(adapter.deconv.out_length).split(bn), batch.split(h)
+
+    def head_posteriors(self, h):
         """Per-frame CTC log probabilities at a 20 ms shift over the head
-        input ``h`` of :meth:`represent`."""
+        inputs ``h`` of :meth:`represent`: one stream per input, run as one
+        ragged batch."""
         if self.head is None:
             raise ValueError("no CTC head attached; fine-tune the model first")
-        logp = log_softmax(self.head.forward(h), axis=-1)
-        return PosteriorStream(logp, self.cfg.frame_shift_us, "w2v")
+        shift = self.cfg.frame_shift_us
+        rows, batch = Ragged.of(h)
+        logp = log_softmax(self.head.forward(rows, batch), axis=-1)
+        return [PosteriorStream(x, shift, "w2v") for x in batch.split(logp)]
 
 
 def pretrain_step(model, samples, rng=None, hard=True, mask=None, noise=None,
@@ -477,7 +541,7 @@ def pretrain_step(model, samples, rng=None, hard=True, mask=None, noise=None,
     cfg = model.cfg
     if diversity_weight is None:
         diversity_weight = cfg.loss_weight_diversity
-    z = model.encode_raw(samples)
+    z, _ = model._encode(model._samples(samples))
     t = z.shape[0]
     if mask is None:
         mask = sample_mask_spans(t, cfg.mask_prob, cfg.mask_span, rng, ensure_nonempty=True)
@@ -582,9 +646,10 @@ def finetune_ctc(dataset, model: SslEncoder, n_classes, epochs, seed,
     parameters selected by ``scope`` are updated. Returns the per-epoch
     mean loss history.
 
-    The frozen prefix of the network runs once per utterance per call.
-    Every scope but "all" freezes the CNN feature encoder, so its output
-    is computed before the first epoch and its backward pass is skipped.
+    The frozen prefix of the network runs once per utterance per call, in
+    one ragged batch per window of utterances (``windows``). Every scope but
+    "all" freezes the CNN feature encoder, so its output is computed before
+    the first epoch and its backward pass is skipped.
     "head-only" freezes everything below the head, so the cached input is
     the head input itself (the ``h`` of ``SslEncoder.represent``) and each
     step runs only the head, the CTC loss and the head's backward pass.
@@ -606,12 +671,13 @@ def finetune_ctc(dataset, model: SslEncoder, n_classes, epochs, seed,
                 raise ValueError(f"token id {tok} outside vocabulary range 1..{n_classes - 1}")
     rng = np.random.default_rng(loop_seed)
     params = trainable_parameters(model, scope, adapter=adapter)
-    if scope == "head-only":
-        inputs = [model.represent(samples, adapter)[1] for samples, _ in dataset]
-    elif scope != "all":
-        inputs = [model.encode_raw(samples) for samples, _ in dataset]
-    else:
+    if scope == "all":
         inputs = [samples for samples, _ in dataset]
+    else:
+        inputs = []
+        for window in windows(samples for samples, _ in dataset):
+            inputs += (model.represent(window, adapter)[1] if scope == "head-only"
+                       else model.encode_raw(window))
 
     def step(i, _epoch):
         return _ctc_step(model, inputs[i], dataset[i][1], adapter, scope)
@@ -631,7 +697,7 @@ def _ctc_step(model, x, tokens, adapter=None, scope="all"):
     if scope == "head-only":
         h = x
     else:
-        z = model.encode_raw(x) if scope == "all" else x
+        z = model._encode(model._samples(x))[0] if scope == "all" else x
         h = model.contextualize(z)
         if adapter is not None:
             _, h = adapter.forward_arrays(h)

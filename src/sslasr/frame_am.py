@@ -12,7 +12,7 @@ import numpy as np
 
 from .ctc import PosteriorStream
 from .features import FeatureMatrix
-from .nn import Linear, Module, Relu, log_softmax, log_softmax_backward
+from .nn import Linear, Module, Ragged, Relu, log_softmax, log_softmax_backward
 from .params import train_epochs
 
 logger = logging.getLogger(__name__)
@@ -59,10 +59,10 @@ class FrameAm(Module):
             d_in = h
         self.out = Linear(rng, d_in, n_classes, "am.out")
 
-    def _forward_logits(self, x):
+    def _forward_logits(self, x, batch=None):
         for layer, act in zip(self.layers, self.acts):
-            x = act.forward(layer.forward(x))
-        return self.out.forward(x)
+            x = act.forward(layer.forward(x, batch), batch)
+        return self.out.forward(x, batch)
 
     def _backward_logits(self, dlogits):
         dx = self.out.backward(dlogits)
@@ -70,29 +70,51 @@ class FrameAm(Module):
             dx = layer.backward(act.backward(dx))
         return dx
 
-    def posteriors(self, feats: FeatureMatrix, source="am") -> PosteriorStream:
+    def _spliced(self, feats: FeatureMatrix):
+        """The spliced float32 rows of one utterance; the MLP takes them
+        cast to float64."""
         spliced = splice_context(feats, self.cfg.offsets)
         if spliced.dim != self.d_feat * len(self.cfg.offsets):
             raise ValueError(
                 f"feature width {feats.dim} does not match the model's {self.d_feat}"
             )
-        logits = self._forward_logits(spliced.data.astype(np.float64))
-        return PosteriorStream(log_softmax(logits, axis=-1), feats.frame_shift_us, source)
+        return spliced.data
+
+    def posteriors(self, feats, source="am"):
+        """Per-frame log posteriors of a list of FeatureMatrix objects, as
+        a list of streams in the same order.
+
+        The list runs through the MLP as one ragged batch (:class:`nn.Ragged`):
+        each layer's activations once over all its rows, its matrix product
+        once per run of equal frame counts. Each stream equals the
+        per-utterance training forward (:func:`cross_entropy_step`) bit for
+        bit; one utterance is the batch of one, ``[feats]``.
+        """
+        rows, batch = Ragged.of([self._spliced(f) for f in feats])
+        logp = log_softmax(self._forward_logits(rows, batch), axis=-1)
+        return [PosteriorStream(x, f.frame_shift_us, source)
+                for x, f in zip(batch.split(logp), feats)]
+
+    def training_example(self, feats: FeatureMatrix, labels):
+        """``(x, labels)`` for :func:`cross_entropy_step`: the spliced
+        float32 rows and int64 labels of one utterance, with one label per
+        frame, each a class of the model."""
+        labels = np.asarray(labels, dtype=np.int64)
+        if labels.shape != (feats.n_frames,):
+            raise ValueError("need one label per frame")
+        if labels.min() < 0 or labels.max() >= self.n_classes:
+            raise ValueError(
+                f"label outside 0..{self.n_classes - 1}: range "
+                f"[{labels.min()}, {labels.max()}]"
+            )
+        return self._spliced(feats), labels
 
 
-def cross_entropy_step(model: FrameAm, feats: FeatureMatrix, labels):
-    """Mean frame cross-entropy with backward; returns (loss, the log
-    posteriors of the forward pass)."""
-    labels = np.asarray(labels, dtype=np.int64)
-    if labels.shape[0] != feats.n_frames:
-        raise ValueError("need one label per frame")
-    if labels.min() < 0 or labels.max() >= model.n_classes:
-        raise ValueError(
-            f"label outside 0..{model.n_classes - 1}: range "
-            f"[{labels.min()}, {labels.max()}]"
-        )
-    spliced = splice_context(feats, model.cfg.offsets)
-    logits = model._forward_logits(spliced.data.astype(np.float64))
+def cross_entropy_step(model: FrameAm, x, labels):
+    """Mean frame cross-entropy with backward over one utterance's
+    :meth:`FrameAm.training_example`; returns (loss, the log posteriors
+    of the forward pass)."""
+    logits = model._forward_logits(x.astype(np.float64))
     logp = log_softmax(logits, axis=-1)
     t = logp.shape[0]
     loss = float(-logp[np.arange(t), labels].mean())
@@ -126,6 +148,10 @@ def train_am(dataset, cfg: AmConfig, d_feat, n_classes, epochs, seed,
              optimizer_cfg=None):
     """Train the frame classifier over (features, labels) pairs.
 
+    Each utterance is spliced and its labels checked once, before the
+    first epoch; the spliced rows stay float32, half the memory, and each
+    step casts them to float64.
+
     Returns (model, history); history holds mean cross-entropy and frame
     accuracy per epoch. Both are taken from each step's forward pass, so
     they measure the model before that step's update. Deterministic under
@@ -135,11 +161,12 @@ def train_am(dataset, cfg: AmConfig, d_feat, n_classes, epochs, seed,
     init_seed, loop_seed = seq.spawn(2)
     model = FrameAm(cfg, d_feat, n_classes, seed=init_seed)
     rng = np.random.default_rng(loop_seed)
+    examples = [model.training_example(feats, labels) for feats, labels in dataset]
 
     def step(i, _epoch):
-        feats, labels = dataset[i]
-        loss, logp = cross_entropy_step(model, feats, labels)
-        hits = int((np.argmax(logp, axis=1) == np.asarray(labels)).sum())
+        x, labels = examples[i]
+        loss, logp = cross_entropy_step(model, x, labels)
+        hits = int((np.argmax(logp, axis=1) == labels).sum())
         return loss, hits, len(logp)
 
     history = []

@@ -5,12 +5,35 @@ needs on the most recent forward call, so the usage pattern is strictly
 forward -> backward per example; parameter gradients accumulate across
 examples until they are cleared.
 
+A forward pass also takes a ragged batch of utterances: their (T_i, d)
+rows concatenated one utterance after another into one (sum T_i, d)
+array, with a :class:`Ragged` that gives each utterance's length. The
+row-wise work (bias adds, activations, normalisation) runs once on all
+rows, and a conv frames all of them with one gather. Each matrix
+product runs once per run of consecutive utterances of equal length, as
+one (n, T, d) stack: numpy calls BLAS for each (T, d) matrix, the call
+one utterance makes alone. One product over rows of mixed lengths would
+not be exact: OpenBLAS sums some shapes in an order that depends on the
+row count (seen for output widths that are not a multiple of 8 and for
+more than ~384 inputs per row), and a one-row product is a gemv.
+Attention and the transposed conv's overlap-add run per run of equal
+length too. So every utterance's output rows equal its own forward pass
+bit for bit, and ``Ragged.of`` orders a batch by length so that equal
+lengths share their calls. A forward pass without a ``Ragged`` is the
+one-utterance case of the same code, which training runs: it keeps what
+its backward pass needs. Inference runs batches only (a batch may hold
+one utterance) and a batched forward keeps no cache; a backward pass
+after it raises ValueError naming the layer.
+
 Gradients live in optimizer-owned storage: an optimizer packs the values
 and gradients of the parameters it is given into one flat buffer each
 (``pack_parameters``), and the optimizer's ``zero_grad`` clears them with
 a single fill. The one training schedule, ``params.train_epochs``, clears
 only its optimizer's gradients before each step: a frozen layer that
-gradients pass through accumulates gradients no one reads.
+gradients pass through accumulates gradients no one reads. When the
+schedule ends, the parameters get compact storage of their own back
+(``unpack_parameters``), so a frozen layer does not keep a finished
+stage's buffers alive.
 ``Module.zero_grad`` clears every parameter of a module, for callers that
 compute gradients without an optimizer.
 """
@@ -18,6 +41,7 @@ compute gradients without an optimizer.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 
 import numpy as np
@@ -111,6 +135,15 @@ def pack_parameters(params):
     return value, grad
 
 
+def unpack_parameters(params):
+    """Give each of ``params`` its own compact value and gradient storage
+    again, contents kept, so the flat buffers of ``pack_parameters`` are
+    freed once nothing else refers to them."""
+    for p in params:
+        p._value = p._value.copy()
+        p._grad = p._grad.copy()
+
+
 class Module:
     """Base class: a container of parameters and sub-modules."""
 
@@ -142,6 +175,86 @@ class Module:
         return d
 
 
+class Ragged:
+    """The layout of a ragged batch: the rows of several utterances in one
+    array, one utterance after another.
+
+    ``lengths`` holds the utterances' frame counts in row order and
+    ``order`` the caller's index of each. ``runs`` holds ``(first row,
+    utterances, frames)`` for each run of consecutive equal lengths; each
+    run shares one BLAS call per matrix product.
+    """
+
+    __slots__ = ("lengths", "order", "runs")
+
+    def __init__(self, lengths, order):
+        self.lengths, self.order = tuple(lengths), tuple(order)
+        runs, first = [], 0
+        for t, same in itertools.groupby(self.lengths):
+            n = sum(1 for _ in same)
+            runs.append((first, n, t))
+            first += n * t
+        self.runs = tuple(runs)
+
+    @classmethod
+    def of(cls, arrays):
+        """``(rows, batch)`` of a list of per-utterance arrays: their rows
+        as float64, concatenated in order of length (a stable sort), so
+        utterances of equal length form one run."""
+        if not arrays:
+            raise ValueError("a batch needs at least one utterance")
+        order = sorted(range(len(arrays)), key=lambda i: len(arrays[i]))
+        rows = np.concatenate([arrays[i] for i in order], dtype=np.float64)
+        return rows, cls([len(arrays[i]) for i in order], order)
+
+    def resized(self, frames):
+        """The layout after a layer that turns T frames into ``frames(T)``."""
+        return Ragged([frames(t) for t in self.lengths], self.order)
+
+    def split(self, rows):
+        """Each utterance's rows of ``rows`` (views), in the caller's order."""
+        out = [None] * len(self.order)
+        first = 0
+        for i, t in zip(self.order, self.lengths):
+            out[i] = rows[first : first + t]
+            first += t
+        return out
+
+
+def _runs(x, batch):
+    """The runs of ``batch``; one utterance of ``len(x)`` frames without one."""
+    return ((0, 1, len(x)),) if batch is None else batch.runs
+
+
+def _matmul(x, w, batch):
+    """``x @ w`` over the rows of one utterance or of a ragged batch, one
+    BLAS product per run of equal-length utterances (module docstring)."""
+    if batch is None:
+        return x @ w
+    out = np.empty((len(x), w.shape[1]))
+    for first, n, t in batch.runs:
+        rows = slice(first, first + n * t)
+        np.matmul(x[rows].reshape(n, t, -1), w, out=out[rows].reshape(n, t, -1))
+    return out
+
+
+def _for_backward(batch, *cache):
+    """What a forward pass keeps for its backward pass: ``cache`` for one
+    utterance, Nones for a batch. A batch keeps nothing, so inference over
+    it holds no layer's activations once it returns."""
+    return cache if batch is None else (None,) * len(cache)
+
+
+def _per_utterance(layer, cache):
+    """Refuse a backward pass with no per-utterance forward cached."""
+    if cache is None:
+        raise ValueError(
+            f"{layer}: backward pass without a per-utterance forward; the last "
+            "forward was a batch or none ran, and backward passes run one "
+            "utterance at a time"
+        )
+
+
 def _init_weight(rng, shape, fan_in):
     bound = 1.0 / math.sqrt(fan_in)
     return rng.uniform(-bound, bound, size=shape)
@@ -149,39 +262,48 @@ def _init_weight(rng, shape, fan_in):
 
 class Linear(Module):
     def __init__(self, rng, d_in, d_out, name):
+        self.name = name
         self.w = Parameter(name + ".w", _init_weight(rng, (d_in, d_out), d_in))
         self.b = Parameter(name + ".b", np.zeros(d_out))
         self._x = None
 
-    def forward(self, x):
-        self._x = x
-        return x @ self.w.value + self.b.value
+    def forward(self, x, batch=None):
+        (self._x,) = _for_backward(batch, x)
+        return _matmul(x, self.w.value, batch) + self.b.value
 
     def backward(self, dy):
+        _per_utterance(f"Linear {self.name!r}", self._x)
         self.w.grad += self._x.T @ dy
         self.b.grad += dy.sum(axis=0)
         return dy @ self.w.value.T
 
 
 class Relu(Module):
-    def forward(self, x):
-        self._mask = x > 0.0
-        return np.where(self._mask, x, 0.0)
+    _mask = None
+
+    def forward(self, x, batch=None):
+        mask = x > 0.0
+        (self._mask,) = _for_backward(batch, mask)
+        return np.where(mask, x, 0.0)
 
     def backward(self, dy):
+        _per_utterance("Relu", self._mask)
         return np.where(self._mask, dy, 0.0)
 
 
 class Gelu(Module):
     """Exact (erf-based) GELU."""
 
-    def forward(self, x):
-        self._x = x
-        self._cdf = 0.5 * (1.0 + erf(x * _INV_SQRT2))
-        return x * self._cdf
+    _x = _cdf = None
+
+    def forward(self, x, batch=None):
+        cdf = 0.5 * (1.0 + erf(x * _INV_SQRT2))
+        self._x, self._cdf = _for_backward(batch, x, cdf)
+        return x * cdf
 
     def backward(self, dy):
         x = self._x
+        _per_utterance("Gelu", x)
         pdf = _INV_SQRT_2PI * np.exp(-0.5 * x * x)
         return dy * (self._cdf + x * pdf)
 
@@ -211,22 +333,26 @@ class Dropout(Module):
 
 class LayerNorm(Module):
     def __init__(self, d, name, eps=1e-6):
+        self.name = name
         self.gain = Parameter(name + ".gain", np.ones(d))
         self.bias = Parameter(name + ".bias", np.zeros(d))
         self.eps = eps
+        self._inv_std = self._xhat = None
 
-    def forward(self, x):
+    def forward(self, x, batch=None):
         # np.add.reduce(...) / d is what x.mean and x.var compute, without
         # their Python-level wrappers
         d = x.shape[-1]
         xc = x - np.add.reduce(x, axis=-1, keepdims=True) / d
         var = np.add.reduce(xc * xc, axis=-1, keepdims=True) / d
-        self._inv_std = 1.0 / np.sqrt(var + self.eps)
-        self._xhat = xc * self._inv_std
-        return self._xhat * self.gain.value + self.bias.value
+        inv_std = 1.0 / np.sqrt(var + self.eps)
+        xhat = xc * inv_std
+        self._inv_std, self._xhat = _for_backward(batch, inv_std, xhat)
+        return xhat * self.gain.value + self.bias.value
 
     def backward(self, dy):
         xhat = self._xhat
+        _per_utterance(f"LayerNorm {self.name!r}", xhat)
         d = xhat.shape[-1]
         self.gain.grad += (dy * xhat).sum(axis=0)
         self.bias.grad += dy.sum(axis=0)
@@ -237,25 +363,28 @@ class LayerNorm(Module):
 
 
 def _overlap_add(parts, stride, length):
-    """Overlap-add of (T, K, C) per-tap rows: a (length, C) array whose
-    row ``t * stride + k`` sums ``parts[t, k]`` over every (t, k) that
-    lands there; rows nothing lands on are zero.
+    """Overlap-add of (..., T, K, C) per-tap rows: a (..., length, C) array
+    whose row ``t * stride + k`` sums ``parts[..., t, k, :]`` over every
+    (t, k) that lands there; rows nothing lands on are zero. Leading axes
+    are a stack, each row of it added alone.
 
-    Equal to ``np.add.at(out, idx.ravel(), parts.reshape(-1, C))`` with
-    ``idx[t, k] = t * stride + k`` bit for bit. ``add.at`` adds each
-    row's parts in order of t, so of k from high to low. Here the taps
-    go in stride-wide blocks, visited from the last block down: the
-    taps of one block never share a row, so each block is one
-    reshape-add over a strided view, ceil(K / stride) adds in all.
+    For one (T, K, C) input, equal to ``np.add.at(out, idx.ravel(),
+    parts.reshape(-1, C))`` with ``idx[t, k] = t * stride + k`` bit for
+    bit. ``add.at`` adds each row's parts in order of t, so of k from high
+    to low. Here the taps go in stride-wide blocks, visited from the last
+    block down: the taps of one block never share a row, so each block is
+    one reshape-add over a strided view, ceil(K / stride) adds in all.
     """
-    t, k, c = parts.shape
+    *lead, t, k, c = parts.shape
     n_blocks = -(-k // stride)
-    out = np.zeros((max(length, (t + n_blocks - 1) * stride), c))
+    out = np.zeros((*lead, max(length, (t + n_blocks - 1) * stride), c))
     for block in reversed(range(n_blocks)):
         lo = block * stride
-        taps = parts[:, lo : lo + stride]
-        out[lo : lo + t * stride].reshape(t, stride, c)[:, : taps.shape[1]] += taps
-    return out[:length]
+        taps = parts[..., lo : lo + stride, :]
+        # splitting one axis of a slice is always a view, so += writes out
+        rows = out[..., lo : lo + t * stride, :].reshape(*lead, t, stride, c)
+        rows[..., : taps.shape[-2], :] += taps
+    return out[..., :length, :]
 
 
 class Conv1d(Module):
@@ -268,6 +397,7 @@ class Conv1d(Module):
     def __init__(self, rng, c_in, c_out, kernel, stride, name, init="uniform"):
         if kernel < 1 or stride < 1:
             raise ValueError("kernel and stride must be >= 1")
+        self.name = name
         self.c_in, self.c_out = c_in, c_out
         self.kernel, self.stride = kernel, stride
         fan_in = kernel * c_in
@@ -277,21 +407,37 @@ class Conv1d(Module):
             w = _init_weight(rng, (fan_in, c_out), fan_in)
         self.w = Parameter(name + ".w", w)
         self.b = Parameter(name + ".b", np.zeros(c_out))
+        self._cols = None
 
     def out_length(self, t_in):
         return (t_in - self.kernel) // self.stride + 1 if t_in >= self.kernel else 0
 
-    def forward(self, x):
-        t_in = x.shape[0]
-        t_out = self.out_length(t_in)
-        if t_out < 1:
+    def forward(self, x, batch=None):
+        t_in = len(x) if batch is None else min(batch.lengths)
+        if self.out_length(t_in) < 1:
             raise ValueError(f"input of {t_in} frames shorter than kernel {self.kernel}")
-        idx = (np.arange(t_out)[:, None] * self.stride + np.arange(self.kernel)[None, :])
-        cols = x[idx].reshape(t_out, self.kernel * self.c_in)
-        self._cols, self._t_in = cols, t_in
-        return cols @ self.w.value + self.b.value
+        starts = self._frame_starts(len(x), batch)
+        cols = x[starts[:, None] + np.arange(self.kernel)].reshape(len(starts), -1)
+        out_batch = None if batch is None else batch.resized(self.out_length)
+        self._cols, self._t_in = _for_backward(batch, cols, len(x))
+        return _matmul(cols, self.w.value, out_batch) + self.b.value
+
+    def _frame_starts(self, rows, batch):
+        """The first input row of every output frame, utterance after
+        utterance: of one utterance of ``rows`` frames, or of a batch."""
+        if batch is None:
+            return np.arange(self.out_length(rows)) * self.stride
+        # frame j of an utterance whose input rows start at a and whose
+        # output rows start at b reads input rows from a + (j - b) * stride
+        lengths = np.array(batch.lengths)
+        t_out = (lengths - self.kernel) // self.stride + 1
+        first_in = np.cumsum(lengths) - lengths
+        first_out = np.cumsum(t_out) - t_out
+        return (np.arange(t_out.sum()) * self.stride
+                + np.repeat(first_in - first_out * self.stride, t_out))
 
     def backward(self, dy):
+        _per_utterance(f"Conv1d {self.name!r}", self._cols)
         self.w.grad += self._cols.T @ dy
         self.b.grad += dy.sum(axis=0)
         dcols = (dy @ self.w.value.T).reshape(-1, self.kernel, self.c_in)
@@ -303,23 +449,30 @@ class ConvTranspose1d(Module):
     is exactly stride * T (no overlap, no cropping ambiguity)."""
 
     def __init__(self, rng, c_in, c_out, kernel, stride, name):
+        self.name = name
         self.c_in, self.c_out = c_in, c_out
         self.kernel, self.stride = kernel, stride
         self.w = Parameter(name + ".w", _init_weight(rng, (c_in, kernel * c_out), c_in))
         self.b = Parameter(name + ".b", np.zeros(c_out))
+        self._x = None
 
     def out_length(self, t_in):
         return (t_in - 1) * self.stride + self.kernel
 
-    def forward(self, x):
-        t_in = x.shape[0]
-        t_out = self.out_length(t_in)
-        contrib = (x @ self.w.value).reshape(t_in, self.kernel, self.c_out)
-        idx = np.arange(t_in)[:, None] * self.stride + np.arange(self.kernel)[None, :]
-        self._x, self._idx = x, idx
-        return _overlap_add(contrib, self.stride, t_out) + self.b.value
+    def forward(self, x, batch=None):
+        contrib = _matmul(x, self.w.value, batch)
+        parts = []
+        for first, n, t in _runs(x, batch):
+            taps = contrib[first : first + n * t].reshape(n, t, self.kernel, self.c_out)
+            parts.append(_overlap_add(taps, self.stride, self.out_length(t))
+                         .reshape(-1, self.c_out))
+        idx = np.arange(len(x))[:, None] * self.stride + np.arange(self.kernel)[None, :]
+        self._x, self._idx = _for_backward(batch, x, idx)
+        y = parts[0] if len(parts) == 1 else np.concatenate(parts)
+        return y + self.b.value
 
     def backward(self, dy):
+        _per_utterance(f"ConvTranspose1d {self.name!r}", self._x)
         self.b.grad += dy.sum(axis=0)
         dcontrib = dy[self._idx].reshape(self._x.shape[0], self.kernel * self.c_out)
         self.w.grad += self._x.T @ dcontrib
@@ -352,28 +505,35 @@ class MultiHeadSelfAttention(Module):
     def __init__(self, rng, d_model, n_heads, name):
         if d_model % n_heads != 0:
             raise ValueError("d_model must be divisible by n_heads")
+        self.name = name
         self.d_model, self.n_heads = d_model, n_heads
         self.d_head = d_model // n_heads
         self.qkv = Linear(rng, d_model, 3 * d_model, name + ".qkv")
         self.out = Linear(rng, d_model, d_model, name + ".out")
+        self._attn = None
 
     def _split(self, x):
-        t = x.shape[0]
-        return x.reshape(t, self.n_heads, self.d_head).transpose(1, 0, 2)
+        """(..., T, d_model) -> (..., heads, T, d_head)"""
+        *lead, t, _ = x.shape
+        return x.reshape(*lead, t, self.n_heads, self.d_head).swapaxes(-3, -2)
 
-    def forward(self, x):
-        t = x.shape[0]
-        qkv = self.qkv.forward(x)
-        q, k, v = (self._split(a) for a in np.split(qkv, 3, axis=1))
+    def forward(self, x, batch=None):
+        qkv = self.qkv.forward(x, batch)
         scale = 1.0 / math.sqrt(self.d_head)
-        scores = (q @ k.transpose(0, 2, 1)) * scale
-        attn = softmax(scores, axis=-1)
-        ctx = attn @ v
-        self._q, self._k, self._v, self._attn, self._scale = q, k, v, attn, scale
-        merged = ctx.transpose(1, 0, 2).reshape(t, self.d_model)
-        return self.out.forward(merged)
+        merged = []
+        for first, n, t in _runs(x, batch):
+            # a run of n utterances of t frames attends as one (n, t) stack
+            run = qkv[first : first + n * t].reshape(n, t, -1)
+            q, k, v = (self._split(a) for a in np.split(run, 3, axis=-1))
+            attn = softmax((q @ k.swapaxes(-2, -1)) * scale, axis=-1)
+            merged.append((attn @ v).swapaxes(-3, -2).reshape(n * t, self.d_model))
+        self._q, self._k, self._v, self._attn, self._scale = _for_backward(
+            batch, q[0], k[0], v[0], attn[0], scale)
+        merged = merged[0] if len(merged) == 1 else np.concatenate(merged)
+        return self.out.forward(merged, batch)
 
     def backward(self, dy):
+        _per_utterance(f"MultiHeadSelfAttention {self.name!r}", self._attn)
         t = dy.shape[0]
         dmerged = self.out.backward(dy)
         dctx = dmerged.reshape(t, self.n_heads, self.d_head).transpose(1, 0, 2)
@@ -399,9 +559,10 @@ class TransformerBlock(Module):
         self.act = Gelu()
         self.ffn2 = Linear(rng, ffn_mult * d_model, d_model, name + ".ffn2")
 
-    def forward(self, x):
-        x = x + self.attn.forward(self.ln1.forward(x))
-        return x + self.ffn2.forward(self.act.forward(self.ffn1.forward(self.ln2.forward(x))))
+    def forward(self, x, batch=None):
+        x = x + self.attn.forward(self.ln1.forward(x, batch), batch)
+        h = self.act.forward(self.ffn1.forward(self.ln2.forward(x, batch), batch), batch)
+        return x + self.ffn2.forward(h, batch)
 
     def backward(self, dy):
         d_ffn = self.ln2.backward(self.ffn1.backward(self.act.backward(self.ffn2.backward(dy))))

@@ -38,7 +38,7 @@ import struct
 
 import numpy as np
 
-from .nn import pack_parameters
+from .nn import pack_parameters, unpack_parameters
 
 MAGIC = b"SPM1"
 
@@ -237,18 +237,29 @@ def train_epochs(params, n_items, epochs, rng, optimizer_cfg, step, what):
     element is the loss; a loss that is not finite raises RuntimeError
     naming ``what`` and the epoch. Yields ``(epoch, results)`` after each
     epoch, ``results`` holding the step returns in visiting order.
+
+    When the schedule ends, however it ends, the parameters leave the
+    optimizer's flat buffers for storage of their own, values and
+    gradients kept, so the buffers go with the optimizer.
     """
     cfg = dict(optimizer_cfg or {})
     cfg.setdefault("decay_steps", max(1, epochs * n_items))
     opt = make_optimizer(params, cfg)
-    for epoch in range(epochs):
-        results = []
-        for i in rng.permutation(n_items):
-            opt.zero_grad()
-            result = step(i, epoch)
-            loss = result[0] if isinstance(result, tuple) else result
-            if not np.isfinite(loss):
-                raise RuntimeError(f"{what} diverged at epoch {epoch}: loss={loss}")
-            results.append(result)
-            opt.step()
-        yield epoch, results
+    try:
+        for epoch in range(epochs):
+            results = []
+            for i in rng.permutation(n_items):
+                opt.zero_grad()
+                result = step(i, epoch)
+                loss = result[0] if isinstance(result, tuple) else result
+                if not np.isfinite(loss):
+                    raise RuntimeError(f"{what} diverged at epoch {epoch}: loss={loss}")
+                results.append(result)
+                opt.step()
+            yield epoch, results
+    finally:
+        # the optimizer's moments and scratch go first, so the copies
+        # never coexist with them
+        params = opt.params
+        del opt
+        unpack_parameters(params)

@@ -6,7 +6,19 @@ the acceptance suite all drive these functions.
 Decoding runs in this process. Isolated-word decoding takes a whole test
 set at once: every utterance's streams are computed first, then one
 batched lattice pass (``decoder.isolated_nbest_batch``) decodes each
-system. Word-loop decoding and rescoring go one utterance at a time.
+system, and one more rescores every joint N-best list
+(``rescore.score_nbest_with_ssl``). Word-loop decoding goes one
+utterance at a time.
+
+Forward passes over many utterances run in ragged batches.
+``record_batches`` reads records just in time, a fixed window at a time
+(``encoder.windows``), and runs each window through the encoder as one
+ragged batch (``nn.Ragged``); the window's features go through a frame
+acoustic model, and its head inputs through the CTC head, as one batch
+too. Every result equals the per-utterance forward of training bit for
+bit. ``bottleneck_features`` and ``articulatory_features`` yield their
+streams a window at a time, so a caller that writes each as it comes
+holds one window.
 """
 
 from __future__ import annotations
@@ -28,7 +40,7 @@ from .decoder import (
     isolated_nbest_batch,
     parse_weight_ratio,
 )
-from .encoder import EncoderConfig, SslEncoder, finetune_ctc, pretrain
+from .encoder import EncoderConfig, SslEncoder, finetune_ctc, pretrain, windows
 from .features import (
     FeatureMatrix,
     compute_fbank,
@@ -113,16 +125,21 @@ def finetune_encoder(corpus: Corpus, model: SslEncoder, cfg, seed=None):
     seed = cfg["seed"] if seed is None else seed
     section = cfg["finetune"]
     train_records = corpus.manifest.subset("train")
-    audio = [corpus.audio(r) for r in train_records]
+    encoder = model if section["use_adapter"] else None
+    audio, contexts = [], []
+    for _, window, _, h in record_batches(corpus, train_records, encoder):
+        audio += window
+        contexts += h or []
     adapter = None
     if section["use_adapter"]:
         adapter, _ = train_adapter(
-            [model.represent(a)[1] for a in audio],
+            contexts,
             bottleneck_config(cfg, model.cfg.d_model),
             epochs=section["adapter_init_epochs"],
             seed=seed + 7,
             optimizer_cfg=section["adapter_init_optimizer"],
         )
+    del contexts  # only the adapter's initialisation reads them
     dataset = [(a.samples, corpus.tokens(r)) for a, r in zip(audio, train_records)]
     histories = []
     # a user's stage list replaces the default list whole, so its entries
@@ -196,11 +213,26 @@ def _bottleneck_stream(bn, model: SslEncoder, adapter: BottleneckAdapter) -> Fea
     return FeatureMatrix(bn, model.cfg.frame_shift_us // adapter.cfg.stride, "w2v-bn")
 
 
-def bottleneck_features(corpus: Corpus, record, model: SslEncoder,
-                        adapter: BottleneckAdapter) -> FeatureMatrix:
-    """Extract the 10 ms bottleneck stream for one utterance (no dropout)."""
-    bn, _ = model.represent(corpus.audio(record), adapter)
-    return _bottleneck_stream(bn, model, adapter)
+def record_batches(corpus: Corpus, records, model: SslEncoder = None, adapter=None):
+    """Read ``records`` just in time, a fixed window at a time
+    (``encoder.windows``), and yield ``(records, audio, bn, h)`` per
+    window, in order: the window's records, their AudioBuffers and, with
+    a model, the lists of their :meth:`SslEncoder.represent` outputs, run
+    as one ragged batch (both None without a model)."""
+    for window in windows(records):
+        audio = [corpus.audio(r) for r in window]
+        bn, h = (None, None) if model is None else model.represent(audio, adapter)
+        yield window, audio, bn, h
+
+
+def bottleneck_features(corpus: Corpus, records, model: SslEncoder,
+                        adapter: BottleneckAdapter):
+    """Yield the 10 ms bottleneck streams of ``records`` in order (no
+    dropout), from one ragged encoder batch per window; one window's
+    streams are held at a time."""
+    for _, _, bn, _ in record_batches(corpus, records, model, adapter):
+        for rows in bn:
+            yield _bottleneck_stream(rows, model, adapter)
 
 
 def articulatory_map(d_in, d_artic, seed):
@@ -223,8 +255,7 @@ def train_inversion_model(corpus: Corpus, model, adapter, cfg, seed=None):
     noise_rng = np.random.default_rng(seed + 18)
     sigma = section["map_noise"]
     pairs = []
-    for record in corpus.manifest.subset("train"):
-        bn = bottleneck_features(corpus, record, model, adapter)
+    for bn in bottleneck_features(corpus, corpus.manifest.subset("train"), model, adapter):
         target = bn.data.astype(np.float64) @ a + b
         target += sigma * noise_rng.normal(size=target.shape)
         pairs.append((bn.data.astype(np.float64), target))
@@ -238,47 +269,59 @@ def train_inversion_model(corpus: Corpus, model, adapter, cfg, seed=None):
     return mdn_model, history
 
 
-def articulatory_features(corpus: Corpus, record, model, adapter, mdn_model) -> FeatureMatrix:
-    bn = bottleneck_features(corpus, record, model, adapter)
-    mix = mdn_forward(bn, mdn_model)
-    return mdn_predict(mix)
+def articulatory_features(corpus: Corpus, records, model, adapter, mdn_model):
+    """Yield the MDN's articulatory trajectories of ``records``, in order,
+    as :func:`bottleneck_features` yields their streams."""
+    for bn in bottleneck_features(corpus, records, model, adapter):
+        yield mdn_predict(mdn_forward(bn, mdn_model))
 
 
 def build_feature_fn(corpus, kind, model=None, adapter=None, mdn_model=None,
                      bn_dir=None, artic_dir=None, target_shift_us=10_000):
-    """Return record -> FeatureMatrix for a feature spec like "fbk",
-    "fbk+w2v-bn", or "fbk+w2v-bn+artic".
+    """Return the features function of a feature spec like "fbk",
+    "fbk+w2v-bn", or "fbk+w2v-bn+artic". It takes a list of records and
+    yields their FeatureMatrix objects in order, one list per window of
+    records (``record_batches``).
 
     The bottleneck and articulatory streams come from the given models,
     or from directories of previously extracted feature files when
     ``bn_dir`` / ``artic_dir`` are set. Each record's WAV is read at most
-    once and encoded at most once, whatever streams it feeds.
+    once and encoded at most once, whatever streams it feeds; a window's
+    records are encoded as one ragged batch. With only stored streams, no
+    WAV is read.
     """
     parts = kind.split("+")
     stored = {"w2v-bn": bn_dir, "artic": artic_dir}
 
-    def compute(record):
-        audio = bn = None
-        streams = []
+    def stream(part, record, audio, bn):
+        if stored.get(part) is not None:
+            return read_features(Path(stored[part]) / f"{record.utt_id}.sff")
+        if part == "fbk":
+            return compute_fbank(audio)
+        return bn if part == "w2v-bn" else mdn_predict(mdn_forward(bn, mdn_model))
+
+    def features(records):
         for part in parts:
             if part not in ("fbk", "w2v-bn", "artic"):
                 raise ValueError(f"unknown feature stream {part!r}")
-            if stored.get(part) is not None:
-                streams.append(read_features(Path(stored[part]) / f"{record.utt_id}.sff"))
-                continue
-            if audio is None:  # one read feeds every computed stream
-                audio = corpus.audio(record)
-            if part == "fbk":
-                streams.append(compute_fbank(audio))
-                continue
-            if bn is None:
-                bn = _bottleneck_stream(model.represent(audio, adapter)[0], model, adapter)
-            streams.append(bn if part == "w2v-bn" else mdn_predict(mdn_forward(bn, mdn_model)))
-        if len(streams) == 1 and streams[0].frame_shift_us == target_shift_us:
-            return streams[0]
-        return fuse_features(streams, target_shift_us)
+        computed = [p for p in parts if stored.get(p) is None]
+        if computed:
+            encoder = model if any(p != "fbk" for p in computed) else None
+            batches = record_batches(corpus, records, encoder, adapter)
+        else:
+            batches = ((w, [None] * len(w), None, None) for w in windows(records))
+        for window, audio, bn, _ in batches:
+            feats = []
+            for j, (record, samples) in enumerate(zip(window, audio)):
+                rows = None if bn is None else _bottleneck_stream(bn[j], model, adapter)
+                streams = [stream(part, record, samples, rows) for part in parts]
+                if len(streams) == 1 and streams[0].frame_shift_us == target_shift_us:
+                    feats.append(streams[0])
+                else:
+                    feats.append(fuse_features(streams, target_shift_us))
+            yield feats
 
-    return compute
+    return features
 
 
 def write_stream(stream: PosteriorStream, path):
@@ -309,7 +352,8 @@ def alignment_labels(corpus: Corpus, record, feats: FeatureMatrix, cfg,
         edge_frames = int(round(edge_ms * 1000.0 / feats.frame_shift_us))
         return uniform_alignment(feats.n_frames, corpus.tokens(record), edge_frames)
     if mode == "ctc":
-        stream = model.head_posteriors(model.represent(corpus.audio(record), adapter)[1])
+        (h,) = model.represent([corpus.audio(record)], adapter)[1]
+        (stream,) = model.head_posteriors([h])
         labels20 = ctc_argmax_alignment(stream)
         labels = np.repeat(labels20, stream.frame_shift_us // feats.frame_shift_us)
         if labels.size < feats.n_frames:
@@ -321,11 +365,10 @@ def alignment_labels(corpus: Corpus, record, feats: FeatureMatrix, cfg,
 def train_frame_am(corpus: Corpus, feature_fn, cfg, seed=None, model=None, adapter=None):
     seed = cfg["seed"] if seed is None else seed
     section = cfg["am"]
-    dataset = []
-    for record in corpus.manifest.subset("train"):
-        feats = feature_fn(record)
-        labels = alignment_labels(corpus, record, feats, cfg, model=model, adapter=adapter)
-        dataset.append((feats, labels))
+    records = corpus.manifest.subset("train")
+    feats = [f for window in feature_fn(records) for f in window]
+    dataset = [(f, alignment_labels(corpus, record, f, cfg, model=model, adapter=adapter))
+               for record, f in zip(records, feats)]
     d_feat = dataset[0][0].dim
     am, history = train_am(
         dataset,
@@ -390,12 +433,14 @@ def run_recognition(corpus: Corpus, cfg, model, adapter, jobs=1,
     hypothesis is the head of that N-best list, so the mixed stream is
     decoded once. Each test utterance is read, turned into filterbanks and
     encoded once: the encoder pass gives both the bottleneck stream of the
-    fused features and the CTC head input of the rescoring stream. Every
-    utterance's streams are computed first; then each system is decoded in
-    one batched lattice pass over the test set. ``jobs`` is accepted and
-    ignored. Returns a
-    dict of hypothesis lists and WER reports per system, and the two
-    acoustic models.
+    fused features and the CTC head input of the rescoring stream. The
+    encoder, both acoustic models and the CTC head run one ragged batch
+    per window of utterances (``record_batches``). Every utterance's
+    streams are computed first; then each system is decoded, and the
+    joint N-best lists rescored, in one batched lattice pass over the
+    test set. ``jobs`` is accepted and ignored. Returns a dict of
+    hypothesis lists and WER reports per system, and the two acoustic
+    models.
     """
     seed = cfg["seed"]
     fbk_fn = build_feature_fn(corpus, "fbk")
@@ -413,17 +458,15 @@ def run_recognition(corpus: Corpus, cfg, model, adapter, jobs=1,
     records = [r for r in corpus.manifest if r.subset in test_subsets]
     records.sort(key=lambda r: r.utt_id)
     ids = [r.utt_id for r in records]
-    s_fbk, s_fused, mixed, ssl = [], [], [], []
-    for record in records:
-        audio = corpus.audio(record)
-        fbk = compute_fbank(audio)
-        bn, h = model.represent(audio, adapter)
-        fused = fuse_features([fbk, _bottleneck_stream(bn, model, adapter)],
-                              fbk.frame_shift_us)
-        s_fbk.append(am_fbk.posteriors(fbk, source="tdnn-fbk"))
-        s_fused.append(am_fused.posteriors(fused, source="tdnn-fused"))
-        mixed.append(interpolate_posteriors([s_fused[-1], s_fbk[-1]], weights))
-        ssl.append(model.head_posteriors(h))
+    s_fbk, s_fused, ssl = [], [], []
+    for _, audio, bn, h in record_batches(corpus, records, model, adapter):
+        fbk = [compute_fbank(a) for a in audio]
+        fused = [fuse_features([f, _bottleneck_stream(rows, model, adapter)],
+                               f.frame_shift_us) for f, rows in zip(fbk, bn)]
+        s_fbk += am_fbk.posteriors(fbk, source="tdnn-fbk")
+        s_fused += am_fused.posteriors(fused, source="tdnn-fused")
+        ssl += model.head_posteriors(h)
+    mixed = [interpolate_posteriors([su, sf], weights) for su, sf in zip(s_fused, s_fbk)]
     lexicon, vocab = corpus.lexicon, corpus.vocab
     hyps = {name: decode_utterances([(u, [s], None, lexicon, vocab)
                                      for u, s in zip(ids, streams)])
@@ -431,10 +474,10 @@ def run_recognition(corpus: Corpus, cfg, model, adapter, jobs=1,
     nbests = isolated_nbest_batch(mixed, lexicon, vocab, n_best, ids, system="tdnn")
     hyps["joint"] = [best_hypothesis(nbest) for nbest in nbests]
     hyps["rescored"] = []
-    for nbest, stream in zip(nbests, ssl):
-        best, _ = rescore(score_nbest_with_ssl(nbest, stream, vocab), alpha, beta)
+    for scored in score_nbest_with_ssl(zip(nbests, ssl), vocab):
+        best, _ = rescore(scored, alpha, beta)
         hyps["rescored"].append(
-            Hypothesis(nbest.utt_id, list(best.words), list(best.tokens),
+            Hypothesis(scored.utt_id, list(best.words), list(best.tokens),
                        best.combined_cost)
         )
     reports = {name: score_hypotheses([(h.utt_id, h.words) for h in hs], corpus.manifest)

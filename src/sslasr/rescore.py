@@ -7,27 +7,32 @@ from dataclasses import replace
 
 import numpy as np
 
-from .ctc import NBestList, PosteriorStream, TokenVocab, _check_target, _ctc_lattice
+from .ctc import NBestList, TokenVocab, _check_target, _ctc_costs
 
 
 class RescoreError(ValueError):
     pass
 
 
-def score_nbest_with_ssl(nbest: NBestList, ssl_stream: PosteriorStream,
-                         vocab: TokenVocab, system="w2v") -> NBestList:
-    """Attach a CTC forward score for every entry's token sequence, all
-    scored in one log-semiring lattice pass.
+def score_nbest_with_ssl(pairs, vocab: TokenVocab, system="w2v"):
+    """Attach a CTC forward score to every entry of each (N-best list,
+    SSL stream) pair.
 
-    Entries whose token sequence cannot be aligned in the stream get +inf
-    cost and stay in the list.
+    Every entry of every list is scored in one log-semiring lattice pass
+    (``ctc._ctc_costs``), each list on its own stream; lists may differ in
+    depth. Entries whose token sequence cannot be aligned in the stream
+    get +inf cost and stay in the list. Returns an iterator over the
+    scored lists in order; each is built as it is read, so a caller that
+    rescores and drops them holds one at a time.
     """
-    logp = ssl_stream.logp
-    targets = [_check_target(vocab.ids_of(e.tokens), logp.shape[1]) for e in nbest.entries]
-    costs = _ctc_lattice(logp, targets, np.logaddexp)[1]
-    entries = [replace(e, cost_per_system={**e.cost_per_system, system: float(cost)})
-               for e, cost in zip(nbest.entries, costs)]
-    return NBestList(nbest.utt_id, entries)
+    pairs = list(pairs)
+    targets = [[_check_target(vocab.ids_of(e.tokens), stream.width) for e in nbest.entries]
+               for nbest, stream in pairs]
+    costs = _ctc_costs([stream.logp for _, stream in pairs], targets, np.logaddexp)
+    return (NBestList(nbest.utt_id,
+                      [replace(e, cost_per_system={**e.cost_per_system, system: float(c)})
+                       for e, c in zip(nbest.entries, row)])
+            for (nbest, _), row in zip(pairs, costs))
 
 
 def _weighted(weight, cost):

@@ -42,5 +42,5 @@ def test_per_stream(benchmark, streams_and_words):
 @pytest.mark.benchmark(group="lattice-lex40")
 def test_batched(benchmark, streams_and_words):
     logps, words = streams_and_words
-    costs = benchmark(_ctc_costs, logps, words, np.maximum)
+    costs = benchmark(_ctc_costs, logps, [words] * len(logps), np.maximum)
     assert costs.tobytes() == per_stream(logps, words).tobytes()

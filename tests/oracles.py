@@ -329,3 +329,38 @@ def reference_layer_norm(x, gain, bias, dy, eps=1e-6):
     m2 = (dxhat * xhat).mean(axis=-1, keepdims=True)
     dx = inv_std * (dxhat - m1 - xhat * m2)
     return xhat * gain + bias, dx, (dy * xhat).sum(axis=0), dy.sum(axis=0)
+
+
+def reference_train_am(dataset, cfg, d_feat, n_classes, epochs, seed, optimizer_cfg=None):
+    """Frame AM training that splices, casts and checks each utterance on
+    every step, through ``reference_train_epochs``; returns (model,
+    history) like ``frame_am.train_am``."""
+    from sslasr.frame_am import FrameAm, splice_context
+    from sslasr.nn import log_softmax, log_softmax_backward
+
+    init_seed, loop_seed = np.random.SeedSequence(seed).spawn(2)
+    model = FrameAm(cfg, d_feat, n_classes, seed=init_seed)
+    rng = np.random.default_rng(loop_seed)
+
+    def step(i, _epoch):
+        feats, labels = dataset[i]
+        labels = np.asarray(labels, dtype=np.int64)
+        assert labels.shape == (feats.n_frames,)
+        assert 0 <= labels.min() and labels.max() < n_classes
+        x = splice_context(feats, cfg.offsets).data.astype(np.float64)
+        logp = log_softmax(model._forward_logits(x), axis=-1)
+        t = logp.shape[0]
+        loss = float(-logp[np.arange(t), labels].mean())
+        dlogp = np.zeros_like(logp)
+        dlogp[np.arange(t), labels] = -1.0 / t
+        model._backward_logits(log_softmax_backward(logp, dlogp, axis=-1))
+        return loss, int((np.argmax(logp, axis=1) == labels).sum()), t
+
+    history = []
+    for epoch, results in reference_train_epochs(model.parameters(), len(dataset), epochs,
+                                                 rng, optimizer_cfg, step, "AM training"):
+        history.append(
+            {"epoch": epoch, "cross_entropy": float(np.mean([r[0] for r in results])),
+             "frame_accuracy": sum(r[1] for r in results) / max(sum(r[2] for r in results), 1)}
+        )
+    return model, history

@@ -201,7 +201,7 @@ class TestBatchedDecodeOutputs:
         am = _load_am(load_config(cfg), root / "am_fbk.spm")
         c = pipeline.Corpus(corpus)
         records = sorted(c.manifest.subset("test-seen", "test-unseen"), key=lambda r: r.utt_id)
-        expected = [decode_stream(am.posteriors(compute_fbank(c.audio(r))), lexicon, vocab,
+        expected = [decode_stream(am.posteriors([compute_fbank(c.audio(r))])[0], lexicon, vocab,
                                   r.utt_id) for r in records]
         assert hyp.read_text() == _json_lines(expected)
 

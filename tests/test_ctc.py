@@ -257,6 +257,26 @@ EDGE_STREAMS = ([random_logp(t, 2, np.random.default_rng(t)) for t in (1, 4, 2, 
                 [[], [1], [1, 1], [2, 1, 2], [1, 2, 1, 2, 1]])
 
 
+@st.composite
+def per_stream_batches(draw, max_streams, max_frames, max_targets):
+    """(logps, lists): streams as in ``stream_batches``, each with its own
+    list of targets, of any depth down to none; a target may be too long
+    for its stream, and two streams may share one list object."""
+    logps, _ = draw(stream_batches(max_streams, max_frames, 1))
+    target = st.lists(st.integers(1, logps[0].shape[1] - 1), max_size=max_frames + 2)
+    lists = [draw(st.lists(target, max_size=max_targets)) for _ in logps]
+    if len(lists) > 1 and draw(st.booleans()):
+        lists[-1] = lists[0]
+    return logps, lists
+
+
+# lists of depth 3, 0, 1 and 2 (the last shared), with entries that cannot
+# align in a one-frame stream
+_EDGE_SHARED = [[1], [1, 1, 2]]
+EDGE_LISTS = ([random_logp(t, 2, np.random.default_rng(t)) for t in (1, 4, 2, 3, 5)],
+              [[[1, 1], [], [2, 1, 2]], [], [[1, 2, 1, 2, 1]], _EDGE_SHARED, _EDGE_SHARED])
+
+
 class TestStreamBatch:
     """One frame loop over a padded batch of streams equals the per-stream
     lattice bit for bit, whatever the stream lengths."""
@@ -268,7 +288,7 @@ class TestStreamBatch:
     def test_costs_match_per_stream_lattice_and_enumeration(self, case, semiring):
         logps, targets = case
         plus, oracle = SEMIRINGS[semiring]
-        costs = _ctc_costs(logps, targets, plus)
+        costs = _ctc_costs(logps, [targets] * len(logps), plus)
         assert costs.shape == (len(logps), len(targets))
         for logp, row in zip(logps, costs):
             assert row.tobytes() == _ctc_lattice(logp, targets, plus)[1].tobytes()
@@ -287,13 +307,31 @@ class TestStreamBatch:
     def test_costs_equal_per_stream_lattice(self, case, semiring):
         logps, targets = case
         plus, _ = SEMIRINGS[semiring]
-        costs = _ctc_costs(logps, targets, plus)
+        costs = _ctc_costs(logps, [targets] * len(logps), plus)
         for logp, row in zip(logps, costs):
             assert row.tobytes() == _ctc_lattice(logp, targets, plus)[1].tobytes()
 
+    @settings(max_examples=60, deadline=None)
+    @given(case=per_stream_batches(6, 12, 6), semiring=st.sampled_from(sorted(SEMIRINGS)))
+    @example(case=EDGE_LISTS, semiring="log")
+    @example(case=EDGE_LISTS, semiring="max")
+    def test_per_stream_targets_equal_per_stream_lattice(self, case, semiring):
+        logps, lists = case
+        plus, _ = SEMIRINGS[semiring]
+        costs = _ctc_costs(logps, lists, plus)
+        assert costs.shape == (len(logps), max(len(ts) for ts in lists))
+        for logp, ts, row in zip(logps, lists, costs):
+            assert row[: len(ts)].tobytes() == _ctc_lattice(logp, ts, plus)[1].tobytes()
+            assert np.isinf(row[len(ts) :]).all()
+
+    def test_target_lists_must_match_streams(self):
+        logps, targets = EDGE_STREAMS
+        with pytest.raises(ValueError, match="4 streams but 1 target lists"):
+            _ctc_costs(logps, [targets], np.maximum)
+
     def test_unfit_streams_cost_inf(self):
         logps, targets = EDGE_STREAMS
-        costs = _ctc_costs(logps, targets, np.maximum)
+        costs = _ctc_costs(logps, [targets] * len(logps), np.maximum)
         # a target needs a frame per token plus one per adjacent repeat
         fits = [[len(y) + sum(a == b for a, b in zip(y, y[1:])) <= len(x) for y in targets]
                 for x in logps]

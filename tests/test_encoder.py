@@ -18,8 +18,10 @@ from sslasr.encoder import (
     pretrain_step,
     sample_mask_spans,
     trainable_parameters,
+    windows,
 )
-from sslasr.nn import sinusoidal_positions
+from sslasr.features import AudioBuffer
+from sslasr.nn import log_softmax, sinusoidal_positions
 from sslasr.params import ParameterStore, make_optimizer
 
 from gradcheck import finite_difference_check
@@ -69,42 +71,42 @@ def conv_frames(cfg, n_samples):
 
 class TestEncodeRaw:
     def test_one_second(self, model):
-        assert model.encode_raw(sine(16000)).shape[0] == 49
+        assert model.encode_raw([sine(16000)])[0].shape[0] == 49
 
     def test_exact_receptive_field(self, model):
-        assert model.encode_raw(sine(400)).shape[0] == 1
+        assert model.encode_raw([sine(400)])[0].shape[0] == 1
 
     def test_too_short(self, model):
         with pytest.raises(ValueError, match="receptive field"):
-            model.encode_raw(sine(399))
+            model.encode_raw([sine(399)])
 
     def test_chain_matches_formula_everywhere(self, model, cfg):
         for n in list(range(400, 2400, 97)) + [16000, 9999]:
-            assert model.encode_raw(np.zeros(n)).shape[0] == conv_frames(cfg, n)
+            assert model.encode_raw([np.zeros(n)])[0].shape[0] == conv_frames(cfg, n)
 
     def test_deep_stack_chain_matches_formula(self):
         deep_cfg = EncoderConfig(conv_layers=DEEP_CONV_LAYERS)
         deep = SslEncoder(deep_cfg, seed=0)
         for n in list(range(400, 2400, 131)) + [16000]:
-            assert deep.encode_raw(np.zeros(n)).shape[0] == conv_frames(deep_cfg, n)
+            assert deep.encode_raw([np.zeros(n)])[0].shape[0] == conv_frames(deep_cfg, n)
 
 
 class TestContextualize:
     def test_no_mask_finite(self, model):
-        z = model.encode_raw(sine(3200))
+        z = model.encode_raw([sine(3200)])[0]
         c = model.contextualize(z)
         assert c.shape == (z.shape[0], model.cfg.d_model)
         assert np.isfinite(c).all()
 
     def test_all_masked_inputs_equal_mask_embedding(self, model):
-        z = model.encode_raw(sine(3200))
+        z = model.encode_raw([sine(3200)])[0]
         x = model.transformer_input(z, np.arange(z.shape[0]))
         assert np.allclose(x, model.mask_emb.value)
 
     def test_deterministic(self, cfg):
         a = SslEncoder(cfg, seed=5)
         b = SslEncoder(cfg, seed=5)
-        z = a.encode_raw(sine(3200))
+        z = a.encode_raw([sine(3200)])[0]
         assert np.array_equal(a.contextualize(z, [1, 2]), b.contextualize(z, [1, 2]))
 
 
@@ -143,7 +145,7 @@ class TestMasking:
 
 class TestGumbelQuantize:
     def test_zero_temperature_limit_argmax(self, model):
-        z = model.encode_raw(sine(3200))
+        z = model.encode_raw([sine(3200)])[0]
         zn = model.z_norm.forward(z)
         quant = model.quantizer
         old_tau = quant.gumbel_temperature
@@ -156,7 +158,7 @@ class TestGumbelQuantize:
             quant.gumbel_temperature = old_tau
 
     def test_probs_valid_at_all_temperatures(self, model):
-        z = model.encode_raw(sine(3200))
+        z = model.encode_raw([sine(3200)])[0]
         zn = model.z_norm.forward(z)
         for tau in (0.1, 1.0, 2.0, 10.0):
             model.quantizer.gumbel_temperature = tau
@@ -166,7 +168,7 @@ class TestGumbelQuantize:
         model.quantizer.gumbel_temperature = 2.0
 
     def test_output_width_is_d_model(self, model, cfg):
-        z = model.encode_raw(sine(3200))
+        z = model.encode_raw([sine(3200)])[0]
         zn = model.z_norm.forward(z)
         q, probs = model.quantizer.forward(zn)
         assert q.shape == (z.shape[0], cfg.d_model)
@@ -175,7 +177,7 @@ class TestGumbelQuantize:
     def test_selection_frequencies_follow_softmax(self, model):
         # Monte Carlo oracle for the Gumbel-max property: hard selections
         # over fixed logits are distributed as softmax(logits).
-        z = model.encode_raw(sine(720))
+        z = model.encode_raw([sine(720)])[0]
         zn = model.z_norm.forward(z)[:1]
         reps = np.repeat(zn, 100_000, axis=0)
         q, probs = model.quantizer.forward(reps, hard=True, rng=np.random.default_rng(123))
@@ -187,7 +189,7 @@ class TestGumbelQuantize:
         assert np.all(np.abs(freq - expect) <= 3 * stderr + 1e-9)
 
     def test_nonpositive_temperature_rejected(self, model):
-        z = model.encode_raw(sine(720))
+        z = model.encode_raw([sine(720)])[0]
         zn = model.z_norm.forward(z)
         model.quantizer.gumbel_temperature = 0.0
         try:
@@ -323,7 +325,7 @@ class TestFullModelGradients:
 
     def _frozen_setup(self, model):
         samples = sine(1680, seed=21)
-        z = model.encode_raw(samples)
+        z = model.encode_raw([samples])[0]
         t = z.shape[0]
         mask = np.arange(t)
         noise = np.random.default_rng(22).gumbel(
@@ -342,7 +344,7 @@ class TestFullModelGradients:
         samples, mask, noise, dist = self._frozen_setup(model)
 
         def loss():
-            z = model.encode_raw(samples)
+            z = model.encode_raw([samples])[0]
             zn = model.z_norm.forward(z)
             c = model._context_from_input(model._project_and_mask(zn, mask))
             q_rows, _ = model.quantizer.forward(zn[mask], hard=False, noise=noise)
@@ -364,7 +366,7 @@ class TestFullModelGradients:
         samples, mask, noise, dist = self._frozen_setup(model)
 
         def loss():
-            z = model.encode_raw(samples)
+            z = model.encode_raw([samples])[0]
             zn = model.z_norm.forward(z)
             model._project_and_mask(zn, mask)
             _, probs = model.quantizer.forward(zn[mask], hard=False, noise=noise)
@@ -387,7 +389,7 @@ class TestFullModelGradients:
         tokens = [1, 3, 2]
 
         def loss():
-            logits = model.head.forward(model.represent(samples)[1])
+            logits = model.head.forward(model.represent([samples])[1][0])
             return ctc_loss(log_softmax(logits, axis=-1), tokens).value
 
         model.zero_grad()
@@ -469,7 +471,7 @@ class TestFinetuneCtc:
         def ter():
             errs = n = 0
             for samples, ids in data:
-                hyp = greedy_decode(model.head_posteriors(model.represent(samples)[1]))
+                hyp = greedy_decode(model.head_posteriors(model.represent([samples])[1])[0])
                 counts = wer(ids, hyp)
                 errs += counts.errors
                 n += counts.n_ref
@@ -595,36 +597,135 @@ class TestFinetuneCtc:
             trainable_parameters(model, "everything")
 
 
+def training_forward(model, audio, adapter=None):
+    """``(z, bn, h, logp)`` of one utterance through the per-utterance
+    layers of training (no ragged batch); ``logp`` is None without a CTC
+    head."""
+    z, _ = model._encode(model._samples(audio))
+    c = model.contextualize(z)
+    bn, h = (None, c) if adapter is None else adapter.forward_arrays(c)
+    logp = None if model.head is None else log_softmax(model.head.forward(h), axis=-1)
+    return z, bn, h, logp
+
+
 class TestRepresent:
     def test_views_equal_the_layer_calls(self, cfg):
         model = SslEncoder(cfg, seed=54)
         adapter = BottleneckAdapter(BottleneckConfig(d_in=cfg.d_model, d_bn=8), seed=6)
         x = sine(3200)
-        bn, h = model.represent(x, adapter)
-        ref_bn, ref_h = adapter.forward_arrays(model.contextualize(model.encode_raw(x)))
+        (bn,), (h,) = model.represent([x], adapter)
+        _, ref_bn, ref_h, _ = training_forward(model, x, adapter)
         assert bn.tobytes() == ref_bn.tobytes()
         assert h.tobytes() == ref_h.tobytes()
-        no_bn, c = model.represent(x)
+        no_bn, (c,) = model.represent([x])
         assert no_bn is None
-        assert c.tobytes() == model.contextualize(model.encode_raw(x)).tobytes()
+        assert c.tobytes() == training_forward(model, x)[2].tobytes()
+
+    @pytest.mark.parametrize("audio", [[0.1] * 3200, np.zeros((2, 3200, 1))])
+    def test_utterance_must_be_one_dimensional(self, model, audio):
+        # a list of floats is not one utterance: pass it as [samples]
+        with pytest.raises(ValueError, match="1-D samples"):
+            model.represent(audio)
+        with pytest.raises(ValueError, match="1-D samples"):
+            model.encode_raw(audio)
+
+
+# sample counts: one frame (400-719 samples), a few, and the corpus's two
+# test lengths
+SAMPLE_COUNTS = st.one_of(st.integers(400, 2000), st.sampled_from([7040, 8000]))
+
+
+class TestRaggedRepresent:
+    """A list of utterances of any lengths runs as one ragged batch whose
+    every output equals that utterance's per-utterance training forward,
+    and its batch of one, bit for bit."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(lengths=st.lists(SAMPLE_COUNTS, min_size=1, max_size=7),
+           with_adapter=st.booleans(), n_classes=st.integers(2, 45),
+           seed=st.integers(0, 2**32 - 1))
+    @example(lengths=[3200], with_adapter=True, n_classes=13, seed=0)  # a batch of one
+    @example(lengths=[7040, 8000, 7040, 8000, 8000], with_adapter=True, n_classes=13,
+             seed=1)  # equal lengths
+    @example(lengths=[400, 7040, 719, 1041, 8000, 400], with_adapter=False, n_classes=41,
+             seed=2)  # one-frame utterances among longer ones
+    def test_outputs_equal_per_utterance_calls(self, cfg, lengths, with_adapter, n_classes,
+                                               seed):
+        model = SslEncoder(cfg, seed=61)
+        model.attach_ctc_head(n_classes, seed=seed % 1000)
+        adapter = (BottleneckAdapter(BottleneckConfig(d_in=cfg.d_model, d_bn=8), seed=7)
+                   if with_adapter else None)
+        rng = np.random.default_rng(seed)
+        utterances = [AudioBuffer(rng.normal(0.0, 0.3, n)) for n in lengths]
+        bn, h = model.represent(utterances, adapter)
+        assert (bn is None) == (adapter is None)
+        streams = model.head_posteriors(h)
+        z = model.encode_raw(utterances)
+        for i, utterance in enumerate(utterances):
+            one_z, one_bn, one_h, one_logp = training_forward(model, utterance, adapter)
+            assert z[i].tobytes() == one_z.tobytes()
+            assert h[i].tobytes() == one_h.tobytes()
+            if adapter is not None:
+                assert bn[i].tobytes() == one_bn.tobytes()
+            assert streams[i].logp.tobytes() == one_logp.tobytes()
+            (alone,) = model.head_posteriors(model.represent([utterance], adapter)[1])
+            assert alone.logp.tobytes() == one_logp.tobytes()
+
+    def test_empty_batch_rejected(self, model):
+        with pytest.raises(ValueError, match="at least one utterance"):
+            model.represent([])
+
+    def test_short_utterance_in_batch_rejected(self, model):
+        with pytest.raises(ValueError, match="399 samples is shorter"):
+            model.represent([sine(3200), sine(399)])
+
+    def test_sample_rate_checked_per_utterance(self, model):
+        with pytest.raises(ValueError, match="expects 16000 Hz audio, got 8000"):
+            model.represent([AudioBuffer(sine(3200), 8000)])
+        mixed = [AudioBuffer(sine(3200)), AudioBuffer(sine(3200), 8000)]
+        with pytest.raises(ValueError, match="expects 16000 Hz audio, got 8000"):
+            model.represent(mixed)
+
+
+class TestWindows:
+    def test_windows_cover_items_in_order(self):
+        from sslasr.encoder import _WINDOW
+
+        items = list(range(2 * _WINDOW + 3))
+        got = list(windows(items))
+        assert [len(w) for w in got] == [_WINDOW, _WINDOW, 3]
+        assert [i for w in got for i in w] == items
+
+    def test_reads_one_window_at_a_time(self):
+        from sslasr.encoder import _WINDOW
+
+        reads = []
+
+        def utterances():
+            for i in range(3 * _WINDOW):
+                reads.append(i)
+                yield i
+
+        next(windows(utterances()))
+        assert len(reads) == _WINDOW
 
 
 class TestFramePosteriors:
     def test_rows_normalize_and_shift(self, cfg):
         model = SslEncoder(cfg, seed=51)
         model.attach_ctc_head(5, seed=0)
-        stream = model.head_posteriors(model.represent(sine(3200))[1])
+        (stream,) = model.head_posteriors(model.represent([sine(3200)])[1])
         assert stream.frame_shift_us == 20_000
         assert np.allclose(np.exp(stream.logp).sum(axis=1), 1.0, atol=1e-6)
 
     def test_missing_head_rejected(self, cfg):
         model = SslEncoder(cfg, seed=52)
         with pytest.raises(ValueError, match="CTC head"):
-            model.head_posteriors(model.represent(sine(3200))[1])
+            model.head_posteriors(model.represent([sine(3200)])[1])
 
     def test_deterministic(self, cfg):
         model = SslEncoder(cfg, seed=53)
         model.attach_ctc_head(5, seed=0)
-        a = model.head_posteriors(model.represent(sine(3200))[1]).logp
-        b = model.head_posteriors(model.represent(sine(3200))[1]).logp
+        a = model.head_posteriors(model.represent([sine(3200)])[1])[0].logp
+        b = model.head_posteriors(model.represent([sine(3200)])[1])[0].logp
         assert np.array_equal(a, b)

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sslasr.features import FeatureMatrix
@@ -16,6 +16,7 @@ from sslasr.frame_am import (
 from sslasr.params import ParameterStore
 
 from gradcheck import finite_difference_check
+from oracles import reference_train_am
 
 
 def feat(t, d, seed=0, shift=10_000):
@@ -54,19 +55,39 @@ class TestSpliceContext:
 class TestPosteriors:
     def test_rows_normalize(self):
         am = FrameAm(AmConfig(), d_feat=8, n_classes=5, seed=0)
-        stream = am.posteriors(feat(7, 8))
+        (stream,) = am.posteriors([feat(7, 8)])
         assert np.allclose(np.exp(stream.logp).sum(axis=1), 1.0, atol=1e-6)
         assert stream.frame_shift_us == 10_000
 
     def test_deterministic(self):
         am = FrameAm(AmConfig(), d_feat=8, n_classes=5, seed=0)
         f = feat(7, 8, seed=2)
-        assert np.array_equal(am.posteriors(f).logp, am.posteriors(f).logp)
+        assert np.array_equal(am.posteriors([f])[0].logp, am.posteriors([f])[0].logp)
 
     def test_width_mismatch(self):
         am = FrameAm(AmConfig(), d_feat=8, n_classes=5, seed=0)
         with pytest.raises(ValueError, match="does not match"):
-            am.posteriors(feat(7, 9))
+            am.posteriors([feat(7, 9)])
+
+    @settings(max_examples=40, deadline=None)
+    @given(lengths=st.lists(st.integers(1, 9), min_size=1, max_size=8),
+           n_classes=st.integers(2, 45), seed=st.integers(0, 2**32 - 1))
+    @example(lengths=[1, 6, 1, 3, 6], n_classes=41, seed=0)
+    def test_batch_equals_per_utterance_calls(self, lengths, n_classes, seed):
+        # a list of one is a batch of one; mixed lengths run as one ragged
+        # batch, its products one per run of equal frame counts; each
+        # stream equals the per-utterance training forward
+        am = FrameAm(AmConfig(), d_feat=4, n_classes=n_classes, seed=seed % 1000)
+        feats = [feat(t, 4, seed=seed + i, shift=10_000 * (1 + i % 2))
+                 for i, t in enumerate(lengths)]
+        streams = am.posteriors(feats, source="s")
+        assert len(streams) == len(feats)
+        for f, stream in zip(feats, streams):
+            _, one = cross_entropy_step(am, *am.training_example(f, np.zeros(len(f.data))))
+            assert stream.logp.tobytes() == one.tobytes()
+            (alone,) = am.posteriors([f], source="s")
+            assert alone.logp.tobytes() == one.tobytes()
+            assert (stream.frame_shift_us, stream.source) == (f.frame_shift_us, "s")
 
 
 def labeled_dataset(n_utts, d_feat, n_classes, seed):
@@ -108,10 +129,34 @@ class TestTraining:
         b = ParameterStore.from_module(m2).tensors
         assert all(np.array_equal(a[k], b[k]) for k in a)
 
+    @settings(max_examples=15, deadline=None)
+    @given(n_utts=st.integers(1, 5), epochs=st.integers(0, 3), seed=st.integers(0, 999))
+    def test_equals_per_step_splicing_bit_for_bit(self, n_utts, epochs, seed):
+        data = labeled_dataset(n_utts, 6, 4, seed=seed)
+        kw = dict(d_feat=6, n_classes=4, epochs=epochs, seed=seed,
+                  optimizer_cfg={"optimizer": "adam", "lr": 3e-3})
+        am, history = train_am(data, AmConfig(), **kw)
+        ref, ref_history = reference_train_am(data, AmConfig(), **kw)
+        assert history == ref_history
+        a = ParameterStore.from_module(am).tensors
+        b = ParameterStore.from_module(ref).tensors
+        assert all(a[k].tobytes() == b[k].tobytes() for k in a)
+
+    def test_splices_each_utterance_once(self, monkeypatch):
+        import sslasr.frame_am as frame_am
+
+        calls = []
+        splice = frame_am.splice_context
+        monkeypatch.setattr(frame_am, "splice_context",
+                            lambda f, offsets: calls.append(f) or splice(f, offsets))
+        data = labeled_dataset(4, 6, 4, seed=3)
+        train_am(data, AmConfig(), d_feat=6, n_classes=4, epochs=3, seed=0)
+        assert len(calls) == len(data)
+
     def test_label_out_of_range(self):
         am = FrameAm(AmConfig(), d_feat=6, n_classes=4, seed=0)
         with pytest.raises(ValueError, match="label outside"):
-            cross_entropy_step(am, feat(5, 6), np.array([0, 1, 2, 3, 4]))
+            am.training_example(feat(5, 6), np.array([0, 1, 2, 3, 4]))
 
     def test_gradient_matches_finite_differences(self):
         am = FrameAm(AmConfig(), d_feat=6, n_classes=4, seed=8)
@@ -127,7 +172,7 @@ class TestTraining:
             return float(-logp[np.arange(9), labels].mean())
 
         am.zero_grad()
-        cross_entropy_step(am, f, labels)
+        cross_entropy_step(am, *am.training_example(f, labels))
         worst, info = finite_difference_check(pure_loss, am.parameters(), n_coords=100)
         assert worst <= 1e-4, info
 
@@ -143,8 +188,8 @@ class TestTraining:
                          optimizer_cfg={"optimizer": "adam", "lr": 1e-3})
         m2, _ = train_am(wide, AmConfig(), d_feat=9, n_classes=4, epochs=3, seed=10,
                          optimizer_cfg={"optimizer": "adam", "lr": 1e-3})
-        p1 = m1.posteriors(base[0][0]).logp
-        p2 = m2.posteriors(wide[0][0]).logp
+        p1 = m1.posteriors([base[0][0]])[0].logp
+        p2 = m2.posteriors([wide[0][0]])[0].logp
         assert not np.array_equal(p1, p2)
 
 

@@ -1,8 +1,20 @@
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from sslasr.nn import Conv1d, ConvTranspose1d, LayerNorm, _overlap_add
+from sslasr.nn import (
+    Conv1d,
+    ConvTranspose1d,
+    Gelu,
+    LayerNorm,
+    Linear,
+    MultiHeadSelfAttention,
+    Ragged,
+    Relu,
+    TransformerBlock,
+    _overlap_add,
+)
 
 from oracles import reference_layer_norm, reference_overlap_add
 
@@ -75,3 +87,111 @@ class TestLayerNormOracle:
         assert ln.backward(dy).tobytes() == dx.tobytes()
         assert ln.gain.grad.tobytes() == dgain.tobytes()
         assert ln.bias.grad.tobytes() == dbias.tobytes()
+
+
+def _layer(kind, d, d_out, kernel, stride, rng):
+    """A layer of ``kind`` over width-``d`` rows, with random biases and
+    gains so that no parameter is a neutral 0 or 1."""
+    layer = {
+        "linear": lambda: Linear(rng, d, d_out, "lin"),
+        "layer_norm": lambda: LayerNorm(d, "ln"),
+        "gelu": Gelu,
+        "relu": Relu,
+        "conv": lambda: Conv1d(rng, d, d_out, kernel, stride, "conv"),
+        "conv_transpose": lambda: ConvTranspose1d(rng, d, d_out, kernel, stride, "up"),
+        "attention": lambda: MultiHeadSelfAttention(rng, 2 * d, 2, "attn"),
+        "block": lambda: TransformerBlock(rng, 2 * d, 2, "block"),
+    }[kind]()
+    for p in layer.parameters():
+        p.value = rng.normal(size=p.value.shape)
+    return layer
+
+
+LAYERS = ["linear", "layer_norm", "gelu", "relu", "conv", "conv_transpose", "attention"]
+
+
+class TestRagged:
+    def test_rows_in_order_of_length_and_split_back(self):
+        arrays = [np.full((t, 2), float(i), dtype=np.float32) for i, t in
+                  enumerate([3, 1, 3, 2, 1])]
+        rows, batch = Ragged.of(arrays)
+        assert rows.dtype == np.float64 and rows.shape == (10, 2)
+        assert batch.order == (1, 4, 3, 0, 2) and batch.lengths == (1, 1, 2, 3, 3)
+        assert batch.runs == ((0, 2, 1), (2, 1, 2), (4, 2, 3))
+        for a, part in zip(arrays, batch.split(rows)):
+            assert part.tobytes() == a.astype(np.float64).tobytes()
+        assert batch.resized(lambda t: 2 * t).runs == ((0, 2, 2), (4, 1, 4), (8, 2, 6))
+
+    def test_empty_batch_rejected(self):
+        with pytest.raises(ValueError, match="at least one utterance"):
+            Ragged.of([])
+
+
+class TestRaggedForward:
+    """A ragged batch's forward equals the per-utterance forwards bit for
+    bit, whatever the mix of lengths; a backward pass after it is refused
+    by name."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(kind=st.sampled_from(LAYERS + ["block"]),
+           lengths=st.lists(st.integers(1, 9), min_size=1, max_size=7),
+           d=st.integers(1, 5), d_out=st.integers(1, 45), kernel=st.integers(1, 4),
+           stride=st.integers(1, 4), seed=st.integers(0, 2**32 - 1))
+    @example(kind="conv_transpose", lengths=[5, 2, 5], d=2, d_out=3, kernel=2, stride=3,
+             seed=0)  # kernel < stride
+    @example(kind="conv_transpose", lengths=[5, 2, 5], d=2, d_out=3, kernel=2, stride=2,
+             seed=0)  # kernel = stride
+    @example(kind="conv_transpose", lengths=[5, 2, 5], d=2, d_out=3, kernel=4, stride=1,
+             seed=0)  # kernel > stride: overlapping taps
+    @example(kind="linear", lengths=[1, 7, 2, 1, 9, 3], d=5, d_out=41, kernel=1, stride=1,
+             seed=1)  # a width BLAS computes in a row-count-dependent order
+    @example(kind="attention", lengths=[4, 1, 6, 4], d=2, d_out=1, kernel=1, stride=1,
+             seed=2)
+    def test_rows_equal_per_utterance_forwards(self, kind, lengths, d, d_out, kernel,
+                                               stride, seed):
+        rng = np.random.default_rng(seed)
+        layer = _layer(kind, d, d_out, kernel, stride, rng)
+        width = 2 * d if kind in ("attention", "block") else d
+        if kind == "conv":
+            lengths = [max(t, kernel) for t in lengths]
+        inputs = [rng.normal(size=(t, width)) for t in lengths]
+        rows, batch = Ragged.of(inputs)
+        y = layer.forward(rows, batch)
+        out_batch = batch.resized(getattr(layer, "out_length", lambda t: t))
+        outputs = out_batch.split(y)
+        assert len(y) == sum(out_batch.lengths)
+        for x, out in zip(inputs, outputs):
+            assert out.tobytes() == layer.forward(x).tobytes()
+
+    @settings(max_examples=60, deadline=None)
+    @given(case=overlap_cases(), b=st.integers(1, 3))
+    @example(case=(_parts(5, 12, 2), 4, 28), b=2)  # overlapping taps
+    @example(case=(_parts(4, 2, 3), 5, 17), b=2)  # kernel < stride
+    @example(case=(_parts(3, 4, 2), 4, 12), b=3)  # kernel = stride
+    def test_overlap_add_rows(self, case, b):
+        parts, stride, length = case
+        stack = np.stack([parts * (j + 1) for j in range(b)])
+        out = _overlap_add(stack, stride, length)
+        for j in range(b):
+            expected = reference_overlap_add(parts * (j + 1), stride, length)
+            assert out[j].tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("kind, name", [
+        ("linear", "Linear 'lin'"), ("layer_norm", "LayerNorm 'ln'"), ("gelu", "Gelu"),
+        ("relu", "Relu"), ("conv", "Conv1d 'conv'"), ("conv_transpose", "ConvTranspose1d 'up'"),
+        ("attention", "MultiHeadSelfAttention 'attn'"),
+    ])
+    def test_backward_after_batched_forward_names_the_layer(self, kind, name):
+        rng = np.random.default_rng(0)
+        layer = _layer(kind, 2, 3, 2, 2, rng)
+        width = 4 if kind == "attention" else 2
+        # a per-utterance forward first, so a stale cache cannot serve
+        y = layer.forward(rng.normal(size=(6, width)))
+        layer.forward(*Ragged.of([rng.normal(size=(t, width)) for t in (6, 3)]))
+        grads = [p.grad.copy() for p in layer.parameters()]
+        with pytest.raises(ValueError, match=f"^{name}: backward pass without a per-utterance"):
+            layer.backward(np.ones_like(y))
+        assert all(np.array_equal(g, p.grad) for g, p in zip(grads, layer.parameters()))
+        # a per-utterance forward makes backward available again
+        layer.forward(rng.normal(size=(6, width)))
+        layer.backward(np.ones_like(y))

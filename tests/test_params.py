@@ -340,6 +340,54 @@ class TestTrainEpochs:
             list(schedule)
 
 
+def _storage_size(arr):
+    """Elements of the buffer that ``arr`` is a view into (its own if none)."""
+    while arr.base is not None:
+        arr = arr.base
+    return arr.size
+
+
+class TestStageBuffers:
+    """A finished schedule leaves its parameters compact storage of their
+    own, so frozen layers keep no stage's flat buffers alive."""
+
+    @pytest.mark.parametrize("diverge", [False, True])
+    def test_schedule_end_unpacks(self, diverge):
+        params = [Parameter("a", np.arange(3.0)), Parameter("b", np.ones((2, 2)))]
+
+        def step(i, epoch):
+            params[0].grad += 1.0
+            return np.nan if diverge and epoch == 1 else 1.0
+
+        schedule = train_epochs(params, 2, 3, np.random.default_rng(0),
+                                {"optimizer": "sgd", "lr": 0.1}, step, "toy")
+        packed = next(schedule)  # mid-schedule the parameters share one buffer
+        assert packed[0] == 0 and _storage_size(params[0].value) == 7
+        values = [p.value.copy() for p in params]
+        if diverge:
+            with pytest.raises(RuntimeError, match="diverged"):
+                list(schedule)
+        else:
+            list(schedule)
+        for p, value in zip(params, values):
+            assert _storage_size(p.value) == p.value.size
+            assert _storage_size(p.grad) == p.grad.size
+            if diverge:  # the abort comes before any step of epoch 1
+                assert p.value.tobytes() == value.tobytes()
+
+    def test_pretrain_then_head_only_leaves_every_parameter_compact(self):
+        from sslasr.encoder import EncoderConfig, finetune_ctc, pretrain
+
+        rng = np.random.default_rng(0)
+        audio = [rng.normal(0.0, 0.3, 4800) for _ in range(3)]
+        model, _ = pretrain(audio, EncoderConfig(), epochs=1, seed=0)
+        finetune_ctc([(a, [1, 2]) for a in audio], model, 4, epochs=1, seed=0,
+                     scope="head-only")
+        for p in model.parameters():
+            assert _storage_size(p.value) == p.value.size, p.name
+            assert _storage_size(p.grad) == p.grad.size, p.name
+
+
 def _pretrain(opt_cfg, rng):
     from sslasr.encoder import EncoderConfig, pretrain
 

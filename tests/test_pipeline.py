@@ -18,6 +18,29 @@ from sslasr.inversion import MdnModel
 from sslasr.rescore import rescore, score_nbest_with_ssl
 
 
+def features_of(feature_fn, records):
+    """The features of ``records`` in order, from a features function's
+    windows."""
+    return [f for window in feature_fn(records) for f in window]
+
+
+def sample_key(audio):
+    samples = getattr(audio, "samples", audio)
+    return hashlib.sha256(np.ascontiguousarray(samples).tobytes()).hexdigest()
+
+
+def count_encodes(monkeypatch, counter):
+    """Count every utterance the encoder's inference entries
+    (``encode_raw``, ``represent``) encode, keyed by its samples, whatever
+    batch it rides in."""
+    for name in ("encode_raw", "represent"):
+        def counted(self, audio, *args, _fn=getattr(SslEncoder, name)):
+            audio = list(audio)
+            counter.update(map(sample_key, audio))
+            return _fn(self, audio, *args)
+        monkeypatch.setattr(SslEncoder, name, counted)
+
+
 class TestCorpusAccess:
     def test_tokens_resolve(self, tiny_corpus):
         record = tiny_corpus.manifest.records[0]
@@ -37,8 +60,8 @@ class TestModelRoundTrips:
         pipeline.save_encoder(model, path)
         back = pipeline.load_encoder(tiny_config, path)
         rec = tiny_corpus.manifest.records[0]
-        a = model.head_posteriors(model.represent(tiny_corpus.audio(rec))[1]).logp
-        b = back.head_posteriors(back.represent(tiny_corpus.audio(rec))[1]).logp
+        a = model.head_posteriors(model.represent([tiny_corpus.audio(rec)])[1])[0].logp
+        b = back.head_posteriors(back.represent([tiny_corpus.audio(rec)])[1])[0].logp
         assert np.array_equal(a, b)
 
     def test_adapter_save_load(self, tiny_config, tiny_models, tmp_path):
@@ -58,8 +81,7 @@ class TestFeatureFns:
         model, adapter = tiny_models
         fn = pipeline.build_feature_fn(tiny_corpus, "fbk+w2v-bn", model=model,
                                        adapter=adapter)
-        rec = tiny_corpus.manifest.records[0]
-        feats = fn(rec)
+        (feats,) = features_of(fn, tiny_corpus.manifest.records[:1])
         assert feats.frame_shift_us == 10_000
         assert feats.dim == 40 + 32
 
@@ -72,30 +94,27 @@ class TestFeatureFns:
         expected = []
         for rec in records:
             streams = [compute_fbank(tiny_corpus.audio(rec)),
-                       pipeline.bottleneck_features(tiny_corpus, rec, model, adapter)]
+                       *pipeline.bottleneck_features(tiny_corpus, [rec], model, adapter)]
             if kind.endswith("artic"):
-                streams.append(pipeline.articulatory_features(tiny_corpus, rec, model,
-                                                              adapter, mdn_model))
+                streams += pipeline.articulatory_features(tiny_corpus, [rec], model,
+                                                          adapter, mdn_model)
             expected.append(fuse_features(streams, 10_000))
         reads, encodes = Counter(), Counter()
-        read_wav, encode_raw = pipeline.read_wav, SslEncoder.encode_raw
+        read_wav = pipeline.read_wav
 
         def counted_read(path):
             reads[str(path)] += 1
             return read_wav(path)
 
-        def counted_encode(self, audio):
-            encodes[len(audio)] += 1
-            return encode_raw(self, audio)
-
         monkeypatch.setattr(pipeline, "read_wav", counted_read)
-        monkeypatch.setattr(SslEncoder, "encode_raw", counted_encode)
+        count_encodes(monkeypatch, encodes)
         fn = pipeline.build_feature_fn(tiny_corpus, kind, model=model, adapter=adapter,
                                        mdn_model=mdn_model)
-        got = [fn(rec) for rec in records]
+        got = features_of(fn, records)
         monkeypatch.undo()
         assert reads == Counter(str(tiny_corpus.root / r.audio_path) for r in records)
-        assert sum(encodes.values()) == len(records)
+        # every utterance is encoded once, whatever batch it rode in
+        assert encodes == Counter(sample_key(tiny_corpus.audio(r)) for r in records)
         for g, e in zip(got, expected):
             assert (g.label, g.frame_shift_us) == (e.label, e.frame_shift_us)
             assert np.array_equal(g.data, e.data)
@@ -103,25 +122,26 @@ class TestFeatureFns:
     def test_unknown_stream_rejected(self, tiny_corpus):
         fn = pipeline.build_feature_fn(tiny_corpus, "mystery")
         with pytest.raises(ValueError, match="unknown feature stream"):
-            fn(tiny_corpus.manifest.records[0])
+            features_of(fn, tiny_corpus.manifest.records[:1])
 
-    def test_bn_dir_source(self, tiny_corpus, tiny_models, tmp_path):
+    def test_bn_dir_source(self, tiny_corpus, tiny_models, tmp_path, monkeypatch):
         from sslasr.features import write_features
 
         model, adapter = tiny_models
         rec = tiny_corpus.manifest.records[0]
-        feats = pipeline.bottleneck_features(tiny_corpus, rec, model, adapter)
+        (feats,) = pipeline.bottleneck_features(tiny_corpus, [rec], model, adapter)
         write_features(feats, tmp_path / f"{rec.utt_id}.sff")
         fn = pipeline.build_feature_fn(tiny_corpus, "w2v-bn", bn_dir=tmp_path)
-        loaded = fn(rec)
+        monkeypatch.setattr(pipeline, "read_wav", None)  # stored streams read no WAV
+        (loaded,) = features_of(fn, [rec])
         assert np.array_equal(loaded.data, feats.data)
 
 
     def test_bottleneck_stream_shift_and_label(self, tiny_corpus, tiny_models):
         model, adapter = tiny_models
         rec = tiny_corpus.manifest.records[0]
-        feats = pipeline.bottleneck_features(tiny_corpus, rec, model, adapter)
-        bn, _ = model.represent(tiny_corpus.audio(rec), adapter)
+        (feats,) = pipeline.bottleneck_features(tiny_corpus, [rec], model, adapter)
+        (bn,), _ = model.represent([tiny_corpus.audio(rec)], adapter)
         assert (feats.frame_shift_us, feats.label) == (10_000, "w2v-bn")
         assert np.array_equal(feats.data, bn.astype(np.float32))
 
@@ -130,15 +150,15 @@ class TestFeatureFns:
         odd = BottleneckAdapter(BottleneckConfig(d_in=model.cfg.d_model, d_bn=8,
                                                  kernel=3, stride=3), seed=0)
         with pytest.raises(ValueError, match="divide evenly"):
-            pipeline.bottleneck_features(tiny_corpus, tiny_corpus.manifest.records[0],
-                                         model, odd)
+            list(pipeline.bottleneck_features(tiny_corpus, tiny_corpus.manifest.records[:1],
+                                              model, odd))
 
 
 class TestStreamFiles:
     def test_round_trip_preserves_decisions(self, tiny_corpus, tiny_models, tmp_path):
         model, adapter = tiny_models
         rec = tiny_corpus.manifest.records[0]
-        stream = model.head_posteriors(model.represent(tiny_corpus.audio(rec), adapter)[1])
+        (stream,) = model.head_posteriors(model.represent([tiny_corpus.audio(rec)], adapter)[1])
         path = tmp_path / "s.post"
         pipeline.write_stream(stream, path)
         back = pipeline.read_stream(path)
@@ -176,7 +196,8 @@ class TestInversionPipeline:
         )
         assert history[-1]["nll"] < history[0]["nll"]
         rec = tiny_corpus.manifest.records[0]
-        artic = pipeline.articulatory_features(tiny_corpus, rec, model, adapter, mdn_model)
+        (artic,) = pipeline.articulatory_features(tiny_corpus, [rec], model, adapter,
+                                                  mdn_model)
         assert artic.label == "artic"
         assert artic.dim == tiny_config["mdn"]["d_artic"]
         assert artic.frame_shift_us == 10_000
@@ -188,7 +209,8 @@ class TestParallelDecode:
         records = tiny_corpus.manifest.subset("test-seen")[:4]
         tasks = []
         for rec in records:
-            stream = model.head_posteriors(model.represent(tiny_corpus.audio(rec), adapter)[1])
+            (stream,) = model.head_posteriors(
+                model.represent([tiny_corpus.audio(rec)], adapter)[1])
             up = pipeline.PosteriorStream(
                 np.repeat(stream.logp, 2, axis=0), 10_000, stream.source
             )
@@ -267,8 +289,9 @@ class TestRunRecognition:
                                              adapter=adapter)
         weights = parse_weight_ratio(tiny_config["decode"]["weights"])
         for record, hyp in zip(records, result["hypotheses"]["joint"]):
-            mixed = interpolate_posteriors([am_fused.posteriors(fused_fn(record)),
-                                            am_fbk.posteriors(fbk_fn(record))], weights)
+            (fused,), (fbk,) = features_of(fused_fn, [record]), features_of(fbk_fn, [record])
+            mixed = interpolate_posteriors(
+                [am_fused.posteriors([fused])[0], am_fbk.posteriors([fbk])[0]], weights)
             expected = decode_stream(mixed, tiny_corpus.lexicon, tiny_corpus.vocab,
                                      record.utt_id)
             assert hyp.words == expected.words
@@ -278,23 +301,19 @@ class TestRunRecognition:
                                          monkeypatch):
         model, adapter = tiny_models
         reads, fbanks, encodes = Counter(), Counter(), Counter()
+        key = sample_key
 
-        def key(audio):
-            samples = getattr(audio, "samples", audio)
-            return hashlib.sha256(np.ascontiguousarray(samples).tobytes()).hexdigest()
-
-        def counted(counter, fn, key_of):
+        def counted(counter, fn, keys_of):
             def wrapper(*args):
-                counter[key_of(*args)] += 1
+                counter.update(keys_of(*args))
                 return fn(*args)
             return wrapper
 
         monkeypatch.setattr(pipeline, "read_wav",
-                            counted(reads, pipeline.read_wav, lambda path: str(path)))
+                            counted(reads, pipeline.read_wav, lambda path: [str(path)]))
         monkeypatch.setattr(pipeline, "compute_fbank",
-                            counted(fbanks, pipeline.compute_fbank, key))
-        monkeypatch.setattr(SslEncoder, "encode_raw",
-                            counted(encodes, SslEncoder.encode_raw, lambda _, a: key(a)))
+                            counted(fbanks, pipeline.compute_fbank, lambda a: [key(a)]))
+        count_encodes(monkeypatch, encodes)
         result = pipeline.run_recognition(tiny_corpus, tiny_config, model, adapter)
         monkeypatch.undo()
         records = sorted(tiny_corpus.manifest.subset("test-seen", "test-unseen"),
@@ -314,13 +333,15 @@ class TestRunRecognition:
         weights = parse_weight_ratio(tiny_config["decode"]["weights"])
         alpha, beta = tiny_config["rescore"]["alpha"], tiny_config["rescore"]["beta"]
         for record, hyp in zip(records, result["hypotheses"]["rescored"]):
-            mixed = interpolate_posteriors([am_fused.posteriors(fused_fn(record)),
-                                            am_fbk.posteriors(fbk_fn(record))], weights)
+            (fused,), (fbk,) = features_of(fused_fn, [record]), features_of(fbk_fn, [record])
+            mixed = interpolate_posteriors(
+                [am_fused.posteriors([fused])[0], am_fbk.posteriors([fbk])[0]], weights)
             nbest = isolated_nbest(mixed, tiny_corpus.lexicon, tiny_corpus.vocab,
                                    tiny_config["decode"]["nbest"], utt_id=record.utt_id,
                                    system="tdnn")
-            _, h = model.represent(tiny_corpus.audio(record), adapter)
-            scored = score_nbest_with_ssl(nbest, model.head_posteriors(h), tiny_corpus.vocab)
+            _, h = model.represent([tiny_corpus.audio(record)], adapter)
+            (scored,) = score_nbest_with_ssl([(nbest, model.head_posteriors(h)[0])],
+                                             tiny_corpus.vocab)
             best, _ = rescore(scored, alpha, beta)
             assert hyp.words == list(best.words)
             assert hyp.cost == best.combined_cost

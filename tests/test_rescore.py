@@ -1,7 +1,16 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from sslasr.ctc import NBestEntry, NBestList, PosteriorStream, TokenVocab, ctc_forward_score
+from sslasr.ctc import (
+    NBestEntry,
+    NBestList,
+    PosteriorStream,
+    TokenVocab,
+    _ctc_lattice,
+    ctc_forward_score,
+)
 from sslasr.rescore import RescoreError, rescore, score_nbest_with_ssl
 
 from oracles import ctc_score_by_enumeration
@@ -27,11 +36,17 @@ def nbest(costs, tokens=None):
     return NBestList("utt", entries)
 
 
+def score_one(nb, stream):
+    """``score_nbest_with_ssl`` of a single (N-best list, stream) pair."""
+    (scored_list,) = score_nbest_with_ssl([(nb, stream)], VOCAB)
+    return scored_list
+
+
 class TestScoreWithSsl:
     def test_empty_tokens_cost_is_blank_path(self):
         rng = np.random.default_rng(0)
         stream = rand_stream(4, 2, rng)
-        nb = score_nbest_with_ssl(nbest([1.0], tokens=[[]]), stream, VOCAB)
+        nb = score_one(nbest([1.0], tokens=[[]]), stream)
         assert nb.entries[0].cost_per_system["w2v"] == pytest.approx(
             -stream.logp[:, 0].sum(), abs=1e-12
         )
@@ -39,9 +54,7 @@ class TestScoreWithSsl:
     def test_matches_standalone_forward_score(self):
         rng = np.random.default_rng(1)
         stream = rand_stream(5, 2, rng)
-        nb = score_nbest_with_ssl(
-            nbest([1.0, 2.0], tokens=[["a"], ["a", "b"]]), stream, VOCAB
-        )
+        nb = score_one(nbest([1.0, 2.0], tokens=[["a"], ["a", "b"]]), stream)
         for entry in nb.entries:
             direct = ctc_forward_score(stream, VOCAB.ids_of(entry.tokens))
             assert entry.cost_per_system["w2v"] == direct
@@ -51,7 +64,7 @@ class TestScoreWithSsl:
         for _ in range(8):
             stream = rand_stream(int(rng.integers(1, 5)), 2, rng)
             toks = [["a"], ["b", "a"], []]
-            nb = score_nbest_with_ssl(nbest([1, 2, 3], tokens=toks), stream, VOCAB)
+            nb = score_one(nbest([1, 2, 3], tokens=toks), stream)
             for entry in nb.entries:
                 expected = ctc_score_by_enumeration(stream.logp, VOCAB.ids_of(entry.tokens))
                 got = entry.cost_per_system["w2v"]
@@ -63,11 +76,29 @@ class TestScoreWithSsl:
     def test_unsatisfiable_entry_kept_with_inf(self):
         rng = np.random.default_rng(3)
         stream = rand_stream(1, 2, rng)
-        nb = score_nbest_with_ssl(
-            nbest([1.0, 2.0], tokens=[["a", "b", "a"], ["a"]]), stream, VOCAB
-        )
+        nb = score_one(nbest([1.0, 2.0], tokens=[["a", "b", "a"], ["a"]]), stream)
         assert len(nb.entries) == 2
         assert nb.entries[0].cost_per_system["w2v"] == np.inf
+
+
+    @settings(max_examples=40, deadline=None)
+    @given(frames=st.lists(st.integers(1, 8), min_size=1, max_size=6),
+           depths=st.lists(st.integers(0, 5), min_size=6, max_size=6),
+           seed=st.integers(0, 2**32 - 1))
+    def test_pairs_equal_per_stream_lattice(self, frames, depths, seed):
+        # lists of different depths on streams of different lengths, some
+        # entries too long to align in their stream
+        rng = np.random.default_rng(seed)
+        pairs = []
+        for t, depth in zip(frames, depths):
+            toks = [list(rng.choice(["a", "b"], size=rng.integers(0, 7))) for _ in range(depth)]
+            pairs.append((nbest(range(depth), tokens=toks), rand_stream(t, 2, rng)))
+        for (nb, stream), got in zip(pairs, score_nbest_with_ssl(pairs, VOCAB)):
+            assert [e.words for e in got.entries] == [e.words for e in nb.entries]
+            targets = [VOCAB.ids_of(e.tokens) for e in nb.entries]
+            expected = _ctc_lattice(stream.logp, targets, np.logaddexp)[1]
+            costs = np.array([e.cost_per_system["w2v"] for e in got.entries])
+            assert costs.tobytes() == expected.tobytes()
 
 
 def scored(first, second):
