@@ -16,16 +16,9 @@ from . import pipeline
 from .config import load_config
 from .corpus import Manifest
 from .ctc import NBestList
-from .decoder import (
-    Hypothesis,
-    Lexicon,
-    best_hypothesis,
-    interpolate_posteriors,
-    isolated_nbest_batch,
-    parse_weight_ratio,
-)
+from .decoder import Lexicon, parse_weight_ratio
 from .params import ParameterStore
-from .rescore import rescore, score_nbest_with_ssl
+from .rescore import rescore_hypotheses
 
 logger = logging.getLogger("sslasr")
 
@@ -96,7 +89,7 @@ def build_parser():
     p.add_argument("--corpus", help="decode a corpus test split with --am")
     p.add_argument("--am", help="acoustic model store")
     p.add_argument("--features", default="fbk", help="stream spec for --am")
-    p.add_argument("--model", help="encoder store (for w2v-bn features or SSL decode)")
+    p.add_argument("--model", help="encoder store (for w2v-bn/artic features)")
     p.add_argument("--adapter")
     p.add_argument("--mdn")
     p.add_argument("--bn-dir")
@@ -280,26 +273,17 @@ def _load_am(cfg, path):
     return am
 
 
-def _decode(streams, lexicon, vocab, args, system_of):
-    """Hypotheses of a {utt_id: stream} map in utterance order. With
-    ``--nbest`` they are the heads of the N-best lists of one batched pass
-    (each entry costed under ``system_of(stream)``), and the lists go to
-    ``--nbest-out``."""
-    if not args.nbest:
-        tasks = [(u, [s], None, lexicon, vocab) for u, s in streams.items()]
-        return pipeline.decode_utterances(tasks, jobs=args.jobs)
-    by_system = {}
-    for u in sorted(streams):
-        by_system.setdefault(system_of(streams[u]), []).append(u)
-    nbests = {}
-    for system, utts in by_system.items():
-        batch = isolated_nbest_batch([streams[u] for u in utts], lexicon, vocab,
-                                     args.nbest, utts, system=system)
-        nbests.update(zip(utts, batch))
-    nbests = [nbests[u] for u in sorted(streams)]
-    if args.nbest_out:
+def _decode(tasks, lexicon, vocab, args, system):
+    """Decode ``(utt_id, streams, weights)`` tasks with
+    ``pipeline.decode_utterances`` and write the hypotheses. With
+    ``--nbest`` each hypothesis heads an N-best list of that depth, costed
+    under ``system``, and the lists go to ``--nbest-out``."""
+    if args.nbest and lexicon.mode != "isolated":
+        raise ValueError("lexicon is not in isolated-word mode: --nbest needs one")
+    hyps, nbests = pipeline.decode_utterances(tasks, lexicon, vocab, args.nbest or 1, system)
+    if args.nbest and args.nbest_out:
         _emit_lines([nb.to_json() for nb in nbests], args.nbest_out)
-    return [best_hypothesis(nb) for nb in nbests]
+    _emit_lines(_hyp_lines(hyps), args.out)
 
 
 def cmd_decode(args):
@@ -308,6 +292,9 @@ def cmd_decode(args):
     vocab = lexicon.vocab()
     if args.streams:
         sources, utts = _load_stream_sources(args.streams)
+        if len(sources) > 1:
+            raise ValueError(f"decode takes one stream source, got {len(sources)}; "
+                             "combine systems with joint-decode")
         streams = {u: pipeline.read_stream(sources[0][u]) for u in utts}
     elif args.corpus and args.am:
         corpus = pipeline.Corpus(args.corpus)
@@ -325,8 +312,12 @@ def cmd_decode(args):
         out.mkdir(parents=True, exist_ok=True)
         for utt_id, stream in streams.items():
             pipeline.write_stream(stream, out / f"{utt_id}.post")
-    hyps = _decode(streams, lexicon, vocab, args, lambda s: s.source or "am")
-    _emit_lines(_hyp_lines(hyps), args.out)
+    labels = {s.source or "am" for s in streams.values()} or {"am"}
+    if len(labels) > 1:
+        raise ValueError(f"streams carry different system labels {sorted(labels)}; "
+                         "decode one system at a time")
+    tasks = [(u, [s], None) for u, s in streams.items()]
+    _decode(tasks, lexicon, vocab, args, labels.pop())
 
 
 def cmd_joint_decode(args):
@@ -337,11 +328,8 @@ def cmd_joint_decode(args):
     sources, utts = _load_stream_sources(args.streams)
     if len(sources) != weights.size:
         raise ValueError(f"{len(sources)} stream sources but {weights.size} weights")
-    mixed = {u: interpolate_posteriors([pipeline.read_stream(src[u]) for src in sources],
-                                       weights)
-             for u in utts}
-    hyps = _decode(mixed, lexicon, vocab, args, lambda s: "tdnn")
-    _emit_lines(_hyp_lines(hyps), args.out)
+    tasks = [(u, [pipeline.read_stream(src[u]) for src in sources], weights) for u in utts]
+    _decode(tasks, lexicon, vocab, args, "tdnn")
 
 
 def cmd_rescore(args):
@@ -368,13 +356,8 @@ def cmd_rescore(args):
     records = [by_id[nbest.utt_id] for nbest in nbests]
     ssl = [stream for _, _, _, h in pipeline.record_batches(corpus, records, model, adapter)
            for stream in model.head_posteriors(h)]
-    lines = []
-    for scored in score_nbest_with_ssl(zip(nbests, ssl), corpus.vocab):
-        best, _ = rescore(scored, alpha, beta)
-        lines.append(json.dumps(Hypothesis(
-            scored.utt_id, list(best.words), list(best.tokens), best.combined_cost
-        ).to_json_dict()))
-    _emit_lines(lines, args.out)
+    hyps = rescore_hypotheses(nbests, ssl, corpus.vocab, alpha, beta)
+    _emit_lines(_hyp_lines(hyps), args.out)
 
 
 def cmd_score(args):

@@ -161,19 +161,22 @@ def mdn_nll_step(model: MdnModel, x, targets):
 def train_inversion(dataset, cfg: MdnConfig, epochs, seed, optimizer_cfg=None):
     """Train on frame-aligned (representation, articulatory) pairs.
 
-    Both sides may be FeatureMatrix or plain arrays; pairs are truncated
-    to their common length. Returns (model, per-epoch NLL history).
+    Both sides may be FeatureMatrix or plain arrays, and the two sides of
+    a pair must have the same number of frames (ValueError otherwise).
+    Returns (model, per-epoch NLL history).
     """
     seq = np.random.SeedSequence(seed)
     init_seed, loop_seed = seq.spawn(2)
     model = MdnModel(cfg, seed=init_seed)
     rng = np.random.default_rng(loop_seed)
     pairs = []
-    for feats, artic in dataset:
+    for i, (feats, artic) in enumerate(dataset):
         x = feats.data if isinstance(feats, FeatureMatrix) else np.asarray(feats)
         y = artic.data if isinstance(artic, FeatureMatrix) else np.asarray(artic)
-        t = min(x.shape[0], y.shape[0])
-        pairs.append((x[:t].astype(np.float64), y[:t].astype(np.float64)))
+        if x.shape[0] != y.shape[0]:
+            raise ValueError(f"pair {i}: {x.shape[0]} representation frames but "
+                             f"{y.shape[0]} articulatory frames")
+        pairs.append((x.astype(np.float64), y.astype(np.float64)))
 
     def step(i, _epoch):
         return mdn_nll_step(model, *pairs[i])

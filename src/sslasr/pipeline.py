@@ -3,12 +3,13 @@ fine-tuning, feature extraction, acoustic-model training, single and
 joint decoding, N-best rescoring, and scoring. The CLI, the demos, and
 the acceptance suite all drive these functions.
 
-Decoding runs in this process. Isolated-word decoding takes a whole test
-set at once: every utterance's streams are computed first, then one
-batched lattice pass (``decoder.isolated_nbest_batch``) decodes each
-system, and one more rescores every joint N-best list
-(``rescore.score_nbest_with_ssl``). Word-loop decoding goes one
-utterance at a time.
+Decoding runs in this process, and every decode pass of the recipe and
+the CLI goes through ``decode_utterances``: a single system's streams and
+a joint system's weighted streams alike are tasks of one call, which
+decodes a whole isolated-word test set in one batched lattice pass
+(``decoder.isolated_nbest_batch``) and word-loop streams one at a time.
+Every rescoring pass goes through ``rescore.rescore_hypotheses``, which
+scores all the joint N-best lists in one more pass.
 
 Forward passes over many utterances run in ragged batches.
 ``record_batches`` reads records just in time, a fixed window at a time
@@ -32,7 +33,6 @@ from .bottleneck import BottleneckAdapter, BottleneckConfig, train_adapter
 from .corpus import CorpusConfig, Manifest, gen_synth_corpus, partition_report
 from .ctc import PosteriorStream
 from .decoder import (
-    Hypothesis,
     Lexicon,
     best_hypothesis,
     decode_stream,
@@ -52,7 +52,7 @@ from .features import (
 from .frame_am import AmConfig, ctc_argmax_alignment, train_am, uniform_alignment
 from .inversion import MdnConfig, MdnModel, mdn_forward, mdn_predict, train_inversion
 from .params import ParameterStore
-from .rescore import rescore, score_nbest_with_ssl
+from .rescore import rescore_hypotheses
 
 logger = logging.getLogger(__name__)
 
@@ -382,33 +382,31 @@ def train_frame_am(corpus: Corpus, feature_fn, cfg, seed=None, model=None, adapt
     return am, history
 
 
-def decode_utterances(tasks, jobs=1):
-    """Decode (utt_id, [streams], weights, lexicon, vocab) tasks; results
-    are ordered by utterance id.
+def decode_utterances(tasks, lexicon: Lexicon, vocab, n=1, system="am"):
+    """Decode a test set of ``(utt_id, streams, weights)`` tasks; returns
+    ``(hypotheses, nbests)`` in utterance-id order.
 
     A task with one stream and no weights decodes that stream; otherwise
-    its streams are interpolated first (equal weights when None).
-    Isolated-word tasks that share one lexicon and vocabulary object are
-    decoded in one batched lattice pass, word-loop tasks one at a time.
-    ``jobs`` is accepted and ignored.
+    its streams are interpolated first (equal weights when None). In
+    isolated-word mode every task is decoded in one batched lattice pass
+    (``decoder.isolated_nbest_batch``) into an N-best list of depth ``n``
+    whose entries are costed under ``system``, and each hypothesis is the
+    head of its list. In word-loop mode each stream is decoded on its own
+    (``decoder.decode_stream``), ``n`` is not used and ``nbests`` is None.
     """
-    hyps, batches = [], {}
-    for utt_id, streams, weights, lexicon, vocab in tasks:
-        if len(streams) == 1 and weights is None:
-            stream = streams[0]
+    tasks = sorted(tasks, key=lambda task: task[0])
+    utt_ids, streams = [], []
+    for utt_id, parts, weights in tasks:
+        utt_ids.append(utt_id)
+        if len(parts) == 1 and weights is None:
+            streams.append(parts[0])
         else:
-            w = np.ones(len(streams)) if weights is None else weights
-            stream = interpolate_posteriors(streams, w)
-        if lexicon.mode == "isolated":
-            batch = batches.setdefault((id(lexicon), id(vocab)), [])
-            batch.append((utt_id, stream, lexicon, vocab))
-        else:
-            hyps.append(decode_stream(stream, lexicon, vocab, utt_id))
-    for batch in batches.values():
-        utt_ids, streams, lexicons, vocabs = zip(*batch)
-        nbests = isolated_nbest_batch(streams, lexicons[0], vocabs[0], 1, utt_ids)
-        hyps.extend(best_hypothesis(nbest) for nbest in nbests)
-    return sorted(hyps, key=lambda h: h.utt_id)
+            w = np.ones(len(parts)) if weights is None else weights
+            streams.append(interpolate_posteriors(parts, w))
+    if lexicon.mode != "isolated":
+        return [decode_stream(s, lexicon, vocab, u) for u, s in zip(utt_ids, streams)], None
+    nbests = isolated_nbest_batch(streams, lexicon, vocab, n, utt_ids, system)
+    return [best_hypothesis(nbest) for nbest in nbests], nbests
 
 
 def score_hypotheses(pairs, manifest: Manifest):
@@ -427,20 +425,21 @@ def run_recognition(corpus: Corpus, cfg, model, adapter, jobs=1,
                     test_subsets=("test-seen", "test-unseen")):
     """Full recognition comparison on the test subsets.
 
-    Trains the fbk-only and fbk+w2v-bn acoustic models, decodes each
-    single system, joint-decodes with the configured weights, rescoring
-    the joint N-best with second-pass SSL-CTC scores. The joint
-    hypothesis is the head of that N-best list, so the mixed stream is
+    Trains the fbk-only and fbk+w2v-bn acoustic models and decodes four
+    systems: each single system, the frame-level joint system of the two
+    (interpolated with the configured weights) and the rescoring of the
+    joint N-best lists with second-pass SSL-CTC scores. The joint
+    hypothesis is the head of its N-best list, so the mixed stream is
     decoded once. Each test utterance is read, turned into filterbanks and
     encoded once: the encoder pass gives both the bottleneck stream of the
     fused features and the CTC head input of the rescoring stream. The
     encoder, both acoustic models and the CTC head run one ragged batch
     per window of utterances (``record_batches``). Every utterance's
-    streams are computed first; then each system is decoded, and the
-    joint N-best lists rescored, in one batched lattice pass over the
-    test set. ``jobs`` is accepted and ignored. Returns a dict of
-    hypothesis lists and WER reports per system, and the two acoustic
-    models.
+    streams are computed first; then each of fbk, fused and joint is one
+    ``decode_utterances`` call over the test set, and the rescoring one
+    ``rescore.rescore_hypotheses`` call. ``jobs`` is accepted and ignored.
+    Returns a dict of hypothesis lists and WER reports per system, and the
+    two acoustic models.
     """
     seed = cfg["seed"]
     fbk_fn = build_feature_fn(corpus, "fbk")
@@ -466,20 +465,14 @@ def run_recognition(corpus: Corpus, cfg, model, adapter, jobs=1,
         s_fbk += am_fbk.posteriors(fbk, source="tdnn-fbk")
         s_fused += am_fused.posteriors(fused, source="tdnn-fused")
         ssl += model.head_posteriors(h)
-    mixed = [interpolate_posteriors([su, sf], weights) for su, sf in zip(s_fused, s_fbk)]
     lexicon, vocab = corpus.lexicon, corpus.vocab
-    hyps = {name: decode_utterances([(u, [s], None, lexicon, vocab)
-                                     for u, s in zip(ids, streams)])
-            for name, streams in (("fbk", s_fbk), ("fused", s_fused))}
-    nbests = isolated_nbest_batch(mixed, lexicon, vocab, n_best, ids, system="tdnn")
-    hyps["joint"] = [best_hypothesis(nbest) for nbest in nbests]
-    hyps["rescored"] = []
-    for scored in score_nbest_with_ssl(zip(nbests, ssl), vocab):
-        best, _ = rescore(scored, alpha, beta)
-        hyps["rescored"].append(
-            Hypothesis(scored.utt_id, list(best.words), list(best.tokens),
-                       best.combined_cost)
-        )
+    hyps = {}
+    for name, streams in (("fbk", s_fbk), ("fused", s_fused)):
+        hyps[name], _ = decode_utterances([(u, [s], None) for u, s in zip(ids, streams)],
+                                          lexicon, vocab)
+    joint = [(u, [fused, fbk], weights) for u, fused, fbk in zip(ids, s_fused, s_fbk)]
+    hyps["joint"], nbests = decode_utterances(joint, lexicon, vocab, n_best, "tdnn")
+    hyps["rescored"] = rescore_hypotheses(nbests, ssl, vocab, alpha, beta)
     reports = {name: score_hypotheses([(h.utt_id, h.words) for h in hs], corpus.manifest)
                for name, hs in hyps.items()}
     return {"hypotheses": hyps, "reports": reports,

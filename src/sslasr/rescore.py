@@ -8,6 +8,7 @@ from dataclasses import replace
 import numpy as np
 
 from .ctc import NBestList, TokenVocab, _check_target, _ctc_costs
+from .decoder import Hypothesis
 
 
 class RescoreError(ValueError):
@@ -73,3 +74,16 @@ def rescore(nbest: NBestList, alpha, beta, second_system="w2v",
     entries = [replace(e, combined_cost=c) for c, _, e in rescored]
     out = NBestList(nbest.utt_id, entries)
     return entries[0], out
+
+
+def rescore_hypotheses(nbests, ssl_streams, vocab: TokenVocab, alpha, beta):
+    """The second-pass hypothesis of each first-pass N-best list: its
+    entries scored on the utterance's SSL stream (``score_nbest_with_ssl``,
+    lists and streams paired in order) and re-ranked by ``rescore``.
+    Returns one hypothesis per list, in order, costed by combined cost."""
+    hyps = []
+    for scored in score_nbest_with_ssl(zip(nbests, ssl_streams), vocab):
+        best, _ = rescore(scored, alpha, beta)
+        hyps.append(Hypothesis(scored.utt_id, list(best.words), list(best.tokens),
+                               best.combined_cost))
+    return hyps

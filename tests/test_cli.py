@@ -132,6 +132,53 @@ class TestDecodeContract:
         assert outs[0] == outs[1]
 
 
+class TestDecodeErrors:
+    @pytest.fixture
+    def saved_streams(self, workdir, tmp_path):
+        root, corpus, cfg = workdir
+        streams = tmp_path / "streams"
+        assert main(["decode", "--config", cfg, "--corpus", str(corpus),
+                     "--am", str(root / "am_fbk.spm"), "--features", "fbk",
+                     "--lexicon", str(corpus / "lexicon.json"),
+                     "--save-streams", str(streams), "--out", str(tmp_path / "h.jsonl")]) == 0
+        return streams
+
+    def test_two_sources_point_to_joint_decode(self, workdir, saved_streams, tmp_path,
+                                               capsys):
+        _, corpus, cfg = workdir
+        rc = main(["decode", "--config", cfg, "--lexicon", str(corpus / "lexicon.json"),
+                   "--streams", f"{saved_streams},{saved_streams}",
+                   "--out", str(tmp_path / "never.jsonl")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "decode takes one stream source, got 2" in err and "joint-decode" in err
+        assert not (tmp_path / "never.jsonl").exists()
+
+    def test_mixed_system_labels_rejected(self, workdir, saved_streams, tmp_path, capsys):
+        _, corpus, cfg = workdir
+        first = sorted(saved_streams.iterdir())[0]
+        stream = pipeline.read_stream(first)
+        pipeline.write_stream(PosteriorStream(stream.logp, stream.frame_shift_us, "other"),
+                              first)
+        rc = main(["decode", "--config", cfg, "--lexicon", str(corpus / "lexicon.json"),
+                   "--streams", str(saved_streams), "--nbest", "3",
+                   "--out", str(tmp_path / "never.jsonl")])
+        assert rc == 1
+        assert "different system labels ['am', 'other']" in capsys.readouterr().err
+
+    def test_nbest_needs_isolated_word_lexicon(self, workdir, saved_streams, tmp_path,
+                                               capsys):
+        _, corpus, cfg = workdir
+        lexicon = Lexicon.load(corpus / "lexicon.json")
+        lexicon.mode = "word-loop"
+        lexicon.save(tmp_path / "loop.json")
+        rc = main(["decode", "--config", cfg, "--lexicon", str(tmp_path / "loop.json"),
+                   "--streams", str(saved_streams), "--nbest", "1",
+                   "--out", str(tmp_path / "never.jsonl")])
+        assert rc == 1
+        assert "not in isolated-word mode" in capsys.readouterr().err
+
+
 class TestJointAndRescore:
     def test_joint_decode_ratio_weights(self, workdir, tmp_path):
         root, corpus, cfg = workdir

@@ -154,6 +154,14 @@ class TestTrainInversion:
         assert history == []
         assert all(np.array_equal(a[k], b[k]) for k in a)
 
+    def test_unequal_pair_lengths_named(self):
+        rng = np.random.default_rng(16)
+        data = [(rng.normal(size=(5, 4)), rng.normal(size=(5, 2))),
+                (rng.normal(size=(7, 4)), rng.normal(size=(6, 2)))]
+        with pytest.raises(ValueError, match=r"pair 1: 7 representation frames but 6 "
+                                             r"articulatory frames"):
+            train_inversion(data, MdnConfig(d_in=4, d_artic=2), epochs=1, seed=11)
+
     def test_linear_map_recovery_within_noise_floor(self):
         # targets are a fixed linear map of the inputs plus noise; the
         # trained predictor must land within 2x the noise floor

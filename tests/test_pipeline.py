@@ -4,6 +4,8 @@ from collections import Counter
 import numpy as np
 import pytest
 from conftest import random_stream
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sslasr import pipeline
 from sslasr.bottleneck import BottleneckAdapter, BottleneckConfig
@@ -15,7 +17,7 @@ from sslasr.decoder import (Lexicon, LexiconEntry, decode_stream, interpolate_po
 from sslasr.encoder import SslEncoder
 from sslasr.features import compute_fbank, fuse_features
 from sslasr.inversion import MdnModel
-from sslasr.rescore import rescore, score_nbest_with_ssl
+from sslasr.rescore import rescore, rescore_hypotheses, score_nbest_with_ssl
 
 
 def features_of(feature_fn, records):
@@ -203,48 +205,90 @@ class TestInversionPipeline:
         assert artic.frame_shift_us == 10_000
 
 
-class TestParallelDecode:
-    def test_jobs_do_not_change_results(self, tiny_corpus, tiny_models):
-        model, adapter = tiny_models
-        records = tiny_corpus.manifest.subset("test-seen")[:4]
-        tasks = []
-        for rec in records:
-            (stream,) = model.head_posteriors(
-                model.represent([tiny_corpus.audio(rec)], adapter)[1])
-            up = pipeline.PosteriorStream(
-                np.repeat(stream.logp, 2, axis=0), 10_000, stream.source
-            )
-            tasks.append((rec.utt_id, [up], None, tiny_corpus.lexicon, tiny_corpus.vocab))
-        serial = pipeline.decode_utterances(tasks, jobs=1)
-        parallel = pipeline.decode_utterances(tasks, jobs=2)
-        assert [h.to_json_dict() for h in serial] == [h.to_json_dict() for h in parallel]
+VOCAB = TokenVocab(("a", "b", "c"))
+ENTRIES = [LexiconEntry("ab", ("a", "b")), LexiconEntry("c", ("c",)),
+           LexiconEntry("aa", ("a", "a"))]
+ISOLATED = Lexicon(ENTRIES)
+WORD_LOOP = Lexicon(ENTRIES, mode="word-loop", word_insertion_penalty=1.0)
+
+
+def reference_stream(streams, weights):
+    """The stream a task decodes, built on its own: its one stream, or the
+    interpolation of its streams (equal weights when None)."""
+    if len(streams) == 1 and weights is None:
+        return streams[0]
+    return interpolate_posteriors(streams, np.ones(len(streams)) if weights is None
+                                  else weights)
+
+
+def as_json(objs):
+    return None if objs is None else [o.to_json_dict() for o in objs]
 
 
 class TestDecodeUtterances:
     def test_batched_tasks_equal_per_task_decoding(self):
         rng = np.random.default_rng(3)
-        vocab = TokenVocab(("a", "b", "c"))
-        entries = [LexiconEntry("ab", ("a", "b")), LexiconEntry("c", ("c",)),
-                   LexiconEntry("aa", ("a", "a"))]
-        iso, other = Lexicon(entries), Lexicon(entries[:2])
-        loop = Lexicon(entries, mode="word-loop", word_insertion_penalty=1.0)
-        # (utt id, frames, streams, weights, lexicon): two isolated-word
-        # batches of mixed lengths, a word-loop task, joint tasks
-        specs = [("u5", 5, 2, [3, 2], iso), ("u4", 2, 1, None, iso), ("u3", 7, 1, None, other),
-                 ("u2", 3, 1, None, loop), ("u1", 4, 2, None, other), ("u0", 6, 1, None, iso)]
-        tasks, expected = [], []
-        for utt_id, t, n, weights, lexicon in specs:
-            streams = [random_stream(t, 3, rng) for _ in range(n)]
-            tasks.append((utt_id, streams, weights, lexicon, vocab))
-            if n == 1:
-                expected.append(decode_stream(streams[0], lexicon, vocab, utt_id))
-            else:
-                w = np.ones(n) if weights is None else weights
-                mixed = interpolate_posteriors(streams, w)
-                expected.append(decode_stream(mixed, lexicon, vocab, utt_id))
-        hyps = pipeline.decode_utterances(tasks)
-        expected.sort(key=lambda h: h.utt_id)
-        assert [h.to_json_dict() for h in hyps] == [h.to_json_dict() for h in expected]
+        # (utt id, frames, streams, weights): mixed lengths, joint tasks
+        # of equal and of ratio weights, a one-stream weighted task
+        specs = [("u5", 5, 2, [3, 2]), ("u4", 2, 1, None), ("u3", 7, 1, None),
+                 ("u2", 3, 1, [1.0]), ("u1", 4, 2, None), ("u0", 6, 3, [9, 1, 5])]
+        tasks = [(u, [random_stream(t, 3, rng) for _ in range(n)], w)
+                 for u, t, n, w in specs]
+        by_id = sorted(tasks, key=lambda task: task[0])
+        for lexicon in (ISOLATED, WORD_LOOP):
+            hyps, nbests = pipeline.decode_utterances(tasks, lexicon, VOCAB, n=2,
+                                                      system="tdnn")
+            expected = [decode_stream(reference_stream(s, w), lexicon, VOCAB, u)
+                        for u, s, w in by_id]
+            assert as_json(hyps) == as_json(expected)
+            if lexicon is WORD_LOOP:
+                assert nbests is None
+                continue
+            assert as_json(nbests) == as_json(
+                isolated_nbest(reference_stream(s, w), lexicon, VOCAB, 2, utt_id=u,
+                               system="tdnn") for u, s, w in by_id)
+
+    def test_empty_test_set(self):
+        assert pipeline.decode_utterances([], ISOLATED, VOCAB) == ([], [])
+
+
+@st.composite
+def decode_sets(draw):
+    """A lexicon and a set of tasks of mixed lengths: one stream alone, or
+    several interpolated under drawn or equal weights."""
+    lexicon = draw(st.sampled_from([ISOLATED, WORD_LOOP]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    tasks = []
+    for k in range(draw(st.integers(1, 6))):
+        t = draw(st.integers(1, 8))
+        n = draw(st.integers(1, 3))
+        weights = draw(st.one_of(st.none(), st.lists(st.integers(1, 9), min_size=n,
+                                                     max_size=n)))
+        tasks.append((f"u{k}", [random_stream(t, 3, rng) for _ in range(n)], weights))
+    ssl = {u: random_stream(draw(st.integers(1, 8)), 3, rng, source="w2v")
+           for u, _, _ in tasks}
+    return lexicon, tasks, ssl, draw(st.permutations(range(len(tasks))))
+
+
+class TestOrderIndependence:
+    @settings(max_examples=40, deadline=None)
+    @given(decode_sets(), st.integers(1, 3))
+    def test_shuffled_tasks_decode_and_rescore_alike(self, drawn, n):
+        lexicon, tasks, ssl, order = drawn
+        hyps, nbests = pipeline.decode_utterances(tasks, lexicon, VOCAB, n, "tdnn")
+        hyps2, nbests2 = pipeline.decode_utterances([tasks[i] for i in order], lexicon, VOCAB,
+                                                    n, "tdnn")
+        assert [h.utt_id for h in hyps] == sorted(ssl)
+        assert as_json(hyps) == as_json(hyps2)
+        assert as_json(nbests) == as_json(nbests2)
+        if nbests is None:
+            return
+
+        def rescored(lists):
+            hs = rescore_hypotheses(lists, [ssl[nb.utt_id] for nb in lists], VOCAB, 2.0, 9.0)
+            return {h.utt_id: h.to_json_dict() for h in hs}
+
+        assert rescored([nbests[i] for i in order]) == rescored(nbests)
 
 
 class TestScoreHypotheses:

@@ -11,7 +11,8 @@ from sslasr.ctc import (
     _ctc_lattice,
     ctc_forward_score,
 )
-from sslasr.rescore import RescoreError, rescore, score_nbest_with_ssl
+from sslasr.rescore import (RescoreError, rescore, rescore_hypotheses,
+                            score_nbest_with_ssl)
 
 from oracles import ctc_score_by_enumeration
 
@@ -173,3 +174,20 @@ class TestRescore:
     def test_empty_list_rejected(self):
         with pytest.raises(RescoreError, match="empty"):
             rescore(NBestList("utt", []), 1.0, 1.0)
+
+
+class TestRescoreHypotheses:
+    def test_each_list_rescored_on_its_own_stream(self):
+        rng = np.random.default_rng(6)
+        tokens = [["a"], ["a", "b"], ["b"], ["b", "a", "b"]]
+        lists = []
+        for k, depth in enumerate((4, 2, 3)):
+            nb = nbest(rng.uniform(1, 9, size=depth), tokens=tokens[:depth])
+            lists.append(NBestList(f"u{k}", nb.entries))
+        streams = [rand_stream(t, 2, rng) for t in (6, 1, 5)]  # u1 cannot align "ab"
+        hyps = rescore_hypotheses(lists, streams, VOCAB, 2.0, 9.0)
+        assert [h.utt_id for h in hyps] == ["u0", "u1", "u2"]
+        for hyp, nb, stream in zip(hyps, lists, streams):
+            best, _ = rescore(score_one(nb, stream), 2.0, 9.0)
+            assert (hyp.words, hyp.tokens, hyp.cost) == (best.words, best.tokens,
+                                                         best.combined_cost)
