@@ -17,6 +17,7 @@ from .config import load_config
 from .corpus import Manifest
 from .ctc import NBestList
 from .decoder import Lexicon, parse_weight_ratio
+from .features import write_archive
 from .params import ParameterStore
 from .rescore import rescore_hypotheses
 
@@ -54,21 +55,21 @@ def build_parser():
     p.add_argument("--out", required=True, help="fine-tuned parameter store")
     p.add_argument("--adapter-out", help="adapter parameter store")
 
-    p = sub.add_parser("extract-bn", help="write bottleneck features per utterance")
+    p = sub.add_parser("extract-bn", help="write every utterance's bottleneck features")
     _add_common(p)
     p.add_argument("--corpus", required=True)
     p.add_argument("--model", required=True)
     p.add_argument("--adapter", required=True)
-    p.add_argument("--out-dir", required=True)
+    p.add_argument("--out", required=True, help="bottleneck feature archive output")
 
     p = sub.add_parser("invert", help="train the articulatory inversion model and "
-                                      "write predicted trajectories per utterance")
+                                      "write every utterance's predicted trajectory")
     _add_common(p)
     p.add_argument("--corpus", required=True)
     p.add_argument("--model", required=True)
     p.add_argument("--adapter", required=True)
     p.add_argument("--mdn-out", required=True, help="inversion parameter store")
-    p.add_argument("--out-dir", required=True, help="articulatory feature directory")
+    p.add_argument("--out", required=True, help="articulatory feature archive output")
 
     p = sub.add_parser("train-am", help="train a frame acoustic model")
     _add_common(p)
@@ -78,23 +79,24 @@ def build_parser():
     p.add_argument("--model", help="fine-tuned encoder store (for w2v-bn/artic)")
     p.add_argument("--adapter", help="adapter store (for w2v-bn/artic)")
     p.add_argument("--mdn", help="inversion store (for artic)")
-    p.add_argument("--bn-dir", help="read extracted bottleneck features instead")
-    p.add_argument("--artic-dir", help="read extracted articulatory features instead")
+    p.add_argument("--bn", help="read this extract-bn archive instead")
+    p.add_argument("--artic", help="read this invert archive instead")
     p.add_argument("--out", required=True)
 
     p = sub.add_parser("decode", help="single-system decoding")
     _add_common(p)
     p.add_argument("--lexicon", required=True)
-    p.add_argument("--streams", help="posterior file or directory (one system)")
+    p.add_argument("--streams", help="posterior stream archive (one system)")
     p.add_argument("--corpus", help="decode a corpus test split with --am")
     p.add_argument("--am", help="acoustic model store")
     p.add_argument("--features", default="fbk", help="stream spec for --am")
     p.add_argument("--model", help="encoder store (for w2v-bn/artic features)")
     p.add_argument("--adapter")
     p.add_argument("--mdn")
-    p.add_argument("--bn-dir")
-    p.add_argument("--artic-dir")
-    p.add_argument("--save-streams", help="dump per-utterance posterior files here")
+    p.add_argument("--bn", help="read this extract-bn archive instead")
+    p.add_argument("--artic", help="read this invert archive instead")
+    p.add_argument("--save-streams",
+                   help="write the posterior streams to this archive, for --streams")
     p.add_argument("--nbest", type=int, help="also write n-best lists of this depth")
     p.add_argument("--nbest-out", help="n-best JSON-lines output path")
     p.add_argument("--out", help="hypotheses JSON-lines output (default stdout)")
@@ -103,7 +105,7 @@ def build_parser():
     _add_common(p)
     p.add_argument("--lexicon", required=True)
     p.add_argument("--streams", required=True,
-                   help="comma-separated posterior files or directories")
+                   help="comma-separated posterior stream archives, one per system")
     p.add_argument("--weights", required=True, help='ratio syntax, e.g. "3:2" or "9:1:5"')
     p.add_argument("--nbest", type=int)
     p.add_argument("--nbest-out")
@@ -146,26 +148,27 @@ def _emit_lines(lines, out):
 
 
 def _load_stream_sources(spec):
-    """Each comma-separated item is a posterior file (single utterance,
-    utt id = file stem) or a directory of them."""
+    """Read each comma-separated posterior stream archive into
+    ``{utt_id: PosteriorStream}``; every source must hold the same
+    utterances."""
+    items = spec.split(",")
     sources = []
-    for item in spec.split(","):
-        path = Path(item)
+    for path in map(Path, items):
         if path.is_dir():
-            files = sorted(path.glob("*.post")) + sorted(path.glob("*.sff"))
-            if not files:
-                raise FileNotFoundError(f"no posterior files under {path}")
-            sources.append({f.stem: f for f in files})
-        elif path.exists():
-            sources.append({path.stem: path})
-        else:
+            raise IsADirectoryError(f"stream source {path} is a directory; a stream set "
+                                    "is one archive file (decode --save-streams PATH)")
+        if not path.exists():
             raise FileNotFoundError(f"stream source {path} does not exist")
-    common = set(sources[0])
-    for s in sources[1:]:
-        common &= set(s)
-    if not common:
-        raise ValueError("stream sources share no utterance ids")
-    return sources, sorted(common)
+        sources.append(pipeline.read_streams(path))
+    utts = set().union(*sources)
+    if not utts:
+        raise ValueError("stream sources hold no utterances")
+    lacking = [len(utts - set(s)) for s in sources]
+    if any(lacking):
+        raise ValueError(f"stream sources hold different utterance sets ({len(utts)} ids "
+                         "in all): " + ", ".join(f"{item} lacks {n}" for item, n in
+                                                 zip(items, lacking)))
+    return sources
 
 
 def _hyp_lines(hyps):
@@ -205,15 +208,10 @@ def cmd_extract_bn(args):
     corpus = pipeline.Corpus(args.corpus)
     model = pipeline.load_encoder(cfg, args.model)
     adapter = pipeline.load_adapter(cfg, model.cfg.d_model, args.adapter)
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    from .features import write_features
-
     records = corpus.manifest.records
-    for record, feats in zip(records, pipeline.bottleneck_features(corpus, records, model,
-                                                                   adapter)):
-        write_features(feats, out_dir / f"{record.utt_id}.sff")
-    print(f"wrote {len(corpus.manifest)} bottleneck feature files to {out_dir}")
+    feats = pipeline.bottleneck_features(corpus, records, model, adapter)
+    write_archive(args.out, zip((r.utt_id for r in records), feats))
+    print(f"wrote {len(records)} bottleneck feature matrices to {args.out}")
 
 
 def cmd_invert(args):
@@ -223,16 +221,11 @@ def cmd_invert(args):
     adapter = pipeline.load_adapter(cfg, model.cfg.d_model, args.adapter)
     mdn_model, history = pipeline.train_inversion_model(corpus, model, adapter, cfg)
     pipeline.save_mdn(mdn_model, args.mdn_out)
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    from .features import write_features
-
     records = corpus.manifest.records
     trajectories = pipeline.articulatory_features(corpus, records, model, adapter, mdn_model)
-    for record, feats in zip(records, trajectories):
-        write_features(feats, out_dir / f"{record.utt_id}.sff")
+    write_archive(args.out, zip((r.utt_id for r in records), trajectories))
     print(f"inversion NLL {history[0]['nll']:.4f} -> {history[-1]['nll']:.4f}; "
-          f"wrote {len(corpus.manifest)} trajectory files")
+          f"wrote {len(records)} trajectories to {args.out}")
 
 
 def _feature_fn_from_args(args, cfg, corpus):
@@ -247,7 +240,7 @@ def _feature_fn_from_args(args, cfg, corpus):
         mdn_model = pipeline.load_mdn(cfg, args.mdn)
     return pipeline.build_feature_fn(
         corpus, args.features, model=model, adapter=adapter, mdn_model=mdn_model,
-        bn_dir=args.bn_dir, artic_dir=args.artic_dir,
+        bn=args.bn, artic=args.artic,
     ), model, adapter
 
 
@@ -291,11 +284,11 @@ def cmd_decode(args):
     lexicon = Lexicon.load(args.lexicon)
     vocab = lexicon.vocab()
     if args.streams:
-        sources, utts = _load_stream_sources(args.streams)
+        sources = _load_stream_sources(args.streams)
         if len(sources) > 1:
             raise ValueError(f"decode takes one stream source, got {len(sources)}; "
                              "combine systems with joint-decode")
-        streams = {u: pipeline.read_stream(sources[0][u]) for u in utts}
+        (streams,) = sources
     elif args.corpus and args.am:
         corpus = pipeline.Corpus(args.corpus)
         feature_fn, model, adapter = _feature_fn_from_args(args, cfg, corpus)
@@ -308,10 +301,7 @@ def cmd_decode(args):
     else:
         raise ValueError("decode needs either --streams or --corpus with --am")
     if args.save_streams:
-        out = Path(args.save_streams)
-        out.mkdir(parents=True, exist_ok=True)
-        for utt_id, stream in streams.items():
-            pipeline.write_stream(stream, out / f"{utt_id}.post")
+        pipeline.write_streams(args.save_streams, streams)
     labels = {s.source or "am" for s in streams.values()} or {"am"}
     if len(labels) > 1:
         raise ValueError(f"streams carry different system labels {sorted(labels)}; "
@@ -325,10 +315,10 @@ def cmd_joint_decode(args):
     lexicon = Lexicon.load(args.lexicon)
     vocab = lexicon.vocab()
     weights = parse_weight_ratio(args.weights)
-    sources, utts = _load_stream_sources(args.streams)
+    sources = _load_stream_sources(args.streams)
     if len(sources) != weights.size:
         raise ValueError(f"{len(sources)} stream sources but {weights.size} weights")
-    tasks = [(u, [pipeline.read_stream(src[u]) for src in sources], weights) for u in utts]
+    tasks = [(u, [src[u] for src in sources], weights) for u in sources[0]]
     _decode(tasks, lexicon, vocab, args, "tdnn")
 
 

@@ -1,7 +1,8 @@
 """Log-mel filterbank frontend, frame-rate conversion, stream fusion, and
-the binary feature-file format.
+the binary feature-file and feature-archive formats.
 
-Feature file layout (little-endian), magic ``SFF1``:
+Feature file layout (little-endian), magic ``SFF1``; one such record
+holds one utterance's matrix:
 
     magic          4 bytes  b"SFF1"
     version        u32 (currently 1)
@@ -10,7 +11,17 @@ Feature file layout (little-endian), magic ``SFF1``:
     label_len      u8, label utf-8 bytes
     payload        f32 * rows * cols, row-major
 
-Every malformed file raises FeatureFileError.
+Feature archive layout (little-endian), magic ``SFA1``; one file holds a
+set of utterances, such as a system's posterior streams over a test set:
+
+    magic          4 bytes  b"SFA1"
+    count          u32, number of entries
+    count entries, each:
+        id_len     u8, utterance id utf-8 bytes (unique in the archive)
+        record     one SFF1 record as above, magic through payload
+
+No byte follows the last entry. Every malformed file or archive raises
+FeatureFileError.
 """
 
 from __future__ import annotations
@@ -24,6 +35,8 @@ import numpy as np
 
 FILE_MAGIC = b"SFF1"
 FILE_VERSION = 1
+ARCHIVE_MAGIC = b"SFA1"
+_HEADER = struct.Struct("<IIIIB")
 
 
 class FeatureFileError(ValueError):
@@ -226,30 +239,30 @@ def fuse_features(streams, target_shift_us: int) -> FeatureMatrix:
     return FeatureMatrix(fused, target_shift_us, label)
 
 
-def write_features(f: FeatureMatrix, path):
+def _write_record(fh, f: FeatureMatrix):
     label = f.label.encode("utf-8")
     if len(label) > 255:
         raise ValueError("label longer than 255 bytes")
     rows, cols = f.data.shape
-    with open(path, "wb") as fh:
-        fh.write(FILE_MAGIC)
-        fh.write(struct.pack("<IIIIB", FILE_VERSION, rows, cols, f.frame_shift_us, len(label)))
-        fh.write(label)
-        fh.write(np.ascontiguousarray(f.data, dtype="<f4").tobytes())
+    fh.write(FILE_MAGIC)
+    fh.write(_HEADER.pack(FILE_VERSION, rows, cols, f.frame_shift_us, len(label)))
+    fh.write(label)
+    fh.write(np.ascontiguousarray(f.data, dtype="<f4").tobytes())
 
 
-def read_features(path) -> FeatureMatrix:
-    with open(path, "rb") as fh:
-        blob = fh.read()
-    if len(blob) < 4 or blob[:4] != FILE_MAGIC:
-        raise BadMagicError(f"bad magic {blob[:4]!r}, expected {FILE_MAGIC!r}")
-    header_len = 4 + struct.calcsize("<IIIIB")
-    if len(blob) < header_len:
+def _parse_record(blob, off=0):
+    """Parse the SFF1 record at ``blob[off:]``; returns the matrix and the
+    offset just past its payload. Bytes after the payload are the
+    caller's to judge."""
+    if blob[off : off + 4] != FILE_MAGIC:
+        raise BadMagicError(f"bad magic {blob[off : off + 4]!r}, expected {FILE_MAGIC!r}")
+    off += 4
+    if len(blob) < off + _HEADER.size:
         raise TruncatedFileError("truncated header")
-    version, rows, cols, shift, label_len = struct.unpack("<IIIIB", blob[4:header_len])
+    version, rows, cols, shift, label_len = _HEADER.unpack_from(blob, off)
     if version != FILE_VERSION:
         raise VersionMismatchError(f"unsupported version {version}, expected {FILE_VERSION}")
-    off = header_len
+    off += _HEADER.size
     if len(blob) < off + label_len:
         raise TruncatedFileError("truncated label")
     try:
@@ -262,13 +275,78 @@ def read_features(path) -> FeatureMatrix:
         raise TruncatedFileError(
             f"payload holds {len(blob) - off} bytes, header promises {payload}"
         )
-    if len(blob) > off + payload:
-        raise FeatureFileError("trailing bytes after payload")
-    data = np.frombuffer(blob[off : off + payload], dtype="<f4").reshape(rows, cols)
+    data = np.frombuffer(blob, dtype="<f4", count=rows * cols, offset=off)
     try:
-        return FeatureMatrix(data.copy(), shift, label)
+        return FeatureMatrix(data.reshape(rows, cols).copy(), shift, label), off + payload
     except ValueError as exc:  # empty shape, zero shift or non-finite payload
         raise FeatureFileError(str(exc)) from exc
+
+
+def write_features(f: FeatureMatrix, path):
+    with open(path, "wb") as fh:
+        _write_record(fh, f)
+
+
+def read_features(path) -> FeatureMatrix:
+    with open(path, "rb") as fh:
+        blob = fh.read()
+    f, end = _parse_record(blob)
+    if end != len(blob):
+        raise FeatureFileError("trailing bytes after payload")
+    return f
+
+
+def write_archive(path, items):
+    """Write ``(utt_id, FeatureMatrix)`` pairs to one archive file, an
+    entry at a time, so a generator's matrices need not all be held. A
+    duplicate or over-long id raises ValueError."""
+    seen = set()
+    with open(path, "wb") as fh:
+        fh.write(ARCHIVE_MAGIC)
+        fh.write(struct.pack("<I", 0))  # entry count, filled in below
+        for utt_id, f in items:
+            raw = utt_id.encode("utf-8")
+            if len(raw) > 255:
+                raise ValueError(f"utterance id {utt_id!r} longer than 255 bytes")
+            if utt_id in seen:
+                raise ValueError(f"duplicate utterance id {utt_id!r}")
+            seen.add(utt_id)
+            fh.write(struct.pack("<B", len(raw)))
+            fh.write(raw)
+            _write_record(fh, f)
+        fh.seek(len(ARCHIVE_MAGIC))
+        fh.write(struct.pack("<I", len(seen)))
+
+
+def read_archive(path) -> dict[str, FeatureMatrix]:
+    """Read an archive into ``{utt_id: FeatureMatrix}``, in file order."""
+    with open(path, "rb") as fh:
+        blob = fh.read()
+    if blob[:4] != ARCHIVE_MAGIC:
+        raise BadMagicError(f"bad magic {blob[:4]!r}, expected {ARCHIVE_MAGIC!r}")
+    if len(blob) < 8:
+        raise TruncatedFileError("truncated archive header")
+    (count,) = struct.unpack_from("<I", blob, 4)
+    off, out = 8, {}
+    for i in range(count):
+        if len(blob) <= off:
+            raise TruncatedFileError(f"archive holds {i} of {count} entries")
+        end = off + 1 + blob[off]
+        if len(blob) < end:
+            raise TruncatedFileError(f"entry {i}: truncated utterance id")
+        try:
+            utt_id = blob[off + 1 : end].decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise FeatureFileError(f"entry {i}: utterance id is not valid utf-8: {exc}") from exc
+        if utt_id in out:
+            raise FeatureFileError(f"entry {i}: duplicate utterance id {utt_id!r}")
+        try:
+            out[utt_id], off = _parse_record(blob, end)
+        except FeatureFileError as exc:
+            raise type(exc)(f"entry {i} ({utt_id!r}): {exc}") from exc
+    if off != len(blob):
+        raise FeatureFileError(f"trailing bytes after the last of {count} entries")
+    return out
 
 
 def read_wav(path) -> AudioBuffer:

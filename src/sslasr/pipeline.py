@@ -45,9 +45,9 @@ from .features import (
     FeatureMatrix,
     compute_fbank,
     fuse_features,
-    read_features,
+    read_archive,
     read_wav,
-    write_features,
+    write_archive,
 )
 from .frame_am import AmConfig, ctc_argmax_alignment, train_am, uniform_alignment
 from .inversion import MdnConfig, MdnModel, mdn_forward, mdn_predict, train_inversion
@@ -277,43 +277,50 @@ def articulatory_features(corpus: Corpus, records, model, adapter, mdn_model):
 
 
 def build_feature_fn(corpus, kind, model=None, adapter=None, mdn_model=None,
-                     bn_dir=None, artic_dir=None, target_shift_us=10_000):
+                     bn=None, artic=None, target_shift_us=10_000):
     """Return the features function of a feature spec like "fbk",
     "fbk+w2v-bn", or "fbk+w2v-bn+artic". It takes a list of records and
     yields their FeatureMatrix objects in order, one list per window of
     records (``record_batches``).
 
     The bottleneck and articulatory streams come from the given models,
-    or from directories of previously extracted feature files when
-    ``bn_dir`` / ``artic_dir`` are set. Each record's WAV is read at most
+    or from feature archives written earlier (``features.write_archive``,
+    as ``extract-bn`` and ``invert`` do) when ``bn`` / ``artic`` name one.
+    Each archive is read once, here. Each record's WAV is read at most
     once and encoded at most once, whatever streams it feeds; a window's
     records are encoded as one ragged batch. With only stored streams, no
     WAV is read.
     """
     parts = kind.split("+")
-    stored = {"w2v-bn": bn_dir, "artic": artic_dir}
+    stored = {part: (path, read_archive(path))
+              for part, path in (("w2v-bn", bn), ("artic", artic)) if path is not None}
 
-    def stream(part, record, audio, bn):
-        if stored.get(part) is not None:
-            return read_features(Path(stored[part]) / f"{record.utt_id}.sff")
+    def stream(part, record, audio, rows):
+        if part in stored:
+            path, archive = stored[part]
+            if record.utt_id not in archive:
+                raise KeyError(f"utterance {record.utt_id!r} is not in the {part} "
+                               f"archive {path}")
+            return archive[record.utt_id]
         if part == "fbk":
             return compute_fbank(audio)
-        return bn if part == "w2v-bn" else mdn_predict(mdn_forward(bn, mdn_model))
+        return rows if part == "w2v-bn" else mdn_predict(mdn_forward(rows, mdn_model))
 
     def features(records):
         for part in parts:
             if part not in ("fbk", "w2v-bn", "artic"):
                 raise ValueError(f"unknown feature stream {part!r}")
-        computed = [p for p in parts if stored.get(p) is None]
+        computed = [p for p in parts if p not in stored]
         if computed:
             encoder = model if any(p != "fbk" for p in computed) else None
             batches = record_batches(corpus, records, encoder, adapter)
         else:
             batches = ((w, [None] * len(w), None, None) for w in windows(records))
-        for window, audio, bn, _ in batches:
+        for window, audio, window_bn, _ in batches:
             feats = []
             for j, (record, samples) in enumerate(zip(window, audio)):
-                rows = None if bn is None else _bottleneck_stream(bn[j], model, adapter)
+                rows = (None if window_bn is None
+                        else _bottleneck_stream(window_bn[j], model, adapter))
                 streams = [stream(part, record, samples, rows) for part in parts]
                 if len(streams) == 1 and streams[0].frame_shift_us == target_shift_us:
                     feats.append(streams[0])
@@ -324,21 +331,24 @@ def build_feature_fn(corpus, kind, model=None, adapter=None, mdn_model=None,
     return features
 
 
-def write_stream(stream: PosteriorStream, path):
-    """Posterior streams ride the feature-file format: log probabilities
-    as the payload, the system tag as the label."""
-    write_features(
-        FeatureMatrix(stream.logp, stream.frame_shift_us, stream.source), path
-    )
+def write_streams(path, streams):
+    """Write ``{utt_id: PosteriorStream}`` to one feature archive: log
+    probabilities as each payload (float32), the system tag as its label."""
+    write_archive(path, ((utt_id, FeatureMatrix(s.logp, s.frame_shift_us, s.source))
+                         for utt_id, s in streams.items()))
 
 
-def read_stream(path) -> PosteriorStream:
-    feats = read_features(path)
-    logp = feats.data.astype(np.float64)
-    # float32 storage rounds the rows; renormalize exactly
-    shift = logp.max(axis=1)
-    norm = shift + np.log(np.exp(logp - shift[:, None]).sum(axis=1))
-    return PosteriorStream(logp - norm[:, None], feats.frame_shift_us, feats.label)
+def read_streams(path) -> dict[str, PosteriorStream]:
+    """Read the ``{utt_id: PosteriorStream}`` that ``write_streams`` wrote."""
+    streams = {}
+    for utt_id, feats in read_archive(path).items():
+        logp = feats.data.astype(np.float64)
+        # float32 storage rounds the rows; renormalize exactly
+        shift = logp.max(axis=1)
+        norm = shift + np.log(np.exp(logp - shift[:, None]).sum(axis=1))
+        streams[utt_id] = PosteriorStream(logp - norm[:, None], feats.frame_shift_us,
+                                          feats.label)
+    return streams
 
 
 def alignment_labels(corpus: Corpus, record, feats: FeatureMatrix, cfg,

@@ -15,7 +15,7 @@ from sslasr.decoder import (
     isolated_nbest,
     parse_weight_ratio,
 )
-from sslasr.features import compute_fbank
+from sslasr.features import compute_fbank, read_archive
 
 
 @pytest.fixture(scope="module")
@@ -101,7 +101,19 @@ class TestDecodeContract:
         lines = [json.loads(line) for line in hyp.read_text().splitlines()]
         assert lines and all({"utt_id", "words", "tokens", "cost"} <= set(d) for d in lines)
         assert sorted(d["utt_id"] for d in lines) == [d["utt_id"] for d in lines]
-        assert any(f.suffix == ".post" for f in streams.iterdir())
+        assert sorted(pipeline.read_streams(streams)) == [d["utt_id"] for d in lines]
+
+    def test_save_streams_creates_one_file(self, workdir, tmp_path):
+        root, corpus, cfg = workdir
+        out = tmp_path / "out"
+        out.mkdir()
+        assert main(["decode", "--config", cfg, "--corpus", str(corpus),
+                     "--am", str(root / "am_fbk.spm"), "--features", "fbk",
+                     "--lexicon", str(corpus / "lexicon.json"),
+                     "--save-streams", str(out / "post"),
+                     "--out", str(tmp_path / "hyp.jsonl")]) == 0
+        assert [f.name for f in out.iterdir()] == ["post"]
+        assert len(pipeline.read_streams(out / "post")) > 1
 
     def test_decode_single_stream_file(self, workdir, tmp_path):
         root, corpus, cfg = workdir
@@ -110,14 +122,16 @@ class TestDecodeContract:
               "--am", str(root / "am_fbk.spm"), "--features", "fbk",
               "--lexicon", str(corpus / "lexicon.json"),
               "--save-streams", str(streams), "--out", str(tmp_path / "all.jsonl")])
-        one = sorted(streams.iterdir())[0]
+        utt_id, stream = sorted(pipeline.read_streams(streams).items())[0]
+        one = tmp_path / "one_utt"
+        pipeline.write_streams(one, {utt_id: stream})
         out = tmp_path / "hyp1.jsonl"
         rc = main(["decode", "--config", cfg, "--streams", str(one),
                    "--lexicon", str(corpus / "lexicon.json"), "--out", str(out)])
         assert rc == 0
         lines = out.read_text().splitlines()
         assert len(lines) == 1
-        assert json.loads(lines[0])["utt_id"] == one.stem
+        assert json.loads(lines[0])["utt_id"] == utt_id
 
     def test_byte_identical_reruns(self, workdir, tmp_path):
         root, corpus, cfg = workdir
@@ -156,10 +170,11 @@ class TestDecodeErrors:
 
     def test_mixed_system_labels_rejected(self, workdir, saved_streams, tmp_path, capsys):
         _, corpus, cfg = workdir
-        first = sorted(saved_streams.iterdir())[0]
-        stream = pipeline.read_stream(first)
-        pipeline.write_stream(PosteriorStream(stream.logp, stream.frame_shift_us, "other"),
-                              first)
+        streams = pipeline.read_streams(saved_streams)
+        first = sorted(streams)[0]
+        stream = streams[first]
+        streams[first] = PosteriorStream(stream.logp, stream.frame_shift_us, "other")
+        pipeline.write_streams(saved_streams, streams)
         rc = main(["decode", "--config", cfg, "--lexicon", str(corpus / "lexicon.json"),
                    "--streams", str(saved_streams), "--nbest", "3",
                    "--out", str(tmp_path / "never.jsonl")])
@@ -177,6 +192,58 @@ class TestDecodeErrors:
                    "--out", str(tmp_path / "never.jsonl")])
         assert rc == 1
         assert "not in isolated-word mode" in capsys.readouterr().err
+
+    def test_directory_source_named(self, workdir, tmp_path, capsys):
+        _, corpus, cfg = workdir
+        rc = main(["decode", "--config", cfg, "--lexicon", str(corpus / "lexicon.json"),
+                   "--streams", str(tmp_path), "--out", str(tmp_path / "never.jsonl")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert f"stream source {tmp_path} is a directory" in err and "one archive file" in err
+
+    def test_missing_source_named(self, workdir, saved_streams, tmp_path, capsys):
+        _, corpus, cfg = workdir
+        rc = main(["joint-decode", "--config", cfg, "--lexicon", str(corpus / "lexicon.json"),
+                   "--streams", f"{saved_streams},{tmp_path / 'nowhere'}",
+                   "--weights", "1:1", "--out", str(tmp_path / "never.jsonl")])
+        assert rc == 1
+        assert f"stream source {tmp_path / 'nowhere'} does not exist" in (
+            capsys.readouterr().err)
+
+    def test_joint_sources_must_hold_the_same_utterances(self, workdir, saved_streams,
+                                                         tmp_path, capsys):
+        _, corpus, cfg = workdir
+        streams = pipeline.read_streams(saved_streams)
+        part = tmp_path / "part"
+        pipeline.write_streams(part, dict(sorted(streams.items())[2:]))
+        rc = main(["joint-decode", "--config", cfg, "--lexicon", str(corpus / "lexicon.json"),
+                   "--streams", f"{saved_streams},{part}", "--weights", "1:1",
+                   "--out", str(tmp_path / "never.jsonl")])
+        assert rc == 1
+        assert (f"different utterance sets ({len(streams)} ids in all): "
+                f"{saved_streams} lacks 0, {part} lacks 2") in capsys.readouterr().err
+        assert not (tmp_path / "never.jsonl").exists()
+
+
+class TestStoredFeatures:
+    def test_extract_bn_and_invert_archives_feed_train_am(self, workdir, tmp_path):
+        root, corpus, cfg = workdir
+        models = ["--model", str(root / "ft.spm"), "--adapter", str(root / "adapter.spm")]
+        with_corpus = ["--config", cfg, "--corpus", str(corpus)]
+        assert main(["extract-bn", *with_corpus, *models, "--out", str(tmp_path / "bn")]) == 0
+        assert main(["invert", *with_corpus, *models, "--mdn-out", str(tmp_path / "mdn.spm"),
+                     "--out", str(tmp_path / "artic")]) == 0
+        ids = [r.utt_id for r in pipeline.Corpus(corpus).manifest]
+        assert list(read_archive(tmp_path / "bn")) == ids
+        assert list(read_archive(tmp_path / "artic")) == ids
+        spec = ["train-am", *with_corpus, "--features", "fbk+w2v-bn+artic"]
+        assert main([*spec, *models, "--mdn", str(tmp_path / "mdn.spm"),
+                     "--out", str(tmp_path / "computed.spm")]) == 0
+        assert main([*spec, "--bn", str(tmp_path / "bn"), "--artic", str(tmp_path / "artic"),
+                     "--out", str(tmp_path / "stored.spm")]) == 0
+        # stored streams are the computed ones at their float32 precision
+        assert ((tmp_path / "stored.spm").read_bytes()
+                == (tmp_path / "computed.spm").read_bytes())
 
 
 class TestJointAndRescore:
@@ -252,7 +319,7 @@ class TestBatchedDecodeOutputs:
                                   r.utt_id) for r in records]
         assert hyp.read_text() == _json_lines(expected)
 
-        streams = {f.stem: pipeline.read_stream(f) for f in sorted(s1.iterdir())}
+        streams = dict(sorted(pipeline.read_streams(s1).items()))
         hyp, nb = tmp_path / "hyp_nb.jsonl", tmp_path / "nb.jsonl"
         assert main(["decode", "--config", cfg, "--streams", str(s1),
                      "--lexicon", str(corpus / "lexicon.json"), "--nbest", "3",
@@ -273,22 +340,21 @@ class TestBatchedDecodeOutputs:
                      "--lexicon", str(corpus / "lexicon.json"), "--save-streams", str(s1),
                      "--out", str(tmp_path / "h1.jsonl")]) == 0
         # a second system: the first one's posteriors flattened
-        s2.mkdir()
-        for f in s1.iterdir():
-            stream = pipeline.read_stream(f)
+        flat = {}
+        for utt_id, stream in pipeline.read_streams(s1).items():
             logp = 0.5 * stream.logp
             logp -= np.log(np.exp(logp).sum(axis=1, keepdims=True))
-            pipeline.write_stream(PosteriorStream(logp, stream.frame_shift_us, "flat"),
-                                  s2 / f.name)
+            flat[utt_id] = PosteriorStream(logp, stream.frame_shift_us, "flat")
+        pipeline.write_streams(s2, flat)
         hyp, nb = tmp_path / "joint.jsonl", tmp_path / "nb.jsonl"
         assert main(["joint-decode", "--config", cfg,
                      "--lexicon", str(corpus / "lexicon.json"),
                      "--streams", f"{s1},{s2}", "--weights", "3:2", "--nbest", "4",
                      "--nbest-out", str(nb), "--out", str(hyp)]) == 0
         weights = parse_weight_ratio("3:2")
-        mixed = {f.stem: interpolate_posteriors([pipeline.read_stream(f),
-                                                 pipeline.read_stream(s2 / f.name)], weights)
-                 for f in sorted(s1.iterdir())}
+        streams1, streams2 = pipeline.read_streams(s1), pipeline.read_streams(s2)
+        mixed = {u: interpolate_posteriors([streams1[u], streams2[u]], weights)
+                 for u in sorted(streams1)}
         assert hyp.read_text() == _json_lines(
             decode_stream(s, lexicon, vocab, u) for u, s in mixed.items())
         nbests = [isolated_nbest(s, lexicon, vocab, 4, utt_id=u, system="tdnn")

@@ -8,6 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sslasr.features import (
+    ARCHIVE_MAGIC,
     AudioBuffer,
     BadMagicError,
     FbankConfig,
@@ -22,9 +23,11 @@ from sslasr.features import (
     hz_to_mel,
     mel_filterbank,
     mel_to_hz,
+    read_archive,
     read_features,
     read_wav,
     resample_frames,
+    write_archive,
     write_features,
     write_wav,
 )
@@ -265,6 +268,128 @@ class TestFeatureFileRobustness:
     def test_random_blob_loads_or_is_named(self, blob):
         try:
             load_blob(blob)
+        except FeatureFileError:
+            pass
+
+
+def archive_blob(entries, count=None):
+    """An archive of ``(raw id bytes, SFF1 record bytes)`` entries whose
+    header claims ``count`` of them (default: as many as there are)."""
+    body = b"".join(struct.pack("<B", len(raw)) + raw + record for raw, record in entries)
+    return ARCHIVE_MAGIC + struct.pack("<I", len(entries) if count is None else count) + body
+
+
+def load_archive_blob(blob):
+    """Read ``blob`` as an archive; if it loads, check that writing what
+    was read gives back the same bytes."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "blob.sfa"
+        path.write_bytes(blob)
+        archive = read_archive(path)
+        write_archive(path, archive.items())
+        assert path.read_bytes() == blob
+        return archive
+
+
+VALID_ARCHIVE = archive_blob([(b"u1", VALID_BLOB), (b"u2", sff_blob(1, 2, 20_000, b""))])
+
+
+class TestFeatureArchive:
+    @given(
+        shapes=st.lists(st.tuples(st.integers(1, 6), st.integers(1, 4)), max_size=5),
+        shift=st.sampled_from([10_000, 20_000, 12_345]),
+        label=st.text(max_size=8),
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_round_trip_bit_exact(self, shapes, shift, label, tmp_path_factory):
+        rng = np.random.default_rng(len(shapes))
+        items = [(f"utt{i}\u00e9", FeatureMatrix(rng.normal(size=shape).astype(np.float32),
+                                                 shift, label))
+                 for i, shape in enumerate(shapes)]
+        path = tmp_path_factory.mktemp("fa") / "set.sfa"
+        write_archive(path, iter(items))
+        back = read_archive(path)
+        assert list(back) == [utt_id for utt_id, _ in items]
+        for (_, f), g in zip(items, back.values()):
+            assert np.array_equal(f.data, g.data) and g.data.dtype == np.float32
+            assert (g.frame_shift_us, g.label) == (shift, label)
+
+    def test_valid_blob_loads(self):
+        archive = load_archive_blob(VALID_ARCHIVE)
+        assert list(archive) == ["u1", "u2"]
+        assert archive["u1"].data.shape == (3, 2) and archive["u1"].label == "fbk"
+        assert archive["u2"].frame_shift_us == 20_000
+
+    def test_bad_magic(self):
+        with pytest.raises(BadMagicError, match="magic"):
+            load_archive_blob(VALID_BLOB)  # a feature file is not an archive
+
+    def test_truncated_header(self):
+        with pytest.raises(TruncatedFileError, match="archive header"):
+            load_archive_blob(VALID_ARCHIVE[:6])
+
+    def test_missing_entries(self):
+        blob = archive_blob([(b"u1", VALID_BLOB)], count=3)
+        with pytest.raises(TruncatedFileError, match="holds 1 of 3 entries"):
+            load_archive_blob(blob)
+
+    def test_truncated_id(self):
+        blob = ARCHIVE_MAGIC + struct.pack("<IB", 1, 5) + b"ab"
+        with pytest.raises(TruncatedFileError, match="entry 0: truncated utterance id"):
+            load_archive_blob(blob)
+
+    def test_truncated_record(self):
+        with pytest.raises(TruncatedFileError, match="entry 1 \\('u2'\\): payload"):
+            load_archive_blob(VALID_ARCHIVE[:-3])
+
+    def test_bad_record_names_its_entry(self):
+        blob = archive_blob([(b"u1", VALID_BLOB), (b"u2", b"NOPE" + VALID_BLOB[4:])])
+        with pytest.raises(BadMagicError, match="entry 1 \\('u2'\\): bad magic"):
+            load_archive_blob(blob)
+
+    def test_non_utf8_id(self):
+        with pytest.raises(FeatureFileError, match="entry 0: utterance id is not valid utf-8"):
+            load_archive_blob(archive_blob([(b"\xff", VALID_BLOB)]))
+
+    def test_duplicate_id(self):
+        blob = archive_blob([(b"u1", VALID_BLOB), (b"u1", VALID_BLOB)])
+        with pytest.raises(FeatureFileError, match="entry 1: duplicate utterance id 'u1'"):
+            load_archive_blob(blob)
+
+    def test_trailing_bytes(self):
+        with pytest.raises(FeatureFileError, match="trailing bytes after the last of 2"):
+            load_archive_blob(VALID_ARCHIVE + b"\x00")
+
+    @pytest.mark.parametrize("utt_ids, message", [(["a", "a"], "duplicate utterance id"),
+                                                  (["x" * 256], "longer than 255 bytes")])
+    def test_writer_rejects_unreadable_ids(self, utt_ids, message, tmp_path):
+        f = FeatureMatrix(np.ones((1, 1)), 10_000)
+        with pytest.raises(ValueError, match=message):
+            write_archive(tmp_path / "bad.sfa", [(u, f) for u in utt_ids])
+
+    @settings(max_examples=100, deadline=None)
+    @given(cut=st.integers(0, len(VALID_ARCHIVE) - 1))
+    def test_every_truncation_is_named(self, cut):
+        with pytest.raises(FeatureFileError):
+            load_archive_blob(VALID_ARCHIVE[:cut])
+
+    @settings(max_examples=300, deadline=None)
+    @given(blob=st.one_of(
+        st.binary(max_size=64),
+        st.binary(max_size=64).map(ARCHIVE_MAGIC.__add__),
+        # one bit of a valid archive flipped
+        st.tuples(st.integers(0, len(VALID_ARCHIVE) - 1), st.integers(0, 7)).map(
+            lambda h: VALID_ARCHIVE[:h[0]] + bytes([VALID_ARCHIVE[h[0]] ^ 1 << h[1]])
+            + VALID_ARCHIVE[h[0] + 1:]),
+        # well-formed entries over random ids, records and counts
+        st.tuples(st.lists(st.tuples(st.binary(max_size=3),
+                                     st.sampled_from([VALID_BLOB, VALID_BLOB[:-1],
+                                                      sff_blob(1, 1, 0)])), max_size=3),
+                  st.integers(0, 4)).map(lambda h: archive_blob(*h)),
+    ))
+    def test_random_blob_loads_and_round_trips_or_is_named(self, blob):
+        try:
+            load_archive_blob(blob)
         except FeatureFileError:
             pass
 

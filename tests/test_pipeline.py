@@ -15,7 +15,7 @@ from sslasr.ctc import TokenVocab
 from sslasr.decoder import (Lexicon, LexiconEntry, decode_stream, interpolate_posteriors,
                             isolated_nbest, parse_weight_ratio)
 from sslasr.encoder import SslEncoder
-from sslasr.features import compute_fbank, fuse_features
+from sslasr.features import compute_fbank, fuse_features, read_archive, write_archive
 from sslasr.inversion import MdnModel
 from sslasr.rescore import rescore, rescore_hypotheses, score_nbest_with_ssl
 
@@ -126,17 +126,27 @@ class TestFeatureFns:
         with pytest.raises(ValueError, match="unknown feature stream"):
             features_of(fn, tiny_corpus.manifest.records[:1])
 
-    def test_bn_dir_source(self, tiny_corpus, tiny_models, tmp_path, monkeypatch):
-        from sslasr.features import write_features
-
+    def test_bn_archive_source(self, tiny_corpus, tiny_models, tmp_path, monkeypatch):
         model, adapter = tiny_models
-        rec = tiny_corpus.manifest.records[0]
-        (feats,) = pipeline.bottleneck_features(tiny_corpus, [rec], model, adapter)
-        write_features(feats, tmp_path / f"{rec.utt_id}.sff")
-        fn = pipeline.build_feature_fn(tiny_corpus, "w2v-bn", bn_dir=tmp_path)
+        records = tiny_corpus.manifest.records[:3]
+        feats = list(pipeline.bottleneck_features(tiny_corpus, records, model, adapter))
+        write_archive(tmp_path / "bn", zip((r.utt_id for r in records), feats))
+        reads = Counter()
+
+        def counted_read(path):
+            reads[str(path)] += 1
+            return read_archive(path)
+
+        monkeypatch.setattr(pipeline, "read_archive", counted_read)
+        fn = pipeline.build_feature_fn(tiny_corpus, "w2v-bn", bn=tmp_path / "bn")
         monkeypatch.setattr(pipeline, "read_wav", None)  # stored streams read no WAV
-        (loaded,) = features_of(fn, [rec])
-        assert np.array_equal(loaded.data, feats.data)
+        loaded = features_of(fn, records)
+        assert reads == Counter({str(tmp_path / "bn"): 1})  # once, not once per record
+        for got, want in zip(loaded, feats, strict=True):
+            assert np.array_equal(got.data, want.data)
+        with pytest.raises(KeyError, match=f"{tiny_corpus.manifest.records[3].utt_id!r} "
+                                           "is not in the w2v-bn archive"):
+            features_of(fn, tiny_corpus.manifest.records[3:4])
 
 
     def test_bottleneck_stream_shift_and_label(self, tiny_corpus, tiny_models):
@@ -159,15 +169,23 @@ class TestFeatureFns:
 class TestStreamFiles:
     def test_round_trip_preserves_decisions(self, tiny_corpus, tiny_models, tmp_path):
         model, adapter = tiny_models
-        rec = tiny_corpus.manifest.records[0]
-        (stream,) = model.head_posteriors(model.represent([tiny_corpus.audio(rec)], adapter)[1])
-        path = tmp_path / "s.post"
-        pipeline.write_stream(stream, path)
-        back = pipeline.read_stream(path)
-        assert back.frame_shift_us == stream.frame_shift_us
-        assert back.source == stream.source
-        assert np.allclose(back.logp, stream.logp, atol=1e-4)
-        assert greedy_decode(back) == greedy_decode(stream)
+        records = tiny_corpus.manifest.records[:3]
+        streams = model.head_posteriors(model.represent(
+            [tiny_corpus.audio(r) for r in records], adapter)[1])
+        path = tmp_path / "streams"
+        pipeline.write_streams(path, {r.utt_id: s for r, s in zip(records, streams)})
+        back = pipeline.read_streams(path)
+        assert list(back) == [r.utt_id for r in records]
+        for got, stream in zip(back.values(), streams):
+            assert got.frame_shift_us == stream.frame_shift_us
+            assert got.source == stream.source
+            assert np.allclose(got.logp, stream.logp, atol=1e-4)
+            assert greedy_decode(got) == greedy_decode(stream)
+            # float32 storage, then an exact renormalisation of each row
+            stored = stream.logp.astype(np.float32).astype(np.float64)
+            shift = stored.max(axis=1)
+            norm = shift + np.log(np.exp(stored - shift[:, None]).sum(axis=1))
+            assert np.array_equal(got.logp, stored - norm[:, None])
 
 
 class TestAlignments:
