@@ -23,8 +23,6 @@ from .ctc import (
     UnsatisfiableTargetError,
     ctc_forward_score,
     ctc_loss,
-    greedy_decode,
-    prefix_beam_nbest,
 )
 
 __all__ = [
@@ -45,8 +43,6 @@ __all__ = [
     "UnsatisfiableTargetError",
     "ctc_forward_score",
     "ctc_loss",
-    "greedy_decode",
-    "prefix_beam_nbest",
 ]
 
 __version__ = "0.1.0"

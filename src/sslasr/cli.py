@@ -53,7 +53,7 @@ def build_parser():
     p.add_argument("--corpus", required=True)
     p.add_argument("--init", required=True, help="pretrained parameter store")
     p.add_argument("--out", required=True, help="fine-tuned parameter store")
-    p.add_argument("--adapter-out", help="adapter parameter store")
+    p.add_argument("--adapter-out", required=True, help="adapter parameter store")
 
     p = sub.add_parser("extract-bn", help="write every utterance's bottleneck features")
     _add_common(p)
@@ -116,9 +116,7 @@ def build_parser():
     p.add_argument("--nbest", required=True, help="n-best JSON-lines file")
     p.add_argument("--corpus", required=True)
     p.add_argument("--model", required=True, help="fine-tuned encoder store")
-    p.add_argument("--adapter")
-    p.add_argument("--alpha", type=float)
-    p.add_argument("--beta", type=float)
+    p.add_argument("--adapter", required=True)
     p.add_argument("--weights", help='ratio syntax "alpha:beta", e.g. "2:9"')
     p.add_argument("--out")
 
@@ -185,7 +183,7 @@ def cmd_pretrain(args):
     cfg = _config(args)
     corpus = pipeline.Corpus(args.corpus)
     model, history = pipeline.pretrain_encoder(corpus, cfg)
-    pipeline.save_encoder(model, args.out)
+    ParameterStore.from_module(model).save(args.out)
     print(f"pretrained {len(history)} epochs; combined loss "
           f"{history[0]['combined']:.4f} -> {history[-1]['combined']:.4f}"
           if history else "pretrained 0 epochs")
@@ -196,9 +194,8 @@ def cmd_finetune(args):
     corpus = pipeline.Corpus(args.corpus)
     model = pipeline.load_encoder(cfg, args.init)
     adapter, histories = pipeline.finetune_encoder(corpus, model, cfg)
-    pipeline.save_encoder(model, args.out)
-    if adapter is not None and args.adapter_out:
-        pipeline.save_adapter(adapter, args.adapter_out)
+    ParameterStore.from_module(model).save(args.out)
+    ParameterStore.from_module(adapter).save(args.adapter_out)
     last = histories[-1][-1]["ctc_loss"] if histories and histories[-1] else float("nan")
     print(f"fine-tuned; final CTC loss {last:.4f}")
 
@@ -220,7 +217,7 @@ def cmd_invert(args):
     model = pipeline.load_encoder(cfg, args.model)
     adapter = pipeline.load_adapter(cfg, model.cfg.d_model, args.adapter)
     mdn_model, history = pipeline.train_inversion_model(corpus, model, adapter, cfg)
-    pipeline.save_mdn(mdn_model, args.mdn_out)
+    ParameterStore.from_module(mdn_model).save(args.mdn_out)
     records = corpus.manifest.records
     trajectories = pipeline.articulatory_features(corpus, records, model, adapter, mdn_model)
     write_archive(args.out, zip((r.utt_id for r in records), trajectories))
@@ -236,34 +233,22 @@ def _feature_fn_from_args(args, cfg, corpus):
         if model is None:
             raise ValueError("--adapter needs --model")
         adapter = pipeline.load_adapter(cfg, model.cfg.d_model, args.adapter)
-    if getattr(args, "mdn", None):
+    if args.mdn:
         mdn_model = pipeline.load_mdn(cfg, args.mdn)
     return pipeline.build_feature_fn(
         corpus, args.features, model=model, adapter=adapter, mdn_model=mdn_model,
         bn=args.bn, artic=args.artic,
-    ), model, adapter
+    )
 
 
 def cmd_train_am(args):
     cfg = _config(args)
     corpus = pipeline.Corpus(args.corpus)
-    feature_fn, model, adapter = _feature_fn_from_args(args, cfg, corpus)
-    am, history = pipeline.train_frame_am(corpus, feature_fn, cfg,
-                                          model=model, adapter=adapter)
+    feature_fn = _feature_fn_from_args(args, cfg, corpus)
+    am, history = pipeline.train_frame_am(corpus, feature_fn, cfg)
     ParameterStore.from_module(am).save(args.out)
-    meta = {"features": args.features, "d_feat": am.d_feat, "n_classes": am.n_classes}
-    Path(args.out).with_suffix(".json").write_text(json.dumps(meta))
     print(f"trained AM on {args.features}; cross-entropy "
           f"{history[0]['cross_entropy']:.4f} -> {history[-1]['cross_entropy']:.4f}")
-
-
-def _load_am(cfg, path):
-    from .frame_am import FrameAm
-
-    meta = json.loads(Path(path).with_suffix(".json").read_text())
-    am = FrameAm(pipeline.am_config(cfg), meta["d_feat"], meta["n_classes"], seed=0)
-    ParameterStore.load(path).load_into(am)
-    return am
 
 
 def _decode(tasks, lexicon, vocab, args, system):
@@ -291,8 +276,8 @@ def cmd_decode(args):
         (streams,) = sources
     elif args.corpus and args.am:
         corpus = pipeline.Corpus(args.corpus)
-        feature_fn, model, adapter = _feature_fn_from_args(args, cfg, corpus)
-        am = _load_am(cfg, args.am)
+        feature_fn = _feature_fn_from_args(args, cfg, corpus)
+        am = pipeline.load_am(cfg, args.am)
         records = sorted(corpus.manifest.subset("test-seen", "test-unseen"),
                          key=lambda r: r.utt_id)
         stream_list = [s for feats in feature_fn(records)
@@ -330,13 +315,10 @@ def cmd_rescore(args):
             raise ValueError("rescore weights must be a 2-way ratio alpha:beta")
         alpha, beta = float(ratio[0]), float(ratio[1])
     else:
-        alpha = cfg["rescore"]["alpha"] if args.alpha is None else args.alpha
-        beta = cfg["rescore"]["beta"] if args.beta is None else args.beta
+        alpha, beta = cfg["rescore"]["alpha"], cfg["rescore"]["beta"]
     corpus = pipeline.Corpus(args.corpus)
     model = pipeline.load_encoder(cfg, args.model)
-    adapter = None
-    if args.adapter:
-        adapter = pipeline.load_adapter(cfg, model.cfg.d_model, args.adapter)
+    adapter = pipeline.load_adapter(cfg, model.cfg.d_model, args.adapter)
     by_id = corpus.manifest.by_id()
     with open(args.nbest) as fh:
         nbests = [NBestList.from_json(line) for line in fh if line.strip()]

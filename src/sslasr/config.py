@@ -1,6 +1,7 @@
 """Global JSON configuration: one file with per-module sections; CLI flags
 override individual keys. The shipped defaults are desk-scale settings
-that train and decode within minutes on a CPU."""
+that train and decode within minutes on a CPU. A key that nothing reads
+is rejected by its dotted path."""
 
 from __future__ import annotations
 
@@ -45,13 +46,12 @@ DEFAULT_CONFIG = {
     # at toy scale Adam with a larger rate converges inside the budget
     "pretrain": {
         "epochs": 15,
-        "hard": True,
         "optimizer": {"optimizer": "adam", "lr": 1e-3},
     },
     # CTC head warm-up on frozen features, then the deeper stages; the
-    # adapter is initialized by standalone reconstruction training
+    # bottleneck adapter, always trained, is initialized by standalone
+    # reconstruction training
     "finetune": {
-        "use_adapter": True,
         "adapter_init_epochs": 30,
         "adapter_init_optimizer": {"optimizer": "adam", "lr": 2e-3},
         "stages": [
@@ -68,7 +68,6 @@ DEFAULT_CONFIG = {
         "offsets": [-2, -1, 0, 1, 2],
         "hidden_dims": [64, 64],
         "epochs": 12,
-        "alignment": "uniform",  # "uniform" | "ctc"
         "optimizer": {"optimizer": "adam", "lr": 2e-3},
     },
     "mdn": {
@@ -98,9 +97,32 @@ def merge_config(base, override):
     return out
 
 
+# sections whose keys are the fields of a config dataclass, which rejects
+# unknown ones itself
+_DATACLASS_SECTIONS = ("corpus", "encoder", "bottleneck")
+# read without a default: fine-tuning stages fall back to it
+_OPTIONAL_KEYS = {"finetune.optimizer"}
+_STAGE_KEYS = {"epochs", "scope", "optimizer"}
+
+
+def _unknown_keys(cfg):
+    """Dotted paths of the keys of ``cfg`` that nothing reads."""
+    unknown = []
+    for key, value in cfg.items():
+        if key not in DEFAULT_CONFIG:
+            unknown.append(key)
+        elif isinstance(value, dict) and key not in _DATACLASS_SECTIONS:
+            unknown += [f"{key}.{k}" for k in value
+                        if k not in DEFAULT_CONFIG[key] and f"{key}.{k}" not in _OPTIONAL_KEYS]
+    for i, stage in enumerate(cfg["finetune"]["stages"]):
+        unknown += [f"finetune.stages[{i}].{k}" for k in stage if k not in _STAGE_KEYS]
+    return unknown
+
+
 def load_config(path=None, overrides=None):
     """Defaults, optionally merged with a JSON file and then with explicit
-    overrides (highest precedence)."""
+    overrides (highest precedence). Raises ValueError naming every key
+    that nothing reads."""
     cfg = copy.deepcopy(DEFAULT_CONFIG)
     if path is not None:
         with open(path) as fh:
@@ -110,4 +132,7 @@ def load_config(path=None, overrides=None):
         cfg = merge_config(cfg, loaded)
     if overrides:
         cfg = merge_config(cfg, overrides)
+    unknown = _unknown_keys(cfg)
+    if unknown:
+        raise ValueError("config keys that nothing reads: " + ", ".join(unknown))
     return cfg

@@ -1,19 +1,18 @@
-"""CTC loss with analytic gradients, hypothesis scoring, greedy decoding,
-and prefix beam search over per-frame log posteriors.
+"""CTC loss with analytic gradients and hypothesis scoring over per-frame
+log posteriors.
 
 One alpha recursion (``_alpha_frames``) over blank-interleaved alignment
 lattices serves the loss, the forward score, isolated-word Viterbi
 decoding and N-best rescoring. It scores a padded batch of targets under
 one of two semirings, log-sum-exp (summed paths) or max (best path), and
 yields one frame at a time, so each caller keeps only what it reads.
-``_ctc_lattice`` keeps every frame of one stream; the forward score and
-rescoring read its costs at the last. The loss reads every frame of its
-forward and backward lattices, run as one two-row batch: the target on
-the stream, and the reversed target on the time-reversed stream.
-``_ctc_costs`` runs a padded batch of streams of different lengths, each
-with its own targets, in one frame loop and keeps each stream's costs at
-its own last frame, so a whole test set is decoded, or its N-best lists
-rescored, in one pass.
+The loss reads every frame of its forward and backward lattices, run as
+one two-row batch: the target on the stream, and the reversed target on
+the time-reversed stream. ``_ctc_costs`` runs a padded batch of streams
+of different lengths, each with its own targets, in one frame loop and
+keeps each stream's costs at its own last frame, so a whole test set is
+decoded, or its N-best lists rescored, in one pass; the forward score is
+its single-target call.
 
 Alignment-lattice conventions: blank id is 0, lexical tokens are 1..V,
 and all lattice arithmetic runs in log space with -inf for impossible
@@ -190,20 +189,6 @@ def _final_costs(alpha, n_states, plus):
     return -score
 
 
-def _ctc_lattice(logp, targets, plus):
-    """Forward (alpha) lattice of every target over one (T, V) stream.
-
-    Returns the (T, N, S) lattice, emissions included at every frame, and
-    each target's cost (see ``_final_costs``).
-    """
-    ext, n_states, skip_ok = _lattice_states(targets)
-    emit = logp[:, ext]
-    alphas = np.empty(emit.shape)
-    for _ in _alpha_frames(emit, skip_ok, plus, out=alphas):
-        pass
-    return alphas, _final_costs(alphas[-1], n_states, plus)
-
-
 def _ctc_costs(logps, targets, plus):
     """(B, N) costs of each stream's own targets, in one frame loop.
 
@@ -213,8 +198,8 @@ def _ctc_costs(logps, targets, plus):
     (T, B, V) array, the recursion runs over (B, N, S) alphas, each row
     with its own states, blank-skip mask and final states, and each
     stream's costs are read at its own last frame, so every cost equals
-    ``_ctc_lattice`` on that stream and target alone bit for bit. A stream
-    of no frames has no path.
+    the lattice of that stream and target alone bit for bit. A stream of
+    no frames has no path.
     """
     if len(targets) != len(logps):
         raise ValueError(f"{len(logps)} streams but {len(targets)} target lists")
@@ -323,21 +308,7 @@ def ctc_forward_score(stream, label_seq) -> float:
     ``ctc_loss``, so it equals that loss's value exactly."""
     logp = _stream_logp(stream)
     target = _check_target(label_seq, logp.shape[1])
-    return _satisfiable(_ctc_lattice(logp, [target], np.logaddexp)[1][0], target, logp)
-
-
-def greedy_decode(stream, vocab: TokenVocab | None = None):
-    """Per-frame argmax, collapse repeats, drop blanks. Ties break toward
-    the lower class index. Returns token ids."""
-    logp = _stream_logp(stream)
-    best = np.argmax(logp, axis=1)
-    out = []
-    prev = -1
-    for k in best:
-        if k != prev and k != 0:
-            out.append(int(k))
-        prev = k
-    return out
+    return _satisfiable(_ctc_costs([logp], [[target]], np.logaddexp)[0, 0], target, logp)
 
 
 @dataclass
@@ -386,56 +357,3 @@ class NBestList:
     @classmethod
     def from_json(cls, text):
         return cls.from_json_dict(json.loads(text))
-
-
-def prefix_beam_nbest(stream, vocab: TokenVocab, beam: int, n: int, utt_id="",
-                      system="ctc") -> NBestList:
-    """Top-n labelings by total CTC probability via prefix beam search.
-
-    Bookkeeping follows the usual blank / non-blank split per prefix;
-    hypotheses are labelings (collapsed outputs), not alignments.
-    """
-    if not beam >= n >= 1:
-        raise ValueError(f"need beam >= n >= 1, got beam={beam} n={n}")
-    logp = _stream_logp(stream)
-    t_len, width = logp.shape
-    # prefix -> [log p ending in blank, log p ending in its last token]
-    beams = {(): [0.0, NEG_INF]}
-    for t in range(t_len):
-        nxt = {}
-
-        def bump(prefix, which, value):
-            slot = nxt.setdefault(prefix, [NEG_INF, NEG_INF])
-            slot[which] = np.logaddexp(slot[which], value)
-
-        for prefix, (pb, pnb) in beams.items():
-            total = np.logaddexp(pb, pnb)
-            bump(prefix, 0, total + logp[t, 0])
-            if prefix:
-                bump(prefix, 1, pnb + logp[t, prefix[-1]])
-            for k in range(1, width):
-                grown = prefix + (k,)
-                if prefix and k == prefix[-1]:
-                    bump(grown, 1, pb + logp[t, k])
-                else:
-                    bump(grown, 1, total + logp[t, k])
-        ranked = sorted(
-            nxt.items(), key=lambda kv: (-np.logaddexp(kv[1][0], kv[1][1]), kv[0])
-        )
-        beams = dict(ranked[:beam])
-    final = sorted(
-        ((prefix, np.logaddexp(pb, pnb)) for prefix, (pb, pnb) in beams.items()),
-        key=lambda kv: (-kv[1], kv[0]),
-    )
-    entries = []
-    for prefix, log_total in final[:n]:
-        cost = float(-log_total)
-        entries.append(
-            NBestEntry(
-                tokens=vocab.tokens_of(prefix),
-                words=[],
-                cost_per_system={system: cost},
-                combined_cost=cost,
-            )
-        )
-    return NBestList(utt_id, entries)

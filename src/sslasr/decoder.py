@@ -26,7 +26,6 @@ from .ctc import (
     PosteriorStream,
     TokenVocab,
     _ctc_costs,
-    _ctc_lattice,
 )
 
 
@@ -202,7 +201,7 @@ def viterbi_align_cost(logp, token_ids):
     of one blank-interleaved token sequence; +inf when it has none. The
     single-target form of ``isolated_nbest``'s scoring; perfbench's traced
     run reports it by name."""
-    return float(_ctc_lattice(logp, [token_ids], np.maximum)[1][0])
+    return float(_ctc_costs([logp], [[token_ids]], np.maximum)[0, 0])
 
 
 def _resolve_tokens(lexicon, vocab):

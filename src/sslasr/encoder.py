@@ -571,7 +571,7 @@ def pretrain_step(model, samples, rng=None, hard=True, mask=None, noise=None,
     return contrast, div_value
 
 
-def pretrain(dataset, cfg: EncoderConfig, epochs, seed, optimizer_cfg=None, hard=True):
+def pretrain(dataset, cfg: EncoderConfig, epochs, seed, optimizer_cfg=None):
     """Masked contrastive + diversity pretraining on raw audio.
 
     Returns ``(model, history)`` where history holds one record per epoch
@@ -590,7 +590,7 @@ def pretrain(dataset, cfg: EncoderConfig, epochs, seed, optimizer_cfg=None, hard
             model.quantizer.gumbel_temperature = (
                 tau_hi + (tau_lo - tau_hi) * epoch / (epochs - 1)
             )
-        contrast, ld = pretrain_step(model, dataset[i], rng=rng, hard=hard)
+        contrast, ld = pretrain_step(model, dataset[i], rng=rng)
         loss = contrast.value + cfg.loss_weight_diversity * ld
         return loss, contrast.value, ld, contrast.accuracy
 

@@ -1,6 +1,6 @@
 """Frame-level acoustic model: context splicing over feature frames feeding
 a feed-forward classifier trained with cross-entropy against per-frame
-labels (uniform segmentation of the transcript, or CTC-head argmax).
+labels (uniform segmentation of the transcript).
 """
 
 from __future__ import annotations
@@ -137,11 +137,6 @@ def uniform_alignment(n_frames, token_ids, edge_blank_frames=0):
     for i, tok in enumerate(token_ids):
         labels[edge_blank_frames + bounds[i] : edge_blank_frames + bounds[i + 1]] = tok
     return labels
-
-
-def ctc_argmax_alignment(stream: PosteriorStream):
-    """Frame labels from a CTC head's per-frame argmax (blank included)."""
-    return np.argmax(stream.logp, axis=1).astype(np.int64)
 
 
 def train_am(dataset, cfg: AmConfig, d_feat, n_classes, epochs, seed,

@@ -49,7 +49,7 @@ from .features import (
     read_wav,
     write_archive,
 )
-from .frame_am import AmConfig, ctc_argmax_alignment, train_am, uniform_alignment
+from .frame_am import AmConfig, FrameAm, train_am, uniform_alignment
 from .inversion import MdnConfig, MdnModel, mdn_forward, mdn_predict, train_inversion
 from .params import ParameterStore
 from .rescore import rescore_hypotheses
@@ -95,50 +95,44 @@ class Corpus:
         return self.vocab.ids_of(symbols)
 
 
-def generate_corpus(out_dir, cfg, seed=None):
-    seed = cfg["seed"] if seed is None else seed
-    manifest, lexicon = gen_synth_corpus(out_dir, corpus_config(cfg), seed)
+def generate_corpus(out_dir, cfg):
+    manifest, lexicon = gen_synth_corpus(out_dir, corpus_config(cfg), cfg["seed"])
     logger.info("generated %d utterances under %s", len(manifest), out_dir)
     return manifest, lexicon
 
 
-def pretrain_encoder(corpus: Corpus, cfg, seed=None):
-    seed = cfg["seed"] if seed is None else seed
+def pretrain_encoder(corpus: Corpus, cfg):
     section = cfg["pretrain"]
     audio = [corpus.audio(r).samples for r in corpus.manifest.subset("train")]
     model, history = pretrain(
         audio,
         encoder_config(cfg),
         epochs=section["epochs"],
-        seed=seed,
+        seed=cfg["seed"],
         optimizer_cfg=section["optimizer"],
-        hard=section["hard"],
     )
     return model, history
 
 
-def finetune_encoder(corpus: Corpus, model: SslEncoder, cfg, seed=None):
-    """CTC fine-tuning with the configured stage list. With the adapter
-    enabled, it is first initialized by standalone reconstruction training
-    on the pretrained context features, then trained jointly with the CTC
+def finetune_encoder(corpus: Corpus, model: SslEncoder, cfg):
+    """CTC fine-tuning with the configured stage list. The bottleneck
+    adapter is first initialized by standalone reconstruction training on
+    the pretrained context features, then trained jointly with the CTC
     loss in the encoder-updating stages."""
-    seed = cfg["seed"] if seed is None else seed
+    seed = cfg["seed"]
     section = cfg["finetune"]
     train_records = corpus.manifest.subset("train")
-    encoder = model if section["use_adapter"] else None
     audio, contexts = [], []
-    for _, window, _, h in record_batches(corpus, train_records, encoder):
+    for _, window, _, h in record_batches(corpus, train_records, model):
         audio += window
-        contexts += h or []
-    adapter = None
-    if section["use_adapter"]:
-        adapter, _ = train_adapter(
-            contexts,
-            bottleneck_config(cfg, model.cfg.d_model),
-            epochs=section["adapter_init_epochs"],
-            seed=seed + 7,
-            optimizer_cfg=section["adapter_init_optimizer"],
-        )
+        contexts += h
+    adapter, _ = train_adapter(
+        contexts,
+        bottleneck_config(cfg, model.cfg.d_model),
+        epochs=section["adapter_init_epochs"],
+        seed=seed + 7,
+        optimizer_cfg=section["adapter_init_optimizer"],
+    )
     del contexts  # only the adapter's initialisation reads them
     dataset = [(a.samples, corpus.tokens(r)) for a, r in zip(audio, train_records)]
     histories = []
@@ -159,10 +153,6 @@ def finetune_encoder(corpus: Corpus, model: SslEncoder, cfg, seed=None):
     return adapter, histories
 
 
-def save_encoder(model: SslEncoder, path):
-    ParameterStore.from_module(model).save(path)
-
-
 def load_encoder(cfg, path) -> SslEncoder:
     """Rebuild an encoder from the global config and a parameter store;
     a stored CTC head is re-attached with its stored width."""
@@ -174,18 +164,10 @@ def load_encoder(cfg, path) -> SslEncoder:
     return model
 
 
-def save_adapter(adapter: BottleneckAdapter, path):
-    ParameterStore.from_module(adapter).save(path)
-
-
 def load_adapter(cfg, d_model, path) -> BottleneckAdapter:
     adapter = BottleneckAdapter(bottleneck_config(cfg, d_model), seed=0)
     ParameterStore.load(path).load_into(adapter)
     return adapter
-
-
-def save_mdn(model, path):
-    ParameterStore.from_module(model).save(path)
 
 
 def mdn_config(cfg) -> MdnConfig:
@@ -202,6 +184,24 @@ def load_mdn(cfg, path) -> MdnModel:
     model = MdnModel(mdn_config(cfg), seed=0)
     ParameterStore.load(path).load_into(model)
     return model
+
+
+def load_am(cfg, path) -> FrameAm:
+    """Rebuild a frame acoustic model from the global config and a
+    parameter store; its feature width and class count are read from the
+    stored first-layer and output weights."""
+    store = ParameterStore.load(path)
+    am_cfg = am_config(cfg)
+    first = "am.hidden0.w" if am_cfg.hidden_dims else "am.out.w"
+    if first not in store.tensors or "am.out.w" not in store.tensors:
+        raise ValueError(f"{path} holds no frame acoustic model ({first}, am.out.w)")
+    d_in, n_classes = store.tensors[first].shape[0], store.tensors["am.out.w"].shape[1]
+    if d_in % len(am_cfg.offsets):
+        raise ValueError(f"{path}: input width {d_in} is not a multiple of the "
+                         f"{len(am_cfg.offsets)} configured am.offsets")
+    am = FrameAm(am_cfg, d_in // len(am_cfg.offsets), n_classes, seed=0)
+    store.load_into(am)
+    return am
 
 
 def _bottleneck_stream(bn, model: SslEncoder, adapter: BottleneckAdapter) -> FeatureMatrix:
@@ -244,11 +244,11 @@ def articulatory_map(d_in, d_artic, seed):
     return a, b
 
 
-def train_inversion_model(corpus: Corpus, model, adapter, cfg, seed=None):
+def train_inversion_model(corpus: Corpus, model, adapter, cfg):
     """Train the MDN on (bottleneck representation, synthetic articulatory)
     pairs from the train subset; targets are a fixed linear map of the
     representations plus Gaussian noise."""
-    seed = cfg["seed"] if seed is None else seed
+    seed = cfg["seed"]
     section = cfg["mdn"]
     mdn_cfg = mdn_config(cfg)
     a, b = articulatory_map(mdn_cfg.d_in, mdn_cfg.d_artic, seed + 17)
@@ -289,11 +289,20 @@ def build_feature_fn(corpus, kind, model=None, adapter=None, mdn_model=None,
     Each archive is read once, here. Each record's WAV is read at most
     once and encoded at most once, whatever streams it feeds; a window's
     records are encoded as one ragged batch. With only stored streams, no
-    WAV is read.
+    WAV is read. A computed stream whose model is missing raises
+    ValueError here, naming the CLI flags that would supply it.
     """
     parts = kind.split("+")
     stored = {part: (path, read_archive(path))
               for part, path in (("w2v-bn", bn), ("artic", artic)) if path is not None}
+    required = {"w2v-bn": ("--bn", [("--model", model), ("--adapter", adapter)])}
+    required["artic"] = ("--artic", required["w2v-bn"][1] + [("--mdn", mdn_model)])
+    for part in parts:
+        archive_flag, models = required.get(part, (None, []))
+        missing = [flag for flag, given in models if given is None]
+        if missing and part not in stored:
+            raise ValueError(f"feature stream {part!r} needs {' and '.join(missing)} "
+                             f"(or {archive_flag})")
 
     def stream(part, record, audio, rows):
         if part in stored:
@@ -351,33 +360,20 @@ def read_streams(path) -> dict[str, PosteriorStream]:
     return streams
 
 
-def alignment_labels(corpus: Corpus, record, feats: FeatureMatrix, cfg,
-                     model=None, adapter=None):
+def alignment_labels(corpus: Corpus, record, feats: FeatureMatrix, cfg):
     """Per-frame labels for AM training: uniform segmentation with blank
-    edges matching the generator's silence margins, or the fine-tuned CTC
-    head's argmax upsampled to the feature rate."""
-    mode = cfg["am"]["alignment"]
-    if mode == "uniform":
-        edge_ms = cfg["corpus"]["edge_ms"]
-        edge_frames = int(round(edge_ms * 1000.0 / feats.frame_shift_us))
-        return uniform_alignment(feats.n_frames, corpus.tokens(record), edge_frames)
-    if mode == "ctc":
-        (h,) = model.represent([corpus.audio(record)], adapter)[1]
-        (stream,) = model.head_posteriors([h])
-        labels20 = ctc_argmax_alignment(stream)
-        labels = np.repeat(labels20, stream.frame_shift_us // feats.frame_shift_us)
-        if labels.size < feats.n_frames:
-            labels = np.concatenate([labels, np.zeros(feats.n_frames - labels.size, np.int64)])
-        return labels[: feats.n_frames]
-    raise ValueError(f"unknown alignment mode {mode!r}")
+    edges matching the generator's silence margins."""
+    edge_ms = cfg["corpus"]["edge_ms"]
+    edge_frames = int(round(edge_ms * 1000.0 / feats.frame_shift_us))
+    return uniform_alignment(feats.n_frames, corpus.tokens(record), edge_frames)
 
 
-def train_frame_am(corpus: Corpus, feature_fn, cfg, seed=None, model=None, adapter=None):
+def train_frame_am(corpus: Corpus, feature_fn, cfg, seed=None):
     seed = cfg["seed"] if seed is None else seed
     section = cfg["am"]
     records = corpus.manifest.subset("train")
     feats = [f for window in feature_fn(records) for f in window]
-    dataset = [(f, alignment_labels(corpus, record, f, cfg, model=model, adapter=adapter))
+    dataset = [(f, alignment_labels(corpus, record, f, cfg))
                for record, f in zip(records, feats)]
     d_feat = dataset[0][0].dim
     am, history = train_am(
@@ -455,11 +451,9 @@ def run_recognition(corpus: Corpus, cfg, model, adapter, jobs=1,
     fbk_fn = build_feature_fn(corpus, "fbk")
     fused_fn = build_feature_fn(corpus, "fbk+w2v-bn", model=model, adapter=adapter)
     logger.info("training fbk-only acoustic model")
-    am_fbk, _ = train_frame_am(corpus, fbk_fn, cfg, seed=seed + 101, model=model,
-                               adapter=adapter)
+    am_fbk, _ = train_frame_am(corpus, fbk_fn, cfg, seed=seed + 101)
     logger.info("training fbk+w2v-bn acoustic model")
-    am_fused, _ = train_frame_am(corpus, fused_fn, cfg, seed=seed + 202, model=model,
-                                 adapter=adapter)
+    am_fused, _ = train_frame_am(corpus, fused_fn, cfg, seed=seed + 202)
     weights = parse_weight_ratio(cfg["decode"]["weights"])
     n_best = cfg["decode"]["nbest"]
     alpha, beta = cfg["rescore"]["alpha"], cfg["rescore"]["beta"]

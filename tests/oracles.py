@@ -30,15 +30,10 @@ def ctc_score_by_enumeration(logp, target):
     return float(-total)
 
 
-def labelings_by_enumeration(logp):
-    """All labelings ranked by total probability (ties by labeling)."""
-    t_len, width = logp.shape
-    scores = {}
-    for path in itertools.product(range(width), repeat=t_len):
-        lab = collapse_path(path)
-        lp = sum(logp[t, k] for t, k in enumerate(path))
-        scores[lab] = np.logaddexp(scores.get(lab, -np.inf), lp)
-    return sorted(scores.items(), key=lambda kv: (-kv[1], kv[0]))
+def greedy_decode(stream):
+    """Per-frame argmax, repeats collapsed and blanks dropped; ties break
+    toward the lower class index. Returns token ids."""
+    return list(collapse_path(np.argmax(getattr(stream, "logp", stream), axis=1)))
 
 
 def best_alignment_cost_by_enumeration(logp, token_ids):
@@ -279,6 +274,25 @@ def _reference_alphas(emit, ext):
                 acc = np.logaddexp(acc, alpha[t - 1, s - 2])
             alpha[t, s] = acc + emit[t, s]
     return alpha
+
+
+def ctc_lattice(logp, targets, plus):
+    """Forward (alpha) lattice of every target over one (T, V) stream,
+    through the program's own alpha recursion and final-state read: the
+    one-stream reference that ``ctc._ctc_costs``, its batch over streams
+    of different lengths, must equal bit for bit.
+
+    Returns the (T, N, S) lattice, emissions included at every frame, and
+    each target's cost (+inf for no path).
+    """
+    from sslasr.ctc import _alpha_frames, _final_costs, _lattice_states
+
+    ext, n_states, skip_ok = _lattice_states(targets)
+    emit = logp[:, ext]
+    alphas = np.empty(emit.shape)
+    for _ in _alpha_frames(emit, skip_ok, plus, out=alphas):
+        pass
+    return alphas, _final_costs(alphas[-1], n_states, plus)
 
 
 def reference_ctc_loss(logp, target):

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from sslasr import pipeline
-from sslasr.cli import _load_am, main
+from sslasr.cli import main
 from sslasr.config import load_config
 from sslasr.ctc import PosteriorStream
 from sslasr.decoder import (
@@ -84,6 +84,61 @@ class TestUsageErrors:
         main(["decode", "--config", cli_config, "--lexicon", str(tmp_path / "no.json")])
         err = capsys.readouterr().err
         assert "error:" in err
+
+    @pytest.mark.parametrize("argv", [
+        ["finetune", "--corpus", "c", "--init", "i", "--out", "o"],
+        ["rescore", "--nbest", "n", "--corpus", "c", "--model", "m"],
+        ["rescore", "--nbest", "n", "--corpus", "c", "--model", "m", "--adapter", "a",
+         "--alpha", "2"],
+    ])
+    def test_adapter_flags_required_and_alpha_gone(self, argv):
+        with pytest.raises(SystemExit) as err:
+            main(argv)
+        assert err.value.code == 2
+
+
+class TestMissingModels:
+    """A computed stream whose model is missing fails by the flag that
+    would supply it, before any WAV is read."""
+
+    @pytest.fixture(autouse=True)
+    def no_wav_reads(self, monkeypatch):
+        def refuse(path):
+            raise AssertionError(f"read {path} before checking the models")
+        monkeypatch.setattr(pipeline, "read_wav", refuse)
+
+    def test_decode_bn_stream_without_adapter(self, workdir, tmp_path, capsys):
+        root, corpus, cfg = workdir
+        assert main(["decode", "--config", cfg, "--corpus", str(corpus),
+                     "--am", str(root / "am_fbk.spm"), "--features", "fbk+w2v-bn",
+                     "--model", str(root / "ft.spm"),
+                     "--lexicon", str(corpus / "lexicon.json"),
+                     "--out", str(tmp_path / "never.jsonl")]) == 1
+        assert "feature stream 'w2v-bn' needs --adapter (or --bn)" in capsys.readouterr().err
+
+    def test_train_am_artic_stream_without_mdn(self, workdir, tmp_path, capsys):
+        root, corpus, cfg = workdir
+        assert main(["train-am", "--config", cfg, "--corpus", str(corpus),
+                     "--features", "fbk+w2v-bn+artic", "--model", str(root / "ft.spm"),
+                     "--adapter", str(root / "adapter.spm"),
+                     "--out", str(tmp_path / "never.spm")]) == 1
+        assert "feature stream 'artic' needs --mdn (or --artic)" in capsys.readouterr().err
+
+
+class TestLoadAm:
+    def test_widths_read_from_the_store(self, workdir):
+        root, corpus, cfg = workdir
+        # train-am writes the parameter store alone
+        assert not (root / "am_fbk.json").exists()
+        am = pipeline.load_am(load_config(cfg), root / "am_fbk.spm")
+        assert (am.d_feat, am.n_classes) == (40, pipeline.Corpus(corpus).vocab.width)
+
+    def test_width_not_a_multiple_of_offsets(self, workdir):
+        root, _, cfg = workdir
+        three = load_config(cfg, {"am": {"offsets": [-1, 0, 1]}})
+        with pytest.raises(ValueError, match="input width 200 is not a multiple of the "
+                                             "3 configured am.offsets"):
+            pipeline.load_am(three, root / "am_fbk.spm")
 
 
 class TestDecodeContract:
@@ -312,7 +367,7 @@ class TestBatchedDecodeOutputs:
                      "--am", str(root / "am_fbk.spm"), "--features", "fbk",
                      "--lexicon", str(corpus / "lexicon.json"),
                      "--save-streams", str(s1), "--out", str(hyp)]) == 0
-        am = _load_am(load_config(cfg), root / "am_fbk.spm")
+        am = pipeline.load_am(load_config(cfg), root / "am_fbk.spm")
         c = pipeline.Corpus(corpus)
         records = sorted(c.manifest.subset("test-seen", "test-unseen"), key=lambda r: r.utt_id)
         expected = [decode_stream(am.posteriors([compute_fbank(c.audio(r))])[0], lexicon, vocab,

@@ -10,19 +10,17 @@ from sslasr.ctc import (
     TokenVocab,
     UnsatisfiableTargetError,
     _ctc_costs,
-    _ctc_lattice,
     ctc_forward_score,
     ctc_loss,
-    greedy_decode,
-    prefix_beam_nbest,
 )
 from sslasr.nn import log_softmax, log_softmax_backward
 
 from gradcheck import array_grad_check
 from oracles import (
     best_alignment_cost_by_enumeration,
+    ctc_lattice,
     ctc_score_by_enumeration,
-    labelings_by_enumeration,
+    greedy_decode,
     reference_ctc_loss,
 )
 
@@ -212,7 +210,7 @@ class TestBatchedLattice:
     def test_rows_match_enumeration(self, case, semiring):
         logp, targets = case
         plus, oracle = SEMIRINGS[semiring]
-        costs = _ctc_lattice(logp, targets, plus)[1]
+        costs = ctc_lattice(logp, targets, plus)[1]
         for target, cost in zip(targets, costs):
             expected = oracle(logp, target)
             if np.isinf(expected):
@@ -227,9 +225,9 @@ class TestBatchedLattice:
     def test_rows_equal_single_target_calls(self, case, semiring):
         logp, targets = case
         plus, _ = SEMIRINGS[semiring]
-        costs = _ctc_lattice(logp, targets, plus)[1]
+        costs = ctc_lattice(logp, targets, plus)[1]
         for target, cost in zip(targets, costs):
-            assert cost.tobytes() == _ctc_lattice(logp, [target], plus)[1].tobytes()
+            assert cost.tobytes() == ctc_lattice(logp, [target], plus)[1].tobytes()
 
 
 @st.composite
@@ -291,7 +289,7 @@ class TestStreamBatch:
         costs = _ctc_costs(logps, [targets] * len(logps), plus)
         assert costs.shape == (len(logps), len(targets))
         for logp, row in zip(logps, costs):
-            assert row.tobytes() == _ctc_lattice(logp, targets, plus)[1].tobytes()
+            assert row.tobytes() == ctc_lattice(logp, targets, plus)[1].tobytes()
             for target, cost in zip(targets, row):
                 expected = oracle(logp, target)
                 if np.isinf(expected) or semiring == "max":
@@ -309,7 +307,7 @@ class TestStreamBatch:
         plus, _ = SEMIRINGS[semiring]
         costs = _ctc_costs(logps, [targets] * len(logps), plus)
         for logp, row in zip(logps, costs):
-            assert row.tobytes() == _ctc_lattice(logp, targets, plus)[1].tobytes()
+            assert row.tobytes() == ctc_lattice(logp, targets, plus)[1].tobytes()
 
     @settings(max_examples=60, deadline=None)
     @given(case=per_stream_batches(6, 12, 6), semiring=st.sampled_from(sorted(SEMIRINGS)))
@@ -321,7 +319,7 @@ class TestStreamBatch:
         costs = _ctc_costs(logps, lists, plus)
         assert costs.shape == (len(logps), max(len(ts) for ts in lists))
         for logp, ts, row in zip(logps, lists, costs):
-            assert row[: len(ts)].tobytes() == _ctc_lattice(logp, ts, plus)[1].tobytes()
+            assert row[: len(ts)].tobytes() == ctc_lattice(logp, ts, plus)[1].tobytes()
             assert np.isinf(row[len(ts) :]).all()
 
     def test_target_lists_must_match_streams(self):
@@ -360,57 +358,6 @@ class TestGreedyDecode:
         logp = np.log(np.full((1, 3), 1 / 3))
         logp -= np.log(np.exp(logp).sum(axis=1, keepdims=True))
         assert greedy_decode(logp) == []  # blank wins the tie at index 0
-
-
-class TestPrefixBeam:
-    vocab = TokenVocab(("a", "b"))
-
-    def test_matches_enumeration_with_wide_beam(self):
-        rng = np.random.default_rng(9)
-        for _ in range(8):
-            logp = random_logp(4, 2, rng)
-            oracle = labelings_by_enumeration(logp)
-            nb = prefix_beam_nbest(logp, self.vocab, beam=400, n=5, utt_id="u")
-            costs = [e.combined_cost for e in nb.entries]
-            assert costs == sorted(costs)
-            for entry, (lab, lp) in zip(nb.entries, oracle[:5]):
-                assert tuple(self.vocab.ids_of(entry.tokens)) == lab
-                assert entry.combined_cost == pytest.approx(-lp, abs=1e-9)
-
-    def test_dominant_path_equals_greedy(self):
-        rows = np.array([
-            [0.02, 0.96, 0.02],
-            [0.96, 0.02, 0.02],
-            [0.02, 0.02, 0.96],
-        ])
-        logp = np.log(rows / rows.sum(axis=1, keepdims=True))
-        nb = prefix_beam_nbest(logp, self.vocab, beam=8, n=1)
-        assert self.vocab.ids_of(nb.entries[0].tokens) == greedy_decode(logp)
-
-    def test_blank_only_stream(self):
-        rows = np.array([[0.9, 0.05, 0.05]] * 4)
-        logp = np.log(rows / rows.sum(axis=1, keepdims=True))
-        nb = prefix_beam_nbest(logp, self.vocab, beam=6, n=1)
-        assert nb.entries[0].tokens == []
-        assert nb.entries[0].combined_cost == pytest.approx(-logp[:, 0].sum(), abs=1e-12)
-
-    def test_costs_non_decreasing_and_beam_monotone(self):
-        rng = np.random.default_rng(10)
-        for _ in range(6):
-            logp = random_logp(5, 2, rng)
-            best_costs = []
-            for beam in (1, 2, 4, 8, 32):
-                nb = prefix_beam_nbest(logp, self.vocab, beam=beam, n=1)
-                best_costs.append(nb.entries[0].combined_cost)
-            assert all(b <= a + 1e-12 for a, b in zip(best_costs, best_costs[1:]))
-            nb = prefix_beam_nbest(logp, self.vocab, beam=32, n=10)
-            costs = [e.combined_cost for e in nb.entries]
-            assert costs == sorted(costs)
-
-    def test_beam_validation(self):
-        rng = np.random.default_rng(11)
-        with pytest.raises(ValueError, match="beam >= n >= 1"):
-            prefix_beam_nbest(random_logp(3, 2, rng), self.vocab, beam=2, n=3)
 
 
 class TestNBestJson:

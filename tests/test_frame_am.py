@@ -8,7 +8,6 @@ from sslasr.frame_am import (
     AmConfig,
     FrameAm,
     cross_entropy_step,
-    ctc_argmax_alignment,
     splice_context,
     train_am,
     uniform_alignment,
@@ -205,11 +204,3 @@ class TestAlignments:
 
     def test_uniform_too_short_all_blank(self):
         assert np.array_equal(uniform_alignment(2, [1, 2, 3]), [0, 0])
-
-    def test_ctc_argmax(self):
-        rows = np.array([[0.8, 0.1, 0.1], [0.1, 0.8, 0.1]])
-        logp = np.log(rows / rows.sum(axis=1, keepdims=True))
-        from sslasr.ctc import PosteriorStream
-
-        labels = ctc_argmax_alignment(PosteriorStream(logp, 20_000, "x"))
-        assert np.array_equal(labels, [0, 1])

@@ -10,14 +10,16 @@ from hypothesis import strategies as st
 from sslasr import pipeline
 from sslasr.bottleneck import BottleneckAdapter, BottleneckConfig
 from sslasr.corpus import wer
-from sslasr.ctc import greedy_decode
 from sslasr.ctc import TokenVocab
 from sslasr.decoder import (Lexicon, LexiconEntry, decode_stream, interpolate_posteriors,
                             isolated_nbest, parse_weight_ratio)
 from sslasr.encoder import SslEncoder
 from sslasr.features import compute_fbank, fuse_features, read_archive, write_archive
 from sslasr.inversion import MdnModel
+from sslasr.params import ParameterStore
 from sslasr.rescore import rescore, rescore_hypotheses, score_nbest_with_ssl
+
+from oracles import greedy_decode
 
 
 def features_of(feature_fn, records):
@@ -59,7 +61,7 @@ class TestModelRoundTrips:
     def test_encoder_save_load(self, tiny_config, tiny_corpus, tiny_models, tmp_path):
         model, adapter = tiny_models
         path = tmp_path / "enc.spm"
-        pipeline.save_encoder(model, path)
+        ParameterStore.from_module(model).save(path)
         back = pipeline.load_encoder(tiny_config, path)
         rec = tiny_corpus.manifest.records[0]
         a = model.head_posteriors(model.represent([tiny_corpus.audio(rec)])[1])[0].logp
@@ -69,7 +71,7 @@ class TestModelRoundTrips:
     def test_adapter_save_load(self, tiny_config, tiny_models, tmp_path):
         model, adapter = tiny_models
         path = tmp_path / "ad.spm"
-        pipeline.save_adapter(adapter, path)
+        ParameterStore.from_module(adapter).save(path)
         back = pipeline.load_adapter(tiny_config, model.cfg.d_model, path)
         x = np.random.default_rng(0).normal(size=(4, model.cfg.d_model))
         a_bn, a_res = adapter.forward_arrays(x)
@@ -196,16 +198,6 @@ class TestAlignments:
         assert labels.shape[0] == feats.n_frames
         assert labels[0] == 0 and labels[-1] == 0
         assert set(labels) - {0} == set(tiny_corpus.tokens(rec))
-
-    def test_ctc_alignment_mode(self, tiny_config, tiny_corpus, tiny_models):
-        model, adapter = tiny_models
-        cfg = dict(tiny_config)
-        cfg["am"] = dict(cfg["am"], alignment="ctc")
-        rec = tiny_corpus.manifest.records[0]
-        feats = compute_fbank(tiny_corpus.audio(rec))
-        labels = pipeline.alignment_labels(tiny_corpus, rec, feats, cfg,
-                                           model=model, adapter=adapter)
-        assert labels.shape[0] == feats.n_frames
 
 
 class TestInversionPipeline:

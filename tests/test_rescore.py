@@ -8,13 +8,12 @@ from sslasr.ctc import (
     NBestList,
     PosteriorStream,
     TokenVocab,
-    _ctc_lattice,
     ctc_forward_score,
 )
 from sslasr.rescore import (RescoreError, rescore, rescore_hypotheses,
                             score_nbest_with_ssl)
 
-from oracles import ctc_score_by_enumeration
+from oracles import ctc_lattice, ctc_score_by_enumeration
 
 VOCAB = TokenVocab(("a", "b"))
 
@@ -97,7 +96,7 @@ class TestScoreWithSsl:
         for (nb, stream), got in zip(pairs, score_nbest_with_ssl(pairs, VOCAB)):
             assert [e.words for e in got.entries] == [e.words for e in nb.entries]
             targets = [VOCAB.ids_of(e.tokens) for e in nb.entries]
-            expected = _ctc_lattice(stream.logp, targets, np.logaddexp)[1]
+            expected = ctc_lattice(stream.logp, targets, np.logaddexp)[1]
             costs = np.array([e.cost_per_system["w2v"] for e in got.entries])
             assert costs.tobytes() == expected.tobytes()
 
