@@ -71,14 +71,11 @@ class BottleneckAdapter(Module):
         restored = self.drop2.forward(self.fc2.forward(down, down_batch), rng)
         return bn, restored
 
-    def backward_from_restored(self, drestored, dbn=None):
-        """Backward through the whole stack given dL/drestored (and
-        optionally dL/dbn for losses that also touch the tap point)."""
+    def backward_from_restored(self, drestored):
+        """Backward through the whole stack given dL/drestored."""
         ddown = self.fc2.backward(self.drop2.backward(drestored))
-        dbn_total = self.reconv.backward(ddown)
-        if dbn is not None:
-            dbn_total = dbn_total + dbn
-        dup = self.fc1.backward(self.act1.backward(self.drop1.backward(dbn_total)))
+        dbn = self.reconv.backward(ddown)
+        dup = self.fc1.backward(self.act1.backward(self.drop1.backward(dbn)))
         return self.deconv.backward(dup)
 
 

@@ -16,7 +16,7 @@ from . import pipeline
 from .config import load_config
 from .corpus import Manifest
 from .ctc import NBestList
-from .decoder import Lexicon, parse_weight_ratio
+from .decoder import Lexicon, check_weights, parse_weight_ratio
 from .features import write_archive
 from .params import ParameterStore
 from .rescore import rescore_hypotheses
@@ -169,6 +169,11 @@ def _load_stream_sources(spec):
     return sources
 
 
+def _trend(history, key):
+    """``key`` at the first and the last epoch of a training history."""
+    return f"{history[0][key]:.4f} -> {history[-1][key]:.4f}" if history else "(0 epochs)"
+
+
 def _hyp_lines(hyps):
     return [json.dumps(h.to_json_dict()) for h in hyps]
 
@@ -184,9 +189,7 @@ def cmd_pretrain(args):
     corpus = pipeline.Corpus(args.corpus)
     model, history = pipeline.pretrain_encoder(corpus, cfg)
     ParameterStore.from_module(model).save(args.out)
-    print(f"pretrained {len(history)} epochs; combined loss "
-          f"{history[0]['combined']:.4f} -> {history[-1]['combined']:.4f}"
-          if history else "pretrained 0 epochs")
+    print(f"pretrained {len(history)} epochs; combined loss {_trend(history, 'combined')}")
 
 
 def cmd_finetune(args):
@@ -221,20 +224,26 @@ def cmd_invert(args):
     records = corpus.manifest.records
     trajectories = pipeline.articulatory_features(corpus, records, model, adapter, mdn_model)
     write_archive(args.out, zip((r.utt_id for r in records), trajectories))
-    print(f"inversion NLL {history[0]['nll']:.4f} -> {history[-1]['nll']:.4f}; "
+    print(f"inversion NLL {_trend(history, 'nll')}; "
           f"wrote {len(records)} trajectories to {args.out}")
 
 
 def _feature_fn_from_args(args, cfg, corpus):
-    model = adapter = mdn_model = None
-    if args.model:
-        model = pipeline.load_encoder(cfg, args.model)
-    if args.adapter:
-        if model is None:
-            raise ValueError("--adapter needs --model")
-        adapter = pipeline.load_adapter(cfg, model.cfg.d_model, args.adapter)
-    if args.mdn:
-        mdn_model = pipeline.load_mdn(cfg, args.mdn)
+    """The features function of ``--features``, loading only the models its
+    computed streams need; a model flag it does not need fails by name
+    before any store is read."""
+    stored = [part for part, path in (("w2v-bn", args.bn), ("artic", args.artic)) if path]
+    needed = {flag for flags in pipeline.feature_models(args.features, stored).values()
+              for flag in flags}
+    given = {"--model": args.model, "--adapter": args.adapter, "--mdn": args.mdn}
+    unused = [flag for flag, path in given.items() if path and flag not in needed]
+    if unused:
+        raise ValueError(f"--features {args.features} computes from no "
+                         f"{' or '.join(unused)}; leave it out")
+    model = pipeline.load_encoder(cfg, args.model) if args.model else None
+    adapter = (pipeline.load_adapter(cfg, cfg["encoder"]["d_model"], args.adapter)
+               if args.adapter else None)
+    mdn_model = pipeline.load_mdn(cfg, args.mdn) if args.mdn else None
     return pipeline.build_feature_fn(
         corpus, args.features, model=model, adapter=adapter, mdn_model=mdn_model,
         bn=args.bn, artic=args.artic,
@@ -247,8 +256,7 @@ def cmd_train_am(args):
     feature_fn = _feature_fn_from_args(args, cfg, corpus)
     am, history = pipeline.train_frame_am(corpus, feature_fn, cfg)
     ParameterStore.from_module(am).save(args.out)
-    print(f"trained AM on {args.features}; cross-entropy "
-          f"{history[0]['cross_entropy']:.4f} -> {history[-1]['cross_entropy']:.4f}")
+    print(f"trained AM on {args.features}; cross-entropy {_trend(history, 'cross_entropy')}")
 
 
 def _decode(tasks, lexicon, vocab, args, system):
@@ -309,13 +317,9 @@ def cmd_joint_decode(args):
 
 def cmd_rescore(args):
     cfg = _config(args)
-    if args.weights:
-        ratio = parse_weight_ratio(args.weights)
-        if ratio.size != 2:
-            raise ValueError("rescore weights must be a 2-way ratio alpha:beta")
-        alpha, beta = float(ratio[0]), float(ratio[1])
-    else:
-        alpha, beta = cfg["rescore"]["alpha"], cfg["rescore"]["beta"]
+    weights = (parse_weight_ratio(args.weights) if args.weights
+               else [cfg["rescore"]["alpha"], cfg["rescore"]["beta"]])
+    alpha, beta = check_weights(weights, 2, "rescoring weights alpha:beta")
     corpus = pipeline.Corpus(args.corpus)
     model = pipeline.load_encoder(cfg, args.model)
     adapter = pipeline.load_adapter(cfg, model.cfg.d_model, args.adapter)

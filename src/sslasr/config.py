@@ -1,12 +1,15 @@
 """Global JSON configuration: one file with per-module sections; CLI flags
 override individual keys. The shipped defaults are desk-scale settings
-that train and decode within minutes on a CPU. A key that nothing reads
-is rejected by its dotted path."""
+that train and decode within minutes on a CPU. A key that nothing reads,
+and any error in an optimizer mapping (``params.optimizer_errors``), is
+rejected by its dotted path before anything runs."""
 
 from __future__ import annotations
 
 import copy
 import json
+
+from .params import optimizer_errors
 
 
 DEFAULT_CONFIG = {
@@ -42,8 +45,8 @@ DEFAULT_CONFIG = {
         "distractors": 5,
         "loss_weight_diversity": 0.1,
     },
-    # paper-scale protocol uses SGD momentum with linear decay from 1e-5;
-    # at toy scale Adam with a larger rate converges inside the budget
+    # every training stage uses Adam, each with a rate that converges
+    # inside the desk-scale budget
     "pretrain": {
         "epochs": 15,
         "optimizer": {"optimizer": "adam", "lr": 1e-3},
@@ -100,8 +103,6 @@ def merge_config(base, override):
 # sections whose keys are the fields of a config dataclass, which rejects
 # unknown ones itself
 _DATACLASS_SECTIONS = ("corpus", "encoder", "bottleneck")
-# read without a default: fine-tuning stages fall back to it
-_OPTIONAL_KEYS = {"finetune.optimizer"}
 _STAGE_KEYS = {"epochs", "scope", "optimizer"}
 
 
@@ -112,17 +113,26 @@ def _unknown_keys(cfg):
         if key not in DEFAULT_CONFIG:
             unknown.append(key)
         elif isinstance(value, dict) and key not in _DATACLASS_SECTIONS:
-            unknown += [f"{key}.{k}" for k in value
-                        if k not in DEFAULT_CONFIG[key] and f"{key}.{k}" not in _OPTIONAL_KEYS]
+            unknown += [f"{key}.{k}" for k in value if k not in DEFAULT_CONFIG[key]]
     for i, stage in enumerate(cfg["finetune"]["stages"]):
         unknown += [f"finetune.stages[{i}].{k}" for k in stage if k not in _STAGE_KEYS]
     return unknown
 
 
+def _optimizer_mappings(cfg):
+    """(dotted path, mapping) of every optimizer mapping in ``cfg``."""
+    for section, key in (("pretrain", "optimizer"), ("finetune", "adapter_init_optimizer"),
+                         ("am", "optimizer"), ("mdn", "optimizer")):
+        yield f"{section}.{key}", cfg[section][key]
+    for i, stage in enumerate(cfg["finetune"]["stages"]):
+        if "optimizer" in stage:  # a stage without one gets Adam's defaults
+            yield f"finetune.stages[{i}].optimizer", stage["optimizer"]
+
+
 def load_config(path=None, overrides=None):
     """Defaults, optionally merged with a JSON file and then with explicit
     overrides (highest precedence). Raises ValueError naming every key
-    that nothing reads."""
+    that nothing reads and every error in an optimizer mapping."""
     cfg = copy.deepcopy(DEFAULT_CONFIG)
     if path is not None:
         with open(path) as fh:
@@ -133,6 +143,8 @@ def load_config(path=None, overrides=None):
     if overrides:
         cfg = merge_config(cfg, overrides)
     unknown = _unknown_keys(cfg)
-    if unknown:
-        raise ValueError("config keys that nothing reads: " + ", ".join(unknown))
+    errors = ["config keys that nothing reads: " + ", ".join(unknown)] if unknown else []
+    errors += [e for path, opt in _optimizer_mappings(cfg) for e in optimizer_errors(opt, path)]
+    if errors:
+        raise ValueError("; ".join(errors))
     return cfg

@@ -71,9 +71,6 @@ class TokenVocab:
     def ids_of(self, tokens):
         return [self.id_of(t) for t in tokens]
 
-    def tokens_of(self, ids):
-        return [self.token_of(i) for i in ids]
-
 
 def _row_logsumexp(logp):
     m = np.max(logp, axis=1)

@@ -153,14 +153,19 @@ def parse_weight_ratio(text):
     return weights
 
 
-def _check_weights(weights, n_streams):
+def check_weights(weights, n, what="combination weights"):
+    """``weights`` as a float array of ``n`` entries. Raises ValueError,
+    naming ``what``, unless every weight is finite and nonnegative and one
+    is positive."""
     weights = np.asarray(weights, dtype=np.float64)
-    if weights.shape != (n_streams,):
-        raise ValueError(f"need one weight per stream ({n_streams}), got {weights.shape}")
+    if weights.shape != (n,):
+        raise ValueError(f"{what}: need {n} weights, got shape {weights.shape}")
+    if not np.isfinite(weights).all():
+        raise ValueError(f"{what} must be finite, got {weights.tolist()}")
     if (weights < 0).any():
-        raise ValueError("combination weights must be nonnegative")
+        raise ValueError(f"{what} must be nonnegative, got {weights.tolist()}")
     if weights.sum() <= 0:
-        raise ValueError("at least one combination weight must be positive")
+        raise ValueError(f"{what}: at least one weight must be positive")
     return weights
 
 
@@ -174,7 +179,7 @@ def interpolate_posteriors(streams, weights) -> PosteriorStream:
     streams = list(streams)
     if not streams:
         raise ValueError("need at least one stream")
-    weights = _check_weights(weights, len(streams))
+    weights = check_weights(weights, len(streams))
     shape = streams[0].logp.shape
     shift = streams[0].frame_shift_us
     for s in streams[1:]:

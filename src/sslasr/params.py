@@ -1,4 +1,4 @@
-"""Named-parameter store, binary serialization, and optimizers.
+"""Named-parameter store, binary serialization, and the Adam optimizer.
 
 Store file layout (little-endian), magic ``SPM1``:
 
@@ -13,8 +13,10 @@ Store file layout (little-endian), magic ``SPM1``:
 Names are unique within a file. Every malformed file raises
 StoreFormatError.
 
-Optimizers own flat storage. On construction, ``SgdMomentum`` and ``Adam``
-pack the values and gradients of the parameters they are given into one
+The optimizer is Adam, configured by one mapping, ``{"optimizer": "adam",
+"lr": rate}`` (``OPTIMIZER_DEFAULTS``), which ``make_optimizer`` and the
+config loader check with ``optimizer_errors``. It owns flat storage: on
+construction it packs the values and gradients of its parameters into one
 contiguous buffer each (``nn.pack_parameters``); every ``Parameter.value``
 and ``.grad`` becomes a reshaped view into them. ``step`` then applies the
 update rule as a few whole-vector in-place operations into reused scratch
@@ -129,49 +131,9 @@ class ParameterStore:
         return cls(tensors)
 
 
-class SgdMomentum:
-    """SGD with Nesterov momentum (Sutskever et al. 2013) and optional
-    linear learning-rate decay: ``v = mu * v + g``, then
-    ``x -= lr * (g + mu * v)``. Momentum 0 is plain SGD.
-
-    With ``decay_steps`` set, the rate falls linearly from ``lr`` to zero
-    across that many calls to ``step``.
-    """
-
-    def __init__(self, params, lr, momentum=0.9, decay_steps=None):
-        self.params = list(params)
-        self.value, self.grad = pack_parameters(self.params)
-        self.lr = float(lr)
-        self.momentum = float(momentum)
-        self.decay_steps = decay_steps
-        self.velocity = np.zeros_like(self.value)
-        self._scratch = np.empty_like(self.value)
-        self.t = 0
-
-    def zero_grad(self):
-        self.grad.fill(0.0)
-
-    def current_lr(self):
-        if not self.decay_steps:
-            return self.lr
-        frac = max(0.0, 1.0 - self.t / self.decay_steps)
-        return self.lr * frac
-
-    def step(self):
-        lr = self.current_lr()
-        g, v, s = self.grad, self.velocity, self._scratch
-        v *= self.momentum
-        v += g
-        # x -= lr * (g + mu * v)
-        np.multiply(v, self.momentum, out=s)
-        np.add(g, s, out=s)
-        s *= lr
-        self.value -= s
-        self.t += 1
-
-
 class Adam:
-    """Adam; available behind configuration where SGD converges too slowly."""
+    """Adam (Kingma & Ba 2015) over flat buffers, the optimizer of every
+    training stage."""
 
     def __init__(self, params, lr=1e-3, beta1=0.9, beta2=0.999, eps=1e-8):
         self.params = list(params)
@@ -210,27 +172,41 @@ class Adam:
         self.value -= s1
 
 
-def make_optimizer(params, cfg):
-    """Build an optimizer from a config mapping with keys
-    ``optimizer`` ("sgd" | "adam"), ``lr``, ``momentum``, ``decay_steps``."""
-    kind = cfg.get("optimizer", "sgd")
-    if kind == "sgd":
-        return SgdMomentum(
-            params,
-            lr=cfg.get("lr", 1e-5),
-            momentum=cfg.get("momentum", 0.9),
-            decay_steps=cfg.get("decay_steps"),
-        )
-    if kind == "adam":
-        return Adam(params, lr=cfg.get("lr", 1e-3))
-    raise ValueError(f"unknown optimizer {kind!r}")
+# the one optimizer mapping; a key left out takes its value here
+OPTIMIZER_DEFAULTS = {"optimizer": "adam", "lr": 1e-3}
+
+
+def optimizer_errors(cfg, path="optimizer"):
+    """Each way ``cfg`` is not an optimizer mapping, by its dotted path under
+    ``path``: a key that nothing reads, an optimizer other than "adam", a
+    rate that is not a positive finite number."""
+    if not isinstance(cfg, dict):
+        return [f"{path} must be a mapping like {OPTIMIZER_DEFAULTS}, got {cfg!r}"]
+    errors = [f"{path}.{key}: nothing reads it" for key in cfg if key not in OPTIMIZER_DEFAULTS]
+    if cfg.get("optimizer", "adam") != "adam":
+        errors.append(f"{path}.optimizer: {cfg['optimizer']!r} is not an optimizer here "
+                      "(Adam is the only one)")
+    lr = cfg.get("lr", OPTIMIZER_DEFAULTS["lr"])
+    if isinstance(lr, bool) or not isinstance(lr, (int, float)) or not 0 < lr < math.inf:
+        errors.append(f"{path}.lr: must be a positive finite number, got {lr!r}")
+    return errors
+
+
+def make_optimizer(params, cfg=None):
+    """Adam over ``params`` from an optimizer mapping (None: the defaults).
+    Raises ValueError naming every error ``optimizer_errors`` finds."""
+    cfg = cfg or {}
+    errors = optimizer_errors(cfg)
+    if errors:
+        raise ValueError("; ".join(errors))
+    return Adam(params, lr=cfg.get("lr", OPTIMIZER_DEFAULTS["lr"]))
 
 
 def train_epochs(params, n_items, epochs, rng, optimizer_cfg, step, what):
     """Run ``epochs`` passes of one optimizer step per item over ``params``.
 
-    The optimizer comes from ``optimizer_cfg`` (see ``make_optimizer``),
-    with ``decay_steps`` defaulting to ``epochs * n_items``. Each epoch
+    The optimizer comes from ``optimizer_cfg`` (see ``make_optimizer``).
+    Each epoch
     visits the items in the order ``rng.permutation(n_items)``; per item
     it clears the gradients, calls ``step(i, epoch)`` to accumulate them,
     and applies them. A step returns its loss, or a tuple whose first
@@ -242,9 +218,7 @@ def train_epochs(params, n_items, epochs, rng, optimizer_cfg, step, what):
     optimizer's flat buffers for storage of their own, values and
     gradients kept, so the buffers go with the optimizer.
     """
-    cfg = dict(optimizer_cfg or {})
-    cfg.setdefault("decay_steps", max(1, epochs * n_items))
-    opt = make_optimizer(params, cfg)
+    opt = make_optimizer(params, optimizer_cfg)
     try:
         for epoch in range(epochs):
             results = []

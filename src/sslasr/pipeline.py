@@ -35,6 +35,7 @@ from .ctc import PosteriorStream
 from .decoder import (
     Lexicon,
     best_hypothesis,
+    check_weights,
     decode_stream,
     interpolate_posteriors,
     isolated_nbest_batch,
@@ -104,14 +105,8 @@ def generate_corpus(out_dir, cfg):
 def pretrain_encoder(corpus: Corpus, cfg):
     section = cfg["pretrain"]
     audio = [corpus.audio(r).samples for r in corpus.manifest.subset("train")]
-    model, history = pretrain(
-        audio,
-        encoder_config(cfg),
-        epochs=section["epochs"],
-        seed=cfg["seed"],
-        optimizer_cfg=section["optimizer"],
-    )
-    return model, history
+    return pretrain(audio, encoder_config(cfg), epochs=section["epochs"], seed=cfg["seed"],
+                    optimizer_cfg=section["optimizer"])
 
 
 def finetune_encoder(corpus: Corpus, model: SslEncoder, cfg):
@@ -126,30 +121,18 @@ def finetune_encoder(corpus: Corpus, model: SslEncoder, cfg):
     for _, window, _, h in record_batches(corpus, train_records, model):
         audio += window
         contexts += h
-    adapter, _ = train_adapter(
-        contexts,
-        bottleneck_config(cfg, model.cfg.d_model),
-        epochs=section["adapter_init_epochs"],
-        seed=seed + 7,
-        optimizer_cfg=section["adapter_init_optimizer"],
-    )
+    adapter, _ = train_adapter(contexts, bottleneck_config(cfg, model.cfg.d_model),
+                               epochs=section["adapter_init_epochs"], seed=seed + 7,
+                               optimizer_cfg=section["adapter_init_optimizer"])
     del contexts  # only the adapter's initialisation reads them
     dataset = [(a.samples, corpus.tokens(r)) for a, r in zip(audio, train_records)]
-    histories = []
     # a user's stage list replaces the default list whole, so its entries
-    # keep their own fallbacks
-    for i, stage in enumerate(section["stages"]):
-        history = finetune_ctc(
-            dataset,
-            model,
-            corpus.vocab.width,
-            epochs=stage.get("epochs", 10),
-            seed=seed + i,
-            scope=stage.get("scope", "no-feature-encoder"),
-            adapter=adapter,
-            optimizer_cfg=stage.get("optimizer", section.get("optimizer")),
-        )
-        histories.append(history)
+    # keep their own defaults; a stage without an optimizer gets Adam's
+    histories = [finetune_ctc(dataset, model, corpus.vocab.width,
+                              epochs=stage.get("epochs", 10), seed=seed + i,
+                              scope=stage.get("scope", "no-feature-encoder"), adapter=adapter,
+                              optimizer_cfg=stage.get("optimizer"))
+                 for i, stage in enumerate(section["stages"])]
     return adapter, histories
 
 
@@ -259,14 +242,8 @@ def train_inversion_model(corpus: Corpus, model, adapter, cfg):
         target = bn.data.astype(np.float64) @ a + b
         target += sigma * noise_rng.normal(size=target.shape)
         pairs.append((bn.data.astype(np.float64), target))
-    mdn_model, history = train_inversion(
-        pairs,
-        mdn_cfg,
-        epochs=section["epochs"],
-        seed=seed,
-        optimizer_cfg=section["optimizer"],
-    )
-    return mdn_model, history
+    return train_inversion(pairs, mdn_cfg, epochs=section["epochs"], seed=seed,
+                           optimizer_cfg=section["optimizer"])
 
 
 def articulatory_features(corpus: Corpus, records, model, adapter, mdn_model):
@@ -276,8 +253,28 @@ def articulatory_features(corpus: Corpus, records, model, adapter, mdn_model):
         yield mdn_predict(mdn_forward(bn, mdn_model))
 
 
+# the models each feature stream is computed from, by the CLI flags that
+# load them, and the flag of an archive that holds the stream instead
+_STREAM_MODELS = {"fbk": (), "w2v-bn": ("--model", "--adapter"),
+                  "artic": ("--model", "--adapter", "--mdn")}
+_ARCHIVE_FLAGS = {"w2v-bn": "--bn", "artic": "--artic"}
+# every stream is fused at the 10 ms filterbank rate
+_FUSED_SHIFT_US = 10_000
+
+
+def feature_models(kind, stored=()):
+    """``{stream: the flags of the models it is computed from}`` for each
+    stream of the feature spec ``kind`` not read from an archive
+    (``stored``). Raises ValueError naming an unknown stream."""
+    parts = kind.split("+")
+    for part in parts:
+        if part not in _STREAM_MODELS:
+            raise ValueError(f"unknown feature stream {part!r}")
+    return {part: _STREAM_MODELS[part] for part in parts if part not in stored}
+
+
 def build_feature_fn(corpus, kind, model=None, adapter=None, mdn_model=None,
-                     bn=None, artic=None, target_shift_us=10_000):
+                     bn=None, artic=None):
     """Return the features function of a feature spec like "fbk",
     "fbk+w2v-bn", or "fbk+w2v-bn+artic". It takes a list of records and
     yields their FeatureMatrix objects in order, one list per window of
@@ -289,20 +286,21 @@ def build_feature_fn(corpus, kind, model=None, adapter=None, mdn_model=None,
     Each archive is read once, here. Each record's WAV is read at most
     once and encoded at most once, whatever streams it feeds; a window's
     records are encoded as one ragged batch. With only stored streams, no
-    WAV is read. A computed stream whose model is missing raises
-    ValueError here, naming the CLI flags that would supply it.
+    WAV is read. An unknown stream, and a computed stream whose model is
+    missing (``feature_models``), raise ValueError here, the latter naming
+    the CLI flags that would supply it.
     """
     parts = kind.split("+")
-    stored = {part: (path, read_archive(path))
-              for part, path in (("w2v-bn", bn), ("artic", artic)) if path is not None}
-    required = {"w2v-bn": ("--bn", [("--model", model), ("--adapter", adapter)])}
-    required["artic"] = ("--artic", required["w2v-bn"][1] + [("--mdn", mdn_model)])
-    for part in parts:
-        archive_flag, models = required.get(part, (None, []))
-        missing = [flag for flag, given in models if given is None]
-        if missing and part not in stored:
+    paths = {part: path for part, path in (("w2v-bn", bn), ("artic", artic))
+             if path is not None}
+    given = {"--model": model, "--adapter": adapter, "--mdn": mdn_model}
+    computed = feature_models(kind, paths)
+    for part, flags in computed.items():
+        missing = [flag for flag in flags if given[flag] is None]
+        if missing:
             raise ValueError(f"feature stream {part!r} needs {' and '.join(missing)} "
-                             f"(or {archive_flag})")
+                             f"(or {_ARCHIVE_FLAGS[part]})")
+    stored = {part: (path, read_archive(path)) for part, path in paths.items()}
 
     def stream(part, record, audio, rows):
         if part in stored:
@@ -316,10 +314,6 @@ def build_feature_fn(corpus, kind, model=None, adapter=None, mdn_model=None,
         return rows if part == "w2v-bn" else mdn_predict(mdn_forward(rows, mdn_model))
 
     def features(records):
-        for part in parts:
-            if part not in ("fbk", "w2v-bn", "artic"):
-                raise ValueError(f"unknown feature stream {part!r}")
-        computed = [p for p in parts if p not in stored]
         if computed:
             encoder = model if any(p != "fbk" for p in computed) else None
             batches = record_batches(corpus, records, encoder, adapter)
@@ -331,10 +325,10 @@ def build_feature_fn(corpus, kind, model=None, adapter=None, mdn_model=None,
                 rows = (None if window_bn is None
                         else _bottleneck_stream(window_bn[j], model, adapter))
                 streams = [stream(part, record, samples, rows) for part in parts]
-                if len(streams) == 1 and streams[0].frame_shift_us == target_shift_us:
+                if len(streams) == 1 and streams[0].frame_shift_us == _FUSED_SHIFT_US:
                     feats.append(streams[0])
                 else:
-                    feats.append(fuse_features(streams, target_shift_us))
+                    feats.append(fuse_features(streams, _FUSED_SHIFT_US))
             yield feats
 
     return features
@@ -375,17 +369,9 @@ def train_frame_am(corpus: Corpus, feature_fn, cfg, seed=None):
     feats = [f for window in feature_fn(records) for f in window]
     dataset = [(f, alignment_labels(corpus, record, f, cfg))
                for record, f in zip(records, feats)]
-    d_feat = dataset[0][0].dim
-    am, history = train_am(
-        dataset,
-        am_config(cfg),
-        d_feat=d_feat,
-        n_classes=corpus.vocab.width,
-        epochs=section["epochs"],
-        seed=seed,
-        optimizer_cfg=section["optimizer"],
-    )
-    return am, history
+    return train_am(dataset, am_config(cfg), d_feat=dataset[0][0].dim,
+                    n_classes=corpus.vocab.width, epochs=section["epochs"], seed=seed,
+                    optimizer_cfg=section["optimizer"])
 
 
 def decode_utterances(tasks, lexicon: Lexicon, vocab, n=1, system="am"):
@@ -427,16 +413,16 @@ def score_hypotheses(pairs, manifest: Manifest):
     return partition_report(per_utt, manifest)
 
 
-def run_recognition(corpus: Corpus, cfg, model, adapter, jobs=1,
-                    test_subsets=("test-seen", "test-unseen")):
+def run_recognition(corpus: Corpus, cfg, model, adapter, jobs=1):
     """Full recognition comparison on the test subsets.
 
-    Trains the fbk-only and fbk+w2v-bn acoustic models and decodes four
-    systems: each single system, the frame-level joint system of the two
-    (interpolated with the configured weights) and the rescoring of the
-    joint N-best lists with second-pass SSL-CTC scores. The joint
-    hypothesis is the head of its N-best list, so the mixed stream is
-    decoded once. Each test utterance is read, turned into filterbanks and
+    Checks ``decode.weights`` (two systems) and ``rescore.alpha``/``beta``
+    first, then trains the fbk-only and fbk+w2v-bn acoustic models and
+    decodes four systems: each single system, the frame-level joint system
+    of the two (interpolated with the configured weights) and the
+    rescoring of the joint N-best lists with second-pass SSL-CTC scores.
+    The joint hypothesis is the head of its N-best list, so the mixed
+    stream is decoded once. Each test utterance is read, turned into filterbanks and
     encoded once: the encoder pass gives both the bottleneck stream of the
     fused features and the CTC head input of the rescoring stream. The
     encoder, both acoustic models and the CTC head run one ragged batch
@@ -448,18 +434,21 @@ def run_recognition(corpus: Corpus, cfg, model, adapter, jobs=1,
     two acoustic models.
     """
     seed = cfg["seed"]
+    # checked before either acoustic model trains
+    weights = check_weights(parse_weight_ratio(cfg["decode"]["weights"]), 2,
+                            "decode.weights (fused:fbk)")
+    n_best = cfg["decode"]["nbest"]
+    alpha, beta = check_weights([cfg["rescore"]["alpha"], cfg["rescore"]["beta"]], 2,
+                                "rescoring weights alpha:beta")
     fbk_fn = build_feature_fn(corpus, "fbk")
     fused_fn = build_feature_fn(corpus, "fbk+w2v-bn", model=model, adapter=adapter)
     logger.info("training fbk-only acoustic model")
     am_fbk, _ = train_frame_am(corpus, fbk_fn, cfg, seed=seed + 101)
     logger.info("training fbk+w2v-bn acoustic model")
     am_fused, _ = train_frame_am(corpus, fused_fn, cfg, seed=seed + 202)
-    weights = parse_weight_ratio(cfg["decode"]["weights"])
-    n_best = cfg["decode"]["nbest"]
-    alpha, beta = cfg["rescore"]["alpha"], cfg["rescore"]["beta"]
 
-    records = [r for r in corpus.manifest if r.subset in test_subsets]
-    records.sort(key=lambda r: r.utt_id)
+    records = sorted(corpus.manifest.subset("test-seen", "test-unseen"),
+                     key=lambda r: r.utt_id)
     ids = [r.utt_id for r in records]
     s_fbk, s_fused, ssl = [], [], []
     for _, audio, bn, h in record_batches(corpus, records, model, adapter):

@@ -8,7 +8,7 @@ from dataclasses import replace
 import numpy as np
 
 from .ctc import NBestList, TokenVocab, _check_target, _ctc_costs
-from .decoder import Hypothesis
+from .decoder import Hypothesis, check_weights
 
 
 class RescoreError(ValueError):
@@ -44,12 +44,15 @@ def _weighted(weight, cost):
 
 def rescore(nbest: NBestList, alpha, beta, second_system="w2v",
             first_system=None):
-    """Re-rank by combined cost alpha * second + beta * first.
+    """Re-rank by combined cost alpha * second + beta * first. The weights
+    must be finite and nonnegative and one positive (``check_weights``);
+    a zero weight leaves the other system's ranking.
 
     ``first_system`` defaults to the only non-second cost key when that is
     unambiguous. Ties keep the lower original rank. Returns (best entry,
     rescored list sorted by combined cost).
     """
+    alpha, beta = map(float, check_weights([alpha, beta], 2, "rescoring weights alpha:beta"))
     if not nbest.entries:
         raise RescoreError("cannot rescore an empty n-best list")
     if first_system is None:

@@ -40,7 +40,7 @@ def schedule_epoch(params):
 
 def hand_epoch(params):
     rng = np.random.default_rng(0)
-    opt = make_optimizer(params, dict(ADAM, decay_steps=N_ITEMS))
+    opt = make_optimizer(params, ADAM)
     losses = []
     for i in rng.permutation(N_ITEMS):
         opt.zero_grad()

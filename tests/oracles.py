@@ -107,29 +107,6 @@ def word_loop_by_enumeration(logp, entries, penalty):
     return float(-best_score), best_words
 
 
-class ReferenceSgdMomentum:
-    """Per-tensor SGD with Nesterov momentum and optional linear decay:
-    the loop the flat-buffer optimizer must match bit for bit."""
-
-    def __init__(self, params, lr, momentum=0.9, decay_steps=None):
-        self.params = list(params)
-        self.lr = float(lr)
-        self.momentum = float(momentum)
-        self.decay_steps = decay_steps
-        self.velocity = [np.zeros_like(p.value) for p in self.params]
-        self.t = 0
-
-    def step(self):
-        lr = self.lr
-        if self.decay_steps:
-            lr = self.lr * max(0.0, 1.0 - self.t / self.decay_steps)
-        for p, v in zip(self.params, self.velocity):
-            v *= self.momentum
-            v += p.grad
-            p.value -= lr * (p.grad + self.momentum * v)
-        self.t += 1
-
-
 class ReferenceAdam:
     """Per-tensor Adam: the loop the flat-buffer optimizer must match bit
     for bit."""
@@ -153,15 +130,10 @@ class ReferenceAdam:
 
 def reference_train_epochs(params, n_items, epochs, rng, optimizer_cfg, step, what):
     """The epoch loop every trainer used to carry by hand, over the
-    per-tensor reference optimizers: per epoch one ``rng.permutation``
-    order, per item cleared gradients, ``step(i, epoch)``, the non-finite
-    abort and an optimizer step. Returns the ``(epoch, results)`` pairs."""
-    cfg = dict(optimizer_cfg or {})
-    if cfg.get("optimizer", "sgd") == "adam":
-        opt = ReferenceAdam(params, lr=cfg.get("lr", 1e-3))
-    else:
-        opt = ReferenceSgdMomentum(params, cfg.get("lr", 1e-5), cfg.get("momentum", 0.9),
-                                   cfg.get("decay_steps", max(1, epochs * n_items)))
+    per-tensor ``ReferenceAdam``: per epoch one ``rng.permutation`` order,
+    per item cleared gradients, ``step(i, epoch)``, the non-finite abort
+    and an optimizer step. Returns the ``(epoch, results)`` pairs."""
+    opt = ReferenceAdam(params, lr=(optimizer_cfg or {}).get("lr", 1e-3))
     out = []
     for epoch in range(epochs):
         order = rng.permutation(n_items)

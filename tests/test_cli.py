@@ -125,6 +125,59 @@ class TestMissingModels:
         assert "feature stream 'artic' needs --mdn (or --artic)" in capsys.readouterr().err
 
 
+    @pytest.mark.parametrize("command, flags", [
+        ("train-am", ["--model"]),
+        ("decode", ["--adapter", "--mdn"]),
+    ])
+    def test_fbk_rejects_model_flags_by_name(self, workdir, tmp_path, capsys, command,
+                                             flags):
+        root, corpus, cfg = workdir
+        garbage = tmp_path / "garbage.spm"
+        garbage.write_bytes(b"not a parameter store")
+        argv = [command, "--config", cfg, "--corpus", str(corpus), "--features", "fbk",
+                "--out", str(tmp_path / "never")]
+        if command == "decode":
+            argv += ["--am", str(root / "am_fbk.spm"), "--lexicon", str(corpus / "lexicon.json")]
+        for flag in flags:
+            argv += [flag, str(garbage)]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert f"--features fbk computes from no {' or '.join(flags)}" in err
+        assert "magic" not in err  # rejected before the store is parsed
+        assert not (tmp_path / "never").exists()
+
+
+class TestZeroEpochs:
+    """A stage configured for zero epochs saves its initial model and
+    says so."""
+
+    @pytest.fixture
+    def zero_config(self, workdir, tmp_path):
+        _, _, cfg = workdir
+        settings = json.loads(Path(cfg).read_text())
+        settings["am"]["epochs"] = settings["mdn"]["epochs"] = 0
+        path = tmp_path / "zero.json"
+        path.write_text(json.dumps(settings))
+        return str(path)
+
+    def test_train_am(self, workdir, zero_config, tmp_path, capsys):
+        _, corpus, _ = workdir
+        out = tmp_path / "am.spm"
+        assert main(["train-am", "--config", zero_config, "--corpus", str(corpus),
+                     "--out", str(out)]) == 0
+        assert "trained AM on fbk; cross-entropy (0 epochs)" in capsys.readouterr().out
+        assert out.exists()
+
+    def test_invert(self, workdir, zero_config, tmp_path, capsys):
+        root, corpus, _ = workdir
+        assert main(["invert", "--config", zero_config, "--corpus", str(corpus),
+                     "--model", str(root / "ft.spm"), "--adapter", str(root / "adapter.spm"),
+                     "--mdn-out", str(tmp_path / "mdn.spm"),
+                     "--out", str(tmp_path / "artic")]) == 0
+        assert "inversion NLL (0 epochs); wrote" in capsys.readouterr().out
+        assert (tmp_path / "mdn.spm").exists() and (tmp_path / "artic").exists()
+
+
 class TestLoadAm:
     def test_widths_read_from_the_store(self, workdir):
         root, corpus, cfg = workdir
@@ -330,6 +383,23 @@ class TestJointAndRescore:
                    "--streams", "x,y", "--weights", "3:zebra",
                    "--out", str(tmp_path / "never.jsonl")])
         assert rc == 1
+
+    @pytest.mark.parametrize("weights, error", [
+        ("-2:9", "must be nonnegative"),
+        ("nan:9", "must be finite"),
+        ("0:0", "at least one weight must be positive"),
+    ])
+    def test_rescore_weights_checked_before_models(self, workdir, tmp_path, capsys,
+                                                   weights, error):
+        _, corpus, cfg = workdir
+        garbage = tmp_path / "garbage.spm"
+        garbage.write_bytes(b"not a parameter store")
+        rc = main(["rescore", "--config", cfg, "--nbest", str(tmp_path / "none.jsonl"),
+                   "--corpus", str(corpus), "--model", str(garbage), "--adapter", str(garbage),
+                   f"--weights={weights}", "--out", str(tmp_path / "never.jsonl")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "rescoring weights alpha:beta" in err and error in err
 
     def test_rescore_flow(self, workdir, tmp_path):
         root, corpus, cfg = workdir

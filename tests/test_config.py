@@ -34,15 +34,56 @@ class TestUnknownKeys:
         assert "finetune.use_adapter" in capsys.readouterr().err
         assert not (tmp_path / "c").exists()
 
-    def test_stage_optimizer_fallback_allowed(self):
-        opt = {"optimizer": "adam", "lr": 1e-3}
-        cfg = load_config(overrides={"finetune": {"optimizer": opt,
-                                                  "stages": [{"scope": "head-only"}]}})
-        assert cfg["finetune"]["optimizer"] == opt
-
     def test_benchmark_configs_load(self):
         specs = json.loads((ROOT / "perfbench" / "workloads.json").read_text())
         for spec in specs.values():
             if isinstance(spec, dict) and "config" in spec:
                 load_config(overrides=spec["config"])
                 load_config(overrides=merge_config(spec["config"], spec["tiny"]))
+
+
+class TestOptimizerMappings:
+    """Every optimizer mapping is checked when the config loads, each
+    error named by its dotted path."""
+
+    @pytest.mark.parametrize("override, error", [
+        ({"pretrain": {"optimizer": {"momentum": 0.9}}},
+         "pretrain.optimizer.momentum: nothing reads it"),
+        ({"am": {"optimizer": {"decay_steps": 100}}},
+         "am.optimizer.decay_steps: nothing reads it"),
+        ({"finetune": {"stages": [{"epochs": 1, "optimizer": {"optimizer": "sgd"}}]}},
+         "finetune.stages[0].optimizer.optimizer: 'sgd' is not an optimizer here"),
+        ({"finetune": {"optimizer": {"optimizer": "adam", "lr": 1e-3}}},
+         "config keys that nothing reads: finetune.optimizer"),
+        ({"finetune": {"adapter_init_optimizer": {"lr": -1.0}}},
+         "finetune.adapter_init_optimizer.lr: must be a positive finite number, got -1.0"),
+        ({"mdn": {"optimizer": None}}, "mdn.optimizer must be a mapping"),
+    ])
+    def test_rejected_by_dotted_path(self, override, error):
+        with pytest.raises(ValueError, match=re.escape(error)):
+            load_config(overrides=override)
+
+    def test_every_error_in_one_message(self):
+        with pytest.raises(ValueError) as err:
+            load_config(overrides={"sede": 1, "am": {"optimizer": {"optimizer": "sgd"}},
+                                   "mdn": {"optimizer": {"momentum": 0.5}}})
+        assert str(err.value).split("; ") == [
+            "config keys that nothing reads: sede",
+            "am.optimizer.optimizer: 'sgd' is not an optimizer here (Adam is the only one)",
+            "mdn.optimizer.momentum: nothing reads it",
+        ]
+
+    def test_stage_without_optimizer_loads(self):
+        cfg = load_config(overrides={"finetune": {"stages": [{"scope": "head-only"}]}})
+        assert cfg["finetune"]["stages"] == [{"scope": "head-only"}]
+
+    def test_fails_before_training(self, tmp_path, capsys):
+        cfg = tmp_path / "sgd.json"
+        cfg.write_text(json.dumps({"pretrain": {"optimizer": {"optimizer": "sgd", "lr": 1e-5,
+                                                             "momentum": 0.9}}}))
+        out = tmp_path / "pre.spm"
+        assert main(["pretrain", "--config", str(cfg), "--corpus", str(tmp_path / "nowhere"),
+                     "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "pretrain.optimizer.momentum" in err and "pretrain.optimizer.optimizer" in err
+        assert not out.exists()

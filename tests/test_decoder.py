@@ -78,6 +78,12 @@ class TestInterpolate:
         with pytest.raises(ValueError, match="nonnegative"):
             interpolate_posteriors([s1, s1], [1.0, -0.1])
 
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    def test_non_finite_weight_rejected_by_name(self, bad):
+        s = rand_stream(4, 2, np.random.default_rng(3))
+        with pytest.raises(ValueError, match=r"combination weights must be finite, got \["):
+            interpolate_posteriors([s, s], [bad, 1.0])
+
     def test_ratio_parsing(self):
         assert np.array_equal(parse_weight_ratio("9:1:5"), [9.0, 1.0, 5.0])
         with pytest.raises(ValueError, match="cannot parse"):

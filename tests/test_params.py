@@ -1,3 +1,4 @@
+import re
 import struct
 import tempfile
 from pathlib import Path
@@ -13,13 +14,13 @@ from sslasr.params import (
     MAGIC,
     Adam,
     ParameterStore,
-    SgdMomentum,
     StoreFormatError,
     make_optimizer,
+    optimizer_errors,
     train_epochs,
 )
 
-from oracles import ReferenceAdam, ReferenceSgdMomentum, reference_train_epochs
+from oracles import ReferenceAdam, reference_train_epochs
 
 
 class Small(Module):
@@ -89,42 +90,45 @@ def quadratic_params(seed=0):
 
 
 class TestOptimizers:
-    def test_sgd_momentum_descends_quadratic(self):
-        params = quadratic_params()
-        opt = SgdMomentum(params, lr=0.1, momentum=0.9)
-        for _ in range(50):
-            params[0].grad = params[0].value.copy()  # grad of 0.5 ||x||^2
-            opt.step()
-        assert np.linalg.norm(params[0].value) < 1e-2
-
-    def test_linear_decay_reaches_zero(self):
-        params = quadratic_params()
-        opt = SgdMomentum(params, lr=1.0, momentum=0.0, decay_steps=10)
-        for _ in range(10):
-            opt.step()
-        assert opt.current_lr() == 0.0
-
     def test_adam_descends_quadratic(self):
         params = quadratic_params(1)
         opt = Adam(params, lr=0.1)
         for _ in range(100):
-            params[0].grad = params[0].value.copy()
+            params[0].grad = params[0].value.copy()  # grad of 0.5 ||x||^2
             opt.step()
         assert np.linalg.norm(params[0].value) < 1e-2
 
     def test_make_optimizer_dispatch(self):
-        params = quadratic_params()
-        assert isinstance(make_optimizer(params, {"optimizer": "sgd"}), SgdMomentum)
-        assert isinstance(make_optimizer(params, {"optimizer": "adam"}), Adam)
-        with pytest.raises(ValueError, match="unknown optimizer"):
-            make_optimizer(params, {"optimizer": "lbfgs"})
+        opt = make_optimizer(quadratic_params(), {"optimizer": "adam", "lr": 0.25})
+        assert isinstance(opt, Adam) and opt.lr == 0.25
 
-    def test_sgd_default_matches_protocol(self):
-        # library default: momentum 0.9, linear decay from 1e-5
-        opt = make_optimizer(quadratic_params(), {})
-        assert isinstance(opt, SgdMomentum)
-        assert opt.lr == pytest.approx(1e-5)
-        assert opt.momentum == pytest.approx(0.9)
+    @pytest.mark.parametrize("cfg", [None, {}])
+    def test_empty_mapping_is_adam_defaults(self, cfg):
+        opt = make_optimizer(quadratic_params(), cfg)
+        assert isinstance(opt, Adam) and opt.lr == 1e-3
+
+    @pytest.mark.parametrize("cfg, error", [
+        ({"optimizer": "sgd"}, "optimizer.optimizer: 'sgd' is not an optimizer here"),
+        ({"optimizer": "lbfgs", "lr": 0.1}, "optimizer.optimizer: 'lbfgs'"),
+        ({"optimizer": "adam", "momentum": 0.9}, "optimizer.momentum: nothing reads it"),
+        ({"decay_steps": 10}, "optimizer.decay_steps: nothing reads it"),
+        ({"lr": 0}, "optimizer.lr: must be a positive finite number, got 0"),
+        ({"lr": -1e-3}, "optimizer.lr: must be a positive finite number"),
+        ({"lr": float("nan")}, "optimizer.lr: must be a positive finite number, got nan"),
+        ({"lr": float("inf")}, "optimizer.lr: must be a positive finite number, got inf"),
+        ({"lr": "1e-3"}, "optimizer.lr: must be a positive finite number, got '1e-3'"),
+        ({"lr": True}, "optimizer.lr: must be a positive finite number, got True"),
+        ([("lr", 0.1)], "optimizer must be a mapping"),
+    ])
+    def test_every_error_named(self, cfg, error):
+        with pytest.raises(ValueError, match=re.escape(error)):
+            make_optimizer(quadratic_params(), cfg)
+
+    def test_all_errors_in_one_message(self):
+        errors = optimizer_errors({"optimizer": "sgd", "momentum": 0.9, "lr": -1}, "am.optimizer")
+        assert [e.split(":")[0] for e in errors] == [
+            "am.optimizer.momentum", "am.optimizer.optimizer", "am.optimizer.lr"]
+        assert optimizer_errors({"optimizer": "adam", "lr": 2}, "am.optimizer") == []
 
 
 def load_blob(blob):
@@ -213,23 +217,14 @@ class TestFlatOptimizers:
     @settings(max_examples=60, deadline=None)
     @given(
         shapes=shape_lists,
-        kind=st.sampled_from(["adam", "sgd", "sgd-decay"]),
         lr=st.floats(1e-4, 1.0),
-        momentum=st.floats(0.0, 0.99),
-        decay_steps=st.integers(1, 8),
         steps=st.integers(1, 8),
         seed=st.integers(0, 2**32 - 1),
     )
-    def test_matches_per_tensor_reference_bit_for_bit(self, shapes, kind, lr, momentum,
-                                                      decay_steps, steps, seed):
+    def test_matches_per_tensor_reference_bit_for_bit(self, shapes, lr, steps, seed):
         rng = np.random.default_rng(seed)
         flat_params, ref_params = twin_params(shapes, rng)
-        if kind == "adam":
-            flat, ref = Adam(flat_params, lr=lr), ReferenceAdam(ref_params, lr=lr)
-        else:
-            decay = decay_steps if kind == "sgd-decay" else None
-            flat = SgdMomentum(flat_params, lr, momentum=momentum, decay_steps=decay)
-            ref = ReferenceSgdMomentum(ref_params, lr, momentum=momentum, decay_steps=decay)
+        flat, ref = Adam(flat_params, lr=lr), ReferenceAdam(ref_params, lr=lr)
         for _ in range(steps):
             for p, q in zip(flat_params, ref_params):
                 g = rng.normal(size=p.value.shape)
@@ -241,7 +236,8 @@ class TestFlatOptimizers:
                 assert p.value.shape == q.value.shape
                 assert p.value.tobytes() == q.value.tobytes(), p.name
 
-    @pytest.mark.parametrize("make", [lambda ps: Adam(ps), lambda ps: SgdMomentum(ps, 0.1)])
+    @pytest.mark.parametrize("make", [lambda ps: Adam(ps),
+                                      lambda ps: make_optimizer(ps, {"lr": 0.1})])
     def test_parameter_listed_twice_rejected(self, make):
         p = Parameter("x", np.zeros(3))
         with pytest.raises(DuplicateParameterError, match="'x'"):
@@ -249,12 +245,14 @@ class TestFlatOptimizers:
 
     def test_grad_assignment_writes_into_optimizer_storage(self):
         params = [Parameter("a", np.ones(2)), Parameter("b", np.ones((1, 2)))]
-        opt = SgdMomentum(params, lr=1.0, momentum=0.0)
+        opt = Adam(params, lr=0.5)
         params[1].grad = np.array([[2.0, 3.0]])
         assert np.shares_memory(params[1].grad, opt.grad)
         assert opt.grad.tolist() == [0.0, 0.0, 2.0, 3.0]
         opt.step()
-        assert params[1].value.tolist() == [[-1.0, -2.0]]
+        # Adam's first step moves each weight by about the rate, against
+        # its gradient's sign, and leaves a zero-gradient weight where it is
+        assert params[1].value == pytest.approx(np.array([[0.5, 0.5]]), abs=1e-8)
         assert params[0].value.tolist() == [1.0, 1.0]
 
     def test_value_assignment_keeps_storage(self):
@@ -302,20 +300,16 @@ class TestTrainEpochs:
     @given(
         n_items=st.integers(0, 5),
         epochs=st.integers(0, 4),
-        kind=st.sampled_from(["sgd", "adam"]),
-        decay_steps=st.one_of(st.none(), st.integers(1, 12)),
+        lr=st.floats(1e-4, 1.0),
         as_tuple=st.booleans(),
         seed=st.integers(0, 2**32 - 1),
     )
-    def test_matches_reference_loop_bit_for_bit(self, n_items, epochs, kind, decay_steps,
-                                                as_tuple, seed):
+    def test_matches_reference_loop_bit_for_bit(self, n_items, epochs, lr, as_tuple, seed):
         data_rng = np.random.default_rng(seed)
         shapes = [(3,), (2, 2)]
         ours, ref = twin_params(shapes, data_rng)
         targets = [[data_rng.normal(size=shape) for shape in shapes] for _ in range(n_items)]
-        opt_cfg = {"optimizer": kind, "lr": 0.1}
-        if decay_steps is not None:
-            opt_cfg["decay_steps"] = decay_steps
+        opt_cfg = {"optimizer": "adam", "lr": lr}
         runs = []
         for params, schedule in ((ours, train_epochs), (ref, reference_train_epochs)):
             rng, visits = np.random.default_rng(seed + 1), []
@@ -335,7 +329,7 @@ class TestTrainEpochs:
             return (loss, "extra") if as_tuple else loss
 
         schedule = train_epochs(params, 3, 4, np.random.default_rng(0),
-                                {"optimizer": "sgd", "lr": 0.1}, step, "toy training")
+                                {"optimizer": "adam", "lr": 0.1}, step, "toy training")
         with pytest.raises(RuntimeError, match="toy training diverged at epoch 2: loss="):
             list(schedule)
 
@@ -360,7 +354,7 @@ class TestStageBuffers:
             return np.nan if diverge and epoch == 1 else 1.0
 
         schedule = train_epochs(params, 2, 3, np.random.default_rng(0),
-                                {"optimizer": "sgd", "lr": 0.1}, step, "toy")
+                                {"optimizer": "adam", "lr": 0.1}, step, "toy")
         packed = next(schedule)  # mid-schedule the parameters share one buffer
         assert packed[0] == 0 and _storage_size(params[0].value) == 7
         values = [p.value.copy() for p in params]

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from sslasr import pipeline
 from sslasr.bottleneck import BottleneckAdapter, BottleneckConfig
+from sslasr.config import merge_config
 from sslasr.corpus import wer
 from sslasr.ctc import TokenVocab
 from sslasr.decoder import (Lexicon, LexiconEntry, decode_stream, interpolate_posteriors,
@@ -124,9 +125,14 @@ class TestFeatureFns:
             assert np.array_equal(g.data, e.data)
 
     def test_unknown_stream_rejected(self, tiny_corpus):
-        fn = pipeline.build_feature_fn(tiny_corpus, "mystery")
-        with pytest.raises(ValueError, match="unknown feature stream"):
-            features_of(fn, tiny_corpus.manifest.records[:1])
+        with pytest.raises(ValueError, match="unknown feature stream 'mystery'"):
+            pipeline.build_feature_fn(tiny_corpus, "fbk+mystery")
+
+    def test_feature_models(self):
+        assert pipeline.feature_models("fbk") == {"fbk": ()}
+        assert pipeline.feature_models("fbk+w2v-bn+artic", stored=["w2v-bn"]) == {
+            "fbk": (), "artic": ("--model", "--adapter", "--mdn")}
+        assert pipeline.feature_models("w2v-bn+artic", stored=["w2v-bn", "artic"]) == {}
 
     def test_bn_archive_source(self, tiny_corpus, tiny_models, tmp_path, monkeypatch):
         model, adapter = tiny_models
@@ -326,6 +332,22 @@ class TestScoreHypotheses:
 
 
 class TestRunRecognition:
+    @pytest.mark.parametrize("override, error", [
+        ({"decode": {"weights": "9:1:5"}}, r"decode.weights \(fused:fbk\): need 2 weights"),
+        ({"decode": {"weights": "inf:1"}}, r"decode.weights \(fused:fbk\) must be finite"),
+        ({"decode": {"weights": "3:-2"}}, r"decode.weights \(fused:fbk\) must be nonneg"),
+        ({"rescore": {"alpha": float("nan")}}, "rescoring weights alpha:beta must be finite"),
+        ({"rescore": {"beta": -9.0}}, "rescoring weights alpha:beta must be nonnegative"),
+    ])
+    def test_weights_checked_before_training(self, tiny_config, override, error,
+                                             monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("trained an acoustic model before checking the weights")
+        monkeypatch.setattr(pipeline, "train_frame_am", refuse)
+        cfg = merge_config(tiny_config, override)
+        with pytest.raises(ValueError, match=error):
+            pipeline.run_recognition(None, cfg, None, None)
+
     def test_hypotheses_and_single_joint_pass(self, tiny_config, tiny_corpus, tiny_models):
         model, adapter = tiny_models
         result = pipeline.run_recognition(tiny_corpus, tiny_config, model, adapter)

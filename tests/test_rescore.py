@@ -174,6 +174,18 @@ class TestRescore:
         with pytest.raises(RescoreError, match="empty"):
             rescore(NBestList("utt", []), 1.0, 1.0)
 
+    @pytest.mark.parametrize("alpha, beta, error", [
+        (float("nan"), 9.0, "must be finite"),
+        (2.0, float("inf"), "must be finite"),
+        (-1.0, 9.0, "must be nonnegative"),
+        (2.0, -9.0, "must be nonnegative"),
+        (0.0, 0.0, "at least one weight must be positive"),
+    ])
+    def test_unusable_weights_rejected(self, alpha, beta, error):
+        nb = scored(first=(5.0, 7.0), second=(10.0, 8.0))
+        with pytest.raises(ValueError, match=f"rescoring weights alpha:beta.*{error}"):
+            rescore(nb, alpha, beta)
+
 
 class TestRescoreHypotheses:
     def test_each_list_rescored_on_its_own_stream(self):
