@@ -98,7 +98,7 @@ def build_parser():
     p.add_argument("--save-streams",
                    help="write the posterior streams to this archive, for --streams")
     p.add_argument("--nbest", type=int, help="also write n-best lists of this depth")
-    p.add_argument("--nbest-out", help="n-best JSON-lines output path")
+    p.add_argument("--nbest-out", help="n-best JSON-lines output path (needs --nbest)")
     p.add_argument("--out", help="hypotheses JSON-lines output (default stdout)")
 
     p = sub.add_parser("joint-decode", help="frame-level joint decoding of 2-3 systems")
@@ -230,9 +230,15 @@ def cmd_invert(args):
 
 def _feature_fn_from_args(args, cfg, corpus):
     """The features function of ``--features``, loading only the models its
-    computed streams need; a model flag it does not need fails by name
-    before any store is read."""
-    stored = [part for part, path in (("w2v-bn", args.bn), ("artic", args.artic)) if path]
+    computed streams need; an archive of a stream it does not have, or a
+    model flag it does not need, fails by name before any file is read."""
+    streams = pipeline.feature_models(args.features)
+    archives = {"--bn": ("w2v-bn", args.bn), "--artic": ("artic", args.artic)}
+    unused = [flag for flag, (part, path) in archives.items() if path and part not in streams]
+    if unused:
+        raise ValueError(f"--features {args.features} has no stream of "
+                         f"{' or '.join(unused)}; leave it out")
+    stored = [part for part, path in archives.values() if path]
     needed = {flag for flags in pipeline.feature_models(args.features, stored).values()
               for flag in flags}
     given = {"--model": args.model, "--adapter": args.adapter, "--mdn": args.mdn}
@@ -259,20 +265,25 @@ def cmd_train_am(args):
     print(f"trained AM on {args.features}; cross-entropy {_trend(history, 'cross_entropy')}")
 
 
+def _check_nbest_out(args):
+    """``--nbest-out`` writes the lists of ``--nbest``; alone it fails."""
+    if args.nbest_out and not args.nbest:
+        raise ValueError(f"--nbest-out {args.nbest_out} needs --nbest N")
+
+
 def _decode(tasks, lexicon, vocab, args, system):
     """Decode ``(utt_id, streams, weights)`` tasks with
     ``pipeline.decode_utterances`` and write the hypotheses. With
     ``--nbest`` each hypothesis heads an N-best list of that depth, costed
     under ``system``, and the lists go to ``--nbest-out``."""
-    if args.nbest and lexicon.mode != "isolated":
-        raise ValueError("lexicon is not in isolated-word mode: --nbest needs one")
     hyps, nbests = pipeline.decode_utterances(tasks, lexicon, vocab, args.nbest or 1, system)
-    if args.nbest and args.nbest_out:
+    if args.nbest_out:
         _emit_lines([nb.to_json() for nb in nbests], args.nbest_out)
     _emit_lines(_hyp_lines(hyps), args.out)
 
 
 def cmd_decode(args):
+    _check_nbest_out(args)
     cfg = _config(args)
     lexicon = Lexicon.load(args.lexicon)
     vocab = lexicon.vocab()
@@ -304,6 +315,7 @@ def cmd_decode(args):
 
 
 def cmd_joint_decode(args):
+    _check_nbest_out(args)
     cfg = _config(args)
     lexicon = Lexicon.load(args.lexicon)
     vocab = lexicon.vocab()

@@ -1,14 +1,16 @@
 """Global JSON configuration: one file with per-module sections; CLI flags
 override individual keys. The shipped defaults are desk-scale settings
 that train and decode within minutes on a CPU. A key that nothing reads,
-and any error in an optimizer mapping (``params.optimizer_errors``), is
-rejected by its dotted path before anything runs."""
+any error in an optimizer mapping (``params.optimizer_errors``) and any
+fine-tuning scope the encoder does not have (``encoder.scope_blocks``)
+are rejected by their dotted paths before anything runs."""
 
 from __future__ import annotations
 
 import copy
 import json
 
+from .encoder import scope_blocks
 from .params import optimizer_errors
 
 
@@ -83,7 +85,7 @@ DEFAULT_CONFIG = {
     },
     "decode": {
         "weights": "3:2",  # fused : fbk-only
-        "nbest": 20,  # capped by the lexicon size in isolated-word mode
+        "nbest": 20,  # capped by the lexicon size
     },
     "rescore": {"alpha": 2.0, "beta": 9.0},
 }
@@ -132,7 +134,8 @@ def _optimizer_mappings(cfg):
 def load_config(path=None, overrides=None):
     """Defaults, optionally merged with a JSON file and then with explicit
     overrides (highest precedence). Raises ValueError naming every key
-    that nothing reads and every error in an optimizer mapping."""
+    that nothing reads, every error in an optimizer mapping and every
+    fine-tuning scope the encoder does not have."""
     cfg = copy.deepcopy(DEFAULT_CONFIG)
     if path is not None:
         with open(path) as fh:
@@ -145,6 +148,11 @@ def load_config(path=None, overrides=None):
     unknown = _unknown_keys(cfg)
     errors = ["config keys that nothing reads: " + ", ".join(unknown)] if unknown else []
     errors += [e for path, opt in _optimizer_mappings(cfg) for e in optimizer_errors(opt, path)]
+    for i, stage in enumerate(cfg["finetune"]["stages"]):
+        try:
+            scope_blocks(stage.get("scope", "no-feature-encoder"), cfg["encoder"]["n_blocks"])
+        except ValueError as exc:
+            errors.append(f"finetune.stages[{i}].scope: {exc}")
     if errors:
         raise ValueError("; ".join(errors))
     return cfg

@@ -4,7 +4,8 @@ partitioned reporting.
 
 Each word is a fixed sequence of pure tones drawn from a small tone
 alphabet, so the token-level lexicon is meaningful and unseen words are
-new tone sequences over seen tones.
+new tone sequences over seen tones. Each utterance is one word of the
+lexicon, which is written as ``lexicon.json`` (``decoder.Lexicon``).
 """
 
 from __future__ import annotations
@@ -205,7 +206,6 @@ def gen_synth_corpus(out_dir, cfg: CorpusConfig, seed) -> tuple[Manifest, Lexico
             LexiconEntry(name, tuple(symbols[t] for t in seq))
             for name, seq in zip(word_names, word_seqs)
         ],
-        mode="isolated",
         alphabet=symbols,
     )
     speakers = [f"spk{i + 1}" for i in range(cfg.n_speakers)]

@@ -1,26 +1,22 @@
-"""Frame-level system combination and time-synchronous lexicon decoding.
+"""Frame-level system combination and isolated-word lexicon decoding.
 
 Posterior interpolation happens in the probability domain (convex
-combination of per-frame distributions). Decoding runs max-Viterbi in
-one of two ways. Isolated-word mode scores every lexicon word on the
-shared CTC lattice of ``ctc`` under the max semiring (its other
-semiring, log-sum-exp, scores rescoring passes): ``isolated_nbest_batch``
-scores every word on every stream of a test set in one frame loop, and
-``isolated_nbest`` is its one-stream case. Word-loop mode loops word
-models with an insertion penalty on a graph of its own, one stream at a
-time.
+combination of per-frame distributions). Decoding scores every lexicon
+word on the shared CTC lattice of ``ctc`` under the max semiring (its
+other semiring, log-sum-exp, scores rescoring passes) and ranks the
+words by cost: ``isolated_nbest_batch`` scores every word on every
+stream of a test set in one frame loop, ``isolated_nbest`` is its
+one-stream case and ``decode_stream`` that case's best word.
 """
 
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .ctc import (
-    NEG_INF,
     NBestEntry,
     NBestList,
     PosteriorStream,
@@ -47,16 +43,17 @@ class LexiconEntry:
     tokens: tuple
 
 
+_LEXICON_KEYS = ("alphabet", "words")
+
+
 @dataclass
 class Lexicon:
+    """The words of an isolated-word task: each utterance is one of them."""
+
     entries: list
-    mode: str = "isolated"  # "isolated" | "word-loop"
-    word_insertion_penalty: float = 0.0
     alphabet: tuple | None = None  # full ordered token set; defaults to the union of entries
 
     def __post_init__(self):
-        if self.mode not in ("isolated", "word-loop"):
-            raise ValueError(f"unknown lexicon mode {self.mode!r}")
         seen = set()
         used = []
         for e in self.entries:
@@ -88,22 +85,24 @@ class Lexicon:
 
     def to_json_dict(self):
         return {
-            "mode": self.mode,
-            "word_insertion_penalty": self.word_insertion_penalty,
             "alphabet": list(self.alphabet),
             "words": [{"word": e.word, "tokens": list(e.tokens)} for e in self.entries],
         }
 
     @classmethod
     def from_json_dict(cls, d):
-        """Build a lexicon from its JSON form. Every malformed input raises
-        :class:`LexiconFormatError`: a missing or empty word list, a word
+        """Build a lexicon from its JSON form ``{"alphabet": [...], "words":
+        [...]}``. Every malformed input raises :class:`LexiconFormatError`:
+        a key other than these two, a missing or empty word list, a word
         that is not a string, tokens that are not a non-empty list of
-        strings, an unknown mode, a penalty that is not a finite number,
-        and an alphabet that is not a list of distinct strings or misses
-        a used token."""
+        strings, and an alphabet that is not a list of distinct strings or
+        misses a used token."""
         if not isinstance(d, dict) or not isinstance(d.get("words"), list) or not d["words"]:
             raise LexiconFormatError('a lexicon is an object with a non-empty "words" list')
+        unknown = [key for key in d if key not in _LEXICON_KEYS]
+        if unknown:
+            raise LexiconFormatError(f"lexicon keys that nothing reads: {unknown}; "
+                                     f"a lexicon holds only {list(_LEXICON_KEYS)}")
         entries = []
         for w in d["words"]:
             if not (isinstance(w, dict) and isinstance(w.get("word"), str)
@@ -111,22 +110,13 @@ class Lexicon:
                 raise LexiconFormatError(
                     f'word entry {w!r} needs a string "word" and a list of string "tokens"')
             entries.append(LexiconEntry(w["word"], tuple(w["tokens"])))
-        penalty = d.get("word_insertion_penalty", 0.0)
-        try:
-            finite = not isinstance(penalty, bool) and math.isfinite(penalty)
-        except (TypeError, OverflowError):  # not a number, or an int beyond float
-            finite = False
-        if not finite:
-            raise LexiconFormatError(f"word insertion penalty {penalty!r} is not a finite number")
         alphabet = d.get("alphabet")
         if "alphabet" in d and not (_is_str_list(alphabet)
                                     and len(set(alphabet)) == len(alphabet)):
             raise LexiconFormatError("the alphabet must be a list of distinct strings")
         try:
-            return cls(entries=entries, mode=d.get("mode", "isolated"),
-                       word_insertion_penalty=float(penalty),
-                       alphabet=None if alphabet is None else tuple(alphabet))
-        except ValueError as exc:  # unknown mode, empty tokens, repeated word, unknown token
+            return cls(entries=entries, alphabet=None if alphabet is None else tuple(alphabet))
+        except ValueError as exc:  # empty tokens, repeated word, unknown token
             raise LexiconFormatError(str(exc)) from exc
 
     def save(self, path):
@@ -227,8 +217,6 @@ def isolated_nbest_batch(streams, lexicon: Lexicon, vocab: TokenVocab, n, utt_id
     streams may differ in length. Words are ranked by isolated alignment
     cost, ties going to the lowest lexicon index. Infeasible words get
     +inf cost and sort last (kept so rescoring sees a fixed-size list)."""
-    if lexicon.mode != "isolated":
-        raise ValueError("lexicon is not in isolated-word mode")
     if len(utt_ids) != len(streams):
         raise ValueError(f"{len(streams)} streams but {len(utt_ids)} utterance ids")
     words = _resolve_tokens(lexicon, vocab)
@@ -243,114 +231,6 @@ def isolated_nbest_batch(streams, lexicon: Lexicon, vocab: TokenVocab, n, utt_id
                                       cost_per_system={system: cost}, combined_cost=cost))
         nbests.append(NBestList(utt_id, entries))
     return nbests
-
-
-@dataclass
-class _LoopState:
-    emission: int  # class id whose log posterior this state consumes
-    word_index: int | None  # set on word-entry states
-
-
-def _build_loop(lexicon, token_lists):
-    """States of the word-loop graph plus transition lists.
-
-    Per word: token states with optional internal blank states between
-    consecutive tokens, then one exit-blank state. A shared start-blank
-    state models leading silence. Word entry (into a word's first token)
-    pays the insertion penalty and emits the word.
-    """
-    states = [_LoopState(0, None)]  # 0: start blank, self-loop
-    token_state = {}
-    inner_blank = {}
-    exit_state = {}
-    for w, ids in enumerate(token_lists):
-        for j, tok in enumerate(ids):
-            token_state[(w, j)] = len(states)
-            states.append(_LoopState(int(tok), w if j == 0 else None))
-            if j + 1 < len(ids):
-                inner_blank[(w, j)] = len(states)
-                states.append(_LoopState(0, None))
-        exit_state[w] = len(states)
-        states.append(_LoopState(0, None))
-    arcs = []  # (src, dst, enters_word)
-    arcs.append((0, 0, False))
-    word_entries = [token_state[(w, 0)] for w in range(len(token_lists))]
-    for entry in word_entries:
-        arcs.append((0, entry, True))
-    for w, ids in enumerate(token_lists):
-        last = len(ids) - 1
-        for j in range(len(ids)):
-            s = token_state[(w, j)]
-            arcs.append((s, s, False))
-            if j < last:
-                nxt = token_state[(w, j + 1)]
-                blank = inner_blank[(w, j)]
-                arcs.append((s, blank, False))
-                arcs.append((blank, blank, False))
-                arcs.append((blank, nxt, False))
-                if ids[j + 1] != ids[j]:
-                    arcs.append((s, nxt, False))  # adjacent repeats need the blank
-        tail = token_state[(w, last)]
-        ex = exit_state[w]
-        arcs.append((tail, ex, False))
-        arcs.append((ex, ex, False))
-        for w2, entry in enumerate(word_entries):
-            arcs.append((tail, entry, True))
-            arcs.append((ex, entry, True))
-    finals = [0] + [token_state[(w, len(ids) - 1)] for w, ids in enumerate(token_lists)]
-    finals += list(exit_state.values())
-    entry_word = {token_state[(w, 0)]: w for w in range(len(token_lists))}
-    return states, arcs, finals, entry_word, word_entries
-
-
-def word_loop_decode(stream: PosteriorStream, lexicon: Lexicon, vocab: TokenVocab):
-    """Viterbi over a loop of word models; each word entry adds the
-    lexicon's insertion penalty. Returns (word sequence, cost); the empty
-    sequence (pure silence path) is a valid hypothesis.
-    """
-    if lexicon.mode != "word-loop":
-        raise ValueError("lexicon is not in word-loop mode")
-    token_lists = _resolve_tokens(lexicon, vocab)
-    states, arcs, finals, entry_word, word_entries = _build_loop(lexicon, token_lists)
-    penalty = lexicon.word_insertion_penalty
-    logp = stream.logp
-    t_len, n_states = logp.shape[0], len(states)
-    emission_ids = np.array([s.emission for s in states])
-    score = np.full(n_states, NEG_INF)
-    back = np.full((t_len, n_states), -1, dtype=np.int64)  # arc index taken into (t, dst)
-    # frame 0: start blank or directly enter any word
-    score[0] = logp[0, 0]
-    for entry in word_entries:
-        score[entry] = logp[0, states[entry].emission] - penalty
-    for t in range(1, t_len):
-        new = np.full(n_states, NEG_INF)
-        for a, (src, dst, enters) in enumerate(arcs):
-            if score[src] == NEG_INF:
-                continue
-            cand = score[src] - (penalty if enters else 0.0)
-            if cand > new[dst]:
-                new[dst] = cand
-                back[t, dst] = a
-        score = new + logp[t, emission_ids]
-    best_state, best_score = -1, NEG_INF
-    for s in finals:
-        if score[s] > best_score:
-            best_state, best_score = s, score[s]
-    if best_state < 0 or not np.isfinite(best_score):
-        raise DecodeError("no word sequence alignable in the stream")
-    # walk arcs backwards, collecting word-entry events
-    words_rev = []
-    s = best_state
-    for t in range(t_len - 1, 0, -1):
-        a = back[t, s]
-        src, dst, enters = arcs[a]
-        if enters:
-            words_rev.append(entry_word[dst])
-        s = src
-    if s in entry_word:
-        words_rev.append(entry_word[s])
-    words = [lexicon.entries[w].word for w in reversed(words_rev)]
-    return words, float(-best_score)
 
 
 @dataclass
@@ -375,10 +255,6 @@ def best_hypothesis(nbest: NBestList) -> Hypothesis:
 
 
 def decode_stream(stream, lexicon, vocab, utt_id="") -> Hypothesis:
-    """Decode one stream under the lexicon's mode."""
-    if lexicon.mode == "isolated":
-        return best_hypothesis(isolated_nbest(stream, lexicon, vocab, n=1, utt_id=utt_id))
-    words, cost = word_loop_decode(stream, lexicon, vocab)
-    tokens = [tok for w in words for tok in
-              next(e for e in lexicon.entries if e.word == w).tokens]
-    return Hypothesis(utt_id, words, tokens, cost)
+    """The best lexicon word of one stream; perfbench's traced run reports
+    it by name."""
+    return best_hypothesis(isolated_nbest(stream, lexicon, vocab, n=1, utt_id=utt_id))

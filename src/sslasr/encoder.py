@@ -12,6 +12,7 @@ from __future__ import annotations
 import itertools
 import logging
 import math
+import re
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -611,6 +612,24 @@ def pretrain(dataset, cfg: EncoderConfig, epochs, seed, optimizer_cfg=None):
     return model, history
 
 
+_WHOLE_SCOPES = ("all", "no-feature-encoder", "head-only")
+
+
+def scope_blocks(scope, n_blocks):
+    """The number N of transformer blocks the update scope "first-N-blocks"
+    trains, None for the other scopes. Raises ValueError naming an unknown
+    scope, or an N outside 1..``n_blocks``."""
+    if scope in _WHOLE_SCOPES:
+        return None
+    match = re.fullmatch(r"first-(\d+)-blocks", scope) if isinstance(scope, str) else None
+    if match is None:
+        raise ValueError(f"unknown update scope {scope!r}, not first-N-blocks or {_WHOLE_SCOPES}")
+    n = int(match.group(1))
+    if not 1 <= n <= n_blocks:
+        raise ValueError(f"update scope {scope!r}: N must be in 1..{n_blocks} (encoder.n_blocks)")
+    return n
+
+
 def trainable_parameters(model: SslEncoder, scope, adapter=None):
     """Resolve an update scope to a parameter list.
 
@@ -620,6 +639,7 @@ def trainable_parameters(model: SslEncoder, scope, adapter=None):
     """
     if model.head is None:
         raise ValueError("attach a CTC head before selecting trainable parameters")
+    n = scope_blocks(scope, len(model.blocks))
     extra = list(adapter.parameters()) if adapter is not None else []
     if scope == "all":
         return model.parameters() + extra
@@ -629,13 +649,10 @@ def trainable_parameters(model: SslEncoder, scope, adapter=None):
     if scope == "head-only":
         # strictly the projection head: nothing else may change
         return model.head.parameters()
-    if scope.startswith("first-") and scope.endswith("-blocks"):
-        n = int(scope[len("first-") : -len("-blocks")])
-        chosen = list(model.head.parameters())
-        for block in model.blocks[:n]:
-            chosen.extend(block.parameters())
-        return chosen + extra
-    raise ValueError(f"unknown update scope {scope!r}")
+    chosen = list(model.head.parameters())
+    for block in model.blocks[:n]:
+        chosen.extend(block.parameters())
+    return chosen + extra
 
 
 def finetune_ctc(dataset, model: SslEncoder, n_classes, epochs, seed,

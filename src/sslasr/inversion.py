@@ -183,8 +183,7 @@ def train_inversion(dataset, cfg: MdnConfig, epochs, seed, optimizer_cfg=None):
 
     history = []
     for epoch, losses in train_epochs(model.parameters(), len(pairs), epochs, rng,
-                                      optimizer_cfg or {"optimizer": "adam", "lr": 5e-3},
-                                      step, "inversion training"):
+                                      optimizer_cfg, step, "inversion training"):
         history.append({"epoch": epoch, "nll": float(np.mean(losses))})
         if epoch % 25 == 0 or epoch == epochs - 1:
             logger.info("inversion epoch %d: nll %.4f", epoch, history[-1]["nll"])

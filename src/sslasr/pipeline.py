@@ -7,7 +7,7 @@ Decoding runs in this process, and every decode pass of the recipe and
 the CLI goes through ``decode_utterances``: a single system's streams and
 a joint system's weighted streams alike are tasks of one call, which
 decodes a whole isolated-word test set in one batched lattice pass
-(``decoder.isolated_nbest_batch``) and word-loop streams one at a time.
+(``decoder.isolated_nbest_batch``).
 Every rescoring pass goes through ``rescore.rescore_hypotheses``, which
 scores all the joint N-best lists in one more pass.
 
@@ -36,7 +36,6 @@ from .decoder import (
     Lexicon,
     best_hypothesis,
     check_weights,
-    decode_stream,
     interpolate_posteriors,
     isolated_nbest_batch,
     parse_weight_ratio,
@@ -283,7 +282,8 @@ def build_feature_fn(corpus, kind, model=None, adapter=None, mdn_model=None,
     The bottleneck and articulatory streams come from the given models,
     or from feature archives written earlier (``features.write_archive``,
     as ``extract-bn`` and ``invert`` do) when ``bn`` / ``artic`` name one.
-    Each archive is read once, here. Each record's WAV is read at most
+    Each archive of a stream of ``kind`` is read once, here; no other is
+    read. Each record's WAV is read at most
     once and encoded at most once, whatever streams it feeds; a window's
     records are encoded as one ragged batch. With only stored streams, no
     WAV is read. An unknown stream, and a computed stream whose model is
@@ -292,7 +292,7 @@ def build_feature_fn(corpus, kind, model=None, adapter=None, mdn_model=None,
     """
     parts = kind.split("+")
     paths = {part: path for part, path in (("w2v-bn", bn), ("artic", artic))
-             if path is not None}
+             if path is not None and part in parts}
     given = {"--model": model, "--adapter": adapter, "--mdn": mdn_model}
     computed = feature_models(kind, paths)
     for part, flags in computed.items():
@@ -379,12 +379,11 @@ def decode_utterances(tasks, lexicon: Lexicon, vocab, n=1, system="am"):
     ``(hypotheses, nbests)`` in utterance-id order.
 
     A task with one stream and no weights decodes that stream; otherwise
-    its streams are interpolated first (equal weights when None). In
-    isolated-word mode every task is decoded in one batched lattice pass
+    its streams are interpolated first (equal weights when None). Every
+    task is decoded in one batched lattice pass
     (``decoder.isolated_nbest_batch``) into an N-best list of depth ``n``
     whose entries are costed under ``system``, and each hypothesis is the
-    head of its list. In word-loop mode each stream is decoded on its own
-    (``decoder.decode_stream``), ``n`` is not used and ``nbests`` is None.
+    head of its list.
     """
     tasks = sorted(tasks, key=lambda task: task[0])
     utt_ids, streams = [], []
@@ -395,20 +394,21 @@ def decode_utterances(tasks, lexicon: Lexicon, vocab, n=1, system="am"):
         else:
             w = np.ones(len(parts)) if weights is None else weights
             streams.append(interpolate_posteriors(parts, w))
-    if lexicon.mode != "isolated":
-        return [decode_stream(s, lexicon, vocab, u) for u, s in zip(utt_ids, streams)], None
     nbests = isolated_nbest_batch(streams, lexicon, vocab, n, utt_ids, system)
     return [best_hypothesis(nbest) for nbest in nbests], nbests
 
 
 def score_hypotheses(pairs, manifest: Manifest):
     """WER report of (utt_id, hypothesis words) pairs against the
-    manifest's transcripts; an id the manifest lacks raises KeyError."""
+    manifest's transcripts; an id the manifest lacks raises KeyError, an
+    id given twice ValueError."""
     by_id = manifest.by_id()
     per_utt = {}
     for utt_id, words in pairs:
         if utt_id not in by_id:
             raise KeyError(f"utterance {utt_id!r} not in manifest")
+        if utt_id in per_utt:
+            raise ValueError(f"utterance {utt_id!r} has more than one hypothesis")
         per_utt[utt_id] = (by_id[utt_id].transcript.split(), list(words))
     return partition_report(per_utt, manifest)
 

@@ -48,65 +48,6 @@ def best_alignment_cost_by_enumeration(logp, token_ids):
     return float(-best)
 
 
-def word_loop_by_enumeration(logp, entries, penalty):
-    """Best word sequence under the loop model: per word sequence, frames
-    split into optional blank runs and token occupancies (>= 1 frame);
-    a blank run is mandatory between adjacent equal tokens of the same
-    word and optional everywhere else. Returns (cost, word list).
-
-    ``entries`` is a list of (word, token-id tuple).
-    """
-    t_len = logp.shape[0]
-    best_score, best_words = -np.inf, None
-
-    def all_sequences(max_words):
-        yield ()
-        prev = [()]
-        for _ in range(max_words):
-            new = [p + (i,) for p in prev for i in range(len(entries))]
-            prev = new
-            yield from new
-
-    for wseq in all_sequences(t_len):
-        toks = []
-        blank_required = []
-        for wi in wseq:
-            ids = entries[wi][1]
-            for j, tok in enumerate(ids):
-                blank_required.append(j > 0 and ids[j] == ids[j - 1])
-                toks.append(tok)
-        n_tok = len(toks)
-        if n_tok > t_len:
-            continue
-        best_seq = -np.inf
-
-        def walk(pos, t, acc):
-            nonlocal best_seq
-            if pos == n_tok:
-                tail = sum(logp[u, 0] for u in range(t, t_len))
-                best_seq = max(best_seq, acc + tail)
-                return
-            g_min = 1 if (pos > 0 and blank_required[pos]) else 0
-            g = g_min
-            while t + g < t_len:
-                blanks = sum(logp[u, 0] for u in range(t, t + g))
-                occ = 1
-                while t + g + occ <= t_len:
-                    span = sum(logp[u, toks[pos]] for u in range(t + g, t + g + occ))
-                    walk(pos + 1, t + g + occ, acc + blanks + span)
-                    occ += 1
-                g += 1
-
-        if n_tok == 0:
-            best_seq = sum(logp[u, 0] for u in range(t_len))
-        else:
-            walk(0, 0, 0.0)
-        score = best_seq - penalty * len(wseq)
-        if score > best_score + 1e-12:
-            best_score, best_words = score, [entries[wi][0] for wi in wseq]
-    return float(-best_score), best_words
-
-
 class ReferenceAdam:
     """Per-tensor Adam: the loop the flat-buffer optimizer must match bit
     for bit."""

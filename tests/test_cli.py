@@ -146,6 +146,21 @@ class TestMissingModels:
         assert "magic" not in err  # rejected before the store is parsed
         assert not (tmp_path / "never").exists()
 
+    @pytest.mark.parametrize("flags", [["--bn"], ["--artic"], ["--bn", "--artic"]])
+    def test_fbk_rejects_archive_flags_by_name(self, workdir, tmp_path, capsys, flags):
+        _, corpus, cfg = workdir
+        garbage = tmp_path / "garbage.sfa"
+        garbage.write_bytes(b"not a feature archive")
+        argv = ["train-am", "--config", cfg, "--corpus", str(corpus), "--features", "fbk",
+                "--out", str(tmp_path / "never")]
+        for flag in flags:
+            argv += [flag, str(garbage)]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert f"--features fbk has no stream of {' or '.join(flags)}" in err
+        assert "magic" not in err  # rejected before the archive is parsed
+        assert not (tmp_path / "never").exists()
+
 
 class TestZeroEpochs:
     """A stage configured for zero epochs saves its initial model and
@@ -289,17 +304,29 @@ class TestDecodeErrors:
         assert rc == 1
         assert "different system labels ['am', 'other']" in capsys.readouterr().err
 
-    def test_nbest_needs_isolated_word_lexicon(self, workdir, saved_streams, tmp_path,
-                                               capsys):
+    def test_lexicon_with_mode_key_rejected(self, workdir, saved_streams, tmp_path, capsys):
         _, corpus, cfg = workdir
-        lexicon = Lexicon.load(corpus / "lexicon.json")
-        lexicon.mode = "word-loop"
-        lexicon.save(tmp_path / "loop.json")
+        lexicon = json.loads((corpus / "lexicon.json").read_text())
+        lexicon["mode"] = "word-loop"
+        (tmp_path / "loop.json").write_text(json.dumps(lexicon))
         rc = main(["decode", "--config", cfg, "--lexicon", str(tmp_path / "loop.json"),
-                   "--streams", str(saved_streams), "--nbest", "1",
-                   "--out", str(tmp_path / "never.jsonl")])
+                   "--streams", str(saved_streams), "--out", str(tmp_path / "never.jsonl")])
         assert rc == 1
-        assert "not in isolated-word mode" in capsys.readouterr().err
+        assert "lexicon keys that nothing reads: ['mode']" in capsys.readouterr().err
+        assert not (tmp_path / "never.jsonl").exists()
+
+    @pytest.mark.parametrize("command", ["decode", "joint-decode"])
+    def test_nbest_out_needs_nbest(self, workdir, saved_streams, tmp_path, capsys, command):
+        _, corpus, cfg = workdir
+        joint = command == "joint-decode"
+        argv = [command, "--config", cfg, "--lexicon", str(corpus / "lexicon.json"),
+                "--streams", f"{saved_streams},{saved_streams}" if joint else str(saved_streams),
+                "--nbest-out", str(tmp_path / "nb.jsonl"),
+                "--out", str(tmp_path / "never.jsonl"), *(["--weights", "1:1"] if joint else [])]
+        assert main(argv) == 1
+        assert f"--nbest-out {tmp_path / 'nb.jsonl'} needs --nbest N" in (
+            capsys.readouterr().err)
+        assert not (tmp_path / "never.jsonl").exists()
 
     def test_directory_source_named(self, workdir, tmp_path, capsys):
         _, corpus, cfg = workdir

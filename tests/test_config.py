@@ -42,6 +42,33 @@ class TestUnknownKeys:
                 load_config(overrides=merge_config(spec["config"], spec["tiny"]))
 
 
+class TestFinetuneScopes:
+    """Every fine-tuning scope is checked when the config loads, by the
+    parser ``encoder.trainable_parameters`` uses."""
+
+    @pytest.mark.parametrize("scope, error", [
+        ("head_only", "unknown update scope 'head_only'"),
+        ("first-x-blocks", "unknown update scope 'first-x-blocks'"),
+        ("first--1-blocks", "unknown update scope 'first--1-blocks'"),
+        (3, "unknown update scope 3"),
+        ("first-0-blocks", "update scope 'first-0-blocks': N must be in 1..2"),
+        ("first-9-blocks", "update scope 'first-9-blocks': N must be in 1..2"),
+    ])
+    def test_rejected_by_dotted_path(self, scope, error):
+        stages = [{"epochs": 1, "scope": "head-only"}, {"epochs": 1, "scope": scope}]
+        with pytest.raises(ValueError, match=re.escape(f"finetune.stages[1].scope: {error}")):
+            load_config(overrides={"finetune": {"stages": stages}})
+
+    @pytest.mark.parametrize("scope", ["all", "no-feature-encoder", "head-only",
+                                       "first-1-blocks", "first-2-blocks"])
+    def test_accepted(self, scope):
+        load_config(overrides={"finetune": {"stages": [{"scope": scope}]}})
+
+    def test_block_count_read_from_the_encoder_section(self):
+        load_config(overrides={"encoder": {"n_blocks": 3},
+                               "finetune": {"stages": [{"scope": "first-3-blocks"}]}})
+
+
 class TestOptimizerMappings:
     """Every optimizer mapping is checked when the config loads, each
     error named by its dotted path."""

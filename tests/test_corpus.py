@@ -1,5 +1,6 @@
 import filecmp
 import itertools
+import json
 import math
 
 import numpy as np
@@ -16,6 +17,7 @@ from sslasr.corpus import (
     partition_report,
     wer,
 )
+from sslasr.decoder import Lexicon
 from sslasr.features import compute_fbank, read_wav
 
 
@@ -29,6 +31,14 @@ class TestGeneration:
         assert len(unseen_words) == 4
         assert not (train_words & unseen_words)
         assert len(lexicon.entries) == 10
+
+    def test_lexicon_file_round_trips(self, tmp_path):
+        cfg = CorpusConfig(n_words=4, unseen_fraction=0.25, n_speakers=1,
+                           train_reps={"source": 1}, test_reps={"source": 1})
+        _, lexicon = gen_synth_corpus(tmp_path, cfg, seed=5)
+        path = tmp_path / "lexicon.json"
+        assert set(json.loads(path.read_text())) == {"alphabet", "words"}
+        assert Lexicon.load(path) == lexicon
 
     def test_determinism_bit_identical(self, tmp_path):
         cfg = CorpusConfig(n_words=6, unseen_fraction=0.34, n_speakers=2,

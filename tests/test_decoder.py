@@ -18,10 +18,9 @@ from sslasr.decoder import (
     isolated_nbest,
     isolated_nbest_batch,
     parse_weight_ratio,
-    word_loop_decode,
 )
 
-from oracles import best_alignment_cost_by_enumeration, word_loop_by_enumeration
+from oracles import best_alignment_cost_by_enumeration
 
 VOCAB = TokenVocab(("a", "b", "c"))
 
@@ -144,12 +143,6 @@ class TestViterbiIsolated:
         with pytest.raises(DecodeError, match="alignable"):
             isolated_word(rand_stream(2, 3, rng), lex)
 
-    def test_mode_checked(self):
-        rng = np.random.default_rng(8)
-        loop = Lexicon(ISO.entries, mode="word-loop")
-        with pytest.raises(ValueError, match="isolated"):
-            isolated_nbest(rand_stream(4, 3, rng), loop, VOCAB, n=1)
-
 
 class TestIsolatedNbest:
     def test_ranks_all_words(self):
@@ -190,8 +183,7 @@ class TestIsolatedNbestBatch:
                                  1, [])
 
 
-GOOD_LEXICON = {"mode": "isolated", "word_insertion_penalty": 0.5,
-                "alphabet": ["a", "b"],
+GOOD_LEXICON = {"alphabet": ["a", "b"],
                 "words": [{"word": "one", "tokens": ["a", "b"]},
                           {"word": "two", "tokens": ["b"]}]}
 
@@ -209,7 +201,7 @@ def _parses_or_names_its_error(d):
     except LexiconFormatError:
         return
     # anything accepted is a usable, round-trippable lexicon
-    assert lexicon.entries and math.isfinite(lexicon.word_insertion_penalty)
+    assert lexicon.entries
     assert lexicon.vocab().size == len(lexicon.alphabet)
     again = Lexicon.from_json_dict(json.loads(json.dumps(lexicon.to_json_dict())))
     assert again == lexicon
@@ -237,9 +229,17 @@ class TestLexiconFormat:
         {"words": [{"word": "a", "tokens": ["x"]}], "alphabet": ["y"]},
         {"words": [{"word": "a", "tokens": ["x"]}], "alphabet": ["x", "x"]},
         {"words": [{"word": "a", "tokens": ["x"]}], "alphabet": None},
+        {"words": [{"word": "a", "tokens": ["x"]}], "mode": "isolated"},
+        {"words": [{"word": "a", "tokens": ["x"]}], "mode": "word-loop"},
     ])
     def test_malformed_raises_named_error(self, d):
         with pytest.raises(LexiconFormatError):
+            Lexicon.from_json_dict(d)
+
+    @pytest.mark.parametrize("key", ["mode", "word_insertion_penalty", "extra"])
+    def test_unread_key_named(self, key):
+        d = dict(GOOD_LEXICON, **{key: 0})
+        with pytest.raises(LexiconFormatError, match=f"nothing reads: \\['{key}'\\]"):
             Lexicon.from_json_dict(d)
 
     def test_round_trip(self):
@@ -270,49 +270,6 @@ class TestLexiconFormat:
         else:
             d[key] = value
         _parses_or_names_its_error(d)
-
-
-LOOP = Lexicon(
-    [LexiconEntry("one", ("a", "b")), LexiconEntry("two", ("c",))],
-    mode="word-loop",
-    word_insertion_penalty=1.0,
-)
-
-
-class TestWordLoop:
-    def test_matches_enumeration(self):
-        rng = np.random.default_rng(11)
-        entries = [(e.word, tuple(VOCAB.ids_of(e.tokens))) for e in LOOP.entries]
-        for _ in range(12):
-            stream = rand_stream(int(rng.integers(2, 6)), 3, rng)
-            words, cost = word_loop_decode(stream, LOOP, VOCAB)
-            exp_cost, exp_words = word_loop_by_enumeration(stream.logp, entries, 1.0)
-            assert cost == pytest.approx(exp_cost, abs=1e-9)
-            assert words == exp_words
-
-    def test_huge_penalty_gives_at_most_one_word(self):
-        rng = np.random.default_rng(12)
-        lex = Lexicon(LOOP.entries, mode="word-loop", word_insertion_penalty=1e9)
-        words, _ = word_loop_decode(rand_stream(6, 3, rng), lex, VOCAB)
-        assert len(words) <= 1
-
-    def test_word_count_non_increasing_in_penalty(self):
-        rng = np.random.default_rng(13)
-        stream = rand_stream(8, 3, rng)
-        lengths = []
-        for pen in (0.0, 0.5, 1.0, 2.0, 5.0, 50.0):
-            lex = Lexicon(LOOP.entries, mode="word-loop", word_insertion_penalty=pen)
-            words, _ = word_loop_decode(stream, lex, VOCAB)
-            lengths.append(len(words))
-        assert all(b <= a for a, b in zip(lengths, lengths[1:]))
-
-    def test_silence_only_hypothesis_allowed(self):
-        rows = np.tile([0.97, 0.01, 0.01, 0.01], (5, 1))
-        stream = stream_from_rows(rows)
-        lex = Lexicon(LOOP.entries, mode="word-loop", word_insertion_penalty=2.0)
-        words, cost = word_loop_decode(stream, lex, VOCAB)
-        assert words == []
-        assert cost == pytest.approx(-stream.logp[:, 0].sum(), abs=1e-9)
 
 
 class TestJointDecode:

@@ -596,6 +596,13 @@ class TestFinetuneCtc:
         with pytest.raises(ValueError, match="unknown update scope"):
             trainable_parameters(model, "everything")
 
+    @pytest.mark.parametrize("scope", ["first-0-blocks", "first-3-blocks"])
+    def test_scope_beyond_the_blocks_rejected(self, cfg, scope):
+        model = SslEncoder(cfg, seed=46)
+        model.attach_ctc_head(5, seed=0)
+        with pytest.raises(ValueError, match=f"{scope}'.*1..{cfg.n_blocks}"):
+            trainable_parameters(model, scope)
+
 
 def training_forward(model, audio, adapter=None):
     """``(z, bn, h, logp)`` of one utterance through the per-utterance

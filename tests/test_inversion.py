@@ -175,7 +175,8 @@ class TestTrainInversion:
             y = x @ a + b + sigma * rng.normal(size=(10, d_a))
             data.append((x, y))
         cfg = MdnConfig(d_in=d_in, d_artic=d_a, mixtures=2, hidden_dims=(32,))
-        model, history = train_inversion(data, cfg, epochs=200, seed=13)
+        model, history = train_inversion(data, cfg, epochs=200, seed=13,
+                                         optimizer_cfg={"optimizer": "adam", "lr": 5e-3})
         assert history[-1]["nll"] < history[0]["nll"]
         sq_err = n = 0.0
         for x, y in data:

@@ -156,6 +156,13 @@ class TestFeatureFns:
                                            "is not in the w2v-bn archive"):
             features_of(fn, tiny_corpus.manifest.records[3:4])
 
+    def test_archive_of_another_stream_not_read(self, tiny_corpus, tmp_path):
+        (tmp_path / "bad.sfa").write_bytes(b"not a feature archive")
+        fn = pipeline.build_feature_fn(tiny_corpus, "fbk", bn=tmp_path / "bad.sfa",
+                                       artic=tmp_path / "bad.sfa")
+        (feats,) = features_of(fn, tiny_corpus.manifest.records[:1])
+        assert feats.label == "fbk"
+
 
     def test_bottleneck_stream_shift_and_label(self, tiny_corpus, tiny_models):
         model, adapter = tiny_models
@@ -225,7 +232,6 @@ VOCAB = TokenVocab(("a", "b", "c"))
 ENTRIES = [LexiconEntry("ab", ("a", "b")), LexiconEntry("c", ("c",)),
            LexiconEntry("aa", ("a", "a"))]
 ISOLATED = Lexicon(ENTRIES)
-WORD_LOOP = Lexicon(ENTRIES, mode="word-loop", word_insertion_penalty=1.0)
 
 
 def reference_stream(streams, weights):
@@ -238,7 +244,7 @@ def reference_stream(streams, weights):
 
 
 def as_json(objs):
-    return None if objs is None else [o.to_json_dict() for o in objs]
+    return [o.to_json_dict() for o in objs]
 
 
 class TestDecodeUtterances:
@@ -251,18 +257,13 @@ class TestDecodeUtterances:
         tasks = [(u, [random_stream(t, 3, rng) for _ in range(n)], w)
                  for u, t, n, w in specs]
         by_id = sorted(tasks, key=lambda task: task[0])
-        for lexicon in (ISOLATED, WORD_LOOP):
-            hyps, nbests = pipeline.decode_utterances(tasks, lexicon, VOCAB, n=2,
-                                                      system="tdnn")
-            expected = [decode_stream(reference_stream(s, w), lexicon, VOCAB, u)
-                        for u, s, w in by_id]
-            assert as_json(hyps) == as_json(expected)
-            if lexicon is WORD_LOOP:
-                assert nbests is None
-                continue
-            assert as_json(nbests) == as_json(
-                isolated_nbest(reference_stream(s, w), lexicon, VOCAB, 2, utt_id=u,
-                               system="tdnn") for u, s, w in by_id)
+        hyps, nbests = pipeline.decode_utterances(tasks, ISOLATED, VOCAB, n=2, system="tdnn")
+        expected = [decode_stream(reference_stream(s, w), ISOLATED, VOCAB, u)
+                    for u, s, w in by_id]
+        assert as_json(hyps) == as_json(expected)
+        assert as_json(nbests) == as_json(
+            isolated_nbest(reference_stream(s, w), ISOLATED, VOCAB, 2, utt_id=u,
+                           system="tdnn") for u, s, w in by_id)
 
     def test_empty_test_set(self):
         assert pipeline.decode_utterances([], ISOLATED, VOCAB) == ([], [])
@@ -270,9 +271,8 @@ class TestDecodeUtterances:
 
 @st.composite
 def decode_sets(draw):
-    """A lexicon and a set of tasks of mixed lengths: one stream alone, or
-    several interpolated under drawn or equal weights."""
-    lexicon = draw(st.sampled_from([ISOLATED, WORD_LOOP]))
+    """A set of tasks of mixed lengths: one stream alone, or several
+    interpolated under drawn or equal weights."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     tasks = []
     for k in range(draw(st.integers(1, 6))):
@@ -283,22 +283,20 @@ def decode_sets(draw):
         tasks.append((f"u{k}", [random_stream(t, 3, rng) for _ in range(n)], weights))
     ssl = {u: random_stream(draw(st.integers(1, 8)), 3, rng, source="w2v")
            for u, _, _ in tasks}
-    return lexicon, tasks, ssl, draw(st.permutations(range(len(tasks))))
+    return tasks, ssl, draw(st.permutations(range(len(tasks))))
 
 
 class TestOrderIndependence:
     @settings(max_examples=40, deadline=None)
     @given(decode_sets(), st.integers(1, 3))
     def test_shuffled_tasks_decode_and_rescore_alike(self, drawn, n):
-        lexicon, tasks, ssl, order = drawn
-        hyps, nbests = pipeline.decode_utterances(tasks, lexicon, VOCAB, n, "tdnn")
-        hyps2, nbests2 = pipeline.decode_utterances([tasks[i] for i in order], lexicon, VOCAB,
+        tasks, ssl, order = drawn
+        hyps, nbests = pipeline.decode_utterances(tasks, ISOLATED, VOCAB, n, "tdnn")
+        hyps2, nbests2 = pipeline.decode_utterances([tasks[i] for i in order], ISOLATED, VOCAB,
                                                     n, "tdnn")
         assert [h.utt_id for h in hyps] == sorted(ssl)
         assert as_json(hyps) == as_json(hyps2)
         assert as_json(nbests) == as_json(nbests2)
-        if nbests is None:
-            return
 
         def rescored(lists):
             hs = rescore_hypotheses(lists, [ssl[nb.utt_id] for nb in lists], VOCAB, 2.0, 9.0)
@@ -328,6 +326,13 @@ class TestScoreHypotheses:
         rec = tiny_corpus.manifest.records[0]
         with pytest.raises(KeyError, match="'no-such-utt'"):
             pipeline.score_hypotheses([(rec.utt_id, []), ("no-such-utt", ["x"])],
+                                      tiny_corpus.manifest)
+
+    def test_repeated_id_named(self, tiny_corpus):
+        first, second = tiny_corpus.manifest.records[:2]
+        with pytest.raises(ValueError, match=f"{first.utt_id!r} has more than one"):
+            pipeline.score_hypotheses([(first.utt_id, []), (second.utt_id, []),
+                                       (first.utt_id, first.transcript.split())],
                                       tiny_corpus.manifest)
 
 
