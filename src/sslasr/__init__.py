@@ -5,13 +5,11 @@ model, and articulatory inversion machinery."""
 
 from .features import (
     AudioBuffer,
-    FbankConfig,
     FeatureMatrix,
     compute_fbank,
     fuse_features,
     read_features,
     read_wav,
-    resample_frames,
     write_features,
     write_wav,
 )
@@ -27,13 +25,11 @@ from .ctc import (
 
 __all__ = [
     "AudioBuffer",
-    "FbankConfig",
     "FeatureMatrix",
     "compute_fbank",
     "fuse_features",
     "read_features",
     "read_wav",
-    "resample_frames",
     "write_features",
     "write_wav",
     "NBestEntry",

@@ -1,5 +1,6 @@
 """Bottleneck adapter: four interleaving conv / fully-connected layers that
-turn contextual representations into compact half-shift features and back.
+turn contextual representations into compact half-shift features and back:
+the factor 2 turns the encoder's 20 ms frames into 10 ms fused frames.
 
 Layer order: transposed conv (kernel 2, stride 2; doubles the frame rate)
 -> FC block (linear, ReLU, dropout; d_in -> d_bn)  <- features tap here
@@ -24,28 +25,22 @@ logger = logging.getLogger(__name__)
 class BottleneckConfig:
     d_in: int = 1024
     d_bn: int = 256
-    kernel: int = 2
-    stride: int = 2
     dropout: float = 0.1
 
     def __post_init__(self):
         if self.d_bn >= self.d_in:
             raise ValueError(f"bottleneck width {self.d_bn} must be smaller than d_in {self.d_in}")
-        if self.kernel != self.stride:
-            raise ValueError("kernel must equal stride so frame counts double/halve exactly")
 
 
 class BottleneckAdapter(Module):
     def __init__(self, cfg: BottleneckConfig, seed=0):
         self.cfg = cfg
         rng = np.random.default_rng(seed)
-        self.deconv = ConvTranspose1d(rng, cfg.d_in, cfg.d_in, cfg.kernel, cfg.stride,
-                                      "bottleneck.deconv")
+        self.deconv = ConvTranspose1d(rng, cfg.d_in, cfg.d_in, 2, 2, "bottleneck.deconv")
         self.fc1 = Linear(rng, cfg.d_in, cfg.d_bn, "bottleneck.fc1")
         self.act1 = Relu()
         self.drop1 = Dropout(cfg.dropout)
-        self.reconv = Conv1d(rng, cfg.d_bn, cfg.d_bn, cfg.kernel, cfg.stride,
-                             "bottleneck.reconv")
+        self.reconv = Conv1d(rng, cfg.d_bn, cfg.d_bn, 2, 2, "bottleneck.reconv")
         # final FC block is linear + dropout: a terminal ReLU could not
         # reconstruct the (zero-mean) contextual targets
         self.fc2 = Linear(rng, cfg.d_bn, cfg.d_in, "bottleneck.fc2")

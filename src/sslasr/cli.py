@@ -31,6 +31,13 @@ def _add_common(p):
                    help="accepted and ignored: decoding batches the test set in one process")
 
 
+def _nbest_depth(text):
+    """``--nbest``: an N-best depth, an int >= 1."""
+    if not text.isdecimal() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"N-best depth must be an int >= 1, got {text!r}")
+    return int(text)
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="sslasr",
@@ -97,7 +104,7 @@ def build_parser():
     p.add_argument("--artic", help="read this invert archive instead")
     p.add_argument("--save-streams",
                    help="write the posterior streams to this archive, for --streams")
-    p.add_argument("--nbest", type=int, help="also write n-best lists of this depth")
+    p.add_argument("--nbest", type=_nbest_depth, help="also write n-best lists of this depth")
     p.add_argument("--nbest-out", help="n-best JSON-lines output path (needs --nbest)")
     p.add_argument("--out", help="hypotheses JSON-lines output (default stdout)")
 
@@ -107,7 +114,7 @@ def build_parser():
     p.add_argument("--streams", required=True,
                    help="comma-separated posterior stream archives, one per system")
     p.add_argument("--weights", required=True, help='ratio syntax, e.g. "3:2" or "9:1:5"')
-    p.add_argument("--nbest", type=int)
+    p.add_argument("--nbest", type=_nbest_depth)
     p.add_argument("--nbest-out")
     p.add_argument("--out")
 

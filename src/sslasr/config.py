@@ -1,16 +1,20 @@
 """Global JSON configuration: one file with per-module sections; CLI flags
 override individual keys. The shipped defaults are desk-scale settings
 that train and decode within minutes on a CPU. A key that nothing reads,
-any error in an optimizer mapping (``params.optimizer_errors``) and any
+any error in an optimizer mapping (``params.optimizer_errors``), any
 fine-tuning scope the encoder does not have (``encoder.scope_blocks``)
-are rejected by their dotted paths before anything runs."""
+and any bad epoch count or N-best depth are rejected by their dotted
+paths before anything runs."""
 
 from __future__ import annotations
 
 import copy
 import json
+from dataclasses import fields
 
-from .encoder import scope_blocks
+from .bottleneck import BottleneckConfig
+from .corpus import CorpusConfig
+from .encoder import EncoderConfig, scope_blocks
 from .params import optimizer_errors
 
 
@@ -102,9 +106,9 @@ def merge_config(base, override):
     return out
 
 
-# sections whose keys are the fields of a config dataclass, which rejects
-# unknown ones itself
-_DATACLASS_SECTIONS = ("corpus", "encoder", "bottleneck")
+# the keys of the sections that build a config dataclass: its fields
+_DATACLASS_KEYS = {key: {f.name for f in fields(cls)} for key, cls in (
+    ("corpus", CorpusConfig), ("encoder", EncoderConfig), ("bottleneck", BottleneckConfig))}
 _STAGE_KEYS = {"epochs", "scope", "optimizer"}
 
 
@@ -114,8 +118,9 @@ def _unknown_keys(cfg):
     for key, value in cfg.items():
         if key not in DEFAULT_CONFIG:
             unknown.append(key)
-        elif isinstance(value, dict) and key not in _DATACLASS_SECTIONS:
-            unknown += [f"{key}.{k}" for k in value if k not in DEFAULT_CONFIG[key]]
+        elif isinstance(value, dict):
+            known = _DATACLASS_KEYS.get(key, DEFAULT_CONFIG[key])
+            unknown += [f"{key}.{k}" for k in value if k not in known]
     for i, stage in enumerate(cfg["finetune"]["stages"]):
         unknown += [f"finetune.stages[{i}].{k}" for k in stage if k not in _STAGE_KEYS]
     return unknown
@@ -131,11 +136,22 @@ def _optimizer_mappings(cfg):
             yield f"finetune.stages[{i}].optimizer", stage["optimizer"]
 
 
+def _count_errors(cfg):
+    """Errors of every epoch count that is not an int >= 0 and of a
+    ``decode.nbest`` that is not an int >= 1, by dotted path."""
+    counts = [(f"{section}.{key}", cfg[section][key], low) for section, key, low in (
+        ("pretrain", "epochs", 0), ("finetune", "adapter_init_epochs", 0), ("am", "epochs", 0),
+        ("mdn", "epochs", 0), ("decode", "nbest", 1))]
+    counts += [(f"finetune.stages[{i}].epochs", stage["epochs"], 0)
+               for i, stage in enumerate(cfg["finetune"]["stages"]) if "epochs" in stage]
+    return [f"{path}: must be an int >= {low}, got {value!r}" for path, value, low in counts
+            if isinstance(value, bool) or not isinstance(value, int) or value < low]
+
+
 def load_config(path=None, overrides=None):
     """Defaults, optionally merged with a JSON file and then with explicit
-    overrides (highest precedence). Raises ValueError naming every key
-    that nothing reads, every error in an optimizer mapping and every
-    fine-tuning scope the encoder does not have."""
+    overrides (highest precedence). Raises one ValueError naming every
+    error of the module docstring."""
     cfg = copy.deepcopy(DEFAULT_CONFIG)
     if path is not None:
         with open(path) as fh:
@@ -148,6 +164,7 @@ def load_config(path=None, overrides=None):
     unknown = _unknown_keys(cfg)
     errors = ["config keys that nothing reads: " + ", ".join(unknown)] if unknown else []
     errors += [e for path, opt in _optimizer_mappings(cfg) for e in optimizer_errors(opt, path)]
+    errors += _count_errors(cfg)
     for i, stage in enumerate(cfg["finetune"]["stages"]):
         try:
             scope_blocks(stage.get("scope", "no-feature-encoder"), cfg["encoder"]["n_blocks"])

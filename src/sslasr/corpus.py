@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .decoder import Lexicon, LexiconEntry
-from .features import AudioBuffer, write_wav
+from .features import SAMPLE_RATE, AudioBuffer, write_wav
 
 
 @dataclass
@@ -41,7 +41,6 @@ class CorpusConfig:
     target_tilt: float = 0.35
     target_tempo: float = 0.92
     target_noise_rms: float = 0.05
-    sample_rate: int = 16000
 
     def __post_init__(self):
         if self.n_words < 4:
@@ -122,8 +121,8 @@ class Manifest:
         return cls(records)
 
 
-def _tone_segment(freq, n_samples, sample_rate, amplitude):
-    t = np.arange(n_samples) / sample_rate
+def _tone_segment(freq, n_samples, amplitude):
+    t = np.arange(n_samples) / SAMPLE_RATE
     seg = amplitude * np.sin(2.0 * math.pi * freq * t)
     ramp = max(8, n_samples // 16)
     env = np.ones(n_samples)
@@ -134,13 +133,12 @@ def _tone_segment(freq, n_samples, sample_rate, amplitude):
 
 def synth_word(word_tones, cfg: CorpusConfig, speaker_factor, condition, rng):
     """Render one utterance waveform for a tone-sequence word."""
-    sr = cfg.sample_rate
-    tone_n = int(round(cfg.tone_ms * sr / 1000.0))
-    edge_n = int(round(cfg.edge_ms * sr / 1000.0))
+    tone_n = int(round(cfg.tone_ms * SAMPLE_RATE / 1000.0))
+    edge_n = int(round(cfg.edge_ms * SAMPLE_RATE / 1000.0))
     freqs = cfg.tone_frequencies()
     parts = [np.zeros(edge_n)]
     for tone_idx in word_tones:
-        parts.append(_tone_segment(freqs[tone_idx] * speaker_factor, tone_n, sr, cfg.amplitude))
+        parts.append(_tone_segment(freqs[tone_idx] * speaker_factor, tone_n, cfg.amplitude))
     parts.append(np.zeros(edge_n))
     x = np.concatenate(parts)
     if condition == "target":
@@ -153,7 +151,7 @@ def synth_word(word_tones, cfg: CorpusConfig, speaker_factor, condition, rng):
         x = x + cfg.target_noise_rms * rng.normal(size=x.size)
     else:
         x = x + cfg.noise_rms * rng.normal(size=x.size)
-    return AudioBuffer(np.clip(x, -1.0, 1.0), sr)
+    return AudioBuffer(np.clip(x, -1.0, 1.0))
 
 
 def _sample_words(cfg, rng, n_unseen):

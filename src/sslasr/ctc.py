@@ -63,11 +63,6 @@ class TokenVocab:
         except KeyError:
             raise KeyError(f"token {token!r} not in vocabulary") from None
 
-    def token_of(self, token_id):
-        if not 1 <= token_id <= self.size:
-            raise KeyError(f"id {token_id} outside 1..{self.size}")
-        return self.tokens[token_id - 1]
-
     def ids_of(self, tokens):
         return [self.id_of(t) for t in tokens]
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .ctc import PosteriorStream, ctc_loss
-from .features import AudioBuffer
+from .features import SAMPLE_RATE, AudioBuffer
 from .nn import (
     Conv1d,
     Gelu,
@@ -73,7 +73,7 @@ class EncoderConfig:
 
     ``conv_layers`` is a tuple of (channels, kernel, stride); the strides
     must multiply to a 20 ms hop and the stack's receptive field must span
-    25 ms at the configured sample rate.
+    25 ms at 16 kHz (``features.SAMPLE_RATE``).
     """
 
     conv_layers: tuple = DEFAULT_CONV_LAYERS
@@ -91,14 +91,13 @@ class EncoderConfig:
     distractors: int = 5  # K
     loss_weight_diversity: float = 0.1
     position_scale: float = 0.3  # sinusoidal table amplitude at the transformer input
-    sample_rate: int = 16000
 
     def __post_init__(self):
         self.conv_layers = tuple(tuple(layer) for layer in self.conv_layers)
-        stride_us = self.total_stride() * 1_000_000 / self.sample_rate
+        stride_us = self.total_stride() * 1_000_000 / SAMPLE_RATE
         if abs(stride_us - 20_000) > 1e-9:
             raise ValueError(f"conv strides give a {stride_us:.1f} us hop, need 20 ms")
-        field_ms = self.receptive_field() * 1000 / self.sample_rate
+        field_ms = self.receptive_field() * 1000 / SAMPLE_RATE
         if abs(field_ms - 25.0) > 1e-9:
             raise ValueError(f"receptive field is {field_ms:.3f} ms, need 25 ms")
         if self.groups < 1 or self.codebook_entries < 2:
@@ -131,7 +130,7 @@ class EncoderConfig:
 
     @property
     def frame_shift_us(self):
-        return int(round(self.total_stride() * 1_000_000 / self.sample_rate))
+        return int(round(self.total_stride() * 1_000_000 / SAMPLE_RATE))
 
     @property
     def d_z(self):
@@ -427,8 +426,8 @@ class SslEncoder(Module):
     def _samples(self, audio):
         """The float64 samples of one utterance, at the encoder's rate."""
         if isinstance(audio, AudioBuffer):
-            if audio.sample_rate != self.cfg.sample_rate:
-                raise ValueError(f"encoder expects {self.cfg.sample_rate} Hz audio, "
+            if audio.sample_rate != SAMPLE_RATE:
+                raise ValueError(f"encoder expects {SAMPLE_RATE} Hz audio, "
                                  f"got {audio.sample_rate}")
             audio = audio.samples
         samples = np.asarray(audio, dtype=np.float64)

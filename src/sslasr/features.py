@@ -1,5 +1,10 @@
-"""Log-mel filterbank frontend, frame-rate conversion, stream fusion, and
-the binary feature-file and feature-archive formats.
+"""Log-mel filterbank frontend, stream fusion, and the binary feature-file
+and feature-archive formats.
+
+The frame contract: audio is 16 kHz (``SAMPLE_RATE``); the encoder's
+20 ms frames, doubled in rate by the bottleneck adapter, and the
+filterbank's hop are all 10 ms (``FRAME_SHIFT_US``), so streams fuse frame
+by frame. Nothing is resampled: a stream at another shift is rejected.
 
 Feature file layout (little-endian), magic ``SFF1``; one such record
 holds one utterance's matrix:
@@ -29,9 +34,17 @@ from __future__ import annotations
 import functools
 import struct
 import wave
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
+
+SAMPLE_RATE = 16_000
+# the filterbank hop, and the shift every stream is fused at
+FRAME_SHIFT_US = 10_000
+FBANK_WIN_MS = 25.0
+FBANK_MELS = 40
+FBANK_FLOOR = 1e-10
+PREEMPHASIS = 0.97
 
 FILE_MAGIC = b"SFF1"
 FILE_VERSION = 1
@@ -56,10 +69,10 @@ class TruncatedFileError(FeatureFileError):
 
 
 class FrameCountMismatchError(FeatureFileError):
-    """Streams to fuse differ in length by more than MAX_FUSE_MISMATCH."""
+    """Streams to fuse are off FRAME_SHIFT_US or differ in length too much."""
 
 
-# frames two streams of one utterance may differ by once resampled
+# frames two streams of one utterance may differ by
 MAX_FUSE_MISMATCH = 2
 
 
@@ -68,7 +81,7 @@ class AudioBuffer:
     """Mono waveform with amplitudes in [-1, 1]."""
 
     samples: np.ndarray
-    sample_rate: int = 16000
+    sample_rate: int = SAMPLE_RATE
 
     def __post_init__(self):
         self.samples = np.asarray(self.samples, dtype=np.float64).ravel()
@@ -111,25 +124,6 @@ class FeatureMatrix:
         return self.data.shape[1]
 
 
-@dataclass
-class FbankConfig:
-    n_mels: int = 40
-    win_ms: float = 25.0
-    hop_ms: float = 10.0
-    floor: float = 1e-10
-    preemphasis: float = 0.97
-    fmin_hz: float = 0.0
-    fmax_hz: float | None = None  # defaults to Nyquist
-
-    def __post_init__(self):
-        if self.n_mels < 1:
-            raise ValueError("n_mels must be >= 1")
-        if self.win_ms < self.hop_ms:
-            raise ValueError("window must be at least one hop long")
-        if self.floor <= 0:
-            raise ValueError("floor must be positive")
-
-
 def hz_to_mel(f):
     return 2595.0 * np.log10(1.0 + np.asarray(f, dtype=np.float64) / 700.0)
 
@@ -139,15 +133,14 @@ def mel_to_hz(m):
 
 
 @functools.lru_cache(maxsize=16)
-def mel_filterbank(n_mels, n_fft, sample_rate, fmin_hz=0.0, fmax_hz=None):
-    """Triangular unit-height mel filters sampled at FFT bin frequencies.
+def mel_filterbank(n_mels, n_fft, sample_rate):
+    """Triangular unit-height mel filters, 0 Hz to Nyquist, at FFT bins.
 
     Returns (n_mels, n_fft // 2 + 1) weights and the filter center
     frequencies in Hz. Both are computed once per argument tuple and
     shared by every caller, so they are read-only.
     """
-    fmax_hz = sample_rate / 2.0 if fmax_hz is None else fmax_hz
-    edges_mel = np.linspace(hz_to_mel(fmin_hz), hz_to_mel(fmax_hz), n_mels + 2)
+    edges_mel = np.linspace(hz_to_mel(0.0), hz_to_mel(sample_rate / 2.0), n_mels + 2)
     edges_hz = mel_to_hz(edges_mel)
     bin_hz = np.arange(n_fft // 2 + 1) * (sample_rate / n_fft)
     weights = np.zeros((n_mels, bin_hz.size))
@@ -162,24 +155,22 @@ def mel_filterbank(n_mels, n_fft, sample_rate, fmin_hz=0.0, fmax_hz=None):
     return weights, centers
 
 
-def compute_fbank(audio: AudioBuffer, cfg: FbankConfig | None = None) -> FeatureMatrix:
+def compute_fbank(audio: AudioBuffer) -> FeatureMatrix:
     """Log-mel filterbank features with pre-emphasis and a Hamming window.
 
-    Frames are taken without padding: T = (N - win) // hop + 1, so the
-    audio must cover at least one analysis window.
+    Frames are FRAME_SHIFT_US apart at the audio's own rate, unpadded:
+    T = (N - win) // hop + 1, so the audio must cover one analysis window.
     """
-    cfg = cfg or FbankConfig()
     sr = audio.sample_rate
-    win = int(round(cfg.win_ms * sr / 1000.0))
-    hop = int(round(cfg.hop_ms * sr / 1000.0))
+    win = int(round(FBANK_WIN_MS * sr / 1000.0))
+    hop = int(round(FRAME_SHIFT_US * sr / 1_000_000))
     n = len(audio)
     if n < win:
         raise ValueError(
             f"audio of {n} samples is shorter than one {win}-sample analysis window"
         )
     x = audio.samples.copy()
-    if cfg.preemphasis > 0.0:
-        x[1:] -= cfg.preemphasis * x[:-1]
+    x[1:] -= PREEMPHASIS * x[:-1]
     t_out = (n - win) // hop + 1
     idx = np.arange(t_out)[:, None] * hop + np.arange(win)[None, :]
     frames = x[idx] * np.hamming(win)
@@ -187,56 +178,35 @@ def compute_fbank(audio: AudioBuffer, cfg: FbankConfig | None = None) -> Feature
     while n_fft < win:
         n_fft *= 2
     power = np.abs(np.fft.rfft(frames, n=n_fft, axis=1)) ** 2 / n_fft
-    fbank, _ = mel_filterbank(cfg.n_mels, n_fft, sr, cfg.fmin_hz, cfg.fmax_hz)
+    fbank, _ = mel_filterbank(FBANK_MELS, n_fft, sr)
     energies = power @ fbank.T
-    logmel = np.log(np.maximum(energies, cfg.floor))
-    return FeatureMatrix(logmel, frame_shift_us=int(round(cfg.hop_ms * 1000.0)), label="fbk")
+    logmel = np.log(np.maximum(energies, FBANK_FLOOR))
+    return FeatureMatrix(logmel, FRAME_SHIFT_US, label="fbk")
 
 
-def resample_frames(f: FeatureMatrix, target_shift_us: int) -> FeatureMatrix:
-    """Change the frame rate by an integer factor.
+def fuse_features(streams) -> FeatureMatrix:
+    """Truncate the streams of one utterance to the shortest and
+    concatenate them along the feature axis.
 
-    Upsampling duplicates rows, downsampling keeps every k-th row; any
-    non-integer rate ratio is rejected.
-    """
-    if target_shift_us <= 0:
-        raise ValueError("target_shift_us must be positive")
-    cur = f.frame_shift_us
-    if target_shift_us == cur:
-        return FeatureMatrix(f.data.copy(), cur, f.label)
-    if cur % target_shift_us == 0:
-        k = cur // target_shift_us
-        return FeatureMatrix(np.repeat(f.data, k, axis=0), target_shift_us, f.label)
-    if target_shift_us % cur == 0:
-        k = target_shift_us // cur
-        return FeatureMatrix(f.data[::k].copy(), target_shift_us, f.label)
-    raise ValueError(
-        f"frame shift ratio {cur}/{target_shift_us} us is not an integer in either direction"
-    )
-
-
-def fuse_features(streams, target_shift_us: int) -> FeatureMatrix:
-    """Resample every stream to the target shift, truncate to the shortest,
-    and concatenate along the feature axis.
-
-    Streams of one utterance differ by at most a frame or two after
-    resampling (conv arithmetic at the stream edges); a larger mismatch
-    means they do not belong together and raises FrameCountMismatchError.
+    Streams of one utterance are all at FRAME_SHIFT_US and differ by at
+    most a frame or two (conv arithmetic at the stream edges). A stream at
+    another shift, or a larger mismatch, means they do not belong together
+    and raises FrameCountMismatchError naming the shifts and lengths.
     """
     streams = list(streams)
     if not streams:
         raise ValueError("need at least one feature stream to fuse")
-    resampled = [resample_frames(s, target_shift_us) for s in streams]
-    lengths = [s.n_frames for s in resampled]
+    shifts = [s.frame_shift_us for s in streams]
+    lengths = [s.n_frames for s in streams]
     t_min = min(lengths)
-    if max(lengths) - t_min > MAX_FUSE_MISMATCH:
+    if set(shifts) != {FRAME_SHIFT_US} or max(lengths) - t_min > MAX_FUSE_MISMATCH:
         raise FrameCountMismatchError(
-            f"stream lengths {lengths} at {target_shift_us} us differ by more than "
-            f"{MAX_FUSE_MISMATCH} frames"
+            f"streams of {lengths} frames at {shifts} us: fusion needs {FRAME_SHIFT_US} us "
+            f"streams within {MAX_FUSE_MISMATCH} frames of each other"
         )
-    fused = np.concatenate([s.data[:t_min] for s in resampled], axis=1)
-    label = "+".join(s.label for s in resampled if s.label) or "fused"
-    return FeatureMatrix(fused, target_shift_us, label)
+    fused = np.concatenate([s.data[:t_min] for s in streams], axis=1)
+    label = "+".join(s.label for s in streams if s.label) or "fused"
+    return FeatureMatrix(fused, FRAME_SHIFT_US, label)
 
 
 def _write_record(fh, f: FeatureMatrix):

@@ -42,6 +42,7 @@ from .decoder import (
 )
 from .encoder import EncoderConfig, SslEncoder, finetune_ctc, pretrain, windows
 from .features import (
+    FRAME_SHIFT_US,
     FeatureMatrix,
     compute_fbank,
     fuse_features,
@@ -186,15 +187,6 @@ def load_am(cfg, path) -> FrameAm:
     return am
 
 
-def _bottleneck_stream(bn, model: SslEncoder, adapter: BottleneckAdapter) -> FeatureMatrix:
-    """Wrap the bottleneck rows of ``SslEncoder.represent`` as the
-    ``w2v-bn`` stream, whose shift is the encoder's over the adapter's
-    stride (10 ms)."""
-    if model.cfg.frame_shift_us % adapter.cfg.stride != 0:
-        raise ValueError("frame shift must divide evenly when doubling the rate")
-    return FeatureMatrix(bn, model.cfg.frame_shift_us // adapter.cfg.stride, "w2v-bn")
-
-
 def record_batches(corpus: Corpus, records, model: SslEncoder = None, adapter=None):
     """Read ``records`` just in time, a fixed window at a time
     (``encoder.windows``), and yield ``(records, audio, bn, h)`` per
@@ -214,7 +206,7 @@ def bottleneck_features(corpus: Corpus, records, model: SslEncoder,
     streams are held at a time."""
     for _, _, bn, _ in record_batches(corpus, records, model, adapter):
         for rows in bn:
-            yield _bottleneck_stream(rows, model, adapter)
+            yield FeatureMatrix(rows, FRAME_SHIFT_US, "w2v-bn")
 
 
 def articulatory_map(d_in, d_artic, seed):
@@ -257,8 +249,6 @@ def articulatory_features(corpus: Corpus, records, model, adapter, mdn_model):
 _STREAM_MODELS = {"fbk": (), "w2v-bn": ("--model", "--adapter"),
                   "artic": ("--model", "--adapter", "--mdn")}
 _ARCHIVE_FLAGS = {"w2v-bn": "--bn", "artic": "--artic"}
-# every stream is fused at the 10 ms filterbank rate
-_FUSED_SHIFT_US = 10_000
 
 
 def feature_models(kind, stored=()):
@@ -277,7 +267,9 @@ def build_feature_fn(corpus, kind, model=None, adapter=None, mdn_model=None,
     """Return the features function of a feature spec like "fbk",
     "fbk+w2v-bn", or "fbk+w2v-bn+artic". It takes a list of records and
     yields their FeatureMatrix objects in order, one list per window of
-    records (``record_batches``).
+    records (``record_batches``). Each is ``features.fuse_features`` of
+    the record's streams, so a stream not at 10 ms, such as an archive of
+    another frame rate, raises FrameCountMismatchError.
 
     The bottleneck and articulatory streams come from the given models,
     or from feature archives written earlier (``features.write_archive``,
@@ -323,12 +315,9 @@ def build_feature_fn(corpus, kind, model=None, adapter=None, mdn_model=None,
             feats = []
             for j, (record, samples) in enumerate(zip(window, audio)):
                 rows = (None if window_bn is None
-                        else _bottleneck_stream(window_bn[j], model, adapter))
-                streams = [stream(part, record, samples, rows) for part in parts]
-                if len(streams) == 1 and streams[0].frame_shift_us == _FUSED_SHIFT_US:
-                    feats.append(streams[0])
-                else:
-                    feats.append(fuse_features(streams, _FUSED_SHIFT_US))
+                        else FeatureMatrix(window_bn[j], FRAME_SHIFT_US, "w2v-bn"))
+                feats.append(fuse_features([stream(part, record, samples, rows)
+                                            for part in parts]))
             yield feats
 
     return features
@@ -453,8 +442,8 @@ def run_recognition(corpus: Corpus, cfg, model, adapter, jobs=1):
     s_fbk, s_fused, ssl = [], [], []
     for _, audio, bn, h in record_batches(corpus, records, model, adapter):
         fbk = [compute_fbank(a) for a in audio]
-        fused = [fuse_features([f, _bottleneck_stream(rows, model, adapter)],
-                               f.frame_shift_us) for f, rows in zip(fbk, bn)]
+        fused = [fuse_features([f, FeatureMatrix(rows, FRAME_SHIFT_US, "w2v-bn")])
+                 for f, rows in zip(fbk, bn)]
         s_fbk += am_fbk.posteriors(fbk, source="tdnn-fbk")
         s_fused += am_fused.posteriors(fused, source="tdnn-fused")
         ssl += model.head_posteriors(h)

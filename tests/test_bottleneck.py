@@ -36,8 +36,6 @@ class TestShapeContract:
     def test_config_validation(self):
         with pytest.raises(ValueError, match="smaller"):
             BottleneckConfig(d_in=16, d_bn=16)
-        with pytest.raises(ValueError, match="kernel"):
-            BottleneckConfig(d_in=16, d_bn=8, kernel=3, stride=2)
 
 
 class TestExtractionDeterminism:

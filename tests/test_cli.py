@@ -96,6 +96,20 @@ class TestUsageErrors:
             main(argv)
         assert err.value.code == 2
 
+    @pytest.mark.parametrize("argv", [
+        ["decode", "--lexicon", "l", "--streams", "s", "--nbest", "0"],
+        ["decode", "--lexicon", "l", "--streams", "s", "--nbest", "-3"],
+        ["joint-decode", "--lexicon", "l", "--streams", "a,b", "--weights", "1:1",
+         "--nbest", "0"],
+        ["joint-decode", "--lexicon", "l", "--streams", "a,b", "--weights", "1:1",
+         "--nbest", "two"],
+    ])
+    def test_nbest_below_one_rejected_by_the_parser(self, argv, capsys):
+        with pytest.raises(SystemExit) as err:
+            main(argv)
+        assert err.value.code == 2
+        assert f"N-best depth must be an int >= 1, got {argv[-1]!r}" in capsys.readouterr().err
+
 
 class TestMissingModels:
     """A computed stream whose model is missing fails by the flag that

@@ -22,10 +22,20 @@ class TestUnknownKeys:
         ({"finetune": {"stages": [{"epochs": 1, "scope": "head-only"},
                                   {"epochs": 1, "scop": "head-only"}]}},
          "finetune.stages[1].scop"),
+        # the corpus, encoder and bottleneck keys are their dataclass fields
+        ({"corpus": {"sample_rate": 8000}}, "corpus.sample_rate"),
+        ({"encoder": {"sample_rate": 8000}}, "encoder.sample_rate"),
+        ({"bottleneck": {"kernel": 3}}, "bottleneck.kernel"),
+        ({"bottleneck": {"stride": 3}}, "bottleneck.stride"),
+        ({"corpus": {"foo": 1}}, "corpus.foo"),
     ])
     def test_rejected_by_dotted_path(self, override, path):
         with pytest.raises(ValueError, match=re.escape(f"nothing reads: {path}") + "$"):
             load_config(overrides=override)
+
+    def test_dataclass_fields_outside_the_defaults_load(self):
+        load_config(overrides={"corpus": {"speaker_spread": 0.05},
+                               "encoder": {"position_scale": 0.2}})
 
     def test_config_file_fails_through_the_cli(self, tmp_path, capsys):
         cfg = tmp_path / "old.json"
@@ -40,6 +50,48 @@ class TestUnknownKeys:
             if isinstance(spec, dict) and "config" in spec:
                 load_config(overrides=spec["config"])
                 load_config(overrides=merge_config(spec["config"], spec["tiny"]))
+
+
+class TestCounts:
+    """Every epoch count is an int >= 0 and ``decode.nbest`` an int >= 1,
+    checked when the config loads."""
+
+    @pytest.mark.parametrize("override, path, value, low", [
+        ({"pretrain": {"epochs": -1}}, "pretrain.epochs", -1, 0),
+        ({"finetune": {"adapter_init_epochs": 2.0}}, "finetune.adapter_init_epochs", 2.0, 0),
+        ({"finetune": {"stages": [{"epochs": 1}, {"epochs": "5"}]}},
+         "finetune.stages[1].epochs", "5", 0),
+        ({"am": {"epochs": "x"}}, "am.epochs", "x", 0),
+        ({"mdn": {"epochs": True}}, "mdn.epochs", True, 0),
+        ({"decode": {"nbest": 0}}, "decode.nbest", 0, 1),
+        ({"decode": {"nbest": -2}}, "decode.nbest", -2, 1),
+        ({"decode": {"nbest": True}}, "decode.nbest", True, 1),
+        ({"decode": {"nbest": None}}, "decode.nbest", None, 1),
+    ])
+    def test_rejected_by_dotted_path(self, override, path, value, low):
+        with pytest.raises(ValueError, match=re.escape(f"{path}: must be an int >= {low}, "
+                                                       f"got {value!r}")):
+            load_config(overrides=override)
+
+    def test_bounds_accepted(self):
+        cfg = load_config(overrides={"pretrain": {"epochs": 0}, "decode": {"nbest": 1},
+                                     "finetune": {"stages": [{"scope": "head-only"}]}})
+        assert (cfg["pretrain"]["epochs"], cfg["decode"]["nbest"]) == (0, 1)
+
+    def test_every_error_in_one_message(self):
+        with pytest.raises(ValueError) as err:
+            load_config(overrides={"corpus": {"sample_rate": 8000},
+                                   "encoder": {"sample_rate": 8000},
+                                   "bottleneck": {"kernel": 3, "stride": 3},
+                                   "decode": {"nbest": 0}, "am": {"epochs": "x"},
+                                   "pretrain": {"epochs": -1}})
+        assert str(err.value).split("; ") == [
+            "config keys that nothing reads: corpus.sample_rate, encoder.sample_rate, "
+            "bottleneck.kernel, bottleneck.stride",
+            "pretrain.epochs: must be an int >= 0, got -1",
+            "am.epochs: must be an int >= 0, got 'x'",
+            "decode.nbest: must be an int >= 1, got 0",
+        ]
 
 
 class TestFinetuneScopes:

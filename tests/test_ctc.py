@@ -35,7 +35,6 @@ class TestTokenVocab:
         vocab = TokenVocab(("a", "b"))
         assert vocab.blank_id == 0
         assert vocab.id_of("a") == 1
-        assert vocab.token_of(2) == "b"
         assert vocab.width == 3
 
     def test_duplicate_symbols_rejected(self):

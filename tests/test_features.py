@@ -10,8 +10,9 @@ from hypothesis import strategies as st
 from sslasr.features import (
     ARCHIVE_MAGIC,
     AudioBuffer,
+    FBANK_FLOOR,
+    FBANK_MELS,
     BadMagicError,
-    FbankConfig,
     FeatureFileError,
     FeatureMatrix,
     FrameCountMismatchError,
@@ -26,7 +27,6 @@ from sslasr.features import (
     read_archive,
     read_features,
     read_wav,
-    resample_frames,
     write_archive,
     write_features,
     write_wav,
@@ -44,17 +44,15 @@ class TestComputeFbank:
         assert feats.frame_shift_us == 10_000
 
     def test_zero_audio_hits_floor(self):
-        cfg = FbankConfig()
-        feats = compute_fbank(AudioBuffer(np.zeros(800)), cfg)
-        assert np.allclose(feats.data, np.log(cfg.floor))
+        feats = compute_fbank(AudioBuffer(np.zeros(800)))
+        assert np.allclose(feats.data, np.log(FBANK_FLOOR))
 
     def test_pure_tone_peaks_at_nearest_mel_center(self):
         # oracle: mel filter centers computed from first principles
-        cfg = FbankConfig()
-        edges = np.linspace(hz_to_mel(0.0), hz_to_mel(8000.0), cfg.n_mels + 2)
+        edges = np.linspace(hz_to_mel(0.0), hz_to_mel(8000.0), FBANK_MELS + 2)
         centers_hz = mel_to_hz(edges[1:-1])
         expected_bin = int(np.argmin(np.abs(centers_hz - 1000.0)))
-        feats = compute_fbank(tone(1000.0, 4000), cfg)
+        feats = compute_fbank(tone(1000.0, 4000))
         assert np.all(np.argmax(feats.data, axis=1) == expected_bin)
 
     def test_too_short_audio_raises(self):
@@ -74,78 +72,46 @@ class TestComputeFbank:
         assert len(centers) == 40
 
 
-class TestResampleFrames:
-    def test_upsample_duplicates_rows(self):
-        f = FeatureMatrix(np.arange(6, dtype=np.float32).reshape(3, 2), 20_000, "x")
-        up = resample_frames(f, 10_000)
-        assert up.data.shape == (6, 2)
-        assert np.array_equal(up.data[0], up.data[1])
-        assert up.frame_shift_us == 10_000
-
-    def test_identity(self):
-        f = FeatureMatrix(np.random.default_rng(0).normal(size=(4, 3)), 10_000, "x")
-        same = resample_frames(f, 10_000)
-        assert np.array_equal(same.data, f.data)
-
-    def test_downsample_keeps_every_kth(self):
-        f = FeatureMatrix(np.arange(7, dtype=np.float32)[:, None], 10_000, "x")
-        down = resample_frames(f, 20_000)
-        assert down.n_frames == 4
-        assert np.array_equal(down.data.ravel(), [0, 2, 4, 6])
-
-    def test_non_integer_ratio_rejected(self):
-        f = FeatureMatrix(np.zeros((4, 2)), 10_000, "x")
-        with pytest.raises(ValueError, match="not an integer"):
-            resample_frames(f, 15_000)
-
-    @given(t=st.integers(1, 12), k=st.integers(1, 4))
-    @settings(max_examples=25, deadline=None)
-    def test_round_trip_recovers_rows(self, t, k):
-        rng = np.random.default_rng(t * 31 + k)
-        f = FeatureMatrix(rng.normal(size=(t, 3)).astype(np.float32), 20_000 * k, "x")
-        down_shift = f.frame_shift_us // k
-        back = resample_frames(resample_frames(f, down_shift), f.frame_shift_us)
-        assert np.array_equal(back.data, f.data)
-
-
 class TestFuseFeatures:
     def test_widths_add_and_rows_truncate(self):
         rng = np.random.default_rng(1)
         fbk = FeatureMatrix(rng.normal(size=(100, 40)), 10_000, "fbk")
         bn = FeatureMatrix(rng.normal(size=(99, 256)), 10_000, "w2v-bn")
-        fused = fuse_features([fbk, bn], 10_000)
+        fused = fuse_features([fbk, bn])
         assert fused.data.shape == (99, 296)
         assert fused.label == "fbk+w2v-bn"
 
     def test_two_frame_mismatch_truncates(self):
         rng = np.random.default_rng(4)
         a = FeatureMatrix(rng.normal(size=(12, 2)), 10_000, "a")
-        b = FeatureMatrix(rng.normal(size=(5, 3)), 20_000, "b")
-        assert fuse_features([a, b], 10_000).data.shape == (10, 5)
+        b = FeatureMatrix(rng.normal(size=(10, 3)), 10_000, "b")
+        assert fuse_features([a, b]).data.shape == (10, 5)
 
     def test_three_frame_mismatch_rejected(self):
         rng = np.random.default_rng(5)
         fbk = FeatureMatrix(rng.normal(size=(100, 40)), 10_000, "fbk")
         bn = FeatureMatrix(rng.normal(size=(97, 8)), 10_000, "w2v-bn")
         with pytest.raises(FrameCountMismatchError, match=r"\[100, 97\]"):
-            fuse_features([fbk, bn], 10_000)
+            fuse_features([fbk, bn])
         assert issubclass(FrameCountMismatchError, FeatureFileError)
 
-    def test_resamples_to_target(self):
+    def test_other_shift_rejected_by_name(self):
         rng = np.random.default_rng(2)
         slow = FeatureMatrix(rng.normal(size=(5, 4)), 20_000, "a")
         fast = FeatureMatrix(rng.normal(size=(10, 3)), 10_000, "b")
-        fused = fuse_features([slow, fast], 10_000)
-        assert fused.data.shape == (10, 7)
+        with pytest.raises(FrameCountMismatchError, match=r"at \[20000, 10000\] us"):
+            fuse_features([slow, fast])
+        with pytest.raises(FrameCountMismatchError, match=r"at \[20000\] us"):
+            fuse_features([slow])
 
     def test_single_stream_unchanged(self):
         f = FeatureMatrix(np.random.default_rng(3).normal(size=(4, 2)), 10_000, "x")
-        fused = fuse_features([f], 10_000)
+        fused = fuse_features([f])
         assert np.array_equal(fused.data, f.data)
 
     def test_empty_list_rejected(self):
         with pytest.raises(ValueError, match="at least one"):
-            fuse_features([], 10_000)
+            fuse_features([])
 
 
 class TestFeatureFile:
@@ -416,9 +382,3 @@ class TestInvariants:
     def test_audio_rejects_empty(self):
         with pytest.raises(ValueError):
             AudioBuffer(np.array([]))
-
-    def test_fbank_config_validation(self):
-        with pytest.raises(ValueError):
-            FbankConfig(win_ms=5.0, hop_ms=10.0)
-        with pytest.raises(ValueError):
-            FbankConfig(floor=0.0)

@@ -8,14 +8,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sslasr import pipeline
-from sslasr.bottleneck import BottleneckAdapter, BottleneckConfig
 from sslasr.config import merge_config
 from sslasr.corpus import wer
 from sslasr.ctc import TokenVocab
 from sslasr.decoder import (Lexicon, LexiconEntry, decode_stream, interpolate_posteriors,
                             isolated_nbest, parse_weight_ratio)
 from sslasr.encoder import SslEncoder
-from sslasr.features import compute_fbank, fuse_features, read_archive, write_archive
+from sslasr.features import (FeatureMatrix, FrameCountMismatchError, compute_fbank,
+                             fuse_features, read_archive, write_archive)
 from sslasr.inversion import MdnModel
 from sslasr.params import ParameterStore
 from sslasr.rescore import rescore, rescore_hypotheses, score_nbest_with_ssl
@@ -103,7 +103,7 @@ class TestFeatureFns:
             if kind.endswith("artic"):
                 streams += pipeline.articulatory_features(tiny_corpus, [rec], model,
                                                           adapter, mdn_model)
-            expected.append(fuse_features(streams, 10_000))
+            expected.append(fuse_features(streams))
         reads, encodes = Counter(), Counter()
         read_wav = pipeline.read_wav
 
@@ -156,6 +156,13 @@ class TestFeatureFns:
                                            "is not in the w2v-bn archive"):
             features_of(fn, tiny_corpus.manifest.records[3:4])
 
+    def test_archive_at_another_shift_rejected(self, tiny_corpus, tmp_path):
+        rec = tiny_corpus.manifest.records[0]
+        write_archive(tmp_path / "bn", [(rec.utt_id, FeatureMatrix(np.zeros((4, 8)), 20_000))])
+        fn = pipeline.build_feature_fn(tiny_corpus, "fbk+w2v-bn", bn=tmp_path / "bn")
+        with pytest.raises(FrameCountMismatchError, match=r"at \[10000, 20000\] us"):
+            features_of(fn, [rec])
+
     def test_archive_of_another_stream_not_read(self, tiny_corpus, tmp_path):
         (tmp_path / "bad.sfa").write_bytes(b"not a feature archive")
         fn = pipeline.build_feature_fn(tiny_corpus, "fbk", bn=tmp_path / "bad.sfa",
@@ -171,14 +178,6 @@ class TestFeatureFns:
         (bn,), _ = model.represent([tiny_corpus.audio(rec)], adapter)
         assert (feats.frame_shift_us, feats.label) == (10_000, "w2v-bn")
         assert np.array_equal(feats.data, bn.astype(np.float32))
-
-    def test_stride_must_divide_frame_shift(self, tiny_corpus, tiny_models):
-        model, _ = tiny_models
-        odd = BottleneckAdapter(BottleneckConfig(d_in=model.cfg.d_model, d_bn=8,
-                                                 kernel=3, stride=3), seed=0)
-        with pytest.raises(ValueError, match="divide evenly"):
-            list(pipeline.bottleneck_features(tiny_corpus, tiny_corpus.manifest.records[:1],
-                                              model, odd))
 
 
 class TestStreamFiles:
