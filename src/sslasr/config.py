@@ -1,10 +1,12 @@
 """Global JSON configuration: one file with per-module sections; CLI flags
 override individual keys. The shipped defaults are desk-scale settings
-that train and decode within minutes on a CPU. A key that nothing reads,
-any error in an optimizer mapping (``params.optimizer_errors``), any
-fine-tuning scope the encoder does not have (``encoder.scope_blocks``)
-and any bad epoch count or N-best depth are rejected by their dotted
-paths before anything runs."""
+that train and decode within minutes on a CPU. A section, fine-tuning
+stage or repetition table that is not a mapping (the stages not a list),
+a key that nothing reads, a repetition count for a condition other than
+``corpus.CONDITIONS``, any error in an optimizer mapping
+(``params.optimizer_errors``), any fine-tuning scope the encoder does not
+have (``encoder.scope_blocks``) and any bad epoch count or N-best depth
+are rejected by their dotted paths before anything runs."""
 
 from __future__ import annotations
 
@@ -13,7 +15,7 @@ import json
 from dataclasses import fields
 
 from .bottleneck import BottleneckConfig
-from .corpus import CorpusConfig
+from .corpus import CONDITIONS, CorpusConfig
 from .encoder import EncoderConfig, scope_blocks
 from .params import optimizer_errors
 
@@ -106,10 +108,40 @@ def merge_config(base, override):
     return out
 
 
-# the keys of the sections that build a config dataclass: its fields
-_DATACLASS_KEYS = {key: {f.name for f in fields(cls)} for key, cls in (
+# the keys of the sections that build a config dataclass: its fields, but
+# the adapter's input width, which is the encoder's d_model
+_DATACLASS_KEYS = {key: {f.name for f in fields(cls)} - {"d_in"} for key, cls in (
     ("corpus", CorpusConfig), ("encoder", EncoderConfig), ("bottleneck", BottleneckConfig))}
 _STAGE_KEYS = {"epochs", "scope", "optimizer"}
+_REPS_KEYS = ("train_reps", "test_reps")
+
+
+def _structure_errors(cfg):
+    """Errors of every section, fine-tuning stage and repetition table
+    that is not a mapping and of stages that are not a list: the other
+    checks index them."""
+    errors = [f"{key}: must be a mapping, got {cfg[key]!r}"
+              for key, default in DEFAULT_CONFIG.items()
+              if isinstance(default, dict) and not isinstance(cfg[key], dict)]
+    if isinstance(cfg["finetune"], dict):
+        stages = cfg["finetune"]["stages"]
+        if not isinstance(stages, list):
+            errors.append(f"finetune.stages: must be a list, got {stages!r}")
+        else:
+            errors += [f"finetune.stages[{i}]: must be a mapping, got {stage!r}"
+                       for i, stage in enumerate(stages) if not isinstance(stage, dict)]
+    if isinstance(cfg["corpus"], dict):
+        errors += [f"corpus.{key}: must be a mapping, got {cfg['corpus'][key]!r}"
+                   for key in _REPS_KEYS if not isinstance(cfg["corpus"][key], dict)]
+    return errors
+
+
+def _condition_errors(cfg):
+    """Errors of every repetition count keyed by a name that is not a
+    condition, by dotted path."""
+    return [f"corpus.{key}.{name}: not a condition (the conditions are "
+            f"{', '.join(CONDITIONS)})" for key in _REPS_KEYS
+            for name in cfg["corpus"][key] if name not in CONDITIONS]
 
 
 def _unknown_keys(cfg):
@@ -161,8 +193,12 @@ def load_config(path=None, overrides=None):
         cfg = merge_config(cfg, loaded)
     if overrides:
         cfg = merge_config(cfg, overrides)
+    errors = _structure_errors(cfg)
+    if errors:
+        raise ValueError("; ".join(errors))
     unknown = _unknown_keys(cfg)
     errors = ["config keys that nothing reads: " + ", ".join(unknown)] if unknown else []
+    errors += _condition_errors(cfg)
     errors += [e for path, opt in _optimizer_mappings(cfg) for e in optimizer_errors(opt, path)]
     errors += _count_errors(cfg)
     for i, stage in enumerate(cfg["finetune"]["stages"]):

@@ -20,6 +20,9 @@ import numpy as np
 from .decoder import Lexicon, LexiconEntry
 from .features import SAMPLE_RATE, AudioBuffer, write_wav
 
+# the recording conditions; the repetition tables are keyed by them
+CONDITIONS = ("source", "target")
+
 
 @dataclass
 class CorpusConfig:

@@ -45,10 +45,25 @@ import itertools
 import math
 
 import numpy as np
-from scipy.special import erf
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
+
+# erf's rational approximations, from cephes ``ndtr.c``: x T(x^2) / U(x^2)
+# on |x| <= 1 and 1 - exp(-x^2) P(x) / Q(x) above; U and Q are monic, their
+# leading 1 left out
+_ERF_T = (9.60497373987051638749e0, 9.00260197203842689217e1, 2.23200534594684319226e3,
+          7.00332514112805075473e3, 5.55923013010394962768e4)
+_ERF_U = (3.35617141647503099647e1, 5.21357949780152679795e2, 4.59432382970980127987e3,
+          2.26290000613890934246e4, 4.92673942608635921086e4)
+_ERFC_P = (2.46196981473530512524e-10, 5.64189564831068821977e-1, 7.46321056442269912687e0,
+           4.86371970985681366614e1, 1.96520832956077098242e2, 5.26445194995477358631e2,
+           9.34528527171957607540e2, 1.02755188689515710272e3, 5.57535335369399327526e2)
+_ERFC_Q = (1.32281951154744992508e1, 8.67072140885989742329e1, 3.54937778887819891062e2,
+           9.75708501743205489753e2, 1.82390916687909736289e3, 2.24633760818710981792e3,
+           1.65666309194161350182e3, 5.57535340817727675546e2)
+# relative bounds of a bracket at least two ulps wide on each side of a double
+_EXP_LO, _EXP_HI = 1.0 - 2.0**-51, 1.0 + 2.0**-51
 
 
 class ParameterShapeError(ValueError):
@@ -291,13 +306,90 @@ class Relu(Module):
         return np.where(self._mask, dy, 0.0)
 
 
+def _polevl(x, coef):
+    """cephes ``polevl``: the polynomial with coefficients ``coef``
+    (highest power first) at ``x``, in Horner order."""
+    y = x * coef[0]
+    for c in coef[1:-1]:
+        y += c
+        y *= x
+    y += coef[-1]
+    return y
+
+
+def _p1evl(x, coef):
+    """cephes ``p1evl``: ``_polevl`` with a leading coefficient of 1."""
+    y = x + coef[0]
+    for c in coef[1:]:
+        y *= x
+        y += c
+    return y
+
+
+def _erfc_tail(e, p, q):
+    """``1 - e p / q`` in cephes' order, written over ``e``."""
+    e *= p
+    e /= q
+    return np.subtract(1.0, e, out=e)
+
+
+def _erf(x):
+    """erf of every entry of ``x``, bit for bit what ``scipy.special.erf``
+    returns: a numpy port of the cephes ``ndtr.c`` algorithm it runs.
+
+    - |x| <= 1: ``x T(x^2) / U(x^2)``;
+    - |x| > 1: ``1 - exp(-x^2) P(|x|) / Q(|x|)`` with the sign of x. From
+      |x| = 6 on that rounds to exactly 1, so |x| is clamped at 6, which
+      also takes +-inf to +-1;
+    - nan gives a nan with the sign bit clear, as scipy's does, and -0.0
+      stays -0.0.
+
+    The exponential must be the C library's, which numpy's vectorised
+    ``np.exp`` misses by one ulp in a few per cent of arguments. The tail
+    is monotone in the exponential, so it is evaluated at both ends of a
+    bracket around ``np.exp``'s value that is at least two ulps wide on
+    each side: where both ends give the same double, so does the C
+    library's value. The other entries are recomputed with ``math.exp``,
+    the C library's ``exp`` that scipy's compiled code calls.
+    """
+    # the |x| <= 1 branch on every entry, clamped so that the others stay
+    # finite until they are overwritten; clamping changes exactly those
+    # entries and nan
+    xc = np.clip(x, -1.0, 1.0)
+    tail = np.flatnonzero(xc != x)
+    z = xc * xc
+    out = _polevl(z, _ERF_T)
+    out *= xc
+    out /= _p1evl(z, _ERF_U)
+    if not tail.size:
+        return out
+    xt = np.take(x, tail)
+    a = np.abs(xt)
+    np.minimum(a, 6.0, out=a)
+    p, q = _polevl(a, _ERFC_P), _p1evl(a, _ERFC_Q)
+    arg = -a
+    arg *= a
+    e = np.exp(arg)
+    y = _erfc_tail(e * _EXP_LO, p, q)
+    redo = np.flatnonzero(y != _erfc_tail(e * _EXP_HI, p, q))
+    if redo.size:
+        e = np.fromiter(map(math.exp, arg[redo].tolist()), np.float64, redo.size)
+        y[redo] = _erfc_tail(e, p[redo], q[redo])
+    np.copysign(y, xt, out=y)
+    y[np.isnan(y)] = np.nan  # with the sign bit clear
+    out.reshape(-1)[tail] = y
+    return out
+
+
 class Gelu(Module):
     """Exact (erf-based) GELU."""
 
     _x = _cdf = None
 
     def forward(self, x, batch=None):
-        cdf = 0.5 * (1.0 + erf(x * _INV_SQRT2))
+        cdf = _erf(x * _INV_SQRT2)
+        cdf += 1.0
+        cdf *= 0.5
         self._x, self._cdf = _for_backward(batch, x, cdf)
         return x * cdf
 

@@ -67,9 +67,7 @@ def corpus_config(cfg) -> CorpusConfig:
 
 
 def bottleneck_config(cfg, d_model) -> BottleneckConfig:
-    section = dict(cfg["bottleneck"])
-    section.setdefault("d_in", d_model)
-    return BottleneckConfig(**section)
+    return BottleneckConfig(d_in=d_model, **cfg["bottleneck"])
 
 
 def am_config(cfg) -> AmConfig:

@@ -6,7 +6,14 @@ default-config shapes: one 22-frame utterance (7,040 samples).
 - ``ctc_loss``: 22 frames, 12 tokens plus blank, a 3-token target;
 - ``Conv1d.backward``: conv0 (7,040 x 1 samples, kernel 80, stride 80)
   and conv1 (88 x 32 frames, kernel 5, stride 4);
-- ``LayerNorm`` forward and backward over 22 x 64.
+- ``LayerNorm`` forward and backward over 22 x 64;
+- ``Gelu.forward`` over the feed-forward rows of one utterance (22 x 256),
+  the second conv's input (88 x 32) and an 8-utterance batch of the
+  former. Its erf is ``nn._erf``, a numpy port of the cephes ``ndtr.c``
+  algorithm that ``scipy.special.erf`` runs, bit-identical to it
+  (``tests/test_nn.py::TestErfOracle``): numpy's exp is bracketed and
+  the C library's ``math.exp`` recomputes the entries the bracket leaves
+  undecided.
 
     python -m pytest tests/bench_layers.py
 
@@ -18,7 +25,7 @@ import pytest
 
 from sslasr.ctc import ctc_loss
 from sslasr.encoder import contrastive_loss
-from sslasr.nn import Conv1d, LayerNorm
+from sslasr.nn import Conv1d, Gelu, LayerNorm, Ragged
 
 T, D = 22, 64
 
@@ -67,3 +74,15 @@ def test_layer_norm_backward(benchmark, rng):
     ln = LayerNorm(D, "ln")
     ln.forward(rng.normal(size=(T, D)))
     assert benchmark(ln.backward, rng.normal(size=(T, D))).shape == (T, D)
+
+
+@pytest.mark.benchmark(group="gelu")
+@pytest.mark.parametrize("shape", [(T, 4 * D), (88, 32)], ids=["ffn", "conv1"])
+def test_gelu_forward(benchmark, rng, shape):
+    assert benchmark(Gelu().forward, rng.normal(size=shape)).shape == shape
+
+
+@pytest.mark.benchmark(group="gelu")
+def test_gelu_forward_batch(benchmark, rng):
+    rows, batch = Ragged.of([rng.normal(size=(T, 4 * D)) for _ in range(8)])
+    assert benchmark(Gelu().forward, rows, batch).shape == (8 * T, 4 * D)

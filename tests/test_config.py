@@ -4,6 +4,7 @@ from pathlib import Path
 
 import pytest
 
+from sslasr import pipeline
 from sslasr.cli import main
 from sslasr.config import load_config, merge_config
 
@@ -33,6 +34,11 @@ class TestUnknownKeys:
         with pytest.raises(ValueError, match=re.escape(f"nothing reads: {path}") + "$"):
             load_config(overrides=override)
 
+    def test_adapter_input_width_is_the_encoders(self):
+        with pytest.raises(ValueError, match=re.escape("nothing reads: bottleneck.d_in") + "$"):
+            load_config(overrides={"bottleneck": {"d_in": 32}})
+        assert pipeline.bottleneck_config(load_config(), 48).d_in == 48
+
     def test_dataclass_fields_outside_the_defaults_load(self):
         load_config(overrides={"corpus": {"speaker_spread": 0.05},
                                "encoder": {"position_scale": 0.2}})
@@ -50,6 +56,45 @@ class TestUnknownKeys:
             if isinstance(spec, dict) and "config" in spec:
                 load_config(overrides=spec["config"])
                 load_config(overrides=merge_config(spec["config"], spec["tiny"]))
+
+
+class TestStructure:
+    """A section, stage or repetition table that is not a mapping, or
+    stages that are not a list, fail by dotted path in one ValueError."""
+
+    @pytest.mark.parametrize("override, error", [
+        ({"am": 5}, "am: must be a mapping, got 5"),
+        ({"corpus": None}, "corpus: must be a mapping, got None"),
+        ({"finetune": {"stages": 3}}, "finetune.stages: must be a list, got 3"),
+        ({"finetune": {"stages": [{"epochs": 1}, "head-only"]}},
+         "finetune.stages[1]: must be a mapping, got 'head-only'"),
+        ({"corpus": {"test_reps": 2}}, "corpus.test_reps: must be a mapping, got 2"),
+    ])
+    def test_rejected_by_dotted_path(self, override, error):
+        with pytest.raises(ValueError, match="^" + re.escape(error) + "$"):
+            load_config(overrides=override)
+
+    def test_every_error_in_one_message(self):
+        with pytest.raises(ValueError) as err:
+            load_config(overrides={"am": 5, "decode": [], "finetune": {"stages": 3}})
+        assert str(err.value).split("; ") == [
+            "am: must be a mapping, got 5", "decode: must be a mapping, got []",
+            "finetune.stages: must be a list, got 3",
+        ]
+
+
+class TestConditions:
+    """The repetition tables are keyed by the corpus conditions only."""
+
+    @pytest.mark.parametrize("key", ["train_reps", "test_reps"])
+    def test_other_names_rejected_by_dotted_path(self, key):
+        with pytest.raises(ValueError, match=re.escape(
+                f"corpus.{key}.tgt: not a condition (the conditions are source, target)")):
+            load_config(overrides={"corpus": {key: {"source": 2, "tgt": 1}}})
+
+    def test_conditions_load(self):
+        cfg = load_config(overrides={"corpus": {"train_reps": {"target": 0}}})
+        assert cfg["corpus"]["train_reps"] == {"source": 2, "target": 0}
 
 
 class TestCounts:

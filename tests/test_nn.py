@@ -1,7 +1,10 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.special import erf as scipy_erf
 
 from sslasr.nn import (
     Conv1d,
@@ -13,6 +16,7 @@ from sslasr.nn import (
     Ragged,
     Relu,
     TransformerBlock,
+    _erf,
     _overlap_add,
 )
 
@@ -67,6 +71,44 @@ class TestOverlapAdd:
         contrib = (x @ conv.w.value).reshape(7, 5, 2)
         expected = reference_overlap_add(contrib, 2, conv.out_length(7)) + conv.b.value
         assert conv.forward(x).tobytes() == expected.tobytes()
+
+
+class TestErfOracle:
+    """``_erf`` equals ``scipy.special.erf`` bit for bit, sign bits and
+    nan included; scipy is the reference implementation, a test
+    dependency only."""
+
+    EDGES = np.array([
+        0.0, 1.0, np.nextafter(1.0, 0.0), np.nextafter(1.0, 2.0),
+        6.0, np.nextafter(6.0, 0.0), np.nextafter(6.0, 7.0), 5.9, 5.99,
+        np.inf, np.nan, 5e-324, 1e-310, 2.2250738585072014e-308, 1e-200, 1e-8,
+        np.finfo(np.float64).max,
+    ])
+
+    def test_samples_over_several_scales(self, monkeypatch):
+        exp_calls, libm_exp = [], math.exp
+
+        def counted_exp(v):
+            exp_calls.append(v)
+            return libm_exp(v)
+
+        monkeypatch.setattr(math, "exp", counted_exp)
+        rng = np.random.default_rng(2302)
+        samples = [rng.normal(scale=s, size=200_000) for s in (0.25, 1.0, 2.0, 4.0, 8.0)]
+        samples.append(rng.uniform(-6.5, 6.5, size=200_000))  # dense over the tail branch
+        for x in samples:
+            assert _erf(x).tobytes() == scipy_erf(x).tobytes()
+        assert exp_calls  # the C library's exp recomputed some entries
+
+    def test_edge_cases(self):
+        x = np.concatenate([self.EDGES, -self.EDGES])  # -0.0, -inf and -nan included
+        assert _erf(x).tobytes() == scipy_erf(x).tobytes()
+
+    def test_gelu_forward_equals_the_scipy_formula(self):
+        x = np.random.default_rng(1).normal(scale=2.0, size=(88, 32))
+        cdf = 0.5 * (1.0 + scipy_erf(x * (1.0 / math.sqrt(2.0))))
+        y = Gelu().forward(x)
+        assert y.shape == x.shape and y.tobytes() == (x * cdf).tobytes()
 
 
 class TestLayerNormOracle:
