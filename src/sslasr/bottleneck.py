@@ -29,7 +29,9 @@ class BottleneckConfig:
 
     def __post_init__(self):
         if self.d_bn >= self.d_in:
-            raise ValueError(f"bottleneck width {self.d_bn} must be smaller than d_in {self.d_in}")
+            raise ValueError(f"d_bn: must be smaller than d_in {self.d_in} (encoder.d_model)")
+        if not 0.0 <= self.dropout < 1.0:
+            raise ValueError(f"dropout: rate must lie in [0, 1), got {self.dropout}")
 
 
 class BottleneckAdapter(Module):

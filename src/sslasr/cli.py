@@ -137,11 +137,8 @@ def build_parser():
     return parser
 
 
-def _config(args, extra=None):
-    overrides = dict(extra or {})
-    if args.seed is not None:
-        overrides["seed"] = args.seed
-    return load_config(args.config, overrides)
+def _config(args):
+    return load_config(args.config, None if args.seed is None else {"seed": args.seed})
 
 
 def _emit_lines(lines, out):

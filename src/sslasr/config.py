@@ -1,12 +1,16 @@
 """Global JSON configuration: one file with per-module sections; CLI flags
 override individual keys. The shipped defaults are desk-scale settings
-that train and decode within minutes on a CPU. A section, fine-tuning
-stage or repetition table that is not a mapping (the stages not a list),
-a key that nothing reads, a repetition count for a condition other than
-``corpus.CONDITIONS``, any error in an optimizer mapping
-(``params.optimizer_errors``), any fine-tuning scope the encoder does not
-have (``encoder.scope_blocks``) and any bad epoch count or N-best depth
-are rejected by their dotted paths before anything runs."""
+that train and decode within minutes on a CPU. ``load_config`` names by
+dotted path, in one ValueError and before anything runs:
+
+- each key that nothing reads and each repetition count for a name
+  outside ``corpus.CONDITIONS``;
+- each value unlike its default (``_walk``): a mapping, list, int or
+  number of another type, or one below its minimum (``_MINIMUMS``);
+- each error of an optimizer mapping (``params.optimizer_errors``);
+- then each error of the five section dataclasses (``corpus_config`` ...
+  ``mdn_config``), of a fine-tuning scope (``encoder.scope_blocks``) and of
+  ``decode.weights`` or ``rescore.alpha``/``beta`` (``check_weights``)."""
 
 from __future__ import annotations
 
@@ -16,8 +20,11 @@ from dataclasses import fields
 
 from .bottleneck import BottleneckConfig
 from .corpus import CONDITIONS, CorpusConfig
+from .decoder import check_weights, parse_weight_ratio
 from .encoder import EncoderConfig, scope_blocks
-from .params import optimizer_errors
+from .frame_am import AmConfig
+from .inversion import MdnConfig
+from .params import OPTIMIZER_DEFAULTS, optimizer_errors
 
 
 DEFAULT_CONFIG = {
@@ -108,104 +115,120 @@ def merge_config(base, override):
     return out
 
 
-# the keys of the sections that build a config dataclass: its fields, but
-# the adapter's input width, which is the encoder's d_model
-_DATACLASS_KEYS = {key: {f.name for f in fields(cls)} - {"d_in"} for key, cls in (
-    ("corpus", CorpusConfig), ("encoder", EncoderConfig), ("bottleneck", BottleneckConfig))}
-_STAGE_KEYS = {"epochs", "scope", "optimizer"}
-_REPS_KEYS = ("train_reps", "test_reps")
+# a user's stage list replaces the default one whole; its stages default to
+STAGE_DEFAULTS = {"epochs": 10, "scope": "no-feature-encoder", "optimizer": OPTIMIZER_DEFAULTS}
+
+# the least int or number by key (None: any); other ints are >= 1, numbers any
+_MINIMUMS = {"seed": 0, "epochs": 0, "adapter_init_epochs": 0, "distractors": 0,
+             **dict.fromkeys(CONDITIONS, 0), "offsets": None, "map_noise": 0.0}
+
+# the keys outside the defaults that a section's dataclass still reads
+_FIELD_KEYS = {key: {f.name for f in fields(cls)}
+               for key, cls in (("corpus", CorpusConfig), ("encoder", EncoderConfig))}
 
 
-def _structure_errors(cfg):
-    """Errors of every section, fine-tuning stage and repetition table
-    that is not a mapping and of stages that are not a list: the other
-    checks index them."""
-    errors = [f"{key}: must be a mapping, got {cfg[key]!r}"
-              for key, default in DEFAULT_CONFIG.items()
-              if isinstance(default, dict) and not isinstance(cfg[key], dict)]
-    if isinstance(cfg["finetune"], dict):
-        stages = cfg["finetune"]["stages"]
-        if not isinstance(stages, list):
-            errors.append(f"finetune.stages: must be a list, got {stages!r}")
-        else:
-            errors += [f"finetune.stages[{i}]: must be a mapping, got {stage!r}"
-                       for i, stage in enumerate(stages) if not isinstance(stage, dict)]
-    if isinstance(cfg["corpus"], dict):
-        errors += [f"corpus.{key}: must be a mapping, got {cfg['corpus'][key]!r}"
-                   for key in _REPS_KEYS if not isinstance(cfg["corpus"][key], dict)]
+def encoder_config(cfg) -> EncoderConfig:
+    return EncoderConfig(**cfg["encoder"])
+
+
+def corpus_config(cfg) -> CorpusConfig:
+    return CorpusConfig(**cfg["corpus"])
+
+
+def bottleneck_config(cfg, d_model) -> BottleneckConfig:
+    return BottleneckConfig(d_in=d_model, **cfg["bottleneck"])
+
+
+def am_config(cfg) -> AmConfig:
+    return AmConfig(cfg["am"]["offsets"], cfg["am"]["hidden_dims"])
+
+
+def mdn_config(cfg) -> MdnConfig:
+    mdn = cfg["mdn"]
+    return MdnConfig(cfg["bottleneck"]["d_bn"], mdn["d_artic"], mdn["mixtures"], mdn["hidden_dims"])
+
+
+def _walk(value, default, path, key, errors, unknown):
+    """Append to ``errors`` each way ``value``, at dotted ``path`` under
+    mapping key ``key``, is unlike ``default``, and to ``unknown`` the path
+    of each key below it that nothing reads."""
+    if key.endswith("optimizer"):
+        errors += optimizer_errors(value, path)
+    elif isinstance(default, (dict, list)) and not isinstance(value, type(default)):
+        kind = "a mapping" if isinstance(default, dict) else "a list"
+        errors.append(f"{path}: must be {kind}, got {value!r}")
+    elif isinstance(default, dict):
+        for name, item in value.items():
+            sub = f"{path}.{name}" if path else name
+            if name in default:
+                _walk(item, default[name], sub, name, errors, unknown)
+            elif key.endswith("_reps"):
+                errors.append(f"{sub}: not a condition (the conditions are "
+                              f"{', '.join(CONDITIONS)})")
+            elif name not in _FIELD_KEYS.get(path, ()):
+                unknown.append(sub)
+    elif isinstance(default, list):
+        for i, item in enumerate(value):
+            _walk(item, STAGE_DEFAULTS if key == "stages" else default[0], f"{path}[{i}]",
+                  key, errors, unknown)
+    # a null gumbel_temperature_min keeps the temperature fixed
+    elif isinstance(default, (int, float)) and (value is not None
+                                                or key != "gumbel_temperature_min"):
+        kind, what, low = ((int, "an int", _MINIMUMS.get(key, 1)) if isinstance(default, int)
+                           else ((int, float), "a number", _MINIMUMS.get(key)))
+        if (isinstance(value, bool) or not isinstance(value, kind)
+                or low is not None and not value >= low):
+            bound = "" if low is None else f" >= {low}"
+            errors.append(f"{path}: must be {what}{bound}, got {value!r}")
+
+
+def _decode_weights(text):
+    try:
+        weights = parse_weight_ratio(text)
+    except ValueError as exc:
+        raise ValueError(f"decode.weights: {exc}") from None
+    check_weights(weights, 2, "decode.weights (fused:fbk)")
+
+
+def _section_errors(cfg):
+    """Errors of the checks that read whole sections, in the order of the
+    defaults: each dataclass's, each stage's scope and the weight pairs."""
+    encoder, rescore = cfg["encoder"], cfg["rescore"]
+    checks = [("corpus.", corpus_config, cfg), ("encoder.", encoder_config, cfg)]
+    checks += [(f"finetune.stages[{i}].scope: ", scope_blocks,
+                stage.get("scope", STAGE_DEFAULTS["scope"]), encoder["n_blocks"])
+               for i, stage in enumerate(cfg["finetune"]["stages"])]
+    checks += [("bottleneck.", bottleneck_config, cfg, encoder["d_model"]),
+               ("am.", am_config, cfg), ("mdn.", mdn_config, cfg),
+               ("", _decode_weights, cfg["decode"]["weights"]),
+               ("rescore: ", check_weights, [rescore["alpha"], rescore["beta"]], 2,
+                "rescoring weights alpha:beta")]
+    errors = []
+    for prefix, check, *args in checks:
+        try:
+            check(*args)
+        except ValueError as exc:
+            errors.append(prefix + str(exc))
     return errors
-
-
-def _condition_errors(cfg):
-    """Errors of every repetition count keyed by a name that is not a
-    condition, by dotted path."""
-    return [f"corpus.{key}.{name}: not a condition (the conditions are "
-            f"{', '.join(CONDITIONS)})" for key in _REPS_KEYS
-            for name in cfg["corpus"][key] if name not in CONDITIONS]
-
-
-def _unknown_keys(cfg):
-    """Dotted paths of the keys of ``cfg`` that nothing reads."""
-    unknown = []
-    for key, value in cfg.items():
-        if key not in DEFAULT_CONFIG:
-            unknown.append(key)
-        elif isinstance(value, dict):
-            known = _DATACLASS_KEYS.get(key, DEFAULT_CONFIG[key])
-            unknown += [f"{key}.{k}" for k in value if k not in known]
-    for i, stage in enumerate(cfg["finetune"]["stages"]):
-        unknown += [f"finetune.stages[{i}].{k}" for k in stage if k not in _STAGE_KEYS]
-    return unknown
-
-
-def _optimizer_mappings(cfg):
-    """(dotted path, mapping) of every optimizer mapping in ``cfg``."""
-    for section, key in (("pretrain", "optimizer"), ("finetune", "adapter_init_optimizer"),
-                         ("am", "optimizer"), ("mdn", "optimizer")):
-        yield f"{section}.{key}", cfg[section][key]
-    for i, stage in enumerate(cfg["finetune"]["stages"]):
-        if "optimizer" in stage:  # a stage without one gets Adam's defaults
-            yield f"finetune.stages[{i}].optimizer", stage["optimizer"]
-
-
-def _count_errors(cfg):
-    """Errors of every epoch count that is not an int >= 0 and of a
-    ``decode.nbest`` that is not an int >= 1, by dotted path."""
-    counts = [(f"{section}.{key}", cfg[section][key], low) for section, key, low in (
-        ("pretrain", "epochs", 0), ("finetune", "adapter_init_epochs", 0), ("am", "epochs", 0),
-        ("mdn", "epochs", 0), ("decode", "nbest", 1))]
-    counts += [(f"finetune.stages[{i}].epochs", stage["epochs"], 0)
-               for i, stage in enumerate(cfg["finetune"]["stages"]) if "epochs" in stage]
-    return [f"{path}: must be an int >= {low}, got {value!r}" for path, value, low in counts
-            if isinstance(value, bool) or not isinstance(value, int) or value < low]
 
 
 def load_config(path=None, overrides=None):
     """Defaults, optionally merged with a JSON file and then with explicit
-    overrides (highest precedence). Raises one ValueError naming every
-    error of the module docstring."""
-    cfg = copy.deepcopy(DEFAULT_CONFIG)
+    overrides (highest precedence), as a plain JSON dict. Raises one
+    ValueError naming every error of the module docstring."""
+    cfg = DEFAULT_CONFIG
     if path is not None:
         with open(path) as fh:
             loaded = json.load(fh)
         if not isinstance(loaded, dict):
             raise ValueError("config file must hold a JSON object")
         cfg = merge_config(cfg, loaded)
-    if overrides:
-        cfg = merge_config(cfg, overrides)
-    errors = _structure_errors(cfg)
-    if errors:
-        raise ValueError("; ".join(errors))
-    unknown = _unknown_keys(cfg)
-    errors = ["config keys that nothing reads: " + ", ".join(unknown)] if unknown else []
-    errors += _condition_errors(cfg)
-    errors += [e for path, opt in _optimizer_mappings(cfg) for e in optimizer_errors(opt, path)]
-    errors += _count_errors(cfg)
-    for i, stage in enumerate(cfg["finetune"]["stages"]):
-        try:
-            scope_blocks(stage.get("scope", "no-feature-encoder"), cfg["encoder"]["n_blocks"])
-        except ValueError as exc:
-            errors.append(f"finetune.stages[{i}].scope: {exc}")
-    if errors:
+    cfg = merge_config(cfg, overrides)  # a copy, overrides or not
+    errors, unknown = [], []
+    _walk(cfg, DEFAULT_CONFIG, "", "", errors, unknown)
+    if unknown:
+        errors.insert(0, "config keys that nothing reads: " + ", ".join(unknown))
+    # the section checks read the values the walk checks
+    if errors or (errors := _section_errors(cfg)):
         raise ValueError("; ".join(errors))
     return cfg

@@ -47,11 +47,14 @@ class CorpusConfig:
 
     def __post_init__(self):
         if self.n_words < 4:
-            raise ValueError("need at least 4 words")
+            raise ValueError("n_words: need at least 4 words")
         if not 0.0 < self.unseen_fraction < 1.0:
-            raise ValueError("unseen_fraction must lie strictly between 0 and 1")
+            raise ValueError("unseen_fraction: must lie strictly between 0 and 1")
         if self.tones_per_word < 1 or self.n_tones < 2:
-            raise ValueError("need tones_per_word >= 1 and n_tones >= 2")
+            raise ValueError("n_tones: need n_tones >= 2 and tones_per_word >= 1")
+        for name, reps in (("train_reps", self.train_reps), ("test_reps", self.test_reps)):
+            if sum(reps.values()) < 1:
+                raise ValueError(f"{name}: need at least one repetition, got {reps}")
 
     @property
     def tone_symbols(self):

@@ -96,24 +96,23 @@ class EncoderConfig:
         self.conv_layers = tuple(tuple(layer) for layer in self.conv_layers)
         stride_us = self.total_stride() * 1_000_000 / SAMPLE_RATE
         if abs(stride_us - 20_000) > 1e-9:
-            raise ValueError(f"conv strides give a {stride_us:.1f} us hop, need 20 ms")
+            raise ValueError(f"conv_layers: strides give a {stride_us:.1f} us hop, need 20 ms")
         field_ms = self.receptive_field() * 1000 / SAMPLE_RATE
         if abs(field_ms - 25.0) > 1e-9:
-            raise ValueError(f"receptive field is {field_ms:.3f} ms, need 25 ms")
+            raise ValueError(f"conv_layers: receptive field is {field_ms:.3f} ms, need 25 ms")
         if self.groups < 1 or self.codebook_entries < 2:
-            raise ValueError("need groups >= 1 and codebook_entries >= 2")
+            raise ValueError("codebook_entries: need codebook_entries >= 2 and groups >= 1")
         if self.code_dim % self.groups != 0:
-            raise ValueError("code_dim must be divisible by groups")
-        if self.gumbel_temperature <= 0 or self.contrastive_temperature <= 0:
-            raise ValueError("temperatures must be positive")
-        if self.gumbel_temperature_min is not None and self.gumbel_temperature_min <= 0:
-            raise ValueError("gumbel_temperature_min must be positive")
+            raise ValueError(f"code_dim: must be divisible by groups ({self.groups})")
+        for name in ("gumbel_temperature", "contrastive_temperature", "gumbel_temperature_min"):
+            if getattr(self, name) is not None and getattr(self, name) <= 0:
+                raise ValueError(f"{name}: must be positive, got {getattr(self, name)}")
         if self.distractors < 0:
-            raise ValueError("distractor count must be >= 0")
+            raise ValueError("distractors: count must be >= 0")
         if not 0.0 <= self.mask_prob <= 1.0:
-            raise ValueError("mask_prob must lie in [0, 1]")
-        if self.d_model % self.n_heads != 0:
-            raise ValueError("d_model must be divisible by n_heads")
+            raise ValueError("mask_prob: must lie in [0, 1]")
+        if self.n_heads < 1 or self.d_model % self.n_heads != 0:
+            raise ValueError(f"n_heads: must divide d_model ({self.d_model}), got {self.n_heads}")
 
     def total_stride(self):
         out = 1

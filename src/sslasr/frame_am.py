@@ -25,8 +25,8 @@ class AmConfig:
 
     def __post_init__(self):
         self.offsets = tuple(int(o) for o in self.offsets)
-        if list(self.offsets) != sorted(set(self.offsets)):
-            raise ValueError("offsets must be sorted and unique")
+        if not self.offsets or list(self.offsets) != sorted(set(self.offsets)):
+            raise ValueError(f"offsets: must be sorted, unique and nonempty, got {self.offsets}")
         self.hidden_dims = tuple(self.hidden_dims)
 
 

@@ -30,7 +30,7 @@ class MdnConfig:
     def __post_init__(self):
         self.hidden_dims = tuple(self.hidden_dims)
         if self.mixtures < 1 or self.d_artic < 1:
-            raise ValueError("need mixtures >= 1 and d_artic >= 1")
+            raise ValueError("d_artic: need d_artic >= 1 and mixtures >= 1")
 
 
 @dataclass

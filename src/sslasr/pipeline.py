@@ -29,18 +29,25 @@ from pathlib import Path
 
 import numpy as np
 
-from .bottleneck import BottleneckAdapter, BottleneckConfig, train_adapter
-from .corpus import CorpusConfig, Manifest, gen_synth_corpus, partition_report
+from .bottleneck import BottleneckAdapter, train_adapter
+from .config import (
+    STAGE_DEFAULTS,
+    am_config,
+    bottleneck_config,
+    corpus_config,
+    encoder_config,
+    mdn_config,
+)
+from .corpus import Manifest, gen_synth_corpus, partition_report
 from .ctc import PosteriorStream
 from .decoder import (
     Lexicon,
     best_hypothesis,
-    check_weights,
     interpolate_posteriors,
     isolated_nbest_batch,
     parse_weight_ratio,
 )
-from .encoder import EncoderConfig, SslEncoder, finetune_ctc, pretrain, windows
+from .encoder import SslEncoder, finetune_ctc, pretrain, windows
 from .features import (
     FRAME_SHIFT_US,
     FeatureMatrix,
@@ -50,30 +57,12 @@ from .features import (
     read_wav,
     write_archive,
 )
-from .frame_am import AmConfig, FrameAm, train_am, uniform_alignment
-from .inversion import MdnConfig, MdnModel, mdn_forward, mdn_predict, train_inversion
+from .frame_am import FrameAm, train_am, uniform_alignment
+from .inversion import MdnModel, mdn_forward, mdn_predict, train_inversion
 from .params import ParameterStore
 from .rescore import rescore_hypotheses
 
 logger = logging.getLogger(__name__)
-
-
-def encoder_config(cfg) -> EncoderConfig:
-    return EncoderConfig(**cfg["encoder"])
-
-
-def corpus_config(cfg) -> CorpusConfig:
-    return CorpusConfig(**cfg["corpus"])
-
-
-def bottleneck_config(cfg, d_model) -> BottleneckConfig:
-    return BottleneckConfig(d_in=d_model, **cfg["bottleneck"])
-
-
-def am_config(cfg) -> AmConfig:
-    section = cfg["am"]
-    return AmConfig(offsets=tuple(section["offsets"]),
-                    hidden_dims=tuple(section["hidden_dims"]))
 
 
 class Corpus:
@@ -124,13 +113,12 @@ def finetune_encoder(corpus: Corpus, model: SslEncoder, cfg):
                                optimizer_cfg=section["adapter_init_optimizer"])
     del contexts  # only the adapter's initialisation reads them
     dataset = [(a.samples, corpus.tokens(r)) for a, r in zip(audio, train_records)]
-    # a user's stage list replaces the default list whole, so its entries
-    # keep their own defaults; a stage without an optimizer gets Adam's
-    histories = [finetune_ctc(dataset, model, corpus.vocab.width,
-                              epochs=stage.get("epochs", 10), seed=seed + i,
-                              scope=stage.get("scope", "no-feature-encoder"), adapter=adapter,
-                              optimizer_cfg=stage.get("optimizer"))
-                 for i, stage in enumerate(section["stages"])]
+    # each stage's missing keys come from STAGE_DEFAULTS
+    stages = [{**STAGE_DEFAULTS, **stage} for stage in section["stages"]]
+    histories = [finetune_ctc(dataset, model, corpus.vocab.width, epochs=stage["epochs"],
+                              seed=seed + i, scope=stage["scope"], adapter=adapter,
+                              optimizer_cfg=stage["optimizer"])
+                 for i, stage in enumerate(stages)]
     return adapter, histories
 
 
@@ -149,16 +137,6 @@ def load_adapter(cfg, d_model, path) -> BottleneckAdapter:
     adapter = BottleneckAdapter(bottleneck_config(cfg, d_model), seed=0)
     ParameterStore.load(path).load_into(adapter)
     return adapter
-
-
-def mdn_config(cfg) -> MdnConfig:
-    section = cfg["mdn"]
-    return MdnConfig(
-        d_in=cfg["bottleneck"]["d_bn"],
-        d_artic=section["d_artic"],
-        mixtures=section["mixtures"],
-        hidden_dims=tuple(section["hidden_dims"]),
-    )
 
 
 def load_mdn(cfg, path) -> MdnModel:
@@ -403,11 +381,11 @@ def score_hypotheses(pairs, manifest: Manifest):
 def run_recognition(corpus: Corpus, cfg, model, adapter, jobs=1):
     """Full recognition comparison on the test subsets.
 
-    Checks ``decode.weights`` (two systems) and ``rescore.alpha``/``beta``
-    first, then trains the fbk-only and fbk+w2v-bn acoustic models and
-    decodes four systems: each single system, the frame-level joint system
-    of the two (interpolated with the configured weights) and the
-    rescoring of the joint N-best lists with second-pass SSL-CTC scores.
+    Trains the fbk-only and fbk+w2v-bn acoustic models and decodes four
+    systems: each single system, the frame-level joint system of the two
+    (interpolated with ``decode.weights``) and the rescoring of the joint
+    N-best lists with second-pass SSL-CTC scores (``rescore.alpha``/
+    ``beta``); ``config.load_config`` has checked both weight pairs.
     The joint hypothesis is the head of its N-best list, so the mixed
     stream is decoded once. Each test utterance is read, turned into filterbanks and
     encoded once: the encoder pass gives both the bottleneck stream of the
@@ -421,12 +399,7 @@ def run_recognition(corpus: Corpus, cfg, model, adapter, jobs=1):
     two acoustic models.
     """
     seed = cfg["seed"]
-    # checked before either acoustic model trains
-    weights = check_weights(parse_weight_ratio(cfg["decode"]["weights"]), 2,
-                            "decode.weights (fused:fbk)")
-    n_best = cfg["decode"]["nbest"]
-    alpha, beta = check_weights([cfg["rescore"]["alpha"], cfg["rescore"]["beta"]], 2,
-                                "rescoring weights alpha:beta")
+    weights = parse_weight_ratio(cfg["decode"]["weights"])
     fbk_fn = build_feature_fn(corpus, "fbk")
     fused_fn = build_feature_fn(corpus, "fbk+w2v-bn", model=model, adapter=adapter)
     logger.info("training fbk-only acoustic model")
@@ -451,8 +424,10 @@ def run_recognition(corpus: Corpus, cfg, model, adapter, jobs=1):
         hyps[name], _ = decode_utterances([(u, [s], None) for u, s in zip(ids, streams)],
                                           lexicon, vocab)
     joint = [(u, [fused, fbk], weights) for u, fused, fbk in zip(ids, s_fused, s_fbk)]
-    hyps["joint"], nbests = decode_utterances(joint, lexicon, vocab, n_best, "tdnn")
-    hyps["rescored"] = rescore_hypotheses(nbests, ssl, vocab, alpha, beta)
+    hyps["joint"], nbests = decode_utterances(joint, lexicon, vocab, cfg["decode"]["nbest"],
+                                              "tdnn")
+    hyps["rescored"] = rescore_hypotheses(nbests, ssl, vocab, cfg["rescore"]["alpha"],
+                                          cfg["rescore"]["beta"])
     reports = {name: score_hypotheses([(h.utt_id, h.words) for h in hs], corpus.manifest)
                for name, hs in hyps.items()}
     return {"hypotheses": hyps, "reports": reports,

