@@ -7,6 +7,7 @@ Exit codes: 0 success, 2 usage error, 1 runtime error.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import logging
 import sys
@@ -15,7 +16,7 @@ from pathlib import Path
 from . import pipeline
 from .config import load_config
 from .corpus import Manifest
-from .ctc import NBestList
+from .ctc import LATTICE_WINDOW, NBestList
 from .decoder import Lexicon, check_weights, parse_weight_ratio
 from .features import write_archive
 from .params import ParameterStore
@@ -340,15 +341,19 @@ def cmd_rescore(args):
     model = pipeline.load_encoder(cfg, args.model)
     adapter = pipeline.load_adapter(cfg, model.cfg.d_model, args.adapter)
     by_id = corpus.manifest.by_id()
+    hyps = []
     with open(args.nbest) as fh:
-        nbests = [NBestList.from_json(line) for line in fh if line.strip()]
-    for nbest in nbests:
-        if nbest.utt_id not in by_id:
-            raise KeyError(f"utterance {nbest.utt_id!r} not in the corpus manifest")
-    records = [by_id[nbest.utt_id] for nbest in nbests]
-    ssl = [stream for _, _, _, h in pipeline.record_batches(corpus, records, model, adapter)
-           for stream in model.head_posteriors(h)]
-    hyps = rescore_hypotheses(nbests, ssl, corpus.vocab, alpha, beta)
+        lists = (NBestList.from_json(line) for line in fh if line.strip())
+        # one lattice window of lists at a time is read, encoded and rescored
+        while nbests := list(itertools.islice(lists, LATTICE_WINDOW)):
+            for nbest in nbests:
+                if nbest.utt_id not in by_id:
+                    raise KeyError(f"utterance {nbest.utt_id!r} not in the corpus manifest")
+            records = [by_id[nbest.utt_id] for nbest in nbests]
+            ssl = [stream for _, _, _, h in
+                   pipeline.record_batches(corpus, records, model, adapter)
+                   for stream in model.head_posteriors(h)]
+            hyps += rescore_hypotheses(nbests, ssl, corpus.vocab, alpha, beta)
     _emit_lines(_hyp_lines(hyps), args.out)
 
 

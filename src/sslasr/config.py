@@ -6,7 +6,8 @@ dotted path, in one ValueError and before anything runs:
 - each key that nothing reads and each repetition count for a name
   outside ``corpus.CONDITIONS``;
 - each value unlike its default (``_walk``): a mapping, list, int or
-  number of another type, or one below its minimum (``_MINIMUMS``);
+  number of another type, or one below its minimum (``_MINIMUMS``), and an
+  empty ``finetune.stages``;
 - each error of an optimizer mapping (``params.optimizer_errors``);
 - then each error of the five section dataclasses (``corpus_config`` ...
   ``mdn_config``), of a fine-tuning scope (``encoder.scope_blocks``) and of
@@ -168,6 +169,9 @@ def _walk(value, default, path, key, errors, unknown):
             elif name not in _FIELD_KEYS.get(path, ()):
                 unknown.append(sub)
     elif isinstance(default, list):
+        if key == "stages" and not value:
+            errors.append(f"{path}: need at least one stage (fine-tuning attaches the CTC "
+                          "head), got []")
         for i, item in enumerate(value):
             _walk(item, STAGE_DEFAULTS if key == "stages" else default[0], f"{path}[{i}]",
                   key, errors, unknown)

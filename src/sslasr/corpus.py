@@ -23,6 +23,9 @@ from .features import SAMPLE_RATE, AudioBuffer, write_wav
 # the recording conditions; the repetition tables are keyed by them
 CONDITIONS = ("source", "target")
 
+# the fewest samples a tone's envelope ramps in and out over
+_RAMP_SAMPLES = 8
+
 
 @dataclass
 class CorpusConfig:
@@ -55,6 +58,14 @@ class CorpusConfig:
         for name, reps in (("train_reps", self.train_reps), ("test_reps", self.test_reps)):
             if sum(reps.values()) < 1:
                 raise ValueError(f"{name}: need at least one repetition, got {reps}")
+        shortest = 1000.0 * _RAMP_SAMPLES / SAMPLE_RATE
+        if not self.tone_ms >= shortest:
+            raise ValueError(f"tone_ms: must be at least {shortest} (a tone's "
+                             f"{_RAMP_SAMPLES}-sample ramps), got {self.tone_ms}")
+        if not self.edge_ms >= 0.0:
+            raise ValueError(f"edge_ms: must be >= 0.0, got {self.edge_ms}")
+        if not self.target_tempo > 0.0:
+            raise ValueError(f"target_tempo: must be > 0.0, got {self.target_tempo}")
 
     @property
     def tone_symbols(self):
@@ -130,7 +141,7 @@ class Manifest:
 def _tone_segment(freq, n_samples, amplitude):
     t = np.arange(n_samples) / SAMPLE_RATE
     seg = amplitude * np.sin(2.0 * math.pi * freq * t)
-    ramp = max(8, n_samples // 16)
+    ramp = max(_RAMP_SAMPLES, n_samples // 16)
     env = np.ones(n_samples)
     env[:ramp] = np.linspace(0.0, 1.0, ramp)
     env[-ramp:] = np.linspace(1.0, 0.0, ramp)

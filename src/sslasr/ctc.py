@@ -8,11 +8,13 @@ one of two semirings, log-sum-exp (summed paths) or max (best path), and
 yields one frame at a time, so each caller keeps only what it reads.
 The loss reads every frame of its forward and backward lattices, run as
 one two-row batch: the target on the stream, and the reversed target on
-the time-reversed stream. ``_ctc_costs`` runs a padded batch of streams
-of different lengths, each with its own targets, in one frame loop and
-keeps each stream's costs at its own last frame, so a whole test set is
-decoded, or its N-best lists rescored, in one pass; the forward score is
-its single-target call.
+the time-reversed stream. ``_ctc_costs`` scores a test set's streams, of
+different lengths and each with its own targets, one window of
+``LATTICE_WINDOW`` streams at a time: each window is a padded batch run
+in one frame loop, each stream's costs read at its own last frame. So a
+decode, or the rescoring of a set of N-best lists, holds one window's
+lattice whatever the size of the test set; the forward score is its
+single-target call.
 
 Alignment-lattice conventions: blank id is 0, lexical tokens are 1..V,
 and all lattice arithmetic runs in log space with -inf for impossible
@@ -181,22 +183,41 @@ def _final_costs(alpha, n_states, plus):
     return -score
 
 
+# Streams per lattice pass of ``_ctc_costs``. tests/bench_lattice.py sweeps
+# the window at decode-lex40 shape in both semirings: 64 streams time
+# within noise of 320 (its whole test set) at about a fifth of the traced
+# peak, and 8 run slower.
+LATTICE_WINDOW = 64
+
+
 def _ctc_costs(logps, targets, plus):
-    """(B, N) costs of each stream's own targets, in one frame loop.
+    """(B, N) costs of each stream's own targets, ``LATTICE_WINDOW`` streams
+    per frame loop.
 
     ``targets[b]`` lists the targets of stream ``b``. The lists may differ
     in length: N is the longest, and a shorter list's missing costs are
-    +inf. The streams may differ in length too. They are padded into one
-    (T, B, V) array, the recursion runs over (B, N, S) alphas, each row
-    with its own states, blank-skip mask and final states, and each
-    stream's costs are read at its own last frame, so every cost equals
-    the lattice of that stream and target alone bit for bit. A stream of
-    no frames has no path.
+    +inf. The streams may differ in length too. They run in consecutive
+    windows (``_window_costs``), each padded into one lattice batch, and
+    each window's costs go into the one result, so the lattice held at
+    once does not grow with the number of streams. Every cost
+    equals the lattice of that stream and target alone bit for bit.
     """
     if len(targets) != len(logps):
         raise ValueError(f"{len(logps)} streams but {len(targets)} target lists")
-    if not logps:
-        return np.zeros((0, 0))
+    costs = np.full((len(logps), max(map(len, targets), default=0)), np.inf)
+    for start in range(0, len(logps), LATTICE_WINDOW):
+        window = slice(start, start + LATTICE_WINDOW)
+        part = _window_costs(logps[window], targets[window], plus)
+        costs[window, : part.shape[1]] = part
+    return costs
+
+
+def _window_costs(logps, targets, plus):
+    """``_ctc_costs`` of one window of streams, in one frame loop. They are
+    padded into one (T, B, V) array, the recursion runs over (B, N, S)
+    alphas, each row with its own states, blank-skip mask and final
+    states, and each stream's costs are read at its own last frame. A
+    stream of no frames has no path."""
     lengths = np.array([len(x) for x in logps], dtype=np.int64)
     width = logps[0].shape[1]
     padded = np.zeros((lengths.max(), len(logps), width))

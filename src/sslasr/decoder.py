@@ -5,8 +5,9 @@ combination of per-frame distributions). Decoding scores every lexicon
 word on the shared CTC lattice of ``ctc`` under the max semiring (its
 other semiring, log-sum-exp, scores rescoring passes) and ranks the
 words by cost: ``isolated_nbest_batch`` scores every word on every
-stream of a test set in one frame loop, ``isolated_nbest`` is its
-one-stream case and ``decode_stream`` that case's best word.
+stream of a test set, one lattice window of streams per frame loop
+(``ctc.LATTICE_WINDOW``), ``isolated_nbest`` is its one-stream case and
+``decode_stream`` that case's best word.
 """
 
 from __future__ import annotations
@@ -213,10 +214,11 @@ def isolated_nbest(stream: PosteriorStream, lexicon: Lexicon, vocab: TokenVocab,
 def isolated_nbest_batch(streams, lexicon: Lexicon, vocab: TokenVocab, n, utt_ids,
                          system="am") -> list:
     """One N-best list per stream, every lexicon word on every stream
-    scored in one max-semiring lattice pass over the padded batch; the
-    streams may differ in length. Words are ranked by isolated alignment
-    cost, ties going to the lowest lexicon index. Infeasible words get
-    +inf cost and sort last (kept so rescoring sees a fixed-size list)."""
+    scored in max-semiring lattice passes over padded windows of streams
+    (``ctc._ctc_costs``); the streams may differ in length. Words are
+    ranked by isolated alignment cost, ties going to the lowest lexicon
+    index. Infeasible words get +inf cost and sort last (kept so rescoring
+    sees a fixed-size list)."""
     if len(utt_ids) != len(streams):
         raise ValueError(f"{len(streams)} streams but {len(utt_ids)} utterance ids")
     words = _resolve_tokens(lexicon, vocab)

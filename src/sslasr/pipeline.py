@@ -6,10 +6,12 @@ the acceptance suite all drive these functions.
 Decoding runs in this process, and every decode pass of the recipe and
 the CLI goes through ``decode_utterances``: a single system's streams and
 a joint system's weighted streams alike are tasks of one call, which
-decodes a whole isolated-word test set in one batched lattice pass
-(``decoder.isolated_nbest_batch``).
-Every rescoring pass goes through ``rescore.rescore_hypotheses``, which
-scores all the joint N-best lists in one more pass.
+decodes an isolated-word test set in batched lattice passes, one window
+of ``ctc.LATTICE_WINDOW`` utterances each
+(``decoder.isolated_nbest_batch``). Every rescoring pass goes through
+``rescore.rescore_hypotheses``, which scores the joint N-best lists the
+same way; the CLI's ``rescore`` reads, encodes and rescores its N-best
+file one such window of lists at a time.
 
 Forward passes over many utterances run in ragged batches.
 ``record_batches`` reads records just in time, a fixed window at a time
@@ -344,11 +346,11 @@ def decode_utterances(tasks, lexicon: Lexicon, vocab, n=1, system="am"):
     ``(hypotheses, nbests)`` in utterance-id order.
 
     A task with one stream and no weights decodes that stream; otherwise
-    its streams are interpolated first (equal weights when None). Every
-    task is decoded in one batched lattice pass
-    (``decoder.isolated_nbest_batch``) into an N-best list of depth ``n``
-    whose entries are costed under ``system``, and each hypothesis is the
-    head of its list.
+    its streams are interpolated first (equal weights when None). The
+    tasks are decoded in batched lattice passes, one window of
+    ``ctc.LATTICE_WINDOW`` streams each (``decoder.isolated_nbest_batch``),
+    into N-best lists of depth ``n`` whose entries are costed under
+    ``system``, and each hypothesis is the head of its list.
     """
     tasks = sorted(tasks, key=lambda task: task[0])
     utt_ids, streams = [], []

@@ -19,12 +19,12 @@ def score_nbest_with_ssl(pairs, vocab: TokenVocab, system="w2v"):
     """Attach a CTC forward score to every entry of each (N-best list,
     SSL stream) pair.
 
-    Every entry of every list is scored in one log-semiring lattice pass
-    (``ctc._ctc_costs``), each list on its own stream; lists may differ in
-    depth. Entries whose token sequence cannot be aligned in the stream
-    get +inf cost and stay in the list. Returns an iterator over the
-    scored lists in order; each is built as it is read, so a caller that
-    rescores and drops them holds one at a time.
+    Every entry of every list is scored in log-semiring lattice passes
+    over windows of pairs (``ctc._ctc_costs``), each list on its own
+    stream; lists may differ in depth. Entries whose token sequence cannot
+    be aligned in the stream get +inf cost and stay in the list. Returns an
+    iterator over the scored lists in order; each is built as it is read,
+    so a caller that rescores and drops them holds one at a time.
     """
     pairs = list(pairs)
     targets = [[_check_target(vocab.ids_of(e.tokens), stream.width) for e in nbest.entries]

@@ -4,10 +4,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from sslasr import pipeline
+from sslasr import cli, pipeline
 from sslasr.cli import main
 from sslasr.config import load_config
-from sslasr.ctc import PosteriorStream
+from sslasr.ctc import NBestList, PosteriorStream
 from sslasr.decoder import (
     Lexicon,
     decode_stream,
@@ -16,6 +16,7 @@ from sslasr.decoder import (
     parse_weight_ratio,
 )
 from sslasr.features import compute_fbank, read_archive
+from sslasr.rescore import rescore_hypotheses
 
 
 @pytest.fixture(scope="module")
@@ -459,6 +460,63 @@ class TestJointAndRescore:
         assert rc == 0
         lines = [json.loads(l) for l in out.read_text().splitlines()]
         assert lines and all(d["words"] for d in lines)
+
+
+class TestRescoreWindows:
+    """``rescore`` reads, encodes and rescores its N-best file one window of
+    lists at a time (four lists here, so the file spans several)."""
+
+    @pytest.fixture
+    def nbest_file(self, workdir, tmp_path, monkeypatch):
+        root, corpus, cfg = workdir
+        nb = tmp_path / "nb.jsonl"
+        assert main(["decode", "--config", cfg, "--corpus", str(corpus),
+                     "--am", str(root / "am_fbk.spm"), "--features", "fbk",
+                     "--lexicon", str(corpus / "lexicon.json"), "--nbest", "4",
+                     "--nbest-out", str(nb), "--out", str(tmp_path / "h.jsonl")]) == 0
+        monkeypatch.setattr(cli, "LATTICE_WINDOW", 4)
+        return nb
+
+    def _rescore(self, workdir, nbest_file, out):
+        root, corpus, cfg = workdir
+        return main(["rescore", "--config", cfg, "--nbest", str(nbest_file),
+                     "--corpus", str(corpus), "--model", str(root / "ft.spm"),
+                     "--adapter", str(root / "adapter.spm"), "--weights", "2:9",
+                     "--out", str(out)])
+
+    def test_windows_equal_one_call(self, workdir, nbest_file, tmp_path, monkeypatch):
+        root, corpus, cfg = workdir
+        sizes = []
+
+        def counted(nbests, *args):
+            sizes.append(len(nbests))
+            return rescore_hypotheses(nbests, *args)
+
+        monkeypatch.setattr(cli, "rescore_hypotheses", counted)
+        out = tmp_path / "rescored.jsonl"
+        assert self._rescore(workdir, nbest_file, out) == 0
+        assert max(sizes) == cli.LATTICE_WINDOW and len(sizes) > 2
+        loaded, c = load_config(cfg), pipeline.Corpus(corpus)
+        model = pipeline.load_encoder(loaded, root / "ft.spm")
+        adapter = pipeline.load_adapter(loaded, model.cfg.d_model, root / "adapter.spm")
+        nbests = [NBestList.from_json(line) for line in nbest_file.read_text().splitlines()]
+        by_id = c.manifest.by_id()
+        ssl = [s for _, _, _, h in pipeline.record_batches(
+            c, [by_id[nb.utt_id] for nb in nbests], model, adapter)
+            for s in model.head_posteriors(h)]
+        assert out.read_text() == _json_lines(
+            rescore_hypotheses(nbests, ssl, c.vocab, 2.0, 9.0))
+
+    def test_unknown_id_in_last_window(self, workdir, nbest_file, tmp_path, capsys):
+        lines = nbest_file.read_text().splitlines()
+        assert len(lines) > cli.LATTICE_WINDOW
+        last = json.loads(lines[-1])
+        last["utt_id"] = "nobody"
+        nbest_file.write_text("\n".join(lines[:-1] + [json.dumps(last)]) + "\n")
+        out = tmp_path / "never.jsonl"
+        assert self._rescore(workdir, nbest_file, out) == 1
+        assert "utterance 'nobody' not in the corpus manifest" in capsys.readouterr().err
+        assert not out.exists()
 
 
 def _json_lines(objs):

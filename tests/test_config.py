@@ -11,6 +11,7 @@ from sslasr.cli import main
 from sslasr.config import DEFAULT_CONFIG, STAGE_DEFAULTS, load_config, merge_config
 from sslasr.decoder import check_weights, parse_weight_ratio
 from sslasr.encoder import scope_blocks
+from sslasr.features import compute_fbank
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -145,10 +146,30 @@ class TestScalars:
         ({"bottleneck": {"dropout": 1.0}}, "bottleneck.dropout: rate must lie in [0, 1), got 1.0"),
         ({"am": {"offsets": [1, 0]}}, "am.offsets: must be sorted, unique and nonempty, got (1, 0)"),
         ({"mdn": {"d_artic": 0}}, "mdn.d_artic: must be an int >= 1, got 0"),
+        # each of these loaded, then failed after fine-tuning or while the
+        # corpus was generated
+        ({"finetune": {"stages": []}},
+         "finetune.stages: need at least one stage (fine-tuning attaches the CTC head), "
+         "got []"),
+        ({"corpus": {"tone_ms": 0}},
+         "corpus.tone_ms: must be at least 0.5 (a tone's 8-sample ramps), got 0"),
+        ({"corpus": {"tone_ms": -5.0}},
+         "corpus.tone_ms: must be at least 0.5 (a tone's 8-sample ramps), got -5.0"),
+        ({"corpus": {"edge_ms": -40.0}}, "corpus.edge_ms: must be >= 0.0, got -40.0"),
+        ({"corpus": {"target_tempo": 0}}, "corpus.target_tempo: must be > 0.0, got 0"),
     ])
     def test_rejected_by_dotted_path(self, override, error):
         with pytest.raises(ValueError, match="^" + re.escape(error) + "$"):
             load_config(overrides=override)
+
+    @pytest.mark.parametrize("bound", [{"tone_ms": 0.5}, {"edge_ms": 0.0}])
+    def test_tone_and_edge_bounds_generate_a_corpus(self, tmp_path, bound):
+        cfg = load_config(overrides={"corpus": {
+            **bound, "n_words": 4, "n_speakers": 1,
+            "train_reps": {"source": 1, "target": 1}, "test_reps": {"source": 1}}})
+        pipeline.generate_corpus(tmp_path, cfg)
+        corpus = pipeline.Corpus(tmp_path)
+        assert all(compute_fbank(corpus.audio(r)).n_frames for r in corpus.manifest)
 
     def test_null_annealing_floor_loads(self):
         cfg = load_config(overrides={"encoder": {"gumbel_temperature_min": None}})

@@ -1,8 +1,11 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from sslasr import ctc
 from sslasr.ctc import (
     NBestEntry,
     NBestList,
@@ -15,6 +18,7 @@ from sslasr.ctc import (
 )
 from sslasr.nn import log_softmax, log_softmax_backward
 
+from bench_lattice import lex40_case, traced_peak
 from gradcheck import array_grad_check
 from oracles import (
     best_alignment_cost_by_enumeration,
@@ -309,17 +313,27 @@ class TestStreamBatch:
             assert row.tobytes() == ctc_lattice(logp, targets, plus)[1].tobytes()
 
     @settings(max_examples=60, deadline=None)
-    @given(case=per_stream_batches(6, 12, 6), semiring=st.sampled_from(sorted(SEMIRINGS)))
-    @example(case=EDGE_LISTS, semiring="log")
-    @example(case=EDGE_LISTS, semiring="max")
-    def test_per_stream_targets_equal_per_stream_lattice(self, case, semiring):
+    @given(case=per_stream_batches(6, 12, 6), semiring=st.sampled_from(sorted(SEMIRINGS)),
+           window=st.sampled_from([1, 2, 3, ctc.LATTICE_WINDOW]))
+    @example(case=EDGE_LISTS, semiring="log", window=2)
+    @example(case=EDGE_LISTS, semiring="max", window=2)
+    def test_per_stream_targets_equal_per_stream_lattice(self, case, semiring, window):
+        # small windows put lists of different depths, and streams of
+        # different lengths, in different lattice passes
         logps, lists = case
         plus, _ = SEMIRINGS[semiring]
-        costs = _ctc_costs(logps, lists, plus)
+        with mock.patch.object(ctc, "LATTICE_WINDOW", window):
+            costs = _ctc_costs(logps, lists, plus)
         assert costs.shape == (len(logps), max(len(ts) for ts in lists))
         for logp, ts, row in zip(logps, lists, costs):
             assert row[: len(ts)].tobytes() == ctc_lattice(logp, ts, plus)[1].tobytes()
             assert np.isinf(row[len(ts) :]).all()
+
+    def test_traced_peak_does_not_grow_with_streams(self):
+        # one window's lattice at a time, at decode-lex40 shape
+        small, large = (traced_peak(_ctc_costs, *lex40_case(n), np.maximum)
+                        for n in (64, 1280))
+        assert large <= 1.5 * small
 
     def test_target_lists_must_match_streams(self):
         logps, targets = EDGE_STREAMS

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from sslasr import ctc
 from sslasr.ctc import PosteriorStream, TokenVocab
 from sslasr.decoder import (
     DecodeError,
@@ -165,7 +166,9 @@ class TestIsolatedNbest:
 
 
 class TestIsolatedNbestBatch:
-    def test_equals_per_stream_lists(self):
+    def test_equals_per_stream_lists(self, monkeypatch):
+        # two streams per lattice window: the batch spans three windows
+        monkeypatch.setattr(ctc, "LATTICE_WINDOW", 2)
         rng = np.random.default_rng(12)
         # a one-frame stream fits only "two"; "three" needs three frames
         streams = [rand_stream(t, 3, rng) for t in (1, 6, 2, 4, 3)]

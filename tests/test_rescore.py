@@ -1,8 +1,11 @@
+from unittest import mock
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from sslasr import ctc
 from sslasr.ctc import (
     NBestEntry,
     NBestList,
@@ -85,15 +88,19 @@ class TestScoreWithSsl:
     @given(frames=st.lists(st.integers(1, 8), min_size=1, max_size=6),
            depths=st.lists(st.integers(0, 5), min_size=6, max_size=6),
            seed=st.integers(0, 2**32 - 1))
+    @example(frames=[1, 5, 3, 8, 2], depths=[0, 1, 5, 2, 3, 0], seed=0)
     def test_pairs_equal_per_stream_lattice(self, frames, depths, seed):
         # lists of different depths on streams of different lengths, some
-        # entries too long to align in their stream
+        # entries too long to align in their stream; two pairs per lattice
+        # window, so windows of different depths pad the result with +inf
         rng = np.random.default_rng(seed)
         pairs = []
         for t, depth in zip(frames, depths):
             toks = [list(rng.choice(["a", "b"], size=rng.integers(0, 7))) for _ in range(depth)]
             pairs.append((nbest(range(depth), tokens=toks), rand_stream(t, 2, rng)))
-        for (nb, stream), got in zip(pairs, score_nbest_with_ssl(pairs, VOCAB)):
+        with mock.patch.object(ctc, "LATTICE_WINDOW", 2):
+            scored_lists = list(score_nbest_with_ssl(pairs, VOCAB))
+        for (nb, stream), got in zip(pairs, scored_lists):
             assert [e.words for e in got.entries] == [e.words for e in nb.entries]
             targets = [VOCAB.ids_of(e.tokens) for e in nb.entries]
             expected = ctc_lattice(stream.logp, targets, np.logaddexp)[1]
