@@ -23,9 +23,9 @@ logger = logging.getLogger(__name__)
 
 @dataclass
 class BottleneckConfig:
-    d_in: int = 1024
-    d_bn: int = 256
-    dropout: float = 0.1
+    d_in: int  # encoder.d_model
+    d_bn: int
+    dropout: float
 
     def __post_init__(self):
         if self.d_bn >= self.d_in:

@@ -1,23 +1,27 @@
 """Global JSON configuration: one file with per-module sections; CLI flags
-override individual keys. The shipped defaults are desk-scale settings
-that train and decode within minutes on a CPU. ``load_config`` names by
-dotted path, in one ValueError and before anything runs:
+override individual keys. ``DEFAULT_CONFIG`` holds the one default of
+every setting: desk-scale values that train and decode within minutes on
+a CPU. The section dataclasses have no defaults of their own; each is
+built from a loaded section by its builder here (``corpus_config`` ...
+``mdn_config``). What no config sets is a module constant, such as the
+encoder's CNN stack (``encoder.CONV_LAYERS``) and the corpus's tone range.
+``load_config`` names by dotted path, in one ValueError and before
+anything runs:
 
 - each key that nothing reads and each repetition count for a name
   outside ``corpus.CONDITIONS``;
 - each value unlike its default (``_walk``): a mapping, list, int or
-  number of another type, or one below its minimum (``_MINIMUMS``), and an
-  empty ``finetune.stages``;
+  number of another type (a null too), or one below its minimum
+  (``_MINIMUMS``), and an empty ``finetune.stages``;
 - each error of an optimizer mapping (``params.optimizer_errors``);
-- then each error of the five section dataclasses (``corpus_config`` ...
-  ``mdn_config``), of a fine-tuning scope (``encoder.scope_blocks``) and of
-  ``decode.weights`` or ``rescore.alpha``/``beta`` (``check_weights``)."""
+- then each error of the five section dataclasses, of a fine-tuning
+  scope (``encoder.scope_blocks``) and of ``decode.weights`` or
+  ``rescore.alpha``/``beta`` (``check_weights``)."""
 
 from __future__ import annotations
 
 import copy
 import json
-from dataclasses import fields
 
 from .bottleneck import BottleneckConfig
 from .corpus import CONDITIONS, CorpusConfig
@@ -57,7 +61,7 @@ DEFAULT_CONFIG = {
         "mask_span": 10,
         "contrastive_temperature": 0.1,
         "gumbel_temperature": 2.0,
-        "gumbel_temperature_min": 0.75,  # linear annealing across pretraining
+        "gumbel_temperature_min": 0.75,  # reached linearly by the last pretraining epoch
         "distractors": 5,
         "loss_weight_diversity": 0.1,
     },
@@ -123,10 +127,6 @@ STAGE_DEFAULTS = {"epochs": 10, "scope": "no-feature-encoder", "optimizer": OPTI
 _MINIMUMS = {"seed": 0, "epochs": 0, "adapter_init_epochs": 0, "distractors": 0,
              **dict.fromkeys(CONDITIONS, 0), "offsets": None, "map_noise": 0.0}
 
-# the keys outside the defaults that a section's dataclass still reads
-_FIELD_KEYS = {key: {f.name for f in fields(cls)}
-               for key, cls in (("corpus", CorpusConfig), ("encoder", EncoderConfig))}
-
 
 def encoder_config(cfg) -> EncoderConfig:
     return EncoderConfig(**cfg["encoder"])
@@ -166,7 +166,7 @@ def _walk(value, default, path, key, errors, unknown):
             elif key.endswith("_reps"):
                 errors.append(f"{sub}: not a condition (the conditions are "
                               f"{', '.join(CONDITIONS)})")
-            elif name not in _FIELD_KEYS.get(path, ()):
+            else:
                 unknown.append(sub)
     elif isinstance(default, list):
         if key == "stages" and not value:
@@ -175,9 +175,7 @@ def _walk(value, default, path, key, errors, unknown):
         for i, item in enumerate(value):
             _walk(item, STAGE_DEFAULTS if key == "stages" else default[0], f"{path}[{i}]",
                   key, errors, unknown)
-    # a null gumbel_temperature_min keeps the temperature fixed
-    elif isinstance(default, (int, float)) and (value is not None
-                                                or key != "gumbel_temperature_min"):
+    elif isinstance(default, (int, float)):
         kind, what, low = ((int, "an int", _MINIMUMS.get(key, 1)) if isinstance(default, int)
                            else ((int, float), "a number", _MINIMUMS.get(key)))
         if (isinstance(value, bool) or not isinstance(value, kind)

@@ -12,13 +12,13 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .decoder import Lexicon, LexiconEntry
-from .features import SAMPLE_RATE, AudioBuffer, write_wav
+from .features import FBANK_WIN, SAMPLE_RATE, AudioBuffer, write_wav
 
 # the recording conditions; the repetition tables are keyed by them
 CONDITIONS = ("source", "target")
@@ -26,27 +26,42 @@ CONDITIONS = ("source", "target")
 # the fewest samples a tone's envelope ramps in and out over
 _RAMP_SAMPLES = 8
 
+# the tone alphabet spans TONE_LOW_HZ..TONE_HIGH_HZ in equal ratios; each
+# speaker's tones are shifted by a factor SPEAKER_SPREAD apart
+TONE_LOW_HZ = 400.0
+TONE_HIGH_HZ = 3400.0
+SPEAKER_SPREAD = 0.02
+
+
+def _samples(ms):
+    return int(round(ms * SAMPLE_RATE / 1000.0))
+
 
 @dataclass
 class CorpusConfig:
-    n_words: int = 10
-    unseen_fraction: float = 0.4
-    n_tones: int = 12
-    tones_per_word: int = 3
-    n_speakers: int = 4
-    train_reps: dict = field(default_factory=lambda: {"source": 2, "target": 1})
-    test_reps: dict = field(default_factory=lambda: {"source": 1, "target": 1})
-    tone_ms: float = 120.0
-    edge_ms: float = 40.0
-    amplitude: float = 0.3
-    noise_rms: float = 0.01
-    tone_low_hz: float = 400.0
-    tone_high_hz: float = 3400.0
-    speaker_spread: float = 0.02
+    """The checked ``corpus`` section of a loaded config, built by
+    ``config.corpus_config``. The tone range and the speaker spread are
+    fixed (``TONE_LOW_HZ``, ``TONE_HIGH_HZ``, ``SPEAKER_SPREAD``).
+
+    Every utterance must cover one 25 ms filterbank window
+    (``features.FBANK_WIN``, also the encoder's receptive field), so the
+    shortest utterance of each generated condition is checked here."""
+
+    n_words: int
+    unseen_fraction: float
+    n_tones: int
+    tones_per_word: int
+    n_speakers: int
+    train_reps: dict
+    test_reps: dict
+    tone_ms: float
+    edge_ms: float
+    amplitude: float
+    noise_rms: float
     # target-condition shift: spectral tilt + tempo change + extra noise
-    target_tilt: float = 0.35
-    target_tempo: float = 0.92
-    target_noise_rms: float = 0.05
+    target_tilt: float
+    target_tempo: float
+    target_noise_rms: float
 
     def __post_init__(self):
         if self.n_words < 4:
@@ -66,14 +81,29 @@ class CorpusConfig:
             raise ValueError(f"edge_ms: must be >= 0.0, got {self.edge_ms}")
         if not self.target_tempo > 0.0:
             raise ValueError(f"target_tempo: must be > 0.0, got {self.target_tempo}")
+        utterances = (f"tone_ms: {self.tones_per_word} tones of {self.tone_ms} ms between edges "
+                      f"of {self.edge_ms} ms (target_tempo {self.target_tempo}) make utterances")
+        try:
+            n = min(self.utterance_samples(c) for reps in (self.train_reps, self.test_reps)
+                    for c, count in reps.items() if count)
+        except OverflowError:  # an infinite duration
+            raise ValueError(f"{utterances} of unbounded length") from None
+        if n < FBANK_WIN:
+            raise ValueError(f"{utterances} of {n} samples, shorter than one {FBANK_WIN}-sample "
+                             "(25 ms) filterbank window")
+
+    def utterance_samples(self, condition):
+        """The samples of each utterance in ``condition``."""
+        n = self.tones_per_word * _samples(self.tone_ms) + 2 * _samples(self.edge_ms)
+        return int(round(n / self.target_tempo)) if condition == "target" else n
 
     @property
     def tone_symbols(self):
         return tuple(f"t{i + 1:02d}" for i in range(self.n_tones))
 
     def tone_frequencies(self):
-        ratio = self.tone_high_hz / self.tone_low_hz
-        return self.tone_low_hz * ratio ** (np.arange(self.n_tones) / (self.n_tones - 1))
+        ratio = TONE_HIGH_HZ / TONE_LOW_HZ
+        return TONE_LOW_HZ * ratio ** (np.arange(self.n_tones) / (self.n_tones - 1))
 
 
 @dataclass
@@ -150,8 +180,8 @@ def _tone_segment(freq, n_samples, amplitude):
 
 def synth_word(word_tones, cfg: CorpusConfig, speaker_factor, condition, rng):
     """Render one utterance waveform for a tone-sequence word."""
-    tone_n = int(round(cfg.tone_ms * SAMPLE_RATE / 1000.0))
-    edge_n = int(round(cfg.edge_ms * SAMPLE_RATE / 1000.0))
+    tone_n = _samples(cfg.tone_ms)
+    edge_n = _samples(cfg.edge_ms)
     freqs = cfg.tone_frequencies()
     parts = [np.zeros(edge_n)]
     for tone_idx in word_tones:
@@ -160,7 +190,7 @@ def synth_word(word_tones, cfg: CorpusConfig, speaker_factor, condition, rng):
     x = np.concatenate(parts)
     if condition == "target":
         # tempo change by resampling, then a first-order spectral tilt
-        n_out = int(round(x.size / cfg.target_tempo))
+        n_out = cfg.utterance_samples(condition)
         x = np.interp(np.arange(n_out) * cfg.target_tempo, np.arange(x.size), x)
         tilted = x.copy()
         tilted[1:] = x[1:] - cfg.target_tilt * x[:-1]
@@ -224,7 +254,7 @@ def gen_synth_corpus(out_dir, cfg: CorpusConfig, seed) -> tuple[Manifest, Lexico
         alphabet=symbols,
     )
     speakers = [f"spk{i + 1}" for i in range(cfg.n_speakers)]
-    factors = 1.0 + cfg.speaker_spread * (
+    factors = 1.0 + SPEAKER_SPREAD * (
         np.arange(cfg.n_speakers) - (cfg.n_speakers - 1) / 2.0
     )
     records = []

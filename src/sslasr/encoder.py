@@ -3,8 +3,8 @@ transformer context network, a grouped Gumbel-softmax quantizer, masked
 contrastive + diversity pretraining, and a CTC projection head for
 supervised fine-tuning.
 
-Frame geometry is fixed by the CNN stack: stride 320 samples (20 ms at
-16 kHz) and receptive field 400 samples (25 ms).
+Frame geometry is fixed by the CNN stack (``CONV_LAYERS``): stride 320
+samples (20 ms at 16 kHz) and receptive field 400 samples (25 ms).
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .ctc import PosteriorStream, ctc_loss
-from .features import SAMPLE_RATE, AudioBuffer
+from .features import FBANK_WIN, SAMPLE_RATE, AudioBuffer
 from .nn import (
     Conv1d,
     Gelu,
@@ -39,24 +39,22 @@ from .params import train_epochs
 
 logger = logging.getLogger(__name__)
 
-# wide first kernel, two layers: strides multiply to 320 samples (20 ms)
-# with a 400-sample (25 ms) receptive field; resolves tone content far
-# better than a deep narrow stack at this parameter budget
-DEFAULT_CONV_LAYERS = (
+# the CNN stack, one (channels, kernel, stride) per layer: a wide first
+# kernel resolves tone content far better than a deep narrow stack at this
+# parameter budget. Its strides multiply to STRIDE and its receptive field
+# is RECEPTIVE_FIELD samples.
+CONV_LAYERS = (
     (32, 80, 80),
     (32, 5, 4),
 )
-
-# the classic seven-layer stack meets the same stride/field contract
-DEEP_CONV_LAYERS = (
-    (32, 10, 5),
-    (32, 3, 2),
-    (32, 3, 2),
-    (32, 3, 2),
-    (32, 3, 2),
-    (32, 2, 2),
-    (32, 2, 2),
-)
+# the frame contract at features.SAMPLE_RATE: a 20 ms hop, which the
+# bottleneck adapter doubles in rate to features.FRAME_SHIFT_US, over a
+# 25 ms receptive field, the filterbank's window
+STRIDE = 320
+RECEPTIVE_FIELD = FBANK_WIN
+FRAME_SHIFT_US = STRIDE * 1_000_000 // SAMPLE_RATE
+# the sinusoidal table's amplitude at the transformer input
+POSITION_SCALE = 0.3
 
 
 # utterances per ragged batch when many are encoded (see windows).
@@ -69,43 +67,36 @@ _WINDOW = 8
 
 @dataclass
 class EncoderConfig:
-    """Geometry and loss settings for the toy encoder.
+    """The checked ``encoder`` section of a loaded config, built by
+    ``config.encoder_config``: the transformer, quantizer and loss
+    settings. The CNN geometry is fixed (``CONV_LAYERS``).
 
-    ``conv_layers`` is a tuple of (channels, kernel, stride); the strides
-    must multiply to a 20 ms hop and the stack's receptive field must span
-    25 ms at 16 kHz (``features.SAMPLE_RATE``).
+    ``gumbel_temperature_min`` is the Gumbel temperature at the last
+    pretraining epoch, reached linearly from ``gumbel_temperature``; set it
+    equal to ``gumbel_temperature`` to keep the temperature fixed.
     """
 
-    conv_layers: tuple = DEFAULT_CONV_LAYERS
-    d_model: int = 64
-    n_blocks: int = 2
-    n_heads: int = 4
-    groups: int = 2
-    codebook_entries: int = 8  # 320 per codebook at paper scale
-    code_dim: int = 16
-    mask_prob: float = 0.065
-    mask_span: int = 10
-    contrastive_temperature: float = 0.1  # kappa
-    gumbel_temperature: float = 2.0  # tau; fixed by default
-    gumbel_temperature_min: float | None = None  # set below tau to anneal linearly over pretraining
-    distractors: int = 5  # K
-    loss_weight_diversity: float = 0.1
-    position_scale: float = 0.3  # sinusoidal table amplitude at the transformer input
+    d_model: int
+    n_blocks: int
+    n_heads: int
+    groups: int
+    codebook_entries: int  # 320 per codebook at paper scale
+    code_dim: int
+    mask_prob: float
+    mask_span: int
+    contrastive_temperature: float  # kappa
+    gumbel_temperature: float  # tau
+    gumbel_temperature_min: float
+    distractors: int  # K
+    loss_weight_diversity: float
 
     def __post_init__(self):
-        self.conv_layers = tuple(tuple(layer) for layer in self.conv_layers)
-        stride_us = self.total_stride() * 1_000_000 / SAMPLE_RATE
-        if abs(stride_us - 20_000) > 1e-9:
-            raise ValueError(f"conv_layers: strides give a {stride_us:.1f} us hop, need 20 ms")
-        field_ms = self.receptive_field() * 1000 / SAMPLE_RATE
-        if abs(field_ms - 25.0) > 1e-9:
-            raise ValueError(f"conv_layers: receptive field is {field_ms:.3f} ms, need 25 ms")
         if self.groups < 1 or self.codebook_entries < 2:
             raise ValueError("codebook_entries: need codebook_entries >= 2 and groups >= 1")
         if self.code_dim % self.groups != 0:
             raise ValueError(f"code_dim: must be divisible by groups ({self.groups})")
         for name in ("gumbel_temperature", "contrastive_temperature", "gumbel_temperature_min"):
-            if getattr(self, name) is not None and getattr(self, name) <= 0:
+            if getattr(self, name) <= 0:
                 raise ValueError(f"{name}: must be positive, got {getattr(self, name)}")
         if self.distractors < 0:
             raise ValueError("distractors: count must be >= 0")
@@ -113,27 +104,6 @@ class EncoderConfig:
             raise ValueError("mask_prob: must lie in [0, 1]")
         if self.n_heads < 1 or self.d_model % self.n_heads != 0:
             raise ValueError(f"n_heads: must divide d_model ({self.d_model}), got {self.n_heads}")
-
-    def total_stride(self):
-        out = 1
-        for _, _, s in self.conv_layers:
-            out *= s
-        return out
-
-    def receptive_field(self):
-        rf, jump = 1, 1
-        for _, k, s in self.conv_layers:
-            rf += (k - 1) * jump
-            jump *= s
-        return rf
-
-    @property
-    def frame_shift_us(self):
-        return int(round(self.total_stride() * 1_000_000 / SAMPLE_RATE))
-
-    @property
-    def d_z(self):
-        return self.conv_layers[-1][0]
 
 
 def sample_mask_spans(n_frames, mask_prob, mask_span, rng, ensure_nonempty=False):
@@ -373,12 +343,12 @@ class SslEncoder(Module):
         self.convs = []
         self.conv_acts = []
         c_prev = 1
-        for i, (c_out, k, s) in enumerate(cfg.conv_layers):
+        for i, (c_out, k, s) in enumerate(CONV_LAYERS):
             self.convs.append(Conv1d(rng, c_prev, c_out, k, s, f"conv{i}", init="kaiming"))
             self.conv_acts.append(Gelu())
             c_prev = c_out
-        self.z_norm = LayerNorm(cfg.d_z, "z_norm")
-        self.proj = Linear(rng, cfg.d_z, cfg.d_model, "proj")
+        self.z_norm = LayerNorm(c_prev, "z_norm")
+        self.proj = Linear(rng, c_prev, cfg.d_model, "proj")
         self.mask_emb = Parameter(
             "mask_emb", rng.uniform(-1, 1, size=cfg.d_model) / math.sqrt(cfg.d_model)
         )
@@ -387,7 +357,7 @@ class SslEncoder(Module):
             for i in range(cfg.n_blocks)
         ]
         self.final_norm = LayerNorm(cfg.d_model, "final_norm")
-        self.quantizer = GumbelQuantizer(rng, cfg.d_z, cfg)
+        self.quantizer = GumbelQuantizer(rng, c_prev, cfg)
         self.head = None
 
     # ---- feature encoder ----
@@ -410,10 +380,10 @@ class SslEncoder(Module):
         utterance (``batch`` None: the training forward, which keeps what
         its backward pass needs) or of a ragged batch."""
         shortest = len(samples) if batch is None else min(batch.lengths)
-        if shortest < self.cfg.receptive_field():
+        if shortest < RECEPTIVE_FIELD:
             raise ValueError(
                 f"audio of {shortest} samples is shorter than the "
-                f"{self.cfg.receptive_field()}-sample receptive field"
+                f"{RECEPTIVE_FIELD}-sample receptive field"
             )
         x = samples[:, None]
         for conv, act in zip(self.convs, self.conv_acts):
@@ -423,11 +393,8 @@ class SslEncoder(Module):
         return x, batch
 
     def _samples(self, audio):
-        """The float64 samples of one utterance, at the encoder's rate."""
+        """The float64 samples of one utterance."""
         if isinstance(audio, AudioBuffer):
-            if audio.sample_rate != SAMPLE_RATE:
-                raise ValueError(f"encoder expects {SAMPLE_RATE} Hz audio, "
-                                 f"got {audio.sample_rate}")
             audio = audio.samples
         samples = np.asarray(audio, dtype=np.float64)
         if samples.ndim != 1:
@@ -463,7 +430,7 @@ class SslEncoder(Module):
             positions = sinusoidal_positions(len(x), d)
         else:
             positions = np.concatenate([sinusoidal_positions(t, d) for t in batch.lengths])
-        h = x + self.cfg.position_scale * positions
+        h = x + POSITION_SCALE * positions
         for block in self.blocks:
             h = block.forward(h, batch)
         return self.final_norm.forward(h, batch)
@@ -520,10 +487,9 @@ class SslEncoder(Module):
         ragged batch."""
         if self.head is None:
             raise ValueError("no CTC head attached; fine-tune the model first")
-        shift = self.cfg.frame_shift_us
         rows, batch = Ragged.of(h)
         logp = log_softmax(self.head.forward(rows, batch), axis=-1)
-        return [PosteriorStream(x, shift, "w2v") for x in batch.split(logp)]
+        return [PosteriorStream(x, FRAME_SHIFT_US, "w2v") for x in batch.split(logp)]
 
 
 def pretrain_step(model, samples, rng=None, hard=True, mask=None, noise=None,
@@ -585,7 +551,7 @@ def pretrain(dataset, cfg: EncoderConfig, epochs, seed, optimizer_cfg=None):
     tau_lo = cfg.gumbel_temperature_min
 
     def step(i, epoch):
-        if tau_lo is not None and epochs > 1:
+        if epochs > 1:
             model.quantizer.gumbel_temperature = (
                 tau_hi + (tau_lo - tau_hi) * epoch / (epochs - 1)
             )

@@ -1,8 +1,10 @@
 """Log-mel filterbank frontend, stream fusion, and the binary feature-file
 and feature-archive formats.
 
-The frame contract: audio is 16 kHz (``SAMPLE_RATE``); the encoder's
-20 ms frames, doubled in rate by the bottleneck adapter, and the
+The frame contract: audio is 16 kHz (``SAMPLE_RATE``), and ``read_wav``
+rejects a file at any other rate. The filterbank's window is 25 ms
+(``FBANK_WIN``, 400 samples), as is the encoder's receptive field; the
+encoder's 20 ms frames, doubled in rate by the bottleneck adapter, and the
 filterbank's hop are all 10 ms (``FRAME_SHIFT_US``), so streams fuse frame
 by frame. Nothing is resampled: a stream at another shift is rejected.
 
@@ -41,7 +43,11 @@ import numpy as np
 SAMPLE_RATE = 16_000
 # the filterbank hop, and the shift every stream is fused at
 FRAME_SHIFT_US = 10_000
-FBANK_WIN_MS = 25.0
+# the filterbank's 25 ms window and its hop, FRAME_SHIFT_US, in samples,
+# and its FFT size, the next power of two
+FBANK_WIN = SAMPLE_RATE * 25 // 1000
+FBANK_HOP = SAMPLE_RATE * FRAME_SHIFT_US // 1_000_000
+FBANK_FFT = 512
 FBANK_MELS = 40
 FBANK_FLOOR = 1e-10
 PREEMPHASIS = 0.97
@@ -78,15 +84,12 @@ MAX_FUSE_MISMATCH = 2
 
 @dataclass
 class AudioBuffer:
-    """Mono waveform with amplitudes in [-1, 1]."""
+    """Mono waveform at SAMPLE_RATE with amplitudes in [-1, 1]."""
 
     samples: np.ndarray
-    sample_rate: int = SAMPLE_RATE
 
     def __post_init__(self):
         self.samples = np.asarray(self.samples, dtype=np.float64).ravel()
-        if self.sample_rate <= 0:
-            raise ValueError(f"sample_rate must be positive, got {self.sample_rate}")
         if self.samples.size == 0:
             raise ValueError("audio buffer must contain at least one sample")
 
@@ -158,27 +161,21 @@ def mel_filterbank(n_mels, n_fft, sample_rate):
 def compute_fbank(audio: AudioBuffer) -> FeatureMatrix:
     """Log-mel filterbank features with pre-emphasis and a Hamming window.
 
-    Frames are FRAME_SHIFT_US apart at the audio's own rate, unpadded:
-    T = (N - win) // hop + 1, so the audio must cover one analysis window.
+    Frames are FBANK_HOP samples apart, unpadded: T = (N - FBANK_WIN) //
+    FBANK_HOP + 1, so the audio must cover one analysis window.
     """
-    sr = audio.sample_rate
-    win = int(round(FBANK_WIN_MS * sr / 1000.0))
-    hop = int(round(FRAME_SHIFT_US * sr / 1_000_000))
     n = len(audio)
-    if n < win:
+    if n < FBANK_WIN:
         raise ValueError(
-            f"audio of {n} samples is shorter than one {win}-sample analysis window"
+            f"audio of {n} samples is shorter than one {FBANK_WIN}-sample analysis window"
         )
     x = audio.samples.copy()
     x[1:] -= PREEMPHASIS * x[:-1]
-    t_out = (n - win) // hop + 1
-    idx = np.arange(t_out)[:, None] * hop + np.arange(win)[None, :]
-    frames = x[idx] * np.hamming(win)
-    n_fft = 1
-    while n_fft < win:
-        n_fft *= 2
-    power = np.abs(np.fft.rfft(frames, n=n_fft, axis=1)) ** 2 / n_fft
-    fbank, _ = mel_filterbank(FBANK_MELS, n_fft, sr)
+    t_out = (n - FBANK_WIN) // FBANK_HOP + 1
+    idx = np.arange(t_out)[:, None] * FBANK_HOP + np.arange(FBANK_WIN)[None, :]
+    frames = x[idx] * np.hamming(FBANK_WIN)
+    power = np.abs(np.fft.rfft(frames, n=FBANK_FFT, axis=1)) ** 2 / FBANK_FFT
+    fbank, _ = mel_filterbank(FBANK_MELS, FBANK_FFT, SAMPLE_RATE)
     energies = power @ fbank.T
     logmel = np.log(np.maximum(energies, FBANK_FLOOR))
     return FeatureMatrix(logmel, FRAME_SHIFT_US, label="fbk")
@@ -320,16 +317,18 @@ def read_archive(path) -> dict[str, FeatureMatrix]:
 
 
 def read_wav(path) -> AudioBuffer:
-    """Read a mono 16-bit PCM WAV file."""
+    """Read a mono 16-bit PCM WAV file at SAMPLE_RATE."""
     with wave.open(str(path), "rb") as wf:
         if wf.getnchannels() != 1:
             raise ValueError(f"expected mono WAV, got {wf.getnchannels()} channels")
         if wf.getsampwidth() != 2:
             raise ValueError(f"expected 16-bit PCM, got {8 * wf.getsampwidth()}-bit")
+        if wf.getframerate() != SAMPLE_RATE:
+            raise ValueError(f"{path}: expected {SAMPLE_RATE} Hz audio, "
+                             f"got {wf.getframerate()} Hz")
         raw = wf.readframes(wf.getnframes())
-        sr = wf.getframerate()
     samples = np.frombuffer(raw, dtype="<i2").astype(np.float64) / 32768.0
-    return AudioBuffer(samples, sr)
+    return AudioBuffer(samples)
 
 
 def write_wav(path, audio: AudioBuffer):
@@ -337,5 +336,5 @@ def write_wav(path, audio: AudioBuffer):
     with wave.open(str(path), "wb") as wf:
         wf.setnchannels(1)
         wf.setsampwidth(2)
-        wf.setframerate(audio.sample_rate)
+        wf.setframerate(SAMPLE_RATE)
         wf.writeframes(pcm.tobytes())

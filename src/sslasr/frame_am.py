@@ -20,8 +20,8 @@ logger = logging.getLogger(__name__)
 
 @dataclass
 class AmConfig:
-    offsets: tuple = (-2, -1, 0, 1, 2)
-    hidden_dims: tuple = (64, 64)
+    offsets: tuple
+    hidden_dims: tuple
 
     def __post_init__(self):
         self.offsets = tuple(int(o) for o in self.offsets)

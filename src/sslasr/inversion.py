@@ -22,10 +22,10 @@ LOG_2PI = math.log(2.0 * math.pi)
 
 @dataclass
 class MdnConfig:
-    d_in: int = 64
-    d_artic: int = 6  # 144 at paper scale
-    mixtures: int = 2
-    hidden_dims: tuple = (32,)
+    d_in: int  # bottleneck.d_bn
+    d_artic: int  # 144 at paper scale
+    mixtures: int
+    hidden_dims: tuple
 
     def __post_init__(self):
         self.hidden_dims = tuple(self.hidden_dims)

@@ -9,6 +9,13 @@ sys.path.insert(0, str(Path(__file__).parent))
 from sslasr.config import load_config
 from sslasr import pipeline
 
+# fixed encoder settings for unit tests, set apart from DEFAULT_CONFIG so
+# that their inputs do not follow it; the Gumbel temperature stays fixed
+ENCODER = {"d_model": 64, "n_blocks": 2, "n_heads": 4, "groups": 2, "codebook_entries": 8,
+           "code_dim": 16, "mask_prob": 0.065, "mask_span": 10,
+           "contrastive_temperature": 0.1, "gumbel_temperature": 2.0,
+           "gumbel_temperature_min": 2.0, "distractors": 5, "loss_weight_diversity": 0.1}
+
 
 @pytest.fixture(scope="session")
 def tiny_config():

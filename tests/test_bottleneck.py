@@ -16,26 +16,26 @@ class TestShapeContract:
     @pytest.mark.parametrize("t", [1, 7, 50])
     def test_paper_scale_shapes(self, t):
         # d_in 1024 -> bottleneck 256 at twice the rate, restored at the input rate
-        adapter = BottleneckAdapter(BottleneckConfig(d_in=1024, d_bn=256), seed=0)
+        adapter = BottleneckAdapter(BottleneckConfig(d_in=1024, d_bn=256, dropout=0.1), seed=0)
         bn, restored = adapter.forward_arrays(np.random.default_rng(t).normal(size=(t, 1024)))
         assert bn.shape == (2 * t, 256)
         assert restored.shape == (t, 1024)
 
     def test_deconv_doubles_exactly(self):
-        adapter = BottleneckAdapter(BottleneckConfig(d_in=8, d_bn=4), seed=1)
+        adapter = BottleneckAdapter(BottleneckConfig(d_in=8, d_bn=4, dropout=0.1), seed=1)
         for t in (1, 3, 9):
             bn, restored = adapter.forward_arrays(np.random.default_rng(t).normal(size=(t, 8)))
             assert bn.shape[0] == 2 * t
             assert restored.shape[0] == t
 
     def test_width_validation(self):
-        adapter = BottleneckAdapter(BottleneckConfig(d_in=8, d_bn=4), seed=1)
+        adapter = BottleneckAdapter(BottleneckConfig(d_in=8, d_bn=4, dropout=0.1), seed=1)
         with pytest.raises(ValueError, match="expected"):
             adapter.forward_arrays(np.zeros((3, 9)))
 
     def test_config_validation(self):
         with pytest.raises(ValueError, match="smaller"):
-            BottleneckConfig(d_in=16, d_bn=16)
+            BottleneckConfig(d_in=16, d_bn=16, dropout=0.1)
 
 
 class TestExtractionDeterminism:

@@ -1,4 +1,6 @@
 import json
+import shutil
+import wave
 from pathlib import Path
 
 import numpy as np
@@ -373,6 +375,25 @@ class TestDecodeErrors:
         assert (f"different utterance sets ({len(streams)} ids in all): "
                 f"{saved_streams} lacks 0, {part} lacks 2") in capsys.readouterr().err
         assert not (tmp_path / "never.jsonl").exists()
+
+
+class TestAudioRate:
+    def test_train_am_names_a_wav_at_another_rate(self, workdir, tmp_path, capsys):
+        _, corpus, cfg = workdir
+        copy = tmp_path / "corpus"
+        shutil.copytree(corpus, copy)
+        record = pipeline.Manifest.load(copy / "manifest.jsonl").subset("train")[0]
+        wav = copy / record.audio_path
+        with wave.open(str(wav), "wb") as wf:
+            wf.setnchannels(1)
+            wf.setsampwidth(2)
+            wf.setframerate(8000)
+            wf.writeframes(np.zeros(8000, dtype="<i2").tobytes())
+        out = tmp_path / "am.spm"
+        assert main(["train-am", "--config", cfg, "--corpus", str(copy), "--features", "fbk",
+                     "--out", str(out)]) == 1
+        assert f"{wav}: expected 16000 Hz audio, got 8000 Hz" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestStoredFeatures:

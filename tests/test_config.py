@@ -1,5 +1,6 @@
 import json
 import re
+from dataclasses import MISSING, fields
 from pathlib import Path
 
 import pytest
@@ -7,11 +8,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sslasr import pipeline
+from sslasr.bottleneck import BottleneckConfig
 from sslasr.cli import main
 from sslasr.config import DEFAULT_CONFIG, STAGE_DEFAULTS, load_config, merge_config
+from sslasr.corpus import CorpusConfig
 from sslasr.decoder import check_weights, parse_weight_ratio
-from sslasr.encoder import scope_blocks
+from sslasr.encoder import EncoderConfig, scope_blocks
 from sslasr.features import compute_fbank
+from sslasr.frame_am import AmConfig
+from sslasr.inversion import MdnConfig
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -44,9 +49,15 @@ class TestUnknownKeys:
             load_config(overrides={"bottleneck": {"d_in": 32}})
         assert pipeline.bottleneck_config(load_config(), 48).d_in == 48
 
-    def test_dataclass_fields_outside_the_defaults_load(self):
-        load_config(overrides={"corpus": {"speaker_spread": 0.05},
-                               "encoder": {"position_scale": 0.2}})
+    def test_fixed_settings_rejected_by_dotted_path(self):
+        """The tone range, speaker spread, CNN stack and position scale are
+        module constants, not config keys."""
+        with pytest.raises(ValueError, match="^" + re.escape(
+                "config keys that nothing reads: corpus.tone_low_hz, corpus.tone_high_hz, "
+                "corpus.speaker_spread, encoder.conv_layers, encoder.position_scale") + "$"):
+            load_config(overrides={
+                "corpus": {"tone_low_hz": 400.0, "tone_high_hz": 3400.0, "speaker_spread": 0.02},
+                "encoder": {"conv_layers": [[32, 80, 80], [32, 5, 4]], "position_scale": 0.3}})
 
     def test_config_file_fails_through_the_cli(self, tmp_path, capsys):
         cfg = tmp_path / "old.json"
@@ -157,6 +168,15 @@ class TestScalars:
          "corpus.tone_ms: must be at least 0.5 (a tone's 8-sample ramps), got -5.0"),
         ({"corpus": {"edge_ms": -40.0}}, "corpus.edge_ms: must be >= 0.0, got -40.0"),
         ({"corpus": {"target_tempo": 0}}, "corpus.target_tempo: must be > 0.0, got 0"),
+        ({"corpus": {"tone_ms": 0.5, "edge_ms": 0.0}},
+         "corpus.tone_ms: 3 tones of 0.5 ms between edges of 0.0 ms (target_tempo 0.88) make "
+         "utterances of 24 samples, shorter than one 400-sample (25 ms) filterbank window"),
+        ({"corpus": {"edge_ms": float("inf")}},
+         "corpus.tone_ms: 3 tones of 120.0 ms between edges of inf ms (target_tempo 0.88) make "
+         "utterances of unbounded length"),
+        ({"corpus": {"target_tempo": 5e-324}},
+         "corpus.tone_ms: 3 tones of 120.0 ms between edges of 40.0 ms (target_tempo 5e-324) "
+         "make utterances of unbounded length"),
     ])
     def test_rejected_by_dotted_path(self, override, error):
         with pytest.raises(ValueError, match="^" + re.escape(error) + "$"):
@@ -171,9 +191,11 @@ class TestScalars:
         corpus = pipeline.Corpus(tmp_path)
         assert all(compute_fbank(corpus.audio(r)).n_frames for r in corpus.manifest)
 
-    def test_null_annealing_floor_loads(self):
-        cfg = load_config(overrides={"encoder": {"gumbel_temperature_min": None}})
-        assert pipeline.encoder_config(cfg).gumbel_temperature_min is None
+    def test_null_annealing_floor_rejected(self):
+        """A fixed temperature is gumbel_temperature_min equal to tau."""
+        with pytest.raises(ValueError, match="^" + re.escape(
+                "encoder.gumbel_temperature_min: must be a number, got None") + "$"):
+            load_config(overrides={"encoder": {"gumbel_temperature_min": None}})
 
     def test_bad_section_fails_before_pretraining(self, tmp_path, capsys):
         cfg = tmp_path / "wide.json"
@@ -334,7 +356,11 @@ def leaves(config, path=()):
             yield path + (key,), value
 
 
-LEAVES = list(leaves(DEFAULT_CONFIG))
+# the settings that are module constants: every override of one must fail
+CONSTANTS = [(("corpus", "tone_low_hz"), 400.0), (("corpus", "tone_high_hz"), 3400.0),
+             (("corpus", "speaker_spread"), 0.02), (("encoder", "conv_layers"), [[32, 80, 80]]),
+             (("encoder", "position_scale"), 0.3)]
+LEAVES = list(leaves(DEFAULT_CONFIG)) + CONSTANTS
 
 
 def value_like(key, default):
@@ -384,11 +410,14 @@ class TestSchema:
     def test_loads_whole_or_fails_by_path(self, override):
         """Either the config fails by a dotted path of the override, or
         everything the recipe builds from it builds."""
+        constants = {".".join(path) for path, _ in CONSTANTS} & set(override_paths(override))
         try:
             cfg = load_config(overrides=override)
         except ValueError as exc:
             assert any(path in str(exc) for path in override_paths(override)), str(exc)
+            assert all(path in str(exc) for path in constants), str(exc)
             return
+        assert not constants
         for build in (pipeline.encoder_config, pipeline.corpus_config, pipeline.am_config,
                       pipeline.mdn_config):
             build(cfg)
@@ -396,3 +425,18 @@ class TestSchema:
         for stage in cfg["finetune"]["stages"]:
             scope_blocks({**STAGE_DEFAULTS, **stage}["scope"], cfg["encoder"]["n_blocks"])
         check_weights(parse_weight_ratio(cfg["decode"]["weights"]), 2)
+
+
+class TestSections:
+    """``DEFAULT_CONFIG`` is the one default: the section dataclasses have
+    none, and each holds its section's keys, but for the trainers' own
+    settings and the derived input width ``d_in``."""
+
+    @pytest.mark.parametrize("section, cls", [
+        ("corpus", CorpusConfig), ("encoder", EncoderConfig), ("bottleneck", BottleneckConfig),
+        ("am", AmConfig), ("mdn", MdnConfig)])
+    def test_fields_are_the_section_keys_without_defaults(self, section, cls):
+        assert all(f.default is MISSING and f.default_factory is MISSING for f in fields(cls))
+        derived = {"d_in"} if section in ("bottleneck", "mdn") else set()
+        keys = (DEFAULT_CONFIG[section].keys() | derived) - {"epochs", "optimizer", "map_noise"}
+        assert {f.name for f in fields(cls)} == keys

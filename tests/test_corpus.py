@@ -20,11 +20,22 @@ from sslasr.corpus import (
 from sslasr.decoder import Lexicon
 from sslasr.features import compute_fbank, read_wav
 
+# the corpus settings of these tests, apart from what each one sets
+CORPUS = {"n_words": 10, "unseen_fraction": 0.4, "n_tones": 12, "tones_per_word": 3,
+          "n_speakers": 4, "train_reps": {"source": 2, "target": 1},
+          "test_reps": {"source": 1, "target": 1}, "tone_ms": 120.0, "edge_ms": 40.0,
+          "amplitude": 0.3, "noise_rms": 0.01, "target_tilt": 0.35, "target_tempo": 0.92,
+          "target_noise_rms": 0.05}
+
+
+def corpus_config(**settings):
+    return CorpusConfig(**{**CORPUS, **settings})
+
 
 class TestGeneration:
     def test_unseen_split_sizes(self, tmp_path):
-        cfg = CorpusConfig(n_words=10, unseen_fraction=0.4, n_speakers=1,
-                           train_reps={"source": 1}, test_reps={"source": 1})
+        cfg = corpus_config(n_words=10, unseen_fraction=0.4, n_speakers=1,
+                            train_reps={"source": 1}, test_reps={"source": 1})
         manifest, lexicon = gen_synth_corpus(tmp_path, cfg, seed=5)
         train_words = {r.transcript for r in manifest.subset("train")}
         unseen_words = {r.transcript for r in manifest.subset("test-unseen")}
@@ -33,16 +44,16 @@ class TestGeneration:
         assert len(lexicon.entries) == 10
 
     def test_lexicon_file_round_trips(self, tmp_path):
-        cfg = CorpusConfig(n_words=4, unseen_fraction=0.25, n_speakers=1,
-                           train_reps={"source": 1}, test_reps={"source": 1})
+        cfg = corpus_config(n_words=4, unseen_fraction=0.25, n_speakers=1,
+                            train_reps={"source": 1}, test_reps={"source": 1})
         _, lexicon = gen_synth_corpus(tmp_path, cfg, seed=5)
         path = tmp_path / "lexicon.json"
         assert set(json.loads(path.read_text())) == {"alphabet", "words"}
         assert Lexicon.load(path) == lexicon
 
     def test_determinism_bit_identical(self, tmp_path):
-        cfg = CorpusConfig(n_words=6, unseen_fraction=0.34, n_speakers=2,
-                           train_reps={"source": 1}, test_reps={"source": 1})
+        cfg = corpus_config(n_words=6, unseen_fraction=0.34, n_speakers=2,
+                            train_reps={"source": 1}, test_reps={"source": 1})
         a, _ = gen_synth_corpus(tmp_path / "a", cfg, seed=9)
         b, _ = gen_synth_corpus(tmp_path / "b", cfg, seed=9)
         assert [r.utt_id for r in a] == [r.utt_id for r in b]
@@ -52,9 +63,9 @@ class TestGeneration:
 
     def test_word_centroids_separated(self, tmp_path):
         # frontend oracle: distinct words must have distinct log-mel centroids
-        cfg = CorpusConfig(n_words=6, unseen_fraction=0.34, n_speakers=1,
-                           train_reps={"source": 2}, test_reps={"source": 1},
-                           noise_rms=0.01)
+        cfg = corpus_config(n_words=6, unseen_fraction=0.34, n_speakers=1,
+                            train_reps={"source": 2}, test_reps={"source": 1},
+                            noise_rms=0.01)
         manifest, _ = gen_synth_corpus(tmp_path, cfg, seed=3)
         centroids = {}
         for record in manifest:
@@ -71,21 +82,21 @@ class TestGeneration:
 
     def test_infeasible_split_rejected(self, tmp_path):
         with pytest.raises(ValueError, match="infeasible"):
-            gen_synth_corpus(tmp_path, CorpusConfig(n_words=10, unseen_fraction=0.01),
+            gen_synth_corpus(tmp_path, corpus_config(n_words=10, unseen_fraction=0.01),
                              seed=0)
 
     def test_small_word_count_rejected(self):
         with pytest.raises(ValueError, match="at least 4"):
-            CorpusConfig(n_words=3)
+            corpus_config(n_words=3)
 
     def test_bad_fraction_rejected(self):
         with pytest.raises(ValueError, match="strictly between"):
-            CorpusConfig(unseen_fraction=1.0)
+            corpus_config(unseen_fraction=1.0)
 
     def test_target_condition_changes_audio(self, tmp_path):
-        cfg = CorpusConfig(n_words=4, unseen_fraction=0.25, n_speakers=1,
-                           train_reps={"source": 1, "target": 1},
-                           test_reps={"source": 1})
+        cfg = corpus_config(n_words=4, unseen_fraction=0.25, n_speakers=1,
+                            train_reps={"source": 1, "target": 1},
+                            test_reps={"source": 1})
         manifest, _ = gen_synth_corpus(tmp_path, cfg, seed=7)
         by_cond = {}
         for record in manifest.subset("train"):

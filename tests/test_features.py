@@ -1,5 +1,6 @@
 import struct
 import tempfile
+import wave
 from pathlib import Path
 
 import numpy as np
@@ -33,8 +34,8 @@ from sslasr.features import (
 )
 
 
-def tone(freq, n, sr=16000, amp=0.5):
-    return AudioBuffer(amp * np.sin(2 * np.pi * freq * np.arange(n) / sr), sr)
+def tone(freq, n, amp=0.5):
+    return AudioBuffer(amp * np.sin(2 * np.pi * freq * np.arange(n) / 16000))
 
 
 class TestComputeFbank:
@@ -366,8 +367,18 @@ class TestWav:
         path = tmp_path / "t.wav"
         write_wav(path, audio)
         back = read_wav(path)
-        assert back.sample_rate == 16000
         assert np.abs(back.samples - audio.samples).max() < 1.0 / 32767
+
+    def test_other_rate_rejected_by_name(self, tmp_path):
+        path = tmp_path / "narrow.wav"
+        with wave.open(str(path), "wb") as wf:
+            wf.setnchannels(1)
+            wf.setsampwidth(2)
+            wf.setframerate(8000)
+            wf.writeframes(np.zeros(800, dtype="<i2").tobytes())
+        with pytest.raises(ValueError) as err:
+            read_wav(path)
+        assert str(err.value) == f"{path}: expected 16000 Hz audio, got 8000 Hz"
 
 
 class TestInvariants:

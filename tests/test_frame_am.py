@@ -17,6 +17,7 @@ from sslasr.params import ParameterStore
 from gradcheck import finite_difference_check
 from oracles import reference_train_am
 
+AM = AmConfig(offsets=(-2, -1, 0, 1, 2), hidden_dims=(64, 64))
 
 def feat(t, d, seed=0, shift=10_000):
     return FeatureMatrix(np.random.default_rng(seed).normal(size=(t, d)), shift, "x")
@@ -48,23 +49,23 @@ class TestSpliceContext:
 
     def test_offsets_validated(self):
         with pytest.raises(ValueError, match="sorted"):
-            AmConfig(offsets=(1, 0))
+            AmConfig(offsets=(1, 0), hidden_dims=(64, 64))
 
 
 class TestPosteriors:
     def test_rows_normalize(self):
-        am = FrameAm(AmConfig(), d_feat=8, n_classes=5, seed=0)
+        am = FrameAm(AM, d_feat=8, n_classes=5, seed=0)
         (stream,) = am.posteriors([feat(7, 8)])
         assert np.allclose(np.exp(stream.logp).sum(axis=1), 1.0, atol=1e-6)
         assert stream.frame_shift_us == 10_000
 
     def test_deterministic(self):
-        am = FrameAm(AmConfig(), d_feat=8, n_classes=5, seed=0)
+        am = FrameAm(AM, d_feat=8, n_classes=5, seed=0)
         f = feat(7, 8, seed=2)
         assert np.array_equal(am.posteriors([f])[0].logp, am.posteriors([f])[0].logp)
 
     def test_width_mismatch(self):
-        am = FrameAm(AmConfig(), d_feat=8, n_classes=5, seed=0)
+        am = FrameAm(AM, d_feat=8, n_classes=5, seed=0)
         with pytest.raises(ValueError, match="does not match"):
             am.posteriors([feat(7, 9)])
 
@@ -76,7 +77,7 @@ class TestPosteriors:
         # a list of one is a batch of one; mixed lengths run as one ragged
         # batch, its products one per run of equal frame counts; each
         # stream equals the per-utterance training forward
-        am = FrameAm(AmConfig(), d_feat=4, n_classes=n_classes, seed=seed % 1000)
+        am = FrameAm(AM, d_feat=4, n_classes=n_classes, seed=seed % 1000)
         feats = [feat(t, 4, seed=seed + i, shift=10_000 * (1 + i % 2))
                  for i, t in enumerate(lengths)]
         streams = am.posteriors(feats, source="s")
@@ -104,8 +105,8 @@ def labeled_dataset(n_utts, d_feat, n_classes, seed):
 class TestTraining:
     def test_zero_epochs_is_init(self):
         data = labeled_dataset(3, 6, 4, seed=1)
-        am, history = train_am(data, AmConfig(), d_feat=6, n_classes=4, epochs=0, seed=5)
-        fresh = FrameAm(AmConfig(), 6, 4, seed=np.random.SeedSequence(5).spawn(2)[0])
+        am, history = train_am(data, AM, d_feat=6, n_classes=4, epochs=0, seed=5)
+        fresh = FrameAm(AM, 6, 4, seed=np.random.SeedSequence(5).spawn(2)[0])
         a = ParameterStore.from_module(am).tensors
         b = ParameterStore.from_module(fresh).tensors
         assert history == []
@@ -113,7 +114,7 @@ class TestTraining:
 
     def test_accuracy_beats_chance(self):
         data = labeled_dataset(10, 6, 4, seed=2)
-        am, history = train_am(data, AmConfig(), d_feat=6, n_classes=4, epochs=8,
+        am, history = train_am(data, AM, d_feat=6, n_classes=4, epochs=8,
                                seed=6, optimizer_cfg={"optimizer": "adam", "lr": 3e-3})
         assert history[-1]["cross_entropy"] < history[0]["cross_entropy"]
         assert history[-1]["frame_accuracy"] > 1.0 / 4
@@ -122,8 +123,8 @@ class TestTraining:
         data = labeled_dataset(4, 6, 4, seed=3)
         kw = dict(d_feat=6, n_classes=4, epochs=2, seed=7,
                   optimizer_cfg={"optimizer": "adam", "lr": 1e-3})
-        m1, _ = train_am(data, AmConfig(), **kw)
-        m2, _ = train_am(data, AmConfig(), **kw)
+        m1, _ = train_am(data, AM, **kw)
+        m2, _ = train_am(data, AM, **kw)
         a = ParameterStore.from_module(m1).tensors
         b = ParameterStore.from_module(m2).tensors
         assert all(np.array_equal(a[k], b[k]) for k in a)
@@ -134,8 +135,8 @@ class TestTraining:
         data = labeled_dataset(n_utts, 6, 4, seed=seed)
         kw = dict(d_feat=6, n_classes=4, epochs=epochs, seed=seed,
                   optimizer_cfg={"optimizer": "adam", "lr": 3e-3})
-        am, history = train_am(data, AmConfig(), **kw)
-        ref, ref_history = reference_train_am(data, AmConfig(), **kw)
+        am, history = train_am(data, AM, **kw)
+        ref, ref_history = reference_train_am(data, AM, **kw)
         assert history == ref_history
         a = ParameterStore.from_module(am).tensors
         b = ParameterStore.from_module(ref).tensors
@@ -149,16 +150,16 @@ class TestTraining:
         monkeypatch.setattr(frame_am, "splice_context",
                             lambda f, offsets: calls.append(f) or splice(f, offsets))
         data = labeled_dataset(4, 6, 4, seed=3)
-        train_am(data, AmConfig(), d_feat=6, n_classes=4, epochs=3, seed=0)
+        train_am(data, AM, d_feat=6, n_classes=4, epochs=3, seed=0)
         assert len(calls) == len(data)
 
     def test_label_out_of_range(self):
-        am = FrameAm(AmConfig(), d_feat=6, n_classes=4, seed=0)
+        am = FrameAm(AM, d_feat=6, n_classes=4, seed=0)
         with pytest.raises(ValueError, match="label outside"):
             am.training_example(feat(5, 6), np.array([0, 1, 2, 3, 4]))
 
     def test_gradient_matches_finite_differences(self):
-        am = FrameAm(AmConfig(), d_feat=6, n_classes=4, seed=8)
+        am = FrameAm(AM, d_feat=6, n_classes=4, seed=8)
         f = feat(9, 6, seed=4)
         labels = np.random.default_rng(5).integers(0, 4, size=9)
 
@@ -183,9 +184,9 @@ class TestTraining:
                                       .astype(np.float32)]), 10_000, "x"), labels)
             for i, (f, labels) in enumerate(base)
         ]
-        m1, _ = train_am(base, AmConfig(), d_feat=6, n_classes=4, epochs=3, seed=10,
+        m1, _ = train_am(base, AM, d_feat=6, n_classes=4, epochs=3, seed=10,
                          optimizer_cfg={"optimizer": "adam", "lr": 1e-3})
-        m2, _ = train_am(wide, AmConfig(), d_feat=9, n_classes=4, epochs=3, seed=10,
+        m2, _ = train_am(wide, AM, d_feat=9, n_classes=4, epochs=3, seed=10,
                          optimizer_cfg={"optimizer": "adam", "lr": 1e-3})
         p1 = m1.posteriors([base[0][0]])[0].logp
         p2 = m2.posteriors([wide[0][0]])[0].logp

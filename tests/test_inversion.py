@@ -26,7 +26,7 @@ def mixture(weights, means, stds, shift=10_000):
 
 class TestMixtureValidity:
     def test_forward_emits_valid_mixtures(self):
-        model = MdnModel(MdnConfig(d_in=5, d_artic=3, mixtures=3), seed=0)
+        model = MdnModel(MdnConfig(d_in=5, d_artic=3, mixtures=3, hidden_dims=(32,)), seed=0)
         feats = FeatureMatrix(np.random.default_rng(0).normal(size=(6, 5)), 10_000, "x")
         mix = mdn_forward(feats, model)
         assert np.allclose(mix.weights.sum(axis=1), 1.0, atol=1e-6)
@@ -34,7 +34,7 @@ class TestMixtureValidity:
         assert mix.frame_shift_us == 10_000
 
     def test_forward_deterministic(self):
-        model = MdnModel(MdnConfig(d_in=5, d_artic=3), seed=1)
+        model = MdnModel(MdnConfig(d_in=5, d_artic=3, mixtures=2, hidden_dims=(32,)), seed=1)
         feats = FeatureMatrix(np.random.default_rng(1).normal(size=(4, 5)), 10_000, "x")
         a = mdn_forward(feats, model)
         b = mdn_forward(feats, model)
@@ -42,7 +42,7 @@ class TestMixtureValidity:
         assert np.array_equal(a.means, b.means)
 
     def test_width_mismatch_rejected(self):
-        model = MdnModel(MdnConfig(d_in=5, d_artic=3), seed=2)
+        model = MdnModel(MdnConfig(d_in=5, d_artic=3, mixtures=2, hidden_dims=(32,)), seed=2)
         with pytest.raises(ValueError, match="does not match"):
             mdn_forward(FeatureMatrix(np.zeros((3, 4)), 10_000, "x"), model)
 
@@ -89,7 +89,7 @@ class TestNll:
         assert a == pytest.approx(b, abs=1e-12)
 
     def test_shape_mismatch_rejected(self):
-        model = MdnModel(MdnConfig(d_in=4, d_artic=3, mixtures=1), seed=0)
+        model = MdnModel(MdnConfig(d_in=4, d_artic=3, mixtures=1, hidden_dims=(32,)), seed=0)
         with pytest.raises(ValueError, match="do not match"):
             mdn_nll_step(model, np.zeros((2, 4)), np.zeros((3, 3)))
 
@@ -144,7 +144,7 @@ class TestPredict:
 
 class TestTrainInversion:
     def test_zero_epochs_is_init(self):
-        cfg = MdnConfig(d_in=4, d_artic=2)
+        cfg = MdnConfig(d_in=4, d_artic=2, mixtures=2, hidden_dims=(32,))
         data = [(np.random.default_rng(0).normal(size=(5, 4)),
                  np.random.default_rng(1).normal(size=(5, 2)))]
         model, history = train_inversion(data, cfg, epochs=0, seed=11)
@@ -160,7 +160,8 @@ class TestTrainInversion:
                 (rng.normal(size=(7, 4)), rng.normal(size=(6, 2)))]
         with pytest.raises(ValueError, match=r"pair 1: 7 representation frames but 6 "
                                              r"articulatory frames"):
-            train_inversion(data, MdnConfig(d_in=4, d_artic=2), epochs=1, seed=11)
+            train_inversion(data, MdnConfig(d_in=4, d_artic=2, mixtures=2, hidden_dims=(32,)),
+                            epochs=1, seed=11)
 
     def test_linear_map_recovery_within_noise_floor(self):
         # targets are a fixed linear map of the inputs plus noise; the

@@ -20,6 +20,7 @@ from sslasr.params import (
     train_epochs,
 )
 
+from conftest import ENCODER
 from oracles import ReferenceAdam, reference_train_epochs
 
 
@@ -374,7 +375,7 @@ class TestStageBuffers:
 
         rng = np.random.default_rng(0)
         audio = [rng.normal(0.0, 0.3, 4800) for _ in range(3)]
-        model, _ = pretrain(audio, EncoderConfig(), epochs=1, seed=0)
+        model, _ = pretrain(audio, EncoderConfig(**ENCODER), epochs=1, seed=0)
         finetune_ctc([(a, [1, 2]) for a in audio], model, 4, epochs=1, seed=0,
                      scope="head-only")
         for p in model.parameters():
@@ -386,14 +387,14 @@ def _pretrain(opt_cfg, rng):
     from sslasr.encoder import EncoderConfig, pretrain
 
     audio = [rng.normal(0.0, 0.3, 4800) for _ in range(3)]
-    pretrain(audio, EncoderConfig(), epochs=1, seed=0, optimizer_cfg=opt_cfg)
+    pretrain(audio, EncoderConfig(**ENCODER), epochs=1, seed=0, optimizer_cfg=opt_cfg)
 
 
 def _finetune_ctc(opt_cfg, rng):
     from sslasr.encoder import EncoderConfig, SslEncoder, finetune_ctc
 
     data = [(rng.normal(0.0, 0.3, 4800), [1, 2]) for _ in range(3)]
-    finetune_ctc(data, SslEncoder(EncoderConfig(), seed=1), 4, epochs=1, seed=0,
+    finetune_ctc(data, SslEncoder(EncoderConfig(**ENCODER), seed=1), 4, epochs=1, seed=0,
                  optimizer_cfg=opt_cfg)
 
 
@@ -401,7 +402,7 @@ def _train_adapter(opt_cfg, rng):
     from sslasr.bottleneck import BottleneckConfig, train_adapter
 
     contexts = [rng.normal(size=(6, 8)) for _ in range(3)]
-    train_adapter(contexts, BottleneckConfig(d_in=8, d_bn=4), epochs=1, seed=0,
+    train_adapter(contexts, BottleneckConfig(d_in=8, d_bn=4, dropout=0.1), epochs=1, seed=0,
                   optimizer_cfg=opt_cfg)
 
 
@@ -409,8 +410,8 @@ def _train_inversion(opt_cfg, rng):
     from sslasr.inversion import MdnConfig, train_inversion
 
     pairs = [(rng.normal(size=(6, 4)), rng.normal(size=(6, 2))) for _ in range(3)]
-    train_inversion(pairs, MdnConfig(d_in=4, d_artic=2), epochs=1, seed=0,
-                    optimizer_cfg=opt_cfg)
+    cfg = MdnConfig(d_in=4, d_artic=2, mixtures=2, hidden_dims=(32,))
+    train_inversion(pairs, cfg, epochs=1, seed=0, optimizer_cfg=opt_cfg)
 
 
 def _train_am(opt_cfg, rng):
@@ -419,8 +420,8 @@ def _train_am(opt_cfg, rng):
 
     data = [(FeatureMatrix(rng.normal(size=(6, 3)), 10_000), rng.integers(0, 4, 6))
             for _ in range(3)]
-    train_am(data, AmConfig(), d_feat=3, n_classes=4, epochs=1, seed=0,
-             optimizer_cfg=opt_cfg)
+    cfg = AmConfig(offsets=(-2, -1, 0, 1, 2), hidden_dims=(64, 64))
+    train_am(data, cfg, d_feat=3, n_classes=4, epochs=1, seed=0, optimizer_cfg=opt_cfg)
 
 
 class TestDivergenceAbort:

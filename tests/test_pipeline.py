@@ -55,7 +55,7 @@ class TestCorpusAccess:
 
     def test_audio_loads(self, tiny_corpus):
         audio = tiny_corpus.audio(tiny_corpus.manifest.records[0])
-        assert audio.sample_rate == 16000
+        assert len(audio) >= 400  # one filterbank window
 
 
 class TestModelRoundTrips:
