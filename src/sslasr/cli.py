@@ -180,7 +180,7 @@ def _trend(history, key):
 
 
 def _hyp_lines(hyps):
-    return [json.dumps(h.to_json_dict()) for h in hyps]
+    return [json.dumps(vars(h)) for h in hyps]
 
 
 def cmd_gen_corpus(args):
@@ -276,12 +276,12 @@ def _check_nbest_out(args):
         raise ValueError(f"--nbest-out {args.nbest_out} needs --nbest N")
 
 
-def _decode(tasks, lexicon, vocab, args, system):
+def _decode(tasks, lexicon, vocab, args):
     """Decode ``(utt_id, streams, weights)`` tasks with
     ``pipeline.decode_utterances`` and write the hypotheses. With
-    ``--nbest`` each hypothesis heads an N-best list of that depth, costed
-    under ``system``, and the lists go to ``--nbest-out``."""
-    hyps, nbests = pipeline.decode_utterances(tasks, lexicon, vocab, args.nbest or 1, system)
+    ``--nbest`` each hypothesis heads an N-best list of that depth, and
+    the lists go to ``--nbest-out``."""
+    hyps, nbests = pipeline.decode_utterances(tasks, lexicon, vocab, args.nbest or 1)
     if args.nbest_out:
         _emit_lines([nb.to_json() for nb in nbests], args.nbest_out)
     _emit_lines(_hyp_lines(hyps), args.out)
@@ -304,19 +304,13 @@ def cmd_decode(args):
         am = pipeline.load_am(cfg, args.am)
         records = sorted(corpus.manifest.subset("test-seen", "test-unseen"),
                          key=lambda r: r.utt_id)
-        stream_list = [s for feats in feature_fn(records)
-                       for s in am.posteriors(feats, source="am")]
+        stream_list = [s for feats in feature_fn(records) for s in am.posteriors(feats)]
         streams = {r.utt_id: s for r, s in zip(records, stream_list)}
     else:
         raise ValueError("decode needs either --streams or --corpus with --am")
     if args.save_streams:
         pipeline.write_streams(args.save_streams, streams)
-    labels = {s.source or "am" for s in streams.values()} or {"am"}
-    if len(labels) > 1:
-        raise ValueError(f"streams carry different system labels {sorted(labels)}; "
-                         "decode one system at a time")
-    tasks = [(u, [s], None) for u, s in streams.items()]
-    _decode(tasks, lexicon, vocab, args, labels.pop())
+    _decode([(u, [s], None) for u, s in streams.items()], lexicon, vocab, args)
 
 
 def cmd_joint_decode(args):
@@ -329,7 +323,18 @@ def cmd_joint_decode(args):
     if len(sources) != weights.size:
         raise ValueError(f"{len(sources)} stream sources but {weights.size} weights")
     tasks = [(u, [src[u] for src in sources], weights) for u in sources[0]]
-    _decode(tasks, lexicon, vocab, args, "tdnn")
+    _decode(tasks, lexicon, vocab, args)
+
+
+def _read_nbest(path, fh):
+    """The N-best lists of the open JSON-lines file ``fh``, by line."""
+    for number, line in enumerate(fh, 1):
+        if line.strip():
+            try:
+                nbest = NBestList.from_json(line)
+            except ValueError as exc:  # not JSON, or not an n-best list
+                raise ValueError(f"{path}:{number}: {exc}") from None
+            yield nbest
 
 
 def cmd_rescore(args):
@@ -343,7 +348,7 @@ def cmd_rescore(args):
     by_id = corpus.manifest.by_id()
     hyps = []
     with open(args.nbest) as fh:
-        lists = (NBestList.from_json(line) for line in fh if line.strip())
+        lists = _read_nbest(args.nbest, fh)
         # one lattice window of lists at a time is read, encoded and rescored
         while nbests := list(itertools.islice(lists, LATTICE_WINDOW)):
             for nbest in nbests:

@@ -11,7 +11,8 @@ anything runs:
 - each key that nothing reads and each repetition count for a name
   outside ``corpus.CONDITIONS``;
 - each value unlike its default (``_walk``): a mapping, list, int or
-  number of another type (a null too), or one below its minimum
+  number of another type (a null too), a number that is NaN or infinite
+  (``json.load`` reads ``NaN`` and ``Infinity``), one below its minimum
   (``_MINIMUMS``), and an empty ``finetune.stages``;
 - each error of an optimizer mapping (``params.optimizer_errors``);
 - then each error of the five section dataclasses, of a fine-tuning
@@ -22,6 +23,7 @@ from __future__ import annotations
 
 import copy
 import json
+import math
 
 from .bottleneck import BottleneckConfig
 from .corpus import CONDITIONS, CorpusConfig
@@ -125,7 +127,8 @@ STAGE_DEFAULTS = {"epochs": 10, "scope": "no-feature-encoder", "optimizer": OPTI
 
 # the least int or number by key (None: any); other ints are >= 1, numbers any
 _MINIMUMS = {"seed": 0, "epochs": 0, "adapter_init_epochs": 0, "distractors": 0,
-             **dict.fromkeys(CONDITIONS, 0), "offsets": None, "map_noise": 0.0}
+             **dict.fromkeys(CONDITIONS, 0), "offsets": None,
+             **dict.fromkeys(("map_noise", "amplitude", "noise_rms", "target_noise_rms"), 0.0)}
 
 
 def encoder_config(cfg) -> EncoderConfig:
@@ -178,10 +181,13 @@ def _walk(value, default, path, key, errors, unknown):
     elif isinstance(default, (int, float)):
         kind, what, low = ((int, "an int", _MINIMUMS.get(key, 1)) if isinstance(default, int)
                            else ((int, float), "a number", _MINIMUMS.get(key)))
+        finite = isinstance(value, int) or isinstance(value, float) and math.isfinite(value)
         if (isinstance(value, bool) or not isinstance(value, kind)
-                or low is not None and not value >= low):
+                or finite and low is not None and value < low):
             bound = "" if low is None else f" >= {low}"
             errors.append(f"{path}: must be {what}{bound}, got {value!r}")
+        elif not finite:
+            errors.append(f"{path}: must be finite, got {value!r}")
 
 
 def _decode_weights(text):

@@ -84,7 +84,6 @@ class PosteriorStream:
 
     logp: np.ndarray
     frame_shift_us: int
-    source: str = ""
 
     def __post_init__(self):
         self.logp = np.asarray(self.logp, dtype=np.float64)
@@ -324,49 +323,56 @@ def ctc_forward_score(stream, label_seq) -> float:
     return _satisfiable(_ctc_costs([logp], [[target]], np.logaddexp)[0, 0], target, logp)
 
 
+class NBestFormatError(ValueError):
+    """Malformed N-best JSON line."""
+
+
+def _is_str_list(value):
+    return isinstance(value, list) and all(isinstance(v, str) for v in value)
+
+
 @dataclass
 class NBestEntry:
     tokens: list
     words: list
-    cost_per_system: dict
-    combined_cost: float
-
-    def to_json_dict(self):
-        return {
-            "tokens": list(self.tokens),
-            "words": list(self.words),
-            "costs": dict(self.cost_per_system),
-            "combined": self.combined_cost,
-        }
-
-    @classmethod
-    def from_json_dict(cls, d):
-        return cls(
-            tokens=list(d["tokens"]),
-            words=list(d["words"]),
-            cost_per_system=dict(d["costs"]),
-            combined_cost=float(d["combined"]),
-        )
+    cost: float
 
 
 @dataclass
 class NBestList:
     """Ranked hypotheses; every producer in the toolkit emits entries
-    sorted ascending by the cost that ranked them."""
+    sorted ascending by the cost that ranked them. A list's JSON line is
+    ``{"utt_id": ..., "entries": [{"tokens": [...], "words": [...],
+    "cost": ...}, ...]}``; its costs are decode costs in a first-pass list
+    and combined costs in a rescored one."""
 
     utt_id: str
     entries: list = field(default_factory=list)
 
-    def to_json_dict(self):
-        return {"utt_id": self.utt_id, "entries": [e.to_json_dict() for e in self.entries]}
-
     def to_json(self):
-        return json.dumps(self.to_json_dict())
-
-    @classmethod
-    def from_json_dict(cls, d):
-        return cls(d["utt_id"], [NBestEntry.from_json_dict(e) for e in d["entries"]])
+        return json.dumps({"utt_id": self.utt_id, "entries": [vars(e) for e in self.entries]})
 
     @classmethod
     def from_json(cls, text):
         return cls.from_json_dict(json.loads(text))
+
+    @classmethod
+    def from_json_dict(cls, d):
+        """The list of one JSON line's object; raises NBestFormatError
+        unless it has the shape above, with numeric costs that are not NaN."""
+        if not (isinstance(d, dict) and d.keys() == {"utt_id", "entries"}
+                and isinstance(d["utt_id"], str) and isinstance(d["entries"], list)):
+            raise NBestFormatError('an n-best list is an object of exactly a string "utt_id" '
+                                   'and a list "entries"')
+        for e in d["entries"]:
+            if not isinstance(e, dict) or e.keys() != {"tokens", "words", "cost"}:
+                raise NBestFormatError('an n-best entry holds exactly "cost", "tokens" and '
+                                       f'"words", got {sorted(e) if isinstance(e, dict) else e!r}')
+            if not (_is_str_list(e["tokens"]) and _is_str_list(e["words"])):
+                raise NBestFormatError('an n-best entry\'s "tokens" and "words" are lists of '
+                                       'strings')
+            cost = e["cost"]
+            if isinstance(cost, bool) or not isinstance(cost, (int, float)) or cost != cost:
+                raise NBestFormatError(f'an n-best entry\'s "cost" is a number, got {cost!r}')
+        return cls(d["utt_id"], [NBestEntry(e["tokens"], e["words"], float(e["cost"]))
+                                 for e in d["entries"]])

@@ -7,7 +7,8 @@ other semiring, log-sum-exp, scores rescoring passes) and ranks the
 words by cost: ``isolated_nbest_batch`` scores every word on every
 stream of a test set, one lattice window of streams per frame loop
 (``ctc.LATTICE_WINDOW``), ``isolated_nbest`` is its one-stream case and
-``decode_stream`` that case's best word.
+``decode_stream`` that case's best word. An N-best entry carries one
+cost, its word's alignment cost on the stream.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from .ctc import (
     PosteriorStream,
     TokenVocab,
     _ctc_costs,
+    _is_str_list,
 )
 
 
@@ -32,10 +34,6 @@ class DecodeError(ValueError):
 
 class LexiconFormatError(ValueError):
     """Malformed lexicon file or JSON dictionary."""
-
-
-def _is_str_list(value):
-    return isinstance(value, list) and all(isinstance(v, str) for v in value)
 
 
 @dataclass
@@ -178,18 +176,16 @@ def interpolate_posteriors(streams, weights) -> PosteriorStream:
             raise ValueError(f"stream shape mismatch: {s.logp.shape} vs {shape}")
         if s.frame_shift_us != shift:
             raise ValueError(f"frame shift mismatch: {s.frame_shift_us} vs {shift}")
-    label = "+".join(s.source for s in streams if s.source) or "joint"
     nonzero = np.flatnonzero(weights)
     if nonzero.size == 1:
-        keep = streams[int(nonzero[0])]
-        return PosteriorStream(keep.logp.copy(), shift, keep.source)
+        return PosteriorStream(streams[int(nonzero[0])].logp.copy(), shift)
     w = weights / weights.sum()
     mix = np.zeros(shape)
     for wk, s in zip(w, streams):
         if wk > 0:
             mix += wk * np.exp(s.logp)
     with np.errstate(divide="ignore"):
-        return PosteriorStream(np.log(mix), shift, label)
+        return PosteriorStream(np.log(mix), shift)
 
 
 def viterbi_align_cost(logp, token_ids):
@@ -200,39 +196,28 @@ def viterbi_align_cost(logp, token_ids):
     return float(_ctc_costs([logp], [[token_ids]], np.maximum)[0, 0])
 
 
-def _resolve_tokens(lexicon, vocab):
-    return [np.array(vocab.ids_of(e.tokens), dtype=np.int64) for e in lexicon.entries]
-
-
 def isolated_nbest(stream: PosteriorStream, lexicon: Lexicon, vocab: TokenVocab,
-                   n, utt_id="", system="am") -> NBestList:
+                   n, utt_id="") -> NBestList:
     """Rank lexicon words by isolated alignment cost on one stream; the
     one-stream case of ``isolated_nbest_batch``."""
-    return isolated_nbest_batch([stream], lexicon, vocab, n, [utt_id], system)[0]
+    return isolated_nbest_batch([stream], lexicon, vocab, n, [utt_id])[0]
 
 
-def isolated_nbest_batch(streams, lexicon: Lexicon, vocab: TokenVocab, n, utt_ids,
-                         system="am") -> list:
+def isolated_nbest_batch(streams, lexicon: Lexicon, vocab: TokenVocab, n, utt_ids) -> list:
     """One N-best list per stream, every lexicon word on every stream
     scored in max-semiring lattice passes over padded windows of streams
     (``ctc._ctc_costs``); the streams may differ in length. Words are
     ranked by isolated alignment cost, ties going to the lowest lexicon
-    index. Infeasible words get +inf cost and sort last (kept so rescoring
-    sees a fixed-size list)."""
+    index; each entry's cost is its alignment cost. Infeasible words get
+    +inf cost and sort last (kept so rescoring sees a fixed-size list)."""
     if len(utt_ids) != len(streams):
         raise ValueError(f"{len(streams)} streams but {len(utt_ids)} utterance ids")
-    words = _resolve_tokens(lexicon, vocab)
+    words = [np.array(vocab.ids_of(e.tokens), dtype=np.int64) for e in lexicon.entries]
     costs = _ctc_costs([s.logp for s in streams], [words] * len(streams), np.maximum)
-    nbests = []
-    for utt_id, row in zip(utt_ids, costs):
-        entries = []
-        for i in np.argsort(row, kind="stable")[:n]:
-            entry = lexicon.entries[i]
-            cost = float(row[i])
-            entries.append(NBestEntry(tokens=list(entry.tokens), words=[entry.word],
-                                      cost_per_system={system: cost}, combined_cost=cost))
-        nbests.append(NBestList(utt_id, entries))
-    return nbests
+    return [NBestList(utt_id, [NBestEntry(list(lexicon.entries[i].tokens),
+                                          [lexicon.entries[i].word], float(row[i]))
+                               for i in np.argsort(row, kind="stable")[:n]])
+            for utt_id, row in zip(utt_ids, costs)]
 
 
 @dataclass
@@ -242,18 +227,14 @@ class Hypothesis:
     tokens: list
     cost: float
 
-    def to_json_dict(self):
-        return {"utt_id": self.utt_id, "words": self.words,
-                "tokens": self.tokens, "cost": self.cost}
-
 
 def best_hypothesis(nbest: NBestList) -> Hypothesis:
     """The head of an isolated-word N-best list as a hypothesis. Raises
     DecodeError when the list is empty or its head has no alignment."""
-    if not nbest.entries or not np.isfinite(nbest.entries[0].combined_cost):
+    if not nbest.entries or not np.isfinite(nbest.entries[0].cost):
         raise DecodeError(f"{nbest.utt_id or 'stream'}: no lexicon word alignable")
     head = nbest.entries[0]
-    return Hypothesis(nbest.utt_id, list(head.words), list(head.tokens), head.combined_cost)
+    return Hypothesis(nbest.utt_id, list(head.words), list(head.tokens), head.cost)
 
 
 def decode_stream(stream, lexicon, vocab, utt_id="") -> Hypothesis:

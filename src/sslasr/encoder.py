@@ -489,7 +489,7 @@ class SslEncoder(Module):
             raise ValueError("no CTC head attached; fine-tune the model first")
         rows, batch = Ragged.of(h)
         logp = log_softmax(self.head.forward(rows, batch), axis=-1)
-        return [PosteriorStream(x, FRAME_SHIFT_US, "w2v") for x in batch.split(logp)]
+        return [PosteriorStream(x, FRAME_SHIFT_US) for x in batch.split(logp)]
 
 
 def pretrain_step(model, samples, rng=None, hard=True, mask=None, noise=None,

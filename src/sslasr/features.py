@@ -135,19 +135,19 @@ def mel_to_hz(m):
     return 700.0 * (np.power(10.0, np.asarray(m, dtype=np.float64) / 2595.0) - 1.0)
 
 
-@functools.lru_cache(maxsize=16)
-def mel_filterbank(n_mels, n_fft, sample_rate):
+@functools.cache
+def mel_filterbank():
     """Triangular unit-height mel filters, 0 Hz to Nyquist, at FFT bins.
 
-    Returns (n_mels, n_fft // 2 + 1) weights and the filter center
-    frequencies in Hz. Both are computed once per argument tuple and
-    shared by every caller, so they are read-only.
+    Returns (FBANK_MELS, FBANK_FFT // 2 + 1) weights and the filter center
+    frequencies in Hz. Both are computed once and shared by every caller,
+    so they are read-only.
     """
-    edges_mel = np.linspace(hz_to_mel(0.0), hz_to_mel(sample_rate / 2.0), n_mels + 2)
+    edges_mel = np.linspace(hz_to_mel(0.0), hz_to_mel(SAMPLE_RATE / 2.0), FBANK_MELS + 2)
     edges_hz = mel_to_hz(edges_mel)
-    bin_hz = np.arange(n_fft // 2 + 1) * (sample_rate / n_fft)
-    weights = np.zeros((n_mels, bin_hz.size))
-    for i in range(n_mels):
+    bin_hz = np.arange(FBANK_FFT // 2 + 1) * (SAMPLE_RATE / FBANK_FFT)
+    weights = np.zeros((FBANK_MELS, bin_hz.size))
+    for i in range(FBANK_MELS):
         left, center, right = edges_hz[i], edges_hz[i + 1], edges_hz[i + 2]
         up = (bin_hz - left) / max(center - left, 1e-12)
         down = (right - bin_hz) / max(right - center, 1e-12)
@@ -175,7 +175,7 @@ def compute_fbank(audio: AudioBuffer) -> FeatureMatrix:
     idx = np.arange(t_out)[:, None] * FBANK_HOP + np.arange(FBANK_WIN)[None, :]
     frames = x[idx] * np.hamming(FBANK_WIN)
     power = np.abs(np.fft.rfft(frames, n=FBANK_FFT, axis=1)) ** 2 / FBANK_FFT
-    fbank, _ = mel_filterbank(FBANK_MELS, FBANK_FFT, SAMPLE_RATE)
+    fbank, _ = mel_filterbank()
     energies = power @ fbank.T
     logmel = np.log(np.maximum(energies, FBANK_FLOOR))
     return FeatureMatrix(logmel, FRAME_SHIFT_US, label="fbk")

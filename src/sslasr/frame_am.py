@@ -80,7 +80,7 @@ class FrameAm(Module):
             )
         return spliced.data
 
-    def posteriors(self, feats, source="am"):
+    def posteriors(self, feats):
         """Per-frame log posteriors of a list of FeatureMatrix objects, as
         a list of streams in the same order.
 
@@ -92,8 +92,7 @@ class FrameAm(Module):
         """
         rows, batch = Ragged.of([self._spliced(f) for f in feats])
         logp = log_softmax(self._forward_logits(rows, batch), axis=-1)
-        return [PosteriorStream(x, f.frame_shift_us, source)
-                for x, f in zip(batch.split(logp), feats)]
+        return [PosteriorStream(x, f.frame_shift_us) for x, f in zip(batch.split(logp), feats)]
 
     def training_example(self, feats: FeatureMatrix, labels):
         """``(x, labels)`` for :func:`cross_entropy_step`: the spliced

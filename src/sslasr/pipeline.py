@@ -9,9 +9,10 @@ a joint system's weighted streams alike are tasks of one call, which
 decodes an isolated-word test set in batched lattice passes, one window
 of ``ctc.LATTICE_WINDOW`` utterances each
 (``decoder.isolated_nbest_batch``). Every rescoring pass goes through
-``rescore.rescore_hypotheses``, which scores the joint N-best lists the
-same way; the CLI's ``rescore`` reads, encodes and rescores its N-best
-file one such window of lists at a time.
+``rescore.rescore_hypotheses``, which scores the entries of the joint
+N-best lists the same way, into one cost matrix, and re-ranks each list
+by its combined costs; the CLI's ``rescore`` reads, encodes and rescores
+its N-best file one such window of lists at a time.
 
 Forward passes over many utterances run in ragged batches.
 ``record_batches`` reads records just in time, a fixed window at a time
@@ -41,7 +42,7 @@ from .config import (
     mdn_config,
 )
 from .corpus import Manifest, gen_synth_corpus, partition_report
-from .ctc import PosteriorStream
+from .ctc import PosteriorStream, _row_logsumexp
 from .decoder import (
     Lexicon,
     best_hypothesis,
@@ -303,8 +304,8 @@ def build_feature_fn(corpus, kind, model=None, adapter=None, mdn_model=None,
 
 def write_streams(path, streams):
     """Write ``{utt_id: PosteriorStream}`` to one feature archive: log
-    probabilities as each payload (float32), the system tag as its label."""
-    write_archive(path, ((utt_id, FeatureMatrix(s.logp, s.frame_shift_us, s.source))
+    probabilities as each payload (float32), with an empty label."""
+    write_archive(path, ((utt_id, FeatureMatrix(s.logp, s.frame_shift_us))
                          for utt_id, s in streams.items()))
 
 
@@ -314,10 +315,8 @@ def read_streams(path) -> dict[str, PosteriorStream]:
     for utt_id, feats in read_archive(path).items():
         logp = feats.data.astype(np.float64)
         # float32 storage rounds the rows; renormalize exactly
-        shift = logp.max(axis=1)
-        norm = shift + np.log(np.exp(logp - shift[:, None]).sum(axis=1))
-        streams[utt_id] = PosteriorStream(logp - norm[:, None], feats.frame_shift_us,
-                                          feats.label)
+        streams[utt_id] = PosteriorStream(logp - _row_logsumexp(logp)[:, None],
+                                          feats.frame_shift_us)
     return streams
 
 
@@ -341,7 +340,7 @@ def train_frame_am(corpus: Corpus, feature_fn, cfg, seed=None):
                     optimizer_cfg=section["optimizer"])
 
 
-def decode_utterances(tasks, lexicon: Lexicon, vocab, n=1, system="am"):
+def decode_utterances(tasks, lexicon: Lexicon, vocab, n=1):
     """Decode a test set of ``(utt_id, streams, weights)`` tasks; returns
     ``(hypotheses, nbests)`` in utterance-id order.
 
@@ -349,8 +348,8 @@ def decode_utterances(tasks, lexicon: Lexicon, vocab, n=1, system="am"):
     its streams are interpolated first (equal weights when None). The
     tasks are decoded in batched lattice passes, one window of
     ``ctc.LATTICE_WINDOW`` streams each (``decoder.isolated_nbest_batch``),
-    into N-best lists of depth ``n`` whose entries are costed under
-    ``system``, and each hypothesis is the head of its list.
+    into N-best lists of depth ``n``, each entry costed by its alignment
+    cost, and each hypothesis is the head of its list.
     """
     tasks = sorted(tasks, key=lambda task: task[0])
     utt_ids, streams = [], []
@@ -361,7 +360,7 @@ def decode_utterances(tasks, lexicon: Lexicon, vocab, n=1, system="am"):
         else:
             w = np.ones(len(parts)) if weights is None else weights
             streams.append(interpolate_posteriors(parts, w))
-    nbests = isolated_nbest_batch(streams, lexicon, vocab, n, utt_ids, system)
+    nbests = isolated_nbest_batch(streams, lexicon, vocab, n, utt_ids)
     return [best_hypothesis(nbest) for nbest in nbests], nbests
 
 
@@ -417,8 +416,8 @@ def run_recognition(corpus: Corpus, cfg, model, adapter, jobs=1):
         fbk = [compute_fbank(a) for a in audio]
         fused = [fuse_features([f, FeatureMatrix(rows, FRAME_SHIFT_US, "w2v-bn")])
                  for f, rows in zip(fbk, bn)]
-        s_fbk += am_fbk.posteriors(fbk, source="tdnn-fbk")
-        s_fused += am_fused.posteriors(fused, source="tdnn-fused")
+        s_fbk += am_fbk.posteriors(fbk)
+        s_fused += am_fused.posteriors(fused)
         ssl += model.head_posteriors(h)
     lexicon, vocab = corpus.lexicon, corpus.vocab
     hyps = {}
@@ -426,8 +425,7 @@ def run_recognition(corpus: Corpus, cfg, model, adapter, jobs=1):
         hyps[name], _ = decode_utterances([(u, [s], None) for u, s in zip(ids, streams)],
                                           lexicon, vocab)
     joint = [(u, [fused, fbk], weights) for u, fused, fbk in zip(ids, s_fused, s_fbk)]
-    hyps["joint"], nbests = decode_utterances(joint, lexicon, vocab, cfg["decode"]["nbest"],
-                                              "tdnn")
+    hyps["joint"], nbests = decode_utterances(joint, lexicon, vocab, cfg["decode"]["nbest"])
     hyps["rescored"] = rescore_hypotheses(nbests, ssl, vocab, cfg["rescore"]["alpha"],
                                           cfg["rescore"]["beta"])
     reports = {name: score_hypotheses([(h.utt_id, h.words) for h in hs], corpus.manifest)

@@ -1,6 +1,7 @@
 import json
 import shutil
 import wave
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -308,19 +309,6 @@ class TestDecodeErrors:
         assert "decode takes one stream source, got 2" in err and "joint-decode" in err
         assert not (tmp_path / "never.jsonl").exists()
 
-    def test_mixed_system_labels_rejected(self, workdir, saved_streams, tmp_path, capsys):
-        _, corpus, cfg = workdir
-        streams = pipeline.read_streams(saved_streams)
-        first = sorted(streams)[0]
-        stream = streams[first]
-        streams[first] = PosteriorStream(stream.logp, stream.frame_shift_us, "other")
-        pipeline.write_streams(saved_streams, streams)
-        rc = main(["decode", "--config", cfg, "--lexicon", str(corpus / "lexicon.json"),
-                   "--streams", str(saved_streams), "--nbest", "3",
-                   "--out", str(tmp_path / "never.jsonl")])
-        assert rc == 1
-        assert "different system labels ['am', 'other']" in capsys.readouterr().err
-
     def test_lexicon_with_mode_key_rejected(self, workdir, saved_streams, tmp_path, capsys):
         _, corpus, cfg = workdir
         lexicon = json.loads((corpus / "lexicon.json").read_text())
@@ -539,9 +527,34 @@ class TestRescoreWindows:
         assert "utterance 'nobody' not in the corpus manifest" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("line, bad, error", [
+        (0, lambda d: {"utt_id": d["utt_id"]},
+         'an n-best list is an object of exactly a string "utt_id" and a list "entries"'),
+        (1, lambda d: {**d, "entries": [
+            {"tokens": e["tokens"], "words": e["words"], "costs": {"tdnn": e["cost"]},
+             "combined": e["cost"]} for e in d["entries"]]},
+         "an n-best entry holds exactly \"cost\", \"tokens\" and \"words\", "
+         "got ['combined', 'costs', 'tokens', 'words']"),
+        (2, lambda d: {**d, "entries": [{**d["entries"][0], "tokens": [1]}]},
+         "an n-best entry's \"tokens\" and \"words\" are lists of strings"),
+        (-1, lambda d: {**d, "entries": [{**d["entries"][0], "cost": "1.5"}]},
+         "an n-best entry's \"cost\" is a number, got '1.5'"),
+    ])
+    def test_malformed_line_named_by_file_and_line(self, workdir, nbest_file, tmp_path,
+                                                   capsys, line, bad, error):
+        lines = nbest_file.read_text().splitlines()
+        assert len(lines) > cli.LATTICE_WINDOW
+        lines[line] = json.dumps(bad(json.loads(lines[line])))
+        nbest_file.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "never.jsonl"
+        assert self._rescore(workdir, nbest_file, out) == 1
+        number = line % len(lines) + 1
+        assert f"error: {nbest_file}:{number}: {error}\n" == capsys.readouterr().err
+        assert not out.exists()
+
 
 def _json_lines(objs):
-    return "".join(json.dumps(o.to_json_dict()) + "\n" for o in objs)
+    return "".join(json.dumps(asdict(o)) + "\n" for o in objs)
 
 
 class TestBatchedDecodeOutputs:
@@ -572,7 +585,7 @@ class TestBatchedDecodeOutputs:
         assert hyp.read_text() == _json_lines(
             decode_stream(s, lexicon, vocab, u) for u, s in streams.items())
         assert nb.read_text() == _json_lines(
-            isolated_nbest(s, lexicon, vocab, 3, utt_id=u, system=s.source or "am")
+            isolated_nbest(s, lexicon, vocab, 3, utt_id=u)
             for u, s in streams.items())
 
     def test_joint_decode_nbest_matches_per_utterance(self, workdir, tmp_path):
@@ -589,7 +602,7 @@ class TestBatchedDecodeOutputs:
         for utt_id, stream in pipeline.read_streams(s1).items():
             logp = 0.5 * stream.logp
             logp -= np.log(np.exp(logp).sum(axis=1, keepdims=True))
-            flat[utt_id] = PosteriorStream(logp, stream.frame_shift_us, "flat")
+            flat[utt_id] = PosteriorStream(logp, stream.frame_shift_us)
         pipeline.write_streams(s2, flat)
         hyp, nb = tmp_path / "joint.jsonl", tmp_path / "nb.jsonl"
         assert main(["joint-decode", "--config", cfg,
@@ -602,13 +615,13 @@ class TestBatchedDecodeOutputs:
                  for u in sorted(streams1)}
         assert hyp.read_text() == _json_lines(
             decode_stream(s, lexicon, vocab, u) for u, s in mixed.items())
-        nbests = [isolated_nbest(s, lexicon, vocab, 4, utt_id=u, system="tdnn")
+        nbests = [isolated_nbest(s, lexicon, vocab, 4, utt_id=u)
                   for u, s in mixed.items()]
         assert nb.read_text() == _json_lines(nbests)
         for line, nbest in zip(hyp.read_text().splitlines(), nbests):
             head, d = nbest.entries[0], json.loads(line)
             assert (d["utt_id"], d["words"], d["tokens"], d["cost"]) == (
-                nbest.utt_id, head.words, head.tokens, head.combined_cost)
+                nbest.utt_id, head.words, head.tokens, head.cost)
 
 
 class TestScore:

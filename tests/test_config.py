@@ -171,16 +171,34 @@ class TestScalars:
         ({"corpus": {"tone_ms": 0.5, "edge_ms": 0.0}},
          "corpus.tone_ms: 3 tones of 0.5 ms between edges of 0.0 ms (target_tempo 0.88) make "
          "utterances of 24 samples, shorter than one 400-sample (25 ms) filterbank window"),
-        ({"corpus": {"edge_ms": float("inf")}},
-         "corpus.tone_ms: 3 tones of 120.0 ms between edges of inf ms (target_tempo 0.88) make "
-         "utterances of unbounded length"),
+        ({"corpus": {"edge_ms": float("inf")}}, "corpus.edge_ms: must be finite, got inf"),
         ({"corpus": {"target_tempo": 5e-324}},
          "corpus.tone_ms: 3 tones of 120.0 ms between edges of 40.0 ms (target_tempo 5e-324) "
          "make utterances of unbounded length"),
+        # each of these loaded: no number may be NaN or infinite, and the
+        # signal levels are at least 0
+        ({"corpus": {"amplitude": float("nan")}}, "corpus.amplitude: must be finite, got nan"),
+        ({"corpus": {"noise_rms": -1.0}}, "corpus.noise_rms: must be a number >= 0.0, got -1.0"),
+        ({"corpus": {"target_noise_rms": -0.1}},
+         "corpus.target_noise_rms: must be a number >= 0.0, got -0.1"),
+        ({"corpus": {"target_tilt": float("inf")}}, "corpus.target_tilt: must be finite, got inf"),
+        ({"corpus": {"target_tilt": -float("inf")}},
+         "corpus.target_tilt: must be finite, got -inf"),
+        ({"mdn": {"map_noise": float("inf")}}, "mdn.map_noise: must be finite, got inf"),
+        ({"rescore": {"beta": float("nan")}}, "rescore.beta: must be finite, got nan"),
+        ({"seed": float("nan")}, "seed: must be an int >= 0, got nan"),
     ])
     def test_rejected_by_dotted_path(self, override, error):
         with pytest.raises(ValueError, match="^" + re.escape(error) + "$"):
             load_config(overrides=override)
+
+    def test_nan_literal_in_a_file_rejected(self, tmp_path):
+        path = tmp_path / "nan.json"
+        path.write_text('{"corpus": {"amplitude": NaN, "noise_rms": Infinity}}')
+        with pytest.raises(ValueError, match="^" + re.escape(
+                "corpus.amplitude: must be finite, got nan; "
+                "corpus.noise_rms: must be finite, got inf") + "$"):
+            load_config(path)
 
     @pytest.mark.parametrize("bound", [{"tone_ms": 0.5}, {"edge_ms": 0.0}])
     def test_tone_and_edge_bounds_generate_a_corpus(self, tmp_path, bound):

@@ -1,3 +1,5 @@
+import json
+import re
 from unittest import mock
 
 import numpy as np
@@ -8,6 +10,7 @@ from hypothesis import strategies as st
 from sslasr import ctc
 from sslasr.ctc import (
     NBestEntry,
+    NBestFormatError,
     NBestList,
     PosteriorStream,
     TokenVocab,
@@ -54,11 +57,11 @@ class TestPosteriorStream:
     def test_rows_must_normalize(self):
         bad = np.log(np.full((2, 3), 0.5))
         with pytest.raises(ValueError, match="log-sum-exp"):
-            PosteriorStream(bad, 10_000, "x")
+            PosteriorStream(bad, 10_000)
 
     def test_neg_inf_allowed(self):
         row = np.array([[0.0, -np.inf, -np.inf]])
-        s = PosteriorStream(row, 10_000, "x")
+        s = PosteriorStream(row, 10_000)
         assert s.n_frames == 1
 
 
@@ -375,12 +378,36 @@ class TestGreedyDecode:
 
 class TestNBestJson:
     def test_round_trip(self):
-        nb = NBestList("u1", [
-            NBestEntry(["a", "b"], ["word"], {"tdnn": 1.5, "w2v": float("inf")}, 1.5),
-            NBestEntry([], [], {"tdnn": 2.0}, 2.0),
-        ])
-        back = NBestList.from_json(nb.to_json())
-        assert back.utt_id == "u1"
-        assert back.entries[0].tokens == ["a", "b"]
-        assert back.entries[0].cost_per_system["w2v"] == float("inf")
-        assert back.entries[1].combined_cost == 2.0
+        nb = NBestList("u1", [NBestEntry(["a", "b"], ["word"], 1.5),
+                              NBestEntry([], [], float("inf"))])
+        text = nb.to_json()
+        assert json.loads(text) == {"utt_id": "u1", "entries": [
+            {"tokens": ["a", "b"], "words": ["word"], "cost": 1.5},
+            {"tokens": [], "words": [], "cost": float("inf")}]}
+        assert NBestList.from_json(text) == nb
+
+    @pytest.mark.parametrize("line, error", [
+        ({"utt_id": "u"}, 'exactly a string "utt_id" and a list "entries"'),
+        ({"utt_id": 7, "entries": []}, 'exactly a string "utt_id"'),
+        ({"utt_id": "u", "entries": {}}, 'a list "entries"'),
+        ({"utt_id": "u", "entries": [], "system": "tdnn"}, 'exactly a string "utt_id"'),
+        ({"utt_id": "u", "entries": [["a"]]}, "got ['a']"),
+        ({"utt_id": "u", "entries": [{"tokens": [], "words": [], "costs": {"tdnn": 1.0},
+                                      "combined": 1.0}]},
+         "got ['combined', 'costs', 'tokens', 'words']"),
+        ({"utt_id": "u", "entries": [{"tokens": [], "words": ["w"], "cost": 1.0, "x": 0}]},
+         "got ['cost', 'tokens', 'words', 'x']"),
+        ({"utt_id": "u", "entries": [{"tokens": "ab", "words": ["w"], "cost": 1.0}]},
+         '"tokens" and "words" are lists of strings'),
+        ({"utt_id": "u", "entries": [{"tokens": [], "words": [3], "cost": 1.0}]},
+         '"tokens" and "words" are lists of strings'),
+        ({"utt_id": "u", "entries": [{"tokens": [], "words": [], "cost": None}]},
+         '"cost" is a number, got None'),
+        ({"utt_id": "u", "entries": [{"tokens": [], "words": [], "cost": True}]},
+         '"cost" is a number, got True'),
+        ({"utt_id": "u", "entries": [{"tokens": [], "words": [], "cost": float("nan")}]},
+         '"cost" is a number, got nan'),
+    ])
+    def test_malformed_rejected(self, line, error):
+        with pytest.raises(NBestFormatError, match=re.escape(error)):
+            NBestList.from_json(json.dumps(line))

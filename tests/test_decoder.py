@@ -26,22 +26,22 @@ from oracles import best_alignment_cost_by_enumeration
 VOCAB = TokenVocab(("a", "b", "c"))
 
 
-def rand_stream(t, v, rng, source="s"):
+def rand_stream(t, v, rng):
     logits = rng.normal(size=(t, v + 1))
     logp = logits - np.log(np.exp(logits).sum(axis=1, keepdims=True))
-    return PosteriorStream(logp, 10_000, source)
+    return PosteriorStream(logp, 10_000)
 
 
-def stream_from_rows(rows, source="s"):
+def stream_from_rows(rows):
     rows = np.asarray(rows, dtype=np.float64)
     logp = np.log(rows / rows.sum(axis=1, keepdims=True))
-    return PosteriorStream(logp, 10_000, source)
+    return PosteriorStream(logp, 10_000)
 
 
 class TestInterpolate:
     def test_degenerate_weight_bit_exact(self):
         rng = np.random.default_rng(0)
-        s1, s2 = rand_stream(5, 2, rng, "a"), rand_stream(5, 2, rng, "b")
+        s1, s2 = rand_stream(5, 2, rng), rand_stream(5, 2, rng)
         mixed = interpolate_posteriors([s1, s2], [1.0, 0.0])
         assert np.array_equal(mixed.logp, s1.logp)
         mixed = interpolate_posteriors([s1, s2], [0.0, 2.5])
@@ -71,7 +71,7 @@ class TestInterpolate:
             interpolate_posteriors([rand_stream(4, 2, rng), rand_stream(5, 2, rng)], [1, 1])
         with pytest.raises(ValueError, match="frame shift"):
             s1 = rand_stream(4, 2, rng)
-            s2 = PosteriorStream(s1.logp.copy(), 20_000, "x")
+            s2 = PosteriorStream(s1.logp.copy(), 20_000)
             interpolate_posteriors([s1, s2], [1, 1])
         with pytest.raises(ValueError, match="positive"):
             interpolate_posteriors([s1, s1], [0.0, 0.0])
@@ -149,19 +149,19 @@ class TestIsolatedNbest:
     def test_ranks_all_words(self):
         rng = np.random.default_rng(9)
         stream = rand_stream(5, 3, rng)
-        nb = isolated_nbest(stream, ISO, VOCAB, n=3, utt_id="u", system="am")
+        nb = isolated_nbest(stream, ISO, VOCAB, n=3, utt_id="u")
         assert len(nb.entries) == 3
-        costs = [e.combined_cost for e in nb.entries]
+        costs = [e.cost for e in nb.entries]
         assert costs == sorted(costs)
         best_word, best_cost = isolated_word(stream, ISO)
         assert nb.entries[0].words == [best_word]
-        assert nb.entries[0].cost_per_system["am"] == pytest.approx(best_cost)
+        assert nb.entries[0].cost == pytest.approx(best_cost)
 
     def test_infeasible_words_kept_with_inf(self):
         rng = np.random.default_rng(10)
         lex = Lexicon([LexiconEntry("fits", ("a",)), LexiconEntry("huge", ("a", "b", "c", "a"))])
         nb = isolated_nbest(rand_stream(2, 3, rng), lex, VOCAB, n=2)
-        assert nb.entries[-1].combined_cost == np.inf
+        assert nb.entries[-1].cost == np.inf
         assert nb.entries[-1].words == ["huge"]
 
 
@@ -173,11 +173,11 @@ class TestIsolatedNbestBatch:
         # a one-frame stream fits only "two"; "three" needs three frames
         streams = [rand_stream(t, 3, rng) for t in (1, 6, 2, 4, 3)]
         ids = [f"u{i}" for i in range(len(streams))]
-        batch = isolated_nbest_batch(streams, ISO, VOCAB, 3, ids, system="x")
+        batch = isolated_nbest_batch(streams, ISO, VOCAB, 3, ids)
         for stream, utt_id, nb in zip(streams, ids, batch):
-            single = isolated_nbest(stream, ISO, VOCAB, 3, utt_id=utt_id, system="x")
-            assert nb.to_json_dict() == single.to_json_dict()
-        assert batch[0].entries[-1].combined_cost == np.inf
+            single = isolated_nbest(stream, ISO, VOCAB, 3, utt_id=utt_id)
+            assert nb == single
+        assert batch[0].entries[-1].cost == np.inf
 
     def test_empty_batch_and_id_mismatch(self):
         assert isolated_nbest_batch([], ISO, VOCAB, 3, []) == []
@@ -279,7 +279,7 @@ class TestJointDecode:
     def test_degenerate_weights_reproduce_single_system(self):
         rng = np.random.default_rng(14)
         for _ in range(10):
-            s1, s2 = rand_stream(5, 3, rng, "a"), rand_stream(5, 3, rng, "b")
+            s1, s2 = rand_stream(5, 3, rng), rand_stream(5, 3, rng)
             solo = decode_stream(s1, ISO, VOCAB, "u")
             joint = joint_hypothesis([s1, s2], [1.0, 0.0], ISO, "u")
             assert joint.words == solo.words
@@ -287,7 +287,7 @@ class TestJointDecode:
 
     def test_three_system_smoke(self):
         rng = np.random.default_rng(15)
-        streams = [rand_stream(6, 3, rng, f"s{i}") for i in range(3)]
+        streams = [rand_stream(6, 3, rng) for _ in range(3)]
         hyp = joint_hypothesis(streams, parse_weight_ratio("9:1:5"), ISO, "u")
         assert isinstance(hyp, Hypothesis)
         assert np.isfinite(hyp.cost)
@@ -296,7 +296,7 @@ class TestJointDecode:
     def test_weight_scaling_leaves_hypotheses_unchanged(self):
         rng = np.random.default_rng(16)
         for _ in range(10):
-            streams = [rand_stream(5, 3, rng, "a"), rand_stream(5, 3, rng, "b")]
+            streams = [rand_stream(5, 3, rng), rand_stream(5, 3, rng)]
             base = joint_hypothesis(streams, np.array([3.0, 2.0]), ISO, "u")
             for c in (2.0, 0.5, 3.0, 256.0):
                 scaled = joint_hypothesis(streams, np.array([3.0 * c, 2.0 * c]), ISO, "u")

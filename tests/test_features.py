@@ -67,10 +67,13 @@ class TestComputeFbank:
         assert feats.n_frames == (n - 400) // 160 + 1
 
     def test_filterbank_covers_all_filters(self):
-        weights, centers = mel_filterbank(40, 512, 16000)
+        weights, centers = mel_filterbank()
         assert weights.shape == (40, 257)
         assert (weights.max(axis=1) > 0).all()
         assert len(centers) == 40
+        # built once and shared, so read-only
+        assert mel_filterbank()[0] is weights
+        assert not weights.flags.writeable and not centers.flags.writeable
 
 
 class TestFuseFeatures:

@@ -80,14 +80,14 @@ class TestPosteriors:
         am = FrameAm(AM, d_feat=4, n_classes=n_classes, seed=seed % 1000)
         feats = [feat(t, 4, seed=seed + i, shift=10_000 * (1 + i % 2))
                  for i, t in enumerate(lengths)]
-        streams = am.posteriors(feats, source="s")
+        streams = am.posteriors(feats)
         assert len(streams) == len(feats)
         for f, stream in zip(feats, streams):
             _, one = cross_entropy_step(am, *am.training_example(f, np.zeros(len(f.data))))
             assert stream.logp.tobytes() == one.tobytes()
-            (alone,) = am.posteriors([f], source="s")
+            (alone,) = am.posteriors([f])
             assert alone.logp.tobytes() == one.tobytes()
-            assert (stream.frame_shift_us, stream.source) == (f.frame_shift_us, "s")
+            assert stream.frame_shift_us == f.frame_shift_us
 
 
 def labeled_dataset(n_utts, d_feat, n_classes, seed):

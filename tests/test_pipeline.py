@@ -1,5 +1,6 @@
 import hashlib
 from collections import Counter
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -192,7 +193,6 @@ class TestStreamFiles:
         assert list(back) == [r.utt_id for r in records]
         for got, stream in zip(back.values(), streams):
             assert got.frame_shift_us == stream.frame_shift_us
-            assert got.source == stream.source
             assert np.allclose(got.logp, stream.logp, atol=1e-4)
             assert greedy_decode(got) == greedy_decode(stream)
             # float32 storage, then an exact renormalisation of each row
@@ -243,7 +243,7 @@ def reference_stream(streams, weights):
 
 
 def as_json(objs):
-    return [o.to_json_dict() for o in objs]
+    return [asdict(o) for o in objs]
 
 
 class TestDecodeUtterances:
@@ -256,13 +256,13 @@ class TestDecodeUtterances:
         tasks = [(u, [random_stream(t, 3, rng) for _ in range(n)], w)
                  for u, t, n, w in specs]
         by_id = sorted(tasks, key=lambda task: task[0])
-        hyps, nbests = pipeline.decode_utterances(tasks, ISOLATED, VOCAB, n=2, system="tdnn")
+        hyps, nbests = pipeline.decode_utterances(tasks, ISOLATED, VOCAB, n=2)
         expected = [decode_stream(reference_stream(s, w), ISOLATED, VOCAB, u)
                     for u, s, w in by_id]
         assert as_json(hyps) == as_json(expected)
         assert as_json(nbests) == as_json(
-            isolated_nbest(reference_stream(s, w), ISOLATED, VOCAB, 2, utt_id=u,
-                           system="tdnn") for u, s, w in by_id)
+            isolated_nbest(reference_stream(s, w), ISOLATED, VOCAB, 2, utt_id=u)
+            for u, s, w in by_id)
 
     def test_empty_test_set(self):
         assert pipeline.decode_utterances([], ISOLATED, VOCAB) == ([], [])
@@ -280,7 +280,7 @@ def decode_sets(draw):
         weights = draw(st.one_of(st.none(), st.lists(st.integers(1, 9), min_size=n,
                                                      max_size=n)))
         tasks.append((f"u{k}", [random_stream(t, 3, rng) for _ in range(n)], weights))
-    ssl = {u: random_stream(draw(st.integers(1, 8)), 3, rng, source="w2v")
+    ssl = {u: random_stream(draw(st.integers(1, 8)), 3, rng)
            for u, _, _ in tasks}
     return tasks, ssl, draw(st.permutations(range(len(tasks))))
 
@@ -290,16 +290,16 @@ class TestOrderIndependence:
     @given(decode_sets(), st.integers(1, 3))
     def test_shuffled_tasks_decode_and_rescore_alike(self, drawn, n):
         tasks, ssl, order = drawn
-        hyps, nbests = pipeline.decode_utterances(tasks, ISOLATED, VOCAB, n, "tdnn")
+        hyps, nbests = pipeline.decode_utterances(tasks, ISOLATED, VOCAB, n)
         hyps2, nbests2 = pipeline.decode_utterances([tasks[i] for i in order], ISOLATED, VOCAB,
-                                                    n, "tdnn")
+                                                    n)
         assert [h.utt_id for h in hyps] == sorted(ssl)
         assert as_json(hyps) == as_json(hyps2)
         assert as_json(nbests) == as_json(nbests2)
 
         def rescored(lists):
             hs = rescore_hypotheses(lists, [ssl[nb.utt_id] for nb in lists], VOCAB, 2.0, 9.0)
-            return {h.utt_id: h.to_json_dict() for h in hs}
+            return {h.utt_id: asdict(h) for h in hs}
 
         assert rescored([nbests[i] for i in order]) == rescored(nbests)
 
@@ -340,7 +340,7 @@ class TestRunRecognition:
         ({"decode": {"weights": "9:1:5"}}, r"decode.weights \(fused:fbk\): need 2 weights"),
         ({"decode": {"weights": "inf:1"}}, r"decode.weights \(fused:fbk\) must be finite"),
         ({"decode": {"weights": "3:-2"}}, r"decode.weights \(fused:fbk\) must be nonneg"),
-        ({"rescore": {"alpha": float("nan")}}, "rescoring weights alpha:beta must be finite"),
+        ({"rescore": {"alpha": float("nan")}}, "rescore.alpha: must be finite, got nan"),
         ({"rescore": {"beta": -9.0}}, "rescoring weights alpha:beta must be nonnegative"),
     ])
     def test_weights_checked_before_training(self, override, error):
@@ -413,11 +413,10 @@ class TestRunRecognition:
             mixed = interpolate_posteriors(
                 [am_fused.posteriors([fused])[0], am_fbk.posteriors([fbk])[0]], weights)
             nbest = isolated_nbest(mixed, tiny_corpus.lexicon, tiny_corpus.vocab,
-                                   tiny_config["decode"]["nbest"], utt_id=record.utt_id,
-                                   system="tdnn")
+                                   tiny_config["decode"]["nbest"], utt_id=record.utt_id)
             _, h = model.represent([tiny_corpus.audio(record)], adapter)
-            (scored,) = score_nbest_with_ssl([(nbest, model.head_posteriors(h)[0])],
-                                             tiny_corpus.vocab)
-            best, _ = rescore(scored, alpha, beta)
+            (costs,) = score_nbest_with_ssl([nbest], model.head_posteriors(h),
+                                            tiny_corpus.vocab)
+            best = rescore(nbest, costs, alpha, beta).entries[0]
             assert hyp.words == list(best.words)
-            assert hyp.cost == best.combined_cost
+            assert hyp.cost == best.cost
