@@ -181,13 +181,17 @@ def _walk(value, default, path, key, errors, unknown):
     elif isinstance(default, (int, float)):
         kind, what, low = ((int, "an int", _MINIMUMS.get(key, 1)) if isinstance(default, int)
                            else ((int, float), "a number", _MINIMUMS.get(key)))
-        finite = isinstance(value, int) or isinstance(value, float) and math.isfinite(value)
+        try:  # a number setting is read as a float: an int past its range overflows
+            finite = kind is int and isinstance(value, int) or math.isfinite(value)
+        except (TypeError, OverflowError):
+            finite = False
         if (isinstance(value, bool) or not isinstance(value, kind)
                 or finite and low is not None and value < low):
             bound = "" if low is None else f" >= {low}"
             errors.append(f"{path}: must be {what}{bound}, got {value!r}")
         elif not finite:
-            errors.append(f"{path}: must be finite, got {value!r}")
+            shown = "an int too large for a float" if isinstance(value, int) else repr(value)
+            errors.append(f"{path}: must be finite, got {shown}")
 
 
 def _decode_weights(text):

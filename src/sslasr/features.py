@@ -39,6 +39,7 @@ import wave
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 SAMPLE_RATE = 16_000
 # the filterbank hop, and the shift every stream is fused at
@@ -51,6 +52,9 @@ FBANK_FFT = 512
 FBANK_MELS = 40
 FBANK_FLOOR = 1e-10
 PREEMPHASIS = 0.97
+# the analysis window, shared by every call and so read-only
+HAMMING = np.hamming(FBANK_WIN)
+HAMMING.flags.writeable = False
 
 FILE_MAGIC = b"SFF1"
 FILE_VERSION = 1
@@ -171,9 +175,7 @@ def compute_fbank(audio: AudioBuffer) -> FeatureMatrix:
         )
     x = audio.samples.copy()
     x[1:] -= PREEMPHASIS * x[:-1]
-    t_out = (n - FBANK_WIN) // FBANK_HOP + 1
-    idx = np.arange(t_out)[:, None] * FBANK_HOP + np.arange(FBANK_WIN)[None, :]
-    frames = x[idx] * np.hamming(FBANK_WIN)
+    frames = sliding_window_view(x, FBANK_WIN)[::FBANK_HOP] * HAMMING
     power = np.abs(np.fft.rfft(frames, n=FBANK_FFT, axis=1)) ** 2 / FBANK_FFT
     fbank, _ = mel_filterbank()
     energies = power @ fbank.T

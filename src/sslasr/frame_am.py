@@ -33,13 +33,9 @@ class AmConfig:
 def splice_context(feats: FeatureMatrix, offsets) -> FeatureMatrix:
     """Row t becomes the concatenation of rows t+o for each offset, with
     edge replication; output width is len(offsets) * D."""
-    offsets = tuple(int(o) for o in offsets)
     t = feats.n_frames
-    cols = []
-    for o in offsets:
-        idx = np.clip(np.arange(t) + o, 0, t - 1)
-        cols.append(feats.data[idx])
-    return FeatureMatrix(np.concatenate(cols, axis=1), feats.frame_shift_us, feats.label)
+    idx = np.clip(np.arange(t)[:, None] + np.array(offsets, dtype=np.intp), 0, t - 1)
+    return FeatureMatrix(feats.data[idx].reshape(t, -1), feats.frame_shift_us, feats.label)
 
 
 class FrameAm(Module):

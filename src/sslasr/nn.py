@@ -45,6 +45,7 @@ import itertools
 import math
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
@@ -62,8 +63,6 @@ _ERFC_P = (2.46196981473530512524e-10, 5.64189564831068821977e-1, 7.463210564422
 _ERFC_Q = (1.32281951154744992508e1, 8.67072140885989742329e1, 3.54937778887819891062e2,
            9.75708501743205489753e2, 1.82390916687909736289e3, 2.24633760818710981792e3,
            1.65666309194161350182e3, 5.57535340817727675546e2)
-# relative bounds of a bracket at least two ulps wide on each side of a double
-_EXP_LO, _EXP_HI = 1.0 - 2.0**-51, 1.0 + 2.0**-51
 
 
 class ParameterShapeError(ValueError):
@@ -326,13 +325,6 @@ def _p1evl(x, coef):
     return y
 
 
-def _erfc_tail(e, p, q):
-    """``1 - e p / q`` in cephes' order, written over ``e``."""
-    e *= p
-    e /= q
-    return np.subtract(1.0, e, out=e)
-
-
 def _erf(x):
     """erf of every entry of ``x``, bit for bit what ``scipy.special.erf``
     returns: a numpy port of the cephes ``ndtr.c`` algorithm it runs.
@@ -344,13 +336,12 @@ def _erf(x):
     - nan gives a nan with the sign bit clear, as scipy's does, and -0.0
       stays -0.0.
 
-    The exponential must be the C library's, which numpy's vectorised
-    ``np.exp`` misses by one ulp in a few per cent of arguments. The tail
-    is monotone in the exponential, so it is evaluated at both ends of a
-    bracket around ``np.exp``'s value that is at least two ulps wide on
-    each side: where both ends give the same double, so does the C
-    library's value. The other entries are recomputed with ``math.exp``,
-    the C library's ``exp`` that scipy's compiled code calls.
+    The exponential must be the C library's ``exp``, which scipy's compiled
+    code calls; numpy's vectorised ``np.exp`` misses it by one ulp in a few
+    per cent of arguments. numpy's complex ``exp`` calls the C library's
+    ``cexp``, which takes ``cexp(x + 0i)`` as ``exp(x) cos 0 + i exp(x) sin
+    0``. As cos 0 is exactly 1, the real part is the C library's
+    ``exp(x)``, for every entry at once.
     """
     # the |x| <= 1 branch on every entry, clamped so that the others stay
     # finite until they are overwritten; clamping changes exactly those
@@ -366,15 +357,12 @@ def _erf(x):
     xt = np.take(x, tail)
     a = np.abs(xt)
     np.minimum(a, 6.0, out=a)
-    p, q = _polevl(a, _ERFC_P), _p1evl(a, _ERFC_Q)
     arg = -a
     arg *= a
-    e = np.exp(arg)
-    y = _erfc_tail(e * _EXP_LO, p, q)
-    redo = np.flatnonzero(y != _erfc_tail(e * _EXP_HI, p, q))
-    if redo.size:
-        e = np.fromiter(map(math.exp, arg[redo].tolist()), np.float64, redo.size)
-        y[redo] = _erfc_tail(e, p[redo], q[redo])
+    # 1 - e P / Q in cephes' order
+    y = np.exp(arg.astype(np.complex128)).real * _polevl(a, _ERFC_P)
+    y /= _p1evl(a, _ERFC_Q)
+    np.subtract(1.0, y, out=y)
     np.copysign(y, xt, out=y)
     y[np.isnan(y)] = np.nan  # with the sign bit clear
     out.reshape(-1)[tail] = y
@@ -508,8 +496,10 @@ class Conv1d(Module):
         t_in = len(x) if batch is None else min(batch.lengths)
         if self.out_length(t_in) < 1:
             raise ValueError(f"input of {t_in} frames shorter than kernel {self.kernel}")
-        starts = self._frame_starts(len(x), batch)
-        cols = x[starts[:, None] + np.arange(self.kernel)].reshape(len(starts), -1)
+        # frame t is the contiguous run of kernel rows from starts[t]: one row
+        # of a window view over the flattened rows, c_in values apart
+        windows = sliding_window_view(x.reshape(-1), self.kernel * self.c_in)[:: self.c_in]
+        cols = windows[self._frame_starts(len(x), batch)]
         out_batch = None if batch is None else batch.resized(self.out_length)
         self._cols, self._t_in = _for_backward(batch, cols, len(x))
         return _matmul(cols, self.w.value, out_batch) + self.b.value

@@ -12,7 +12,13 @@ linear and attention layers at the recipe's default-config shapes.
   work is shared. The window of ``encoder.windows`` comes from these
   numbers;
 - ``Linear`` forward and backward over 21 x 64 -> 192 (a block's qkv);
-- ``MultiHeadSelfAttention`` forward and backward over 21 x 64, 4 heads.
+- ``MultiHeadSelfAttention`` forward and backward over 21 x 64, 4 heads;
+- the recognition kernels, one case each: the batched forward of conv0
+  (kernel 80, stride 80 over raw samples) over one 8-utterance window of
+  the ``mixed`` lengths, ``compute_fbank`` of one 7,040-sample utterance,
+  ``splice_context`` of its 42 x 40 filterbank rows at the default
+  ``am.offsets``, and ``Gelu.forward`` over a 176 x 256 feed-forward batch
+  (8 utterances of 22 frames).
 
     python -m pytest tests/bench_inference.py
 
@@ -24,8 +30,10 @@ import pytest
 
 from sslasr.bottleneck import BottleneckAdapter
 from sslasr.config import DEFAULT_CONFIG
-from sslasr.encoder import EncoderConfig, SslEncoder
-from sslasr.nn import Linear, MultiHeadSelfAttention
+from sslasr.encoder import _WINDOW, EncoderConfig, SslEncoder
+from sslasr.features import AudioBuffer, compute_fbank
+from sslasr.frame_am import splice_context
+from sslasr.nn import Gelu, Linear, MultiHeadSelfAttention, Ragged
 from sslasr.pipeline import bottleneck_config
 
 N_UTTS, T, D = 32, 21, 64
@@ -103,3 +111,31 @@ def test_attention_backward(benchmark, rng):
     attn = MultiHeadSelfAttention(rng, D, 4, "attn")
     attn.forward(rng.normal(size=(T, D)))
     assert benchmark(attn.backward, rng.normal(size=(T, D))).shape == (T, D)
+
+
+@pytest.mark.benchmark(group="recognition-kernels")
+def test_conv0_forward_batched(benchmark, encoder_and_adapter, rng):
+    conv0 = encoder_and_adapter[0].convs[0]
+    rows, batch = Ragged.of([rng.normal(0.0, 0.3, (n, 1))
+                             for n in SAMPLE_COUNTS["mixed"][:_WINDOW]])
+    y = benchmark(conv0.forward, rows, batch)
+    assert len(y) == sum(batch.resized(conv0.out_length).lengths)
+
+
+@pytest.mark.benchmark(group="recognition-kernels")
+def test_compute_fbank(benchmark, rng):
+    audio = AudioBuffer(rng.normal(0.0, 0.3, SAMPLE_COUNTS["mixed"][0]))
+    assert benchmark(compute_fbank, audio).n_frames == 42
+
+
+@pytest.mark.benchmark(group="recognition-kernels")
+def test_splice_context(benchmark, rng):
+    feats = compute_fbank(AudioBuffer(rng.normal(0.0, 0.3, SAMPLE_COUNTS["mixed"][0])))
+    offsets = DEFAULT_CONFIG["am"]["offsets"]
+    assert benchmark(splice_context, feats, offsets).dim == len(offsets) * feats.dim
+
+
+@pytest.mark.benchmark(group="recognition-kernels")
+def test_gelu_forward(benchmark, rng):
+    x = rng.normal(size=(_WINDOW * 22, 4 * D))
+    assert benchmark(Gelu().forward, x).shape == x.shape

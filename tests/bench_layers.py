@@ -11,9 +11,9 @@ default-config shapes: one 22-frame utterance (7,040 samples).
   the second conv's input (88 x 32) and an 8-utterance batch of the
   former. Its erf is ``nn._erf``, a numpy port of the cephes ``ndtr.c``
   algorithm that ``scipy.special.erf`` runs, bit-identical to it
-  (``tests/test_nn.py::TestErfOracle``): numpy's exp is bracketed and
-  the C library's ``math.exp`` recomputes the entries the bracket leaves
-  undecided.
+  (``tests/test_nn.py::TestErfOracle``). Its exponential is the C
+  library's ``exp``, the real part of numpy's complex exp, taken over
+  every tail entry at once.
 
     python -m pytest tests/bench_layers.py
 

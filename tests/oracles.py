@@ -243,6 +243,50 @@ def reference_overlap_add(parts, stride, length):
     return out
 
 
+def reference_conv_frames(x, kernel, stride):
+    """The input frames of a valid strided convolution over the (T, C) rows
+    of one utterance, gathered by an (n_out, kernel) index array: row t
+    is rows t * stride .. t * stride + kernel - 1, flattened."""
+    n_out = (len(x) - kernel) // stride + 1
+    idx = np.arange(n_out)[:, None] * stride + np.arange(kernel)[None, :]
+    return x[idx].reshape(n_out, -1)
+
+
+def reference_fbank(samples):
+    """Log-mel filterbank of a waveform with its frames gathered by an
+    index array and the Hamming window built on each call."""
+    from sslasr.features import (FBANK_FFT, FBANK_FLOOR, FBANK_HOP, FBANK_WIN,
+                                 PREEMPHASIS, mel_filterbank)
+
+    x = np.array(samples, dtype=np.float64)
+    x[1:] -= PREEMPHASIS * x[:-1]
+    t_out = (len(x) - FBANK_WIN) // FBANK_HOP + 1
+    idx = np.arange(t_out)[:, None] * FBANK_HOP + np.arange(FBANK_WIN)[None, :]
+    frames = x[idx] * np.hamming(FBANK_WIN)
+    power = np.abs(np.fft.rfft(frames, n=FBANK_FFT, axis=1)) ** 2 / FBANK_FFT
+    energies = power @ mel_filterbank()[0].T
+    return np.log(np.maximum(energies, FBANK_FLOOR))
+
+
+def reference_splice(data, offsets):
+    """Row t becomes rows t + o for each offset, clipped to the first and
+    last rows: one clip, gather and concatenation per offset."""
+    t = len(data)
+    return np.concatenate([data[np.clip(np.arange(t) + o, 0, t - 1)] for o in offsets],
+                          axis=1)
+
+
+def reference_row_logsumexp(logp):
+    """log sum exp of each row, -inf for a row of -inf, computed on the
+    copied rows whose maximum is finite."""
+    m = np.max(logp, axis=1)
+    out = np.full(logp.shape[0], -np.inf)
+    ok = np.isfinite(m)
+    if ok.any():
+        out[ok] = m[ok] + np.log(np.exp(logp[ok] - m[ok, None]).sum(axis=1))
+    return out
+
+
 def reference_layer_norm(x, gain, bias, dy, eps=1e-6):
     """Layer normalisation over the last axis written with ``x.mean`` and
     ``x.var``: returns the output and, for the upstream gradient ``dy``,

@@ -187,6 +187,12 @@ class TestScalars:
         ({"mdn": {"map_noise": float("inf")}}, "mdn.map_noise: must be finite, got inf"),
         ({"rescore": {"beta": float("nan")}}, "rescore.beta: must be finite, got nan"),
         ({"seed": float("nan")}, "seed: must be an int >= 0, got nan"),
+        # an int past a float's range: the first loaded, the second failed
+        # with a bare OverflowError when the weights were checked
+        ({"corpus": {"amplitude": 10**400}},
+         "corpus.amplitude: must be finite, got an int too large for a float"),
+        ({"rescore": {"alpha": 10**400}},
+         "rescore.alpha: must be finite, got an int too large for a float"),
     ])
     def test_rejected_by_dotted_path(self, override, error):
         with pytest.raises(ValueError, match="^" + re.escape(error) + "$"):

@@ -29,6 +29,7 @@ from oracles import (
     ctc_score_by_enumeration,
     greedy_decode,
     reference_ctc_loss,
+    reference_row_logsumexp,
 )
 
 
@@ -51,6 +52,28 @@ class TestTokenVocab:
     def test_unknown_token(self):
         with pytest.raises(KeyError):
             TokenVocab(("a",)).id_of("z")
+
+
+class TestRowLogSumExp:
+    """The one-pass logsumexp of rows with finite maxima equals the masked
+    computation bit for bit, and rows of -inf give -inf, in C or Fortran
+    order."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(t=st.integers(1, 8), width=st.integers(1, 45),
+           rows=st.sampled_from(["finite", "partly -inf", "some all -inf"]),
+           fortran=st.booleans(), seed=st.integers(0, 2**32 - 1))
+    def test_equals_masked_reference(self, t, width, rows, fortran, seed):
+        rng = np.random.default_rng(seed)
+        logp = rng.normal(scale=5.0, size=(t, width))
+        if rows != "finite":
+            logp[rng.random((t, width)) < 0.4] = -np.inf
+        if rows == "some all -inf":
+            logp[rng.random(t) < 0.5] = -np.inf
+            logp[0] = -np.inf
+        if fortran:
+            logp = np.asfortranarray(logp)
+        assert ctc._row_logsumexp(logp).tobytes() == reference_row_logsumexp(logp).tobytes()
 
 
 class TestPosteriorStream:

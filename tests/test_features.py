@@ -13,6 +13,7 @@ from sslasr.features import (
     AudioBuffer,
     FBANK_FLOOR,
     FBANK_MELS,
+    HAMMING,
     BadMagicError,
     FeatureFileError,
     FeatureMatrix,
@@ -32,6 +33,8 @@ from sslasr.features import (
     write_features,
     write_wav,
 )
+
+from oracles import reference_fbank
 
 
 def tone(freq, n, amp=0.5):
@@ -65,6 +68,16 @@ class TestComputeFbank:
     def test_frame_count_formula(self, n):
         feats = compute_fbank(tone(300.0, n))
         assert feats.n_frames == (n - 400) // 160 + 1
+
+    @given(n=st.integers(400, 4000), seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=40, deadline=None)
+    @example(n=400, seed=0)
+    @example(n=7040, seed=0)  # a test-set utterance
+    def test_equals_index_gather_reference(self, n, seed):
+        samples = np.random.default_rng(seed).uniform(-1.0, 1.0, n)
+        feats = compute_fbank(AudioBuffer(samples))
+        assert feats.data.tobytes() == reference_fbank(samples).astype(np.float32).tobytes()
+        assert not HAMMING.flags.writeable  # one window shared by every call
 
     def test_filterbank_covers_all_filters(self):
         weights, centers = mel_filterbank()

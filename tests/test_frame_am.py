@@ -15,7 +15,7 @@ from sslasr.frame_am import (
 from sslasr.params import ParameterStore
 
 from gradcheck import finite_difference_check
-from oracles import reference_train_am
+from oracles import reference_splice, reference_train_am
 
 AM = AmConfig(offsets=(-2, -1, 0, 1, 2), hidden_dims=(64, 64))
 
@@ -46,6 +46,16 @@ class TestSpliceContext:
     def test_shape_property(self, t, d):
         out = splice_context(feat(t, d, seed=t + d), (-1, 0, 3))
         assert out.data.shape == (t, 3 * d)
+
+    @given(t=st.integers(1, 12), d=st.integers(1, 5),
+           offsets=st.lists(st.integers(-15, 15), min_size=1, max_size=6, unique=True).map(sorted),
+           seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=60, deadline=None)
+    @example(t=30, d=40, offsets=list(AM.offsets), seed=0)
+    def test_equals_per_offset_gather(self, t, d, offsets, seed):
+        f = feat(t, d, seed=seed)
+        out = splice_context(f, offsets)
+        assert out.data.tobytes() == reference_splice(f.data, offsets).tobytes()
 
     def test_offsets_validated(self):
         with pytest.raises(ValueError, match="sorted"):

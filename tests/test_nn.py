@@ -20,7 +20,7 @@ from sslasr.nn import (
     _overlap_add,
 )
 
-from oracles import reference_layer_norm, reference_overlap_add
+from oracles import reference_conv_frames, reference_layer_norm, reference_overlap_add
 
 
 @st.composite
@@ -86,19 +86,20 @@ class TestErfOracle:
     ])
 
     def test_samples_over_several_scales(self, monkeypatch):
-        exp_calls, libm_exp = [], math.exp
+        def no_python_exp(v):
+            raise AssertionError("_erf called math.exp: a per-entry Python loop")
 
-        def counted_exp(v):
-            exp_calls.append(v)
-            return libm_exp(v)
-
-        monkeypatch.setattr(math, "exp", counted_exp)
+        # the C library's exp comes from numpy's complex exp, one call over
+        # every tail entry
+        monkeypatch.setattr(math, "exp", no_python_exp)
         rng = np.random.default_rng(2302)
         samples = [rng.normal(scale=s, size=200_000) for s in (0.25, 1.0, 2.0, 4.0, 8.0)]
         samples.append(rng.uniform(-6.5, 6.5, size=200_000))  # dense over the tail branch
+        # dense just above |x| = 1, where an ulp of the exponential moves the
+        # result most
+        samples.append(rng.uniform(1.0, 1.5, size=200_000) * rng.choice([-1.0, 1.0], 200_000))
         for x in samples:
             assert _erf(x).tobytes() == scipy_erf(x).tobytes()
-        assert exp_calls  # the C library's exp recomputed some entries
 
     def test_edge_cases(self):
         x = np.concatenate([self.EDGES, -self.EDGES])  # -0.0, -inf and -nan included
@@ -237,3 +238,30 @@ class TestRaggedForward:
         # a per-utterance forward makes backward available again
         layer.forward(rng.normal(size=(6, width)))
         layer.backward(np.ones_like(y))
+
+
+class TestConv1dFrames:
+    """Conv1d's frames, rows of a window view over the flattened input,
+    equal an index-array gather bit for bit, per utterance and over a
+    ragged batch, for kernels equal to the stride and overlapping ones."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(c_in=st.sampled_from([1, 32]), kernel=st.integers(1, 6), overlap=st.integers(0, 5),
+           lengths=st.lists(st.integers(1, 30), min_size=1, max_size=6),
+           seed=st.integers(0, 2**32 - 1))
+    @example(c_in=1, kernel=80, overlap=0, lengths=[7040, 8000, 7040], seed=0)  # conv0
+    @example(c_in=32, kernel=5, overlap=1, lengths=[88, 100, 88], seed=0)  # conv1
+    def test_equal_index_gather(self, c_in, kernel, overlap, lengths, seed):
+        stride = max(kernel - overlap, 1)
+        rng = np.random.default_rng(seed)
+        conv = _layer("conv", c_in, 3, kernel, stride, rng)
+        inputs = [rng.normal(size=(max(t, kernel), c_in)) for t in lengths]
+        frames = [reference_conv_frames(x, kernel, stride) for x in inputs]
+        expected = [f @ conv.w.value + conv.b.value for f in frames]
+        for x, f, want in zip(inputs, frames, expected):
+            assert conv.forward(x).tobytes() == want.tobytes()
+            assert conv._cols.tobytes() == f.tobytes()  # what backward reads
+        rows, batch = Ragged.of(inputs)
+        outputs = batch.resized(conv.out_length).split(conv.forward(rows, batch))
+        for out, want in zip(outputs, expected):
+            assert out.tobytes() == want.tobytes()
