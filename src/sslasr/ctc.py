@@ -72,14 +72,12 @@ class TokenVocab:
 def _row_logsumexp(logp):
     m = np.max(logp, axis=1)
     ok = np.isfinite(m)
-    if ok.all():
-        # in C order, as the masked copy below is, so that each row is
-        # summed in the same order
-        return m + np.log(np.exp(np.subtract(logp, m[:, None], order="C")).sum(axis=1))
-    out = np.full(logp.shape[0], NEG_INF)
-    if ok.any():
-        out[ok] = m[ok] + np.log(np.exp(logp[ok] - m[ok, None]).sum(axis=1))
-    return out
+    # a row of -inf is shifted by 0 and sums to 0; subtracting in C order
+    # sums each row in the same order whatever the input's layout
+    shift = np.where(ok, m, 0.0)
+    with np.errstate(divide="ignore"):
+        s = np.log(np.exp(np.subtract(logp, shift[:, None], order="C")).sum(axis=1))
+    return np.where(ok, m + s, NEG_INF)
 
 
 @dataclass

@@ -493,6 +493,8 @@ class Conv1d(Module):
         return (t_in - self.kernel) // self.stride + 1 if t_in >= self.kernel else 0
 
     def forward(self, x, batch=None):
+        if x.shape[-1] != self.c_in:
+            raise ValueError(f"{self.name}: expected {self.c_in} input channels, got {x.shape[-1]}")
         t_in = len(x) if batch is None else min(batch.lengths)
         if self.out_length(t_in) < 1:
             raise ValueError(f"input of {t_in} frames shorter than kernel {self.kernel}")

@@ -265,3 +265,9 @@ class TestConv1dFrames:
         outputs = batch.resized(conv.out_length).split(conv.forward(rows, batch))
         for out, want in zip(outputs, expected):
             assert out.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("width", [2, 4])
+    def test_wrong_channel_count_rejected(self, width):
+        conv = Conv1d(np.random.default_rng(0), 3, 4, 5, 4, "conv")
+        with pytest.raises(ValueError, match="conv: expected 3 input channels, got " + str(width)):
+            conv.forward(np.zeros((30, width)))
