@@ -15,8 +15,8 @@ from pathlib import Path
 
 from . import pipeline
 from .config import load_config
-from .corpus import Manifest
-from .ctc import LATTICE_WINDOW, NBestList
+from .corpus import Manifest, json_lines
+from .ctc import LATTICE_WINDOW, NBestList, _is_str_list
 from .decoder import Lexicon, check_weights, parse_weight_ratio
 from .features import write_archive
 from .params import ParameterStore
@@ -54,7 +54,8 @@ def build_parser():
     p = sub.add_parser("pretrain", help="contrastive + diversity pretraining")
     _add_common(p)
     p.add_argument("--corpus", required=True)
-    p.add_argument("--out", required=True, help="parameter store output (.spm)")
+    p.add_argument("--out", required=True,
+                   help="parameter store output (.spm, a sslasr.container file)")
 
     p = sub.add_parser("finetune", help="CTC fine-tuning with the bottleneck adapter")
     _add_common(p)
@@ -326,17 +327,6 @@ def cmd_joint_decode(args):
     _decode(tasks, lexicon, vocab, args)
 
 
-def _read_nbest(path, fh):
-    """The N-best lists of the open JSON-lines file ``fh``, by line."""
-    for number, line in enumerate(fh, 1):
-        if line.strip():
-            try:
-                nbest = NBestList.from_json(line)
-            except ValueError as exc:  # not JSON, or not an n-best list
-                raise ValueError(f"{path}:{number}: {exc}") from None
-            yield nbest
-
-
 def cmd_rescore(args):
     cfg = _config(args)
     weights = (parse_weight_ratio(args.weights) if args.weights
@@ -348,7 +338,7 @@ def cmd_rescore(args):
     by_id = corpus.manifest.by_id()
     hyps = []
     with open(args.nbest) as fh:
-        lists = _read_nbest(args.nbest, fh)
+        lists = json_lines(args.nbest, fh, NBestList.from_json_dict)
         # one lattice window of lists at a time is read, encoded and rescored
         while nbests := list(itertools.islice(lists, LATTICE_WINDOW)):
             for nbest in nbests:
@@ -362,6 +352,15 @@ def cmd_rescore(args):
     _emit_lines(_hyp_lines(hyps), args.out)
 
 
+def _hyp_pair(d):
+    """``(utt_id, words)`` of one hypothesis line's object."""
+    if not (isinstance(d, dict) and isinstance(d.get("utt_id"), str)
+            and _is_str_list(d.get("words"))):
+        raise ValueError('a hypothesis is an object with a string "utt_id" and a list of '
+                         'strings "words"')
+    return d["utt_id"], d["words"]
+
+
 def cmd_score(args):
     _config(args)  # validates the config file if given
     if args.manifest:
@@ -371,8 +370,8 @@ def cmd_score(args):
     else:
         raise ValueError("score needs --manifest or --corpus")
     with open(args.hyp) as fh:
-        hyps = [json.loads(line) for line in fh if line.strip()]
-    report = pipeline.score_hypotheses([(d["utt_id"], d["words"]) for d in hyps], manifest)
+        pairs = list(json_lines(args.hyp, fh, _hyp_pair))
+    report = pipeline.score_hypotheses(pairs, manifest)
     if args.out:
         Path(args.out).write_text(report.to_json() + "\n")
     print(report.table())

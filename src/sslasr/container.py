@@ -1,0 +1,128 @@
+"""The package's one binary file format: a container of named arrays.
+
+A parameter store (``params.ParameterStore``) is a container of float64
+tensors at frame shift 0. A feature or posterior-stream archive
+(``features.write_archive``) is a container of float32 T x D matrices,
+one per utterance id, at one positive frame shift. A feature file
+(``features.write_features``) is an archive of one matrix.
+
+Layout (little-endian):
+
+    magic          4 bytes  b"SNA1"
+    count          u32, number of entries
+    frame_shift_us u32, the shift of every entry's rows; 0 in a
+                   parameter store and in a file of no entries
+    count entries, each:
+        name_len   u16, name utf-8 bytes (unique in the file)
+        itemsize   u8, 4 (float32) or 8 (float64), the same in every entry
+        rank       u8, then dims u32 * rank
+        payload    itemsize * prod(dims) bytes, C order
+
+No byte follows the last entry. ``write`` takes the entries one at a
+time from an iterator and patches the count and shift in at the end, so
+a generator's arrays need not all be held. ``read`` checks each field
+before it uses it, and an entry's exact payload size against the bytes
+left before it allocates; every malformed file raises ContainerError.
+"""
+
+from __future__ import annotations
+
+import math
+import struct
+
+import numpy as np
+
+MAGIC = b"SNA1"
+_HEADER = struct.Struct("<4sII")  # magic, count, frame shift
+_KIND = struct.Struct("<BB")  # itemsize, rank
+# the on-disk payload type of each itemsize
+_DTYPES = {4: np.dtype("<f4"), 8: np.dtype("<f8")}
+
+
+class ContainerError(ValueError):
+    """Malformed container file."""
+
+
+def write(path, dtype, entries, what):
+    """Write ``(name, array, frame_shift_us)`` entries to ``path`` as they
+    come. Every array is of ``dtype`` (float32 or float64, never
+    converted) and every shift is the same. A name given twice or longer
+    than 65535 bytes, an array of another dtype, or a shift unlike the
+    ones before raises ValueError naming the entry as ``what``, such as
+    "utterance id"."""
+    dtype = np.dtype(dtype)
+    names, shift = set(), None
+    with open(path, "wb") as fh:
+        fh.write(_HEADER.pack(MAGIC, 0, 0))  # count and shift, patched in below
+        for name, arr, entry_shift in entries:
+            raw = name.encode("utf-8")
+            if name in names:
+                raise ValueError(f"duplicate {what} {name!r}")
+            if len(raw) > 0xFFFF:
+                raise ValueError(f"{what} of {len(raw)} bytes is longer than 65535")
+            if arr.dtype != dtype:
+                raise ValueError(f"{what} {name!r}: {arr.dtype} payload, the file holds {dtype}")
+            if shift is None:
+                shift = entry_shift
+            elif entry_shift != shift:
+                raise ValueError(f"{what} {name!r} is at {entry_shift} us, "
+                                 f"the entries before it at {shift} us")
+            names.add(name)
+            fh.write(struct.pack(f"<H{len(raw)}sBB{arr.ndim}I", len(raw), raw,
+                                 dtype.itemsize, arr.ndim, *arr.shape))
+            fh.write(arr.astype(_DTYPES[dtype.itemsize], copy=False).tobytes())
+        fh.seek(0)
+        fh.write(_HEADER.pack(MAGIC, len(names), shift or 0))
+
+
+def read(path, dtype, what):
+    """``(frame_shift_us, {name: array})`` of the container at ``path``, in
+    file order, each array a fresh one of ``dtype``. Messages name each
+    entry by its index and, once read, its name (``what``)."""
+    dtype = np.dtype(dtype)
+    with open(path, "rb") as fh:
+        blob = fh.read()
+    if blob[:4] != MAGIC:
+        raise ContainerError(f"bad magic {blob[:4]!r}, expected {MAGIC!r}")
+    if len(blob) < _HEADER.size:
+        raise ContainerError("truncated archive header")
+    _, count, shift = _HEADER.unpack_from(blob)
+    off, arrays = _HEADER.size, {}
+    for i in range(count):
+        if off == len(blob):
+            raise ContainerError(f"truncated: the archive holds {i} of {count} entries")
+        end = off + 2 + int.from_bytes(blob[off : off + 2], "little")
+        if len(blob) < end:
+            raise ContainerError(f"entry {i}: truncated {what}")
+        try:
+            name = blob[off + 2 : end].decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise ContainerError(f"entry {i}: {what} is not valid utf-8: {exc}") from None
+        if name in arrays:
+            raise ContainerError(f"entry {i}: duplicate {what} {name!r} appears twice")
+        where = f"entry {i} ({name!r})"
+        if len(blob) < end + _KIND.size:
+            raise ContainerError(f"{where}: truncated itemsize and rank")
+        itemsize, rank = _KIND.unpack_from(blob, end)
+        if itemsize != dtype.itemsize:
+            raise ContainerError(f"{where}: payload of {itemsize}-byte items, "
+                                 f"expected {dtype} ({dtype.itemsize}-byte)")
+        off = end + _KIND.size + 4 * rank
+        if len(blob) < off:
+            raise ContainerError(f"{where}: truncated dims")
+        dims = struct.unpack_from(f"<{rank}I", blob, end + _KIND.size)
+        # exact integer size: a fixed-width product can wrap to a size the
+        # payload seems to match
+        size = itemsize * math.prod(dims)
+        if len(blob) - off < size:
+            raise ContainerError(f"{where}: payload truncated to {len(blob) - off} bytes, "
+                                 f"dims {dims} need {size}")
+        payload = np.frombuffer(blob, _DTYPES[itemsize], size // itemsize, off)
+        try:
+            arrays[name] = payload.reshape(dims).astype(dtype)
+        except ValueError as exc:  # too many dims, or a size numpy cannot hold
+            raise ContainerError(f"{where}: unusable dims {dims}: {exc}") from None
+        off += size
+    if off != len(blob):
+        raise ContainerError(f"trailing bytes after the last of {count} entries")
+    return shift, arrays

@@ -22,6 +22,9 @@ from .features import FBANK_WIN, SAMPLE_RATE, AudioBuffer, write_wav
 
 # the recording conditions; the repetition tables are keyed by them
 CONDITIONS = ("source", "target")
+# the manifest's subsets, and the fields of its records, in file order
+SUBSETS = ("train", "test-seen", "test-unseen")
+_RECORD_FIELDS = ("id", "audio_path", "transcript", "speaker", "subset", "condition")
 
 # the fewest samples a tone's envelope ramps in and out over
 _RAMP_SAMPLES = 8
@@ -35,6 +38,20 @@ SPEAKER_SPREAD = 0.02
 
 def _samples(ms):
     return int(round(ms * SAMPLE_RATE / 1000.0))
+
+
+def json_lines(path, fh, parse):
+    """Yield ``parse(value)`` for the JSON value of each non-blank line of
+    the open file ``fh``. A line that is not JSON, or whose value
+    ``parse`` rejects with ValueError, raises ValueError naming
+    ``path:line``."""
+    for number, line in enumerate(fh, 1):
+        if line.strip():
+            try:
+                item = parse(json.loads(line))
+            except ValueError as exc:
+                raise ValueError(f"{path}:{number}: {exc}") from None
+            yield item
 
 
 @dataclass
@@ -116,19 +133,25 @@ class ManifestRecord:
     condition: str  # source | target
 
     def to_json_dict(self):
-        return {
-            "id": self.utt_id,
-            "audio_path": self.audio_path,
-            "transcript": self.transcript,
-            "speaker": self.speaker,
-            "subset": self.subset,
-            "condition": self.condition,
-        }
+        return dict(zip(_RECORD_FIELDS, vars(self).values()))
 
     @classmethod
     def from_json_dict(cls, d):
-        return cls(d["id"], d["audio_path"], d["transcript"], d["speaker"],
-                   d["subset"], d["condition"])
+        """The record of one manifest line's object. Raises ValueError
+        unless every field is a string, the subset one of SUBSETS and the
+        condition one of CONDITIONS."""
+        if not isinstance(d, dict):
+            raise ValueError(f"a manifest record is a JSON object, got {d!r}")
+        for key in _RECORD_FIELDS:
+            if key not in d:
+                raise ValueError(f"manifest record lacks {key!r}")
+            if not isinstance(d[key], str):
+                raise ValueError(f"manifest field {key!r} must be a string, got {d[key]!r}")
+        if d["subset"] not in SUBSETS:
+            raise ValueError(f"subset {d['subset']!r} is not one of {SUBSETS}")
+        if d["condition"] not in CONDITIONS:
+            raise ValueError(f"condition {d['condition']!r} is not one of {CONDITIONS}")
+        return cls(*(d[key] for key in _RECORD_FIELDS))
 
 
 @dataclass
@@ -159,13 +182,11 @@ class Manifest:
 
     @classmethod
     def load(cls, path):
-        records = []
+        """Read a manifest file. A line that is not a record
+        (``ManifestRecord.from_json_dict``) raises ValueError naming
+        ``path:line``."""
         with open(path) as fh:
-            for line in fh:
-                line = line.strip()
-                if line:
-                    records.append(ManifestRecord.from_json_dict(json.loads(line)))
-        return cls(records)
+            return cls(list(json_lines(path, fh, ManifestRecord.from_json_dict)))
 
 
 def _tone_segment(freq, n_samples, amplitude):

@@ -1,5 +1,4 @@
-"""Log-mel filterbank frontend, stream fusion, and the binary feature-file
-and feature-archive formats.
+"""Log-mel filterbank frontend, stream fusion, and feature archives.
 
 The frame contract: audio is 16 kHz (``SAMPLE_RATE``), and ``read_wav``
 rejects a file at any other rate. The filterbank's window is 25 ms
@@ -8,38 +7,21 @@ encoder's 20 ms frames, doubled in rate by the bottleneck adapter, and the
 filterbank's hop are all 10 ms (``FRAME_SHIFT_US``), so streams fuse frame
 by frame. Nothing is resampled: a stream at another shift is rejected.
 
-Feature file layout (little-endian), magic ``SFF1``; one such record
-holds one utterance's matrix:
-
-    magic          4 bytes  b"SFF1"
-    version        u32 (currently 1)
-    rows, cols     u32, u32
-    frame_shift_us u32
-    label_len      u8, label utf-8 bytes
-    payload        f32 * rows * cols, row-major
-
-Feature archive layout (little-endian), magic ``SFA1``; one file holds a
-set of utterances, such as a system's posterior streams over a test set:
-
-    magic          4 bytes  b"SFA1"
-    count          u32, number of entries
-    count entries, each:
-        id_len     u8, utterance id utf-8 bytes (unique in the archive)
-        record     one SFF1 record as above, magic through payload
-
-No byte follows the last entry. Every malformed file or archive raises
-FeatureFileError.
+Feature archives and feature files are containers of float32 matrices
+at one frame shift (``container``, which describes the byte layout); a
+malformed one raises ``container.ContainerError``.
 """
 
 from __future__ import annotations
 
 import functools
-import struct
 import wave
 from dataclasses import dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
+
+from . import container
 
 SAMPLE_RATE = 16_000
 # the filterbank hop, and the shift every stream is fused at
@@ -56,29 +38,8 @@ PREEMPHASIS = 0.97
 HAMMING = np.hamming(FBANK_WIN)
 HAMMING.flags.writeable = False
 
-FILE_MAGIC = b"SFF1"
-FILE_VERSION = 1
-ARCHIVE_MAGIC = b"SFA1"
-_HEADER = struct.Struct("<IIIIB")
 
-
-class FeatureFileError(ValueError):
-    """Malformed feature file."""
-
-
-class BadMagicError(FeatureFileError):
-    pass
-
-
-class VersionMismatchError(FeatureFileError):
-    pass
-
-
-class TruncatedFileError(FeatureFileError):
-    pass
-
-
-class FrameCountMismatchError(FeatureFileError):
+class FrameCountMismatchError(ValueError):
     """Streams to fuse are off FRAME_SHIFT_US or differ in length too much."""
 
 
@@ -111,7 +72,6 @@ class FeatureMatrix:
 
     data: np.ndarray
     frame_shift_us: int
-    label: str = ""
 
     def __post_init__(self):
         self.data = np.ascontiguousarray(self.data, dtype=np.float32)
@@ -180,7 +140,7 @@ def compute_fbank(audio: AudioBuffer) -> FeatureMatrix:
     fbank, _ = mel_filterbank()
     energies = power @ fbank.T
     logmel = np.log(np.maximum(energies, FBANK_FLOOR))
-    return FeatureMatrix(logmel, FRAME_SHIFT_US, label="fbk")
+    return FeatureMatrix(logmel, FRAME_SHIFT_US)
 
 
 def fuse_features(streams) -> FeatureMatrix:
@@ -203,119 +163,50 @@ def fuse_features(streams) -> FeatureMatrix:
             f"streams of {lengths} frames at {shifts} us: fusion needs {FRAME_SHIFT_US} us "
             f"streams within {MAX_FUSE_MISMATCH} frames of each other"
         )
-    fused = np.concatenate([s.data[:t_min] for s in streams], axis=1)
-    label = "+".join(s.label for s in streams if s.label) or "fused"
-    return FeatureMatrix(fused, FRAME_SHIFT_US, label)
-
-
-def _write_record(fh, f: FeatureMatrix):
-    label = f.label.encode("utf-8")
-    if len(label) > 255:
-        raise ValueError("label longer than 255 bytes")
-    rows, cols = f.data.shape
-    fh.write(FILE_MAGIC)
-    fh.write(_HEADER.pack(FILE_VERSION, rows, cols, f.frame_shift_us, len(label)))
-    fh.write(label)
-    fh.write(np.ascontiguousarray(f.data, dtype="<f4").tobytes())
-
-
-def _parse_record(blob, off=0):
-    """Parse the SFF1 record at ``blob[off:]``; returns the matrix and the
-    offset just past its payload. Bytes after the payload are the
-    caller's to judge."""
-    if blob[off : off + 4] != FILE_MAGIC:
-        raise BadMagicError(f"bad magic {blob[off : off + 4]!r}, expected {FILE_MAGIC!r}")
-    off += 4
-    if len(blob) < off + _HEADER.size:
-        raise TruncatedFileError("truncated header")
-    version, rows, cols, shift, label_len = _HEADER.unpack_from(blob, off)
-    if version != FILE_VERSION:
-        raise VersionMismatchError(f"unsupported version {version}, expected {FILE_VERSION}")
-    off += _HEADER.size
-    if len(blob) < off + label_len:
-        raise TruncatedFileError("truncated label")
-    try:
-        label = blob[off : off + label_len].decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise FeatureFileError(f"label is not valid utf-8: {exc}") from exc
-    off += label_len
-    payload = 4 * rows * cols
-    if len(blob) < off + payload:
-        raise TruncatedFileError(
-            f"payload holds {len(blob) - off} bytes, header promises {payload}"
-        )
-    data = np.frombuffer(blob, dtype="<f4", count=rows * cols, offset=off)
-    try:
-        return FeatureMatrix(data.reshape(rows, cols).copy(), shift, label), off + payload
-    except ValueError as exc:  # empty shape, zero shift or non-finite payload
-        raise FeatureFileError(str(exc)) from exc
-
-
-def write_features(f: FeatureMatrix, path):
-    with open(path, "wb") as fh:
-        _write_record(fh, f)
-
-
-def read_features(path) -> FeatureMatrix:
-    with open(path, "rb") as fh:
-        blob = fh.read()
-    f, end = _parse_record(blob)
-    if end != len(blob):
-        raise FeatureFileError("trailing bytes after payload")
-    return f
+    return FeatureMatrix(np.concatenate([s.data[:t_min] for s in streams], axis=1),
+                         FRAME_SHIFT_US)
 
 
 def write_archive(path, items):
     """Write ``(utt_id, FeatureMatrix)`` pairs to one archive file, an
     entry at a time, so a generator's matrices need not all be held. A
-    duplicate or over-long id raises ValueError."""
-    seen = set()
-    with open(path, "wb") as fh:
-        fh.write(ARCHIVE_MAGIC)
-        fh.write(struct.pack("<I", 0))  # entry count, filled in below
-        for utt_id, f in items:
-            raw = utt_id.encode("utf-8")
-            if len(raw) > 255:
-                raise ValueError(f"utterance id {utt_id!r} longer than 255 bytes")
-            if utt_id in seen:
-                raise ValueError(f"duplicate utterance id {utt_id!r}")
-            seen.add(utt_id)
-            fh.write(struct.pack("<B", len(raw)))
-            fh.write(raw)
-            _write_record(fh, f)
-        fh.seek(len(ARCHIVE_MAGIC))
-        fh.write(struct.pack("<I", len(seen)))
+    repeated id, or a matrix at another frame shift than the ones before
+    it, raises ValueError naming its utterance id."""
+    container.write(path, np.float32, ((utt_id, f.data, f.frame_shift_us)
+                                       for utt_id, f in items), "utterance id")
+
+
+def _matrices(shift, arrays):
+    """``{utt_id: FeatureMatrix}`` of a container's arrays at ``shift``."""
+    if shift and not arrays:
+        raise container.ContainerError(f"frame shift {shift} us over no entries; "
+                                       "an empty archive has 0")
+    out = {}
+    for i, (utt_id, data) in enumerate(arrays.items()):
+        try:
+            out[utt_id] = FeatureMatrix(data, shift)
+        except ValueError as exc:  # not T x D, zero shift or non-finite payload
+            raise container.ContainerError(f"entry {i} ({utt_id!r}): {exc}") from None
+    return out
 
 
 def read_archive(path) -> dict[str, FeatureMatrix]:
     """Read an archive into ``{utt_id: FeatureMatrix}``, in file order."""
-    with open(path, "rb") as fh:
-        blob = fh.read()
-    if blob[:4] != ARCHIVE_MAGIC:
-        raise BadMagicError(f"bad magic {blob[:4]!r}, expected {ARCHIVE_MAGIC!r}")
-    if len(blob) < 8:
-        raise TruncatedFileError("truncated archive header")
-    (count,) = struct.unpack_from("<I", blob, 4)
-    off, out = 8, {}
-    for i in range(count):
-        if len(blob) <= off:
-            raise TruncatedFileError(f"archive holds {i} of {count} entries")
-        end = off + 1 + blob[off]
-        if len(blob) < end:
-            raise TruncatedFileError(f"entry {i}: truncated utterance id")
-        try:
-            utt_id = blob[off + 1 : end].decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise FeatureFileError(f"entry {i}: utterance id is not valid utf-8: {exc}") from exc
-        if utt_id in out:
-            raise FeatureFileError(f"entry {i}: duplicate utterance id {utt_id!r}")
-        try:
-            out[utt_id], off = _parse_record(blob, end)
-        except FeatureFileError as exc:
-            raise type(exc)(f"entry {i} ({utt_id!r}): {exc}") from exc
-    if off != len(blob):
-        raise FeatureFileError(f"trailing bytes after the last of {count} entries")
-    return out
+    return _matrices(*container.read(path, np.float32, "utterance id"))
+
+
+def write_features(f: FeatureMatrix, path):
+    """Write one matrix as an archive of one entry, named ""."""
+    container.write(path, np.float32, [("", f.data, f.frame_shift_us)], "utterance id")
+
+
+def read_features(path) -> FeatureMatrix:
+    """Read the matrix of an archive of one entry, whatever its name."""
+    archive = _matrices(*container.read(path, np.float32, "utterance id"))
+    if len(archive) != 1:
+        raise container.ContainerError("a feature file holds one matrix, "
+                                       f"this one {len(archive)}")
+    return next(iter(archive.values()))
 
 
 def read_wav(path) -> AudioBuffer:

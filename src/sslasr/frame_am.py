@@ -35,7 +35,7 @@ def splice_context(feats: FeatureMatrix, offsets) -> FeatureMatrix:
     edge replication; output width is len(offsets) * D."""
     t = feats.n_frames
     idx = np.clip(np.arange(t)[:, None] + np.array(offsets, dtype=np.intp), 0, t - 1)
-    return FeatureMatrix(feats.data[idx].reshape(t, -1), feats.frame_shift_us, feats.label)
+    return FeatureMatrix(feats.data[idx].reshape(t, -1), feats.frame_shift_us)
 
 
 class FrameAm(Module):

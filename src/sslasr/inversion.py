@@ -134,9 +134,9 @@ def _target_array(means, targets):
 
 
 def mdn_predict(mix: MixtureParams) -> FeatureMatrix:
-    """Expected trajectory sum_m w_m mu_m, labeled "artic"."""
+    """Expected trajectory sum_m w_m mu_m."""
     expect = np.einsum("tm,tmd->td", mix.weights, mix.means)
-    return FeatureMatrix(expect, mix.frame_shift_us, "artic")
+    return FeatureMatrix(expect, mix.frame_shift_us)
 
 
 def mdn_nll_step(model: MdnModel, x, targets):

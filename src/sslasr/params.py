@@ -1,17 +1,8 @@
-"""Named-parameter store, binary serialization, and the Adam optimizer.
+"""Named-parameter store and the Adam optimizer.
 
-Store file layout (little-endian), magic ``SPM1``:
-
-    magic        4 bytes  b"SPM1"
-    n_tensors    u32
-    per tensor:
-        name_len u16, name utf-8 bytes
-        rank     u32
-        dims     u32 * rank
-        payload  f64 * prod(dims), C order
-
-Names are unique within a file. Every malformed file raises
-StoreFormatError.
+A store file is a container of float64 tensors at frame shift 0
+(``container``, which describes the byte layout); a malformed one raises
+``container.ContainerError``.
 
 The optimizer is Adam, configured by one mapping, ``{"optimizer": "adam",
 "lr": rate}`` (``OPTIMIZER_DEFAULTS``), which ``make_optimizer`` and the
@@ -36,17 +27,11 @@ step and aborts on a non-finite loss.
 from __future__ import annotations
 
 import math
-import struct
 
 import numpy as np
 
+from . import container
 from .nn import pack_parameters, unpack_parameters
-
-MAGIC = b"SPM1"
-
-
-class StoreFormatError(ValueError):
-    """Malformed parameter-store file."""
 
 
 class ParameterStore:
@@ -78,56 +63,15 @@ class ParameterStore:
             param.value[...] = value
 
     def save(self, path):
-        with open(path, "wb") as fh:
-            fh.write(MAGIC)
-            fh.write(struct.pack("<I", len(self.tensors)))
-            for name, value in self.tensors.items():
-                raw = name.encode("utf-8")
-                fh.write(struct.pack("<H", len(raw)))
-                fh.write(raw)
-                arr = np.ascontiguousarray(value, dtype="<f8")
-                fh.write(struct.pack("<I", arr.ndim))
-                fh.write(struct.pack(f"<{arr.ndim}I", *arr.shape))
-                fh.write(arr.tobytes())
+        container.write(path, np.float64, ((name, np.asarray(value, np.float64), 0)
+                                           for name, value in self.tensors.items()),
+                        "tensor name")
 
     @classmethod
     def load(cls, path):
-        with open(path, "rb") as fh:
-            blob = fh.read()
-        if blob[:4] != MAGIC:
-            raise StoreFormatError(f"bad magic {blob[:4]!r}, expected {MAGIC!r}")
-        off = 4
-
-        def take(n):
-            nonlocal off
-            if off + n > len(blob):
-                raise StoreFormatError("truncated parameter store")
-            chunk = blob[off : off + n]
-            off += n
-            return chunk
-
-        (count,) = struct.unpack("<I", take(4))
-        tensors = {}
-        for _ in range(count):
-            (name_len,) = struct.unpack("<H", take(2))
-            try:
-                name = take(name_len).decode("utf-8")
-            except UnicodeDecodeError as exc:
-                raise StoreFormatError(f"tensor name is not utf-8: {exc}") from None
-            if name in tensors:
-                raise StoreFormatError(f"tensor {name!r} appears twice")
-            (rank,) = struct.unpack("<I", take(4))
-            dims = struct.unpack(f"<{rank}I", take(4 * rank)) if rank else ()
-            # exact integer product: a fixed-width one can wrap to a size
-            # the payload seems to match
-            payload = take(8 * math.prod(dims))
-            try:
-                value = np.frombuffer(payload, dtype="<f8").reshape(dims)
-            except ValueError as exc:  # too many dims, or a size numpy cannot hold
-                raise StoreFormatError(f"tensor {name!r} has unusable dims: {exc}") from None
-            tensors[name] = value.copy()
-        if off != len(blob):
-            raise StoreFormatError("trailing bytes after last tensor")
+        shift, tensors = container.read(path, np.float64, "tensor name")
+        if shift:
+            raise container.ContainerError(f"frame shift {shift} us: a parameter store has none")
         return cls(tensors)
 
 

@@ -185,7 +185,7 @@ def bottleneck_features(corpus: Corpus, records, model: SslEncoder,
     streams are held at a time."""
     for _, _, bn, _ in record_batches(corpus, records, model, adapter):
         for rows in bn:
-            yield FeatureMatrix(rows, FRAME_SHIFT_US, "w2v-bn")
+            yield FeatureMatrix(rows, FRAME_SHIFT_US)
 
 
 def articulatory_map(d_in, d_artic, seed):
@@ -294,7 +294,7 @@ def build_feature_fn(corpus, kind, model=None, adapter=None, mdn_model=None,
             feats = []
             for j, (record, samples) in enumerate(zip(window, audio)):
                 rows = (None if window_bn is None
-                        else FeatureMatrix(window_bn[j], FRAME_SHIFT_US, "w2v-bn"))
+                        else FeatureMatrix(window_bn[j], FRAME_SHIFT_US))
                 feats.append(fuse_features([stream(part, record, samples, rows)
                                             for part in parts]))
             yield feats
@@ -303,8 +303,8 @@ def build_feature_fn(corpus, kind, model=None, adapter=None, mdn_model=None,
 
 
 def write_streams(path, streams):
-    """Write ``{utt_id: PosteriorStream}`` to one feature archive: log
-    probabilities as each payload (float32), with an empty label."""
+    """Write ``{utt_id: PosteriorStream}`` to one feature archive, log
+    probabilities as each payload (float32)."""
     write_archive(path, ((utt_id, FeatureMatrix(s.logp, s.frame_shift_us))
                          for utt_id, s in streams.items()))
 
@@ -414,7 +414,7 @@ def run_recognition(corpus: Corpus, cfg, model, adapter, jobs=1):
     s_fbk, s_fused, ssl = [], [], []
     for _, audio, bn, h in record_batches(corpus, records, model, adapter):
         fbk = [compute_fbank(a) for a in audio]
-        fused = [fuse_features([f, FeatureMatrix(rows, FRAME_SHIFT_US, "w2v-bn")])
+        fused = [fuse_features([f, FeatureMatrix(rows, FRAME_SHIFT_US)])
                  for f, rows in zip(fbk, bn)]
         s_fbk += am_fbk.posteriors(fbk)
         s_fused += am_fused.posteriors(fused)

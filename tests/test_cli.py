@@ -275,16 +275,21 @@ class TestDecodeContract:
         assert json.loads(lines[0])["utt_id"] == utt_id
 
     def test_byte_identical_reruns(self, workdir, tmp_path):
+        """Two runs write the same bytes: the acoustic model's parameter
+        store, the saved posterior streams and the hypotheses."""
         root, corpus, cfg = workdir
         outs = []
-        for name in ("a.jsonl", "b.jsonl"):
-            out = tmp_path / name
-            rc = main(["decode", "--config", cfg, "--corpus", str(corpus),
-                       "--am", str(root / "am_fbk.spm"), "--features", "fbk",
-                       "--lexicon", str(corpus / "lexicon.json"), "--out", str(out)])
-            assert rc == 0
-            outs.append(out.read_bytes())
+        for run in ("a", "b"):
+            am, streams, hyp = (tmp_path / f"{run}{ext}" for ext in (".spm", ".sfa", ".jsonl"))
+            assert main(["train-am", "--config", cfg, "--corpus", str(corpus),
+                         "--features", "fbk", "--out", str(am)]) == 0
+            assert main(["decode", "--config", cfg, "--corpus", str(corpus),
+                         "--am", str(am), "--features", "fbk",
+                         "--lexicon", str(corpus / "lexicon.json"),
+                         "--save-streams", str(streams), "--out", str(hyp)]) == 0
+            outs.append([path.read_bytes() for path in (am, streams, hyp)])
         assert outs[0] == outs[1]
+        assert outs[0][0] == (root / "am_fbk.spm").read_bytes()
 
 
 class TestDecodeErrors:
@@ -639,3 +644,37 @@ class TestScore:
         assert "overall" in table
         data = json.loads(report.read_text())
         assert "by_subset" in data and "overall" in data
+
+    @pytest.mark.parametrize("bad, error", [
+        (lambda d: json.dumps({**d, "words": " ".join(d["words"])}),
+         'a hypothesis is an object with a string "utt_id" and a list of strings "words"'),
+        (lambda d: json.dumps({"utt_id": d["utt_id"]}),
+         'a hypothesis is an object with a string "utt_id" and a list of strings "words"'),
+        (lambda d: json.dumps(d)[:-1], "Expecting ',' delimiter"),
+    ], ids=["words-a-string", "no-words", "not-json"])
+    def test_bad_line_named_by_file_and_line(self, workdir, tmp_path, capsys, bad, error):
+        _, corpus, cfg = workdir
+        records = pipeline.Corpus(corpus).manifest.subset("test-seen", "test-unseen")
+        hyp = tmp_path / "h.jsonl"
+        lines = [json.dumps({"utt_id": r.utt_id, "words": r.transcript.split()})
+                 for r in records]
+        lines[-1] = bad(json.loads(lines[-1]))
+        hyp.write_text("\n".join(lines) + "\n")
+        report = tmp_path / "never.json"
+        assert main(["score", "--hyp", str(hyp), "--corpus", str(corpus),
+                     "--out", str(report)]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {hyp}:{len(lines)}: {error}")
+        assert not report.exists()
+
+    def test_bad_manifest_named_by_file_and_line(self, workdir, tmp_path, capsys):
+        _, corpus, cfg = workdir
+        lines = (corpus / "manifest.jsonl").read_text().splitlines()
+        lines[0] = json.dumps({**json.loads(lines[0]), "subset": "tset-seen"})
+        manifest = tmp_path / "manifest.jsonl"
+        manifest.write_text("\n".join(lines) + "\n")
+        report = tmp_path / "never.json"
+        assert main(["score", "--hyp", str(tmp_path / "h.jsonl"), "--manifest", str(manifest),
+                     "--out", str(report)]) == 1
+        assert capsys.readouterr().err.startswith(
+            f"error: {manifest}:1: subset 'tset-seen' is not one of")
+        assert not report.exists()

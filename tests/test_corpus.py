@@ -223,3 +223,26 @@ class TestManifestIo:
         rec = ManifestRecord("u0", "p", "w", "s", "train", "source")
         with pytest.raises(ValueError, match="unique"):
             Manifest([rec, rec])
+
+    @pytest.mark.parametrize("bad, error", [
+        (lambda d: "{" + json.dumps(d), "Expecting property name enclosed in double quotes"),
+        (lambda d: json.dumps([d]), "a manifest record is a JSON object, got [{"),
+        (lambda d: json.dumps({k: v for k, v in d.items() if k != "condition"}),
+         "manifest record lacks 'condition'"),
+        (lambda d: json.dumps({**d, "transcript": 5}),
+         "manifest field 'transcript' must be a string, got 5"),
+        (lambda d: json.dumps({**d, "subset": "tset-seen"}),
+         "subset 'tset-seen' is not one of ('train', 'test-seen', 'test-unseen')"),
+        (lambda d: json.dumps({**d, "condition": "sauce"}),
+         "condition 'sauce' is not one of ('source', 'target')"),
+    ], ids=["not-json", "not-an-object", "missing-field", "non-string-field",
+            "unknown-subset", "unknown-condition"])
+    def test_bad_record_named_by_file_and_line(self, tmp_path, bad, error):
+        path = tmp_path / "m.jsonl"
+        manifest_for([("w1", "train", "source"), ("w2", "test-seen", "target")]).save(path)
+        lines = path.read_text().splitlines()
+        lines[1] = bad(json.loads(lines[1]))
+        path.write_text("\n\n".join(lines) + "\n")
+        with pytest.raises(ValueError) as err:
+            Manifest.load(path)
+        assert str(err.value).startswith(f"{path}:3: {error}")

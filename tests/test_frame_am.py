@@ -20,7 +20,7 @@ from oracles import reference_splice, reference_train_am
 AM = AmConfig(offsets=(-2, -1, 0, 1, 2), hidden_dims=(64, 64))
 
 def feat(t, d, seed=0, shift=10_000):
-    return FeatureMatrix(np.random.default_rng(seed).normal(size=(t, d)), shift, "x")
+    return FeatureMatrix(np.random.default_rng(seed).normal(size=(t, d)), shift)
 
 
 class TestSpliceContext:
@@ -35,7 +35,7 @@ class TestSpliceContext:
         assert np.array_equal(out.data, f.data)
 
     def test_edge_replication(self):
-        f = FeatureMatrix(np.arange(8, dtype=np.float32).reshape(4, 2), 10_000, "x")
+        f = FeatureMatrix(np.arange(8, dtype=np.float32).reshape(4, 2), 10_000)
         out = splice_context(f, (-2, 0))
         assert np.array_equal(out.data[0, :2], f.data[0])  # clipped to row 0
         assert np.array_equal(out.data[1, :2], f.data[0])
@@ -108,7 +108,7 @@ def labeled_dataset(n_utts, d_feat, n_classes, seed):
     for _ in range(n_utts):
         labels = rng.integers(0, n_classes, size=12)
         rows = centers[labels] + 0.3 * rng.normal(size=(12, d_feat))
-        data.append((FeatureMatrix(rows, 10_000, "x"), labels))
+        data.append((FeatureMatrix(rows, 10_000), labels))
     return data
 
 
@@ -191,7 +191,7 @@ class TestTraining:
         base = labeled_dataset(6, 6, 4, seed=9)
         wide = [
             (FeatureMatrix(np.hstack([f.data, np.random.default_rng(i).normal(size=(12, 3))
-                                      .astype(np.float32)]), 10_000, "x"), labels)
+                                      .astype(np.float32)]), 10_000), labels)
             for i, (f, labels) in enumerate(base)
         ]
         m1, _ = train_am(base, AM, d_feat=6, n_classes=4, epochs=3, seed=10,

@@ -1,26 +1,26 @@
 import re
-import struct
 import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes
 
+from sslasr.container import ContainerError
+from sslasr.features import FeatureMatrix, write_archive
 from sslasr.nn import DuplicateParameterError, Linear, Module, Parameter, ParameterShapeError
 from sslasr.params import (
-    MAGIC,
     Adam,
     ParameterStore,
-    StoreFormatError,
     make_optimizer,
     optimizer_errors,
     train_epochs,
 )
 
 from conftest import ENCODER
+from containers import container_blob, entry, reader_fuzz
 from oracles import ReferenceAdam, reference_train_epochs
 
 
@@ -65,7 +65,7 @@ class TestParameterStore:
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "bad.spm"
         path.write_bytes(b"XXXX\x00\x00\x00\x00")
-        with pytest.raises(StoreFormatError, match="magic"):
+        with pytest.raises(ContainerError, match="magic"):
             ParameterStore.load(path)
 
     def test_truncated(self, tmp_path):
@@ -73,7 +73,7 @@ class TestParameterStore:
         path = tmp_path / "t.spm"
         ParameterStore.from_module(module).save(path)
         path.write_bytes(path.read_bytes()[:-3])
-        with pytest.raises(StoreFormatError, match="truncated"):
+        with pytest.raises(ContainerError, match="truncated"):
             ParameterStore.load(path)
 
     def test_trailing_bytes(self, tmp_path):
@@ -81,8 +81,40 @@ class TestParameterStore:
         path = tmp_path / "t.spm"
         ParameterStore.from_module(module).save(path)
         path.write_bytes(path.read_bytes() + b"x")
-        with pytest.raises(StoreFormatError, match="trailing"):
+        with pytest.raises(ContainerError, match="trailing"):
             ParameterStore.load(path)
+
+    def test_archive_is_not_a_store(self, tmp_path):
+        path = tmp_path / "set.sfa"
+        write_archive(path, [("u1", FeatureMatrix(np.ones((2, 3)), 10_000))])
+        with pytest.raises(ContainerError, match=r"entry 0 \('u1'\): payload of 4-byte items, "
+                                                 r"expected float64"):
+            ParameterStore.load(path)
+
+    def test_a_store_has_no_frame_shift(self):
+        with pytest.raises(ContainerError, match="frame shift 10000 us: a parameter store"):
+            load_blob(container_blob([tensor_record(b"a", (1,), bytes(8))], shift=10_000))
+
+    @settings(max_examples=50, deadline=None)
+    @given(tensors=st.dictionaries(
+        st.text(max_size=6), array_shapes(min_dims=0, max_dims=3, min_side=0, max_side=3).flatmap(
+            lambda shape: st.binary(min_size=8 * int(np.prod(shape)),
+                                    max_size=8 * int(np.prod(shape))).map(
+                lambda raw: np.frombuffer(raw, "<f8").reshape(shape))), max_size=4))
+    def test_round_trip_bit_exact(self, tensors):
+        """Any float64 bits, NaN payloads included, come back unchanged, and
+        saving what was loaded writes the same bytes."""
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "m.spm"
+            ParameterStore(tensors).save(path)
+            blob = path.read_bytes()
+            back = load_blob(blob)
+        assert list(back.tensors) == list(tensors)
+        for name, value in tensors.items():
+            got = back.tensors[name]
+            assert got.shape == value.shape and got.dtype == np.float64
+            assert got.flags.writeable  # a fresh array, not a view of the file's bytes
+            assert got.tobytes() == value.tobytes()
 
 
 def quadratic_params(seed=0):
@@ -133,15 +165,23 @@ class TestOptimizers:
 
 
 def load_blob(blob):
+    """Load ``blob`` as a store; if it loads, check that saving what was
+    loaded gives back the same bytes."""
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "blob.spm"
         path.write_bytes(blob)
-        return ParameterStore.load(path)
+        store = ParameterStore.load(path)
+        store.save(path)
+        assert path.read_bytes() == blob
+        return store
 
 
 def tensor_record(name_bytes, dims, payload=b""):
-    return (struct.pack("<H", len(name_bytes)) + name_bytes
-            + struct.pack(f"<I{len(dims)}I", len(dims), *dims) + payload)
+    return entry(name_bytes, dims, payload, itemsize=8)
+
+
+def store_blob(*records):
+    return container_blob(list(records))
 
 
 def valid_blob():
@@ -155,52 +195,27 @@ VALID_BLOB = valid_blob()
 
 
 class TestStoreReaderRobustness:
+    (test_every_truncation_is_named, test_bit_flip_loads_or_is_named,
+     test_random_blob_loads_or_is_named) = reader_fuzz(VALID_BLOB, load_blob)
+
     def test_non_utf8_name(self):
-        blob = MAGIC + struct.pack("<I", 1) + tensor_record(b"\xff", (), bytes(8))
-        with pytest.raises(StoreFormatError, match="utf-8"):
-            load_blob(blob)
+        with pytest.raises(ContainerError, match="utf-8"):
+            load_blob(store_blob(tensor_record(b"\xff", (), bytes(8))))
 
     def test_dims_product_overflowing_64_bits(self):
         # 2**16 ** 4 wraps a 64-bit product to 0, matching an empty payload
-        blob = MAGIC + struct.pack("<I", 1) + tensor_record(b"a", (2**16,) * 4)
-        with pytest.raises(StoreFormatError, match="truncated"):
-            load_blob(blob)
+        with pytest.raises(ContainerError, match="truncated"):
+            load_blob(store_blob(tensor_record(b"a", (2**16,) * 4)))
 
     def test_empty_tensor_numpy_cannot_size(self):
         # a zero dim makes the payload empty, but the other dims overflow
-        blob = MAGIC + struct.pack("<I", 1) + tensor_record(b"a", (2**31, 2**31, 2**31, 0))
-        with pytest.raises(StoreFormatError, match="dims"):
-            load_blob(blob)
+        with pytest.raises(ContainerError, match="dims"):
+            load_blob(store_blob(tensor_record(b"a", (2**31, 2**31, 2**31, 0))))
 
     def test_repeated_name(self):
         rec = tensor_record(b"a", (1,), bytes(8))
-        with pytest.raises(StoreFormatError, match="twice"):
-            load_blob(MAGIC + struct.pack("<I", 2) + rec + rec)
-
-    @settings(max_examples=150, deadline=None)
-    @given(cut=st.integers(0, len(VALID_BLOB) - 1))
-    def test_every_truncation_is_named(self, cut):
-        with pytest.raises(StoreFormatError):
-            load_blob(VALID_BLOB[:cut])
-
-    @settings(max_examples=300, deadline=None)
-    @given(pos=st.integers(0, len(VALID_BLOB) - 1), bit=st.integers(0, 7))
-    def test_bit_flip_loads_or_is_named(self, pos, bit):
-        blob = bytearray(VALID_BLOB)
-        blob[pos] ^= 1 << bit
-        try:
-            load_blob(bytes(blob))
-        except StoreFormatError:
-            pass
-
-    @settings(max_examples=300, deadline=None)
-    @given(blob=st.one_of(st.binary(max_size=64), st.binary(max_size=64).map(MAGIC.__add__)))
-    @example(blob=MAGIC + struct.pack("<I", 0))
-    def test_random_blob_loads_or_is_named(self, blob):
-        try:
-            load_blob(blob)
-        except StoreFormatError:
-            pass
+        with pytest.raises(ContainerError, match="twice"):
+            load_blob(store_blob(rec, rec))
 
 
 def twin_params(shapes, rng):

@@ -122,7 +122,7 @@ class TestFeatureFns:
         # every utterance is encoded once, whatever batch it rode in
         assert encodes == Counter(sample_key(tiny_corpus.audio(r)) for r in records)
         for g, e in zip(got, expected):
-            assert (g.label, g.frame_shift_us) == (e.label, e.frame_shift_us)
+            assert g.frame_shift_us == e.frame_shift_us
             assert np.array_equal(g.data, e.data)
 
     def test_unknown_stream_rejected(self, tiny_corpus):
@@ -169,15 +169,16 @@ class TestFeatureFns:
         fn = pipeline.build_feature_fn(tiny_corpus, "fbk", bn=tmp_path / "bad.sfa",
                                        artic=tmp_path / "bad.sfa")
         (feats,) = features_of(fn, tiny_corpus.manifest.records[:1])
-        assert feats.label == "fbk"
+        expected = compute_fbank(tiny_corpus.audio(tiny_corpus.manifest.records[0]))
+        assert np.array_equal(feats.data, expected.data)
 
 
-    def test_bottleneck_stream_shift_and_label(self, tiny_corpus, tiny_models):
+    def test_bottleneck_stream_shift(self, tiny_corpus, tiny_models):
         model, adapter = tiny_models
         rec = tiny_corpus.manifest.records[0]
         (feats,) = pipeline.bottleneck_features(tiny_corpus, [rec], model, adapter)
         (bn,), _ = model.represent([tiny_corpus.audio(rec)], adapter)
-        assert (feats.frame_shift_us, feats.label) == (10_000, "w2v-bn")
+        assert feats.frame_shift_us == 10_000
         assert np.array_equal(feats.data, bn.astype(np.float32))
 
 
@@ -222,7 +223,6 @@ class TestInversionPipeline:
         rec = tiny_corpus.manifest.records[0]
         (artic,) = pipeline.articulatory_features(tiny_corpus, [rec], model, adapter,
                                                   mdn_model)
-        assert artic.label == "artic"
         assert artic.dim == tiny_config["mdn"]["d_artic"]
         assert artic.frame_shift_us == 10_000
 
