@@ -18,7 +18,6 @@ from .config import load_config
 from .corpus import Manifest, json_lines
 from .ctc import LATTICE_WINDOW, NBestList, _is_str_list
 from .decoder import Lexicon, check_weights, parse_weight_ratio
-from .features import write_archive
 from .params import ParameterStore
 from .rescore import rescore_hypotheses
 
@@ -64,21 +63,13 @@ def build_parser():
     p.add_argument("--out", required=True, help="fine-tuned parameter store")
     p.add_argument("--adapter-out", required=True, help="adapter parameter store")
 
-    p = sub.add_parser("extract-bn", help="write every utterance's bottleneck features")
-    _add_common(p)
-    p.add_argument("--corpus", required=True)
-    p.add_argument("--model", required=True)
-    p.add_argument("--adapter", required=True)
-    p.add_argument("--out", required=True, help="bottleneck feature archive output")
-
-    p = sub.add_parser("invert", help="train the articulatory inversion model and "
-                                      "write every utterance's predicted trajectory")
+    p = sub.add_parser("invert", help="train the articulatory inversion model, the "
+                                      "--mdn of the artic feature stream")
     _add_common(p)
     p.add_argument("--corpus", required=True)
     p.add_argument("--model", required=True)
     p.add_argument("--adapter", required=True)
     p.add_argument("--mdn-out", required=True, help="inversion parameter store")
-    p.add_argument("--out", required=True, help="articulatory feature archive output")
 
     p = sub.add_parser("train-am", help="train a frame acoustic model")
     _add_common(p)
@@ -88,8 +79,6 @@ def build_parser():
     p.add_argument("--model", help="fine-tuned encoder store (for w2v-bn/artic)")
     p.add_argument("--adapter", help="adapter store (for w2v-bn/artic)")
     p.add_argument("--mdn", help="inversion store (for artic)")
-    p.add_argument("--bn", help="read this extract-bn archive instead")
-    p.add_argument("--artic", help="read this invert archive instead")
     p.add_argument("--out", required=True)
 
     p = sub.add_parser("decode", help="single-system decoding")
@@ -102,8 +91,6 @@ def build_parser():
     p.add_argument("--model", help="encoder store (for w2v-bn/artic features)")
     p.add_argument("--adapter")
     p.add_argument("--mdn")
-    p.add_argument("--bn", help="read this extract-bn archive instead")
-    p.add_argument("--artic", help="read this invert archive instead")
     p.add_argument("--save-streams",
                    help="write the posterior streams to this archive, for --streams")
     p.add_argument("--nbest", type=_nbest_depth, help="also write n-best lists of this depth")
@@ -209,17 +196,6 @@ def cmd_finetune(args):
     print(f"fine-tuned; final CTC loss {last:.4f}")
 
 
-def cmd_extract_bn(args):
-    cfg = _config(args)
-    corpus = pipeline.Corpus(args.corpus)
-    model = pipeline.load_encoder(cfg, args.model)
-    adapter = pipeline.load_adapter(cfg, model.cfg.d_model, args.adapter)
-    records = corpus.manifest.records
-    feats = pipeline.bottleneck_features(corpus, records, model, adapter)
-    write_archive(args.out, zip((r.utt_id for r in records), feats))
-    print(f"wrote {len(records)} bottleneck feature matrices to {args.out}")
-
-
 def cmd_invert(args):
     cfg = _config(args)
     corpus = pipeline.Corpus(args.corpus)
@@ -227,26 +203,18 @@ def cmd_invert(args):
     adapter = pipeline.load_adapter(cfg, model.cfg.d_model, args.adapter)
     mdn_model, history = pipeline.train_inversion_model(corpus, model, adapter, cfg)
     ParameterStore.from_module(mdn_model).save(args.mdn_out)
-    records = corpus.manifest.records
-    trajectories = pipeline.articulatory_features(corpus, records, model, adapter, mdn_model)
-    write_archive(args.out, zip((r.utt_id for r in records), trajectories))
-    print(f"inversion NLL {_trend(history, 'nll')}; "
-          f"wrote {len(records)} trajectories to {args.out}")
+    print(f"inversion NLL {_trend(history, 'nll')}")
 
 
 def _feature_fn_from_args(args, cfg, corpus):
     """The features function of ``--features``, loading only the models its
-    computed streams need; an archive of a stream it does not have, or a
-    model flag it does not need, fails by name before any file is read."""
-    streams = pipeline.feature_models(args.features)
-    archives = {"--bn": ("w2v-bn", args.bn), "--artic": ("artic", args.artic)}
-    unused = [flag for flag, (part, path) in archives.items() if path and part not in streams]
-    if unused:
-        raise ValueError(f"--features {args.features} has no stream of "
-                         f"{' or '.join(unused)}; leave it out")
-    stored = [part for part, path in archives.values() if path]
-    needed = {flag for flags in pipeline.feature_models(args.features, stored).values()
-              for flag in flags}
+    streams need; an unknown stream, or a model flag it does not need,
+    fails by name before any file is read."""
+    needed = set()
+    for part in args.features.split("+"):
+        if part not in pipeline._STREAM_MODELS:
+            raise ValueError(f"unknown feature stream {part!r}")
+        needed.update(pipeline._STREAM_MODELS[part])
     given = {"--model": args.model, "--adapter": args.adapter, "--mdn": args.mdn}
     unused = [flag for flag, path in given.items() if path and flag not in needed]
     if unused:
@@ -256,10 +224,8 @@ def _feature_fn_from_args(args, cfg, corpus):
     adapter = (pipeline.load_adapter(cfg, cfg["encoder"]["d_model"], args.adapter)
                if args.adapter else None)
     mdn_model = pipeline.load_mdn(cfg, args.mdn) if args.mdn else None
-    return pipeline.build_feature_fn(
-        corpus, args.features, model=model, adapter=adapter, mdn_model=mdn_model,
-        bn=args.bn, artic=args.artic,
-    )
+    return pipeline.build_feature_fn(corpus, args.features, model=model, adapter=adapter,
+                                     mdn_model=mdn_model)
 
 
 def cmd_train_am(args):
@@ -381,7 +347,6 @@ COMMANDS = {
     "gen-corpus": cmd_gen_corpus,
     "pretrain": cmd_pretrain,
     "finetune": cmd_finetune,
-    "extract-bn": cmd_extract_bn,
     "invert": cmd_invert,
     "train-am": cmd_train_am,
     "decode": cmd_decode,

@@ -13,7 +13,8 @@ anything runs:
 - each value unlike its default (``_walk``): a mapping, list, int or
   number of another type (a null too), a number that is NaN or infinite
   (``json.load`` reads ``NaN`` and ``Infinity``), one below its minimum
-  (``_MINIMUMS``), and an empty ``finetune.stages``;
+  (``_MINIMUMS``), an int other than ``seed`` above ``container.MAX_DIM``,
+  and an empty ``finetune.stages``;
 - each error of an optimizer mapping (``params.optimizer_errors``);
 - then each error of the five section dataclasses, of a fine-tuning
   scope (``encoder.scope_blocks``) and of ``decode.weights`` or
@@ -26,6 +27,7 @@ import json
 import math
 
 from .bottleneck import BottleneckConfig
+from .container import MAX_DIM
 from .corpus import CONDITIONS, CorpusConfig
 from .decoder import check_weights, parse_weight_ratio
 from .encoder import EncoderConfig, scope_blocks
@@ -192,6 +194,9 @@ def _walk(value, default, path, key, errors, unknown):
         elif not finite:
             shown = "an int too large for a float" if isinstance(value, int) else repr(value)
             errors.append(f"{path}: must be finite, got {shown}")
+        elif kind is int and key != "seed" and value > MAX_DIM:
+            errors.append(f"{path}: must be an int <= {MAX_DIM}, the largest dim a "
+                          f"parameter store holds, got {value!r}")
 
 
 def _decode_weights(text):

@@ -20,7 +20,9 @@ Layout (little-endian):
 
 No byte follows the last entry. ``write`` takes the entries one at a
 time from an iterator and patches the count and shift in at the end, so
-a generator's arrays need not all be held. ``read`` checks each field
+a generator's arrays need not all be held; it writes a temporary sibling
+file and moves it over the target only once every entry is written, so a
+refused write leaves the target as it was. ``read`` checks each field
 before it uses it, and an entry's exact payload size against the bytes
 left before it allocates; every malformed file raises ContainerError.
 """
@@ -28,7 +30,9 @@ left before it allocates; every malformed file raises ContainerError.
 from __future__ import annotations
 
 import math
+import os
 import struct
+from pathlib import Path
 
 import numpy as np
 
@@ -37,6 +41,8 @@ _HEADER = struct.Struct("<4sII")  # magic, count, frame shift
 _KIND = struct.Struct("<BB")  # itemsize, rank
 # the on-disk payload type of each itemsize
 _DTYPES = {4: np.dtype("<f4"), 8: np.dtype("<f8")}
+# the largest dim a u32 dims field holds
+MAX_DIM = 2**32 - 1
 
 
 class ContainerError(ValueError):
@@ -47,32 +53,44 @@ def write(path, dtype, entries, what):
     """Write ``(name, array, frame_shift_us)`` entries to ``path`` as they
     come. Every array is of ``dtype`` (float32 or float64, never
     converted) and every shift is the same. A name given twice or longer
-    than 65535 bytes, an array of another dtype, or a shift unlike the
-    ones before raises ValueError naming the entry as ``what``, such as
-    "utterance id"."""
+    than 65535 bytes, an array of another dtype, a dim past the u32
+    range, or a shift unlike the ones before raises ValueError naming
+    the entry as ``what``, such as "utterance id"; ``path`` is then left
+    as it was, absent or whole."""
     dtype = np.dtype(dtype)
     names, shift = set(), None
-    with open(path, "wb") as fh:
-        fh.write(_HEADER.pack(MAGIC, 0, 0))  # count and shift, patched in below
-        for name, arr, entry_shift in entries:
-            raw = name.encode("utf-8")
-            if name in names:
-                raise ValueError(f"duplicate {what} {name!r}")
-            if len(raw) > 0xFFFF:
-                raise ValueError(f"{what} of {len(raw)} bytes is longer than 65535")
-            if arr.dtype != dtype:
-                raise ValueError(f"{what} {name!r}: {arr.dtype} payload, the file holds {dtype}")
-            if shift is None:
-                shift = entry_shift
-            elif entry_shift != shift:
-                raise ValueError(f"{what} {name!r} is at {entry_shift} us, "
-                                 f"the entries before it at {shift} us")
-            names.add(name)
-            fh.write(struct.pack(f"<H{len(raw)}sBB{arr.ndim}I", len(raw), raw,
-                                 dtype.itemsize, arr.ndim, *arr.shape))
-            fh.write(arr.astype(_DTYPES[dtype.itemsize], copy=False).tobytes())
-        fh.seek(0)
-        fh.write(_HEADER.pack(MAGIC, len(names), shift or 0))
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.tmp")
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(_HEADER.pack(MAGIC, 0, 0))  # count and shift, patched in below
+            for name, arr, entry_shift in entries:
+                raw = name.encode("utf-8")
+                if name in names:
+                    raise ValueError(f"duplicate {what} {name!r}")
+                if len(raw) > 0xFFFF:
+                    raise ValueError(f"{what} of {len(raw)} bytes is longer than 65535")
+                if arr.dtype != dtype:
+                    raise ValueError(f"{what} {name!r}: {arr.dtype} payload, "
+                                     f"the file holds {dtype}")
+                if max(arr.shape, default=0) > MAX_DIM:
+                    raise ValueError(f"{what} {name!r}: dim {max(arr.shape)} of shape "
+                                     f"{arr.shape} is larger than {MAX_DIM}")
+                if shift is None:
+                    shift = entry_shift
+                elif entry_shift != shift:
+                    raise ValueError(f"{what} {name!r} is at {entry_shift} us, "
+                                     f"the entries before it at {shift} us")
+                names.add(name)
+                fh.write(struct.pack(f"<H{len(raw)}sBB{arr.ndim}I", len(raw), raw,
+                                     dtype.itemsize, arr.ndim, *arr.shape))
+                fh.write(arr.astype(_DTYPES[dtype.itemsize], copy=False).tobytes())
+            fh.seek(0)
+            fh.write(_HEADER.pack(MAGIC, len(names), shift or 0))
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def read(path, dtype, what):

@@ -355,10 +355,6 @@ class NBestList:
         return json.dumps({"utt_id": self.utt_id, "entries": [vars(e) for e in self.entries]})
 
     @classmethod
-    def from_json(cls, text):
-        return cls.from_json_dict(json.loads(text))
-
-    @classmethod
     def from_json_dict(cls, d):
         """The list of one JSON line's object; raises NBestFormatError
         unless it has the shape above, with numeric costs that are not NaN."""

@@ -20,9 +20,8 @@ Forward passes over many utterances run in ragged batches.
 ragged batch (``nn.Ragged``); the window's features go through a frame
 acoustic model, and its head inputs through the CTC head, as one batch
 too. Every result equals the per-utterance forward of training bit for
-bit. ``bottleneck_features`` and ``articulatory_features`` yield their
-streams a window at a time, so a caller that writes each as it comes
-holds one window.
+bit. Every feature stream is computed from the models (``build_feature_fn``);
+none is read from a file.
 """
 
 from __future__ import annotations
@@ -216,87 +215,49 @@ def train_inversion_model(corpus: Corpus, model, adapter, cfg):
                            optimizer_cfg=section["optimizer"])
 
 
-def articulatory_features(corpus: Corpus, records, model, adapter, mdn_model):
-    """Yield the MDN's articulatory trajectories of ``records``, in order,
-    as :func:`bottleneck_features` yields their streams."""
-    for bn in bottleneck_features(corpus, records, model, adapter):
-        yield mdn_predict(mdn_forward(bn, mdn_model))
-
-
 # the models each feature stream is computed from, by the CLI flags that
-# load them, and the flag of an archive that holds the stream instead
+# load them
 _STREAM_MODELS = {"fbk": (), "w2v-bn": ("--model", "--adapter"),
                   "artic": ("--model", "--adapter", "--mdn")}
-_ARCHIVE_FLAGS = {"w2v-bn": "--bn", "artic": "--artic"}
 
 
-def feature_models(kind, stored=()):
-    """``{stream: the flags of the models it is computed from}`` for each
-    stream of the feature spec ``kind`` not read from an archive
-    (``stored``). Raises ValueError naming an unknown stream."""
-    parts = kind.split("+")
-    for part in parts:
-        if part not in _STREAM_MODELS:
-            raise ValueError(f"unknown feature stream {part!r}")
-    return {part: _STREAM_MODELS[part] for part in parts if part not in stored}
-
-
-def build_feature_fn(corpus, kind, model=None, adapter=None, mdn_model=None,
-                     bn=None, artic=None):
+def build_feature_fn(corpus, kind, model=None, adapter=None, mdn_model=None):
     """Return the features function of a feature spec like "fbk",
     "fbk+w2v-bn", or "fbk+w2v-bn+artic". It takes a list of records and
     yields their FeatureMatrix objects in order, one list per window of
     records (``record_batches``). Each is ``features.fuse_features`` of
-    the record's streams, so a stream not at 10 ms, such as an archive of
-    another frame rate, raises FrameCountMismatchError.
+    the record's streams.
 
-    The bottleneck and articulatory streams come from the given models,
-    or from feature archives written earlier (``features.write_archive``,
-    as ``extract-bn`` and ``invert`` do) when ``bn`` / ``artic`` name one.
-    Each archive of a stream of ``kind`` is read once, here; no other is
-    read. Each record's WAV is read at most
-    once and encoded at most once, whatever streams it feeds; a window's
-    records are encoded as one ragged batch. With only stored streams, no
-    WAV is read. An unknown stream, and a computed stream whose model is
-    missing (``feature_models``), raise ValueError here, the latter naming
-    the CLI flags that would supply it.
+    The bottleneck stream comes from ``model`` and ``adapter``, and the
+    articulatory stream is the MDN's (``mdn_model``) trajectory of it.
+    Each record's WAV is read once and encoded at most once, whatever
+    streams it feeds; a window's records are encoded as one ragged batch.
+    An unknown stream, and a stream whose model is missing, raise
+    ValueError here, the latter naming the CLI flags that would supply it
+    (``_STREAM_MODELS``).
     """
     parts = kind.split("+")
-    paths = {part: path for part, path in (("w2v-bn", bn), ("artic", artic))
-             if path is not None and part in parts}
     given = {"--model": model, "--adapter": adapter, "--mdn": mdn_model}
-    computed = feature_models(kind, paths)
-    for part, flags in computed.items():
-        missing = [flag for flag in flags if given[flag] is None]
+    for part in parts:
+        if part not in _STREAM_MODELS:
+            raise ValueError(f"unknown feature stream {part!r}")
+        missing = [flag for flag in _STREAM_MODELS[part] if given[flag] is None]
         if missing:
-            raise ValueError(f"feature stream {part!r} needs {' and '.join(missing)} "
-                             f"(or {_ARCHIVE_FLAGS[part]})")
-    stored = {part: (path, read_archive(path)) for part, path in paths.items()}
+            raise ValueError(f"feature stream {part!r} needs {' and '.join(missing)}")
+    encoder = model if any(part != "fbk" for part in parts) else None
 
-    def stream(part, record, audio, rows):
-        if part in stored:
-            path, archive = stored[part]
-            if record.utt_id not in archive:
-                raise KeyError(f"utterance {record.utt_id!r} is not in the {part} "
-                               f"archive {path}")
-            return archive[record.utt_id]
+    def stream(part, audio, rows):
         if part == "fbk":
             return compute_fbank(audio)
         return rows if part == "w2v-bn" else mdn_predict(mdn_forward(rows, mdn_model))
 
     def features(records):
-        if computed:
-            encoder = model if any(p != "fbk" for p in computed) else None
-            batches = record_batches(corpus, records, encoder, adapter)
-        else:
-            batches = ((w, [None] * len(w), None, None) for w in windows(records))
-        for window, audio, window_bn, _ in batches:
+        for _, audio, window_bn, _ in record_batches(corpus, records, encoder, adapter):
             feats = []
-            for j, (record, samples) in enumerate(zip(window, audio)):
+            for j, samples in enumerate(audio):
                 rows = (None if window_bn is None
                         else FeatureMatrix(window_bn[j], FRAME_SHIFT_US))
-                feats.append(fuse_features([stream(part, record, samples, rows)
-                                            for part in parts]))
+                feats.append(fuse_features([stream(part, samples, rows) for part in parts]))
             yield feats
 
     return features

@@ -1,6 +1,7 @@
 import json
 import shutil
 import wave
+from collections import Counter
 from dataclasses import asdict
 from pathlib import Path
 
@@ -18,7 +19,8 @@ from sslasr.decoder import (
     isolated_nbest,
     parse_weight_ratio,
 )
-from sslasr.features import compute_fbank, read_archive
+from sslasr.encoder import SslEncoder
+from sslasr.features import compute_fbank
 from sslasr.rescore import rescore_hypotheses
 
 
@@ -94,6 +96,13 @@ class TestUsageErrors:
         ["rescore", "--nbest", "n", "--corpus", "c", "--model", "m"],
         ["rescore", "--nbest", "n", "--corpus", "c", "--model", "m", "--adapter", "a",
          "--alpha", "2"],
+        # feature streams are computed from the models, never read from archives
+        ["extract-bn", "--corpus", "c", "--model", "m", "--adapter", "a", "--out", "o"],
+        ["train-am", "--corpus", "c", "--features", "fbk+w2v-bn", "--bn", "b", "--out", "o"],
+        ["decode", "--lexicon", "l", "--corpus", "c", "--am", "a",
+         "--features", "fbk+w2v-bn+artic", "--artic", "x"],
+        ["invert", "--corpus", "c", "--model", "m", "--adapter", "a", "--mdn-out", "d",
+         "--out", "o"],
     ])
     def test_adapter_flags_required_and_alpha_gone(self, argv):
         with pytest.raises(SystemExit) as err:
@@ -132,7 +141,7 @@ class TestMissingModels:
                      "--model", str(root / "ft.spm"),
                      "--lexicon", str(corpus / "lexicon.json"),
                      "--out", str(tmp_path / "never.jsonl")]) == 1
-        assert "feature stream 'w2v-bn' needs --adapter (or --bn)" in capsys.readouterr().err
+        assert "feature stream 'w2v-bn' needs --adapter" in capsys.readouterr().err
 
     def test_train_am_artic_stream_without_mdn(self, workdir, tmp_path, capsys):
         root, corpus, cfg = workdir
@@ -140,7 +149,7 @@ class TestMissingModels:
                      "--features", "fbk+w2v-bn+artic", "--model", str(root / "ft.spm"),
                      "--adapter", str(root / "adapter.spm"),
                      "--out", str(tmp_path / "never.spm")]) == 1
-        assert "feature stream 'artic' needs --mdn (or --artic)" in capsys.readouterr().err
+        assert "feature stream 'artic' needs --mdn" in capsys.readouterr().err
 
 
     @pytest.mark.parametrize("command, flags", [
@@ -166,17 +175,17 @@ class TestMissingModels:
 
     @pytest.mark.parametrize("flags", [["--bn"], ["--artic"], ["--bn", "--artic"]])
     def test_fbk_rejects_archive_flags_by_name(self, workdir, tmp_path, capsys, flags):
+        """The archive inputs are gone: the parser names each as unknown."""
         _, corpus, cfg = workdir
-        garbage = tmp_path / "garbage.sfa"
-        garbage.write_bytes(b"not a feature archive")
         argv = ["train-am", "--config", cfg, "--corpus", str(corpus), "--features", "fbk",
                 "--out", str(tmp_path / "never")]
         for flag in flags:
-            argv += [flag, str(garbage)]
-        assert main(argv) == 1
-        err = capsys.readouterr().err
-        assert f"--features fbk has no stream of {' or '.join(flags)}" in err
-        assert "magic" not in err  # rejected before the archive is parsed
+            argv += [flag, str(tmp_path / "garbage.sfa")]
+        with pytest.raises(SystemExit) as err:
+            main(argv)
+        assert err.value.code == 2
+        assert ("unrecognized arguments: " + " ".join(argv[-2 * len(flags):])
+                in capsys.readouterr().err)
         assert not (tmp_path / "never").exists()
 
 
@@ -205,10 +214,9 @@ class TestZeroEpochs:
         root, corpus, _ = workdir
         assert main(["invert", "--config", zero_config, "--corpus", str(corpus),
                      "--model", str(root / "ft.spm"), "--adapter", str(root / "adapter.spm"),
-                     "--mdn-out", str(tmp_path / "mdn.spm"),
-                     "--out", str(tmp_path / "artic")]) == 0
-        assert "inversion NLL (0 epochs); wrote" in capsys.readouterr().out
-        assert (tmp_path / "mdn.spm").exists() and (tmp_path / "artic").exists()
+                     "--mdn-out", str(tmp_path / "mdn.spm")]) == 0
+        assert "inversion NLL (0 epochs)" in capsys.readouterr().out
+        assert sorted(f.name for f in tmp_path.iterdir()) == ["mdn.spm", "zero.json"]
 
 
 class TestLoadAm:
@@ -389,25 +397,36 @@ class TestAudioRate:
         assert not out.exists()
 
 
-class TestStoredFeatures:
-    def test_extract_bn_and_invert_archives_feed_train_am(self, workdir, tmp_path):
+class TestMultiModalChain:
+    def test_invert_train_am_decode_artic(self, workdir, tmp_path, monkeypatch):
+        """The articulatory system end to end: invert encodes each training
+        utterance once, and its MDN feeds train-am and decode."""
         root, corpus, cfg = workdir
         models = ["--model", str(root / "ft.spm"), "--adapter", str(root / "adapter.spm")]
         with_corpus = ["--config", cfg, "--corpus", str(corpus)]
-        assert main(["extract-bn", *with_corpus, *models, "--out", str(tmp_path / "bn")]) == 0
-        assert main(["invert", *with_corpus, *models, "--mdn-out", str(tmp_path / "mdn.spm"),
-                     "--out", str(tmp_path / "artic")]) == 0
-        ids = [r.utt_id for r in pipeline.Corpus(corpus).manifest]
-        assert list(read_archive(tmp_path / "bn")) == ids
-        assert list(read_archive(tmp_path / "artic")) == ids
-        spec = ["train-am", *with_corpus, "--features", "fbk+w2v-bn+artic"]
-        assert main([*spec, *models, "--mdn", str(tmp_path / "mdn.spm"),
-                     "--out", str(tmp_path / "computed.spm")]) == 0
-        assert main([*spec, "--bn", str(tmp_path / "bn"), "--artic", str(tmp_path / "artic"),
-                     "--out", str(tmp_path / "stored.spm")]) == 0
-        # stored streams are the computed ones at their float32 precision
-        assert ((tmp_path / "stored.spm").read_bytes()
-                == (tmp_path / "computed.spm").read_bytes())
+        encoded = Counter()
+        represent = SslEncoder.represent
+
+        def counted(self, audio, *args):
+            encoded.update(a.samples.tobytes() for a in audio)
+            return represent(self, audio, *args)
+
+        monkeypatch.setattr(SslEncoder, "represent", counted)
+        mdn = ["--mdn", str(tmp_path / "mdn.spm")]
+        assert main(["invert", *with_corpus, *models, "--mdn-out", mdn[1]]) == 0
+        c = pipeline.Corpus(corpus)
+        assert encoded == Counter(c.audio(r).samples.tobytes()
+                                  for r in c.manifest.subset("train"))
+        monkeypatch.undo()
+        spec = ["--features", "fbk+w2v-bn+artic", *models, *mdn]
+        am = str(tmp_path / "am.spm")
+        assert main(["train-am", *with_corpus, *spec, "--out", am]) == 0
+        hyp = tmp_path / "hyp.jsonl"
+        assert main(["decode", *with_corpus, *spec, "--am", am,
+                     "--lexicon", str(corpus / "lexicon.json"), "--out", str(hyp)]) == 0
+        tests = c.manifest.subset("test-seen", "test-unseen")
+        assert (sorted(json.loads(line)["utt_id"] for line in hyp.read_text().splitlines())
+                == sorted(r.utt_id for r in tests))
 
 
 class TestJointAndRescore:
@@ -513,7 +532,8 @@ class TestRescoreWindows:
         loaded, c = load_config(cfg), pipeline.Corpus(corpus)
         model = pipeline.load_encoder(loaded, root / "ft.spm")
         adapter = pipeline.load_adapter(loaded, model.cfg.d_model, root / "adapter.spm")
-        nbests = [NBestList.from_json(line) for line in nbest_file.read_text().splitlines()]
+        nbests = [NBestList.from_json_dict(json.loads(line))
+                  for line in nbest_file.read_text().splitlines()]
         by_id = c.manifest.by_id()
         ssl = [s for _, _, _, h in pipeline.record_batches(
             c, [by_id[nb.utt_id] for nb in nbests], model, adapter)

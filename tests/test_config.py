@@ -193,10 +193,21 @@ class TestScalars:
          "corpus.amplitude: must be finite, got an int too large for a float"),
         ({"rescore": {"alpha": 10**400}},
          "rescore.alpha: must be finite, got an int too large for a float"),
+        # each of these loaded, then building the model failed with numpy's
+        # bare "Maximum allowed dimension exceeded"
+        ({"am": {"hidden_dims": [10**20]}},
+         "am.hidden_dims[0]: must be an int <= 4294967295, the largest dim a parameter "
+         "store holds, got 100000000000000000000"),
+        ({"encoder": {"d_model": 2**62}},
+         "encoder.d_model: must be an int <= 4294967295, the largest dim a parameter store "
+         f"holds, got {2**62}"),
     ])
     def test_rejected_by_dotted_path(self, override, error):
         with pytest.raises(ValueError, match="^" + re.escape(error) + "$"):
             load_config(overrides=override)
+
+    def test_seed_has_no_upper_bound(self):
+        assert load_config(overrides={"seed": 2**40})["seed"] == 2**40
 
     def test_nan_literal_in_a_file_rejected(self, tmp_path):
         path = tmp_path / "nan.json"

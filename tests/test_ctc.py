@@ -407,7 +407,7 @@ class TestNBestJson:
         assert json.loads(text) == {"utt_id": "u1", "entries": [
             {"tokens": ["a", "b"], "words": ["word"], "cost": 1.5},
             {"tokens": [], "words": [], "cost": float("inf")}]}
-        assert NBestList.from_json(text) == nb
+        assert NBestList.from_json_dict(json.loads(text)) == nb
 
     @pytest.mark.parametrize("line, error", [
         ({"utt_id": "u"}, 'exactly a string "utt_id" and a list "entries"'),
@@ -433,4 +433,4 @@ class TestNBestJson:
     ])
     def test_malformed_rejected(self, line, error):
         with pytest.raises(NBestFormatError, match=re.escape(error)):
-            NBestList.from_json(json.dumps(line))
+            NBestList.from_json_dict(line)

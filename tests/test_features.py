@@ -322,6 +322,7 @@ class TestFeatureArchive:
         f = FeatureMatrix(np.ones((1, 1)), 10_000)
         with pytest.raises(ValueError, match=message):
             write_archive(tmp_path / "bad.sfa", [(u, f) for u in utt_ids])
+        assert not any(tmp_path.iterdir())  # no partial file, no temporary left
 
     def test_writer_names_a_float64_entry(self, tmp_path):
         f = FeatureMatrix(np.ones((1, 1)), 10_000)
@@ -330,6 +331,7 @@ class TestFeatureArchive:
         with pytest.raises(ValueError, match="utterance id 'b': float64 payload, the file "
                                              "holds float32"):
             write_archive(tmp_path / "bad.sfa", [("a", f), ("b", wide)])
+        assert not any(tmp_path.iterdir())  # no partial file, no temporary left
 
     def test_writer_names_an_entry_at_another_shift(self, tmp_path):
         items = [(u, FeatureMatrix(np.ones((1, 1)), shift))
@@ -337,6 +339,7 @@ class TestFeatureArchive:
         with pytest.raises(ValueError, match="utterance id 'c' is at 20000 us, the entries "
                                              "before it at 10000 us"):
             write_archive(tmp_path / "bad.sfa", items)
+        assert not any(tmp_path.iterdir())  # no partial file, no temporary left
 
 
 class TestWav:

@@ -91,6 +91,20 @@ class TestParameterStore:
                                                  r"expected float64"):
             ParameterStore.load(path)
 
+    @pytest.mark.parametrize("tensors, message", [
+        ({"a": np.empty((2**32, 0))},
+         "tensor name 'a': dim 4294967296 of shape (4294967296, 0) is larger than 4294967295"),
+        ({"x" * 2**16: np.zeros(1)}, "tensor name of 65536 bytes is longer than 65535"),
+    ])
+    def test_refused_save_keeps_the_old_store(self, tmp_path, tensors, message):
+        path = tmp_path / "m.spm"
+        ParameterStore.from_module(Small()).save(path)
+        before = path.read_bytes()
+        with pytest.raises(ValueError, match=re.escape(message)):
+            ParameterStore({"ok": np.ones(2), **tensors}).save(path)
+        assert path.read_bytes() == before
+        assert list(tmp_path.iterdir()) == [path]  # no temporary left
+
     def test_a_store_has_no_frame_shift(self):
         with pytest.raises(ContainerError, match="frame shift 10000 us: a parameter store"):
             load_blob(container_blob([tensor_record(b"a", (1,), bytes(8))], shift=10_000))

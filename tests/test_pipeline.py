@@ -15,9 +15,8 @@ from sslasr.ctc import TokenVocab
 from sslasr.decoder import (Lexicon, LexiconEntry, decode_stream, interpolate_posteriors,
                             isolated_nbest, parse_weight_ratio)
 from sslasr.encoder import SslEncoder
-from sslasr.features import (FeatureMatrix, FrameCountMismatchError, compute_fbank,
-                             fuse_features, read_archive, write_archive)
-from sslasr.inversion import MdnModel
+from sslasr.features import compute_fbank, fuse_features
+from sslasr.inversion import MdnModel, mdn_forward, mdn_predict
 from sslasr.params import ParameterStore
 from sslasr.rescore import rescore, rescore_hypotheses, score_nbest_with_ssl
 
@@ -99,11 +98,10 @@ class TestFeatureFns:
         records = tiny_corpus.manifest.records
         expected = []
         for rec in records:
-            streams = [compute_fbank(tiny_corpus.audio(rec)),
-                       *pipeline.bottleneck_features(tiny_corpus, [rec], model, adapter)]
+            (bn,) = pipeline.bottleneck_features(tiny_corpus, [rec], model, adapter)
+            streams = [compute_fbank(tiny_corpus.audio(rec)), bn]
             if kind.endswith("artic"):
-                streams += pipeline.articulatory_features(tiny_corpus, [rec], model,
-                                                          adapter, mdn_model)
+                streams.append(mdn_predict(mdn_forward(bn, mdn_model)))
             expected.append(fuse_features(streams))
         reads, encodes = Counter(), Counter()
         read_wav = pipeline.read_wav
@@ -129,49 +127,15 @@ class TestFeatureFns:
         with pytest.raises(ValueError, match="unknown feature stream 'mystery'"):
             pipeline.build_feature_fn(tiny_corpus, "fbk+mystery")
 
-    def test_feature_models(self):
-        assert pipeline.feature_models("fbk") == {"fbk": ()}
-        assert pipeline.feature_models("fbk+w2v-bn+artic", stored=["w2v-bn"]) == {
-            "fbk": (), "artic": ("--model", "--adapter", "--mdn")}
-        assert pipeline.feature_models("w2v-bn+artic", stored=["w2v-bn", "artic"]) == {}
-
-    def test_bn_archive_source(self, tiny_corpus, tiny_models, tmp_path, monkeypatch):
-        model, adapter = tiny_models
-        records = tiny_corpus.manifest.records[:3]
-        feats = list(pipeline.bottleneck_features(tiny_corpus, records, model, adapter))
-        write_archive(tmp_path / "bn", zip((r.utt_id for r in records), feats))
-        reads = Counter()
-
-        def counted_read(path):
-            reads[str(path)] += 1
-            return read_archive(path)
-
-        monkeypatch.setattr(pipeline, "read_archive", counted_read)
-        fn = pipeline.build_feature_fn(tiny_corpus, "w2v-bn", bn=tmp_path / "bn")
-        monkeypatch.setattr(pipeline, "read_wav", None)  # stored streams read no WAV
-        loaded = features_of(fn, records)
-        assert reads == Counter({str(tmp_path / "bn"): 1})  # once, not once per record
-        for got, want in zip(loaded, feats, strict=True):
-            assert np.array_equal(got.data, want.data)
-        with pytest.raises(KeyError, match=f"{tiny_corpus.manifest.records[3].utt_id!r} "
-                                           "is not in the w2v-bn archive"):
-            features_of(fn, tiny_corpus.manifest.records[3:4])
-
-    def test_archive_at_another_shift_rejected(self, tiny_corpus, tmp_path):
-        rec = tiny_corpus.manifest.records[0]
-        write_archive(tmp_path / "bn", [(rec.utt_id, FeatureMatrix(np.zeros((4, 8)), 20_000))])
-        fn = pipeline.build_feature_fn(tiny_corpus, "fbk+w2v-bn", bn=tmp_path / "bn")
-        with pytest.raises(FrameCountMismatchError, match=r"at \[10000, 20000\] us"):
-            features_of(fn, [rec])
-
-    def test_archive_of_another_stream_not_read(self, tiny_corpus, tmp_path):
-        (tmp_path / "bad.sfa").write_bytes(b"not a feature archive")
-        fn = pipeline.build_feature_fn(tiny_corpus, "fbk", bn=tmp_path / "bad.sfa",
-                                       artic=tmp_path / "bad.sfa")
-        (feats,) = features_of(fn, tiny_corpus.manifest.records[:1])
-        expected = compute_fbank(tiny_corpus.audio(tiny_corpus.manifest.records[0]))
-        assert np.array_equal(feats.data, expected.data)
-
+    @pytest.mark.parametrize("kind, given, missing", [
+        ("fbk+w2v-bn", {}, "'w2v-bn' needs --model and --adapter"),
+        ("w2v-bn+fbk", {"model": 1}, "'w2v-bn' needs --adapter"),
+        ("fbk+w2v-bn+artic", {"model": 1, "adapter": 1}, "'artic' needs --mdn"),
+        ("fbk+artic", {"mdn_model": 1}, "'artic' needs --model and --adapter"),
+    ], ids=["w2v-bn", "w2v-bn-adapter", "artic", "artic-encoder"])
+    def test_missing_models_named(self, tiny_corpus, kind, given, missing):
+        with pytest.raises(ValueError, match=f"^feature stream {missing}$"):
+            pipeline.build_feature_fn(tiny_corpus, kind, **given)
 
     def test_bottleneck_stream_shift(self, tiny_corpus, tiny_models):
         model, adapter = tiny_models
@@ -221,8 +185,8 @@ class TestInversionPipeline:
         )
         assert history[-1]["nll"] < history[0]["nll"]
         rec = tiny_corpus.manifest.records[0]
-        (artic,) = pipeline.articulatory_features(tiny_corpus, [rec], model, adapter,
-                                                  mdn_model)
+        (bn,) = pipeline.bottleneck_features(tiny_corpus, [rec], model, adapter)
+        artic = mdn_predict(mdn_forward(bn, mdn_model))
         assert artic.dim == tiny_config["mdn"]["d_artic"]
         assert artic.frame_shift_us == 10_000
 
