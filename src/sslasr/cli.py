@@ -269,8 +269,7 @@ def cmd_decode(args):
         corpus = pipeline.Corpus(args.corpus)
         feature_fn = _feature_fn_from_args(args, cfg, corpus)
         am = pipeline.load_am(cfg, args.am)
-        records = sorted(corpus.manifest.subset("test-seen", "test-unseen"),
-                         key=lambda r: r.utt_id)
+        records = sorted(corpus.subset("test-seen", "test-unseen"), key=lambda r: r.utt_id)
         stream_list = [s for feats in feature_fn(records) for s in am.posteriors(feats)]
         streams = {r.utt_id: s for r, s in zip(records, stream_list)}
     else:

@@ -1,17 +1,14 @@
 """The package's one binary file format: a container of named arrays.
 
 A parameter store (``params.ParameterStore``) is a container of float64
-tensors at frame shift 0. A feature or posterior-stream archive
-(``features.write_archive``) is a container of float32 T x D matrices,
-one per utterance id, at one positive frame shift. A feature file
-(``features.write_features``) is an archive of one matrix.
+tensors. A feature or posterior-stream archive (``features.write_archive``)
+is a container of float32 T x D matrices, one per utterance id. A feature
+file (``features.write_features``) is an archive of one matrix.
 
 Layout (little-endian):
 
-    magic          4 bytes  b"SNA1"
+    magic          4 bytes  b"SNA2"
     count          u32, number of entries
-    frame_shift_us u32, the shift of every entry's rows; 0 in a
-                   parameter store and in a file of no entries
     count entries, each:
         name_len   u16, name utf-8 bytes (unique in the file)
         itemsize   u8, 4 (float32) or 8 (float64), the same in every entry
@@ -19,7 +16,7 @@ Layout (little-endian):
         payload    itemsize * prod(dims) bytes, C order
 
 No byte follows the last entry. ``write`` takes the entries one at a
-time from an iterator and patches the count and shift in at the end, so
+time from an iterator and patches the count in at the end, so
 a generator's arrays need not all be held; it writes a temporary sibling
 file and moves it over the target only once every entry is written, so a
 refused write leaves the target as it was. ``read`` checks each field
@@ -36,8 +33,8 @@ from pathlib import Path
 
 import numpy as np
 
-MAGIC = b"SNA1"
-_HEADER = struct.Struct("<4sII")  # magic, count, frame shift
+MAGIC = b"SNA2"
+_HEADER = struct.Struct("<4sI")  # magic, count
 _KIND = struct.Struct("<BB")  # itemsize, rank
 # the on-disk payload type of each itemsize
 _DTYPES = {4: np.dtype("<f4"), 8: np.dtype("<f8")}
@@ -50,21 +47,20 @@ class ContainerError(ValueError):
 
 
 def write(path, dtype, entries, what):
-    """Write ``(name, array, frame_shift_us)`` entries to ``path`` as they
-    come. Every array is of ``dtype`` (float32 or float64, never
-    converted) and every shift is the same. A name given twice or longer
-    than 65535 bytes, an array of another dtype, a dim past the u32
-    range, or a shift unlike the ones before raises ValueError naming
-    the entry as ``what``, such as "utterance id"; ``path`` is then left
-    as it was, absent or whole."""
+    """Write ``(name, array)`` entries to ``path`` as they come. Every
+    array is of ``dtype`` (float32 or float64, never converted). A name
+    given twice or longer than 65535 bytes, an array of another dtype or
+    a dim past the u32 range raises ValueError naming the entry as
+    ``what``, such as "utterance id"; ``path`` is then left as it was,
+    absent or whole."""
     dtype = np.dtype(dtype)
-    names, shift = set(), None
+    names = set()
     path = Path(path)
     tmp = path.with_name(f".{path.name}.tmp")
     try:
         with open(tmp, "wb") as fh:
-            fh.write(_HEADER.pack(MAGIC, 0, 0))  # count and shift, patched in below
-            for name, arr, entry_shift in entries:
+            fh.write(_HEADER.pack(MAGIC, 0))  # count, patched in below
+            for name, arr in entries:
                 raw = name.encode("utf-8")
                 if name in names:
                     raise ValueError(f"duplicate {what} {name!r}")
@@ -76,17 +72,12 @@ def write(path, dtype, entries, what):
                 if max(arr.shape, default=0) > MAX_DIM:
                     raise ValueError(f"{what} {name!r}: dim {max(arr.shape)} of shape "
                                      f"{arr.shape} is larger than {MAX_DIM}")
-                if shift is None:
-                    shift = entry_shift
-                elif entry_shift != shift:
-                    raise ValueError(f"{what} {name!r} is at {entry_shift} us, "
-                                     f"the entries before it at {shift} us")
                 names.add(name)
                 fh.write(struct.pack(f"<H{len(raw)}sBB{arr.ndim}I", len(raw), raw,
                                      dtype.itemsize, arr.ndim, *arr.shape))
                 fh.write(arr.astype(_DTYPES[dtype.itemsize], copy=False).tobytes())
             fh.seek(0)
-            fh.write(_HEADER.pack(MAGIC, len(names), shift or 0))
+            fh.write(_HEADER.pack(MAGIC, len(names)))
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)
@@ -94,9 +85,9 @@ def write(path, dtype, entries, what):
 
 
 def read(path, dtype, what):
-    """``(frame_shift_us, {name: array})`` of the container at ``path``, in
-    file order, each array a fresh one of ``dtype``. Messages name each
-    entry by its index and, once read, its name (``what``)."""
+    """``{name: array}`` of the container at ``path``, in file order,
+    each array a fresh one of ``dtype``. Messages name each entry by its
+    index and, once read, its name (``what``)."""
     dtype = np.dtype(dtype)
     with open(path, "rb") as fh:
         blob = fh.read()
@@ -104,7 +95,7 @@ def read(path, dtype, what):
         raise ContainerError(f"bad magic {blob[:4]!r}, expected {MAGIC!r}")
     if len(blob) < _HEADER.size:
         raise ContainerError("truncated archive header")
-    _, count, shift = _HEADER.unpack_from(blob)
+    _, count = _HEADER.unpack_from(blob)
     off, arrays = _HEADER.size, {}
     for i in range(count):
         if off == len(blob):
@@ -143,4 +134,4 @@ def read(path, dtype, what):
         off += size
     if off != len(blob):
         raise ContainerError(f"trailing bytes after the last of {count} entries")
-    return shift, arrays
+    return arrays

@@ -85,14 +85,11 @@ class PosteriorStream:
     """T x (V+1) per-frame log probabilities from one acoustic model."""
 
     logp: np.ndarray
-    frame_shift_us: int
 
     def __post_init__(self):
         self.logp = np.asarray(self.logp, dtype=np.float64)
         if self.logp.ndim != 2:
             raise ValueError("posterior stream must be a T x (V+1) matrix")
-        if self.frame_shift_us <= 0:
-            raise ValueError("frame_shift_us must be positive")
         if np.isnan(self.logp).any() or (self.logp == np.inf).any():
             raise ValueError("posterior entries must be finite or -inf")
         norm = _row_logsumexp(self.logp)

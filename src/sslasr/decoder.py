@@ -170,22 +170,19 @@ def interpolate_posteriors(streams, weights) -> PosteriorStream:
         raise ValueError("need at least one stream")
     weights = check_weights(weights, len(streams))
     shape = streams[0].logp.shape
-    shift = streams[0].frame_shift_us
     for s in streams[1:]:
         if s.logp.shape != shape:
             raise ValueError(f"stream shape mismatch: {s.logp.shape} vs {shape}")
-        if s.frame_shift_us != shift:
-            raise ValueError(f"frame shift mismatch: {s.frame_shift_us} vs {shift}")
     nonzero = np.flatnonzero(weights)
     if nonzero.size == 1:
-        return PosteriorStream(streams[int(nonzero[0])].logp.copy(), shift)
+        return PosteriorStream(streams[int(nonzero[0])].logp.copy())
     w = weights / weights.sum()
     mix = np.zeros(shape)
     for wk, s in zip(w, streams):
         if wk > 0:
             mix += wk * np.exp(s.logp)
     with np.errstate(divide="ignore"):
-        return PosteriorStream(np.log(mix), shift)
+        return PosteriorStream(np.log(mix))
 
 
 def viterbi_align_cost(logp, token_ids):

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .ctc import PosteriorStream, ctc_loss
-from .features import FBANK_WIN, SAMPLE_RATE, AudioBuffer
+from .features import FBANK_WIN, AudioBuffer
 from .nn import (
     Conv1d,
     Gelu,
@@ -52,7 +52,6 @@ CONV_LAYERS = (
 # 25 ms receptive field, the filterbank's window
 STRIDE = 320
 RECEPTIVE_FIELD = FBANK_WIN
-FRAME_SHIFT_US = STRIDE * 1_000_000 // SAMPLE_RATE
 # the sinusoidal table's amplitude at the transformer input
 POSITION_SCALE = 0.3
 
@@ -489,7 +488,7 @@ class SslEncoder(Module):
             raise ValueError("no CTC head attached; fine-tune the model first")
         rows, batch = Ragged.of(h)
         logp = log_softmax(self.head.forward(rows, batch), axis=-1)
-        return [PosteriorStream(x, FRAME_SHIFT_US) for x in batch.split(logp)]
+        return [PosteriorStream(x) for x in batch.split(logp)]
 
 
 def pretrain_step(model, samples, rng=None, hard=True, mask=None, noise=None,

@@ -5,11 +5,12 @@ rejects a file at any other rate. The filterbank's window is 25 ms
 (``FBANK_WIN``, 400 samples), as is the encoder's receptive field; the
 encoder's 20 ms frames, doubled in rate by the bottleneck adapter, and the
 filterbank's hop are all 10 ms (``FRAME_SHIFT_US``), so streams fuse frame
-by frame. Nothing is resampled: a stream at another shift is rejected.
+by frame. Nothing is resampled, and no stream or file carries its shift:
+every ``FeatureMatrix`` is at ``FRAME_SHIFT_US``.
 
 Feature archives and feature files are containers of float32 matrices
-at one frame shift (``container``, which describes the byte layout); a
-malformed one raises ``container.ContainerError``.
+(``container``, which describes the byte layout); a malformed one raises
+``container.ContainerError``.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ HAMMING.flags.writeable = False
 
 
 class FrameCountMismatchError(ValueError):
-    """Streams to fuse are off FRAME_SHIFT_US or differ in length too much."""
+    """Streams to fuse differ in length too much."""
 
 
 # frames two streams of one utterance may differ by
@@ -64,21 +65,18 @@ class AudioBuffer:
 
 @dataclass
 class FeatureMatrix:
-    """T x D frame features at a fixed frame shift.
+    """T x D frame features at FRAME_SHIFT_US.
 
     Values are kept as float32, the on-disk payload type, so file round
     trips are bit exact.
     """
 
     data: np.ndarray
-    frame_shift_us: int
 
     def __post_init__(self):
         self.data = np.ascontiguousarray(self.data, dtype=np.float32)
         if self.data.ndim != 2 or self.data.shape[0] < 1 or self.data.shape[1] < 1:
             raise ValueError(f"feature matrix must be T x D with T,D >= 1, got {self.data.shape}")
-        if self.frame_shift_us <= 0:
-            raise ValueError(f"frame_shift_us must be positive, got {self.frame_shift_us}")
         if not np.isfinite(self.data).all():
             raise ValueError("feature matrix contains non-finite values")
 
@@ -140,69 +138,62 @@ def compute_fbank(audio: AudioBuffer) -> FeatureMatrix:
     fbank, _ = mel_filterbank()
     energies = power @ fbank.T
     logmel = np.log(np.maximum(energies, FBANK_FLOOR))
-    return FeatureMatrix(logmel, FRAME_SHIFT_US)
+    return FeatureMatrix(logmel)
 
 
 def fuse_features(streams) -> FeatureMatrix:
     """Truncate the streams of one utterance to the shortest and
     concatenate them along the feature axis.
 
-    Streams of one utterance are all at FRAME_SHIFT_US and differ by at
-    most a frame or two (conv arithmetic at the stream edges). A stream at
-    another shift, or a larger mismatch, means they do not belong together
-    and raises FrameCountMismatchError naming the shifts and lengths.
+    Streams of one utterance differ by at most a frame or two (conv
+    arithmetic at the stream edges). A larger mismatch means they do not
+    belong together and raises FrameCountMismatchError naming the lengths.
     """
     streams = list(streams)
     if not streams:
         raise ValueError("need at least one feature stream to fuse")
-    shifts = [s.frame_shift_us for s in streams]
     lengths = [s.n_frames for s in streams]
     t_min = min(lengths)
-    if set(shifts) != {FRAME_SHIFT_US} or max(lengths) - t_min > MAX_FUSE_MISMATCH:
+    if max(lengths) - t_min > MAX_FUSE_MISMATCH:
         raise FrameCountMismatchError(
-            f"streams of {lengths} frames at {shifts} us: fusion needs {FRAME_SHIFT_US} us "
-            f"streams within {MAX_FUSE_MISMATCH} frames of each other"
+            f"streams of {lengths} frames: fusion needs streams within "
+            f"{MAX_FUSE_MISMATCH} frames of each other"
         )
-    return FeatureMatrix(np.concatenate([s.data[:t_min] for s in streams], axis=1),
-                         FRAME_SHIFT_US)
+    return FeatureMatrix(np.concatenate([s.data[:t_min] for s in streams], axis=1))
 
 
 def write_archive(path, items):
     """Write ``(utt_id, FeatureMatrix)`` pairs to one archive file, an
     entry at a time, so a generator's matrices need not all be held. A
-    repeated id, or a matrix at another frame shift than the ones before
-    it, raises ValueError naming its utterance id."""
-    container.write(path, np.float32, ((utt_id, f.data, f.frame_shift_us)
-                                       for utt_id, f in items), "utterance id")
+    repeated id raises ValueError naming it."""
+    container.write(path, np.float32, ((utt_id, f.data) for utt_id, f in items),
+                    "utterance id")
 
 
-def _matrices(shift, arrays):
-    """``{utt_id: FeatureMatrix}`` of a container's arrays at ``shift``."""
-    if shift and not arrays:
-        raise container.ContainerError(f"frame shift {shift} us over no entries; "
-                                       "an empty archive has 0")
+def _matrices(arrays):
+    """``{utt_id: FeatureMatrix}`` of a container's arrays."""
     out = {}
     for i, (utt_id, data) in enumerate(arrays.items()):
         try:
-            out[utt_id] = FeatureMatrix(data, shift)
-        except ValueError as exc:  # not T x D, zero shift or non-finite payload
+            out[utt_id] = FeatureMatrix(data)
+        except ValueError as exc:  # not T x D, or a non-finite payload
             raise container.ContainerError(f"entry {i} ({utt_id!r}): {exc}") from None
     return out
 
 
 def read_archive(path) -> dict[str, FeatureMatrix]:
     """Read an archive into ``{utt_id: FeatureMatrix}``, in file order."""
-    return _matrices(*container.read(path, np.float32, "utterance id"))
+    return _matrices(container.read(path, np.float32, "utterance id"))
 
 
 def write_features(f: FeatureMatrix, path):
     """Write one matrix as an archive of one entry, named ""."""
-    container.write(path, np.float32, [("", f.data, f.frame_shift_us)], "utterance id")
+    container.write(path, np.float32, [("", f.data)], "utterance id")
 
 
 def read_features(path) -> FeatureMatrix:
     """Read the matrix of an archive of one entry, whatever its name."""
-    archive = _matrices(*container.read(path, np.float32, "utterance id"))
+    archive = _matrices(container.read(path, np.float32, "utterance id"))
     if len(archive) != 1:
         raise container.ContainerError("a feature file holds one matrix, "
                                        f"this one {len(archive)}")
@@ -210,18 +201,20 @@ def read_features(path) -> FeatureMatrix:
 
 
 def read_wav(path) -> AudioBuffer:
-    """Read a mono 16-bit PCM WAV file at SAMPLE_RATE."""
-    with wave.open(str(path), "rb") as wf:
-        if wf.getnchannels() != 1:
-            raise ValueError(f"expected mono WAV, got {wf.getnchannels()} channels")
-        if wf.getsampwidth() != 2:
-            raise ValueError(f"expected 16-bit PCM, got {8 * wf.getsampwidth()}-bit")
-        if wf.getframerate() != SAMPLE_RATE:
-            raise ValueError(f"{path}: expected {SAMPLE_RATE} Hz audio, "
-                             f"got {wf.getframerate()} Hz")
-        raw = wf.readframes(wf.getnframes())
-    samples = np.frombuffer(raw, dtype="<i2").astype(np.float64) / 32768.0
-    return AudioBuffer(samples)
+    """Read a mono 16-bit PCM WAV file at SAMPLE_RATE; any other file, or
+    one of no samples, raises ValueError naming ``path``."""
+    try:
+        with wave.open(str(path), "rb") as wf:
+            if wf.getnchannels() != 1:
+                raise ValueError(f"expected mono WAV, got {wf.getnchannels()} channels")
+            if wf.getsampwidth() != 2:
+                raise ValueError(f"expected 16-bit PCM, got {8 * wf.getsampwidth()}-bit")
+            if wf.getframerate() != SAMPLE_RATE:
+                raise ValueError(f"expected {SAMPLE_RATE} Hz audio, got {wf.getframerate()} Hz")
+            raw = wf.readframes(wf.getnframes())
+        return AudioBuffer(np.frombuffer(raw, dtype="<i2").astype(np.float64) / 32768.0)
+    except (wave.Error, EOFError, ValueError) as exc:  # not a WAV, or not one of these
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def write_wav(path, audio: AudioBuffer):

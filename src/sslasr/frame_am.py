@@ -35,7 +35,7 @@ def splice_context(feats: FeatureMatrix, offsets) -> FeatureMatrix:
     edge replication; output width is len(offsets) * D."""
     t = feats.n_frames
     idx = np.clip(np.arange(t)[:, None] + np.array(offsets, dtype=np.intp), 0, t - 1)
-    return FeatureMatrix(feats.data[idx].reshape(t, -1), feats.frame_shift_us)
+    return FeatureMatrix(feats.data[idx].reshape(t, -1))
 
 
 class FrameAm(Module):
@@ -88,7 +88,7 @@ class FrameAm(Module):
         """
         rows, batch = Ragged.of([self._spliced(f) for f in feats])
         logp = log_softmax(self._forward_logits(rows, batch), axis=-1)
-        return [PosteriorStream(x, f.frame_shift_us) for x, f in zip(batch.split(logp), feats)]
+        return [PosteriorStream(x) for x in batch.split(logp)]
 
     def training_example(self, feats: FeatureMatrix, labels):
         """``(x, labels)`` for :func:`cross_entropy_step`: the spliced

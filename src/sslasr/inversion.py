@@ -43,7 +43,6 @@ class MixtureParams:
     weights: np.ndarray
     means: np.ndarray
     stds: np.ndarray
-    frame_shift_us: int = 10_000
 
     def __post_init__(self):
         self.weights = np.asarray(self.weights, dtype=np.float64)
@@ -113,7 +112,7 @@ def mdn_forward(feats: FeatureMatrix, model: MdnModel) -> MixtureParams:
     if feats.dim != model.cfg.d_in:
         raise ValueError(f"feature width {feats.dim} does not match model d_in {model.cfg.d_in}")
     weights, means, stds = model.forward_arrays(feats.data.astype(np.float64))
-    return MixtureParams(weights, means, stds, feats.frame_shift_us)
+    return MixtureParams(weights, means, stds)
 
 
 def _component_logliks(weights, means, stds, targets):
@@ -136,7 +135,7 @@ def _target_array(means, targets):
 def mdn_predict(mix: MixtureParams) -> FeatureMatrix:
     """Expected trajectory sum_m w_m mu_m."""
     expect = np.einsum("tm,tmd->td", mix.weights, mix.means)
-    return FeatureMatrix(expect, mix.frame_shift_us)
+    return FeatureMatrix(expect)
 
 
 def mdn_nll_step(model: MdnModel, x, targets):

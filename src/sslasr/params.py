@@ -1,7 +1,7 @@
 """Named-parameter store and the Adam optimizer.
 
-A store file is a container of float64 tensors at frame shift 0
-(``container``, which describes the byte layout); a malformed one raises
+A store file is a container of float64 tensors (``container``, which
+describes the byte layout); a malformed one raises
 ``container.ContainerError``.
 
 The optimizer is Adam, configured by one mapping, ``{"optimizer": "adam",
@@ -63,16 +63,13 @@ class ParameterStore:
             param.value[...] = value
 
     def save(self, path):
-        container.write(path, np.float64, ((name, np.asarray(value, np.float64), 0)
+        container.write(path, np.float64, ((name, np.asarray(value, np.float64))
                                            for name, value in self.tensors.items()),
                         "tensor name")
 
     @classmethod
     def load(cls, path):
-        shift, tensors = container.read(path, np.float64, "tensor name")
-        if shift:
-            raise container.ContainerError(f"frame shift {shift} us: a parameter store has none")
-        return cls(tensors)
+        return cls(container.read(path, np.float64, "tensor name"))
 
 
 class Adam:

@@ -76,6 +76,15 @@ class Corpus:
         self.lexicon = Lexicon.load(self.root / "lexicon.json")
         self.vocab = self.lexicon.vocab()
 
+    def subset(self, *names):
+        """The manifest's records of the subsets ``names``, in file order;
+        if they hold none, ValueError names the manifest and the subsets."""
+        records = self.manifest.subset(*names)
+        if not records:
+            raise ValueError(f"{self.root / 'manifest.jsonl'} holds no "
+                             f"{' or '.join(names)} records")
+        return records
+
     def audio(self, record):
         return read_wav(self.root / record.audio_path)
 
@@ -93,7 +102,7 @@ def generate_corpus(out_dir, cfg):
 
 def pretrain_encoder(corpus: Corpus, cfg):
     section = cfg["pretrain"]
-    audio = [corpus.audio(r).samples for r in corpus.manifest.subset("train")]
+    audio = [corpus.audio(r).samples for r in corpus.subset("train")]
     return pretrain(audio, encoder_config(cfg), epochs=section["epochs"], seed=cfg["seed"],
                     optimizer_cfg=section["optimizer"])
 
@@ -105,7 +114,7 @@ def finetune_encoder(corpus: Corpus, model: SslEncoder, cfg):
     loss in the encoder-updating stages."""
     seed = cfg["seed"]
     section = cfg["finetune"]
-    train_records = corpus.manifest.subset("train")
+    train_records = corpus.subset("train")
     audio, contexts = [], []
     for _, window, _, h in record_batches(corpus, train_records, model):
         audio += window
@@ -184,7 +193,7 @@ def bottleneck_features(corpus: Corpus, records, model: SslEncoder,
     streams are held at a time."""
     for _, _, bn, _ in record_batches(corpus, records, model, adapter):
         for rows in bn:
-            yield FeatureMatrix(rows, FRAME_SHIFT_US)
+            yield FeatureMatrix(rows)
 
 
 def articulatory_map(d_in, d_artic, seed):
@@ -207,7 +216,7 @@ def train_inversion_model(corpus: Corpus, model, adapter, cfg):
     noise_rng = np.random.default_rng(seed + 18)
     sigma = section["map_noise"]
     pairs = []
-    for bn in bottleneck_features(corpus, corpus.manifest.subset("train"), model, adapter):
+    for bn in bottleneck_features(corpus, corpus.subset("train"), model, adapter):
         target = bn.data.astype(np.float64) @ a + b
         target += sigma * noise_rng.normal(size=target.shape)
         pairs.append((bn.data.astype(np.float64), target))
@@ -255,8 +264,7 @@ def build_feature_fn(corpus, kind, model=None, adapter=None, mdn_model=None):
         for _, audio, window_bn, _ in record_batches(corpus, records, encoder, adapter):
             feats = []
             for j, samples in enumerate(audio):
-                rows = (None if window_bn is None
-                        else FeatureMatrix(window_bn[j], FRAME_SHIFT_US))
+                rows = None if window_bn is None else FeatureMatrix(window_bn[j])
                 feats.append(fuse_features([stream(part, samples, rows) for part in parts]))
             yield feats
 
@@ -266,8 +274,7 @@ def build_feature_fn(corpus, kind, model=None, adapter=None, mdn_model=None):
 def write_streams(path, streams):
     """Write ``{utt_id: PosteriorStream}`` to one feature archive, log
     probabilities as each payload (float32)."""
-    write_archive(path, ((utt_id, FeatureMatrix(s.logp, s.frame_shift_us))
-                         for utt_id, s in streams.items()))
+    write_archive(path, ((utt_id, FeatureMatrix(s.logp)) for utt_id, s in streams.items()))
 
 
 def read_streams(path) -> dict[str, PosteriorStream]:
@@ -276,8 +283,7 @@ def read_streams(path) -> dict[str, PosteriorStream]:
     for utt_id, feats in read_archive(path).items():
         logp = feats.data.astype(np.float64)
         # float32 storage rounds the rows; renormalize exactly
-        streams[utt_id] = PosteriorStream(logp - _row_logsumexp(logp)[:, None],
-                                          feats.frame_shift_us)
+        streams[utt_id] = PosteriorStream(logp - _row_logsumexp(logp)[:, None])
     return streams
 
 
@@ -285,14 +291,14 @@ def alignment_labels(corpus: Corpus, record, feats: FeatureMatrix, cfg):
     """Per-frame labels for AM training: uniform segmentation with blank
     edges matching the generator's silence margins."""
     edge_ms = cfg["corpus"]["edge_ms"]
-    edge_frames = int(round(edge_ms * 1000.0 / feats.frame_shift_us))
+    edge_frames = int(round(edge_ms * 1000.0 / FRAME_SHIFT_US))
     return uniform_alignment(feats.n_frames, corpus.tokens(record), edge_frames)
 
 
 def train_frame_am(corpus: Corpus, feature_fn, cfg, seed=None):
     seed = cfg["seed"] if seed is None else seed
     section = cfg["am"]
-    records = corpus.manifest.subset("train")
+    records = corpus.subset("train")
     feats = [f for window in feature_fn(records) for f in window]
     dataset = [(f, alignment_labels(corpus, record, f, cfg))
                for record, f in zip(records, feats)]
@@ -306,7 +312,8 @@ def decode_utterances(tasks, lexicon: Lexicon, vocab, n=1):
     ``(hypotheses, nbests)`` in utterance-id order.
 
     A task with one stream and no weights decodes that stream; otherwise
-    its streams are interpolated first (equal weights when None). The
+    its streams are interpolated first (equal weights when None); streams
+    of unequal shapes raise ValueError naming the utterance. The
     tasks are decoded in batched lattice passes, one window of
     ``ctc.LATTICE_WINDOW`` streams each (``decoder.isolated_nbest_batch``),
     into N-best lists of depth ``n``, each entry costed by its alignment
@@ -320,7 +327,10 @@ def decode_utterances(tasks, lexicon: Lexicon, vocab, n=1):
             streams.append(parts[0])
         else:
             w = np.ones(len(parts)) if weights is None else weights
-            streams.append(interpolate_posteriors(parts, w))
+            try:
+                streams.append(interpolate_posteriors(parts, w))
+            except ValueError as exc:
+                raise ValueError(f"utterance {utt_id!r}: {exc}") from None
     nbests = isolated_nbest_batch(streams, lexicon, vocab, n, utt_ids)
     return [best_hypothesis(nbest) for nbest in nbests], nbests
 
@@ -369,14 +379,12 @@ def run_recognition(corpus: Corpus, cfg, model, adapter, jobs=1):
     logger.info("training fbk+w2v-bn acoustic model")
     am_fused, _ = train_frame_am(corpus, fused_fn, cfg, seed=seed + 202)
 
-    records = sorted(corpus.manifest.subset("test-seen", "test-unseen"),
-                     key=lambda r: r.utt_id)
+    records = sorted(corpus.subset("test-seen", "test-unseen"), key=lambda r: r.utt_id)
     ids = [r.utt_id for r in records]
     s_fbk, s_fused, ssl = [], [], []
     for _, audio, bn, h in record_batches(corpus, records, model, adapter):
         fbk = [compute_fbank(a) for a in audio]
-        fused = [fuse_features([f, FeatureMatrix(rows, FRAME_SHIFT_US)])
-                 for f, rows in zip(fbk, bn)]
+        fused = [fuse_features([f, FeatureMatrix(rows)]) for f, rows in zip(fbk, bn)]
         s_fbk += am_fbk.posteriors(fbk)
         s_fused += am_fused.posteriors(fused)
         ssl += model.head_posteriors(h)

@@ -59,9 +59,9 @@ def tiny_models(tiny_config, tiny_corpus):
     return model, adapter
 
 
-def random_stream(t, v, rng, shift=10_000):
+def random_stream(t, v, rng):
     from sslasr.ctc import PosteriorStream
 
     logits = rng.normal(size=(t, v + 1))
     logp = logits - np.log(np.exp(logits).sum(axis=1, keepdims=True))
-    return PosteriorStream(logp, shift)
+    return PosteriorStream(logp)

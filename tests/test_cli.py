@@ -377,6 +377,40 @@ class TestDecodeErrors:
                 f"{saved_streams} lacks 0, {part} lacks 2") in capsys.readouterr().err
         assert not (tmp_path / "never.jsonl").exists()
 
+    def test_joint_length_mismatch_names_the_utterance(self, workdir, saved_streams,
+                                                       tmp_path, capsys):
+        _, corpus, cfg = workdir
+        streams = pipeline.read_streams(saved_streams)
+        utt_id = sorted(streams)[1]
+        short = streams[utt_id].logp[: streams[utt_id].n_frames // 2]
+        other = tmp_path / "other"
+        pipeline.write_streams(other, {**streams, utt_id: PosteriorStream(short)})
+        rc = main(["joint-decode", "--config", cfg, "--lexicon", str(corpus / "lexicon.json"),
+                   "--streams", f"{saved_streams},{other}", "--weights", "1:1",
+                   "--out", str(tmp_path / "never.jsonl")])
+        assert rc == 1
+        assert (f"utterance {utt_id!r}: stream shape mismatch: {short.shape} vs "
+                f"{streams[utt_id].logp.shape}") in capsys.readouterr().err
+        assert not (tmp_path / "never.jsonl").exists()
+
+
+class TestEmptySubset:
+    @pytest.mark.parametrize("command", [["pretrain"], ["train-am", "--features", "fbk"]],
+                             ids=["pretrain", "train-am"])
+    def test_no_train_records_named(self, workdir, tmp_path, capsys, command):
+        _, corpus, cfg = workdir
+        copy = tmp_path / "corpus"
+        shutil.copytree(corpus, copy)
+        manifest = copy / "manifest.jsonl"
+        lines = manifest.read_text().splitlines(keepends=True)
+        manifest.write_text("".join(line for line in lines
+                                    if json.loads(line)["subset"] != "train"))
+        out = tmp_path / "model.spm"
+        assert main([*command, "--config", cfg, "--corpus", str(copy),
+                     "--out", str(out)]) == 1
+        assert f"{manifest} holds no train records" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestAudioRate:
     def test_train_am_names_a_wav_at_another_rate(self, workdir, tmp_path, capsys):
@@ -627,7 +661,7 @@ class TestBatchedDecodeOutputs:
         for utt_id, stream in pipeline.read_streams(s1).items():
             logp = 0.5 * stream.logp
             logp -= np.log(np.exp(logp).sum(axis=1, keepdims=True))
-            flat[utt_id] = PosteriorStream(logp, stream.frame_shift_us)
+            flat[utt_id] = PosteriorStream(logp)
         pipeline.write_streams(s2, flat)
         hyp, nb = tmp_path / "joint.jsonl", tmp_path / "nb.jsonl"
         assert main(["joint-decode", "--config", cfg,

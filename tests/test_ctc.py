@@ -80,11 +80,11 @@ class TestPosteriorStream:
     def test_rows_must_normalize(self):
         bad = np.log(np.full((2, 3), 0.5))
         with pytest.raises(ValueError, match="log-sum-exp"):
-            PosteriorStream(bad, 10_000)
+            PosteriorStream(bad)
 
     def test_neg_inf_allowed(self):
         row = np.array([[0.0, -np.inf, -np.inf]])
-        s = PosteriorStream(row, 10_000)
+        s = PosteriorStream(row)
         assert s.n_frames == 1
 
 

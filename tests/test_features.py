@@ -1,3 +1,4 @@
+import struct
 import tempfile
 import wave
 from pathlib import Path
@@ -41,7 +42,6 @@ class TestComputeFbank:
     def test_single_window_frame_count(self):
         feats = compute_fbank(tone(440.0, 400))
         assert feats.data.shape == (1, 40)
-        assert feats.frame_shift_us == 10_000
 
     def test_zero_audio_hits_floor(self):
         feats = compute_fbank(AudioBuffer(np.zeros(800)))
@@ -88,37 +88,28 @@ class TestComputeFbank:
 class TestFuseFeatures:
     def test_widths_add_and_rows_truncate(self):
         rng = np.random.default_rng(1)
-        fbk = FeatureMatrix(rng.normal(size=(100, 40)), 10_000)
-        bn = FeatureMatrix(rng.normal(size=(99, 256)), 10_000)
+        fbk = FeatureMatrix(rng.normal(size=(100, 40)))
+        bn = FeatureMatrix(rng.normal(size=(99, 256)))
         fused = fuse_features([fbk, bn])
         assert fused.data.shape == (99, 296)
 
     def test_two_frame_mismatch_truncates(self):
         rng = np.random.default_rng(4)
-        a = FeatureMatrix(rng.normal(size=(12, 2)), 10_000)
-        b = FeatureMatrix(rng.normal(size=(10, 3)), 10_000)
+        a = FeatureMatrix(rng.normal(size=(12, 2)))
+        b = FeatureMatrix(rng.normal(size=(10, 3)))
         assert fuse_features([a, b]).data.shape == (10, 5)
 
     def test_three_frame_mismatch_rejected(self):
         rng = np.random.default_rng(5)
-        fbk = FeatureMatrix(rng.normal(size=(100, 40)), 10_000)
-        bn = FeatureMatrix(rng.normal(size=(97, 8)), 10_000)
+        fbk = FeatureMatrix(rng.normal(size=(100, 40)))
+        bn = FeatureMatrix(rng.normal(size=(97, 8)))
         with pytest.raises(FrameCountMismatchError, match=r"\[100, 97\]"):
             fuse_features([fbk, bn])
         assert issubclass(FrameCountMismatchError, ValueError)
         assert not issubclass(FrameCountMismatchError, ContainerError)
 
-    def test_other_shift_rejected_by_name(self):
-        rng = np.random.default_rng(2)
-        slow = FeatureMatrix(rng.normal(size=(5, 4)), 20_000)
-        fast = FeatureMatrix(rng.normal(size=(10, 3)), 10_000)
-        with pytest.raises(FrameCountMismatchError, match=r"at \[20000, 10000\] us"):
-            fuse_features([slow, fast])
-        with pytest.raises(FrameCountMismatchError, match=r"at \[20000\] us"):
-            fuse_features([slow])
-
     def test_single_stream_unchanged(self):
-        f = FeatureMatrix(np.random.default_rng(3).normal(size=(4, 2)), 10_000)
+        f = FeatureMatrix(np.random.default_rng(3).normal(size=(4, 2)))
         fused = fuse_features([f])
         assert np.array_equal(fused.data, f.data)
 
@@ -131,17 +122,15 @@ class TestFeatureFile:
     @given(
         t=st.integers(1, 8),
         d=st.integers(1, 6),
-        shift=st.sampled_from([10_000, 20_000, 12_345]),
     )
     @settings(max_examples=30, deadline=None)
-    def test_round_trip_bit_exact(self, t, d, shift, tmp_path_factory):
+    def test_round_trip_bit_exact(self, t, d, tmp_path_factory):
         rng = np.random.default_rng(t * 101 + d)
-        f = FeatureMatrix(rng.normal(size=(t, d)).astype(np.float32), shift)
+        f = FeatureMatrix(rng.normal(size=(t, d)).astype(np.float32))
         path = tmp_path_factory.mktemp("ff") / "m.sff"
         write_features(f, path)
         g = read_features(path)
         assert np.array_equal(f.data, g.data)
-        assert g.frame_shift_us == shift
 
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "bad.sff"
@@ -151,7 +140,7 @@ class TestFeatureFile:
 
     def test_truncated_payload(self, tmp_path):
         path = tmp_path / "trunc.sff"
-        write_features(FeatureMatrix(np.ones((3, 4)), 10_000), path)
+        write_features(FeatureMatrix(np.ones((3, 4))), path)
         raw = path.read_bytes()
         path.write_bytes(raw[:-5])
         with pytest.raises(ContainerError, match="payload"):
@@ -159,7 +148,7 @@ class TestFeatureFile:
 
     def test_trailing_bytes_rejected(self, tmp_path):
         path = tmp_path / "trail.sff"
-        write_features(FeatureMatrix(np.ones((1, 1)), 10_000), path)
+        write_features(FeatureMatrix(np.ones((1, 1))), path)
         path.write_bytes(path.read_bytes() + b"junk")
         with pytest.raises(ContainerError, match="trailing"):
             read_features(path)
@@ -167,7 +156,7 @@ class TestFeatureFile:
     @pytest.mark.parametrize("n", [0, 2])
     def test_one_matrix_per_file(self, n, tmp_path):
         path = tmp_path / "set.sfa"
-        write_archive(path, [(f"u{i}", FeatureMatrix(np.ones((1, 1)), 10_000))
+        write_archive(path, [(f"u{i}", FeatureMatrix(np.ones((1, 1))))
                              for i in range(n)])
         with pytest.raises(ContainerError, match=f"holds one matrix, this one {n}"):
             read_features(path)
@@ -180,12 +169,12 @@ def load_blob(blob):
         return read_features(path)
 
 
-def sff_blob(rows, cols, shift, name=b"", payload=None):
+def sff_blob(rows, cols, name=b"", payload=None):
     """A feature file: one float32 ``rows`` x ``cols`` entry."""
-    return container_blob([entry(name, (rows, cols), payload)], shift)
+    return container_blob([entry(name, (rows, cols), payload)])
 
 
-VALID_BLOB = sff_blob(3, 2, 10_000, payload=np.arange(6, dtype="<f4").tobytes())
+VALID_BLOB = sff_blob(3, 2, payload=np.arange(6, dtype="<f4").tobytes())
 
 
 class TestFeatureFileRobustness:
@@ -194,29 +183,25 @@ class TestFeatureFileRobustness:
 
     def test_valid_blob_loads(self):
         f = load_blob(VALID_BLOB)
-        assert f.data.shape == (3, 2) and f.frame_shift_us == 10_000
+        assert f.data.shape == (3, 2)
         assert np.array_equal(f.data.ravel(), np.arange(6))
 
     @pytest.mark.parametrize("rows, cols", [(0, 2), (2, 0), (0, 0)])
     def test_empty_matrix(self, rows, cols):
         with pytest.raises(ContainerError, match="T x D"):
-            load_blob(sff_blob(rows, cols, 10_000))
-
-    def test_zero_frame_shift(self):
-        with pytest.raises(ContainerError, match="frame_shift_us"):
-            load_blob(sff_blob(1, 1, 0))
+            load_blob(sff_blob(rows, cols))
 
     @pytest.mark.parametrize("value", [np.nan, np.inf])
     def test_non_finite_payload(self, value):
         payload = np.array([1.0, value], dtype="<f4").tobytes()
         with pytest.raises(ContainerError, match="non-finite"):
-            load_blob(sff_blob(1, 2, 10_000, payload=payload))
+            load_blob(sff_blob(1, 2, payload=payload))
 
 
-def archive_blob(entries, count=None, shift=10_000):
+def archive_blob(entries, count=None):
     """An archive of entry bytes whose header claims ``count`` of them
     (default: as many as there are)."""
-    return container_blob(entries, shift, count)
+    return container_blob(entries, count)
 
 
 def load_archive_blob(blob):
@@ -232,7 +217,7 @@ def load_archive_blob(blob):
 
 
 U1 = entry(b"u1", (3, 2), np.arange(6, dtype="<f4").tobytes())
-VALID_ARCHIVE = archive_blob([U1, entry(b"u2", (1, 2))], shift=20_000)
+VALID_ARCHIVE = archive_blob([U1, entry(b"u2", (1, 2))])
 
 
 class TestFeatureArchive:
@@ -241,13 +226,11 @@ class TestFeatureArchive:
 
     @given(
         shapes=st.lists(st.tuples(st.integers(1, 6), st.integers(1, 4)), max_size=5),
-        shift=st.sampled_from([10_000, 20_000, 12_345]),
     )
     @settings(max_examples=30, deadline=None)
-    def test_round_trip_bit_exact(self, shapes, shift, tmp_path_factory):
+    def test_round_trip_bit_exact(self, shapes, tmp_path_factory):
         rng = np.random.default_rng(len(shapes))
-        items = [(f"utt{i}\u00e9", FeatureMatrix(rng.normal(size=shape).astype(np.float32),
-                                                 shift))
+        items = [(f"utt{i}\u00e9", FeatureMatrix(rng.normal(size=shape).astype(np.float32)))
                  for i, shape in enumerate(shapes)]
         path = tmp_path_factory.mktemp("fa") / "set.sfa"
         write_archive(path, iter(items))
@@ -256,17 +239,22 @@ class TestFeatureArchive:
         for (_, f), g in zip(items, back.values()):
             assert np.array_equal(f.data, g.data) and g.data.dtype == np.float32
             assert g.data.flags.writeable  # a fresh array, not a view of the file's bytes
-            assert g.frame_shift_us == shift
 
     def test_valid_blob_loads(self):
         archive = load_archive_blob(VALID_ARCHIVE)
         assert list(archive) == ["u1", "u2"]
         assert archive["u1"].data.shape == (3, 2)
-        assert archive["u1"].frame_shift_us == archive["u2"].frame_shift_us == 20_000
 
     def test_bad_magic(self):
         with pytest.raises(ContainerError, match="magic"):
             load_archive_blob(b"SFA1" + VALID_ARCHIVE[4:])
+
+    def test_shifted_format_is_refused(self):
+        """A file of the earlier layout, whose header held a frame shift
+        after the count, fails on its magic."""
+        blob = b"SNA1" + struct.pack("<II", 1, 10_000) + U1
+        with pytest.raises(ContainerError, match="bad magic b'SNA1', expected b'SNA2'"):
+            load_archive_blob(blob)
 
     def test_store_is_not_an_archive(self, tmp_path):
         path = tmp_path / "m.spm"
@@ -311,34 +299,21 @@ class TestFeatureArchive:
         with pytest.raises(ContainerError, match="trailing bytes after the last of 2"):
             load_archive_blob(VALID_ARCHIVE + b"\x00")
 
-    def test_empty_archive_has_no_shift(self):
-        assert load_archive_blob(archive_blob([], shift=0)) == {}
-        with pytest.raises(ContainerError, match="frame shift 10000 us over no entries"):
-            load_archive_blob(archive_blob([]))
-
     @pytest.mark.parametrize("utt_ids, message", [(["a", "a"], "duplicate utterance id"),
                                                   (["x" * 2**16], "longer than 65535")])
     def test_writer_rejects_unreadable_ids(self, utt_ids, message, tmp_path):
-        f = FeatureMatrix(np.ones((1, 1)), 10_000)
+        f = FeatureMatrix(np.ones((1, 1)))
         with pytest.raises(ValueError, match=message):
             write_archive(tmp_path / "bad.sfa", [(u, f) for u in utt_ids])
         assert not any(tmp_path.iterdir())  # no partial file, no temporary left
 
     def test_writer_names_a_float64_entry(self, tmp_path):
-        f = FeatureMatrix(np.ones((1, 1)), 10_000)
-        wide = FeatureMatrix(np.ones((1, 1)), 10_000)
+        f = FeatureMatrix(np.ones((1, 1)))
+        wide = FeatureMatrix(np.ones((1, 1)))
         wide.data = wide.data.astype(np.float64)
         with pytest.raises(ValueError, match="utterance id 'b': float64 payload, the file "
                                              "holds float32"):
             write_archive(tmp_path / "bad.sfa", [("a", f), ("b", wide)])
-        assert not any(tmp_path.iterdir())  # no partial file, no temporary left
-
-    def test_writer_names_an_entry_at_another_shift(self, tmp_path):
-        items = [(u, FeatureMatrix(np.ones((1, 1)), shift))
-                 for u, shift in (("a", 10_000), ("b", 10_000), ("c", 20_000))]
-        with pytest.raises(ValueError, match="utterance id 'c' is at 20000 us, the entries "
-                                             "before it at 10000 us"):
-            write_archive(tmp_path / "bad.sfa", items)
         assert not any(tmp_path.iterdir())  # no partial file, no temporary left
 
 
@@ -361,15 +336,35 @@ class TestWav:
             read_wav(path)
         assert str(err.value) == f"{path}: expected 16000 Hz audio, got 8000 Hz"
 
+    @pytest.mark.parametrize("channels, width, samples, message", [
+        (None, 2, 0, "file does not start with RIFF id"),
+        (1, 2, 0, "audio buffer must contain at least one sample"),
+        (2, 2, 800, "expected mono WAV, got 2 channels"),
+        (1, 1, 800, "expected 16-bit PCM, got 8-bit"),
+    ], ids=["not-riff", "no-samples", "stereo", "8-bit"])
+    def test_refusal_names_the_file(self, channels, width, samples, message, tmp_path):
+        path = tmp_path / "bad.wav"
+        if channels is None:
+            path.write_bytes(b"not a wav file at all")
+        else:
+            with wave.open(str(path), "wb") as wf:
+                wf.setnchannels(channels)
+                wf.setsampwidth(width)
+                wf.setframerate(16000)
+                wf.writeframes(bytes(samples * channels * width))
+        with pytest.raises(ValueError) as err:
+            read_wav(path)
+        assert str(err.value) == f"{path}: {message}"
+
 
 class TestInvariants:
     def test_feature_matrix_rejects_non_finite(self):
         with pytest.raises(ValueError, match="finite"):
-            FeatureMatrix(np.array([[1.0, np.nan]]), 10_000)
+            FeatureMatrix(np.array([[1.0, np.nan]]))
 
     def test_feature_matrix_rejects_empty(self):
         with pytest.raises(ValueError):
-            FeatureMatrix(np.zeros((0, 3)), 10_000)
+            FeatureMatrix(np.zeros((0, 3)))
 
     def test_audio_rejects_empty(self):
         with pytest.raises(ValueError):

@@ -19,8 +19,8 @@ from oracles import reference_splice, reference_train_am
 
 AM = AmConfig(offsets=(-2, -1, 0, 1, 2), hidden_dims=(64, 64))
 
-def feat(t, d, seed=0, shift=10_000):
-    return FeatureMatrix(np.random.default_rng(seed).normal(size=(t, d)), shift)
+def feat(t, d, seed=0):
+    return FeatureMatrix(np.random.default_rng(seed).normal(size=(t, d)))
 
 
 class TestSpliceContext:
@@ -35,7 +35,7 @@ class TestSpliceContext:
         assert np.array_equal(out.data, f.data)
 
     def test_edge_replication(self):
-        f = FeatureMatrix(np.arange(8, dtype=np.float32).reshape(4, 2), 10_000)
+        f = FeatureMatrix(np.arange(8, dtype=np.float32).reshape(4, 2))
         out = splice_context(f, (-2, 0))
         assert np.array_equal(out.data[0, :2], f.data[0])  # clipped to row 0
         assert np.array_equal(out.data[1, :2], f.data[0])
@@ -67,7 +67,6 @@ class TestPosteriors:
         am = FrameAm(AM, d_feat=8, n_classes=5, seed=0)
         (stream,) = am.posteriors([feat(7, 8)])
         assert np.allclose(np.exp(stream.logp).sum(axis=1), 1.0, atol=1e-6)
-        assert stream.frame_shift_us == 10_000
 
     def test_deterministic(self):
         am = FrameAm(AM, d_feat=8, n_classes=5, seed=0)
@@ -88,8 +87,7 @@ class TestPosteriors:
         # batch, its products one per run of equal frame counts; each
         # stream equals the per-utterance training forward
         am = FrameAm(AM, d_feat=4, n_classes=n_classes, seed=seed % 1000)
-        feats = [feat(t, 4, seed=seed + i, shift=10_000 * (1 + i % 2))
-                 for i, t in enumerate(lengths)]
+        feats = [feat(t, 4, seed=seed + i) for i, t in enumerate(lengths)]
         streams = am.posteriors(feats)
         assert len(streams) == len(feats)
         for f, stream in zip(feats, streams):
@@ -97,7 +95,6 @@ class TestPosteriors:
             assert stream.logp.tobytes() == one.tobytes()
             (alone,) = am.posteriors([f])
             assert alone.logp.tobytes() == one.tobytes()
-            assert stream.frame_shift_us == f.frame_shift_us
 
 
 def labeled_dataset(n_utts, d_feat, n_classes, seed):
@@ -108,7 +105,7 @@ def labeled_dataset(n_utts, d_feat, n_classes, seed):
     for _ in range(n_utts):
         labels = rng.integers(0, n_classes, size=12)
         rows = centers[labels] + 0.3 * rng.normal(size=(12, d_feat))
-        data.append((FeatureMatrix(rows, 10_000), labels))
+        data.append((FeatureMatrix(rows), labels))
     return data
 
 
@@ -191,7 +188,7 @@ class TestTraining:
         base = labeled_dataset(6, 6, 4, seed=9)
         wide = [
             (FeatureMatrix(np.hstack([f.data, np.random.default_rng(i).normal(size=(12, 3))
-                                      .astype(np.float32)]), 10_000), labels)
+                                      .astype(np.float32)])), labels)
             for i, (f, labels) in enumerate(base)
         ]
         m1, _ = train_am(base, AM, d_feat=6, n_classes=4, epochs=3, seed=10,

@@ -19,23 +19,22 @@ from gradcheck import finite_difference_check
 from oracles import mdn_nll
 
 
-def mixture(weights, means, stds, shift=10_000):
+def mixture(weights, means, stds):
     return MixtureParams(np.asarray(weights, float), np.asarray(means, float),
-                         np.asarray(stds, float), shift)
+                         np.asarray(stds, float))
 
 
 class TestMixtureValidity:
     def test_forward_emits_valid_mixtures(self):
         model = MdnModel(MdnConfig(d_in=5, d_artic=3, mixtures=3, hidden_dims=(32,)), seed=0)
-        feats = FeatureMatrix(np.random.default_rng(0).normal(size=(6, 5)), 10_000)
+        feats = FeatureMatrix(np.random.default_rng(0).normal(size=(6, 5)))
         mix = mdn_forward(feats, model)
         assert np.allclose(mix.weights.sum(axis=1), 1.0, atol=1e-6)
         assert (mix.stds > 0).all()
-        assert mix.frame_shift_us == 10_000
 
     def test_forward_deterministic(self):
         model = MdnModel(MdnConfig(d_in=5, d_artic=3, mixtures=2, hidden_dims=(32,)), seed=1)
-        feats = FeatureMatrix(np.random.default_rng(1).normal(size=(4, 5)), 10_000)
+        feats = FeatureMatrix(np.random.default_rng(1).normal(size=(4, 5)))
         a = mdn_forward(feats, model)
         b = mdn_forward(feats, model)
         assert np.array_equal(a.weights, b.weights)
@@ -44,7 +43,7 @@ class TestMixtureValidity:
     def test_width_mismatch_rejected(self):
         model = MdnModel(MdnConfig(d_in=5, d_artic=3, mixtures=2, hidden_dims=(32,)), seed=2)
         with pytest.raises(ValueError, match="does not match"):
-            mdn_forward(FeatureMatrix(np.zeros((3, 4)), 10_000), model)
+            mdn_forward(FeatureMatrix(np.zeros((3, 4))), model)
 
     def test_invalid_mixtures_rejected(self):
         with pytest.raises(ValueError, match="sum to 1"):
@@ -196,7 +195,6 @@ class TestTrainInversion:
         cfg = MdnConfig(d_in=4, d_artic=2, mixtures=2, hidden_dims=(8,))
         data = [(rng.normal(size=(6, 4)), rng.normal(size=(6, 2)))]
         model, _ = train_inversion(data, cfg, epochs=3, seed=15)
-        target_feats = FeatureMatrix(rng.normal(size=(9, 4)), 10_000)
+        target_feats = FeatureMatrix(rng.normal(size=(9, 4)))
         pred = mdn_predict(mdn_forward(target_feats, model))
         assert pred.data.shape == (9, 2)
-        assert pred.frame_shift_us == 10_000

@@ -86,7 +86,7 @@ class TestParameterStore:
 
     def test_archive_is_not_a_store(self, tmp_path):
         path = tmp_path / "set.sfa"
-        write_archive(path, [("u1", FeatureMatrix(np.ones((2, 3)), 10_000))])
+        write_archive(path, [("u1", FeatureMatrix(np.ones((2, 3))))])
         with pytest.raises(ContainerError, match=r"entry 0 \('u1'\): payload of 4-byte items, "
                                                  r"expected float64"):
             ParameterStore.load(path)
@@ -104,10 +104,6 @@ class TestParameterStore:
             ParameterStore({"ok": np.ones(2), **tensors}).save(path)
         assert path.read_bytes() == before
         assert list(tmp_path.iterdir()) == [path]  # no temporary left
-
-    def test_a_store_has_no_frame_shift(self):
-        with pytest.raises(ContainerError, match="frame shift 10000 us: a parameter store"):
-            load_blob(container_blob([tensor_record(b"a", (1,), bytes(8))], shift=10_000))
 
     @settings(max_examples=50, deadline=None)
     @given(tensors=st.dictionaries(
@@ -447,7 +443,7 @@ def _train_am(opt_cfg, rng):
     from sslasr.features import FeatureMatrix
     from sslasr.frame_am import AmConfig, train_am
 
-    data = [(FeatureMatrix(rng.normal(size=(6, 3)), 10_000), rng.integers(0, 4, 6))
+    data = [(FeatureMatrix(rng.normal(size=(6, 3))), rng.integers(0, 4, 6))
             for _ in range(3)]
     cfg = AmConfig(offsets=(-2, -1, 0, 1, 2), hidden_dims=(64, 64))
     train_am(data, cfg, d_feat=3, n_classes=4, epochs=1, seed=0, optimizer_cfg=opt_cfg)

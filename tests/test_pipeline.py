@@ -14,7 +14,7 @@ from sslasr.corpus import wer
 from sslasr.ctc import TokenVocab
 from sslasr.decoder import (Lexicon, LexiconEntry, decode_stream, interpolate_posteriors,
                             isolated_nbest, parse_weight_ratio)
-from sslasr.encoder import SslEncoder
+from sslasr.encoder import RECEPTIVE_FIELD, STRIDE, SslEncoder
 from sslasr.features import compute_fbank, fuse_features
 from sslasr.inversion import MdnModel, mdn_forward, mdn_predict
 from sslasr.params import ParameterStore
@@ -87,7 +87,6 @@ class TestFeatureFns:
         fn = pipeline.build_feature_fn(tiny_corpus, "fbk+w2v-bn", model=model,
                                        adapter=adapter)
         (feats,) = features_of(fn, tiny_corpus.manifest.records[:1])
-        assert feats.frame_shift_us == 10_000
         assert feats.dim == 40 + 32
 
     @pytest.mark.parametrize("kind", ["fbk+w2v-bn", "fbk+w2v-bn+artic"])
@@ -120,7 +119,6 @@ class TestFeatureFns:
         # every utterance is encoded once, whatever batch it rode in
         assert encodes == Counter(sample_key(tiny_corpus.audio(r)) for r in records)
         for g, e in zip(got, expected):
-            assert g.frame_shift_us == e.frame_shift_us
             assert np.array_equal(g.data, e.data)
 
     def test_unknown_stream_rejected(self, tiny_corpus):
@@ -137,12 +135,14 @@ class TestFeatureFns:
         with pytest.raises(ValueError, match=f"^feature stream {missing}$"):
             pipeline.build_feature_fn(tiny_corpus, kind, **given)
 
-    def test_bottleneck_stream_shift(self, tiny_corpus, tiny_models):
+    def test_bottleneck_stream_doubles_the_encoder_rate(self, tiny_corpus, tiny_models):
         model, adapter = tiny_models
         rec = tiny_corpus.manifest.records[0]
+        audio = tiny_corpus.audio(rec)
         (feats,) = pipeline.bottleneck_features(tiny_corpus, [rec], model, adapter)
-        (bn,), _ = model.represent([tiny_corpus.audio(rec)], adapter)
-        assert feats.frame_shift_us == 10_000
+        (bn,), (h,) = model.represent([audio], adapter)
+        # one row per half of each STRIDE-sample encoder frame
+        assert feats.n_frames == 2 * len(h) == 2 * ((len(audio) - RECEPTIVE_FIELD) // STRIDE + 1)
         assert np.array_equal(feats.data, bn.astype(np.float32))
 
 
@@ -157,7 +157,6 @@ class TestStreamFiles:
         back = pipeline.read_streams(path)
         assert list(back) == [r.utt_id for r in records]
         for got, stream in zip(back.values(), streams):
-            assert got.frame_shift_us == stream.frame_shift_us
             assert np.allclose(got.logp, stream.logp, atol=1e-4)
             assert greedy_decode(got) == greedy_decode(stream)
             # float32 storage, then an exact renormalisation of each row
@@ -188,7 +187,6 @@ class TestInversionPipeline:
         (bn,) = pipeline.bottleneck_features(tiny_corpus, [rec], model, adapter)
         artic = mdn_predict(mdn_forward(bn, mdn_model))
         assert artic.dim == tiny_config["mdn"]["d_artic"]
-        assert artic.frame_shift_us == 10_000
 
 
 VOCAB = TokenVocab(("a", "b", "c"))

@@ -24,7 +24,7 @@ VOCAB = TokenVocab(("a", "b"))
 def rand_stream(t, v, rng):
     logits = rng.normal(size=(t, v + 1))
     logp = logits - np.log(np.exp(logits).sum(axis=1, keepdims=True))
-    return PosteriorStream(logp, 20_000)
+    return PosteriorStream(logp)
 
 
 def nbest(costs, tokens=None, utt_id="utt"):
