@@ -10,15 +10,12 @@ Layer order: transposed conv (kernel 2, stride 2; doubles the frame rate)
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass
 
 import numpy as np
 
 from .nn import Conv1d, ConvTranspose1d, Dropout, Linear, Module, Relu
 from .params import train_epochs
-
-logger = logging.getLogger(__name__)
 
 
 @dataclass
@@ -98,9 +95,7 @@ def train_adapter(dataset, cfg: BottleneckConfig, epochs, seed, optimizer_cfg=No
     def step(i, _epoch):
         return reconstruction_loss(adapter, dataset[i], rng=rng)
 
-    history = []
-    for epoch, losses in train_epochs(adapter.parameters(), len(dataset), epochs, rng,
-                                      optimizer_cfg, step, "adapter training"):
-        history.append({"epoch": epoch, "mse": float(np.mean(losses))})
-        logger.info("adapter epoch %d: mse %.6f", epoch, history[-1]["mse"])
+    history = train_epochs(adapter.parameters(), len(dataset), epochs, rng, optimizer_cfg,
+                           step, "adapter training",
+                           lambda losses: {"mse": float(np.mean(losses))})
     return adapter, history

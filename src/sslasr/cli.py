@@ -26,7 +26,6 @@ logger = logging.getLogger("sslasr")
 
 def _add_common(p):
     p.add_argument("--config", help="global JSON config file")
-    p.add_argument("--seed", type=int, help="override the config seed")
     p.add_argument("--jobs", type=int, default=1,
                    help="accepted and ignored: decoding batches the test set in one process")
 
@@ -127,7 +126,7 @@ def build_parser():
 
 
 def _config(args):
-    return load_config(args.config, None if args.seed is None else {"seed": args.seed})
+    return load_config(args.config)
 
 
 def _emit_lines(lines, out):
@@ -256,6 +255,12 @@ def _decode(tasks, lexicon, vocab, args):
 
 def cmd_decode(args):
     _check_nbest_out(args)
+    if args.streams:
+        given = {"--corpus": args.corpus, "--am": args.am, "--model": args.model,
+                 "--adapter": args.adapter, "--mdn": args.mdn}
+        unused = [flag for flag, path in given.items() if path]
+        if unused:
+            raise ValueError(f"decode --streams reads no {' or '.join(unused)}; leave it out")
     cfg = _config(args)
     lexicon = Lexicon.load(args.lexicon)
     vocab = lexicon.vocab()
@@ -284,10 +289,9 @@ def cmd_joint_decode(args):
     cfg = _config(args)
     lexicon = Lexicon.load(args.lexicon)
     vocab = lexicon.vocab()
-    weights = parse_weight_ratio(args.weights)
+    weights = check_weights(parse_weight_ratio(args.weights), len(args.streams.split(",")),
+                            "--weights")
     sources = _load_stream_sources(args.streams)
-    if len(sources) != weights.size:
-        raise ValueError(f"{len(sources)} stream sources but {weights.size} weights")
     tasks = [(u, [src[u] for src in sources], weights) for u in sources[0]]
     _decode(tasks, lexicon, vocab, args)
 

@@ -1,10 +1,11 @@
-"""Global JSON configuration: one file with per-module sections; CLI flags
-override individual keys. ``DEFAULT_CONFIG`` holds the one default of
-every setting: desk-scale values that train and decode within minutes on
-a CPU. The section dataclasses have no defaults of their own; each is
-built from a loaded section by its builder here (``corpus_config`` ...
-``mdn_config``). What no config sets is a module constant, such as the
-encoder's CNN stack (``encoder.CONV_LAYERS``) and the corpus's tone range.
+"""Global JSON configuration: one file with per-module sections.
+``DEFAULT_CONFIG`` holds the one default of every setting: desk-scale
+values that train and decode within minutes on a CPU; a fine-tuning
+stage's missing keys come from ``STAGE_DEFAULTS``. The section
+dataclasses have no defaults of their own; each is built from a loaded
+section by its builder here (``corpus_config`` ... ``mdn_config``).
+What no config sets is a module constant, such as the encoder's CNN
+stack (``encoder.CONV_LAYERS``) and the corpus's tone range.
 ``load_config`` names by dotted path, in one ValueError and before
 anything runs:
 
@@ -212,8 +213,8 @@ def _section_errors(cfg):
     defaults: each dataclass's, each stage's scope and the weight pairs."""
     encoder, rescore = cfg["encoder"], cfg["rescore"]
     checks = [("corpus.", corpus_config, cfg), ("encoder.", encoder_config, cfg)]
-    checks += [(f"finetune.stages[{i}].scope: ", scope_blocks,
-                stage.get("scope", STAGE_DEFAULTS["scope"]), encoder["n_blocks"])
+    checks += [(f"finetune.stages[{i}].scope: ", scope_blocks, stage["scope"],
+                encoder["n_blocks"])
                for i, stage in enumerate(cfg["finetune"]["stages"])]
     checks += [("bottleneck.", bottleneck_config, cfg, encoder["d_model"]),
                ("am.", am_config, cfg), ("mdn.", mdn_config, cfg),
@@ -245,7 +246,12 @@ def load_config(path=None, overrides=None):
     _walk(cfg, DEFAULT_CONFIG, "", "", errors, unknown)
     if unknown:
         errors.insert(0, "config keys that nothing reads: " + ", ".join(unknown))
-    # the section checks read the values the walk checks
-    if errors or (errors := _section_errors(cfg)):
+    # the section checks read the values the walk checks, each stage filled
+    # from STAGE_DEFAULTS
+    if not errors:
+        stages = cfg["finetune"]["stages"]
+        stages[:] = [merge_config(STAGE_DEFAULTS, stage) for stage in stages]
+        errors = _section_errors(cfg)
+    if errors:
         raise ValueError("; ".join(errors))
     return cfg

@@ -10,7 +10,6 @@ samples (20 ms at 16 kHz) and receptive field 400 samples (25 ms).
 from __future__ import annotations
 
 import itertools
-import logging
 import math
 import re
 from dataclasses import dataclass, field
@@ -36,8 +35,6 @@ from .nn import (
     softmax_backward,
 )
 from .params import train_epochs
-
-logger = logging.getLogger(__name__)
 
 # the CNN stack, one (channels, kernel, stride) per layer: a wide first
 # kernel resolves tone content far better than a deep narrow stack at this
@@ -558,20 +555,15 @@ def pretrain(dataset, cfg: EncoderConfig, epochs, seed, optimizer_cfg=None):
         loss = contrast.value + cfg.loss_weight_diversity * ld
         return loss, contrast.value, ld, contrast.accuracy
 
-    history = []
-    for epoch, parts in train_epochs(model.parameters(), len(dataset), epochs, rng,
-                                     optimizer_cfg, step, "pretraining"):
-        contrast_mean = float(np.mean([p[1] for p in parts]))
+    def summarize(parts):
+        contrastive = float(np.mean([p[1] for p in parts]))
         diversity = float(np.mean([p[2] for p in parts]))
-        combined = contrast_mean + cfg.loss_weight_diversity * diversity
-        history.append(
-            {"epoch": epoch, "contrastive": contrast_mean, "diversity": diversity,
-             "combined": combined, "accuracy": float(np.mean([p[3] for p in parts]))}
-        )
-        logger.info(
-            "pretrain epoch %d: contrastive %.4f diversity %.4f combined %.4f acc %.2f",
-            epoch, contrast_mean, diversity, combined, history[-1]["accuracy"],
-        )
+        return {"contrastive": contrastive, "diversity": diversity,
+                "combined": contrastive + cfg.loss_weight_diversity * diversity,
+                "accuracy": float(np.mean([p[3] for p in parts]))}
+
+    history = train_epochs(model.parameters(), len(dataset), epochs, rng, optimizer_cfg,
+                           step, "pretraining", summarize)
     return model, history
 
 
@@ -662,12 +654,8 @@ def finetune_ctc(dataset, model: SslEncoder, n_classes, epochs, seed,
     def step(i, _epoch):
         return _ctc_step(model, inputs[i], dataset[i][1], adapter, scope)
 
-    history = []
-    for epoch, losses in train_epochs(params, len(dataset), epochs, rng, optimizer_cfg,
-                                      step, "fine-tuning"):
-        history.append({"epoch": epoch, "ctc_loss": float(np.mean(losses))})
-        logger.info("finetune epoch %d: ctc %.4f", epoch, history[-1]["ctc_loss"])
-    return history
+    return train_epochs(params, len(dataset), epochs, rng, optimizer_cfg, step, "fine-tuning",
+                        lambda losses: {"ctc_loss": float(np.mean(losses))})
 
 
 def _ctc_step(model, x, tokens, adapter=None, scope="all"):

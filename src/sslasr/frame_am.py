@@ -5,7 +5,6 @@ labels (uniform segmentation of the transcript).
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass
 
 import numpy as np
@@ -14,8 +13,6 @@ from .ctc import PosteriorStream
 from .features import FeatureMatrix
 from .nn import Linear, Module, Ragged, Relu, log_softmax, log_softmax_backward
 from .params import train_epochs
-
-logger = logging.getLogger(__name__)
 
 
 @dataclass
@@ -159,15 +156,11 @@ def train_am(dataset, cfg: AmConfig, d_feat, n_classes, epochs, seed,
         hits = int((np.argmax(logp, axis=1) == labels).sum())
         return loss, hits, len(logp)
 
-    history = []
-    for epoch, results in train_epochs(model.parameters(), len(dataset), epochs, rng,
-                                       optimizer_cfg, step, "AM training"):
-        hits = sum(r[1] for r in results)
-        total = sum(r[2] for r in results)
-        history.append(
-            {"epoch": epoch, "cross_entropy": float(np.mean([r[0] for r in results])),
-             "frame_accuracy": hits / max(total, 1)}
-        )
-        logger.info("am epoch %d: ce %.4f acc %.3f", epoch,
-                    history[-1]["cross_entropy"], history[-1]["frame_accuracy"])
+    def summarize(results):
+        hits, total = sum(r[1] for r in results), sum(r[2] for r in results)
+        return {"cross_entropy": float(np.mean([r[0] for r in results])),
+                "frame_accuracy": hits / max(total, 1)}
+
+    history = train_epochs(model.parameters(), len(dataset), epochs, rng, optimizer_cfg, step,
+                           "AM training", summarize)
     return model, history

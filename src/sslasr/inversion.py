@@ -5,7 +5,6 @@ likelihood on frame-aligned (representation, trajectory) pairs."""
 
 from __future__ import annotations
 
-import logging
 import math
 from dataclasses import dataclass
 
@@ -14,8 +13,6 @@ import numpy as np
 from .features import FeatureMatrix
 from .nn import Linear, Module, Relu, softmax
 from .params import train_epochs
-
-logger = logging.getLogger(__name__)
 
 LOG_2PI = math.log(2.0 * math.pi)
 
@@ -180,10 +177,6 @@ def train_inversion(dataset, cfg: MdnConfig, epochs, seed, optimizer_cfg=None):
     def step(i, _epoch):
         return mdn_nll_step(model, *pairs[i])
 
-    history = []
-    for epoch, losses in train_epochs(model.parameters(), len(pairs), epochs, rng,
-                                      optimizer_cfg, step, "inversion training"):
-        history.append({"epoch": epoch, "nll": float(np.mean(losses))})
-        if epoch % 25 == 0 or epoch == epochs - 1:
-            logger.info("inversion epoch %d: nll %.4f", epoch, history[-1]["nll"])
+    history = train_epochs(model.parameters(), len(pairs), epochs, rng, optimizer_cfg, step,
+                           "inversion training", lambda losses: {"nll": float(np.mean(losses))})
     return model, history

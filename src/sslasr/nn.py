@@ -31,7 +31,8 @@ and gradients of the parameters it is given into one flat buffer each
 a single fill. The one training schedule, ``params.train_epochs``, clears
 only its optimizer's gradients before each step: a frozen layer that
 gradients pass through accumulates gradients no one reads. When the
-schedule ends, the parameters get compact storage of their own back
+schedule returns its history, or raises, the parameters get compact
+storage of their own back
 (``unpack_parameters``), so a frozen layer does not keep a finished
 stage's buffers alive.
 ``Module.zero_grad`` clears every parameter of a module, for callers that

@@ -19,19 +19,23 @@ its own buffers over exactly that subset.
 ``train_epochs`` is the one training schedule. Every trainer in the
 package (pretraining, CTC fine-tuning, the bottleneck adapter, the
 inversion MDN and the frame acoustic model) hands it a per-item ``step``
-and reads back each epoch's results: it builds the optimizer, draws each
-epoch's visiting order, clears and applies the gradients around each
-step and aborts on a non-finite loss.
+and a ``summarize`` of one epoch's step results: it builds the optimizer,
+draws each epoch's visiting order, clears and applies the gradients
+around each step, aborts on a non-finite loss, and makes, logs and
+returns the per-epoch history records.
 """
 
 from __future__ import annotations
 
+import logging
 import math
 
 import numpy as np
 
 from . import container
 from .nn import pack_parameters, unpack_parameters
+
+logger = logging.getLogger(__name__)
 
 
 class ParameterStore:
@@ -143,23 +147,26 @@ def make_optimizer(params, cfg=None):
     return Adam(params, lr=cfg.get("lr", OPTIMIZER_DEFAULTS["lr"]))
 
 
-def train_epochs(params, n_items, epochs, rng, optimizer_cfg, step, what):
-    """Run ``epochs`` passes of one optimizer step per item over ``params``.
+def train_epochs(params, n_items, epochs, rng, optimizer_cfg, step, what, summarize):
+    """Run ``epochs`` passes of one optimizer step per item over ``params``
+    and return the training history, one record per epoch.
 
     The optimizer comes from ``optimizer_cfg`` (see ``make_optimizer``).
-    Each epoch
-    visits the items in the order ``rng.permutation(n_items)``; per item
-    it clears the gradients, calls ``step(i, epoch)`` to accumulate them,
-    and applies them. A step returns its loss, or a tuple whose first
-    element is the loss; a loss that is not finite raises RuntimeError
-    naming ``what`` and the epoch. Yields ``(epoch, results)`` after each
-    epoch, ``results`` holding the step returns in visiting order.
+    Each epoch visits the items in the order ``rng.permutation(n_items)``;
+    per item it clears the gradients, calls ``step(i, epoch)`` to
+    accumulate them, and applies them. A step returns its loss, or a tuple
+    whose first element is the loss; a loss that is not finite raises
+    RuntimeError naming ``what`` and the epoch. After each epoch the
+    record ``{"epoch": epoch, **summarize(results)}``, ``results`` holding
+    the step returns in visiting order, joins the history and is logged
+    as one INFO line.
 
-    When the schedule ends, however it ends, the parameters leave the
+    When the schedule ends, returning or raising, the parameters leave the
     optimizer's flat buffers for storage of their own, values and
     gradients kept, so the buffers go with the optimizer.
     """
     opt = make_optimizer(params, optimizer_cfg)
+    history = []
     try:
         for epoch in range(epochs):
             results = []
@@ -171,7 +178,9 @@ def train_epochs(params, n_items, epochs, rng, optimizer_cfg, step, what):
                     raise RuntimeError(f"{what} diverged at epoch {epoch}: loss={loss}")
                 results.append(result)
                 opt.step()
-            yield epoch, results
+            history.append({"epoch": epoch, **summarize(results)})
+            logger.info("%s: %s", what, history[-1])
+        return history
     finally:
         # the optimizer's moments and scratch go first, so the copies
         # never coexist with them

@@ -33,7 +33,6 @@ import numpy as np
 
 from .bottleneck import BottleneckAdapter, train_adapter
 from .config import (
-    STAGE_DEFAULTS,
     am_config,
     bottleneck_config,
     corpus_config,
@@ -124,12 +123,10 @@ def finetune_encoder(corpus: Corpus, model: SslEncoder, cfg):
                                optimizer_cfg=section["adapter_init_optimizer"])
     del contexts  # only the adapter's initialisation reads them
     dataset = [(a.samples, corpus.tokens(r)) for a, r in zip(audio, train_records)]
-    # each stage's missing keys come from STAGE_DEFAULTS
-    stages = [{**STAGE_DEFAULTS, **stage} for stage in section["stages"]]
     histories = [finetune_ctc(dataset, model, corpus.vocab.width, epochs=stage["epochs"],
                               seed=seed + i, scope=stage["scope"], adapter=adapter,
                               optimizer_cfg=stage["optimizer"])
-                 for i, stage in enumerate(stages)]
+                 for i, stage in enumerate(section["stages"])]
     return adapter, histories
 
 
@@ -338,7 +335,8 @@ def decode_utterances(tasks, lexicon: Lexicon, vocab, n=1):
 def score_hypotheses(pairs, manifest: Manifest):
     """WER report of (utt_id, hypothesis words) pairs against the
     manifest's transcripts; an id the manifest lacks raises KeyError, an
-    id given twice ValueError."""
+    id given twice ValueError, and so does a test utterance left without a
+    hypothesis (to score a subset, pass a manifest of that subset)."""
     by_id = manifest.by_id()
     per_utt = {}
     for utt_id, words in pairs:
@@ -347,6 +345,11 @@ def score_hypotheses(pairs, manifest: Manifest):
         if utt_id in per_utt:
             raise ValueError(f"utterance {utt_id!r} has more than one hypothesis")
         per_utt[utt_id] = (by_id[utt_id].transcript.split(), list(words))
+    missing = [r.utt_id for r in manifest.subset("test-seen", "test-unseen")
+               if r.utt_id not in per_utt]
+    if missing:
+        raise ValueError(f"{len(missing)} test-seen/test-unseen utterances have no "
+                         f"hypothesis, the first {missing[0]!r}")
     return partition_report(per_utt, manifest)
 
 

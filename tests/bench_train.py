@@ -35,7 +35,8 @@ def no_work(i, epoch):
 
 def schedule_epoch(params):
     rng = np.random.default_rng(0)
-    return list(train_epochs(params, N_ITEMS, 1, rng, ADAM, no_work, "bench"))
+    return train_epochs(params, N_ITEMS, 1, rng, ADAM, no_work, "bench",
+                        lambda losses: {"losses": losses})
 
 
 def hand_epoch(params):
@@ -49,7 +50,7 @@ def hand_epoch(params):
             raise RuntimeError("diverged")
         losses.append(loss)
         opt.step()
-    return [(0, losses)]
+    return [{"epoch": 0, "losses": losses}]
 
 
 @pytest.mark.benchmark(group="adam-step")
@@ -62,9 +63,9 @@ def test_adam_step(benchmark, params):
 
 @pytest.mark.benchmark(group="train-epoch")
 def test_train_epochs(benchmark, params):
-    assert benchmark(schedule_epoch, params) == [(0, [0.0] * N_ITEMS)]
+    assert benchmark(schedule_epoch, params) == [{"epoch": 0, "losses": [0.0] * N_ITEMS}]
 
 
 @pytest.mark.benchmark(group="train-epoch")
 def test_hand_written_epoch(benchmark, params):
-    assert benchmark(hand_epoch, params) == [(0, [0.0] * N_ITEMS)]
+    assert benchmark(hand_epoch, params) == [{"epoch": 0, "losses": [0.0] * N_ITEMS}]

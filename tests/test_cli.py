@@ -103,6 +103,8 @@ class TestUsageErrors:
          "--features", "fbk+w2v-bn+artic", "--artic", "x"],
         ["invert", "--corpus", "c", "--model", "m", "--adapter", "a", "--mdn-out", "d",
          "--out", "o"],
+        # the config's seed key is the one seed setting
+        ["gen-corpus", "--out", "o", "--seed", "3"],
     ])
     def test_adapter_flags_required_and_alpha_gone(self, argv):
         with pytest.raises(SystemExit) as err:
@@ -322,6 +324,22 @@ class TestDecodeErrors:
         assert "decode takes one stream source, got 2" in err and "joint-decode" in err
         assert not (tmp_path / "never.jsonl").exists()
 
+    @pytest.mark.parametrize("flags", [["--corpus"], ["--am"], ["--model"], ["--adapter"],
+                                       ["--mdn"], ["--corpus", "--am", "--model"]],
+                             ids="+".join)
+    def test_streams_refuse_model_flags_by_name(self, tmp_path, capsys, flags):
+        """``--streams`` decodes stored posteriors: a flag of the computed
+        path fails by name before any file is read."""
+        argv = ["decode", "--lexicon", str(tmp_path / "no-lexicon.json"),
+                "--streams", str(tmp_path / "no-streams"), "--features", "fbk+w2v-bn",
+                "--out", str(tmp_path / "never.jsonl")]
+        for flag in flags:
+            argv += [flag, str(tmp_path / "nonexistent")]
+        assert main(argv) == 1
+        assert (f"error: decode --streams reads no {' or '.join(flags)}; leave it out"
+                in capsys.readouterr().err)
+        assert not (tmp_path / "never.jsonl").exists()
+
     def test_lexicon_with_mode_key_rejected(self, workdir, saved_streams, tmp_path, capsys):
         _, corpus, cfg = workdir
         lexicon = json.loads((corpus / "lexicon.json").read_text())
@@ -492,6 +510,20 @@ class TestJointAndRescore:
                    "--streams", "x,y", "--weights", "3:zebra",
                    "--out", str(tmp_path / "never.jsonl")])
         assert rc == 1
+
+    @pytest.mark.parametrize("weights, error", [
+        ("3:-2", " must be nonnegative, got [3.0, -2.0]"),
+        ("0:0", ": at least one weight must be positive"),
+        ("1:1:1", ": need 2 weights, got shape (3,)"),
+    ], ids=["negative", "all-zero", "three-weights"])
+    def test_bad_weights_named_before_any_archive(self, workdir, tmp_path, capsys, weights,
+                                                  error):
+        _, corpus, cfg = workdir
+        rc = main(["joint-decode", "--config", cfg, "--lexicon", str(corpus / "lexicon.json"),
+                   "--streams", f"{tmp_path / 'x'},{tmp_path / 'y'}", "--weights", weights,
+                   "--out", str(tmp_path / "never.jsonl")])
+        assert rc == 1
+        assert capsys.readouterr().err == f"error: --weights{error}\n"
 
     @pytest.mark.parametrize("weights, error", [
         ("-2:9", "must be nonnegative"),
@@ -719,6 +751,29 @@ class TestScore:
                      "--out", str(report)]) == 1
         assert capsys.readouterr().err.startswith(f"error: {hyp}:{len(lines)}: {error}")
         assert not report.exists()
+
+    def test_missing_test_utterances_named(self, workdir, tmp_path, capsys):
+        """A hypothesis file must cover every test utterance of the
+        manifest; a filtered --manifest scores a subset."""
+        _, corpus, cfg = workdir
+        lines = (corpus / "manifest.jsonl").read_text().splitlines()
+        tests = [json.loads(line) for line in lines
+                 if json.loads(line)["subset"] in ("test-seen", "test-unseen")]
+        hyp = tmp_path / "h.jsonl"
+        hyp.write_text(json.dumps({"utt_id": tests[0]["id"],
+                                   "words": tests[0]["transcript"].split()}) + "\n")
+        report = tmp_path / "never.json"
+        assert main(["score", "--hyp", str(hyp), "--corpus", str(corpus),
+                     "--out", str(report)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {len(tests) - 1} test-seen/test-unseen utterances have no hypothesis, "
+            f"the first {tests[1]['id']!r}\n")
+        assert not report.exists()
+        one = tmp_path / "manifest.jsonl"
+        one.write_text(json.dumps(tests[0]) + "\n")
+        assert main(["score", "--hyp", str(hyp), "--manifest", str(one),
+                     "--out", str(report)]) == 0
+        assert json.loads(report.read_text())["overall"]["wer_percent"] == 0.0
 
     def test_bad_manifest_named_by_file_and_line(self, workdir, tmp_path, capsys):
         _, corpus, cfg = workdir

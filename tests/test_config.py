@@ -343,8 +343,15 @@ class TestOptimizerMappings:
         ]
 
     def test_stage_without_optimizer_loads(self):
-        cfg = load_config(overrides={"finetune": {"stages": [{"scope": "head-only"}]}})
-        assert cfg["finetune"]["stages"] == [{"scope": "head-only"}]
+        """A stage's missing keys are filled from ``STAGE_DEFAULTS``, each
+        stage with a copy of its own."""
+        override = {"finetune": {"stages": [{"scope": "head-only"}, {"epochs": 2}]}}
+        stages = load_config(overrides=override)["finetune"]["stages"]
+        assert stages == [{**STAGE_DEFAULTS, "scope": "head-only"},
+                          {**STAGE_DEFAULTS, "epochs": 2}]
+        stages[0]["optimizer"]["lr"] = 5.0
+        assert stages[1]["optimizer"] == STAGE_DEFAULTS["optimizer"] == {"optimizer": "adam",
+                                                                         "lr": 1e-3}
 
     def test_fails_before_training(self, tmp_path, capsys):
         cfg = tmp_path / "sgd.json"
@@ -458,7 +465,8 @@ class TestSchema:
             build(cfg)
         pipeline.bottleneck_config(cfg, cfg["encoder"]["d_model"])
         for stage in cfg["finetune"]["stages"]:
-            scope_blocks({**STAGE_DEFAULTS, **stage}["scope"], cfg["encoder"]["n_blocks"])
+            assert stage.keys() == STAGE_DEFAULTS.keys()
+            scope_blocks(stage["scope"], cfg["encoder"]["n_blocks"])
         check_weights(parse_weight_ratio(cfg["decode"]["weights"]), 2)
 
 

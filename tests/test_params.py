@@ -1,3 +1,4 @@
+import logging
 import re
 import tempfile
 from pathlib import Path
@@ -336,11 +337,16 @@ class TestTrainEpochs:
         ours, ref = twin_params(shapes, data_rng)
         targets = [[data_rng.normal(size=shape) for shape in shapes] for _ in range(n_items)]
         opt_cfg = {"optimizer": "adam", "lr": lr}
+
+        def schedule(*args):
+            history = train_epochs(*args, lambda results: {"results": results})
+            return [(h["epoch"], h["results"]) for h in history]
+
         runs = []
-        for params, schedule in ((ours, train_epochs), (ref, reference_train_epochs)):
+        for params, run in ((ours, schedule), (ref, reference_train_epochs)):
             rng, visits = np.random.default_rng(seed + 1), []
             step = toy_step(params, targets, rng, visits, as_tuple)
-            out = list(schedule(params, n_items, epochs, rng, opt_cfg, step, "toy"))
+            out = run(params, n_items, epochs, rng, opt_cfg, step, "toy")
             runs.append((out, visits, [p.value.tobytes() for p in params]))
         assert runs[0] == runs[1]
         assert len(runs[0][1]) == n_items * epochs
@@ -354,10 +360,10 @@ class TestTrainEpochs:
             loss = bad if epoch == 2 and i == 1 else 1.0
             return (loss, "extra") if as_tuple else loss
 
-        schedule = train_epochs(params, 3, 4, np.random.default_rng(0),
-                                {"optimizer": "adam", "lr": 0.1}, step, "toy training")
         with pytest.raises(RuntimeError, match="toy training diverged at epoch 2: loss="):
-            list(schedule)
+            train_epochs(params, 3, 4, np.random.default_rng(0),
+                         {"optimizer": "adam", "lr": 0.1}, step, "toy training",
+                         lambda results: {})
 
 
 def _storage_size(arr):
@@ -374,22 +380,27 @@ class TestStageBuffers:
     @pytest.mark.parametrize("diverge", [False, True])
     def test_schedule_end_unpacks(self, diverge):
         params = [Parameter("a", np.arange(3.0)), Parameter("b", np.ones((2, 2)))]
+        seen = {}
 
         def step(i, epoch):
+            if epoch == 1 and not seen:  # mid-schedule the parameters share one buffer
+                seen["storage"] = _storage_size(params[0].value)
+                seen["values"] = [p.value.copy() for p in params]
             params[0].grad += 1.0
             return np.nan if diverge and epoch == 1 else 1.0
 
-        schedule = train_epochs(params, 2, 3, np.random.default_rng(0),
-                                {"optimizer": "adam", "lr": 0.1}, step, "toy")
-        packed = next(schedule)  # mid-schedule the parameters share one buffer
-        assert packed[0] == 0 and _storage_size(params[0].value) == 7
-        values = [p.value.copy() for p in params]
+        def run():
+            return train_epochs(params, 2, 3, np.random.default_rng(0),
+                                {"optimizer": "adam", "lr": 0.1}, step, "toy",
+                                lambda results: {})
+
         if diverge:
             with pytest.raises(RuntimeError, match="diverged"):
-                list(schedule)
+                run()
         else:
-            list(schedule)
-        for p, value in zip(params, values):
+            assert run() == [{"epoch": 0}, {"epoch": 1}, {"epoch": 2}]
+        assert seen["storage"] == 7
+        for p, value in zip(params, seen["values"]):
             assert _storage_size(p.value) == p.value.size
             assert _storage_size(p.grad) == p.grad.size
             if diverge:  # the abort comes before any step of epoch 1
@@ -408,50 +419,68 @@ class TestStageBuffers:
             assert _storage_size(p.grad) == p.grad.size, p.name
 
 
-def _pretrain(opt_cfg, rng):
+def _pretrain(opt_cfg, rng, epochs=1):
     from sslasr.encoder import EncoderConfig, pretrain
 
     audio = [rng.normal(0.0, 0.3, 4800) for _ in range(3)]
-    pretrain(audio, EncoderConfig(**ENCODER), epochs=1, seed=0, optimizer_cfg=opt_cfg)
+    return pretrain(audio, EncoderConfig(**ENCODER), epochs=epochs, seed=0,
+                    optimizer_cfg=opt_cfg)[1]
 
 
-def _finetune_ctc(opt_cfg, rng):
+def _finetune_ctc(opt_cfg, rng, epochs=1):
     from sslasr.encoder import EncoderConfig, SslEncoder, finetune_ctc
 
     data = [(rng.normal(0.0, 0.3, 4800), [1, 2]) for _ in range(3)]
-    finetune_ctc(data, SslEncoder(EncoderConfig(**ENCODER), seed=1), 4, epochs=1, seed=0,
-                 optimizer_cfg=opt_cfg)
+    return finetune_ctc(data, SslEncoder(EncoderConfig(**ENCODER), seed=1), 4, epochs=epochs,
+                        seed=0, optimizer_cfg=opt_cfg)
 
 
-def _train_adapter(opt_cfg, rng):
+def _train_adapter(opt_cfg, rng, epochs=1):
     from sslasr.bottleneck import BottleneckConfig, train_adapter
 
     contexts = [rng.normal(size=(6, 8)) for _ in range(3)]
-    train_adapter(contexts, BottleneckConfig(d_in=8, d_bn=4, dropout=0.1), epochs=1, seed=0,
-                  optimizer_cfg=opt_cfg)
+    return train_adapter(contexts, BottleneckConfig(d_in=8, d_bn=4, dropout=0.1),
+                         epochs=epochs, seed=0, optimizer_cfg=opt_cfg)[1]
 
 
-def _train_inversion(opt_cfg, rng):
+def _train_inversion(opt_cfg, rng, epochs=1):
     from sslasr.inversion import MdnConfig, train_inversion
 
     pairs = [(rng.normal(size=(6, 4)), rng.normal(size=(6, 2))) for _ in range(3)]
     cfg = MdnConfig(d_in=4, d_artic=2, mixtures=2, hidden_dims=(32,))
-    train_inversion(pairs, cfg, epochs=1, seed=0, optimizer_cfg=opt_cfg)
+    return train_inversion(pairs, cfg, epochs=epochs, seed=0, optimizer_cfg=opt_cfg)[1]
 
 
-def _train_am(opt_cfg, rng):
+def _train_am(opt_cfg, rng, epochs=1):
     from sslasr.features import FeatureMatrix
     from sslasr.frame_am import AmConfig, train_am
 
     data = [(FeatureMatrix(rng.normal(size=(6, 3))), rng.integers(0, 4, 6))
             for _ in range(3)]
     cfg = AmConfig(offsets=(-2, -1, 0, 1, 2), hidden_dims=(64, 64))
-    train_am(data, cfg, d_feat=3, n_classes=4, epochs=1, seed=0, optimizer_cfg=opt_cfg)
+    return train_am(data, cfg, d_feat=3, n_classes=4, epochs=epochs, seed=0,
+                    optimizer_cfg=opt_cfg)[1]
+
+
+TRAINERS = [_pretrain, _finetune_ctc, _train_adapter, _train_inversion, _train_am]
+
+
+class TestEpochLog:
+    @pytest.mark.parametrize("train", TRAINERS)
+    def test_one_line_per_epoch(self, train, caplog):
+        """Every trainer's history is made and logged by the schedule: one
+        INFO line on the ``sslasr.params`` logger per epoch, ending with
+        that epoch's record."""
+        caplog.set_level(logging.INFO, logger="sslasr.params")
+        history = train(None, np.random.default_rng(0), epochs=3)
+        lines = [r.getMessage() for r in caplog.records if r.name == "sslasr.params"]
+        assert [h["epoch"] for h in history] == [0, 1, 2]
+        assert len(lines) == 3
+        assert all(line.endswith(str(h)) for line, h in zip(lines, history))
 
 
 class TestDivergenceAbort:
-    @pytest.mark.parametrize("train", [_pretrain, _finetune_ctc, _train_adapter,
-                                       _train_inversion, _train_am])
+    @pytest.mark.parametrize("train", TRAINERS)
     def test_overflowing_rate_aborts(self, train):
         # one Adam step moves every weight by about the rate, so the next
         # forward pass overflows

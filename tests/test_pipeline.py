@@ -1,4 +1,5 @@
 import hashlib
+import re
 from collections import Counter
 from dataclasses import asdict
 
@@ -288,6 +289,18 @@ class TestScoreHypotheses:
         with pytest.raises(KeyError, match="'no-such-utt'"):
             pipeline.score_hypotheses([(rec.utt_id, []), ("no-such-utt", ["x"])],
                                       tiny_corpus.manifest)
+
+    def test_missing_test_utterances_named(self, tiny_corpus):
+        """Only train records may go without a hypothesis."""
+        manifest = tiny_corpus.manifest
+        tests = manifest.subset("test-seen", "test-unseen")
+        pairs = [(r.utt_id, r.transcript.split()) for r in manifest if r not in tests[1:3]]
+        with pytest.raises(ValueError, match=re.escape(
+                f"2 test-seen/test-unseen utterances have no hypothesis, the first "
+                f"{tests[1].utt_id!r}")):
+            pipeline.score_hypotheses(pairs, manifest)
+        train_free = [(r.utt_id, r.transcript.split()) for r in tests]
+        assert pipeline.score_hypotheses(train_free, manifest).overall.errors == 0
 
     def test_repeated_id_named(self, tiny_corpus):
         first, second = tiny_corpus.manifest.records[:2]
