@@ -6,6 +6,9 @@ Layer order: transposed conv (kernel 2, stride 2; doubles the frame rate)
 -> FC block (linear, ReLU, dropout; d_in -> d_bn)  <- features tap here
 -> conv (kernel 2, stride 2; halves the frame rate)
 -> FC block (d_bn -> d_in)                         <- reconstruction
+
+The transposed conv's kernel equals its stride, so its output rows never
+overlap and it needs no overlap-add (``nn.ConvTranspose1d``).
 """
 
 from __future__ import annotations
@@ -35,7 +38,7 @@ class BottleneckAdapter(Module):
     def __init__(self, cfg: BottleneckConfig, seed=0):
         self.cfg = cfg
         rng = np.random.default_rng(seed)
-        self.deconv = ConvTranspose1d(rng, cfg.d_in, cfg.d_in, 2, 2, "bottleneck.deconv")
+        self.deconv = ConvTranspose1d(rng, cfg.d_in, cfg.d_in, 2, "bottleneck.deconv")
         self.fc1 = Linear(rng, cfg.d_in, cfg.d_bn, "bottleneck.fc1")
         self.act1 = Relu()
         self.drop1 = Dropout(cfg.dropout)

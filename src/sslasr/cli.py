@@ -17,7 +17,7 @@ from . import pipeline
 from .config import load_config
 from .corpus import Manifest, json_lines
 from .ctc import LATTICE_WINDOW, NBestList, _is_str_list
-from .decoder import Lexicon, check_weights, parse_weight_ratio
+from .decoder import Lexicon, parse_weight_ratio
 from .params import ParameterStore
 from .rescore import rescore_hypotheses
 
@@ -86,7 +86,7 @@ def build_parser():
     p.add_argument("--streams", help="posterior stream archive (one system)")
     p.add_argument("--corpus", help="decode a corpus test split with --am")
     p.add_argument("--am", help="acoustic model store")
-    p.add_argument("--features", default="fbk", help="stream spec for --am")
+    p.add_argument("--features", help="stream spec for --am (default fbk)")
     p.add_argument("--model", help="encoder store (for w2v-bn/artic features)")
     p.add_argument("--adapter")
     p.add_argument("--mdn")
@@ -256,8 +256,8 @@ def _decode(tasks, lexicon, vocab, args):
 def cmd_decode(args):
     _check_nbest_out(args)
     if args.streams:
-        given = {"--corpus": args.corpus, "--am": args.am, "--model": args.model,
-                 "--adapter": args.adapter, "--mdn": args.mdn}
+        given = {"--corpus": args.corpus, "--am": args.am, "--features": args.features,
+                 "--model": args.model, "--adapter": args.adapter, "--mdn": args.mdn}
         unused = [flag for flag, path in given.items() if path]
         if unused:
             raise ValueError(f"decode --streams reads no {' or '.join(unused)}; leave it out")
@@ -272,6 +272,8 @@ def cmd_decode(args):
         (streams,) = sources
     elif args.corpus and args.am:
         corpus = pipeline.Corpus(args.corpus)
+        if args.features is None:
+            args.features = "fbk"
         feature_fn = _feature_fn_from_args(args, cfg, corpus)
         am = pipeline.load_am(cfg, args.am)
         records = sorted(corpus.subset("test-seen", "test-unseen"), key=lambda r: r.utt_id)
@@ -289,8 +291,7 @@ def cmd_joint_decode(args):
     cfg = _config(args)
     lexicon = Lexicon.load(args.lexicon)
     vocab = lexicon.vocab()
-    weights = check_weights(parse_weight_ratio(args.weights), len(args.streams.split(",")),
-                            "--weights")
+    weights = parse_weight_ratio(args.weights, len(args.streams.split(",")), "--weights")
     sources = _load_stream_sources(args.streams)
     tasks = [(u, [src[u] for src in sources], weights) for u in sources[0]]
     _decode(tasks, lexicon, vocab, args)
@@ -298,9 +299,9 @@ def cmd_joint_decode(args):
 
 def cmd_rescore(args):
     cfg = _config(args)
-    weights = (parse_weight_ratio(args.weights) if args.weights
-               else [cfg["rescore"]["alpha"], cfg["rescore"]["beta"]])
-    alpha, beta = check_weights(weights, 2, "rescoring weights alpha:beta")
+    what = "rescoring weights alpha:beta (--weights)"
+    alpha, beta = (parse_weight_ratio(args.weights, 2, what) if args.weights
+                   else (cfg["rescore"]["alpha"], cfg["rescore"]["beta"]))
     corpus = pipeline.Corpus(args.corpus)
     model = pipeline.load_encoder(cfg, args.model)
     adapter = pipeline.load_adapter(cfg, model.cfg.d_model, args.adapter)

@@ -19,7 +19,8 @@ anything runs:
 - each error of an optimizer mapping (``params.optimizer_errors``);
 - then each error of the five section dataclasses, of a fine-tuning
   scope (``encoder.scope_blocks``) and of ``decode.weights`` or
-  ``rescore.alpha``/``beta`` (``check_weights``)."""
+  ``rescore.alpha``/``beta`` (``decoder.parse_weight_ratio`` and
+  ``check_weights``)."""
 
 from __future__ import annotations
 
@@ -78,7 +79,9 @@ DEFAULT_CONFIG = {
     },
     # CTC head warm-up on frozen features, then the deeper stages; the
     # bottleneck adapter, always trained, is initialized by standalone
-    # reconstruction training
+    # reconstruction training. A stage's scope is "head-only",
+    # "no-feature-encoder" or "first-N-blocks"
+    # (``encoder.trainable_parameters``); none trains the CNN stack
     "finetune": {
         "adapter_init_epochs": 30,
         "adapter_init_optimizer": {"optimizer": "adam", "lr": 2e-3},
@@ -200,14 +203,6 @@ def _walk(value, default, path, key, errors, unknown):
                           f"parameter store holds, got {value!r}")
 
 
-def _decode_weights(text):
-    try:
-        weights = parse_weight_ratio(text)
-    except ValueError as exc:
-        raise ValueError(f"decode.weights: {exc}") from None
-    check_weights(weights, 2, "decode.weights (fused:fbk)")
-
-
 def _section_errors(cfg):
     """Errors of the checks that read whole sections, in the order of the
     defaults: each dataclass's, each stage's scope and the weight pairs."""
@@ -218,7 +213,8 @@ def _section_errors(cfg):
                for i, stage in enumerate(cfg["finetune"]["stages"])]
     checks += [("bottleneck.", bottleneck_config, cfg, encoder["d_model"]),
                ("am.", am_config, cfg), ("mdn.", mdn_config, cfg),
-               ("", _decode_weights, cfg["decode"]["weights"]),
+               ("", parse_weight_ratio, cfg["decode"]["weights"], 2,
+                "decode.weights (fused:fbk)"),
                ("rescore: ", check_weights, [rescore["alpha"], rescore["beta"]], 2,
                 "rescoring weights alpha:beta")]
     errors = []

@@ -132,14 +132,16 @@ class Lexicon:
         return cls.from_json_dict(d)
 
 
-def parse_weight_ratio(text):
-    """Parse the ratio syntax "a:b" or "a:b:c" into an array of floats."""
+def parse_weight_ratio(text, n, what):
+    """The weights of the ratio syntax "a:b" or "a:b:c" as a float array of
+    ``n`` entries, checked by ``check_weights``. Both a ratio that does not
+    parse and one that fails the check raise ValueError naming ``what``."""
     parts = [p.strip() for p in str(text).split(":")]
     try:
-        weights = np.array([float(p) for p in parts], dtype=np.float64)
+        weights = [float(p) for p in parts]
     except ValueError:
-        raise ValueError(f"cannot parse weight ratio {text!r}") from None
-    return weights
+        raise ValueError(f"{what}: cannot parse weight ratio {text!r}") from None
+    return check_weights(weights, n, what)
 
 
 def check_weights(weights, n, what="combination weights"):

@@ -470,7 +470,10 @@ class SslEncoder(Module):
         length (:class:`nn.Ragged`), and they are split per utterance only
         at the end. Every entry equals the per-utterance training forward
         bit for bit; one utterance is the batch of one, ``[audio]``."""
-        z, batch = self._encode_batch(audio)
+        return self._represent(*self._encode_batch(audio), adapter)
+
+    def _represent(self, z, batch, adapter=None):
+        """:meth:`represent` from the CNN rows ``z`` of a ragged batch."""
         c = self.contextualize(z, batch=batch)
         if adapter is None:
             return None, batch.split(c)
@@ -567,7 +570,7 @@ def pretrain(dataset, cfg: EncoderConfig, epochs, seed, optimizer_cfg=None):
     return model, history
 
 
-_WHOLE_SCOPES = ("all", "no-feature-encoder", "head-only")
+_WHOLE_SCOPES = ("no-feature-encoder", "head-only")
 
 
 def scope_blocks(scope, n_blocks):
@@ -586,18 +589,17 @@ def scope_blocks(scope, n_blocks):
 
 
 def trainable_parameters(model: SslEncoder, scope, adapter=None):
-    """Resolve an update scope to a parameter list.
+    """Resolve an update scope to a parameter list; no scope trains the
+    CNN feature encoder.
 
-    Scopes: "all", "no-feature-encoder" (freeze the CNN stack),
+    Scopes: "no-feature-encoder" (everything above the CNN stack),
     "first-N-blocks" (CTC head plus the first N transformer blocks only),
-    and "head-only".
+    and "head-only"; all but "head-only" add the adapter's parameters.
     """
     if model.head is None:
         raise ValueError("attach a CTC head before selecting trainable parameters")
     n = scope_blocks(scope, len(model.blocks))
     extra = list(adapter.parameters()) if adapter is not None else []
-    if scope == "all":
-        return model.parameters() + extra
     if scope == "no-feature-encoder":
         conv_params = {id(p) for conv in model.convs for p in conv.parameters()}
         return [p for p in model.parameters() if id(p) not in conv_params] + extra
@@ -612,21 +614,22 @@ def trainable_parameters(model: SslEncoder, scope, adapter=None):
 
 def finetune_ctc(dataset, model: SslEncoder, n_classes, epochs, seed,
                  scope="no-feature-encoder", adapter=None, optimizer_cfg=None):
-    """Supervised CTC fine-tuning over (samples, token-id sequence) pairs.
+    """Supervised CTC fine-tuning over (CNN features, token-id sequence)
+    pairs: the features are the frozen CNN stack's output, one
+    :meth:`SslEncoder.encode_raw` array per utterance.
 
     A fresh linear head is attached if the model has none. Only the
     parameters selected by ``scope`` are updated. Returns the per-epoch
     mean loss history.
 
-    The frozen prefix of the network runs once per utterance per call, in
-    one ragged batch per window of utterances (``windows``). Every scope but
-    "all" freezes the CNN feature encoder, so its output is computed before
-    the first epoch and its backward pass is skipped.
-    "head-only" freezes everything below the head, so the cached input is
-    the head input itself (the ``h`` of ``SslEncoder.represent``) and each
-    step runs only the head, the CTC loss and the head's backward pass.
-    The skipped layers thus receive no gradient; they are all frozen, so
-    the trained parameters are the same as with full passes.
+    "head-only" freezes everything below the head, so when the stage
+    starts it runs the transformer and the adapter once over the
+    features, one ragged batch per window of utterances (``windows``),
+    and caches the head input (the ``h`` of ``SslEncoder.represent``); a
+    head-only stage after an encoder stage sees the trained transformer.
+    Each of its steps runs only the head, the CTC loss and the head's
+    backward pass. The other scopes step from the features through the
+    transformer and the adapter.
 
     Each step clears only the optimizer's gradients. Frozen layers that
     gradients pass through (block1 under "first-1-blocks") accumulate
@@ -643,13 +646,10 @@ def finetune_ctc(dataset, model: SslEncoder, n_classes, epochs, seed,
                 raise ValueError(f"token id {tok} outside vocabulary range 1..{n_classes - 1}")
     rng = np.random.default_rng(loop_seed)
     params = trainable_parameters(model, scope, adapter=adapter)
-    if scope == "all":
-        inputs = [samples for samples, _ in dataset]
-    else:
-        inputs = []
-        for window in windows(samples for samples, _ in dataset):
-            inputs += (model.represent(window, adapter)[1] if scope == "head-only"
-                       else model.encode_raw(window))
+    inputs = [z for z, _ in dataset]
+    if scope == "head-only":
+        inputs = [h for window in windows(inputs)
+                  for h in model._represent(*Ragged.of(window), adapter)[1]]
 
     def step(i, _epoch):
         return _ctc_step(model, inputs[i], dataset[i][1], adapter, scope)
@@ -658,15 +658,13 @@ def finetune_ctc(dataset, model: SslEncoder, n_classes, epochs, seed,
                         lambda losses: {"ctc_loss": float(np.mean(losses))})
 
 
-def _ctc_step(model, x, tokens, adapter=None, scope="all"):
+def _ctc_step(model, x, tokens, adapter, scope):
     """CTC forward + backward from a stage input ``x`` as cached by
-    ``finetune_ctc``: raw samples under "all", the head input under
-    "head-only", CNN features otherwise."""
-    if scope == "head-only":
-        h = x
-    else:
-        z = model._encode(model._samples(x))[0] if scope == "all" else x
-        h = model.contextualize(z)
+    ``finetune_ctc``: the head input under "head-only", CNN features
+    otherwise."""
+    h = x
+    if scope != "head-only":
+        h = model.contextualize(x)
         if adapter is not None:
             _, h = adapter.forward_arrays(h)
     logp = log_softmax(model.head.forward(h), axis=-1)
@@ -675,7 +673,5 @@ def _ctc_step(model, x, tokens, adapter=None, scope="all"):
     if scope != "head-only":
         if adapter is not None:
             dh = adapter.backward_from_restored(dh)
-        dz = model.z_norm.backward(model._context_backward(dh))
-        if scope == "all":
-            model._encode_backward(dz)
+        model.z_norm.backward(model._context_backward(dh))
     return res.value

@@ -16,14 +16,16 @@ one utterance makes alone. One product over rows of mixed lengths would
 not be exact: OpenBLAS sums some shapes in an order that depends on the
 row count (seen for output widths that are not a multiple of 8 and for
 more than ~384 inputs per row), and a one-row product is a gemv.
-Attention and the transposed conv's overlap-add run per run of equal
-length too. So every utterance's output rows equal its own forward pass
-bit for bit, and ``Ragged.of`` orders a batch by length so that equal
-lengths share their calls. A forward pass without a ``Ragged`` is the
-one-utterance case of the same code, which training runs: it keeps what
-its backward pass needs. Inference runs batches only (a batch may hold
-one utterance) and a batched forward keeps no cache; a backward pass
-after it raises ValueError naming the layer.
+Attention runs per run of equal length too. The transposed conv has no
+overlap-add: its kernel equals its stride, so its output is the product
+reshaped to ``stride`` rows per input row. So every utterance's output
+rows equal its own forward pass bit for bit, and ``Ragged.of`` orders a
+batch by length so that equal lengths share their calls. A forward pass
+without a ``Ragged`` is the one-utterance case of the same code, which
+training runs: it keeps what its backward pass needs. Inference runs
+batches only (a batch may hold one utterance) and a batched forward
+keeps no cache; a backward pass after it raises ValueError naming the
+layer.
 
 Gradients live in optimizer-owned storage: an optimizer packs the values
 and gradients of the parameters it is given into one flat buffer each
@@ -444,28 +446,27 @@ class LayerNorm(Module):
 
 
 def _overlap_add(parts, stride, length):
-    """Overlap-add of (..., T, K, C) per-tap rows: a (..., length, C) array
-    whose row ``t * stride + k`` sums ``parts[..., t, k, :]`` over every
-    (t, k) that lands there; rows nothing lands on are zero. Leading axes
-    are a stack, each row of it added alone.
+    """Overlap-add of (T, K, C) per-tap rows: a (length, C) array whose row
+    ``t * stride + k`` sums ``parts[t, k, :]`` over every (t, k) that lands
+    there; rows nothing lands on are zero.
 
-    For one (T, K, C) input, equal to ``np.add.at(out, idx.ravel(),
-    parts.reshape(-1, C))`` with ``idx[t, k] = t * stride + k`` bit for
-    bit. ``add.at`` adds each row's parts in order of t, so of k from high
-    to low. Here the taps go in stride-wide blocks, visited from the last
-    block down: the taps of one block never share a row, so each block is
-    one reshape-add over a strided view, ceil(K / stride) adds in all.
+    Equal to ``np.add.at(out, idx.ravel(), parts.reshape(-1, C))`` with
+    ``idx[t, k] = t * stride + k`` bit for bit. ``add.at`` adds each row's
+    parts in order of t, so of k from high to low. Here the taps go in
+    stride-wide blocks, visited from the last block down: the taps of one
+    block never share a row, so each block is one reshape-add over a
+    strided view, ceil(K / stride) adds in all.
     """
-    *lead, t, k, c = parts.shape
+    t, k, c = parts.shape
     n_blocks = -(-k // stride)
-    out = np.zeros((*lead, max(length, (t + n_blocks - 1) * stride), c))
+    out = np.zeros((max(length, (t + n_blocks - 1) * stride), c))
     for block in reversed(range(n_blocks)):
         lo = block * stride
-        taps = parts[..., lo : lo + stride, :]
+        taps = parts[:, lo : lo + stride]
         # splitting one axis of a slice is always a view, so += writes out
-        rows = out[..., lo : lo + t * stride, :].reshape(*lead, t, stride, c)
-        rows[..., : taps.shape[-2], :] += taps
-    return out[..., :length, :]
+        rows = out[lo : lo + t * stride].reshape(t, stride, c)
+        rows[:, : taps.shape[1]] += taps
+    return out[:length]
 
 
 class Conv1d(Module):
@@ -530,36 +531,28 @@ class Conv1d(Module):
 
 
 class ConvTranspose1d(Module):
-    """Transposed 1-D convolution; with kernel == stride the output length
-    is exactly stride * T (no overlap, no cropping ambiguity)."""
+    """Transposed 1-D convolution whose kernel equals its stride: input row
+    t gives output rows t * stride .. t * stride + stride - 1, which no
+    other row touches, so the output has exactly stride * T rows."""
 
-    def __init__(self, rng, c_in, c_out, kernel, stride, name):
+    def __init__(self, rng, c_in, c_out, stride, name):
         self.name = name
-        self.c_in, self.c_out = c_in, c_out
-        self.kernel, self.stride = kernel, stride
-        self.w = Parameter(name + ".w", _init_weight(rng, (c_in, kernel * c_out), c_in))
+        self.c_out, self.stride = c_out, stride
+        self.w = Parameter(name + ".w", _init_weight(rng, (c_in, stride * c_out), c_in))
         self.b = Parameter(name + ".b", np.zeros(c_out))
         self._x = None
 
     def out_length(self, t_in):
-        return (t_in - 1) * self.stride + self.kernel
+        return t_in * self.stride
 
     def forward(self, x, batch=None):
-        contrib = _matmul(x, self.w.value, batch)
-        parts = []
-        for first, n, t in _runs(x, batch):
-            taps = contrib[first : first + n * t].reshape(n, t, self.kernel, self.c_out)
-            parts.append(_overlap_add(taps, self.stride, self.out_length(t))
-                         .reshape(-1, self.c_out))
-        idx = np.arange(len(x))[:, None] * self.stride + np.arange(self.kernel)[None, :]
-        self._x, self._idx = _for_backward(batch, x, idx)
-        y = parts[0] if len(parts) == 1 else np.concatenate(parts)
-        return y + self.b.value
+        (self._x,) = _for_backward(batch, x)
+        return _matmul(x, self.w.value, batch).reshape(-1, self.c_out) + self.b.value
 
     def backward(self, dy):
         _per_utterance(f"ConvTranspose1d {self.name!r}", self._x)
         self.b.grad += dy.sum(axis=0)
-        dcontrib = dy[self._idx].reshape(self._x.shape[0], self.kernel * self.c_out)
+        dcontrib = dy.reshape(len(self._x), self.stride * self.c_out)
         self.w.grad += self._x.T @ dcontrib
         return dcontrib @ self.w.value.T
 

@@ -60,6 +60,7 @@ from .features import (
 )
 from .frame_am import FrameAm, train_am, uniform_alignment
 from .inversion import MdnModel, mdn_forward, mdn_predict, train_inversion
+from .nn import Ragged
 from .params import ParameterStore
 from .rescore import rescore_hypotheses
 
@@ -107,22 +108,27 @@ def pretrain_encoder(corpus: Corpus, cfg):
 
 
 def finetune_encoder(corpus: Corpus, model: SslEncoder, cfg):
-    """CTC fine-tuning with the configured stage list. The bottleneck
-    adapter is first initialized by standalone reconstruction training on
-    the pretrained context features, then trained jointly with the CTC
-    loss in the encoder-updating stages."""
+    """CTC fine-tuning with the configured stage list. No stage trains the
+    CNN feature encoder: each training WAV is read and encoded once, one
+    ``encode_raw`` batch per window, and no waveform is kept. The
+    bottleneck adapter is first initialized by standalone reconstruction
+    training on the pretrained context features (one ragged
+    ``contextualize`` per window), then trained jointly with the CTC loss
+    in the encoder-updating stages."""
     seed = cfg["seed"]
     section = cfg["finetune"]
     train_records = corpus.subset("train")
-    audio, contexts = [], []
-    for _, window, _, h in record_batches(corpus, train_records, model):
-        audio += window
-        contexts += h
+    features, contexts = [], []
+    for window in windows(train_records):
+        z = model.encode_raw([corpus.audio(r) for r in window])
+        features += z
+        rows, batch = Ragged.of(z)
+        contexts += batch.split(model.contextualize(rows, batch=batch))
     adapter, _ = train_adapter(contexts, bottleneck_config(cfg, model.cfg.d_model),
                                epochs=section["adapter_init_epochs"], seed=seed + 7,
                                optimizer_cfg=section["adapter_init_optimizer"])
     del contexts  # only the adapter's initialisation reads them
-    dataset = [(a.samples, corpus.tokens(r)) for a, r in zip(audio, train_records)]
+    dataset = [(z, corpus.tokens(r)) for z, r in zip(features, train_records)]
     histories = [finetune_ctc(dataset, model, corpus.vocab.width, epochs=stage["epochs"],
                               seed=seed + i, scope=stage["scope"], adapter=adapter,
                               optimizer_cfg=stage["optimizer"])
@@ -374,7 +380,7 @@ def run_recognition(corpus: Corpus, cfg, model, adapter, jobs=1):
     two acoustic models.
     """
     seed = cfg["seed"]
-    weights = parse_weight_ratio(cfg["decode"]["weights"])
+    weights = parse_weight_ratio(cfg["decode"]["weights"], 2, "decode.weights (fused:fbk)")
     fbk_fn = build_feature_fn(corpus, "fbk")
     fused_fn = build_feature_fn(corpus, "fbk+w2v-bn", model=model, adapter=adapter)
     logger.info("training fbk-only acoustic model")

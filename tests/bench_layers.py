@@ -6,6 +6,8 @@ default-config shapes: one 22-frame utterance (7,040 samples).
 - ``ctc_loss``: 22 frames, 12 tokens plus blank, a 3-token target;
 - ``Conv1d.backward``: conv0 (7,040 x 1 samples, kernel 80, stride 80)
   and conv1 (88 x 32 frames, kernel 5, stride 4);
+- ``ConvTranspose1d`` forward and backward at the bottleneck adapter's
+  shape: 22 x 64 frames, kernel = stride = 2, 64 output channels;
 - ``LayerNorm`` forward and backward over 22 x 64;
 - ``Gelu.forward`` over the feed-forward rows of one utterance (22 x 256),
   the second conv's input (88 x 32) and an 8-utterance batch of the
@@ -25,7 +27,7 @@ import pytest
 
 from sslasr.ctc import ctc_loss
 from sslasr.encoder import contrastive_loss
-from sslasr.nn import Conv1d, Gelu, LayerNorm, Ragged
+from sslasr.nn import Conv1d, ConvTranspose1d, Gelu, LayerNorm, Ragged
 
 T, D = 22, 64
 
@@ -61,6 +63,19 @@ def test_conv1d_backward(benchmark, rng, t_in, c_in, kernel, stride):
     conv.forward(rng.normal(size=(t_in, c_in)))
     dy = rng.normal(size=(conv.out_length(t_in), 32))
     assert benchmark(conv.backward, dy).shape == (t_in, c_in)
+
+
+@pytest.mark.benchmark(group="conv-transpose")
+def test_conv_transpose_forward(benchmark, rng):
+    deconv = ConvTranspose1d(rng, D, D, 2, "deconv")
+    assert benchmark(deconv.forward, rng.normal(size=(T, D))).shape == (2 * T, D)
+
+
+@pytest.mark.benchmark(group="conv-transpose")
+def test_conv_transpose_backward(benchmark, rng):
+    deconv = ConvTranspose1d(rng, D, D, 2, "deconv")
+    deconv.forward(rng.normal(size=(T, D)))
+    assert benchmark(deconv.backward, rng.normal(size=(2 * T, D))).shape == (T, D)
 
 
 @pytest.mark.benchmark(group="layer-norm")

@@ -243,6 +243,20 @@ def reference_overlap_add(parts, stride, length):
     return out
 
 
+def reference_conv_transpose(x, w, b, stride, dy):
+    """``(y, dx, dw, db)`` of a transposed conv whose kernel equals its
+    stride, over the (T, C_in) rows of one utterance, in the general form
+    of any kernel: the per-tap products overlap-added by ``np.add.at``
+    (``reference_overlap_add``) and the output gradient ``dy`` gathered
+    back by an index array."""
+    t, c_out = len(x), len(b)
+    contrib = (x @ w).reshape(t, stride, c_out)
+    y = reference_overlap_add(contrib, stride, t * stride) + b
+    idx = np.arange(t)[:, None] * stride + np.arange(stride)[None, :]
+    dcontrib = dy[idx].reshape(t, stride * c_out)
+    return y, dcontrib @ w.T, x.T @ dcontrib, dy.sum(axis=0)
+
+
 def reference_conv_frames(x, kernel, stride):
     """The input frames of a valid strided convolution over the (T, C) rows
     of one utterance, gathered by an (n_out, kernel) index array: row t
@@ -335,3 +349,24 @@ def reference_train_am(dataset, cfg, d_feat, n_classes, epochs, seed, optimizer_
              "frame_accuracy": sum(r[1] for r in results) / max(sum(r[2] for r in results), 1)}
         )
     return model, history
+
+
+def reference_ctc_step(model, samples, tokens, adapter=None):
+    """CTC forward and backward of one utterance through every layer, from
+    its samples: the CNN stack, the context network, the adapter and the
+    head, each run per utterance with no cached input. What a fine-tuning
+    stage's cached steps must train to the same parameters; returns the
+    CTC loss."""
+    from sslasr.ctc import ctc_loss
+    from sslasr.nn import log_softmax, log_softmax_backward
+
+    h = model.contextualize(model._encode(model._samples(samples))[0])
+    if adapter is not None:
+        _, h = adapter.forward_arrays(h)
+    logp = log_softmax(model.head.forward(h), axis=-1)
+    res = ctc_loss(logp, tokens)
+    dh = model.head.backward(log_softmax_backward(logp, res.grad_logp, axis=-1))
+    if adapter is not None:
+        dh = adapter.backward_from_restored(dh)
+    model._encode_backward(model.z_norm.backward(model._context_backward(dh)))
+    return res.value

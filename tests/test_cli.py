@@ -331,14 +331,24 @@ class TestDecodeErrors:
         """``--streams`` decodes stored posteriors: a flag of the computed
         path fails by name before any file is read."""
         argv = ["decode", "--lexicon", str(tmp_path / "no-lexicon.json"),
-                "--streams", str(tmp_path / "no-streams"), "--features", "fbk+w2v-bn",
-                "--out", str(tmp_path / "never.jsonl")]
+                "--streams", str(tmp_path / "no-streams"), "--out", str(tmp_path / "never.jsonl")]
         for flag in flags:
             argv += [flag, str(tmp_path / "nonexistent")]
         assert main(argv) == 1
         assert (f"error: decode --streams reads no {' or '.join(flags)}; leave it out"
                 in capsys.readouterr().err)
         assert not (tmp_path / "never.jsonl").exists()
+
+    @pytest.mark.parametrize("features", ["fbk", "fbk+w2v-bn"])
+    def test_streams_refuse_features_by_name(self, tmp_path, capsys, features):
+        """``--features`` picks the streams an ``--am`` computes, "fbk" when
+        left out; with ``--streams`` any value fails by name."""
+        rc = main(["decode", "--lexicon", str(tmp_path / "no-lexicon.json"),
+                   "--streams", str(tmp_path / "no-streams"), "--features", features,
+                   "--out", str(tmp_path / "never.jsonl")])
+        assert rc == 1
+        assert ("error: decode --streams reads no --features; leave it out"
+                in capsys.readouterr().err)
 
     def test_lexicon_with_mode_key_rejected(self, workdir, saved_streams, tmp_path, capsys):
         _, corpus, cfg = workdir
@@ -503,13 +513,25 @@ class TestJointAndRescore:
                  for l in out.read_text().splitlines()}
         assert joint == single
 
-    def test_bad_ratio_is_error(self, workdir, tmp_path):
+    def test_bad_ratio_is_error(self, workdir, tmp_path, capsys):
         root, corpus, cfg = workdir
         rc = main(["joint-decode", "--config", cfg,
                    "--lexicon", str(corpus / "lexicon.json"),
                    "--streams", "x,y", "--weights", "3:zebra",
                    "--out", str(tmp_path / "never.jsonl")])
         assert rc == 1
+        assert (capsys.readouterr().err
+                == "error: --weights: cannot parse weight ratio '3:zebra'\n")
+
+    def test_rescore_bad_ratio_names_the_flag(self, workdir, tmp_path, capsys):
+        _, corpus, cfg = workdir
+        rc = main(["rescore", "--config", cfg, "--nbest", str(tmp_path / "none.jsonl"),
+                   "--corpus", str(corpus), "--model", str(tmp_path / "none.spm"),
+                   "--adapter", str(tmp_path / "none.spm"), "--weights", "2:x",
+                   "--out", str(tmp_path / "never.jsonl")])
+        assert rc == 1
+        assert (capsys.readouterr().err == "error: rescoring weights alpha:beta (--weights): "
+                "cannot parse weight ratio '2:x'\n")
 
     @pytest.mark.parametrize("weights, error", [
         ("3:-2", " must be nonnegative, got [3.0, -2.0]"),
@@ -700,7 +722,7 @@ class TestBatchedDecodeOutputs:
                      "--lexicon", str(corpus / "lexicon.json"),
                      "--streams", f"{s1},{s2}", "--weights", "3:2", "--nbest", "4",
                      "--nbest-out", str(nb), "--out", str(hyp)]) == 0
-        weights = parse_weight_ratio("3:2")
+        weights = parse_weight_ratio("3:2", 2, "--weights")
         streams1, streams2 = pipeline.read_streams(s1), pipeline.read_streams(s2)
         mixed = {u: interpolate_posteriors([streams1[u], streams2[u]], weights)
                  for u in sorted(streams1)}

@@ -12,7 +12,7 @@ from sslasr.bottleneck import BottleneckConfig
 from sslasr.cli import main
 from sslasr.config import DEFAULT_CONFIG, STAGE_DEFAULTS, load_config, merge_config
 from sslasr.corpus import CorpusConfig
-from sslasr.decoder import check_weights, parse_weight_ratio
+from sslasr.decoder import parse_weight_ratio
 from sslasr.encoder import EncoderConfig, scope_blocks
 from sslasr.features import compute_fbank
 from sslasr.frame_am import AmConfig
@@ -290,6 +290,7 @@ class TestFinetuneScopes:
 
     @pytest.mark.parametrize("scope, error", [
         ("head_only", "unknown update scope 'head_only'"),
+        ("all", "unknown update scope 'all'"),  # no scope trains the CNN stack
         ("first-x-blocks", "unknown update scope 'first-x-blocks'"),
         ("first--1-blocks", "unknown update scope 'first--1-blocks'"),
         (3, "unknown update scope 3"),
@@ -301,7 +302,7 @@ class TestFinetuneScopes:
         with pytest.raises(ValueError, match=re.escape(f"finetune.stages[1].scope: {error}")):
             load_config(overrides={"finetune": {"stages": stages}})
 
-    @pytest.mark.parametrize("scope", ["all", "no-feature-encoder", "head-only",
+    @pytest.mark.parametrize("scope", ["no-feature-encoder", "head-only",
                                        "first-1-blocks", "first-2-blocks"])
     def test_accepted(self, scope):
         load_config(overrides={"finetune": {"stages": [{"scope": scope}]}})
@@ -367,10 +368,12 @@ class TestOptimizerMappings:
 
 class TestWeights:
     """``decode.weights`` and ``rescore.alpha``/``beta`` are checked when
-    the config loads, by ``decoder.check_weights``."""
+    the config loads, by ``decoder.parse_weight_ratio`` and
+    ``check_weights``."""
 
     @pytest.mark.parametrize("override, error", [
-        ({"decode": {"weights": "3:x"}}, "decode.weights: cannot parse weight ratio '3:x'"),
+        ({"decode": {"weights": "3:x"}},
+         "decode.weights (fused:fbk): cannot parse weight ratio '3:x'"),
         ({"decode": {"weights": "0:0"}},
          "decode.weights (fused:fbk): at least one weight must be positive"),
         ({"rescore": {"alpha": 0.0, "beta": 0}},
@@ -467,7 +470,7 @@ class TestSchema:
         for stage in cfg["finetune"]["stages"]:
             assert stage.keys() == STAGE_DEFAULTS.keys()
             scope_blocks(stage["scope"], cfg["encoder"]["n_blocks"])
-        check_weights(parse_weight_ratio(cfg["decode"]["weights"]), 2)
+        parse_weight_ratio(cfg["decode"]["weights"], 2, "w")
 
 
 class TestSections:

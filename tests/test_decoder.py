@@ -56,7 +56,7 @@ class TestInterpolate:
     def test_three_two_ratio_rows(self):
         s1 = stream_from_rows([[0.8, 0.2]])
         s2 = stream_from_rows([[0.2, 0.8]])
-        mixed = interpolate_posteriors([s1, s2], parse_weight_ratio("3:2"))
+        mixed = interpolate_posteriors([s1, s2], parse_weight_ratio("3:2", 2, "w"))
         assert np.allclose(np.exp(mixed.logp), [[0.56, 0.44]], atol=1e-12)
 
     def test_rows_stay_normalized(self):
@@ -82,9 +82,11 @@ class TestInterpolate:
             interpolate_posteriors([s, s], [bad, 1.0])
 
     def test_ratio_parsing(self):
-        assert np.array_equal(parse_weight_ratio("9:1:5"), [9.0, 1.0, 5.0])
-        with pytest.raises(ValueError, match="cannot parse"):
-            parse_weight_ratio("3:x")
+        assert np.array_equal(parse_weight_ratio("9:1:5", 3, "w"), [9.0, 1.0, 5.0])
+        with pytest.raises(ValueError, match="^w: cannot parse weight ratio '3:x'$"):
+            parse_weight_ratio("3:x", 2, "w")
+        with pytest.raises(ValueError, match="^w: need 2 weights"):
+            parse_weight_ratio("9:1:5", 2, "w")
 
 
 ISO = Lexicon([
@@ -285,7 +287,7 @@ class TestJointDecode:
     def test_three_system_smoke(self):
         rng = np.random.default_rng(15)
         streams = [rand_stream(6, 3, rng) for _ in range(3)]
-        hyp = joint_hypothesis(streams, parse_weight_ratio("9:1:5"), ISO, "u")
+        hyp = joint_hypothesis(streams, parse_weight_ratio("9:1:5", 3, "w"), ISO, "u")
         assert isinstance(hyp, Hypothesis)
         assert np.isfinite(hyp.cost)
         assert hyp.words

@@ -28,7 +28,7 @@ from sslasr.params import ParameterStore, make_optimizer
 
 from conftest import ENCODER
 from gradcheck import finite_difference_check
-from oracles import reference_contrastive_loss
+from oracles import reference_contrastive_loss, reference_ctc_step
 
 
 @pytest.fixture(scope="module")
@@ -369,21 +369,20 @@ class TestFullModelGradients:
 
     def test_ctc_finetune_gradient(self, cfg):
         from sslasr.ctc import ctc_loss
-        from sslasr.encoder import _ctc_step
-        from sslasr.nn import log_softmax
 
         model = SslEncoder(cfg, seed=33)
         model.attach_ctc_head(5, seed=1)
-        samples = sine(1680, seed=34)
+        z = model.encode_raw([sine(1680, seed=34)])[0]
         tokens = [1, 3, 2]
 
         def loss():
-            logits = model.head.forward(model.represent([samples])[1][0])
+            logits = model.head.forward(model.contextualize(z))
             return ctc_loss(log_softmax(logits, axis=-1), tokens).value
 
         model.zero_grad()
-        _ctc_step(model, samples, tokens)
-        worst, info = finite_difference_check(loss, model.parameters(), n_coords=100)
+        _ctc_step(model, z, tokens, None, "no-feature-encoder")
+        params = trainable_parameters(model, "no-feature-encoder")
+        worst, info = finite_difference_check(loss, params, n_coords=100)
         assert worst <= 1e-4, info
 
 
@@ -455,6 +454,13 @@ def tone_dataset(seed=0, n_utts=16):
     return data
 
 
+def cnn_features(model, data):
+    """The (CNN features, token ids) pairs ``finetune_ctc`` takes, of
+    (samples, token ids) pairs, from the model's frozen CNN stack."""
+    feats = model.encode_raw([samples for samples, _ in data])
+    return [(z, ids) for z, (_, ids) in zip(feats, data)]
+
+
 class TestFinetuneCtc:
     def test_token_error_rate_halves(self, cfg):
         from sslasr.corpus import wer
@@ -474,16 +480,18 @@ class TestFinetuneCtc:
             return errs / n
 
         ter0 = ter()
-        finetune_ctc(data, model, 5, epochs=10, seed=77, scope="head-only",
+        feats = cnn_features(model, data)
+        finetune_ctc(feats, model, 5, epochs=10, seed=77, scope="head-only",
                      optimizer_cfg={"optimizer": "adam", "lr": 1e-2})
-        finetune_ctc(data, model, 5, epochs=20, seed=78, scope="no-feature-encoder",
+        finetune_ctc(feats, model, 5, epochs=20, seed=78, scope="no-feature-encoder",
                      optimizer_cfg={"optimizer": "adam", "lr": 3e-3})
         assert ter() < 0.5 * ter0
 
     def test_loss_decreases(self, cfg):
         data = tone_dataset(seed=6, n_utts=8)
         model = SslEncoder(cfg, seed=42)
-        history = finetune_ctc(data, model, 5, epochs=6, seed=1, scope="head-only",
+        history = finetune_ctc(cnn_features(model, data), model, 5, epochs=6, seed=1,
+                               scope="head-only",
                                optimizer_cfg={"optimizer": "adam", "lr": 1e-2})
         assert history[-1]["ctc_loss"] < history[0]["ctc_loss"]
 
@@ -492,7 +500,7 @@ class TestFinetuneCtc:
         model = SslEncoder(cfg, seed=43)
         model.attach_ctc_head(5, seed=9)
         before = {p.name: p.value.copy() for p in model.parameters()}
-        finetune_ctc(data, model, 5, epochs=2, seed=2, scope="head-only",
+        finetune_ctc(cnn_features(model, data), model, 5, epochs=2, seed=2, scope="head-only",
                      optimizer_cfg={"optimizer": "adam", "lr": 1e-2})
         for p in model.parameters():
             if p.name.startswith("ctc_head"):
@@ -505,7 +513,8 @@ class TestFinetuneCtc:
         model = SslEncoder(cfg, seed=47)
         model.attach_ctc_head(5, seed=9)
         before = {p.name: p.value.copy() for p in model.parameters()}
-        finetune_ctc(data, model, 5, epochs=2, seed=3, scope="no-feature-encoder",
+        feats = cnn_features(model, data)
+        finetune_ctc(feats, model, 5, epochs=2, seed=3, scope="no-feature-encoder",
                      optimizer_cfg={"optimizer": "adam", "lr": 1e-2})
         convs = [p for p in model.parameters() if p.name.startswith("conv")]
         assert convs
@@ -518,7 +527,8 @@ class TestFinetuneCtc:
         model = SslEncoder(cfg, seed=48)
         model.attach_ctc_head(5, seed=9)
         before = {p.name: p.value.copy() for p in model.parameters()}
-        finetune_ctc(data, model, 5, epochs=2, seed=4, scope="first-1-blocks",
+        feats = cnn_features(model, data)
+        finetune_ctc(feats, model, 5, epochs=2, seed=4, scope="first-1-blocks",
                      optimizer_cfg={"optimizer": "adam", "lr": 1e-2})
         frozen = [p for p in model.parameters()
                   if p.name.startswith(("block1.", "z_norm.", "proj.")) or p.name == "mask_emb"]
@@ -539,8 +549,8 @@ class TestFinetuneCtc:
             return model, BottleneckAdapter(bn_cfg, seed=5)
 
         cached, cached_adapter = setup()
-        finetune_ctc(data, cached, 5, epochs=2, seed=6, scope=scope, adapter=cached_adapter,
-                     optimizer_cfg=opt_cfg)
+        finetune_ctc(cnn_features(cached, data), cached, 5, epochs=2, seed=6, scope=scope,
+                     adapter=cached_adapter, optimizer_cfg=opt_cfg)
         # the same stage with every layer run forward and backward each step
         full, full_adapter = setup()
         rng = np.random.default_rng(np.random.SeedSequence(6).spawn(2)[1])
@@ -549,7 +559,7 @@ class TestFinetuneCtc:
             for i in rng.permutation(len(data)):
                 full.zero_grad()
                 full_adapter.zero_grad()
-                _ctc_step(full, data[i][0], data[i][1], full_adapter)
+                reference_ctc_step(full, data[i][0], data[i][1], full_adapter)
                 opt.step()
         for a, b in [(cached, full), (cached_adapter, full_adapter)]:
             for p, q in zip(a.parameters(), b.parameters()):
@@ -558,8 +568,9 @@ class TestFinetuneCtc:
     def test_store_round_trip_after_repacking_stages(self, cfg, tmp_path):
         data = tone_dataset(seed=12, n_utts=3)
         model = SslEncoder(cfg, seed=49)
-        for i, scope in enumerate(["head-only", "no-feature-encoder", "first-1-blocks", "all"]):
-            finetune_ctc(data, model, 5, epochs=1, seed=20 + i, scope=scope,
+        feats = cnn_features(model, data)
+        for i, scope in enumerate(["head-only", "no-feature-encoder", "first-1-blocks"]):
+            finetune_ctc(feats, model, 5, epochs=1, seed=20 + i, scope=scope,
                          optimizer_cfg={"optimizer": "adam", "lr": 1e-2})
         path = tmp_path / "model.spm"
         ParameterStore.from_module(model).save(path)
@@ -573,7 +584,7 @@ class TestFinetuneCtc:
     def test_zero_epochs_head_is_random_init(self, cfg):
         data = tone_dataset(seed=8, n_utts=2)
         model = SslEncoder(cfg, seed=44)
-        finetune_ctc(data, model, 5, epochs=0, seed=123)
+        finetune_ctc(cnn_features(model, data), model, 5, epochs=0, seed=123)
         fresh = SslEncoder(cfg, seed=44)
         fresh.attach_ctc_head(5, seed=np.random.SeedSequence(123).spawn(2)[0])
         assert np.array_equal(model.head.w.value, fresh.head.w.value)
@@ -581,7 +592,7 @@ class TestFinetuneCtc:
     def test_oov_token_rejected(self, cfg):
         model = SslEncoder(cfg, seed=45)
         with pytest.raises(ValueError, match="outside vocabulary"):
-            finetune_ctc([(sine(1600), [9])], model, 5, epochs=1, seed=0)
+            finetune_ctc(cnn_features(model, [(sine(1600), [9])]), model, 5, epochs=1, seed=0)
 
     def test_scope_selection(self, cfg):
         model = SslEncoder(cfg, seed=46)

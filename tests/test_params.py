@@ -412,8 +412,8 @@ class TestStageBuffers:
         rng = np.random.default_rng(0)
         audio = [rng.normal(0.0, 0.3, 4800) for _ in range(3)]
         model, _ = pretrain(audio, EncoderConfig(**ENCODER), epochs=1, seed=0)
-        finetune_ctc([(a, [1, 2]) for a in audio], model, 4, epochs=1, seed=0,
-                     scope="head-only")
+        finetune_ctc([(z, [1, 2]) for z in model.encode_raw(audio)], model, 4, epochs=1,
+                     seed=0, scope="head-only")
         for p in model.parameters():
             assert _storage_size(p.value) == p.value.size, p.name
             assert _storage_size(p.grad) == p.grad.size, p.name
@@ -430,9 +430,10 @@ def _pretrain(opt_cfg, rng, epochs=1):
 def _finetune_ctc(opt_cfg, rng, epochs=1):
     from sslasr.encoder import EncoderConfig, SslEncoder, finetune_ctc
 
-    data = [(rng.normal(0.0, 0.3, 4800), [1, 2]) for _ in range(3)]
-    return finetune_ctc(data, SslEncoder(EncoderConfig(**ENCODER), seed=1), 4, epochs=epochs,
-                        seed=0, optimizer_cfg=opt_cfg)
+    model = SslEncoder(EncoderConfig(**ENCODER), seed=1)
+    audio = [rng.normal(0.0, 0.3, 4800) for _ in range(3)]
+    return finetune_ctc([(z, [1, 2]) for z in model.encode_raw(audio)], model, 4,
+                        epochs=epochs, seed=0, optimizer_cfg=opt_cfg)
 
 
 def _train_adapter(opt_cfg, rng, epochs=1):

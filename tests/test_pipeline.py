@@ -10,12 +10,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sslasr import pipeline
-from sslasr.config import load_config
+from sslasr.config import encoder_config, load_config, merge_config
 from sslasr.corpus import wer
 from sslasr.ctc import TokenVocab
 from sslasr.decoder import (Lexicon, LexiconEntry, decode_stream, interpolate_posteriors,
                             isolated_nbest, parse_weight_ratio)
-from sslasr.encoder import RECEPTIVE_FIELD, STRIDE, SslEncoder
+from sslasr.encoder import RECEPTIVE_FIELD, STRIDE, SslEncoder, windows
 from sslasr.features import compute_fbank, fuse_features
 from sslasr.inversion import MdnModel, mdn_forward, mdn_predict
 from sslasr.params import ParameterStore
@@ -57,6 +57,28 @@ class TestCorpusAccess:
     def test_audio_loads(self, tiny_corpus):
         audio = tiny_corpus.audio(tiny_corpus.manifest.records[0])
         assert len(audio) >= 400  # one filterbank window
+
+
+class TestFinetuneEncoder:
+    def test_one_cnn_pass_per_training_window(self, tiny_config, tiny_corpus, monkeypatch):
+        """No stage trains the CNN stack: each window of training utterances
+        goes through ``encode_raw`` once, whatever the stages, and nothing
+        calls ``represent``."""
+        calls = []
+        for name in ("encode_raw", "represent"):
+            def traced(self, audio, *args, _fn=getattr(SslEncoder, name), _name=name):
+                calls.append((_name, [sample_key(a) for a in audio]))
+                return _fn(self, audio, *args)
+            monkeypatch.setattr(SslEncoder, name, traced)
+        stages = [{"epochs": 1, "scope": scope, "optimizer": {"optimizer": "adam", "lr": 1e-3}}
+                  for scope in ("head-only", "no-feature-encoder", "first-1-blocks", "head-only")]
+        cfg = load_config(overrides=merge_config(tiny_config, {
+            "finetune": {"adapter_init_epochs": 1, "stages": stages}}))
+        model = SslEncoder(encoder_config(cfg), seed=0)
+        pipeline.finetune_encoder(tiny_corpus, model, cfg)
+        monkeypatch.undo()
+        assert calls == [("encode_raw", [sample_key(tiny_corpus.audio(r)) for r in window])
+                         for window in windows(tiny_corpus.subset("train"))]
 
 
 class TestModelRoundTrips:
@@ -338,7 +360,7 @@ class TestRunRecognition:
         fbk_fn = pipeline.build_feature_fn(tiny_corpus, "fbk")
         fused_fn = pipeline.build_feature_fn(tiny_corpus, "fbk+w2v-bn", model=model,
                                              adapter=adapter)
-        weights = parse_weight_ratio(tiny_config["decode"]["weights"])
+        weights = parse_weight_ratio(tiny_config["decode"]["weights"], 2, "w")
         for record, hyp in zip(records, result["hypotheses"]["joint"]):
             (fused,), (fbk,) = features_of(fused_fn, [record]), features_of(fbk_fn, [record])
             mixed = interpolate_posteriors(
@@ -381,7 +403,7 @@ class TestRunRecognition:
         fbk_fn = pipeline.build_feature_fn(tiny_corpus, "fbk")
         fused_fn = pipeline.build_feature_fn(tiny_corpus, "fbk+w2v-bn", model=model,
                                              adapter=adapter)
-        weights = parse_weight_ratio(tiny_config["decode"]["weights"])
+        weights = parse_weight_ratio(tiny_config["decode"]["weights"], 2, "w")
         alpha, beta = tiny_config["rescore"]["alpha"], tiny_config["rescore"]["beta"]
         for record, hyp in zip(records, result["hypotheses"]["rescored"]):
             (fused,), (fbk,) = features_of(fused_fn, [record]), features_of(fbk_fn, [record])
