@@ -1,6 +1,13 @@
 """Command-line front end: one JSON config file, reproducible seeds, and
 subcommands covering the whole pipeline.
 
+Two subcommands decode. ``decode`` computes one system's posterior
+streams for a corpus's test split, from ``--features`` and an ``--am``,
+and decodes them; ``--save-streams`` keeps the streams in an archive.
+``joint-decode`` is the one decoder of saved archives: one archive with
+``--weights 1`` decodes that system again, and several are joined frame
+by frame under their weight ratio.
+
 Exit codes: 0 success, 2 usage error, 1 runtime error.
 """
 
@@ -80,28 +87,30 @@ def build_parser():
     p.add_argument("--mdn", help="inversion store (for artic)")
     p.add_argument("--out", required=True)
 
-    p = sub.add_parser("decode", help="single-system decoding")
+    p = sub.add_parser("decode", help="decode a corpus test split with one acoustic model")
     _add_common(p)
     p.add_argument("--lexicon", required=True)
-    p.add_argument("--streams", help="posterior stream archive (one system)")
-    p.add_argument("--corpus", help="decode a corpus test split with --am")
-    p.add_argument("--am", help="acoustic model store")
-    p.add_argument("--features", help="stream spec for --am (default fbk)")
+    p.add_argument("--corpus", required=True)
+    p.add_argument("--am", required=True, help="acoustic model store")
+    p.add_argument("--features", default="fbk",
+                   help="stream spec for --am: fbk | fbk+w2v-bn | fbk+w2v-bn+artic")
     p.add_argument("--model", help="encoder store (for w2v-bn/artic features)")
-    p.add_argument("--adapter")
-    p.add_argument("--mdn")
+    p.add_argument("--adapter", help="adapter store (for w2v-bn/artic features)")
+    p.add_argument("--mdn", help="inversion store (for artic features)")
     p.add_argument("--save-streams",
-                   help="write the posterior streams to this archive, for --streams")
+                   help="write the posterior streams to this archive, for joint-decode --streams")
     p.add_argument("--nbest", type=_nbest_depth, help="also write n-best lists of this depth")
     p.add_argument("--nbest-out", help="n-best JSON-lines output path (needs --nbest)")
     p.add_argument("--out", help="hypotheses JSON-lines output (default stdout)")
 
-    p = sub.add_parser("joint-decode", help="frame-level joint decoding of 2-3 systems")
+    p = sub.add_parser("joint-decode", help="decode saved posterior stream archives: one "
+                                            "system, or several joined frame by frame")
     _add_common(p)
     p.add_argument("--lexicon", required=True)
     p.add_argument("--streams", required=True,
                    help="comma-separated posterior stream archives, one per system")
-    p.add_argument("--weights", required=True, help='ratio syntax, e.g. "3:2" or "9:1:5"')
+    p.add_argument("--weights", required=True,
+                   help='one weight per archive in ratio syntax, e.g. "1", "3:2" or "9:1:5"')
     p.add_argument("--nbest", type=_nbest_depth)
     p.add_argument("--nbest-out")
     p.add_argument("--out")
@@ -255,35 +264,17 @@ def _decode(tasks, lexicon, vocab, args):
 
 def cmd_decode(args):
     _check_nbest_out(args)
-    if args.streams:
-        given = {"--corpus": args.corpus, "--am": args.am, "--features": args.features,
-                 "--model": args.model, "--adapter": args.adapter, "--mdn": args.mdn}
-        unused = [flag for flag, path in given.items() if path]
-        if unused:
-            raise ValueError(f"decode --streams reads no {' or '.join(unused)}; leave it out")
     cfg = _config(args)
     lexicon = Lexicon.load(args.lexicon)
-    vocab = lexicon.vocab()
-    if args.streams:
-        sources = _load_stream_sources(args.streams)
-        if len(sources) > 1:
-            raise ValueError(f"decode takes one stream source, got {len(sources)}; "
-                             "combine systems with joint-decode")
-        (streams,) = sources
-    elif args.corpus and args.am:
-        corpus = pipeline.Corpus(args.corpus)
-        if args.features is None:
-            args.features = "fbk"
-        feature_fn = _feature_fn_from_args(args, cfg, corpus)
-        am = pipeline.load_am(cfg, args.am)
-        records = sorted(corpus.subset("test-seen", "test-unseen"), key=lambda r: r.utt_id)
-        stream_list = [s for feats in feature_fn(records) for s in am.posteriors(feats)]
-        streams = {r.utt_id: s for r, s in zip(records, stream_list)}
-    else:
-        raise ValueError("decode needs either --streams or --corpus with --am")
+    corpus = pipeline.Corpus(args.corpus)
+    feature_fn = _feature_fn_from_args(args, cfg, corpus)
+    am = pipeline.load_am(cfg, args.am)
+    records = sorted(corpus.subset("test-seen", "test-unseen"), key=lambda r: r.utt_id)
+    stream_list = [s for feats in feature_fn(records) for s in am.posteriors(feats)]
+    streams = {r.utt_id: s for r, s in zip(records, stream_list)}
     if args.save_streams:
         pipeline.write_streams(args.save_streams, streams)
-    _decode([(u, [s], None) for u, s in streams.items()], lexicon, vocab, args)
+    _decode([(u, [s], None) for u, s in streams.items()], lexicon, lexicon.vocab(), args)
 
 
 def cmd_joint_decode(args):

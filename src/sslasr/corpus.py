@@ -62,7 +62,11 @@ class CorpusConfig:
 
     Every utterance must cover one 25 ms filterbank window
     (``features.FBANK_WIN``, also the encoder's receptive field), so the
-    shortest utterance of each generated condition is checked here."""
+    shortest utterance of each generated condition is checked here. So
+    are the unseen split (``n_unseen`` words, at least one and not all)
+    and the tone alphabet, which must make at least as many words of
+    ``tones_per_word`` distinct tones as there are seen words; nothing is
+    drawn, so a corpus that passes generates as it would unchecked."""
 
     n_words: int
     unseen_fraction: float
@@ -87,6 +91,15 @@ class CorpusConfig:
             raise ValueError("unseen_fraction: must lie strictly between 0 and 1")
         if self.tones_per_word < 1 or self.n_tones < 2:
             raise ValueError("n_tones: need n_tones >= 2 and tones_per_word >= 1")
+        if not 1 <= self.n_unseen <= self.n_words - 1:
+            raise ValueError(f"unseen_fraction: {self.unseen_fraction} with {self.n_words} "
+                             f"words leaves an infeasible split ({self.n_unseen} unseen)")
+        n_seen, k = self.n_words - self.n_unseen, self.tones_per_word
+        # past 32 tones a word, the words outnumber any int setting
+        # (container.MAX_DIM), so their count is taken no further
+        if k > self.n_tones or math.perm(self.n_tones, min(k, 32)) < n_seen:
+            raise ValueError(f"n_tones: {self.n_tones} tones make fewer words of {k} distinct "
+                             f"tones (tones_per_word) than the {n_seen} seen words")
         for name, reps in (("train_reps", self.train_reps), ("test_reps", self.test_reps)):
             if sum(reps.values()) < 1:
                 raise ValueError(f"{name}: need at least one repetition, got {reps}")
@@ -108,6 +121,11 @@ class CorpusConfig:
         if n < FBANK_WIN:
             raise ValueError(f"{utterances} of {n} samples, shorter than one {FBANK_WIN}-sample "
                              "(25 ms) filterbank window")
+
+    @property
+    def n_unseen(self):
+        """The unseen words' count: n_words * unseen_fraction, rounded."""
+        return int(round(self.n_words * self.unseen_fraction))
 
     def utterance_samples(self, condition):
         """The samples of each utterance in ``condition``."""
@@ -162,9 +180,6 @@ class Manifest:
         ids = [r.utt_id for r in self.records]
         if len(set(ids)) != len(ids):
             raise ValueError("manifest ids must be unique")
-
-    def __iter__(self):
-        return iter(self.records)
 
     def __len__(self):
         return len(self.records)
@@ -250,16 +265,11 @@ def _sample_words(cfg, rng, n_unseen):
 def gen_synth_corpus(out_dir, cfg: CorpusConfig, seed) -> tuple[Manifest, Lexicon]:
     """Generate WAVs, a JSON-lines manifest, and the lexicon.
 
-    The unseen words (round(n_words * unseen_fraction) of them, at least
-    one and not all) occur only in the test-unseen subset; the target
-    condition applies the configured tilt + tempo + noise shift.
+    The unseen words (``cfg.n_unseen`` of them) occur only in the
+    test-unseen subset; the target condition applies the configured
+    tilt + tempo + noise shift.
     """
-    n_unseen = int(round(cfg.n_words * cfg.unseen_fraction))
-    if not 1 <= n_unseen <= cfg.n_words - 1:
-        raise ValueError(
-            f"unseen_fraction {cfg.unseen_fraction} with {cfg.n_words} words "
-            f"leaves an infeasible split ({n_unseen} unseen)"
-        )
+    n_unseen = cfg.n_unseen
     out_dir = Path(out_dir)
     (out_dir / "wavs").mkdir(parents=True, exist_ok=True)
     rng = np.random.default_rng(seed)

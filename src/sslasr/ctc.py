@@ -51,10 +51,6 @@ class TokenVocab:
         self._ids = {tok: i + 1 for i, tok in enumerate(self.tokens)}
 
     @property
-    def size(self):
-        return len(self.tokens)
-
-    @property
     def width(self):
         """Posterior row width: V lexical classes plus blank."""
         return len(self.tokens) + 1
@@ -96,10 +92,6 @@ class PosteriorStream:
         if not np.all(np.abs(norm) <= 1e-6):
             worst = float(np.max(np.abs(norm)))
             raise ValueError(f"rows must log-sum-exp to 0 within 1e-6 (worst {worst:.3g})")
-
-    @property
-    def n_frames(self):
-        return self.logp.shape[0]
 
     @property
     def width(self):

@@ -102,12 +102,13 @@ class EncoderConfig:
             raise ValueError(f"n_heads: must divide d_model ({self.d_model}), got {self.n_heads}")
 
 
-def sample_mask_spans(n_frames, mask_prob, mask_span, rng, ensure_nonempty=False):
-    """Sample mask-span starts with probability ``mask_prob`` per frame;
-    a frame is masked iff covered by at least one span of length
-    ``mask_span`` (spans are clipped at the end of the utterance)."""
+def sample_mask_spans(n_frames, mask_prob, mask_span, rng):
+    """Sample mask-span starts with probability ``mask_prob`` per frame,
+    and one uniform start if that draws none; a frame is masked iff
+    covered by at least one span of length ``mask_span`` (spans are
+    clipped at the end of the utterance)."""
     starts = np.flatnonzero(rng.random(n_frames) < mask_prob)
-    if starts.size == 0 and ensure_nonempty and n_frames > 0:
+    if starts.size == 0 and n_frames > 0:
         starts = np.array([rng.integers(n_frames)])
     covered = np.zeros(n_frames, dtype=bool)
     for s in starts:
@@ -508,7 +509,7 @@ def pretrain_step(model, samples, rng=None, hard=True, mask=None, noise=None,
     z, _ = model._encode(model._samples(samples))
     t = z.shape[0]
     if mask is None:
-        mask = sample_mask_spans(t, cfg.mask_prob, cfg.mask_span, rng, ensure_nonempty=True)
+        mask = sample_mask_spans(t, cfg.mask_prob, cfg.mask_span, rng)
     mask = np.asarray(mask, dtype=np.int64)
     zn = model.z_norm.forward(z)
     c = model._context_from_input(model._project_and_mask(zn, mask))

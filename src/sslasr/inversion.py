@@ -1,7 +1,10 @@
 """Mixture-density-network articulatory inversion: per frame the model
 emits mixture weights, means, and diagonal standard deviations over the
 articulatory space; training minimizes the mixture negative log
-likelihood on frame-aligned (representation, trajectory) pairs."""
+likelihood on frame-aligned (representation, trajectory) pairs.
+``mdn_predict`` turns a stream of representations into the expected
+trajectory, the articulatory feature stream; it reads the weights and
+means only."""
 
 from __future__ import annotations
 
@@ -28,30 +31,6 @@ class MdnConfig:
         self.hidden_dims = tuple(self.hidden_dims)
         if self.mixtures < 1 or self.d_artic < 1:
             raise ValueError("d_artic: need d_artic >= 1 and mixtures >= 1")
-
-
-@dataclass
-class MixtureParams:
-    """Per-frame diagonal Gaussian mixtures: weights (T, M), means
-    (T, M, D), standard deviations (T, M, D). Construction checks that
-    the shapes agree, the weights sum to 1 and the deviations are
-    positive."""
-
-    weights: np.ndarray
-    means: np.ndarray
-    stds: np.ndarray
-
-    def __post_init__(self):
-        self.weights = np.asarray(self.weights, dtype=np.float64)
-        self.means = np.asarray(self.means, dtype=np.float64)
-        self.stds = np.asarray(self.stds, dtype=np.float64)
-        t, m = self.weights.shape
-        if self.means.shape[:2] != (t, m) or self.stds.shape != self.means.shape:
-            raise ValueError("weights, means, and stds disagree on (T, M, D)")
-        if not np.allclose(self.weights.sum(axis=1), 1.0, atol=1e-6):
-            raise ValueError("mixture weights must sum to 1 per frame")
-        if (self.stds <= 0).any():
-            raise ValueError("standard deviations must be positive")
 
 
 class MdnModel(Module):
@@ -82,8 +61,8 @@ class MdnModel(Module):
     def forward_arrays(self, x):
         """Mixture weights (T, M), means (T, M, D) and standard deviations
         (T, M, D) for the rows of ``x``. Softmax and exp make them a valid
-        mixture once their inputs are finite, so training uses them
-        unchecked; ``mdn_forward`` wraps them in a checked MixtureParams."""
+        mixture once their inputs are finite, which is checked here: a
+        non-finite weight logit or log-std raises RuntimeError."""
         t = x.shape[0]
         m, da = self.cfg.mixtures, self.cfg.d_artic
         h = self._trunk(x)
@@ -105,13 +84,6 @@ class MdnModel(Module):
         return dh
 
 
-def mdn_forward(feats: FeatureMatrix, model: MdnModel) -> MixtureParams:
-    if feats.dim != model.cfg.d_in:
-        raise ValueError(f"feature width {feats.dim} does not match model d_in {model.cfg.d_in}")
-    weights, means, stds = model.forward_arrays(feats.data.astype(np.float64))
-    return MixtureParams(weights, means, stds)
-
-
 def _component_logliks(weights, means, stds, targets):
     """(T, M) log [ w_m * N(x | mu_m, diag sigma_m^2) ]."""
     x = targets[:, None, :]  # (T, 1, D)
@@ -129,10 +101,14 @@ def _target_array(means, targets):
     return data
 
 
-def mdn_predict(mix: MixtureParams) -> FeatureMatrix:
-    """Expected trajectory sum_m w_m mu_m."""
-    expect = np.einsum("tm,tmd->td", mix.weights, mix.means)
-    return FeatureMatrix(expect)
+def mdn_predict(feats: FeatureMatrix, model: MdnModel) -> FeatureMatrix:
+    """The expected trajectory sum_m w_m mu_m of the model's mixtures for
+    the rows of ``feats``, one row per frame; a width other than the
+    model's ``d_in`` raises ValueError."""
+    if feats.dim != model.cfg.d_in:
+        raise ValueError(f"feature width {feats.dim} does not match model d_in {model.cfg.d_in}")
+    weights, means, _ = model.forward_arrays(feats.data.astype(np.float64))
+    return FeatureMatrix(np.einsum("tm,tmd->td", weights, means))
 
 
 def mdn_nll_step(model: MdnModel, x, targets):

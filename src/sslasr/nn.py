@@ -30,11 +30,13 @@ layer.
 Gradients live in optimizer-owned storage: an optimizer packs the values
 and gradients of the parameters it is given into one flat buffer each
 (``pack_parameters``), and the optimizer's ``zero_grad`` clears them with
-a single fill. The one training schedule, ``params.train_epochs``, clears
-only its optimizer's gradients before each step: a frozen layer that
-gradients pass through accumulates gradients no one reads. When the
-schedule returns its history, or raises, the parameters get compact
-storage of their own back
+a single fill. No assignment can move a parameter out of that storage:
+its value has no setter and is written in place, and an assigned
+gradient is copied in (``Parameter``). The one training schedule,
+``params.train_epochs``, clears only its optimizer's gradients before
+each step: a frozen layer that gradients pass through accumulates
+gradients no one reads. When the schedule returns its history, or
+raises, the parameters get compact storage of their own back
 (``unpack_parameters``), so a frozen layer does not keep a finished
 stage's buffers alive.
 ``Module.zero_grad`` clears every parameter of a module, for callers that
@@ -79,10 +81,12 @@ class DuplicateParameterError(ValueError):
 class Parameter:
     """A named trainable tensor with an accumulated gradient.
 
-    ``value`` and ``grad`` are fixed storage: assigning to either copies
-    into the existing array, so a parameter packed into an optimizer's
-    flat buffers can never be detached from it by assignment. A shape
-    change raises ParameterShapeError.
+    ``value`` and ``grad`` are fixed storage, so a parameter packed into
+    an optimizer's flat buffers can never be detached from it by
+    assignment: ``value`` is written in place (``p.value[...] = x``) and
+    assigning to it raises AttributeError; assigning to ``grad`` copies
+    into the existing array, and a shape change raises
+    ParameterShapeError.
     """
 
     __slots__ = ("name", "_value", "_grad")
@@ -96,32 +100,22 @@ class Parameter:
     def value(self):
         return self._value
 
-    @value.setter
-    def value(self, x):
-        self._write(self._value, x, "value")
-
     @property
     def grad(self):
         return self._grad
 
     @grad.setter
     def grad(self, x):
-        self._write(self._grad, x, "grad")
-
-    def _write(self, dst, x, what):
         # in-place operators (``p.grad += g``) hand back the storage itself
-        if x is dst:
+        if x is self._grad:
             return
         shape = np.shape(x)
-        if shape != dst.shape:
+        if shape != self._grad.shape:
             raise ParameterShapeError(
-                f"cannot assign shape {shape} to the {what} of {self.name!r}, "
-                f"which has shape {dst.shape}"
+                f"cannot assign shape {shape} to the grad of {self.name!r}, "
+                f"which has shape {self._grad.shape}"
             )
-        dst[...] = x
-
-    def __repr__(self):
-        return f"Parameter({self.name}, shape={self.value.shape})"
+        self._grad[...] = x
 
 
 def pack_parameters(params):
@@ -175,8 +169,6 @@ class Module:
                 for item in attr:
                     if isinstance(item, Module):
                         params.extend(item.parameters())
-                    elif isinstance(item, Parameter):
-                        params.append(item)
         return params
 
     def zero_grad(self):

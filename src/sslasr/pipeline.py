@@ -5,10 +5,14 @@ the acceptance suite all drive these functions.
 
 Decoding runs in this process, and every decode pass of the recipe and
 the CLI goes through ``decode_utterances``: a single system's streams and
-a joint system's weighted streams alike are tasks of one call, which
-decodes an isolated-word test set in batched lattice passes, one window
-of ``ctc.LATTICE_WINDOW`` utterances each
-(``decoder.isolated_nbest_batch``). Every rescoring pass goes through
+a joint system's weighted streams alike are tasks of one call. The CLI's
+``decode`` computes a single system's streams from the models
+(``build_feature_fn`` and ``FrameAm.posteriors``) and may save them
+(``write_streams``); its ``joint-decode`` reads saved streams
+(``read_streams``), one system's or several. One call decodes an
+isolated-word test set in batched lattice passes, one window of
+``ctc.LATTICE_WINDOW`` utterances each (``decoder.isolated_nbest_batch``).
+Every rescoring pass goes through
 ``rescore.rescore_hypotheses``, which scores the entries of the joint
 N-best lists the same way, into one cost matrix, and re-ranks each list
 by its combined costs; the CLI's ``rescore`` reads, encodes and rescores
@@ -59,7 +63,7 @@ from .features import (
     write_archive,
 )
 from .frame_am import FrameAm, train_am, uniform_alignment
-from .inversion import MdnModel, mdn_forward, mdn_predict, train_inversion
+from .inversion import MdnModel, mdn_predict, train_inversion
 from .nn import Ragged
 from .params import ParameterStore
 from .rescore import rescore_hypotheses
@@ -261,7 +265,7 @@ def build_feature_fn(corpus, kind, model=None, adapter=None, mdn_model=None):
     def stream(part, audio, rows):
         if part == "fbk":
             return compute_fbank(audio)
-        return rows if part == "w2v-bn" else mdn_predict(mdn_forward(rows, mdn_model))
+        return rows if part == "w2v-bn" else mdn_predict(rows, mdn_model)
 
     def features(records):
         for _, audio, window_bn, _ in record_batches(corpus, records, encoder, adapter):

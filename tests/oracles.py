@@ -66,7 +66,7 @@ class ReferenceAdam:
         for p, m, v in zip(self.params, self.m, self.v):
             m += (1.0 - self.beta1) * (p.grad - m)
             v += (1.0 - self.beta2) * (p.grad * p.grad - v)
-            p.value -= self.lr * (m / bc1) / (np.sqrt(v / bc2) + self.eps)
+            p.value[...] -= self.lr * (m / bc1) / (np.sqrt(v / bc2) + self.eps)
 
 
 def reference_train_epochs(params, n_items, epochs, rng, optimizer_cfg, step, what):
@@ -92,18 +92,20 @@ def reference_train_epochs(params, n_items, epochs, rng, optimizer_cfg, step, wh
     return out
 
 
-def mdn_nll(mix, targets):
-    """Mixture negative log likelihood, one frame and one component at a
+def mdn_nll(weights, means, stds, targets):
+    """Mixture negative log likelihood of weights (T, M), means (T, M, D)
+    and standard deviations (T, M, D), one frame and one component at a
     time: mean over frames of -log sum_m w_m N(x | mu_m, diag sigma_m^2)."""
-    targets = np.asarray(targets, dtype=np.float64)
-    n_frames, n_mixtures, d_artic = mix.means.shape
+    weights, means, stds, targets = (np.asarray(a, dtype=np.float64)
+                                     for a in (weights, means, stds, targets))
+    n_frames, n_mixtures, d_artic = means.shape
     total = 0.0
     for t in range(n_frames):
         logs = []
         for m in range(n_mixtures):
-            z = (targets[t] - mix.means[t, m]) / mix.stds[t, m]
-            logs.append(math.log(mix.weights[t, m]) - 0.5 * float(z @ z)
-                        - float(np.log(mix.stds[t, m]).sum())
+            z = (targets[t] - means[t, m]) / stds[t, m]
+            logs.append(math.log(weights[t, m]) - 0.5 * float(z @ z)
+                        - float(np.log(stds[t, m]).sum())
                         - 0.5 * d_artic * math.log(2.0 * math.pi))
         top = max(logs)
         total -= top + math.log(sum(math.exp(v - top) for v in logs))

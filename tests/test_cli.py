@@ -87,9 +87,10 @@ class TestUsageErrors:
                      "--out", str(tmp_path / "x.spm")]) == 1
 
     def test_runtime_error_message_not_traceback(self, tmp_path, cli_config, capsys):
-        main(["decode", "--config", cli_config, "--lexicon", str(tmp_path / "no.json")])
+        main(["decode", "--config", cli_config, "--lexicon", str(tmp_path / "no.json"),
+              "--corpus", str(tmp_path), "--am", str(tmp_path / "no.spm")])
         err = capsys.readouterr().err
-        assert "error:" in err
+        assert "error:" in err and "Traceback" not in err
 
     @pytest.mark.parametrize("argv", [
         ["finetune", "--corpus", "c", "--init", "i", "--out", "o"],
@@ -112,8 +113,8 @@ class TestUsageErrors:
         assert err.value.code == 2
 
     @pytest.mark.parametrize("argv", [
-        ["decode", "--lexicon", "l", "--streams", "s", "--nbest", "0"],
-        ["decode", "--lexicon", "l", "--streams", "s", "--nbest", "-3"],
+        ["decode", "--lexicon", "l", "--corpus", "c", "--am", "a", "--nbest", "0"],
+        ["decode", "--lexicon", "l", "--corpus", "c", "--am", "a", "--nbest", "-3"],
         ["joint-decode", "--lexicon", "l", "--streams", "a,b", "--weights", "1:1",
          "--nbest", "0"],
         ["joint-decode", "--lexicon", "l", "--streams", "a,b", "--weights", "1:1",
@@ -277,7 +278,7 @@ class TestDecodeContract:
         one = tmp_path / "one_utt"
         pipeline.write_streams(one, {utt_id: stream})
         out = tmp_path / "hyp1.jsonl"
-        rc = main(["decode", "--config", cfg, "--streams", str(one),
+        rc = main(["joint-decode", "--config", cfg, "--streams", str(one), "--weights", "1",
                    "--lexicon", str(corpus / "lexicon.json"), "--out", str(out)])
         assert rc == 0
         lines = out.read_text().splitlines()
@@ -315,39 +316,52 @@ class TestDecodeErrors:
 
     def test_two_sources_point_to_joint_decode(self, workdir, saved_streams, tmp_path,
                                                capsys):
-        _, corpus, cfg = workdir
-        rc = main(["decode", "--config", cfg, "--lexicon", str(corpus / "lexicon.json"),
-                   "--streams", f"{saved_streams},{saved_streams}",
-                   "--out", str(tmp_path / "never.jsonl")])
-        assert rc == 1
-        err = capsys.readouterr().err
-        assert "decode takes one stream source, got 2" in err and "joint-decode" in err
+        """``decode`` reads no archive: its parser names ``--streams`` as
+        unknown, and its help sends saved streams to ``joint-decode``."""
+        root, corpus, cfg = workdir
+        with pytest.raises(SystemExit) as err:
+            main(["decode", "--config", cfg, "--lexicon", str(corpus / "lexicon.json"),
+                  "--corpus", str(corpus), "--am", str(root / "am_fbk.spm"),
+                  "--streams", f"{saved_streams},{saved_streams}",
+                  "--out", str(tmp_path / "never.jsonl")])
+        assert err.value.code == 2
+        assert (f"unrecognized arguments: --streams {saved_streams},{saved_streams}"
+                in capsys.readouterr().err)
         assert not (tmp_path / "never.jsonl").exists()
+        with pytest.raises(SystemExit):
+            main(["decode", "--help"])
+        usage = " ".join(capsys.readouterr().out.split())
+        assert "joint-decode --streams" in usage
+        assert "--streams" not in usage.replace("joint-decode --streams", "")
 
     @pytest.mark.parametrize("flags", [["--corpus"], ["--am"], ["--model"], ["--adapter"],
                                        ["--mdn"], ["--corpus", "--am", "--model"]],
                              ids="+".join)
     def test_streams_refuse_model_flags_by_name(self, tmp_path, capsys, flags):
-        """``--streams`` decodes stored posteriors: a flag of the computed
-        path fails by name before any file is read."""
-        argv = ["decode", "--lexicon", str(tmp_path / "no-lexicon.json"),
-                "--streams", str(tmp_path / "no-streams"), "--out", str(tmp_path / "never.jsonl")]
+        """``joint-decode`` decodes stored posteriors: its parser names each
+        flag of the computed path before any file is read."""
+        argv = ["joint-decode", "--lexicon", str(tmp_path / "no-lexicon.json"),
+                "--streams", str(tmp_path / "no-streams"), "--weights", "1",
+                "--out", str(tmp_path / "never.jsonl")]
         for flag in flags:
             argv += [flag, str(tmp_path / "nonexistent")]
-        assert main(argv) == 1
-        assert (f"error: decode --streams reads no {' or '.join(flags)}; leave it out"
+        with pytest.raises(SystemExit) as err:
+            main(argv)
+        assert err.value.code == 2
+        assert ("unrecognized arguments: " + " ".join(argv[-2 * len(flags):])
                 in capsys.readouterr().err)
         assert not (tmp_path / "never.jsonl").exists()
 
     @pytest.mark.parametrize("features", ["fbk", "fbk+w2v-bn"])
     def test_streams_refuse_features_by_name(self, tmp_path, capsys, features):
-        """``--features`` picks the streams an ``--am`` computes, "fbk" when
-        left out; with ``--streams`` any value fails by name."""
-        rc = main(["decode", "--lexicon", str(tmp_path / "no-lexicon.json"),
-                   "--streams", str(tmp_path / "no-streams"), "--features", features,
-                   "--out", str(tmp_path / "never.jsonl")])
-        assert rc == 1
-        assert ("error: decode --streams reads no --features; leave it out"
+        """``--features`` picks the streams ``decode``'s ``--am`` computes;
+        ``joint-decode``'s parser names it as unknown."""
+        with pytest.raises(SystemExit) as err:
+            main(["joint-decode", "--lexicon", str(tmp_path / "no-lexicon.json"),
+                  "--streams", str(tmp_path / "no-streams"), "--weights", "1",
+                  "--features", features, "--out", str(tmp_path / "never.jsonl")])
+        assert err.value.code == 2
+        assert (f"unrecognized arguments: --features {features}"
                 in capsys.readouterr().err)
 
     def test_lexicon_with_mode_key_rejected(self, workdir, saved_streams, tmp_path, capsys):
@@ -355,20 +369,21 @@ class TestDecodeErrors:
         lexicon = json.loads((corpus / "lexicon.json").read_text())
         lexicon["mode"] = "word-loop"
         (tmp_path / "loop.json").write_text(json.dumps(lexicon))
-        rc = main(["decode", "--config", cfg, "--lexicon", str(tmp_path / "loop.json"),
-                   "--streams", str(saved_streams), "--out", str(tmp_path / "never.jsonl")])
+        rc = main(["joint-decode", "--config", cfg, "--lexicon", str(tmp_path / "loop.json"),
+                   "--streams", str(saved_streams), "--weights", "1",
+                   "--out", str(tmp_path / "never.jsonl")])
         assert rc == 1
         assert "lexicon keys that nothing reads: ['mode']" in capsys.readouterr().err
         assert not (tmp_path / "never.jsonl").exists()
 
     @pytest.mark.parametrize("command", ["decode", "joint-decode"])
     def test_nbest_out_needs_nbest(self, workdir, saved_streams, tmp_path, capsys, command):
-        _, corpus, cfg = workdir
-        joint = command == "joint-decode"
-        argv = [command, "--config", cfg, "--lexicon", str(corpus / "lexicon.json"),
-                "--streams", f"{saved_streams},{saved_streams}" if joint else str(saved_streams),
-                "--nbest-out", str(tmp_path / "nb.jsonl"),
-                "--out", str(tmp_path / "never.jsonl"), *(["--weights", "1:1"] if joint else [])]
+        root, corpus, cfg = workdir
+        inputs = (["--streams", f"{saved_streams},{saved_streams}", "--weights", "1:1"]
+                  if command == "joint-decode"
+                  else ["--corpus", str(corpus), "--am", str(root / "am_fbk.spm")])
+        argv = [command, "--config", cfg, "--lexicon", str(corpus / "lexicon.json"), *inputs,
+                "--nbest-out", str(tmp_path / "nb.jsonl"), "--out", str(tmp_path / "never.jsonl")]
         assert main(argv) == 1
         assert f"--nbest-out {tmp_path / 'nb.jsonl'} needs --nbest N" in (
             capsys.readouterr().err)
@@ -376,8 +391,9 @@ class TestDecodeErrors:
 
     def test_directory_source_named(self, workdir, tmp_path, capsys):
         _, corpus, cfg = workdir
-        rc = main(["decode", "--config", cfg, "--lexicon", str(corpus / "lexicon.json"),
-                   "--streams", str(tmp_path), "--out", str(tmp_path / "never.jsonl")])
+        rc = main(["joint-decode", "--config", cfg, "--lexicon", str(corpus / "lexicon.json"),
+                   "--streams", str(tmp_path), "--weights", "1",
+                   "--out", str(tmp_path / "never.jsonl")])
         assert rc == 1
         err = capsys.readouterr().err
         assert f"stream source {tmp_path} is a directory" in err and "one archive file" in err
@@ -410,7 +426,7 @@ class TestDecodeErrors:
         _, corpus, cfg = workdir
         streams = pipeline.read_streams(saved_streams)
         utt_id = sorted(streams)[1]
-        short = streams[utt_id].logp[: streams[utt_id].n_frames // 2]
+        short = streams[utt_id].logp[: len(streams[utt_id].logp) // 2]
         other = tmp_path / "other"
         pipeline.write_streams(other, {**streams, utt_id: PosteriorStream(short)})
         rc = main(["joint-decode", "--config", cfg, "--lexicon", str(corpus / "lexicon.json"),
@@ -692,7 +708,7 @@ class TestBatchedDecodeOutputs:
 
         streams = dict(sorted(pipeline.read_streams(s1).items()))
         hyp, nb = tmp_path / "hyp_nb.jsonl", tmp_path / "nb.jsonl"
-        assert main(["decode", "--config", cfg, "--streams", str(s1),
+        assert main(["joint-decode", "--config", cfg, "--streams", str(s1), "--weights", "1",
                      "--lexicon", str(corpus / "lexicon.json"), "--nbest", "3",
                      "--nbest-out", str(nb), "--out", str(hyp)]) == 0
         assert hyp.read_text() == _json_lines(

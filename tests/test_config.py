@@ -11,6 +11,7 @@ from sslasr import pipeline
 from sslasr.bottleneck import BottleneckConfig
 from sslasr.cli import main
 from sslasr.config import DEFAULT_CONFIG, STAGE_DEFAULTS, load_config, merge_config
+from sslasr.container import MAX_DIM
 from sslasr.corpus import CorpusConfig
 from sslasr.decoder import parse_weight_ratio
 from sslasr.encoder import EncoderConfig, scope_blocks
@@ -201,6 +202,18 @@ class TestScalars:
         ({"encoder": {"d_model": 2**62}},
          "encoder.d_model: must be an int <= 4294967295, the largest dim a parameter store "
          f"holds, got {2**62}"),
+        # each of these loaded, then generating the corpus drew seen words
+        # forever (two orderings of two tones for three seen words), failed
+        # in numpy's rng.choice ("Cannot take a larger sample than
+        # population") or failed on the split
+        ({"corpus": {"n_words": 5, "n_tones": 2, "tones_per_word": 2, "unseen_fraction": 0.4}},
+         "corpus.n_tones: 2 tones make fewer words of 2 distinct tones (tones_per_word) than "
+         "the 3 seen words"),
+        ({"corpus": {"n_tones": 3, "tones_per_word": 4}},
+         "corpus.n_tones: 3 tones make fewer words of 4 distinct tones (tones_per_word) than "
+         "the 6 seen words"),
+        ({"corpus": {"unseen_fraction": 0.01}},
+         "corpus.unseen_fraction: 0.01 with 10 words leaves an infeasible split (0 unseen)"),
     ])
     def test_rejected_by_dotted_path(self, override, error):
         with pytest.raises(ValueError, match="^" + re.escape(error) + "$"):
@@ -208,6 +221,12 @@ class TestScalars:
 
     def test_seed_has_no_upper_bound(self):
         assert load_config(overrides={"seed": 2**40})["seed"] == 2**40
+
+    def test_word_count_check_stops_at_enough_words(self):
+        """The largest tone settings load at once: the words are counted no
+        further than the seen words need."""
+        big = {"n_tones": MAX_DIM, "tones_per_word": MAX_DIM}
+        assert load_config(overrides={"corpus": big})["corpus"]["n_tones"] == MAX_DIM
 
     def test_nan_literal_in_a_file_rejected(self, tmp_path):
         path = tmp_path / "nan.json"
@@ -224,7 +243,7 @@ class TestScalars:
             "train_reps": {"source": 1, "target": 1}, "test_reps": {"source": 1}}})
         pipeline.generate_corpus(tmp_path, cfg)
         corpus = pipeline.Corpus(tmp_path)
-        assert all(compute_fbank(corpus.audio(r)).n_frames for r in corpus.manifest)
+        assert all(compute_fbank(corpus.audio(r)).n_frames for r in corpus.manifest.records)
 
     def test_null_annealing_floor_rejected(self):
         """A fixed temperature is gumbel_temperature_min equal to tau."""

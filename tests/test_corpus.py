@@ -56,8 +56,8 @@ class TestGeneration:
                             train_reps={"source": 1}, test_reps={"source": 1})
         a, _ = gen_synth_corpus(tmp_path / "a", cfg, seed=9)
         b, _ = gen_synth_corpus(tmp_path / "b", cfg, seed=9)
-        assert [r.utt_id for r in a] == [r.utt_id for r in b]
-        for ra, rb in zip(a, b):
+        assert [r.utt_id for r in a.records] == [r.utt_id for r in b.records]
+        for ra, rb in zip(a.records, b.records):
             assert filecmp.cmp(tmp_path / "a" / ra.audio_path,
                                tmp_path / "b" / rb.audio_path, shallow=False)
 
@@ -68,7 +68,7 @@ class TestGeneration:
                             noise_rms=0.01)
         manifest, _ = gen_synth_corpus(tmp_path, cfg, seed=3)
         centroids = {}
-        for record in manifest:
+        for record in manifest.records:
             if record.condition != "source":
                 continue
             feats = compute_fbank(read_wav(tmp_path / record.audio_path))
@@ -216,7 +216,7 @@ class TestManifestIo:
         path = tmp_path / "m.jsonl"
         manifest.save(path)
         back = Manifest.load(path)
-        assert [r.utt_id for r in back] == ["u0", "u1"]
+        assert [r.utt_id for r in back.records] == ["u0", "u1"]
         assert back.records[0].transcript == "w1 w2"
 
     def test_duplicate_ids_rejected(self):

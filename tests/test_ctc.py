@@ -85,7 +85,7 @@ class TestPosteriorStream:
     def test_neg_inf_allowed(self):
         row = np.array([[0.0, -np.inf, -np.inf]])
         s = PosteriorStream(row)
-        assert s.n_frames == 1
+        assert len(s.logp) == 1
 
 
 class TestCtcLoss:

@@ -204,7 +204,7 @@ def _parses_or_names_its_error(d):
         return
     # anything accepted is a usable, round-trippable lexicon
     assert lexicon.entries
-    assert lexicon.vocab().size == len(lexicon.alphabet)
+    assert len(lexicon.vocab().tokens) == len(lexicon.alphabet)
     again = Lexicon.from_json_dict(json.loads(json.dumps(lexicon.to_json_dict())))
     assert again == lexicon
 

@@ -113,14 +113,18 @@ class TestPositionTable:
 
 class TestMasking:
     def test_cover_property(self):
-        # replay the same seeded draws: a frame is masked iff covered by a span
+        # replay the same seeded draws: a frame is masked iff covered by a
+        # span, and one start is drawn when no frame starts a span
         rng = np.random.default_rng(3)
         for _ in range(30):
             t = int(rng.integers(5, 60))
             prob, span = float(rng.uniform(0.02, 0.3)), int(rng.integers(1, 12))
             seed = int(rng.integers(1 << 30))
             mask = sample_mask_spans(t, prob, span, np.random.default_rng(seed))
-            starts = np.flatnonzero(np.random.default_rng(seed).random(t) < prob)
+            replay = np.random.default_rng(seed)
+            starts = np.flatnonzero(replay.random(t) < prob)
+            if starts.size == 0:
+                starts = [replay.integers(t)]
             covered = np.zeros(t, dtype=bool)
             for s in starts:
                 covered[s : s + span] = True
@@ -128,7 +132,7 @@ class TestMasking:
 
     def test_force_nonempty(self):
         rng = np.random.default_rng(4)
-        mask = sample_mask_spans(10, 0.0, 3, rng, ensure_nonempty=True)
+        mask = sample_mask_spans(10, 0.0, 3, rng)
         assert mask.size > 0
 
 
@@ -724,7 +728,7 @@ class TestFramePosteriors:
         model = SslEncoder(cfg, seed=51)
         model.attach_ctc_head(5, seed=0)
         (stream,) = model.head_posteriors(model.represent([sine(3200)])[1])
-        assert stream.n_frames == conv_frames(3200)  # one row per 20 ms frame
+        assert len(stream.logp) == conv_frames(3200)  # one row per 20 ms frame
         assert np.allclose(np.exp(stream.logp).sum(axis=1), 1.0, atol=1e-6)
 
     def test_missing_head_rejected(self, cfg):

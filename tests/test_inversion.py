@@ -4,52 +4,57 @@ import numpy as np
 import pytest
 
 from sslasr.features import FeatureMatrix
-from sslasr.inversion import (
-    MdnConfig,
-    MdnModel,
-    MixtureParams,
-    mdn_forward,
-    mdn_nll_step,
-    mdn_predict,
-    train_inversion,
-)
+from sslasr.inversion import MdnConfig, MdnModel, mdn_nll_step, mdn_predict, train_inversion
 from sslasr.params import ParameterStore
 
 from gradcheck import finite_difference_check
 from oracles import mdn_nll
 
 
-def mixture(weights, means, stds):
-    return MixtureParams(np.asarray(weights, float), np.asarray(means, float),
-                         np.asarray(stds, float))
+def emitting(weights, means):
+    """An MdnModel, and its input rows, whose mixture for row t has the
+    weights ``weights[t]`` (T, M) and means ``means[t]`` (T, M, D), every
+    standard deviation 1: no hidden layer, one-hot inputs, head weights
+    set to the log weights and the means."""
+    weights, means = np.asarray(weights, float), np.asarray(means, float)
+    t, m, d = means.shape
+    model = MdnModel(MdnConfig(d_in=t, d_artic=d, mixtures=m, hidden_dims=()), seed=0)
+    heads = ((model.head_w, np.log(weights)), (model.head_mu, means.reshape(t, m * d)),
+             (model.head_s, np.zeros((t, m * d))))
+    for head, w in heads:
+        head.w.value[...] = w
+        head.b.value[...] = 0.0
+    return model, FeatureMatrix(np.eye(t))
 
 
 class TestMixtureValidity:
     def test_forward_emits_valid_mixtures(self):
         model = MdnModel(MdnConfig(d_in=5, d_artic=3, mixtures=3, hidden_dims=(32,)), seed=0)
-        feats = FeatureMatrix(np.random.default_rng(0).normal(size=(6, 5)))
-        mix = mdn_forward(feats, model)
-        assert np.allclose(mix.weights.sum(axis=1), 1.0, atol=1e-6)
-        assert (mix.stds > 0).all()
+        weights, means, stds = model.forward_arrays(np.random.default_rng(0).normal(size=(6, 5)))
+        assert np.allclose(weights.sum(axis=1), 1.0, atol=1e-6)
+        assert (stds > 0).all()
+        assert means.shape == stds.shape == (6, 3, 3)
 
     def test_forward_deterministic(self):
         model = MdnModel(MdnConfig(d_in=5, d_artic=3, mixtures=2, hidden_dims=(32,)), seed=1)
         feats = FeatureMatrix(np.random.default_rng(1).normal(size=(4, 5)))
-        a = mdn_forward(feats, model)
-        b = mdn_forward(feats, model)
-        assert np.array_equal(a.weights, b.weights)
-        assert np.array_equal(a.means, b.means)
+        a = mdn_predict(feats, model)
+        b = mdn_predict(feats, model)
+        assert np.array_equal(a.data, b.data)
 
     def test_width_mismatch_rejected(self):
         model = MdnModel(MdnConfig(d_in=5, d_artic=3, mixtures=2, hidden_dims=(32,)), seed=2)
         with pytest.raises(ValueError, match="does not match"):
-            mdn_forward(FeatureMatrix(np.zeros((3, 4))), model)
+            mdn_predict(FeatureMatrix(np.zeros((3, 4))), model)
 
     def test_invalid_mixtures_rejected(self):
-        with pytest.raises(ValueError, match="sum to 1"):
-            mixture([[0.5, 0.2]], np.zeros((1, 2, 3)), np.ones((1, 2, 3)))
-        with pytest.raises(ValueError, match="positive"):
-            mixture([[0.5, 0.5]], np.zeros((1, 2, 3)), np.zeros((1, 2, 3)))
+        """Softmax and exp make a valid mixture of finite logits and
+        log-stds only; a non-finite one raises before any is emitted."""
+        for head in ("head_w", "head_s"):
+            model = MdnModel(MdnConfig(d_in=5, d_artic=3, mixtures=2, hidden_dims=()), seed=3)
+            getattr(model, head).b.value[0] = np.inf
+            with pytest.raises(RuntimeError, match="mixture outputs are not finite"):
+                mdn_predict(FeatureMatrix(np.zeros((3, 5))), model)
 
 
 class TestNll:
@@ -57,7 +62,6 @@ class TestNll:
         rng = np.random.default_rng(3)
         means = rng.normal(size=(4, 1, 3))
         stds = np.exp(0.2 * rng.normal(size=(4, 1, 3)))
-        mix = mixture(np.ones((4, 1)), means, stds)
         targets = rng.normal(size=(4, 3))
         z = (targets[:, None, :] - means) / stds
         expected = np.mean(
@@ -65,15 +69,15 @@ class TestNll:
             + np.log(stds).sum(axis=(1, 2))
             + 1.5 * math.log(2 * math.pi)
         )
-        assert mdn_nll(mix, targets) == pytest.approx(expected, abs=1e-12)
+        assert mdn_nll(np.ones((4, 1)), means, stds, targets) == pytest.approx(expected,
+                                                                              abs=1e-12)
 
     def test_target_at_dominant_mode(self):
         # NLL at the mode of a near-deterministic dominant component:
         # sum_d log(sigma_d sqrt(2 pi)) - log w_dominant
         stds = np.full((1, 2, 3), 0.01)
         means = np.stack([np.zeros((1, 3)), np.full((1, 3), 50.0)], axis=1)
-        mix = mixture([[0.999, 0.001]], means, stds)
-        nll = mdn_nll(mix, np.zeros((1, 3)))
+        nll = mdn_nll([[0.999, 0.001]], means, stds, np.zeros((1, 3)))
         expected = 3 * math.log(0.01 * math.sqrt(2 * math.pi)) - math.log(0.999)
         assert nll == pytest.approx(expected, abs=1e-9)
 
@@ -83,8 +87,8 @@ class TestNll:
         mu = rng.normal(size=(1, 2, 3))
         sd = np.exp(0.1 * rng.normal(size=(1, 2, 3)))
         targets = rng.normal(size=(1, 3))
-        a = mdn_nll(mixture(w, mu, sd), targets)
-        b = mdn_nll(mixture(w[:, ::-1], mu[:, ::-1], sd[:, ::-1]), targets)
+        a = mdn_nll(w, mu, sd, targets)
+        b = mdn_nll(w[:, ::-1], mu[:, ::-1], sd[:, ::-1], targets)
         assert a == pytest.approx(b, abs=1e-12)
 
     def test_shape_mismatch_rejected(self):
@@ -98,7 +102,7 @@ class TestNll:
         y = np.random.default_rng(7).normal(size=(6, 3))
 
         def loss():
-            return mdn_nll(MixtureParams(*model.forward_arrays(x)), y)
+            return mdn_nll(*model.forward_arrays(x), y)
 
         model.zero_grad()
         mdn_nll_step(model, x, y)
@@ -110,14 +114,14 @@ class TestPredict:
     def test_single_component_returns_mean(self):
         rng = np.random.default_rng(8)
         means = rng.normal(size=(3, 1, 2))
-        mix = mixture(np.ones((3, 1)), means, np.ones((3, 1, 2)))
-        pred = mdn_predict(mix)
+        model, feats = emitting(np.ones((3, 1)), means)
+        pred = mdn_predict(feats, model)
         assert np.allclose(pred.data, means[:, 0, :], atol=1e-6)
 
     def test_symmetric_mixture_predicts_zero(self):
         means = np.stack([-np.ones((3, 2)), np.ones((3, 2))], axis=1)
-        mix = mixture(np.full((3, 2), 0.5), means, np.ones((3, 2, 2)))
-        assert np.allclose(mdn_predict(mix).data, 0.0)
+        model, feats = emitting(np.full((3, 2), 0.5), means)
+        assert np.allclose(mdn_predict(feats, model).data, 0.0)
 
     def test_matches_monte_carlo_mean(self):
         # sampling oracle: draw from the mixture and compare the average
@@ -125,19 +129,19 @@ class TestPredict:
         w = np.array([[0.2, 0.8]])
         mu = np.array([[[-1.0, 2.0], [3.0, -0.5]]])
         sd = np.array([[[0.5, 1.0], [1.5, 0.3]]])
-        mix = mixture(w, mu, sd)
+        model, feats = emitting(w, mu)
         n = 100_000
         comp = rng.choice(2, size=n, p=w[0])
         draws = mu[0, comp] + sd[0, comp] * rng.normal(size=(n, 2))
         mc_mean = draws.mean(axis=0)
         stderr = draws.std(axis=0) / math.sqrt(n)
-        pred = mdn_predict(mix).data[0]
+        pred = mdn_predict(feats, model).data[0]
         assert np.all(np.abs(pred - mc_mean) <= 3 * stderr)
 
     def test_width_is_d_artic_for_any_mixture_count(self):
         for m in (1, 2, 5):
-            mix = mixture(np.full((4, m), 1.0 / m), np.zeros((4, m, 6)), np.ones((4, m, 6)))
-            assert mdn_predict(mix).dim == 6
+            model, feats = emitting(np.full((4, m), 1.0 / m), np.zeros((4, m, 6)))
+            assert mdn_predict(feats, model).dim == 6
 
 
 class TestTrainInversion:
@@ -179,10 +183,10 @@ class TestTrainInversion:
         assert history[-1]["nll"] < history[0]["nll"]
         sq_err = n = 0.0
         for x, y in data:
-            mix = MixtureParams(*model.forward_arrays(x))
-            assert np.allclose(mix.weights.sum(axis=1), 1.0, atol=1e-6)
-            assert (mix.stds > 0).all()
-            pred = mdn_predict(mix).data
+            weights, _, stds = model.forward_arrays(x)
+            assert np.allclose(weights.sum(axis=1), 1.0, atol=1e-6)
+            assert (stds > 0).all()
+            pred = mdn_predict(FeatureMatrix(x), model).data
             sq_err += float(((pred - y) ** 2).sum())
             n += y.size
         rmse = math.sqrt(sq_err / n)
@@ -196,5 +200,5 @@ class TestTrainInversion:
         data = [(rng.normal(size=(6, 4)), rng.normal(size=(6, 2)))]
         model, _ = train_inversion(data, cfg, epochs=3, seed=15)
         target_feats = FeatureMatrix(rng.normal(size=(9, 4)))
-        pred = mdn_predict(mdn_forward(target_feats, model))
+        pred = mdn_predict(target_feats, model)
         assert pred.data.shape == (9, 2)

@@ -73,7 +73,7 @@ class TestOverlapAdd:
         taps, none overlapping."""
         rng = np.random.default_rng(2)
         conv = ConvTranspose1d(rng, 3, 2, 2, "up")
-        conv.b.value = rng.normal(size=2)
+        conv.b.value[...] = rng.normal(size=2)
         x = rng.normal(size=(7, 3))
         contrib = (x @ conv.w.value).reshape(7, 2, 2)
         expected = reference_overlap_add(contrib, 2, conv.out_length(7)) + conv.b.value
@@ -94,7 +94,7 @@ class TestConvTransposeOracle:
     def test_equals_overlap_add_reference(self, lengths, c_in, c_out, stride, seed):
         rng = np.random.default_rng(seed)
         conv = ConvTranspose1d(rng, c_in, c_out, stride, "up")
-        conv.b.value = rng.normal(size=c_out)
+        conv.b.value[...] = rng.normal(size=c_out)
         inputs = [rng.normal(size=(t, c_in)) for t in lengths]
         outputs = []
         for x in inputs:
@@ -162,8 +162,8 @@ class TestLayerNormOracle:
         x = rng.normal(size=(t, d)) * scale + rng.normal()
         dy = rng.normal(size=(t, d))
         ln = LayerNorm(d, "ln")
-        ln.gain.value = rng.normal(size=d)
-        ln.bias.value = rng.normal(size=d)
+        ln.gain.value[...] = rng.normal(size=d)
+        ln.bias.value[...] = rng.normal(size=d)
         y, dx, dgain, dbias = reference_layer_norm(x, ln.gain.value, ln.bias.value, dy)
         assert ln.forward(x).tobytes() == y.tobytes()
         assert ln.backward(dy).tobytes() == dx.tobytes()
@@ -185,7 +185,7 @@ def _layer(kind, d, d_out, kernel, stride, rng):
         "block": lambda: TransformerBlock(rng, 2 * d, 2, "block"),
     }[kind]()
     for p in layer.parameters():
-        p.value = rng.normal(size=p.value.shape)
+        p.value[...] = rng.normal(size=p.value.shape)
     return layer
 
 

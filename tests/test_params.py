@@ -283,19 +283,21 @@ class TestFlatOptimizers:
         assert params[0].value.tolist() == [1.0, 1.0]
 
     def test_value_assignment_keeps_storage(self):
+        # a value is written in place; assigning one fails and keeps the
+        # optimizer's storage
         p = Parameter("a", np.zeros(3))
         opt = Adam([p])
-        p.value = np.arange(3.0)
+        p.value[...] = np.arange(3.0)
+        with pytest.raises(AttributeError):
+            p.value = np.ones(3)
         assert np.shares_memory(p.value, opt.value)
         assert opt.value.tolist() == [0.0, 1.0, 2.0]
 
     def test_shape_mismatch_rejected(self):
         p = Parameter("a", np.zeros((2, 3)))
         Adam([p])
-        with pytest.raises(ParameterShapeError, match="'a'"):
+        with pytest.raises(ParameterShapeError, match=r"shape \(6,\) to the grad of 'a'"):
             p.grad = np.zeros(6)
-        with pytest.raises(ParameterShapeError, match="shape"):
-            p.value = np.zeros((3, 2))
 
     def test_zero_grad_clears_every_gradient(self):
         params = [Parameter("a", np.ones(2)), Parameter("b", np.ones(()))]

@@ -17,7 +17,7 @@ from sslasr.decoder import (Lexicon, LexiconEntry, decode_stream, interpolate_po
                             isolated_nbest, parse_weight_ratio)
 from sslasr.encoder import RECEPTIVE_FIELD, STRIDE, SslEncoder, windows
 from sslasr.features import compute_fbank, fuse_features
-from sslasr.inversion import MdnModel, mdn_forward, mdn_predict
+from sslasr.inversion import MdnModel, mdn_predict
 from sslasr.params import ParameterStore
 from sslasr.rescore import rescore, rescore_hypotheses, score_nbest_with_ssl
 
@@ -52,7 +52,7 @@ class TestCorpusAccess:
         record = tiny_corpus.manifest.records[0]
         ids = tiny_corpus.tokens(record)
         assert len(ids) == 3
-        assert all(1 <= i <= tiny_corpus.vocab.size for i in ids)
+        assert all(1 <= i <= len(tiny_corpus.vocab.tokens) for i in ids)
 
     def test_audio_loads(self, tiny_corpus):
         audio = tiny_corpus.audio(tiny_corpus.manifest.records[0])
@@ -123,7 +123,7 @@ class TestFeatureFns:
             (bn,) = pipeline.bottleneck_features(tiny_corpus, [rec], model, adapter)
             streams = [compute_fbank(tiny_corpus.audio(rec)), bn]
             if kind.endswith("artic"):
-                streams.append(mdn_predict(mdn_forward(bn, mdn_model)))
+                streams.append(mdn_predict(bn, mdn_model))
             expected.append(fuse_features(streams))
         reads, encodes = Counter(), Counter()
         read_wav = pipeline.read_wav
@@ -208,7 +208,7 @@ class TestInversionPipeline:
         assert history[-1]["nll"] < history[0]["nll"]
         rec = tiny_corpus.manifest.records[0]
         (bn,) = pipeline.bottleneck_features(tiny_corpus, [rec], model, adapter)
-        artic = mdn_predict(mdn_forward(bn, mdn_model))
+        artic = mdn_predict(bn, mdn_model)
         assert artic.dim == tiny_config["mdn"]["d_artic"]
 
 
@@ -292,7 +292,7 @@ class TestOrderIndependence:
 class TestScoreHypotheses:
     def test_one_id_map_per_call(self, tiny_corpus, monkeypatch):
         manifest = tiny_corpus.manifest
-        pairs = [(r.utt_id, r.transcript.split()) for r in manifest]
+        pairs = [(r.utt_id, r.transcript.split()) for r in manifest.records]
         calls = Counter()
         by_id = type(manifest).by_id
 
@@ -306,6 +306,20 @@ class TestScoreHypotheses:
         assert report.overall.n_ref == sum(len(words) for _, words in pairs)
         assert calls["by_id"] <= 2  # this function and partition_report, once each
 
+    def test_insertions_summed(self, tiny_corpus):
+        """A two-word hypothesis of a one-word reference is one insertion,
+        counted overall and in its utterance's subset and condition."""
+        manifest = tiny_corpus.manifest
+        tests = manifest.subset("test-seen", "test-unseen")
+        pairs = [(r.utt_id, r.transcript.split()) for r in tests]
+        first, other = tests[0], next(r for r in tests if r.transcript != tests[0].transcript)
+        pairs[0] = (first.utt_id, [first.transcript, other.transcript])
+        report = pipeline.score_hypotheses(pairs, manifest)
+        for counts in (report.overall, report.by_subset[first.subset],
+                       report.by_condition[first.condition]):
+            assert (counts.insertions, counts.substitutions, counts.deletions) == (1, 0, 0)
+            assert counts.errors == 1
+
     def test_unknown_id_named(self, tiny_corpus):
         rec = tiny_corpus.manifest.records[0]
         with pytest.raises(KeyError, match="'no-such-utt'"):
@@ -316,7 +330,7 @@ class TestScoreHypotheses:
         """Only train records may go without a hypothesis."""
         manifest = tiny_corpus.manifest
         tests = manifest.subset("test-seen", "test-unseen")
-        pairs = [(r.utt_id, r.transcript.split()) for r in manifest if r not in tests[1:3]]
+        pairs = [(r.utt_id, r.transcript.split()) for r in manifest.records if r not in tests[1:3]]
         with pytest.raises(ValueError, match=re.escape(
                 f"2 test-seen/test-unseen utterances have no hypothesis, the first "
                 f"{tests[1].utt_id!r}")):
