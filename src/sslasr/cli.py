@@ -4,9 +4,9 @@ subcommands covering the whole pipeline.
 Two subcommands decode. ``decode`` computes one system's posterior
 streams for a corpus's test split, from ``--features`` and an ``--am``,
 and decodes them; ``--save-streams`` keeps the streams in an archive.
-``joint-decode`` is the one decoder of saved archives: one archive with
-``--weights 1`` decodes that system again, and several are joined frame
-by frame under their weight ratio.
+``joint-decode`` is the one decoder of saved archives and the one writer
+of N-best lists: one archive with ``--weights 1`` decodes that system
+again, byte for byte, and several are joined frame by frame.
 
 Exit codes: 0 success, 2 usage error, 1 runtime error.
 """
@@ -22,6 +22,7 @@ from pathlib import Path
 
 from . import pipeline
 from .config import load_config
+from .container import ContainerError
 from .corpus import Manifest, json_lines
 from .ctc import LATTICE_WINDOW, NBestList, _is_str_list
 from .decoder import Lexicon, parse_weight_ratio
@@ -87,7 +88,10 @@ def build_parser():
     p.add_argument("--mdn", help="inversion store (for artic)")
     p.add_argument("--out", required=True)
 
-    p = sub.add_parser("decode", help="decode a corpus test split with one acoustic model")
+    p = sub.add_parser("decode", help="decode a corpus test split with one acoustic model",
+                       description="Decode a corpus test split into each utterance's best "
+                       "word. For N-best lists, save the streams and run joint-decode "
+                       "--streams PATH --weights 1 --nbest N, which writes the same hypotheses.")
     _add_common(p)
     p.add_argument("--lexicon", required=True)
     p.add_argument("--corpus", required=True)
@@ -99,8 +103,6 @@ def build_parser():
     p.add_argument("--mdn", help="inversion store (for artic features)")
     p.add_argument("--save-streams",
                    help="write the posterior streams to this archive, for joint-decode --streams")
-    p.add_argument("--nbest", type=_nbest_depth, help="also write n-best lists of this depth")
-    p.add_argument("--nbest-out", help="n-best JSON-lines output path (needs --nbest)")
     p.add_argument("--out", help="hypotheses JSON-lines output (default stdout)")
 
     p = sub.add_parser("joint-decode", help="decode saved posterior stream archives: one "
@@ -111,9 +113,9 @@ def build_parser():
                    help="comma-separated posterior stream archives, one per system")
     p.add_argument("--weights", required=True,
                    help='one weight per archive in ratio syntax, e.g. "1", "3:2" or "9:1:5"')
-    p.add_argument("--nbest", type=_nbest_depth)
-    p.add_argument("--nbest-out")
-    p.add_argument("--out")
+    p.add_argument("--nbest", type=_nbest_depth, help="also write n-best lists of this depth")
+    p.add_argument("--nbest-out", help="n-best JSON-lines output path (needs --nbest)")
+    p.add_argument("--out", help="hypotheses JSON-lines output (default stdout)")
 
     p = sub.add_parser("rescore", help="second-pass rescoring of n-best lists")
     _add_common(p)
@@ -149,7 +151,7 @@ def _emit_lines(lines, out):
 def _load_stream_sources(spec):
     """Read each comma-separated posterior stream archive into
     ``{utt_id: PosteriorStream}``; every source must hold the same
-    utterances."""
+    utterances, and an archive that does not read fails by its path."""
     items = spec.split(",")
     sources = []
     for path in map(Path, items):
@@ -158,7 +160,10 @@ def _load_stream_sources(spec):
                                     "is one archive file (decode --save-streams PATH)")
         if not path.exists():
             raise FileNotFoundError(f"stream source {path} does not exist")
-        sources.append(pipeline.read_streams(path))
+        try:
+            sources.append(pipeline.read_streams(path))
+        except ContainerError as exc:
+            raise ContainerError(f"stream source {path}: {exc}") from None
     utts = set().union(*sources)
     if not utts:
         raise ValueError("stream sources hold no utterances")
@@ -245,25 +250,7 @@ def cmd_train_am(args):
     print(f"trained AM on {args.features}; cross-entropy {_trend(history, 'cross_entropy')}")
 
 
-def _check_nbest_out(args):
-    """``--nbest-out`` writes the lists of ``--nbest``; alone it fails."""
-    if args.nbest_out and not args.nbest:
-        raise ValueError(f"--nbest-out {args.nbest_out} needs --nbest N")
-
-
-def _decode(tasks, lexicon, vocab, args):
-    """Decode ``(utt_id, streams, weights)`` tasks with
-    ``pipeline.decode_utterances`` and write the hypotheses. With
-    ``--nbest`` each hypothesis heads an N-best list of that depth, and
-    the lists go to ``--nbest-out``."""
-    hyps, nbests = pipeline.decode_utterances(tasks, lexicon, vocab, args.nbest or 1)
-    if args.nbest_out:
-        _emit_lines([nb.to_json() for nb in nbests], args.nbest_out)
-    _emit_lines(_hyp_lines(hyps), args.out)
-
-
 def cmd_decode(args):
-    _check_nbest_out(args)
     cfg = _config(args)
     lexicon = Lexicon.load(args.lexicon)
     corpus = pipeline.Corpus(args.corpus)
@@ -274,18 +261,23 @@ def cmd_decode(args):
     streams = {r.utt_id: s for r, s in zip(records, stream_list)}
     if args.save_streams:
         pipeline.write_streams(args.save_streams, streams)
-    _decode([(u, [s], None) for u, s in streams.items()], lexicon, lexicon.vocab(), args)
+    hyps, _ = pipeline.decode_utterances([(u, [s], None) for u, s in streams.items()],
+                                         lexicon, lexicon.vocab())
+    _emit_lines(_hyp_lines(hyps), args.out)
 
 
 def cmd_joint_decode(args):
-    _check_nbest_out(args)
-    cfg = _config(args)
+    if args.nbest_out and not args.nbest:
+        raise ValueError(f"--nbest-out {args.nbest_out} needs --nbest N")
+    _config(args)  # validates the config file if given
     lexicon = Lexicon.load(args.lexicon)
-    vocab = lexicon.vocab()
     weights = parse_weight_ratio(args.weights, len(args.streams.split(",")), "--weights")
     sources = _load_stream_sources(args.streams)
     tasks = [(u, [src[u] for src in sources], weights) for u in sources[0]]
-    _decode(tasks, lexicon, vocab, args)
+    hyps, nbests = pipeline.decode_utterances(tasks, lexicon, lexicon.vocab(), args.nbest or 1)
+    if args.nbest_out:
+        _emit_lines([nb.to_json() for nb in nbests], args.nbest_out)
+    _emit_lines(_hyp_lines(hyps), args.out)
 
 
 def cmd_rescore(args):

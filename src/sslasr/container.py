@@ -1,9 +1,10 @@
-"""The package's one binary file format: a container of named arrays.
+"""The package's one binary file format: a container of named arrays of
+one payload type, float64.
 
-A parameter store (``params.ParameterStore``) is a container of float64
-tensors. A feature or posterior-stream archive (``features.write_archive``)
-is a container of float32 T x D matrices, one per utterance id. A feature
-file (``features.write_features``) is an archive of one matrix.
+A parameter store (``params.ParameterStore``) is a container of tensors.
+A posterior-stream archive (``pipeline.write_streams``) is a container of
+log-probability matrices, one per utterance id. A feature file
+(``features.write_features``) is a container of one matrix.
 
 Layout (little-endian):
 
@@ -11,7 +12,7 @@ Layout (little-endian):
     count          u32, number of entries
     count entries, each:
         name_len   u16, name utf-8 bytes (unique in the file)
-        itemsize   u8, 4 (float32) or 8 (float64), the same in every entry
+        itemsize   u8, always 8 (float64); an earlier float32 file is refused
         rank       u8, then dims u32 * rank
         payload    itemsize * prod(dims) bytes, C order
 
@@ -36,8 +37,7 @@ import numpy as np
 MAGIC = b"SNA2"
 _HEADER = struct.Struct("<4sI")  # magic, count
 _KIND = struct.Struct("<BB")  # itemsize, rank
-# the on-disk payload type of each itemsize
-_DTYPES = {4: np.dtype("<f4"), 8: np.dtype("<f8")}
+PAYLOAD = np.dtype("<f8")
 # the largest dim a u32 dims field holds
 MAX_DIM = 2**32 - 1
 
@@ -46,14 +46,12 @@ class ContainerError(ValueError):
     """Malformed container file."""
 
 
-def write(path, dtype, entries, what):
+def write(path, entries, what):
     """Write ``(name, array)`` entries to ``path`` as they come. Every
-    array is of ``dtype`` (float32 or float64, never converted). A name
-    given twice or longer than 65535 bytes, an array of another dtype or
-    a dim past the u32 range raises ValueError naming the entry as
-    ``what``, such as "utterance id"; ``path`` is then left as it was,
-    absent or whole."""
-    dtype = np.dtype(dtype)
+    array is float64 (never converted). A name given twice or longer than
+    65535 bytes, an array of another dtype or a dim past the u32 range
+    raises ValueError naming the entry as ``what``, such as "utterance
+    id"; ``path`` is then left as it was, absent or whole."""
     names = set()
     path = Path(path)
     tmp = path.with_name(f".{path.name}.tmp")
@@ -66,16 +64,16 @@ def write(path, dtype, entries, what):
                     raise ValueError(f"duplicate {what} {name!r}")
                 if len(raw) > 0xFFFF:
                     raise ValueError(f"{what} of {len(raw)} bytes is longer than 65535")
-                if arr.dtype != dtype:
+                if arr.dtype != np.float64:
                     raise ValueError(f"{what} {name!r}: {arr.dtype} payload, "
-                                     f"the file holds {dtype}")
+                                     "the file holds float64")
                 if max(arr.shape, default=0) > MAX_DIM:
                     raise ValueError(f"{what} {name!r}: dim {max(arr.shape)} of shape "
                                      f"{arr.shape} is larger than {MAX_DIM}")
                 names.add(name)
                 fh.write(struct.pack(f"<H{len(raw)}sBB{arr.ndim}I", len(raw), raw,
-                                     dtype.itemsize, arr.ndim, *arr.shape))
-                fh.write(arr.astype(_DTYPES[dtype.itemsize], copy=False).tobytes())
+                                     PAYLOAD.itemsize, arr.ndim, *arr.shape))
+                fh.write(arr.astype(PAYLOAD, copy=False).tobytes())
             fh.seek(0)
             fh.write(_HEADER.pack(MAGIC, len(names)))
         os.replace(tmp, path)
@@ -84,11 +82,10 @@ def write(path, dtype, entries, what):
         raise
 
 
-def read(path, dtype, what):
+def read(path, what):
     """``{name: array}`` of the container at ``path``, in file order,
-    each array a fresh one of ``dtype``. Messages name each entry by its
+    each array a fresh float64 one. Messages name each entry by its
     index and, once read, its name (``what``)."""
-    dtype = np.dtype(dtype)
     with open(path, "rb") as fh:
         blob = fh.read()
     if blob[:4] != MAGIC:
@@ -113,9 +110,9 @@ def read(path, dtype, what):
         if len(blob) < end + _KIND.size:
             raise ContainerError(f"{where}: truncated itemsize and rank")
         itemsize, rank = _KIND.unpack_from(blob, end)
-        if itemsize != dtype.itemsize:
+        if itemsize != PAYLOAD.itemsize:
             raise ContainerError(f"{where}: payload of {itemsize}-byte items, "
-                                 f"expected {dtype} ({dtype.itemsize}-byte)")
+                                 f"expected float64 ({PAYLOAD.itemsize}-byte)")
         off = end + _KIND.size + 4 * rank
         if len(blob) < off:
             raise ContainerError(f"{where}: truncated dims")
@@ -126,9 +123,9 @@ def read(path, dtype, what):
         if len(blob) - off < size:
             raise ContainerError(f"{where}: payload truncated to {len(blob) - off} bytes, "
                                  f"dims {dims} need {size}")
-        payload = np.frombuffer(blob, _DTYPES[itemsize], size // itemsize, off)
+        payload = np.frombuffer(blob, PAYLOAD, size // itemsize, off)
         try:
-            arrays[name] = payload.reshape(dims).astype(dtype)
+            arrays[name] = payload.reshape(dims).astype(np.float64)
         except ValueError as exc:  # too many dims, or a size numpy cannot hold
             raise ContainerError(f"{where}: unusable dims {dims}: {exc}") from None
         off += size

@@ -237,6 +237,19 @@ def synth_word(word_tones, cfg: CorpusConfig, speaker_factor, condition, rng):
     return AudioBuffer(np.clip(x, -1.0, 1.0))
 
 
+def _has_free_neighbour(seen_words, taken, n_tones):
+    """Whether an unseen draw can still add a word, drawing nothing: a
+    one-tone +-1 neighbour of a seen word that is in range, untaken and of
+    distinct tones."""
+    for word in seen_words:
+        for pos, tone in enumerate(word):
+            for t in (tone - 1, tone + 1):
+                seq = word[:pos] + (t,) + word[pos + 1:]
+                if 0 <= t < n_tones and seq not in taken and len(set(seq)) == len(seq):
+                    return True
+    return False
+
+
 def _sample_words(cfg, rng, n_unseen):
     """Tone sequences for the lexicon: the seen words are distinct random
     sequences; unseen words are one-tone perturbations of seen words
@@ -250,6 +263,11 @@ def _sample_words(cfg, rng, n_unseen):
             seen_words.append(seq)
     unseen_words = []
     while len(unseen_words) < n_unseen:
+        if not _has_free_neighbour(seen_words, taken, cfg.n_tones):
+            raise ValueError(
+                f"no free one-tone neighbour of the {len(seen_words)} seen words is left "
+                f"for unseen word {len(unseen_words) + 1} of {n_unseen}: lower "
+                "corpus.unseen_fraction or raise corpus.n_tones")
         base = list(seen_words[rng.integers(len(seen_words))])
         pos = int(rng.integers(len(base)))
         step = 1 if base[pos] == 0 else (-1 if base[pos] == cfg.n_tones - 1

@@ -84,8 +84,9 @@ class PosteriorStream:
 
     def __post_init__(self):
         self.logp = np.asarray(self.logp, dtype=np.float64)
-        if self.logp.ndim != 2:
-            raise ValueError("posterior stream must be a T x (V+1) matrix")
+        if self.logp.ndim != 2 or self.logp.shape[0] < 1 or self.logp.shape[1] < 2:
+            raise ValueError("posterior stream must be a T x (V+1) matrix with T, V >= 1, "
+                             f"got shape {self.logp.shape}")
         if np.isnan(self.logp).any() or (self.logp == np.inf).any():
             raise ValueError("posterior entries must be finite or -inf")
         norm = _row_logsumexp(self.logp)

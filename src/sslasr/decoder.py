@@ -208,9 +208,14 @@ def isolated_nbest_batch(streams, lexicon: Lexicon, vocab: TokenVocab, n, utt_id
     (``ctc._ctc_costs``); the streams may differ in length. Words are
     ranked by isolated alignment cost, ties going to the lowest lexicon
     index; each entry's cost is its alignment cost. Infeasible words get
-    +inf cost and sort last (kept so rescoring sees a fixed-size list)."""
+    +inf cost and sort last (kept so rescoring sees a fixed-size list).
+    A stream not of ``vocab.width`` raises DecodeError naming it."""
     if len(utt_ids) != len(streams):
         raise ValueError(f"{len(streams)} streams but {len(utt_ids)} utterance ids")
+    for utt_id, stream in zip(utt_ids, streams):
+        if stream.width != vocab.width:
+            raise DecodeError(f"utterance {utt_id!r}: stream of width {stream.width}, "
+                              f"the lexicon's vocabulary has width {vocab.width}")
     words = [np.array(vocab.ids_of(e.tokens), dtype=np.int64) for e in lexicon.entries]
     costs = _ctc_costs([s.logp for s in streams], [words] * len(streams), np.maximum)
     return [NBestList(utt_id, [NBestEntry(list(lexicon.entries[i].tokens),

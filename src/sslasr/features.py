@@ -1,4 +1,4 @@
-"""Log-mel filterbank frontend, stream fusion, and feature archives.
+"""Log-mel filterbank frontend, stream fusion, and feature files.
 
 The frame contract: audio is 16 kHz (``SAMPLE_RATE``), and ``read_wav``
 rejects a file at any other rate. The filterbank's window is 25 ms
@@ -8,9 +8,12 @@ filterbank's hop are all 10 ms (``FRAME_SHIFT_US``), so streams fuse frame
 by frame. Nothing is resampled, and no stream or file carries its shift:
 every ``FeatureMatrix`` is at ``FRAME_SHIFT_US``.
 
-Feature archives and feature files are containers of float32 matrices
-(``container``, which describes the byte layout); a malformed one raises
-``container.ContainerError``.
+Features are computed from the models, never read from an archive. A
+``FeatureMatrix`` stays float32: every trained acoustic model and every
+hypothesis is made from features rounded to it. A feature file, kept
+while benchmark metrics name ``write_features``/``read_features``, is a
+container of one float64 matrix (``container``), read back as the same
+float32 matrix; a malformed one raises ``container.ContainerError``.
 """
 
 from __future__ import annotations
@@ -65,11 +68,7 @@ class AudioBuffer:
 
 @dataclass
 class FeatureMatrix:
-    """T x D frame features at FRAME_SHIFT_US.
-
-    Values are kept as float32, the on-disk payload type, so file round
-    trips are bit exact.
-    """
+    """T x D frame features at FRAME_SHIFT_US, kept as float32."""
 
     data: np.ndarray
 
@@ -162,42 +161,23 @@ def fuse_features(streams) -> FeatureMatrix:
     return FeatureMatrix(np.concatenate([s.data[:t_min] for s in streams], axis=1))
 
 
-def write_archive(path, items):
-    """Write ``(utt_id, FeatureMatrix)`` pairs to one archive file, an
-    entry at a time, so a generator's matrices need not all be held. A
-    repeated id raises ValueError naming it."""
-    container.write(path, np.float32, ((utt_id, f.data) for utt_id, f in items),
-                    "utterance id")
-
-
-def _matrices(arrays):
-    """``{utt_id: FeatureMatrix}`` of a container's arrays."""
-    out = {}
-    for i, (utt_id, data) in enumerate(arrays.items()):
-        try:
-            out[utt_id] = FeatureMatrix(data)
-        except ValueError as exc:  # not T x D, or a non-finite payload
-            raise container.ContainerError(f"entry {i} ({utt_id!r}): {exc}") from None
-    return out
-
-
-def read_archive(path) -> dict[str, FeatureMatrix]:
-    """Read an archive into ``{utt_id: FeatureMatrix}``, in file order."""
-    return _matrices(container.read(path, np.float32, "utterance id"))
-
-
 def write_features(f: FeatureMatrix, path):
-    """Write one matrix as an archive of one entry, named ""."""
-    container.write(path, np.float32, [("", f.data)], "utterance id")
+    """Write one matrix as a container of one float64 entry, named ""."""
+    container.write(path, [("", f.data.astype(np.float64))], "utterance id")
 
 
 def read_features(path) -> FeatureMatrix:
-    """Read the matrix of an archive of one entry, whatever its name."""
-    archive = _matrices(container.read(path, np.float32, "utterance id"))
-    if len(archive) != 1:
+    """Read the matrix of a container of one entry, whatever its name."""
+    arrays = container.read(path, "utterance id")
+    if len(arrays) != 1:
         raise container.ContainerError("a feature file holds one matrix, "
-                                       f"this one {len(archive)}")
-    return next(iter(archive.values()))
+                                       f"this one {len(arrays)}")
+    ((name, data),) = arrays.items()
+    try:
+        with np.errstate(over="ignore"):  # past float32's range: inf, refused below
+            return FeatureMatrix(data)
+    except ValueError as exc:  # not T x D, or a non-finite payload
+        raise container.ContainerError(f"entry 0 ({name!r}): {exc}") from None
 
 
 def read_wav(path) -> AudioBuffer:

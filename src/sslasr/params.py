@@ -1,8 +1,7 @@
 """Named-parameter store and the Adam optimizer.
 
-A store file is a container of float64 tensors (``container``, which
-describes the byte layout); a malformed one raises
-``container.ContainerError``.
+A store file is a container of tensors (``container``, which describes
+the byte layout); a malformed one raises ``container.ContainerError``.
 
 The optimizer is Adam, configured by one mapping, ``{"optimizer": "adam",
 "lr": rate}`` (``OPTIMIZER_DEFAULTS``), which ``make_optimizer`` and the
@@ -67,13 +66,12 @@ class ParameterStore:
             param.value[...] = value
 
     def save(self, path):
-        container.write(path, np.float64, ((name, np.asarray(value, np.float64))
-                                           for name, value in self.tensors.items()),
-                        "tensor name")
+        container.write(path, ((name, np.asarray(value, np.float64))
+                               for name, value in self.tensors.items()), "tensor name")
 
     @classmethod
     def load(cls, path):
-        return cls(container.read(path, np.float64, "tensor name"))
+        return cls(container.read(path, "tensor name"))
 
 
 class Adam:

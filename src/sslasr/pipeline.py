@@ -9,7 +9,7 @@ a joint system's weighted streams alike are tasks of one call. The CLI's
 ``decode`` computes a single system's streams from the models
 (``build_feature_fn`` and ``FrameAm.posteriors``) and may save them
 (``write_streams``); its ``joint-decode`` reads saved streams
-(``read_streams``), one system's or several. One call decodes an
+(``read_streams``) bit for bit, one system's or several. One call decodes an
 isolated-word test set in batched lattice passes, one window of
 ``ctc.LATTICE_WINDOW`` utterances each (``decoder.isolated_nbest_batch``).
 Every rescoring pass goes through
@@ -35,6 +35,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import container
 from .bottleneck import BottleneckAdapter, train_adapter
 from .config import (
     am_config,
@@ -44,7 +45,7 @@ from .config import (
     mdn_config,
 )
 from .corpus import Manifest, gen_synth_corpus, partition_report
-from .ctc import PosteriorStream, _row_logsumexp
+from .ctc import PosteriorStream
 from .decoder import (
     Lexicon,
     best_hypothesis,
@@ -58,9 +59,7 @@ from .features import (
     FeatureMatrix,
     compute_fbank,
     fuse_features,
-    read_archive,
     read_wav,
-    write_archive,
 )
 from .frame_am import FrameAm, train_am, uniform_alignment
 from .inversion import MdnModel, mdn_predict, train_inversion
@@ -279,18 +278,23 @@ def build_feature_fn(corpus, kind, model=None, adapter=None, mdn_model=None):
 
 
 def write_streams(path, streams):
-    """Write ``{utt_id: PosteriorStream}`` to one feature archive, log
-    probabilities as each payload (float32)."""
-    write_archive(path, ((utt_id, FeatureMatrix(s.logp)) for utt_id, s in streams.items()))
+    """Write ``{utt_id: PosteriorStream}`` to one container, each entry a
+    stream's float64 log probabilities as they are."""
+    container.write(path, ((utt_id, s.logp) for utt_id, s in streams.items()),
+                    "utterance id")
 
 
 def read_streams(path) -> dict[str, PosteriorStream]:
-    """Read the ``{utt_id: PosteriorStream}`` that ``write_streams`` wrote."""
+    """Read the ``{utt_id: PosteriorStream}`` that ``write_streams`` wrote,
+    bit for bit. An entry that is not a ``PosteriorStream`` raises
+    ContainerError naming its index and utterance id; nothing is
+    renormalised."""
     streams = {}
-    for utt_id, feats in read_archive(path).items():
-        logp = feats.data.astype(np.float64)
-        # float32 storage rounds the rows; renormalize exactly
-        streams[utt_id] = PosteriorStream(logp - _row_logsumexp(logp)[:, None])
+    for i, (utt_id, logp) in enumerate(container.read(path, "utterance id").items()):
+        try:
+            streams[utt_id] = PosteriorStream(logp)
+        except ValueError as exc:
+            raise container.ContainerError(f"entry {i} ({utt_id!r}): {exc}") from None
     return streams
 
 

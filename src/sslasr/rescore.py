@@ -8,7 +8,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from .ctc import NBestList, TokenVocab, _check_target, _ctc_costs
+from .ctc import NBestList, TokenVocab, _ctc_costs
 from .decoder import Hypothesis, check_weights
 
 
@@ -21,11 +21,15 @@ def score_nbest_with_ssl(nbests, ssl_streams, vocab: TokenVocab):
     on its own SSL stream, lists and streams paired in order, scored in
     log-semiring lattice passes over windows of lists (``ctc._ctc_costs``).
     A shorter list's missing costs are +inf, as is the cost of an entry
-    that cannot be aligned in its stream."""
+    that cannot be aligned in its stream. A stream not of ``vocab.width``
+    raises RescoreError naming its list's utterance."""
     if len(nbests) != len(ssl_streams):
         raise RescoreError(f"{len(nbests)} n-best lists but {len(ssl_streams)} SSL streams")
-    targets = [[_check_target(vocab.ids_of(e.tokens), stream.width) for e in nbest.entries]
-               for nbest, stream in zip(nbests, ssl_streams)]
+    for nbest, stream in zip(nbests, ssl_streams):
+        if stream.width != vocab.width:
+            raise RescoreError(f"utterance {nbest.utt_id!r}: SSL stream of width "
+                               f"{stream.width}, the vocabulary has width {vocab.width}")
+    targets = [[vocab.ids_of(e.tokens) for e in nbest.entries] for nbest in nbests]
     return _ctc_costs([stream.logp for stream in ssl_streams], targets, np.logaddexp)
 
 

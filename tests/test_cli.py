@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from sslasr import cli, pipeline
+from sslasr import cli, container, pipeline
 from sslasr.cli import main
 from sslasr.config import load_config
 from sslasr.ctc import NBestList, PosteriorStream
@@ -22,6 +22,8 @@ from sslasr.decoder import (
 from sslasr.encoder import SslEncoder
 from sslasr.features import compute_fbank
 from sslasr.rescore import rescore_hypotheses
+
+from containers import container_blob, entry
 
 
 @pytest.fixture(scope="module")
@@ -113,8 +115,8 @@ class TestUsageErrors:
         assert err.value.code == 2
 
     @pytest.mark.parametrize("argv", [
-        ["decode", "--lexicon", "l", "--corpus", "c", "--am", "a", "--nbest", "0"],
-        ["decode", "--lexicon", "l", "--corpus", "c", "--am", "a", "--nbest", "-3"],
+        ["joint-decode", "--lexicon", "l", "--streams", "a", "--weights", "1", "--nbest", "-3"],
+        ["joint-decode", "--lexicon", "l", "--streams", "a", "--weights", "1", "--nbest", "1.5"],
         ["joint-decode", "--lexicon", "l", "--streams", "a,b", "--weights", "1:1",
          "--nbest", "0"],
         ["joint-decode", "--lexicon", "l", "--streams", "a,b", "--weights", "1:1",
@@ -246,9 +248,7 @@ class TestDecodeContract:
         rc = main(["decode", "--config", cfg, "--corpus", str(corpus),
                    "--am", str(root / "am_fbk.spm"), "--features", "fbk",
                    "--lexicon", str(corpus / "lexicon.json"),
-                   "--save-streams", str(streams),
-                   "--nbest", "5", "--nbest-out", str(tmp_path / "nb.jsonl"),
-                   "--out", str(hyp)])
+                   "--save-streams", str(streams), "--out", str(hyp)])
         assert rc == 0
         lines = [json.loads(line) for line in hyp.read_text().splitlines()]
         assert lines and all({"utt_id", "words", "tokens", "cost"} <= set(d) for d in lines)
@@ -376,17 +376,63 @@ class TestDecodeErrors:
         assert "lexicon keys that nothing reads: ['mode']" in capsys.readouterr().err
         assert not (tmp_path / "never.jsonl").exists()
 
-    @pytest.mark.parametrize("command", ["decode", "joint-decode"])
-    def test_nbest_out_needs_nbest(self, workdir, saved_streams, tmp_path, capsys, command):
-        root, corpus, cfg = workdir
-        inputs = (["--streams", f"{saved_streams},{saved_streams}", "--weights", "1:1"]
-                  if command == "joint-decode"
-                  else ["--corpus", str(corpus), "--am", str(root / "am_fbk.spm")])
-        argv = [command, "--config", cfg, "--lexicon", str(corpus / "lexicon.json"), *inputs,
+    def test_nbest_out_needs_nbest(self, workdir, saved_streams, tmp_path, capsys):
+        _, corpus, cfg = workdir
+        argv = ["joint-decode", "--config", cfg, "--lexicon", str(corpus / "lexicon.json"),
+                "--streams", f"{saved_streams},{saved_streams}", "--weights", "1:1",
                 "--nbest-out", str(tmp_path / "nb.jsonl"), "--out", str(tmp_path / "never.jsonl")]
         assert main(argv) == 1
         assert f"--nbest-out {tmp_path / 'nb.jsonl'} needs --nbest N" in (
             capsys.readouterr().err)
+        assert not (tmp_path / "never.jsonl").exists()
+
+    @pytest.mark.parametrize("flag", ["--nbest", "--nbest-out"])
+    def test_decode_writes_no_nbest(self, workdir, tmp_path, capsys, flag):
+        """``joint-decode`` is the one writer of N-best lists: ``decode``'s
+        parser names either flag as unknown, and its help sends N-best
+        lists to ``joint-decode``."""
+        root, corpus, cfg = workdir
+        with pytest.raises(SystemExit) as err:
+            main(["decode", "--config", cfg, "--lexicon", str(corpus / "lexicon.json"),
+                  "--corpus", str(corpus), "--am", str(root / "am_fbk.spm"), flag, "5",
+                  "--out", str(tmp_path / "never.jsonl")])
+        assert err.value.code == 2
+        assert f"unrecognized arguments: {flag} 5" in capsys.readouterr().err
+        assert not (tmp_path / "never.jsonl").exists()
+        with pytest.raises(SystemExit):
+            main(["decode", "--help"])
+        usage = " ".join(capsys.readouterr().out.split())
+        assert "joint-decode --streams PATH --weights 1 --nbest N" in usage
+        assert "--nbest" not in usage.replace("joint-decode --streams PATH --weights 1 "
+                                              "--nbest N", "")
+
+    @pytest.mark.parametrize("bad", ["unnormalised", "float32"])
+    def test_archive_that_holds_no_streams_named(self, workdir, saved_streams, tmp_path,
+                                                 capsys, bad):
+        """``joint-decode`` decodes an archive's streams as they are: rows
+        that do not log-sum-exp to 0 and a float32 payload fail by source
+        and entry, and nothing is renormalised."""
+        _, corpus, cfg = workdir
+        streams = pipeline.read_streams(saved_streams)
+        utt_id = sorted(streams)[1]
+        bad_path = tmp_path / "bad"
+        if bad == "unnormalised":
+            entries = [(u, s.logp + (0.01 if u == utt_id else 0.0)) for u, s in streams.items()]
+            container.write(bad_path, entries, "utterance id")
+            index = list(streams).index(utt_id)
+            error = (f"stream source {bad_path}: entry {index} ({utt_id!r}): rows must "
+                     "log-sum-exp to 0 within 1e-6 (worst 0.01)")
+        else:
+            logp = streams[utt_id].logp
+            bad_path.write_bytes(container_blob([entry(utt_id.encode(), logp.shape,
+                                                       logp.astype("<f4").tobytes(), 4)]))
+            error = (f"stream source {bad_path}: entry 0 ({utt_id!r}): payload of 4-byte "
+                     "items, expected float64 (8-byte)")
+        rc = main(["joint-decode", "--config", cfg, "--lexicon", str(corpus / "lexicon.json"),
+                   "--streams", f"{saved_streams},{bad_path}", "--weights", "1:1",
+                   "--out", str(tmp_path / "never.jsonl")])
+        assert rc == 1
+        assert capsys.readouterr().err == f"error: {error}\n"
         assert not (tmp_path / "never.jsonl").exists()
 
     def test_directory_source_named(self, workdir, tmp_path, capsys):
@@ -584,11 +630,13 @@ class TestJointAndRescore:
         root, corpus, cfg = workdir
         s1 = tmp_path / "s1"
         nb = tmp_path / "nb.jsonl"
-        main(["decode", "--config", cfg, "--corpus", str(corpus),
-              "--am", str(root / "am_fbk.spm"), "--features", "fbk",
-              "--lexicon", str(corpus / "lexicon.json"),
-              "--save-streams", str(s1), "--nbest", "5", "--nbest-out", str(nb),
-              "--out", str(tmp_path / "h1.jsonl")])
+        assert main(["decode", "--config", cfg, "--corpus", str(corpus),
+                     "--am", str(root / "am_fbk.spm"), "--features", "fbk",
+                     "--lexicon", str(corpus / "lexicon.json"),
+                     "--save-streams", str(s1), "--out", str(tmp_path / "h1.jsonl")]) == 0
+        assert main(["joint-decode", "--config", cfg, "--lexicon", str(corpus / "lexicon.json"),
+                     "--streams", str(s1), "--weights", "1", "--nbest", "5",
+                     "--nbest-out", str(nb), "--out", str(tmp_path / "h2.jsonl")]) == 0
         out = tmp_path / "rescored.jsonl"
         rc = main(["rescore", "--config", cfg, "--nbest", str(nb),
                    "--corpus", str(corpus), "--model", str(root / "ft.spm"),
@@ -606,10 +654,13 @@ class TestRescoreWindows:
     @pytest.fixture
     def nbest_file(self, workdir, tmp_path, monkeypatch):
         root, corpus, cfg = workdir
-        nb = tmp_path / "nb.jsonl"
+        nb, streams = tmp_path / "nb.jsonl", tmp_path / "streams"
         assert main(["decode", "--config", cfg, "--corpus", str(corpus),
                      "--am", str(root / "am_fbk.spm"), "--features", "fbk",
-                     "--lexicon", str(corpus / "lexicon.json"), "--nbest", "4",
+                     "--lexicon", str(corpus / "lexicon.json"), "--save-streams", str(streams),
+                     "--out", str(tmp_path / "h.jsonl")]) == 0
+        assert main(["joint-decode", "--config", cfg, "--lexicon", str(corpus / "lexicon.json"),
+                     "--streams", str(streams), "--weights", "1", "--nbest", "4",
                      "--nbest-out", str(nb), "--out", str(tmp_path / "h.jsonl")]) == 0
         monkeypatch.setattr(cli, "LATTICE_WINDOW", 4)
         return nb
@@ -751,6 +802,66 @@ class TestBatchedDecodeOutputs:
             head, d = nbest.entries[0], json.loads(line)
             assert (d["utt_id"], d["words"], d["tokens"], d["cost"]) == (
                 nbest.utt_id, head.words, head.tokens, head.cost)
+
+
+class TestSavedStreamsAreTheStreams:
+    """``decode --save-streams`` archives hold the computed streams exactly,
+    so decoding them gives the bytes an in-process decode of the computed
+    streams gives: the joint system and its N-best lists, and each single
+    system again, whose N-best heads are ``decode``'s hypotheses."""
+
+    def test_joint_and_single_decodes_equal_in_memory(self, workdir, tmp_path):
+        root, corpus, cfg = workdir
+        models = ["--model", str(root / "ft.spm"), "--adapter", str(root / "adapter.spm")]
+        lexicon = ["--lexicon", str(corpus / "lexicon.json")]
+        with_corpus = ["--config", cfg, "--corpus", str(corpus)]
+        am_fused = tmp_path / "am_fused.spm"
+        assert main(["train-am", *with_corpus, "--features", "fbk+w2v-bn", *models,
+                     "--out", str(am_fused)]) == 0
+        systems = {"fbk": (root / "am_fbk.spm", []), "fused": (am_fused, models)}
+        for name, (am, flags) in systems.items():
+            assert main(["decode", *with_corpus, *lexicon, "--am", str(am),
+                         "--features", "fbk" if name == "fbk" else "fbk+w2v-bn", *flags,
+                         "--save-streams", str(tmp_path / f"post_{name}"),
+                         "--out", str(tmp_path / f"{name}.jsonl")]) == 0
+        hyp, nb = tmp_path / "joint.jsonl", tmp_path / "nb.jsonl"
+        assert main(["joint-decode", "--config", cfg, *lexicon, "--streams",
+                     f"{tmp_path / 'post_fused'},{tmp_path / 'post_fbk'}", "--weights", "3:2",
+                     "--nbest", "20", "--nbest-out", str(nb), "--out", str(hyp)]) == 0
+
+        # the same streams computed in this process, as decode computes them
+        loaded, c = load_config(cfg), pipeline.Corpus(corpus)
+        model = pipeline.load_encoder(loaded, root / "ft.spm")
+        adapter = pipeline.load_adapter(loaded, model.cfg.d_model, root / "adapter.spm")
+        records = sorted(c.manifest.subset("test-seen", "test-unseen"), key=lambda r: r.utt_id)
+        ids = [r.utt_id for r in records]
+        computed = {}
+        for name, kind in (("fbk", "fbk"), ("fused", "fbk+w2v-bn")):
+            am = pipeline.load_am(loaded, systems[name][0])
+            fn = pipeline.build_feature_fn(c, kind, model=model, adapter=adapter)
+            computed[name] = [s for feats in fn(records) for s in am.posteriors(feats)]
+        weights = parse_weight_ratio("3:2", 2, "--weights")
+        tasks = [(u, [fused, fbk], weights)
+                 for u, fused, fbk in zip(ids, computed["fused"], computed["fbk"])]
+        hyps, nbests = pipeline.decode_utterances(tasks, c.lexicon, c.vocab, 20)
+        assert hyp.read_text() == _json_lines(hyps)
+        assert nb.read_text() == _json_lines(nbests)
+
+        for name in systems:
+            single_hyp, single_nb = tmp_path / f"{name}_1.jsonl", tmp_path / f"{name}_nb.jsonl"
+            assert main(["joint-decode", "--config", cfg, *lexicon,
+                         "--streams", str(tmp_path / f"post_{name}"), "--weights", "1",
+                         "--nbest", "20", "--nbest-out", str(single_nb),
+                         "--out", str(single_hyp)]) == 0
+            decoded = (tmp_path / f"{name}.jsonl").read_text()
+            assert single_hyp.read_text() == decoded
+            heads = [json.loads(line)["entries"][0] for line in single_nb.read_text().splitlines()]
+            assert [{k: d[k] for k in ("words", "tokens", "cost")}
+                    for d in map(json.loads, decoded.splitlines())] == heads
+            hyps, nbests = pipeline.decode_utterances(
+                [(u, [s], None) for u, s in zip(ids, computed[name])], c.lexicon, c.vocab, 20)
+            assert decoded == _json_lines(hyps)
+            assert single_nb.read_text() == _json_lines(nbests)
 
 
 class TestScore:

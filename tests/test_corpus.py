@@ -2,12 +2,15 @@ import filecmp
 import itertools
 import json
 import math
+import signal
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sslasr import pipeline
+from sslasr.config import load_config
 from sslasr.corpus import (
     CorpusConfig,
     Manifest,
@@ -84,6 +87,30 @@ class TestGeneration:
         with pytest.raises(ValueError, match="infeasible"):
             gen_synth_corpus(tmp_path, corpus_config(n_words=10, unseen_fraction=0.01),
                              seed=0)
+
+    def test_no_free_unseen_neighbour_named(self, tmp_path):
+        """Seed 4 draws the seen words (4,) and (5,): only tone 3 is a free
+        neighbour, for two unseen words. Generation names the settings
+        instead of drawing forever; the alarm turns a hang into a failure."""
+        cfg = load_config(overrides={"seed": 4, "corpus": {
+            "n_words": 4, "unseen_fraction": 0.5, "n_tones": 6, "tones_per_word": 1,
+            "n_speakers": 1, "train_reps": {"source": 1, "target": 0},
+            "test_reps": {"source": 1, "target": 0}}})
+
+        def hang(signum, frame):
+            raise TimeoutError("corpus generation still drawing after 5 s")
+
+        previous = signal.signal(signal.SIGALRM, hang)
+        signal.alarm(5)
+        try:
+            with pytest.raises(ValueError, match=r"no free one-tone neighbour of the 2 seen "
+                                                 r"words is left for unseen word 2 of 2: lower "
+                                                 r"corpus.unseen_fraction or raise "
+                                                 r"corpus.n_tones"):
+                pipeline.generate_corpus(tmp_path, cfg)
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
 
     def test_small_word_count_rejected(self):
         with pytest.raises(ValueError, match="at least 4"):

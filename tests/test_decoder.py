@@ -185,6 +185,27 @@ class TestIsolatedNbestBatch:
                                  1, [])
 
 
+SIX = Lexicon([LexiconEntry(f"w{i}", (t,)) for i, t in enumerate("abcdef")])
+
+
+class TestStreamWidth:
+    """A stream is decoded only at its lexicon's vocabulary width (6 tokens
+    and blank here): narrower, mixed and wider streams fail by name."""
+
+    @pytest.mark.parametrize("widths, utt, width", [
+        ((4, 4), "u0", 4),
+        ((7, 8), "u1", 8),
+        ((9,), "u0", 9),
+    ], ids=["narrow", "mixed", "wide"])
+    def test_other_width_named(self, widths, utt, width):
+        rng = np.random.default_rng(5)
+        streams = [rand_stream(4, w - 1, rng) for w in widths]
+        ids = [f"u{i}" for i in range(len(streams))]
+        with pytest.raises(DecodeError, match=f"^utterance '{utt}': stream of width {width}, "
+                                              "the lexicon's vocabulary has width 7$"):
+            isolated_nbest_batch(streams, SIX, SIX.vocab(), 2, ids)
+
+
 GOOD_LEXICON = {"alphabet": ["a", "b"],
                 "words": [{"word": "one", "tokens": ["a", "b"]},
                           {"word": "two", "tokens": ["b"]}]}

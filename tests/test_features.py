@@ -8,7 +8,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from sslasr import container
 from sslasr.container import ContainerError
+from sslasr.ctc import PosteriorStream
 from sslasr.features import (
     AudioBuffer,
     FBANK_FLOOR,
@@ -21,14 +23,13 @@ from sslasr.features import (
     hz_to_mel,
     mel_filterbank,
     mel_to_hz,
-    read_archive,
     read_features,
     read_wav,
-    write_archive,
     write_features,
     write_wav,
 )
 from sslasr.params import ParameterStore
+from sslasr.pipeline import read_streams, write_streams
 
 from containers import container_blob, entry, reader_fuzz
 from oracles import reference_fbank
@@ -153,11 +154,17 @@ class TestFeatureFile:
         with pytest.raises(ContainerError, match="trailing"):
             read_features(path)
 
+    def test_stored_as_float64(self, tmp_path):
+        path = tmp_path / "m.sff"
+        f = FeatureMatrix(np.array([[0.1, -2.5]], dtype=np.float32))
+        write_features(f, path)
+        (data,) = container.read(path, "utterance id").values()
+        assert data.dtype == np.float64 and np.array_equal(data, f.data)
+
     @pytest.mark.parametrize("n", [0, 2])
     def test_one_matrix_per_file(self, n, tmp_path):
         path = tmp_path / "set.sfa"
-        write_archive(path, [(f"u{i}", FeatureMatrix(np.ones((1, 1))))
-                             for i in range(n)])
+        container.write(path, [(f"u{i}", np.ones((1, 1))) for i in range(n)], "utterance id")
         with pytest.raises(ContainerError, match=f"holds one matrix, this one {n}"):
             read_features(path)
 
@@ -170,11 +177,11 @@ def load_blob(blob):
 
 
 def sff_blob(rows, cols, name=b"", payload=None):
-    """A feature file: one float32 ``rows`` x ``cols`` entry."""
+    """A feature file: one float64 ``rows`` x ``cols`` entry."""
     return container_blob([entry(name, (rows, cols), payload)])
 
 
-VALID_BLOB = sff_blob(3, 2, payload=np.arange(6, dtype="<f4").tobytes())
+VALID_BLOB = sff_blob(3, 2, payload=np.arange(6, dtype="<f8").tobytes())
 
 
 class TestFeatureFileRobustness:
@@ -193,9 +200,16 @@ class TestFeatureFileRobustness:
 
     @pytest.mark.parametrize("value", [np.nan, np.inf])
     def test_non_finite_payload(self, value):
-        payload = np.array([1.0, value], dtype="<f4").tobytes()
+        payload = np.array([1.0, value], dtype="<f8").tobytes()
         with pytest.raises(ContainerError, match="non-finite"):
             load_blob(sff_blob(1, 2, payload=payload))
+
+    def test_float32_file_refused(self):
+        """A feature file of the earlier float32 payload fails by entry."""
+        blob = container_blob([entry(b"", (1, 2), bytes(8), itemsize=4)])
+        with pytest.raises(ContainerError, match=r"entry 0 \(''\): payload of 4-byte items, "
+                                                 r"expected float64 \(8-byte\)"):
+            load_blob(blob)
 
 
 def archive_blob(entries, count=None):
@@ -210,40 +224,49 @@ def load_archive_blob(blob):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "blob.sfa"
         path.write_bytes(blob)
-        archive = read_archive(path)
-        write_archive(path, archive.items())
+        archive = read_streams(path)
+        write_streams(path, archive)
         assert path.read_bytes() == blob
         return archive
 
 
-U1 = entry(b"u1", (3, 2), np.arange(6, dtype="<f4").tobytes())
-VALID_ARCHIVE = archive_blob([U1, entry(b"u2", (1, 2))])
+def log_softmax(x):
+    return x - np.log(np.exp(x).sum(axis=1, keepdims=True))
+
+
+U1 = entry(b"u1", (3, 2), log_softmax(np.arange(6.0).reshape(3, 2)).tobytes())
+VALID_ARCHIVE = archive_blob([U1, entry(b"u2", (1, 2), np.log([0.25, 0.75]).tobytes())])
 
 
 class TestFeatureArchive:
+    """The one archive of utterance matrices is the posterior-stream archive
+    (``pipeline.write_streams``/``read_streams``) since feature archives
+    went: a malformed one fails by name, and a read one writes back the
+    same bytes."""
+
     (test_every_truncation_is_named, test_bit_flip_loads_or_is_named,
      test_random_blob_loads_or_is_named) = reader_fuzz(VALID_ARCHIVE, load_archive_blob)
 
     @given(
-        shapes=st.lists(st.tuples(st.integers(1, 6), st.integers(1, 4)), max_size=5),
+        shapes=st.lists(st.tuples(st.integers(1, 6), st.integers(2, 4)), max_size=5),
     )
     @settings(max_examples=30, deadline=None)
     def test_round_trip_bit_exact(self, shapes, tmp_path_factory):
         rng = np.random.default_rng(len(shapes))
-        items = [(f"utt{i}\u00e9", FeatureMatrix(rng.normal(size=shape).astype(np.float32)))
-                 for i, shape in enumerate(shapes)]
+        items = {f"utt{i}\u00e9": PosteriorStream(log_softmax(rng.normal(size=shape)))
+                 for i, shape in enumerate(shapes)}
         path = tmp_path_factory.mktemp("fa") / "set.sfa"
-        write_archive(path, iter(items))
-        back = read_archive(path)
-        assert list(back) == [utt_id for utt_id, _ in items]
-        for (_, f), g in zip(items, back.values()):
-            assert np.array_equal(f.data, g.data) and g.data.dtype == np.float32
-            assert g.data.flags.writeable  # a fresh array, not a view of the file's bytes
+        write_streams(path, items)
+        back = read_streams(path)
+        assert list(back) == list(items)
+        for f, g in zip(items.values(), back.values()):
+            assert f.logp.tobytes() == g.logp.tobytes() and g.logp.dtype == np.float64
+            assert g.logp.flags.writeable  # a fresh array, not a view of the file's bytes
 
     def test_valid_blob_loads(self):
         archive = load_archive_blob(VALID_ARCHIVE)
         assert list(archive) == ["u1", "u2"]
-        assert archive["u1"].data.shape == (3, 2)
+        assert archive["u1"].logp.shape == (3, 2)
 
     def test_bad_magic(self):
         with pytest.raises(ContainerError, match="magic"):
@@ -259,9 +282,9 @@ class TestFeatureArchive:
     def test_store_is_not_an_archive(self, tmp_path):
         path = tmp_path / "m.spm"
         ParameterStore({"lin.w": np.ones((2, 3))}).save(path)
-        with pytest.raises(ContainerError, match=r"entry 0 \('lin.w'\): payload of 8-byte "
-                                                 r"items, expected float32"):
-            read_archive(path)
+        with pytest.raises(ContainerError, match=r"entry 0 \('lin.w'\): rows must "
+                                                 r"log-sum-exp to 0"):
+            read_streams(path)
 
     def test_truncated_header(self):
         with pytest.raises(ContainerError, match="archive header"):
@@ -302,18 +325,19 @@ class TestFeatureArchive:
     @pytest.mark.parametrize("utt_ids, message", [(["a", "a"], "duplicate utterance id"),
                                                   (["x" * 2**16], "longer than 65535")])
     def test_writer_rejects_unreadable_ids(self, utt_ids, message, tmp_path):
-        f = FeatureMatrix(np.ones((1, 1)))
+        # a dict cannot repeat an id, so the pairs go to the container writer
+        logp = np.log([[0.5, 0.5]])
         with pytest.raises(ValueError, match=message):
-            write_archive(tmp_path / "bad.sfa", [(u, f) for u in utt_ids])
+            container.write(tmp_path / "bad.sfa", [(u, logp) for u in utt_ids], "utterance id")
         assert not any(tmp_path.iterdir())  # no partial file, no temporary left
 
-    def test_writer_names_a_float64_entry(self, tmp_path):
-        f = FeatureMatrix(np.ones((1, 1)))
-        wide = FeatureMatrix(np.ones((1, 1)))
-        wide.data = wide.data.astype(np.float64)
-        with pytest.raises(ValueError, match="utterance id 'b': float64 payload, the file "
-                                             "holds float32"):
-            write_archive(tmp_path / "bad.sfa", [("a", f), ("b", wide)])
+    def test_writer_names_a_float32_entry(self, tmp_path):
+        f = PosteriorStream(np.log([[0.5, 0.5]]))
+        narrow = PosteriorStream(np.log([[0.5, 0.5]]))
+        narrow.logp = narrow.logp.astype(np.float32)
+        with pytest.raises(ValueError, match="utterance id 'b': float32 payload, the file "
+                                             "holds float64"):
+            write_streams(tmp_path / "bad.sfa", {"a": f, "b": narrow})
         assert not any(tmp_path.iterdir())  # no partial file, no temporary left
 
 

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes
 
 from sslasr.container import ContainerError
-from sslasr.features import FeatureMatrix, write_archive
+from sslasr.ctc import PosteriorStream
 from sslasr.nn import DuplicateParameterError, Linear, Module, Parameter, ParameterShapeError
 from sslasr.params import (
     Adam,
@@ -19,6 +19,7 @@ from sslasr.params import (
     optimizer_errors,
     train_epochs,
 )
+from sslasr.pipeline import write_streams
 
 from conftest import ENCODER
 from containers import container_blob, entry, reader_fuzz
@@ -86,11 +87,15 @@ class TestParameterStore:
             ParameterStore.load(path)
 
     def test_archive_is_not_a_store(self, tmp_path):
+        """A stream archive is a container like a store, so it loads as one;
+        loading it into a module fails by name."""
         path = tmp_path / "set.sfa"
-        write_archive(path, [("u1", FeatureMatrix(np.ones((2, 3))))])
-        with pytest.raises(ContainerError, match=r"entry 0 \('u1'\): payload of 4-byte items, "
-                                                 r"expected float64"):
-            ParameterStore.load(path)
+        write_streams(path, {"u1": PosteriorStream(np.log(np.full((2, 3), 0.5)) - np.log(1.5))})
+        store = ParameterStore.load(path)
+        assert list(store.tensors) == ["u1"]
+        with pytest.raises(KeyError, match=re.escape(
+                "missing=['extra', 'lin.b', 'lin.w'] extra=['u1']")):
+            store.load_into(Small())
 
     @pytest.mark.parametrize("tensors, message", [
         ({"a": np.empty((2**32, 0))},

@@ -1,7 +1,9 @@
 import hashlib
+import json
 import re
 from collections import Counter
 from dataclasses import asdict
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,8 +11,9 @@ from conftest import random_stream
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sslasr import pipeline
+from sslasr import container, pipeline
 from sslasr.config import encoder_config, load_config, merge_config
+from sslasr.container import ContainerError
 from sslasr.corpus import wer
 from sslasr.ctc import TokenVocab
 from sslasr.decoder import (Lexicon, LexiconEntry, decode_stream, interpolate_posteriors,
@@ -169,6 +172,9 @@ class TestFeatureFns:
         assert np.array_equal(feats.data, bn.astype(np.float32))
 
 
+NOT_T_BY_V = r"posterior stream must be a T x \(V\+1\) matrix with T, V >= 1, got shape "
+
+
 class TestStreamFiles:
     def test_round_trip_preserves_decisions(self, tiny_corpus, tiny_models, tmp_path):
         model, adapter = tiny_models
@@ -180,13 +186,27 @@ class TestStreamFiles:
         back = pipeline.read_streams(path)
         assert list(back) == [r.utt_id for r in records]
         for got, stream in zip(back.values(), streams):
-            assert np.allclose(got.logp, stream.logp, atol=1e-4)
             assert greedy_decode(got) == greedy_decode(stream)
-            # float32 storage, then an exact renormalisation of each row
-            stored = stream.logp.astype(np.float32).astype(np.float64)
-            shift = stored.max(axis=1)
-            norm = shift + np.log(np.exp(stored - shift[:, None]).sum(axis=1))
-            assert np.array_equal(got.logp, stored - norm[:, None])
+            # a saved stream is the stream, bit for bit
+            assert got.logp.dtype == np.float64 and got.logp.tobytes() == stream.logp.tobytes()
+
+    @pytest.mark.parametrize("logp, error", [
+        (np.log([[0.5, 0.4]]), "rows must log-sum-exp to 0 within 1e-6"),
+        (np.log([[0.5, 0.5], [0.5, 0.5 + 2e-6]]), "rows must log-sum-exp to 0 within 1e-6"),
+        (np.array([[0.0, np.nan]]), "posterior entries must be finite or -inf"),
+        (np.array([[np.inf, 0.0]]), "posterior entries must be finite or -inf"),
+        (np.log([0.5, 0.5]), NOT_T_BY_V + r"\(2,\)"),
+        (np.zeros((0, 3)), NOT_T_BY_V + r"\(0, 3\)"),
+        (np.zeros((2, 1)), NOT_T_BY_V + r"\(2, 1\)"),
+    ], ids=["unnormalised", "off-by-2e-6", "nan", "plus-inf", "1-d", "no-frames", "no-token"])
+    def test_entry_that_is_not_a_stream_named(self, tmp_path, logp, error):
+        """The reader renormalises nothing: an entry that is not a stream
+        fails by its index and utterance id."""
+        path = tmp_path / "streams"
+        good = np.log([[0.25, 0.75]])
+        container.write(path, [("u0", good), ("u1", logp)], "utterance id")
+        with pytest.raises(ContainerError, match=r"^entry 1 \('u1'\): " + error):
+            pipeline.read_streams(path)
 
 
 class TestAlignments:
@@ -344,6 +364,36 @@ class TestScoreHypotheses:
             pipeline.score_hypotheses([(first.utt_id, []), (second.utt_id, []),
                                        (first.utt_id, first.transcript.split())],
                                       tiny_corpus.manifest)
+
+
+class TestTrainerSeeds:
+    def test_tiny_recipe_seeds_pinned(self, tmp_path, monkeypatch):
+        """Each trainer of the recipe gets a fixed offset of the config seed:
+        pretraining and inversion the seed, the adapter's initialisation
+        +7, fine-tuning stage i +i, and the fbk and fused AMs +101 and
+        +202. Recorded on the benchmark's tiny recipe settings."""
+        spec = json.loads((Path(__file__).resolve().parent.parent / "perfbench"
+                           / "workloads.json").read_text())["recipe"]
+        cfg = load_config(None, merge_config(merge_config(spec["config"], spec["tiny"]),
+                                             {"seed": spec["seed"]}))
+        seeds = []
+        for name in ("pretrain", "train_adapter", "finetune_ctc", "train_inversion",
+                     "train_am"):
+            def recorded(*args, seed, _name=name, _fn=getattr(pipeline, name), **kwargs):
+                seeds.append((_name, seed))
+                return _fn(*args, seed=seed, **kwargs)
+            monkeypatch.setattr(pipeline, name, recorded)
+        pipeline.generate_corpus(tmp_path, cfg)
+        corpus = pipeline.Corpus(tmp_path)
+        model, _ = pipeline.pretrain_encoder(corpus, cfg)
+        adapter, _ = pipeline.finetune_encoder(corpus, model, cfg)
+        pipeline.train_inversion_model(corpus, model, adapter, cfg)
+        pipeline.run_recognition(corpus, cfg, model, adapter)
+        s = cfg["seed"]
+        assert len(cfg["finetune"]["stages"]) == 3
+        assert seeds == [("pretrain", s), ("train_adapter", s + 7), ("finetune_ctc", s),
+                         ("finetune_ctc", s + 1), ("finetune_ctc", s + 2),
+                         ("train_inversion", s), ("train_am", s + 101), ("train_am", s + 202)]
 
 
 class TestRunRecognition:

@@ -65,6 +65,21 @@ class TestScoreWithSsl:
                 else:
                     assert got == pytest.approx(expected, abs=1e-9)
 
+    @pytest.mark.parametrize("widths, utt, width", [
+        ((2, 2), "u0", 2),
+        ((3, 4), "u1", 4),
+        ((5,), "u0", 5),
+    ], ids=["narrow", "mixed", "wide"])
+    def test_other_width_named(self, widths, utt, width):
+        """An SSL stream is scored only at the vocabulary's width (two
+        tokens and blank here)."""
+        rng = np.random.default_rng(6)
+        streams = [rand_stream(4, w - 1, rng) for w in widths]
+        lists = [nbest([1.0], tokens=[["b"]], utt_id=f"u{i}") for i in range(len(widths))]
+        with pytest.raises(RescoreError, match=f"^utterance '{utt}': SSL stream of width "
+                                               f"{width}, the vocabulary has width 3$"):
+            score_nbest_with_ssl(lists, streams, VOCAB)
+
     def test_unsatisfiable_entry_kept_with_inf(self):
         rng = np.random.default_rng(3)
         costs = score_one(nbest([1.0, 2.0], tokens=[["a", "b", "a"], ["a"]]),
